@@ -32,15 +32,19 @@ def _setup_logging():
     logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
 
 
+def _write_config(out_dir, run_cfg):
+    # the timestamp is the only run-to-run difference, confined to this line
+    with open(os.path.join(out_dir, "config.resolved"), "w") as f:
+        f.write(f"# written: {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
+        f.write(config.normalize(run_cfg))
+
+
 def _write_run_dir(out_dir, run_cfg, metrics, pipe, meta):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.jsonl"), "w") as f:
         for rec in metrics:
             f.write(json.dumps(rec) + "\n")
-    # the timestamp is the only run-to-run difference, confined to this line
-    with open(os.path.join(out_dir, "config.resolved"), "w") as f:
-        f.write(f"# written: {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        f.write(config.normalize(run_cfg))
+    _write_config(out_dir, run_cfg)
     checkpoint.save(os.path.join(out_dir, "checkpoint.vora"),
                     pipe.cfg, trainer.collect_state(pipe), meta)
 
@@ -153,9 +157,7 @@ def cmd_ablate(args):
     rows, curves = trainer.run_ablation(mcfg, tcfg, dcfg, grid, run_cfg["thresholds"],
                                         run_cfg["ablate_steps"],
                                         csv_path=os.path.join(args.out_dir, "report.csv"))
-    with open(os.path.join(args.out_dir, "config.resolved"), "w") as f:
-        f.write(f"# written: {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        f.write(config.normalize(run_cfg))
+    _write_config(args.out_dir, run_cfg)
     for (mask, dist, rank), metrics in curves.items():
         tag = f"{mask}_{dist}_r{rank}"
         with open(os.path.join(args.out_dir, f"metrics_{tag}.jsonl"), "w") as f:

@@ -110,8 +110,7 @@ class RunConfig:
         return TrainConfig(
             lr=v["lr"], warmup_steps=v["warmup_steps"], batch_size=v["batch_size"],
             total_steps=v["total_steps"], mode=mode or v["mode"],
-            distill_mode=v["distill_mode"], mask_mode=v["mask_mode"], rank=v["rank"],
-            seed=v["seed"], weight_decay=v["weight_decay"], log_window=v["log_window"],
+            distill_mode=v["distill_mode"], mask_mode=v["mask_mode"], seed=v["seed"], weight_decay=v["weight_decay"], log_window=v["log_window"],
             teacher_warm=v["teacher_warm"], teacher_warm_steps=v["teacher_warm_steps"],
             distill_weight=v["distill_weight"],
         )

@@ -252,7 +252,7 @@ class DataConfig:
 class PackedBatch:
     tokens: np.ndarray  # [B, S] int64, IMG in vision spans, PAD tail
     layouts: list
-    images: list  # Image | None per sequence; image samples come first
+    images: list  # Image | None per sequence; image rows first, sorted by grid
     grids: list  # (rows, cols) | None per sequence
     n_image: int
 
@@ -267,18 +267,23 @@ def _pick_resolution(rng, dcfg):
     return (h, w)
 
 
+def _grid(sample, patch):
+    return None if sample.image is None else (sample.image.height // patch, sample.image.width // patch)
+
+
 def pack_samples(samples, patch, max_seq):
-    """[IMG-span][prompt][answer][EOS] per sequence, PAD to the batch max."""
+    """[IMG-span][prompt][answer][EOS] per sequence, PAD to the batch max.
+
+    Rows are reordered: image samples first, stable-sorted by grid, then
+    text samples in their given order, so rows sharing a grid are adjacent.
+    """
     rows = []
     layouts = []
     images = []
     grids = []
-    for sample in samples:
-        if sample.image is not None:
-            grid = (sample.image.height // patch, sample.image.width // patch)
-            s_v = grid[0] * grid[1]
-        else:
-            grid, s_v = None, 0
+    for sample in sorted(samples, key=lambda smp: (smp.image is None, _grid(smp, patch) or ())):
+        grid = _grid(sample, patch)
+        s_v = grid[0] * grid[1] if grid else 0
         ids = [IMG] * s_v + list(sample.prompt_tokens) + list(sample.answer_tokens) + [EOS]
         if len(ids) > max_seq:
             raise ValueError(f"packed length {len(ids)} exceeds max_seq {max_seq}")

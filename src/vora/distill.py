@@ -1,6 +1,7 @@
-"""Feature-alignment objective: per-block projection heads, block-wise
+"""Feature-alignment objective: per-block projection heads, the per-block
 cosine distillation loss, supervised-span LM loss, and their unweighted
-sum. Also the last-block-only ablation variant.
+sum. ``trainer.compute_losses`` combines the per-block terms for each of
+the DISTILL_MODES.
 """
 
 import numpy as np
@@ -65,32 +66,6 @@ def block_distill_loss(h_llm, h_vit, head):
     if h_llm.data.shape[:-1] != hv.data.shape[:-1]:
         raise T.ShapeError(f"token counts differ: {h_llm.data.shape} vs {hv.data.shape}")
     return _cosine_rows(head.forward(h_llm), hv)
-
-
-def distill_loss(taps, teacher_states, heads, mode):
-    """Combine per-block losses per the distillation variant.
-
-    block_wise: mean over blocks 0..n_vit-1; last_block: final distilled
-    block only; none: exact 0 with no graph edges. ``taps`` entries must
-    already be restricted to the vision span.
-    """
-    if mode not in DISTILL_MODES:
-        raise ValueError(f"unknown distill mode {mode!r}")
-    if mode == "none":
-        return T.constant(np.zeros((), dtype=np.float32))
-    n_vit = len(teacher_states)
-    if len(taps) < n_vit:
-        raise T.ShapeError(f"{len(taps)} taps for {n_vit} teacher blocks")
-    if len(heads) < n_vit:
-        raise T.ShapeError(f"{len(heads)} heads for {n_vit} teacher blocks")
-    if mode == "last_block":
-        i = n_vit - 1
-        return block_distill_loss(taps[i].hidden, teacher_states[i], heads[i])
-    total = None
-    for i in range(n_vit):
-        term = block_distill_loss(taps[i].hidden, teacher_states[i], heads[i])
-        total = term if total is None else total + term
-    return T.scale(total, 1.0 / n_vit)
 
 
 def lm_loss(logits, layouts, tokens):

@@ -213,9 +213,12 @@ def nano_config():
 def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
     """Finite-difference the combined objective on the nano model.
 
-    Checks a deterministic entry sample of every trainable tensor (all
-    entries when a tensor has at most max_entries). Returns
-    (results, all_passed) with per-tensor worst errors.
+    Two batches: "fixed" (one 8x8 image row, one text row) and
+    "mixed-grid" (a text row and two images on different grids, so the
+    distillation term averages over two grid runs). Checks a
+    deterministic entry sample of every trainable tensor (all entries
+    when a tensor has at most max_entries). Returns (results,
+    all_passed) with per-tensor worst errors, named "<batch>/<tensor>".
     """
     from . import data as D
     from . import trainer
@@ -224,11 +227,11 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
     dcfg = D.DataConfig(resolution=(8, 8), patch=4)
     pipe = trainer.build_pipeline(cfg, seed=seed)
     rng = np.random.default_rng([seed, 42])
-    batch = D.make_batch(rng, 2, image_fraction=0.5, dcfg=dcfg, max_seq=cfg.max_seq)
-
-    def fn():
-        out, _ = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
-        return out.total
+    batches = {
+        "fixed": D.make_batch(rng, 2, image_fraction=0.5, dcfg=dcfg, max_seq=cfg.max_seq),
+        "mixed-grid": D.pack_samples([D.gen_text_sample(seed), D.gen_image_caption(seed, (8, 12), patch=4),
+                                      D.gen_image_caption(seed + 1, (8, 8), patch=4)], cfg.patch, cfg.max_seq),
+    }
 
     trainable = {}
     trainable.update(pipe.adapters.tensors())
@@ -236,32 +239,35 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
     for head in pipe.heads:
         trainable.update(head.tensors())
 
-    for t in trainable.values():
-        t.grad = None
-    T.active_tape().reset()
-    loss = fn()
-    T.backward(loss)
-
     pick = np.random.default_rng(seed)
     results = []
-    with T.no_grad():
-        for name in sorted(trainable):
-            t = trainable[name]
-            flat = t.data.reshape(-1)
-            analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-            idxs = np.arange(flat.size)
-            if flat.size > max_entries:
-                idxs = np.sort(pick.choice(flat.size, size=max_entries, replace=False))
-            worst = 0.0
-            for i in idxs:
-                keep = flat[i]
-                flat[i] = keep + h
-                hi = float(fn().data)
-                flat[i] = keep - h
-                lo = float(fn().data)
-                flat[i] = keep
-                fd = (hi - lo) / (2.0 * h)
-                err = abs(analytic[i] - fd) / max(1.0, abs(fd))
-                worst = max(worst, err)
-            results.append((name, worst, worst <= tol))
+    for case, batch in batches.items():
+        def fn():
+            out, _ = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
+            return out.total
+
+        for t in trainable.values():
+            t.grad = None
+        T.active_tape().reset()
+        T.backward(fn())
+        with T.no_grad():
+            for name in sorted(trainable):
+                t = trainable[name]
+                flat = t.data.reshape(-1)
+                analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
+                idxs = np.arange(flat.size)
+                if flat.size > max_entries:
+                    idxs = np.sort(pick.choice(flat.size, size=max_entries, replace=False))
+                worst = 0.0
+                for i in idxs:
+                    keep = flat[i]
+                    flat[i] = keep + h
+                    hi = float(fn().data)
+                    flat[i] = keep - h
+                    lo = float(fn().data)
+                    flat[i] = keep
+                    fd = (hi - lo) / (2.0 * h)
+                    err = abs(analytic[i] - fd) / max(1.0, abs(fd))
+                    worst = max(worst, err)
+                results.append((f"{case}/{name}", worst, worst <= tol))
     return results, all(ok for _, _, ok in results)

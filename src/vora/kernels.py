@@ -1,59 +1,25 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, vectorized numpy.
 
-Every kernel exists twice, as ``_nb_*`` (numba ``@njit``, cached) and
-``_np_*`` (vectorized numpy). The active set is chosen once at import:
-``VORA_NUMBA=0`` (or numba being unavailable) forces the all-numpy path;
-otherwise the accelerated path uses numba where it measures faster
-(fused row reductions: softmax, rms-norm, cross-entropy backward, the
-small-tensor AdamW update) and numpy where its SIMD transcendentals win
-(GELU/SiLU, cross-entropy forward) — see benchmarks/bench_kernels.py.
-Both paths are deterministic and agree within float32 rounding. Matrix
-products always go through numpy/BLAS.
+The tape ops in ``tensor`` call these for the row reductions and
+elementwise transcendentals of the model (masked softmax, RMS-norm,
+GELU/SiLU, cross-entropy) and the trainer calls ``adamw_update`` once
+per trainable tensor. Matrix products go straight through numpy/BLAS.
 
 All kernels take contiguous float32 arrays, 2-D where a row structure
 matters (callers flatten leading dims).
 """
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - mirror env without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _env_flag(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
-USE_NUMBA = HAS_NUMBA and _env_flag("VORA_NUMBA", True)
+# numpy is the only kernel path; run directories record this flag
+USE_NUMBA = False
 
 # GELU tanh approximation constants
 _GELU_K0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_K1 = 0.044715
 
 
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-
-
-def _np_softmax_fwd(x, mask):
+def softmax_fwd(x, mask):
     z = x + mask
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
@@ -62,17 +28,17 @@ def _np_softmax_fwd(x, mask):
     return z
 
 
-def _np_softmax_bwd(probs, gout):
+def softmax_bwd(probs, gout):
     dot = np.sum(probs * gout, axis=1, keepdims=True)
     return probs * (gout - dot)
 
 
-def _np_gelu_fwd(x):
+def gelu_fwd(x):
     inner = _GELU_K0 * (x + _GELU_K1 * x * x * x)
     return (0.5 * x * (1.0 + np.tanh(inner))).astype(np.float32)
 
 
-def _np_gelu_bwd(x, gout):
+def gelu_bwd(x, gout):
     inner = _GELU_K0 * (x + _GELU_K1 * x * x * x)
     t = np.tanh(inner)
     dinner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * x * x)
@@ -80,23 +46,23 @@ def _np_gelu_bwd(x, gout):
     return (gout * dydx).astype(np.float32)
 
 
-def _np_silu_fwd(x):
+def silu_fwd(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return (x * s).astype(np.float32)
 
 
-def _np_silu_bwd(x, gout):
+def silu_bwd(x, gout):
     s = 1.0 / (1.0 + np.exp(-x))
     return (gout * (s * (1.0 + x * (1.0 - s)))).astype(np.float32)
 
 
-def _np_rmsnorm_fwd(x, gain, eps):
+def rmsnorm_fwd(x, gain, eps):
     inv = 1.0 / np.sqrt(np.mean(x * x, axis=1) + eps)
     y = x * inv[:, None] * gain[None, :]
     return y.astype(np.float32), inv.astype(np.float32)
 
 
-def _np_rmsnorm_bwd(x, gain, inv, gout):
+def rmsnorm_bwd(x, gain, inv, gout):
     d = x.shape[1]
     gy_g = gout * gain[None, :]
     dot = np.sum(gy_g * x, axis=1)
@@ -105,7 +71,7 @@ def _np_rmsnorm_bwd(x, gain, inv, gout):
     return gx.astype(np.float32), ggain.astype(np.float32)
 
 
-def _np_ce_fwd(logits, targets, live):
+def ce_fwd(logits, targets, live):
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     z = e.sum(axis=1, keepdims=True)
@@ -115,192 +81,18 @@ def _np_ce_fwd(logits, targets, live):
     return np.where(live, nll, 0.0).astype(np.float32), probs
 
 
-def _np_ce_bwd(probs, targets, live, scale):
+def ce_bwd(probs, targets, live, scale):
     g = probs * scale
     g[np.arange(probs.shape[0]), targets] -= scale
     g[~live] = 0.0
     return g.astype(np.float32)
 
 
-def _np_adamw(p, g, m, v, lr, b1, b2, eps, wd, bc1, bc2):
+def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, bc1, bc2):
+    """In-place AdamW on flat float32 arrays: moments m, v and the weights p."""
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
     update = (m / bc1) / (np.sqrt(v / bc2) + eps)
     p -= lr * update + lr * wd * p
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_softmax_fwd(x, mask):
-        rows, cols = x.shape
-        out = np.empty((rows, cols), dtype=np.float32)
-        for i in range(rows):
-            hi = np.float32(-np.inf)
-            for j in range(cols):
-                z = x[i, j] + mask[i, j]
-                if z > hi:
-                    hi = z
-            s = 0.0
-            for j in range(cols):
-                if mask[i, j] < 0.0:
-                    out[i, j] = 0.0
-                else:
-                    e = np.exp(x[i, j] + mask[i, j] - hi)
-                    out[i, j] = e
-                    s += e
-            inv = np.float32(1.0 / s)
-            for j in range(cols):
-                out[i, j] *= inv
-        return out
-
-    @njit(cache=True)
-    def _nb_softmax_bwd(probs, gout):
-        rows, cols = probs.shape
-        gx = np.empty((rows, cols), dtype=np.float32)
-        for i in range(rows):
-            dot = 0.0
-            for j in range(cols):
-                dot += probs[i, j] * gout[i, j]
-            for j in range(cols):
-                gx[i, j] = probs[i, j] * (gout[i, j] - dot)
-        return gx
-
-    @njit(cache=True)
-    def _nb_gelu_fwd(x):
-        out = np.empty(x.shape[0], dtype=np.float32)
-        for i in range(x.shape[0]):
-            v = float(x[i])
-            inner = _GELU_K0 * (v + _GELU_K1 * v * v * v)
-            out[i] = 0.5 * v * (1.0 + math.tanh(inner))
-        return out
-
-    @njit(cache=True)
-    def _nb_gelu_bwd(x, gout):
-        gx = np.empty(x.shape[0], dtype=np.float32)
-        for i in range(x.shape[0]):
-            v = float(x[i])
-            inner = _GELU_K0 * (v + _GELU_K1 * v * v * v)
-            t = math.tanh(inner)
-            dinner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * v * v)
-            gx[i] = gout[i] * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner)
-        return gx
-
-    @njit(cache=True)
-    def _nb_silu_fwd(x):
-        out = np.empty(x.shape[0], dtype=np.float32)
-        for i in range(x.shape[0]):
-            v = float(x[i])
-            s = 1.0 / (1.0 + math.exp(-v))
-            out[i] = v * s
-        return out
-
-    @njit(cache=True)
-    def _nb_silu_bwd(x, gout):
-        gx = np.empty(x.shape[0], dtype=np.float32)
-        for i in range(x.shape[0]):
-            v = float(x[i])
-            s = 1.0 / (1.0 + math.exp(-v))
-            gx[i] = gout[i] * (s * (1.0 + v * (1.0 - s)))
-        return gx
-
-    @njit(cache=True)
-    def _nb_rmsnorm_fwd(x, gain, eps):
-        rows, d = x.shape
-        y = np.empty((rows, d), dtype=np.float32)
-        inv = np.empty(rows, dtype=np.float32)
-        for i in range(rows):
-            ss = 0.0
-            for j in range(d):
-                ss += float(x[i, j]) * float(x[i, j])
-            r = 1.0 / math.sqrt(ss / d + eps)
-            inv[i] = r
-            for j in range(d):
-                y[i, j] = x[i, j] * r * gain[j]
-        return y, inv
-
-    @njit(cache=True)
-    def _nb_rmsnorm_bwd(x, gain, inv, gout):
-        rows, d = x.shape
-        gx = np.empty((rows, d), dtype=np.float32)
-        ggain = np.zeros(d, dtype=np.float32)
-        for i in range(rows):
-            r = float(inv[i])
-            dot = 0.0
-            for j in range(d):
-                dot += float(gout[i, j]) * float(gain[j]) * float(x[i, j])
-            coef = dot * r * r * r / d
-            for j in range(d):
-                gx[i, j] = gout[i, j] * gain[j] * r - x[i, j] * coef
-                ggain[j] += gout[i, j] * x[i, j] * r
-        return gx, ggain
-
-    @njit(cache=True)
-    def _nb_ce_fwd(logits, targets, live):
-        rows, v = logits.shape
-        probs = np.empty((rows, v), dtype=np.float32)
-        nll = np.zeros(rows, dtype=np.float32)
-        for i in range(rows):
-            hi = np.float32(-np.inf)
-            for j in range(v):
-                if logits[i, j] > hi:
-                    hi = logits[i, j]
-            s = 0.0
-            for j in range(v):
-                e = np.exp(float(logits[i, j]) - float(hi))
-                probs[i, j] = e
-                s += e
-            inv = 1.0 / s
-            for j in range(v):
-                probs[i, j] *= inv
-            if live[i]:
-                nll[i] = math.log(s) + float(hi) - float(logits[i, targets[i]])
-        return nll, probs
-
-    @njit(cache=True)
-    def _nb_ce_bwd(probs, targets, live, scale):
-        rows, v = probs.shape
-        g = np.zeros((rows, v), dtype=np.float32)
-        for i in range(rows):
-            if live[i]:
-                for j in range(v):
-                    g[i, j] = probs[i, j] * scale
-                g[i, targets[i]] -= scale
-        return g
-
-    @njit(cache=True)
-    def _nb_adamw(p, g, m, v, lr, b1, b2, eps, wd, bc1, bc2):
-        for i in range(p.shape[0]):
-            gi = float(g[i])
-            m[i] = b1 * m[i] + (1.0 - b1) * gi
-            v[i] = b2 * v[i] + (1.0 - b2) * gi * gi
-            update = (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
-            p[i] -= lr * update + lr * wd * p[i]
-
-
-if USE_NUMBA:
-    softmax_fwd = _nb_softmax_fwd
-    softmax_bwd = _nb_softmax_bwd
-    rmsnorm_fwd = _nb_rmsnorm_fwd
-    rmsnorm_bwd = _nb_rmsnorm_bwd
-    ce_bwd = _nb_ce_bwd
-    adamw_update = _nb_adamw
-else:
-    softmax_fwd = _np_softmax_fwd
-    softmax_bwd = _np_softmax_bwd
-    rmsnorm_fwd = _np_rmsnorm_fwd
-    rmsnorm_bwd = _np_rmsnorm_bwd
-    ce_bwd = _np_ce_bwd
-    adamw_update = _np_adamw
-
-# numpy's SIMD exp/tanh beat scalar jitted loops at every relevant size
-gelu_fwd = _np_gelu_fwd
-gelu_bwd = _np_gelu_bwd
-silu_fwd = _np_silu_fwd
-silu_bwd = _np_silu_bwd
-ce_fwd = _np_ce_fwd

@@ -99,15 +99,6 @@ def attach(cfg, seed=0):
     return AdapterSet(adapters)
 
 
-def lora_forward(x, base_w, adapter):
-    """y = x base_w^T + (alpha/rank) (x a^T) b^T; base_w takes no gradient."""
-    if x.data.shape[-1] != base_w.data.shape[-1]:
-        raise T.ShapeError(f"lora_forward shape mismatch: {x.data.shape} x {base_w.data.shape}")
-    y = T.matmul(x, T.transpose(base_w))
-    delta = T.scale(T.matmul(T.matmul(x, T.transpose(adapter.a)), T.transpose(adapter.b)), adapter.scaling)
-    return y + delta
-
-
 def merge_adapter(base_w, adapter):
     """base_w + (alpha/rank) b a, accumulated in float64, rounded to f32.
 

@@ -131,10 +131,6 @@ def build_attention_mask(layout, total_len, mode="hybrid"):
     return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK)).astype(np.float32)
 
 
-def build_hybrid_mask(layout, total_len):
-    return build_attention_mask(layout, total_len, mode="hybrid")
-
-
 def rope_tables(seq_len, head_dim, base=10000.0):
     """cos/sin [seq_len, head_dim/2] for half-split rotary application."""
     half = head_dim // 2

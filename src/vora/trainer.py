@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import data as D
-from . import distill, kernels, lora, vision
+from . import checkpoint, distill, kernels, lora, vision
 from . import tensor as T
-from .model import BlockTap, Model, build_attention_mask, decode_greedy
+from .model import Model, build_attention_mask, decode_greedy
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
@@ -42,7 +42,6 @@ class TrainConfig:
     mode: str = "pretrain"
     distill_mode: str = "block_wise"
     mask_mode: str = "hybrid"
-    rank: int = 8
     seed: int = 0
     weight_decay: float = 0.01
     log_window: int = 100
@@ -126,7 +125,11 @@ def pipeline_from_state(cfg, tensors, meta=None):
         adapters.merged = meta.get("merged", "false") == "true"
     vembed = vision.VisionEmbed(cfg, {n: wrap(n, True) for n in ("vembed.fc1", "vembed.fc2")})
     teacher_params = {n: wrap(n) for n in tensors if n.startswith("teacher.")}
-    teacher = vision.Teacher(cfg, teacher_params) if teacher_params else vision.Teacher.init(cfg, seed=103)
+    if not teacher_params:
+        raise checkpoint.CheckpointError(
+            "checkpoint has no teacher.* tensors; save it with trainer.collect_state, "
+            "which includes the frozen teacher")
+    teacher = vision.Teacher(cfg, teacher_params)
     heads = []
     for i in range(cfg.n_vit):
         gname = f"aux.{i}.gain"
@@ -138,36 +141,38 @@ def pipeline_from_state(cfg, tensors, meta=None):
 # ---------------------------------------------------------------------------
 # batch forward
 
+def _grid_runs(batch):
+    """[start, end, grid] per run of consecutive image rows sharing a grid.
+
+    Image rows sit first, sorted by grid (see data.pack_samples), so each
+    grid forms one run and a fixed-resolution batch is a single run.
+    """
+    runs = []
+    for i in range(batch.n_image):
+        if runs and runs[-1][2] == batch.grids[i]:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, batch.grids[i]])
+    return runs
+
+
 def pack_embedded(pipe, batch):
     """Differentiable splice: vision embeddings at the vision span, token
-    embeddings elsewhere (image rows sit first in the batch)."""
+    embeddings elsewhere; one vision-embed call per grid run."""
     cfg = pipe.cfg
     b, s = batch.tokens.shape
-    n_img = batch.n_image
-    if n_img == 0:
-        return pipe.model.embed_tokens(batch.tokens)
-    grids = {batch.grids[i] for i in range(n_img)}
-    if len(grids) == 1:
-        # uniform resolution: one batched vision MLP, one embedding lookup
-        grid = next(iter(grids))
-        s_v = grid[0] * grid[1]
-        patches = np.stack([vision.patchify(batch.images[i], cfg.patch) for i in range(n_img)])
-        vis = pipe.vembed.forward(patches, grid)
-        tok = pipe.model.embed_tokens(batch.tokens)
-        img_rows = T.concat([vis, T.slice_axis(T.slice_axis(tok, 0, 0, n_img), 1, s_v, s)], axis=1)
-        if n_img == b:
-            return img_rows
-        return T.concat([img_rows, T.slice_axis(tok, 0, n_img, b)], axis=0)
-    rows = []
-    for i in range(b):
-        v0, v1 = batch.layouts[i].vision_span
-        parts = []
-        if v1 > v0:
-            patches = vision.patchify(batch.images[i], cfg.patch)
-            parts.append(pipe.vembed.forward(patches, batch.grids[i]))
-        parts.append(pipe.model.embed_tokens(batch.tokens[i][v1:]))
-        rows.append(T.reshape(T.concat(parts, axis=0), (1, s, cfg.d_model)))
-    return T.concat(rows, axis=0)
+    runs = _grid_runs(batch)
+    vis = [pipe.vembed.forward(np.stack([vision.patchify(batch.images[i], cfg.patch)
+                                         for i in range(start, end)]), grid)
+           for start, end, grid in runs]
+    tok = pipe.model.embed_tokens(batch.tokens)
+    if not runs:
+        return tok
+    parts = [T.concat([v, T.slice_axis(T.slice_axis(tok, 0, start, end), 1, grid[0] * grid[1], s)], axis=1)
+             for v, (start, end, grid) in zip(vis, runs)]
+    if batch.n_image < b:
+        parts.append(T.slice_axis(tok, 0, batch.n_image, b))
+    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
 
 
 def batch_masks(batch, mask_mode):
@@ -183,20 +188,24 @@ class LossOut:
     per_block: list = field(default_factory=list)
 
 
-def _teacher_state_groups(pipe, batch):
-    """Per-image teacher states grouped by grid; returns {img_idx: [per-block [S,d_vit]]}."""
-    groups = {}
-    for i in range(batch.n_image):
-        groups.setdefault(batch.grids[i], []).append(i)
-    out = {}
-    for grid, idxs in groups.items():
-        states = pipe.teacher.forward_batch([batch.images[i] for i in idxs])
-        for j, i in enumerate(idxs):
-            out[i] = [st[j] for st in states]
-    return out
+def _sum_terms(terms):
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return acc
 
 
 def compute_losses(pipe, batch, mask_mode, distill_mode, collect_taps=None):
+    """LM loss plus the distillation term of ``distill_mode``.
+
+    block_wise averages the per-block terms over blocks 0..n_vit-1,
+    last_block keeps the final distilled block only, none adds an exact
+    0 with no graph edges. Each block's term is
+    sum over grid runs g of (n_g / n_image) * block_distill_loss(run g),
+    i.e. the mean over images of their per-image cosine loss.
+    """
+    if distill_mode not in distill.DISTILL_MODES:
+        raise ValueError(f"unknown distill_mode {distill_mode!r}")
     cfg = pipe.cfg
     need_distill = distill_mode != "none" and batch.n_image > 0 and cfg.n_vit > 0
     if collect_taps is None:
@@ -206,50 +215,28 @@ def compute_losses(pipe, batch, mask_mode, distill_mode, collect_taps=None):
     logits, taps = pipe.model.forward(embedded, masks, pipe.adapters, collect_taps=collect_taps)
     lm = distill.lm_loss(logits, batch.layouts, batch.tokens)
 
-    per_block = []
     if not need_distill:
         dist = T.constant(np.zeros((), dtype=np.float32))
-        return LossOut(distill.total_loss(dist, lm), lm, dist, per_block), logits
+        return LossOut(distill.total_loss(dist, lm), lm, dist, []), logits
 
     if len(pipe.heads) < cfg.n_vit:
         raise T.ShapeError(f"{len(pipe.heads)} aux heads for {cfg.n_vit} distilled blocks")
-    grids = {batch.grids[i] for i in range(batch.n_image)}
-    tstates = _teacher_state_groups(pipe, batch)
-    if len(grids) == 1:
-        s_v = batch.layouts[0].vision_span[1]
-        states = [np.stack([tstates[i][blk] for i in range(batch.n_image)]) for blk in range(cfg.n_vit)]
-        vis_taps = [
-            BlockTap(t.block_index, T.slice_axis(T.slice_axis(t.hidden, 0, 0, batch.n_image), 1, 0, s_v))
-            for t in taps
-        ]
-        if distill_mode == "block_wise":
-            per_block_t = [distill.block_distill_loss(vis_taps[i].hidden, states[i], pipe.heads[i])
-                           for i in range(cfg.n_vit)]
-        else:
-            i = cfg.n_vit - 1
-            per_block_t = [distill.block_distill_loss(vis_taps[i].hidden, states[i], pipe.heads[i])]
-    else:
-        # mixed resolutions: per-image losses, averaged uniformly
-        blocks = range(cfg.n_vit) if distill_mode == "block_wise" else [cfg.n_vit - 1]
-        per_block_t = []
-        for blk in blocks:
-            acc = None
-            for i in range(batch.n_image):
-                s_v = batch.layouts[i].vision_span[1]
-                tap_i = T.reshape(T.slice_axis(T.slice_axis(taps[blk].hidden, 0, i, i + 1), 1, 0, s_v),
-                                  (s_v, cfg.d_model))
-                term = distill.block_distill_loss(tap_i, tstates[i][blk], pipe.heads[blk])
-                acc = term if acc is None else acc + term
-            per_block_t.append(T.scale(acc, 1.0 / batch.n_image))
+    runs = _grid_runs(batch)
+    # one gradient-free teacher forward per run: per block [n_run, S_run, d_vit]
+    tstates = [pipe.teacher.forward_batch(batch.images[start:end]) for start, end, _ in runs]
+    blocks = range(cfg.n_vit) if distill_mode == "block_wise" else [cfg.n_vit - 1]
+    # vision-span rows of each distilled tap, one slice per grid run
+    vis = [[T.slice_axis(T.slice_axis(taps[blk].hidden, 0, start, end), 1, 0, grid[0] * grid[1])
+            for start, end, grid in runs] for blk in blocks]
+    per_block_t = []
+    for blk, spans in zip(blocks, vis):
+        terms = [distill.block_distill_loss(h, states[blk], pipe.heads[blk]) for h, states in zip(spans, tstates)]
+        if len(terms) > 1:
+            terms = [T.scale(t, (end - start) / batch.n_image) for t, (start, end, _) in zip(terms, runs)]
+        per_block_t.append(_sum_terms(terms))
 
     per_block = [float(t.data) for t in per_block_t]
-    if len(per_block_t) == 1:
-        dist = per_block_t[0]
-    else:
-        acc = per_block_t[0]
-        for t in per_block_t[1:]:
-            acc = acc + t
-        dist = T.scale(acc, 1.0 / len(per_block_t))
+    dist = per_block_t[0] if len(per_block_t) == 1 else T.scale(_sum_terms(per_block_t), 1.0 / len(per_block_t))
     return LossOut(distill.total_loss(dist, lm), lm, dist, per_block), logits
 
 
@@ -326,22 +313,10 @@ def _partition(pipe, tcfg):
     adapter_tensors = pipe.adapters.tensors() if (pipe.adapters and not pipe.adapters.merged) else {}
 
     if tcfg.mode == "pretrain":
-        trainable = {**adapter_tensors, **extras}
-        if use_heads:
-            trainable.update(head_tensors)
-        frozen = {**base, **pipe.teacher.params}
-        if not use_heads:
-            frozen.update(head_tensors)
-    elif tcfg.mode == "finetune":
-        trainable = {**base, **extras}
-        frozen = {**pipe.teacher.params, **head_tensors}
-    else:  # full_llm_unstable: everything in the student unfrozen, no adapters
-        trainable = {**base, **extras}
-        if use_heads:
-            trainable.update(head_tensors)
-        frozen = {**pipe.teacher.params, **adapter_tensors}
-        if not use_heads:
-            frozen.update(head_tensors)
+        trainable, frozen = {**adapter_tensors, **extras}, {**base, **pipe.teacher.params}
+    else:  # finetune, full_llm_unstable: everything in the student unfrozen, no adapters
+        trainable, frozen = {**base, **extras}, {**pipe.teacher.params, **adapter_tensors}
+    (trainable if use_heads else frozen).update(head_tensors)
     _set_requires_grad(trainable, True)
     _set_requires_grad(frozen, False)
     return trainable, frozen
@@ -350,9 +325,23 @@ def _partition(pipe, tcfg):
 # ---------------------------------------------------------------------------
 # training loops
 
-def _zero_grads(state):
+def train_step(state, tcfg, step, loss_fn):
+    """The one step body every loop shares: zero the grads, start a fresh
+    tape, run ``loss_fn() -> (objective, LossOut)``, abort on a non-finite
+    loss, backprop the objective, then AdamW at lr_at(tcfg, step).
+    Returns (LossOut, lr)."""
     for p in state.trainable.values():
         p.grad = None
+    T.active_tape().reset()
+    objective, out = loss_fn()
+    lm_val = float(out.lm.data)
+    dist_val = float(out.dist.data)
+    if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
+        raise TrainAbort(step, lm_val, dist_val)
+    T.backward(objective)
+    lr = lr_at(tcfg, step)
+    adamw_step(state, lr, tcfg)
+    return out, lr
 
 
 def train_loop(pipe, tcfg, dcfg, adapters_active=True, metrics_sink=None):
@@ -363,26 +352,21 @@ def train_loop(pipe, tcfg, dcfg, adapters_active=True, metrics_sink=None):
     if not adapters_active:
         pipe = replace(pipe, adapters=None)
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
+    distill_mode = tcfg.distill_mode if use_distill else "none"
+
+    def loss_fn(batch):
+        out, _ = compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
+        if use_distill and tcfg.distill_weight != 1.0:
+            return distill.total_loss(T.scale(out.dist, tcfg.distill_weight), out.lm), out
+        return out.total, out
+
     metrics = []
     for step in range(tcfg.total_steps):
         batch = D.make_batch(rng_data, tcfg.batch_size, dcfg=dcfg, max_seq=pipe.cfg.max_seq)
-        _zero_grads(state)
-        T.active_tape().reset()
-        out, _ = compute_losses(pipe, batch, tcfg.mask_mode,
-                                tcfg.distill_mode if use_distill else "none")
-        lm_val = float(out.lm.data)
-        dist_val = float(out.dist.data)
-        if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
-            raise TrainAbort(step, lm_val, dist_val)
-        objective = out.total
-        if use_distill and tcfg.distill_weight != 1.0:
-            objective = distill.total_loss(T.scale(out.dist, tcfg.distill_weight), out.lm)
-        T.backward(objective)
-        lr = lr_at(tcfg, step)
-        adamw_step(state, lr, tcfg)
-        rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": lm_val}
+        out, lr = train_step(state, tcfg, step, lambda: loss_fn(batch))
+        rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
         if use_distill:
-            rec["distill_loss"] = dist_val
+            rec["distill_loss"] = float(out.dist.data)
             rec["per_block"] = out.per_block
         metrics.append(rec)
         if metrics_sink is not None:
@@ -455,6 +439,14 @@ def steps_to_threshold(losses, threshold, window):
     return -1
 
 
+def _decode_caption(pipe, batch, max_new, mask_mode):
+    """Greedy ids after the packed prefix ([vision span][prompt]) of row 0."""
+    lay = batch.layouts[0]
+    with T.no_grad():
+        prefix = T.constant(pack_embedded(pipe, batch).data[0, : lay.supervise_from])
+    return decode_greedy(pipe.model, prefix, lay, D.EOS, max_new, adapters=pipe.adapters, mask_mode=mask_mode)
+
+
 def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
     """Held-out metrics: greedy caption token accuracy, text perplexity,
     and (when heads exist) mean per-block cosine alignment."""
@@ -467,13 +459,7 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
     for _ in range(n_caption):
         idx = D.HELDOUT_BASE + int(rng.integers(0, D.HELDOUT_BASE))
         sample = D.gen_image_caption(idx, dcfg.resolution, patch=dcfg.patch)
-        batch = D.pack_samples([sample], dcfg.patch, cfg.max_seq)
-        lay = batch.layouts[0]
-        with T.no_grad():
-            emb = pack_embedded(pipe, batch)
-            prefix = T.constant(emb.data[0, : lay.supervise_from])
-        decoded = decode_greedy(pipe.model, prefix, lay, D.EOS, max_new,
-                                adapters=pipe.adapters, mask_mode=tcfg.mask_mode)
+        decoded = _decode_caption(pipe, D.pack_samples([sample], dcfg.patch, cfg.max_seq), max_new, tcfg.mask_mode)
         target = list(sample.answer_tokens) + [D.EOS]
         total += len(target)
         correct += sum(1 for a, b in zip(decoded, target) if a == b)
@@ -517,8 +503,7 @@ def run_ablation(cfg, tcfg, dcfg, grid, thresholds, budget_steps, csv_path=None)
     curves = {}
     for mask_mode, distill_mode, rank in grid:
         cell_cfg = replace(cfg, rank=rank, alpha=0.0)  # alpha re-resolves to rank
-        cell_t = replace(tcfg, mask_mode=mask_mode, distill_mode=distill_mode,
-                         rank=rank, total_steps=budget_steps)
+        cell_t = replace(tcfg, mask_mode=mask_mode, distill_mode=distill_mode, total_steps=budget_steps)
         pipe = build_pipeline(cell_cfg, seed=cell_t.seed, teacher_warm=cell_t.teacher_warm,
                               teacher_warm_steps=cell_t.teacher_warm_steps)
         _, metrics = pretrain(pipe, cell_t, dcfg)
@@ -552,26 +537,17 @@ def overfit_pair(pipe, sample, steps=300, lr=3e-3, mask_mode="hybrid", distill_m
     tcfg = TrainConfig(lr=lr, warmup_steps=10, batch_size=1, total_steps=steps,
                        mask_mode=mask_mode, distill_mode=distill_mode, seed=0)
     batch = D.pack_samples([sample], pipe.cfg.patch, pipe.cfg.max_seq)
-    trainable, frozen = _partition(pipe, tcfg)
-    state = TrainState.create(trainable, frozen)
+    state = TrainState.create(*_partition(pipe, tcfg))
+
+    def loss_fn():
+        out, _ = compute_losses(pipe, batch, mask_mode, distill_mode)
+        return out.total, out
+
     metrics = []
     for step in range(steps):
-        _zero_grads(state)
-        T.active_tape().reset()
-        out, _ = compute_losses(pipe, batch, mask_mode, distill_mode)
-        if not np.isfinite(float(out.total.data)):
-            raise TrainAbort(step, float(out.lm.data), float(out.dist.data))
-        T.backward(out.total)
-        adamw_step(state, lr_at(tcfg, step), tcfg)
+        out, _ = train_step(state, tcfg, step, loss_fn)
         metrics.append({"step": step, "lm_loss": float(out.lm.data)})
-    lay = batch.layouts[0]
-    with T.no_grad():
-        emb = pack_embedded(pipe, batch)
-        prefix = T.constant(emb.data[0, : lay.supervise_from])
-    decoded = decode_greedy(pipe.model, prefix, lay, D.EOS,
-                            max_new=len(sample.answer_tokens) + 4,
-                            adapters=pipe.adapters, mask_mode=mask_mode)
-    return metrics, decoded
+    return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, mask_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +567,8 @@ def warm_teacher(teacher, cfg, steps=200, seed=7, lr=1e-3, batch_size=16):
     state = TrainState.create(trainable, {})
     warm_cfg = TrainConfig(lr=lr, warmup_steps=0, total_steps=max(steps, 1), seed=seed)
     h, w = cfg.patch * 4, cfg.patch * 4
+    grid = (h // cfg.patch, w // cfg.patch)
+    zero = T.constant(np.zeros((), dtype=np.float32))
     for step in range(steps):
         patches = []
         labels = []
@@ -598,16 +576,12 @@ def warm_teacher(teacher, cfg, steps=200, seed=7, lr=1e-3, batch_size=16):
             shapes = D.make_scene(rng, h, w, n_shapes=1)
             labels.append(shapes[0].kind * len(D.COLOR_NAMES) + shapes[0].color)
             patches.append(vision.patchify(D.render_scene(shapes, h, w), cfg.patch))
-        grid = (h // cfg.patch, w // cfg.patch)
-        _zero_grads(state)
-        T.active_tape().reset()
-        pe = vision.sincos_grid(grid[0], grid[1], d_vit)
-        x = T.matmul(T.constant(np.stack(patches)), T.transpose(teacher.params["teacher.patch_embed"]))
-        x = x + T.constant(pe)
-        states = teacher.blocks_forward(x)
-        pooled = T.tmean(states[-1], axis=1)  # [B, d_vit]
-        logits = T.matmul(pooled, T.transpose(head))
-        loss = T.cross_entropy(logits, np.asarray(labels))
-        T.backward(loss)
-        adamw_step(state, lr, warm_cfg)
+
+        def loss_fn():
+            states = teacher.blocks_forward(teacher.embed_patches(np.stack(patches), grid))
+            pooled = T.tmean(states[-1], axis=1)  # [B, d_vit]
+            loss = T.cross_entropy(T.matmul(pooled, T.transpose(head)), np.asarray(labels))
+            return loss, LossOut(loss, loss, zero)
+
+        train_step(state, warm_cfg, step, loss_fn)
     _set_requires_grad(teacher.params, False)

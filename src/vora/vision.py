@@ -170,6 +170,7 @@ class Teacher:
         return states
 
     def embed_patches(self, patches, grid):
+        """Patch embedding plus sinusoidal positions: [..., S, d_vit]."""
         rows, cols = grid
         pt = patches if isinstance(patches, Tensor) else T.constant(np.asarray(patches, dtype=np.float32))
         x = T.matmul(pt, T.transpose(self.params["teacher.patch_embed"]))
@@ -190,10 +191,7 @@ class Teacher:
                 raise PatchError("forward_batch needs a uniform resolution")
             stacks.append(patchify(image, patch))
         with T.no_grad():
-            pe = sincos_grid(grid[0], grid[1], self.cfg.d_vit)
-            pt = T.constant(np.stack(stacks))
-            x = T.matmul(pt, T.transpose(self.params["teacher.patch_embed"])) + T.constant(pe)
-            states = self.blocks_forward(x)
+            states = self.blocks_forward(self.embed_patches(np.stack(stacks), grid))
         return [st.data for st in states]
 
     def forward(self, image):

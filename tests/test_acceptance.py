@@ -12,8 +12,7 @@ import pytest
 
 import vora.tensor as T
 from vora import data, distill, gradcheck, lora, trainer, vision
-from vora.model import (Model, ModelConfig, SequenceLayout, build_attention_mask,
-                        build_hybrid_mask)
+from vora.model import Model, ModelConfig, SequenceLayout, build_attention_mask
 
 MICRO = dict(n_llm=6, n_vit=4, d_model=64, d_vit=48, rank=8)
 
@@ -41,7 +40,7 @@ def test_01_merge_equivalence():
             ad.b.data = (0.02 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
         emb = T.constant((0.1 * rng.standard_normal((20, cfg.d_model))).astype(np.float32))
         lay = SequenceLayout((0, 8), (8, 20), 9)
-        mask = build_hybrid_mask(lay, 20)
+        mask = build_attention_mask(lay, 20, "hybrid")
         with T.no_grad():
             split, _ = model.forward(emb, mask, adapters=adapters)
             lora.merge_all(model, adapters)
@@ -84,7 +83,7 @@ def test_03_zero_init_identity():
         n = int(rng.integers(1, 16))
         ids = rng.integers(0, cfg.vocab, size=n)
         lay = SequenceLayout((0, 0), (0, n), min(1, n))
-        mask = build_hybrid_mask(lay, n)
+        mask = build_attention_mask(lay, n, "hybrid")
         with T.no_grad():
             base, _ = model.forward(model.embed_tokens(ids), mask)
             attached, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vora import checkpoint, lora, trainer
+from vora import checkpoint, cli, lora, trainer
 from vora.model import ModelConfig
 
 
@@ -56,9 +56,21 @@ def test_adapter_names_follow_convention(tmp_path):
             assert f"lora.{block}.{layer}.b" in names
 
 
+def test_missing_teacher_is_checkpoint_error(tmp_path):
+    cfg = ModelConfig()
+    state = trainer.collect_state(trainer.build_pipeline(cfg, seed=0))
+    tensors = {n: t.data for n, t in state.items() if not n.startswith("teacher.")}
+    with pytest.raises(checkpoint.CheckpointError, match="teacher"):
+        trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})
+    # the CLI maps it to the state-misuse exit code
+    path = tmp_path / "noteacher.vora"
+    checkpoint.save(path, cfg, tensors, {"merged": "false"})
+    assert cli.main(["merge", str(path), str(tmp_path / "merged.vora")]) == cli.EXIT_STATE
+
+
 def test_pipeline_from_state_restores_forward(tmp_path):
     import vora.tensor as T
-    from vora.model import SequenceLayout, build_hybrid_mask
+    from vora.model import SequenceLayout, build_attention_mask
 
     cfg = ModelConfig()
     pipe = trainer.build_pipeline(cfg, seed=2)
@@ -68,7 +80,7 @@ def test_pipeline_from_state_restores_forward(tmp_path):
     pipe2 = trainer.pipeline_from_state(cfg2, tensors, meta)
     ids = np.arange(5) + 4
     lay = SequenceLayout((0, 0), (0, 5), 1)
-    mask = build_hybrid_mask(lay, 5)
+    mask = build_attention_mask(lay, 5, "hybrid")
     a, _ = pipe.model.forward(pipe.model.embed_tokens(ids), mask, pipe.adapters)
     b, _ = pipe2.model.forward(pipe2.model.embed_tokens(ids), mask, pipe2.adapters)
     npt.assert_array_equal(a.data, b.data)

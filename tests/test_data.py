@@ -140,6 +140,18 @@ class TestMakeBatch:
         with pytest.raises(ValueError):
             make_batch(np.random.default_rng(0), 0)
 
+    def test_pack_samples_puts_image_rows_first_sorted_by_grid(self):
+        text = gen_text_sample(1)
+        wide = gen_image_caption(2, resolution=(16, 24))
+        small = gen_image_caption(3, resolution=(16, 16))
+        small2 = gen_image_caption(4, resolution=(16, 16))
+        batch = pack_samples([text, wide, small, small2], 8, 160)
+        assert batch.n_image == 3
+        assert batch.images == [small.image, small2.image, wide.image, None]
+        assert batch.grids == [(2, 2), (2, 2), (2, 3), None]
+        assert batch.layouts[3].vision_span == (0, 0)
+        assert batch.tokens[3, 0] == BOS
+
     def test_layout_structure(self):
         batch = make_batch(np.random.default_rng(3), 4, image_fraction=0.5)
         for i, lay in enumerate(batch.layouts):

@@ -5,9 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora import distill, lora, vision
-from vora.model import BlockTap, Model, ModelConfig, SequenceLayout
-from vora.tensor import Tensor
+from vora import data, distill, trainer
+from vora.model import ModelConfig, SequenceLayout
 
 
 def make_head(cfg, seed=0):
@@ -80,104 +79,94 @@ class TestBlockDistillLoss:
             assert -1e-6 <= loss <= 2.0 + 1e-6
 
 
+NANO = dict(d_model=8, d_vit=8, n_heads=2, d_ff=8, patch=4, rank=2, max_seq=64,
+            vembed_hidden=4, vit_heads=2, vit_ff=8)
+
+
+def nano_pipe(n_vit=2, seed=0):
+    cfg = ModelConfig(n_llm=max(2, n_vit), n_vit=n_vit, **NANO)
+    return trainer.build_pipeline(cfg, seed=seed)
+
+
+def image_batch(sizes, seed=0):
+    """Packed batch of one 4-pixel-patch image caption per (h, w)."""
+    samples = [data.gen_image_caption(seed + i, hw, patch=4) for i, hw in enumerate(sizes)]
+    return data.pack_samples(samples, 4, 64)
+
+
 class TestDistillLoss:
-    def _taps_with_losses(self, cfg, heads, values, rng):
-        """Construct taps whose per-block losses hit the given values."""
-        taps = []
-        states = []
-        for i, val in enumerate(values):
-            h = T.constant(rng.standard_normal((4, cfg.d_model)).astype(np.float32))
-            p = head_output(heads[i], h)
-            cos = 1.0 - val
-            v = np.zeros_like(p)
-            for r in range(p.shape[0]):
-                u = p[r] / np.linalg.norm(p[r])
-                w = rng.standard_normal(p.shape[1]).astype(np.float32)
-                w -= (w @ u) * u
-                w /= np.linalg.norm(w)
-                v[r] = cos * u + math.sqrt(max(0.0, 1.0 - cos * cos)) * w
-            taps.append(BlockTap(i, h))
-            states.append(v)
-        return taps, states
+    """The per-block combiner inside trainer.compute_losses."""
 
-    def test_mean_of_constant_blocks(self):
-        cfg = ModelConfig(n_vit=3)
-        heads = distill.init_heads(cfg, seed=5)
-        rng = np.random.default_rng(5)
-        taps, states = self._taps_with_losses(cfg, heads, [0.7, 0.7, 0.7], rng)
-        loss = distill.distill_loss(taps, states, heads, "block_wise")
-        npt.assert_allclose(loss.item(), 0.7, atol=1e-5)
+    def _losses(self, monkeypatch, values, mode, sizes=((8, 8), (8, 8))):
+        """compute_losses with block b's cosine term pinned to values[b]."""
+        pipe = nano_pipe(n_vit=len(values))
+        monkeypatch.setattr(distill, "block_distill_loss",
+                            lambda h, v, head: T.constant(np.float32(values[head.block_index])))
+        out, _ = trainer.compute_losses(pipe, image_batch(sizes), "hybrid", mode)
+        return out
 
-    def test_constructed_point_four_point_eight(self):
-        cfg = ModelConfig(n_vit=2)
-        heads = distill.init_heads(cfg, seed=6)
-        rng = np.random.default_rng(6)
-        taps, states = self._taps_with_losses(cfg, heads, [0.4, 0.8], rng)
-        per = [distill.block_distill_loss(taps[i].hidden, states[i], heads[i]).item() for i in range(2)]
-        npt.assert_allclose(per, [0.4, 0.8], atol=1e-5)
-        loss = distill.distill_loss(taps, states, heads, "block_wise")
-        npt.assert_allclose(loss.item(), 0.6, atol=1e-5)
+    def test_mean_of_constant_blocks(self, monkeypatch):
+        out = self._losses(monkeypatch, [0.7, 0.7, 0.7], "block_wise")
+        npt.assert_allclose(out.dist.item(), 0.7, atol=1e-6)
 
-    def test_last_block_uses_final_block_only(self):
-        cfg = ModelConfig(n_vit=2)
-        heads = distill.init_heads(cfg, seed=7)
-        rng = np.random.default_rng(7)
-        taps, states = self._taps_with_losses(cfg, heads, [0.3, 0.9], rng)
-        loss = distill.distill_loss(taps, states, heads, "last_block")
-        npt.assert_allclose(loss.item(), 0.9, atol=1e-5)
+    def test_constructed_point_four_point_eight(self, monkeypatch):
+        out = self._losses(monkeypatch, [0.4, 0.8], "block_wise")
+        npt.assert_allclose(out.per_block, [0.4, 0.8], atol=1e-6)
+        npt.assert_allclose(out.dist.item(), 0.6, atol=1e-6)
+
+    def test_last_block_uses_final_block_only(self, monkeypatch):
+        out = self._losses(monkeypatch, [0.3, 0.9], "last_block")
+        npt.assert_allclose(out.per_block, [0.9], atol=1e-6)
+        npt.assert_allclose(out.dist.item(), 0.9, atol=1e-6)
+
+    def test_grid_runs_weighted_by_image_count(self, monkeypatch):
+        # one run per grid; each run's term is its vision-token count here
+        pipe = nano_pipe(n_vit=1)
+        calls = []
+
+        def fake(h, v, head):
+            calls.append(h.data.shape[:2])
+            return T.constant(np.float32(v.shape[1]))
+
+        monkeypatch.setattr(distill, "block_distill_loss", fake)
+        out, _ = trainer.compute_losses(pipe, image_batch([(8, 12), (8, 8), (8, 12)]), "hybrid", "block_wise")
+        assert calls == [(1, 4), (2, 6)]  # grid (2, 2) sorts before (2, 3)
+        npt.assert_allclose(out.dist.item(), (1 * 4 + 2 * 6) / 3, rtol=1e-6)
 
     def test_mode_none_zero_no_edges(self):
-        cfg = ModelConfig()
-        heads = distill.init_heads(cfg, seed=8)
-        loss = distill.distill_loss([], [], heads, "none")
-        assert loss.item() == 0.0
-        assert not loss.requires_grad
+        out, _ = trainer.compute_losses(nano_pipe(), image_batch([(8, 8)]), "hybrid", "none")
+        assert out.dist.item() == 0.0
+        assert not out.dist.requires_grad
+        assert out.per_block == []
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            distill.distill_loss([], [], [], "everything")
+        pipe = nano_pipe()
+        with pytest.raises(ValueError, match="everything"):
+            trainer.compute_losses(pipe, image_batch([(8, 8)]), "hybrid", "everything")
 
 
 class TestGradientRouting:
     def test_distill_backward_reaches_only_student_vision_params(self):
-        cfg = ModelConfig(n_llm=2, n_vit=2, d_model=16, d_vit=8, n_heads=2, d_ff=16,
-                          patch=4, rank=2, vembed_hidden=8, vit_heads=2, vit_ff=16)
-        model = Model.init(cfg, seed=0)
-        adapters = lora.attach(cfg, seed=1)
-        vembed = vision.VisionEmbed.init(cfg, seed=2)
-        teacher = vision.Teacher.init(cfg, seed=3)
-        heads = distill.init_heads(cfg, seed=4)
-        rng = np.random.default_rng(5)
-        img = vision.Image(rng.random((8, 8, 3)).astype(np.float32))
-        patches = vision.patchify(img, cfg.patch)
-        emb = vembed.forward(patches, (2, 2))
-        from vora.model import build_hybrid_mask
-        lay = SequenceLayout((0, 4), (4, 4), 4)
-        logits, taps = model.forward(emb, build_hybrid_mask(lay, 4), adapters=adapters)
-        states = teacher.forward(img)
-        loss = distill.distill_loss(taps, states, heads, "block_wise")
-        T.backward(loss)
-        for ad in adapters:
+        pipe = nano_pipe(n_vit=2, seed=0)
+        out, _ = trainer.compute_losses(pipe, image_batch([(8, 8)], seed=5), "hybrid", "block_wise")
+        T.backward(out.dist)
+        for ad in pipe.adapters:
             assert ad.a.grad is not None and ad.b.grad is not None
-        for p in vembed.params.values():
+        for p in pipe.vembed.params.values():
             assert p.grad is not None
-        for h in heads:
+        for h in pipe.heads:
             assert h.proj.grad is not None and h.norm_gain.grad is not None
-        for p in model.params.values():
+        for p in pipe.model.params.values():
             assert p.grad is None
-        for p in teacher.params.values():
+        for p in pipe.teacher.params.values():
             assert p.grad is None
 
     def test_mode_none_total_touches_no_aux(self):
-        cfg = ModelConfig()
-        heads = distill.init_heads(cfg, seed=9)
-        rng = np.random.default_rng(9)
-        logits = T.param(rng.standard_normal((4, 8)).astype(np.float32))
-        lm = T.cross_entropy(logits, [1, 2, 3, 4])
-        total = distill.total_loss(distill.distill_loss([], [], heads, "none"), lm)
-        T.backward(total)
-        assert logits.grad is not None
-        for h in heads:
+        pipe = nano_pipe(seed=9)
+        out, _ = trainer.compute_losses(pipe, image_batch([(8, 8)], seed=9), "hybrid", "none")
+        T.backward(out.total)
+        assert pipe.vembed.params["vembed.fc1"].grad is not None
+        for h in pipe.heads:
             assert h.proj.grad is None and h.norm_gain.grad is None
 
 

@@ -4,7 +4,7 @@ import pytest
 
 import vora.tensor as T
 from vora import lora
-from vora.model import LAYER_NAMES, ConfigError, Model, ModelConfig, SequenceLayout, build_hybrid_mask
+from vora.model import LAYER_NAMES, ConfigError, Model, ModelConfig, SequenceLayout, build_attention_mask
 from vora.tensor import Tensor
 
 
@@ -34,6 +34,13 @@ class TestAttach:
             assert ad.a.data.any()
 
 
+def adapted_linear(x, base_w, ad):
+    """The model's adapted linear layer: x base_w^T plus AdapterSet.delta."""
+    block, layer = ad.target
+    model = Model(ModelConfig(), {f"llm.blocks.{block}.{layer}": base_w})
+    return model._linear(x, block, layer, lora.AdapterSet({ad.target: ad}))
+
+
 class TestLoraForward:
     def test_zero_b_is_plain_linear_bitwise(self):
         rng = np.random.default_rng(0)
@@ -43,7 +50,7 @@ class TestLoraForward:
             Tensor(rng.standard_normal((2, 8)).astype(np.float32)),
             Tensor(np.zeros((6, 2), dtype=np.float32)),
             rank=2, alpha=2.0, target=(0, "q"))
-        out = lora.lora_forward(x, w, ad)
+        out = adapted_linear(x, w, ad)
         plain = T.matmul(x, T.transpose(w))
         npt.assert_array_equal(out.data, plain.data)
 
@@ -54,7 +61,7 @@ class TestLoraForward:
         ad = lora.LoraAdapter(Tensor(np.ones((1, 3), dtype=np.float32)),
                               Tensor(np.ones((4, 1), dtype=np.float32)),
                               rank=1, alpha=1.0, target=(0, "q"))
-        out = lora.lora_forward(x, base, ad)
+        out = adapted_linear(x, base, ad)
         npt.assert_array_equal(out.data, np.full((1, 4), 6.0, dtype=np.float32))
 
     def test_gradient_reaches_adapter_not_base(self):
@@ -65,7 +72,7 @@ class TestLoraForward:
             Tensor(rng.standard_normal((2, 8)).astype(np.float32), requires_grad=True),
             Tensor(rng.standard_normal((6, 2)).astype(np.float32), requires_grad=True),
             rank=2, alpha=2.0, target=(0, "q"))
-        T.backward(T.tsum(lora.lora_forward(x, w, ad)))
+        T.backward(T.tsum(adapted_linear(x, w, ad)))
         assert ad.a.grad is not None and ad.a.grad.any()
         assert ad.b.grad is not None and ad.b.grad.any()
         assert w.grad is None
@@ -76,7 +83,7 @@ class TestLoraForward:
         ad = lora.LoraAdapter(Tensor(np.zeros((2, 8), dtype=np.float32)),
                               Tensor(np.zeros((6, 2), dtype=np.float32)), 2, 2.0, (0, "q"))
         with pytest.raises(T.ShapeError):
-            lora.lora_forward(x, w, ad)
+            adapted_linear(x, w, ad)
 
 
 class TestMerge:
@@ -99,7 +106,7 @@ class TestMerge:
                 Tensor((0.1 * rng.standard_normal((r, d_in))).astype(np.float32)),
                 Tensor((0.1 * rng.standard_normal((d_out, r))).astype(np.float32)),
                 rank=r, alpha=float(r), target=(0, "q"))
-            split = lora.lora_forward(x, w, ad).data
+            split = adapted_linear(x, w, ad).data
             merged = (T.matmul(x, T.transpose(Tensor(lora.merge_adapter(w, ad))))).data
             assert np.abs(split - merged).max() <= 1e-5
 
@@ -120,7 +127,7 @@ class TestMerge:
             ad.b.data = (0.02 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
         ids = rng.integers(0, cfg.vocab, size=7)
         lay = SequenceLayout((0, 0), (0, 7), 1)
-        mask = build_hybrid_mask(lay, 7)
+        mask = build_attention_mask(lay, 7, "hybrid")
         before, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)
         lora.merge_all(model, adapters)
         after, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)
@@ -174,7 +181,7 @@ def test_zero_init_identity_invariant():
         n = int(rng.integers(1, 10))
         ids = rng.integers(0, cfg.vocab, size=n)
         lay = SequenceLayout((0, 0), (0, n), min(1, n))
-        mask = build_hybrid_mask(lay, n)
+        mask = build_attention_mask(lay, n, "hybrid")
         base, _ = model.forward(model.embed_tokens(ids), mask)
         with_ad, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)
         npt.assert_array_equal(base.data, with_ad.data)

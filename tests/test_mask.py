@@ -4,7 +4,7 @@ import pytest
 
 import vora.tensor as T
 from vora.model import (LayoutError, Model, ModelConfig, SequenceLayout,
-                        build_attention_mask, build_hybrid_mask)
+                        build_attention_mask)
 
 NEG = T.NEG_MASK
 
@@ -25,7 +25,7 @@ def oracle_allowed(v0, v1, q, k, mode):
 class TestHybridMask:
     def test_hand_enumerated_5x5(self):
         lay = SequenceLayout((0, 3), (3, 5), 4)
-        mask = build_hybrid_mask(lay, 5)
+        mask = build_attention_mask(lay, 5, "hybrid")
         expect = {
             0: {0, 1, 2},
             1: {0, 1, 2},
@@ -38,7 +38,7 @@ class TestHybridMask:
 
     def test_empty_vision_is_causal(self):
         lay = SequenceLayout((0, 0), (0, 4), 1)
-        mask = build_hybrid_mask(lay, 4)
+        mask = build_attention_mask(lay, 4, "hybrid")
         tri = np.where(np.tril(np.ones((4, 4), dtype=bool)), 0.0, NEG).astype(np.float32)
         npt.assert_array_equal(mask, tri)
 
@@ -86,7 +86,7 @@ class TestMaskSoundness:
             total = int(rng.integers(2, 13))
             v1 = int(rng.integers(0, total))
             lay = SequenceLayout((0, v1), (v1, total), min(v1 + 1, total))
-            mask = build_hybrid_mask(lay, total)
+            mask = build_attention_mask(lay, total, "hybrid")
             scores = T.constant(rng.standard_normal((total, total)).astype(np.float32))
             probs = T.softmax_rows(scores, mask).data
             assert (probs[mask < 0] == 0.0).all()
@@ -97,7 +97,7 @@ class TestMaskSoundness:
                           patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
         model = Model.init(cfg, seed=0)
         lay = SequenceLayout((0, 3), (3, 6), 4)
-        mask = build_hybrid_mask(lay, 6)
+        mask = build_attention_mask(lay, 6, "hybrid")
         rng = np.random.default_rng(0)
         emb = T.constant(rng.standard_normal((6, cfg.d_model)).astype(np.float32) * 0.1)
         # observe every attention softmax the model computes
@@ -123,7 +123,7 @@ def test_empty_vision_no_adapters_equals_plain_causal_lm():
     ids = np.array([5, 9, 17, 30, 8])
     lay = SequenceLayout((0, 0), (0, 5), 1)
     emb = model.embed_tokens(ids)
-    hybrid_logits, _ = model.forward(emb, build_hybrid_mask(lay, 5), collect_taps=False)
+    hybrid_logits, _ = model.forward(emb, build_attention_mask(lay, 5, "hybrid"), collect_taps=False)
     causal_logits, _ = model.forward(model.embed_tokens(ids),
                                      build_attention_mask(lay, 5, "causal"), collect_taps=False)
     npt.assert_array_equal(hybrid_logits.data, causal_logits.data)
@@ -135,7 +135,7 @@ def test_tap_count_and_shapes():
     rng = np.random.default_rng(2)
     emb = T.constant(rng.standard_normal((7, cfg.d_model)).astype(np.float32) * 0.1)
     lay = SequenceLayout((0, 4), (4, 7), 5)
-    _, taps = model.forward(emb, build_hybrid_mask(lay, 7))
+    _, taps = model.forward(emb, build_attention_mask(lay, 7, "hybrid"))
     assert len(taps) == cfg.n_vit
     for i, tap in enumerate(taps):
         assert tap.block_index == i

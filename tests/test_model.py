@@ -5,7 +5,7 @@ import pytest
 import vora.tensor as T
 from vora import lora
 from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong,
-                        build_hybrid_mask, decode_greedy)
+                        build_attention_mask, decode_greedy)
 
 MICRO = dict(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
              patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
@@ -67,7 +67,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         ids = rng.integers(0, cfg.vocab, size=6)
         lay = SequenceLayout((0, 0), (0, 6), 1)
-        mask = build_hybrid_mask(lay, 6)
+        mask = build_attention_mask(lay, 6, "hybrid")
         base_logits, _ = model.forward(model.embed_tokens(ids), mask, adapters=None)
         lora_logits, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)
         npt.assert_array_equal(base_logits.data, lora_logits.data)
@@ -76,7 +76,7 @@ class TestForward:
         cfg = ModelConfig()
         model = Model.init(cfg, seed=0)
         lay = SequenceLayout((0, 0), (0, 1), 1)
-        logits, _ = model.forward(model.embed_tokens([7]), build_hybrid_mask(lay, 1))
+        logits, _ = model.forward(model.embed_tokens([7]), build_attention_mask(lay, 1, "hybrid"))
         assert logits.shape == (1, cfg.vocab)
         assert np.isfinite(logits.data).all()
 
@@ -86,7 +86,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         emb = (0.1 * rng.standard_normal((4, cfg.d_model))).astype(np.float32)
         lay = SequenceLayout((0, 2), (2, 4), 3)
-        mask = build_hybrid_mask(lay, 4)
+        mask = build_attention_mask(lay, 4, "hybrid")
         logits, taps = model.forward(T.constant(emb), mask)
         ref_logits, ref_taps = straightline_forward(cfg, model.params, emb, mask)
         npt.assert_allclose(logits.data, ref_logits, atol=1e-6)
@@ -108,7 +108,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         emb = (0.1 * rng.standard_normal((2, 5, cfg.d_model))).astype(np.float32)
         lay = SequenceLayout((0, 0), (0, 5), 1)
-        mask = build_hybrid_mask(lay, 5)
+        mask = build_attention_mask(lay, 5, "hybrid")
         batch_logits, _ = model.forward(T.constant(emb), np.stack([mask, mask]))
         for i in range(2):
             single, _ = model.forward(T.constant(emb[i]), mask)

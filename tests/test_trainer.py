@@ -152,6 +152,32 @@ class TestPretrain:
             trainer.pretrain(pipe, tcfg, dcfg)
 
 
+class TestGridRuns:
+    NANO = dict(n_llm=2, n_vit=2, d_model=8, d_vit=8, n_heads=2, d_ff=8, patch=4, rank=2,
+                max_seq=64, vembed_hidden=4, vit_heads=2, vit_ff=8)
+
+    def test_text_first_batch_computes_losses(self):
+        pipe = trainer.build_pipeline(ModelConfig(), seed=0)
+        batch = data.pack_samples([data.gen_text_sample(1), data.gen_image_caption(2)], 8, 160)
+        out, _ = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
+        assert np.isfinite(out.total.item()) and out.dist.item() > 0.0
+
+    def test_mixed_grid_dist_is_mean_of_single_images(self):
+        pipe = trainer.build_pipeline(ModelConfig(**self.NANO), seed=0)
+        samples = [data.gen_image_caption(i, hw, patch=4)
+                   for i, hw in enumerate([(8, 12), (8, 8), (12, 8), (8, 8)])]
+        samples.append(data.gen_text_sample(9))
+
+        def dist(batch_samples):
+            with T.no_grad():
+                out, _ = trainer.compute_losses(pipe, data.pack_samples(batch_samples, 4, 64),
+                                                "hybrid", "block_wise")
+            return out.dist.item()
+
+        singles = [dist([smp]) for smp in samples[:4]]
+        assert abs(dist(samples) - np.mean(singles)) <= 1e-6
+
+
 class TestFinetune:
     def _pretrained(self, steps=8):
         mcfg, tcfg, dcfg = small_cfgs(total_steps=steps, warmup_steps=2)
