@@ -13,6 +13,8 @@ Round-trips are bit-exact: f32 payloads are written verbatim and config
 ints/floats survive the f64 encoding unchanged.
 """
 
+import math
+import os
 import struct
 from dataclasses import fields
 
@@ -32,11 +34,6 @@ def _write_str(f, s):
     raw = s.encode("utf-8")
     f.write(struct.pack("<I", len(raw)))
     f.write(raw)
-
-
-def _read_str(f):
-    (n,) = struct.unpack("<I", f.read(4))
-    return f.read(n).decode("utf-8")
 
 
 def save(path, cfg, tensors, meta=None):
@@ -67,37 +64,58 @@ def save(path, cfg, tensors, meta=None):
 
 
 def load(path):
-    """Read (ModelConfig, {name: float32 array}, {meta key: value})."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (n_cfg,) = struct.unpack("<I", f.read(4))
-        raw_cfg = {}
-        for _ in range(n_cfg):
-            name = _read_str(f)
-            (value,) = struct.unpack("<d", f.read(8))
-            raw_cfg[name] = value
-        kwargs = {}
-        for fld in fields(ModelConfig):
-            if fld.name in raw_cfg:
-                v = raw_cfg[fld.name]
-                kwargs[fld.name] = float(v) if fld.type in (float, "float") else int(v)
-        cfg = ModelConfig(**kwargs)
-        (n_meta,) = struct.unpack("<I", f.read(4))
-        meta = {}
-        for _ in range(n_meta):
-            key = _read_str(f)
-            meta[key] = _read_str(f)
-        (n_tensors,) = struct.unpack("<I", f.read(4))
-        tensors = {}
-        for _ in range(n_tensors):
-            name = _read_str(f)
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            count = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
-            tensors[name] = np.array(data, dtype=np.float32)  # own, writable copy
-        return cfg, tensors, meta
+    """Read (ModelConfig, {name: float32 array}, {meta key: value}).
+
+    A missing, truncated or corrupt file raises CheckpointError naming
+    the path.
+    """
+    pos = 0
+
+    def take(n):
+        # checked against the size first, so a corrupt length never allocates
+        nonlocal pos
+        if pos + n > size:
+            raise CheckpointError(f"{path}: truncated: {n} bytes needed at offset {pos} of {size}")
+        pos += n
+        return f.read(n)
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    def text():
+        return take(u32()).decode("utf-8")
+
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if take(4) != MAGIC:
+                raise CheckpointError(f"{path}: bad magic, not a checkpoint")
+            version = u32()
+            if version != VERSION:
+                raise CheckpointError(f"{path}: unsupported version {version}")
+            raw_cfg = {}
+            for _ in range(u32()):
+                name = text()
+                raw_cfg[name] = struct.unpack("<d", take(8))[0]
+            kwargs = {}
+            for fld in fields(ModelConfig):
+                if fld.name in raw_cfg:
+                    v = raw_cfg[fld.name]
+                    kwargs[fld.name] = float(v) if fld.type in (float, "float") else int(v)
+            cfg = ModelConfig(**kwargs)
+            meta = {}
+            for _ in range(u32()):
+                key = text()
+                meta[key] = text()
+            tensors = {}
+            for _ in range(u32()):
+                name = text()
+                ndim = u32()
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+                data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+                tensors[name] = np.array(data, dtype=np.float32)  # own, writable copy
+    except CheckpointError:
+        raise
+    except (OSError, struct.error, ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
+    return cfg, tensors, meta

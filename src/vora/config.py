@@ -68,7 +68,6 @@ SCHEMA = {
     "log_window": (100, int, "smoothing window for loss curves"),
     "teacher_warm": (False, _bool, "briefly train the teacher before freezing"),
     "teacher_warm_steps": (200, int, "teacher warm-up steps"),
-    "distill_weight": (1.0, float, "ablation-only scale on the distill term (1 = the plain sum)"),
     # data
     "image_fraction": (0.82, float, "share of image-caption samples per batch"),
     "resolution_h": (32, int, "image height (fixed-resolution mode)"),
@@ -110,9 +109,9 @@ class RunConfig:
         return TrainConfig(
             lr=v["lr"], warmup_steps=v["warmup_steps"], batch_size=v["batch_size"],
             total_steps=v["total_steps"], mode=mode or v["mode"],
-            distill_mode=v["distill_mode"], mask_mode=v["mask_mode"], seed=v["seed"], weight_decay=v["weight_decay"], log_window=v["log_window"],
+            distill_mode=v["distill_mode"], mask_mode=v["mask_mode"], seed=v["seed"],
+            weight_decay=v["weight_decay"], log_window=v["log_window"],
             teacher_warm=v["teacher_warm"], teacher_warm_steps=v["teacher_warm_steps"],
-            distill_weight=v["distill_weight"],
         )
 
     def data_config(self):

@@ -34,7 +34,7 @@ class AuxHead:
         return cls(block_index, gain, proj)
 
     def forward(self, h):
-        return T.matmul(T.rms_norm(h, self.norm_gain, eps=1e-6), T.transpose(self.proj))
+        return T.linear(T.rms_norm(h, self.norm_gain, eps=1e-6), self.proj)
 
     def tensors(self):
         return {self.norm_gain.name: self.norm_gain, self.proj.name: self.proj}
@@ -42,6 +42,12 @@ class AuxHead:
 
 def init_heads(cfg, seed=0):
     return [AuxHead.init(cfg, i, seed=seed + 31 * i) for i in range(cfg.n_vit)]
+
+
+def distilled_blocks(mode, n_vit):
+    """Blocks whose taps (and aux heads) a distill mode aligns."""
+    blocks = list(range(n_vit))
+    return {"none": [], "last_block": blocks[-1:], "block_wise": blocks}[mode]
 
 
 def _cosine_rows(p, v):

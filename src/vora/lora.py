@@ -77,7 +77,7 @@ class AdapterSet:
         ad = self.adapters.get((block, layer))
         if ad is None:
             return None
-        return T.scale(T.matmul(T.matmul(x, T.transpose(ad.a)), T.transpose(ad.b)), ad.scaling)
+        return T.scale(T.linear(T.linear(x, ad.a), ad.b), ad.scaling)
 
 
 def attach(cfg, seed=0):

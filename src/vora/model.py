@@ -1,5 +1,6 @@
 """Decoder-only student model: pre-norm blocks, RMS-norm, SiLU-gated FFN,
 rotary positions, hybrid vision/text attention masks, per-block taps.
+``attention`` is the multi-head attention of the student and the teacher.
 
 The packed sequence always puts vision tokens first, then text; the
 hybrid mask gives vision-vision pairs full bi-directional visibility and
@@ -148,6 +149,23 @@ def _apply_rope(x, cos, sin):
     return T.concat([T.mul(x1, cos) - T.mul(x2, sin), T.mul(x2, cos) + T.mul(x1, sin)], axis=-1)
 
 
+def attention(q, k, v, mask, n_heads, rope=None):
+    """Multi-head scaled dot-product attention on [B, S, d] projections.
+
+    Splits heads, rotates q and k by the rope (cos, sin) tables when
+    given, softmaxes the scaled scores under the additive mask ([S, S],
+    or [B, S, S] per sequence) and merges heads back to [B, S, d].
+    """
+    b, s, d = q.data.shape
+    hd = d // n_heads
+    q, k, v = (T.swap(T.reshape(t, (b, s, n_heads, hd)), 1, 2) for t in (q, k, v))
+    if rope is not None:
+        q, k = _apply_rope(q, *rope), _apply_rope(k, *rope)
+    scores = T.scale(T.matmul(q, T.swap(k, -1, -2)), 1.0 / np.sqrt(hd))
+    probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
+    return T.reshape(T.swap(T.matmul(probs, v), 1, 2), (b, s, d))
+
+
 class Model:
     """Parameter container plus the forward pass."""
 
@@ -186,7 +204,7 @@ class Model:
         return T.embedding(self.params["llm.embed"], ids)
 
     def _linear(self, x, block, layer, adapters):
-        y = T.matmul(x, T.transpose(self.params[f"llm.blocks.{block}.{layer}"]))
+        y = T.linear(x, self.params[f"llm.blocks.{block}.{layer}"])
         if adapters is not None:
             delta = adapters.delta(x, block, layer)
             if delta is not None:
@@ -197,35 +215,23 @@ class Model:
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [S, d] or [B, S, d] with vision embeddings
-        spliced in at the vision span. mask: additive [S, S] (or
-        broadcastable to [B, heads, S, S]). Returns (logits, taps);
+        spliced in at the vision span. mask: additive [S, S] or, per
+        sequence, [B, S, S]. Returns (logits, taps);
         taps hold the post-residual outputs of blocks 0..n_vit-1.
         """
         cfg = self.cfg
         squeeze = embedded.data.ndim == 2
         x = T.reshape(embedded, (1,) + embedded.data.shape) if squeeze else embedded
-        b, s, d = x.data.shape
+        _, s, d = x.data.shape
         if s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
-        if mask.ndim == 2:
-            mask = mask[None, None, :, :]
-        elif mask.ndim == 3:
-            mask = mask[:, None, :, :]
-        cos, sin = rope_tables(s, cfg.head_dim)
-        cos_t, sin_t = T.constant(cos), T.constant(sin)
-        inv_sqrt = 1.0 / np.sqrt(cfg.head_dim)
+        rope = tuple(T.constant(t) for t in rope_tables(s, cfg.head_dim))
 
         taps = []
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"], eps=1e-6)
-            q = self._split_heads(self._linear(h, i, "q", adapters), b, s)
-            k = self._split_heads(self._linear(h, i, "k", adapters), b, s)
-            v = self._split_heads(self._linear(h, i, "v", adapters), b, s)
-            q = _apply_rope(q, cos_t, sin_t)
-            k = _apply_rope(k, cos_t, sin_t)
-            scores = T.scale(T.matmul(q, T.swap(k, -1, -2)), inv_sqrt)
-            probs = T.softmax_rows(scores, mask)
-            ctx = T.reshape(T.swap(T.matmul(probs, v), 1, 2), (b, s, d))
+            q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
+            ctx = attention(q, k, v, mask, cfg.n_heads, rope)
             x = x + self._linear(ctx, i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"], eps=1e-6)
@@ -238,14 +244,10 @@ class Model:
                 taps.append(BlockTap(block_index=i, hidden=tap))
 
         xn = T.rms_norm(x, self.params["llm.final_norm"], eps=1e-6)
-        logits = T.matmul(xn, T.transpose(self.params["llm.head"]))
+        logits = T.linear(xn, self.params["llm.head"])
         if squeeze:
             logits = T.reshape(logits, (s, cfg.vocab))
         return logits, taps
-
-    def _split_heads(self, x, b, s):
-        cfg = self.cfg
-        return T.swap(T.reshape(x, (b, s, cfg.n_heads, cfg.head_dim)), 1, 2)
 
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):

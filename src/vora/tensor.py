@@ -3,8 +3,9 @@
 The op set is exactly what the model stack needs: elementwise add/mul,
 scalar scale, (batched) matmul, transpose/reshape/concat/slice, embedding
 lookup, GELU/SiLU, RMS-norm, masked row softmax, cross entropy, sum and
-elementwise power. Heavy elementwise work is delegated to
-:mod:`vora.kernels`; matmul goes straight to BLAS.
+elementwise power; ``linear`` (x·wᵀ) is every linear layer. Heavy
+elementwise work is delegated to :mod:`vora.kernels`; matmul goes
+straight to BLAS.
 
 Gradients accumulate additively when a tensor feeds several consumers.
 ``backward`` walks the tape in reverse recording order and clears it.
@@ -48,9 +49,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         tag = f" '{self.name}'" if self.name else ""
@@ -241,6 +239,11 @@ def transpose(a, axes=None):
         _accum(a, g.transpose(inv))
 
     return _make(out, (a,), bwd)
+
+
+def linear(x, w):
+    """x·wᵀ for a weight stored [d_out, d_in]: records transpose, then matmul."""
+    return matmul(x, transpose(w))
 
 
 def swap(a, ax0, ax1):

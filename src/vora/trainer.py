@@ -47,13 +47,10 @@ class TrainConfig:
     log_window: int = 100
     teacher_warm: bool = False
     teacher_warm_steps: int = 200
-    distill_weight: float = 1.0  # ablation-only; the objective itself is the plain sum
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.distill_weight < 0:
-            raise ValueError("distill_weight must be >= 0")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
         # total_steps == 0 is the explicit no-op run (init checkpoint only)
@@ -106,6 +103,8 @@ def pipeline_from_state(cfg, tensors, meta=None):
     meta = meta or {}
 
     def wrap(name, trainable=False):
+        if name not in tensors:
+            raise checkpoint.CheckpointError(f"checkpoint lacks tensor {name!r}")
         return Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable, name=name)
 
     model_params = {n: wrap(n) for n in tensors if n.startswith("llm.")}
@@ -224,7 +223,7 @@ def compute_losses(pipe, batch, mask_mode, distill_mode, collect_taps=None):
     runs = _grid_runs(batch)
     # one gradient-free teacher forward per run: per block [n_run, S_run, d_vit]
     tstates = [pipe.teacher.forward_batch(batch.images[start:end]) for start, end, _ in runs]
-    blocks = range(cfg.n_vit) if distill_mode == "block_wise" else [cfg.n_vit - 1]
+    blocks = distill.distilled_blocks(distill_mode, cfg.n_vit)
     # vision-span rows of each distilled tap, one slice per grid run
     vis = [[T.slice_axis(T.slice_axis(taps[blk].hidden, 0, start, end), 1, 0, grid[0] * grid[1])
             for start, end, grid in runs] for blk in blocks]
@@ -247,7 +246,6 @@ def compute_losses(pipe, batch, mask_mode, distill_mode, collect_taps=None):
 class TrainState:
     step: int
     trainable: dict
-    frozen: dict
     m: dict
     v: dict
 
@@ -259,7 +257,6 @@ class TrainState:
         return cls(
             step=0,
             trainable=dict(trainable),
-            frozen=dict(frozen),
             m={n: np.zeros(t.data.size, dtype=np.float32) for n, t in trainable.items()},
             v={n: np.zeros(t.data.size, dtype=np.float32) for n, t in trainable.items()},
         )
@@ -302,21 +299,21 @@ def _set_requires_grad(tensors, flag):
 
 
 def _partition(pipe, tcfg):
-    """(trainable, frozen) name->Tensor maps for the configured mode."""
+    """(trainable, frozen) name->Tensor maps for the configured mode.
+
+    Only the aux heads of the blocks the distill mode aligns train; the
+    others get no gradient and stay frozen."""
     base = dict(pipe.model.params)
-    extras = {}
-    extras.update(pipe.vembed.params)
-    use_heads = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
-    head_tensors = {}
-    for head in pipe.heads:
-        head_tensors.update(head.tensors())
+    extras = dict(pipe.vembed.params)
     adapter_tensors = pipe.adapters.tensors() if (pipe.adapters and not pipe.adapters.merged) else {}
 
     if tcfg.mode == "pretrain":
         trainable, frozen = {**adapter_tensors, **extras}, {**base, **pipe.teacher.params}
     else:  # finetune, full_llm_unstable: everything in the student unfrozen, no adapters
         trainable, frozen = {**base, **extras}, {**pipe.teacher.params, **adapter_tensors}
-    (trainable if use_heads else frozen).update(head_tensors)
+    distilled = [] if tcfg.mode == "finetune" else distill.distilled_blocks(tcfg.distill_mode, pipe.cfg.n_vit)
+    for head in pipe.heads:
+        (trainable if head.block_index in distilled else frozen).update(head.tensors())
     _set_requires_grad(trainable, True)
     _set_requires_grad(frozen, False)
     return trainable, frozen
@@ -327,18 +324,18 @@ def _partition(pipe, tcfg):
 
 def train_step(state, tcfg, step, loss_fn):
     """The one step body every loop shares: zero the grads, start a fresh
-    tape, run ``loss_fn() -> (objective, LossOut)``, abort on a non-finite
-    loss, backprop the objective, then AdamW at lr_at(tcfg, step).
+    tape, run ``loss_fn() -> LossOut``, abort on a non-finite loss,
+    backprop its total, then AdamW at lr_at(tcfg, step).
     Returns (LossOut, lr)."""
     for p in state.trainable.values():
         p.grad = None
     T.active_tape().reset()
-    objective, out = loss_fn()
+    out = loss_fn()
     lm_val = float(out.lm.data)
     dist_val = float(out.dist.data)
     if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
         raise TrainAbort(step, lm_val, dist_val)
-    T.backward(objective)
+    T.backward(out.total)
     lr = lr_at(tcfg, step)
     adamw_step(state, lr, tcfg)
     return out, lr
@@ -354,16 +351,11 @@ def train_loop(pipe, tcfg, dcfg, adapters_active=True, metrics_sink=None):
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
 
-    def loss_fn(batch):
-        out, _ = compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
-        if use_distill and tcfg.distill_weight != 1.0:
-            return distill.total_loss(T.scale(out.dist, tcfg.distill_weight), out.lm), out
-        return out.total, out
-
     metrics = []
     for step in range(tcfg.total_steps):
         batch = D.make_batch(rng_data, tcfg.batch_size, dcfg=dcfg, max_seq=pipe.cfg.max_seq)
-        out, lr = train_step(state, tcfg, step, lambda: loss_fn(batch))
+        out, lr = train_step(state, tcfg, step,
+                             lambda: compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)[0])
         rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
         if use_distill:
             rec["distill_loss"] = float(out.dist.data)
@@ -539,13 +531,9 @@ def overfit_pair(pipe, sample, steps=300, lr=3e-3, mask_mode="hybrid", distill_m
     batch = D.pack_samples([sample], pipe.cfg.patch, pipe.cfg.max_seq)
     state = TrainState.create(*_partition(pipe, tcfg))
 
-    def loss_fn():
-        out, _ = compute_losses(pipe, batch, mask_mode, distill_mode)
-        return out.total, out
-
     metrics = []
     for step in range(steps):
-        out, _ = train_step(state, tcfg, step, loss_fn)
+        out, _ = train_step(state, tcfg, step, lambda: compute_losses(pipe, batch, mask_mode, distill_mode)[0])
         metrics.append({"step": step, "lm_loss": float(out.lm.data)})
     return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, mask_mode)
 
@@ -580,8 +568,8 @@ def warm_teacher(teacher, cfg, steps=200, seed=7, lr=1e-3, batch_size=16):
         def loss_fn():
             states = teacher.blocks_forward(teacher.embed_patches(np.stack(patches), grid))
             pooled = T.tmean(states[-1], axis=1)  # [B, d_vit]
-            loss = T.cross_entropy(T.matmul(pooled, T.transpose(head)), np.asarray(labels))
-            return loss, LossOut(loss, loss, zero)
+            loss = T.cross_entropy(T.linear(pooled, head), np.asarray(labels))
+            return LossOut(loss, loss, zero)
 
         train_step(state, warm_cfg, step, loss_fn)
     _set_requires_grad(teacher.params, False)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .model import attention
 from .tensor import Tensor
 
 
@@ -108,8 +109,8 @@ class VisionEmbed:
         s = pt.data.shape[-2]
         if s != rows * cols:
             raise PatchError(f"{s} patches but grid {rows}x{cols}")
-        h = T.gelu(T.matmul(pt, T.transpose(self.params["vembed.fc1"])))
-        y = T.matmul(h, T.transpose(self.params["vembed.fc2"]))
+        h = T.gelu(T.linear(pt, self.params["vembed.fc1"]))
+        y = T.linear(h, self.params["vembed.fc2"])
         return y + T.constant(sincos_grid(rows, cols, self.cfg.d_model))
 
     def param_count(self):
@@ -147,25 +148,16 @@ class Teacher:
 
     def blocks_forward(self, x):
         """Stack body on [B, S, d_vit]; caller controls the tape."""
-        cfg = self.cfg
-        b, s, _ = x.data.shape
-        heads, hd = cfg.vit_heads, cfg.d_vit // cfg.vit_heads
+        s = x.data.shape[1]
         zero_mask = np.zeros((s, s), dtype=np.float32)  # bi-directional
         states = []
-        for i in range(cfg.n_vit):
-            pre = f"teacher.blocks.{i}."
-            h = T.rms_norm(x, self.params[pre + "attn_norm"], eps=1e-6)
-            q = T.swap(T.reshape(T.matmul(h, T.transpose(self.params[pre + "q"])), (b, s, heads, hd)), 1, 2)
-            k = T.swap(T.reshape(T.matmul(h, T.transpose(self.params[pre + "k"])), (b, s, heads, hd)), 1, 2)
-            v = T.swap(T.reshape(T.matmul(h, T.transpose(self.params[pre + "v"])), (b, s, heads, hd)), 1, 2)
-            scores = T.scale(T.matmul(q, T.swap(k, -1, -2)), 1.0 / np.sqrt(hd))
-            probs = T.softmax_rows(scores, zero_mask)
-            ctx = T.reshape(T.swap(T.matmul(probs, v), 1, 2), (b, s, cfg.d_vit))
-            x = x + T.matmul(ctx, T.transpose(self.params[pre + "o"]))
-            h = T.rms_norm(x, self.params[pre + "ffn_norm"], eps=1e-6)
-            h = T.matmul(T.gelu(T.matmul(h, T.transpose(self.params[pre + "fc1"]))),
-                         T.transpose(self.params[pre + "fc2"]))
-            x = x + h
+        for i in range(self.cfg.n_vit):
+            w = lambda name: self.params[f"teacher.blocks.{i}.{name}"]
+            h = T.rms_norm(x, w("attn_norm"), eps=1e-6)
+            q, k, v = (T.linear(h, w(name)) for name in ("q", "k", "v"))
+            x = x + T.linear(attention(q, k, v, zero_mask, self.cfg.vit_heads), w("o"))
+            h = T.rms_norm(x, w("ffn_norm"), eps=1e-6)
+            x = x + T.linear(T.gelu(T.linear(h, w("fc1"))), w("fc2"))
             states.append(x)
         return states
 
@@ -173,7 +165,7 @@ class Teacher:
         """Patch embedding plus sinusoidal positions: [..., S, d_vit]."""
         rows, cols = grid
         pt = patches if isinstance(patches, Tensor) else T.constant(np.asarray(patches, dtype=np.float32))
-        x = T.matmul(pt, T.transpose(self.params["teacher.patch_embed"]))
+        x = T.linear(pt, self.params["teacher.patch_embed"])
         return x + T.constant(sincos_grid(rows, cols, self.cfg.d_vit))
 
     def forward_batch(self, images):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -84,3 +86,67 @@ def test_pipeline_from_state_restores_forward(tmp_path):
     a, _ = pipe.model.forward(pipe.model.embed_tokens(ids), mask, pipe.adapters)
     b, _ = pipe2.model.forward(pipe2.model.embed_tokens(ids), mask, pipe2.adapters)
     npt.assert_array_equal(a.data, b.data)
+
+
+def _saved(tmp_path):
+    cfg = ModelConfig()
+    path = tmp_path / "ck.vora"
+    checkpoint.save(path, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)),
+                    meta={"stage": "init", "merged": "false"})
+    return path
+
+
+def _tensor_offsets(blob):
+    """Byte offsets of the first tensor's name and payload, and of the
+    boundary after it, found by walking the format."""
+    pos = 8
+    (n_cfg,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(n_cfg):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0] + 8
+    (n_meta,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(2 * n_meta):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    pos += 4  # tensor count
+    name_at = pos + 4
+    pos = name_at + struct.unpack_from("<I", blob, pos)[0]
+    (ndim,) = struct.unpack_from("<I", blob, pos)
+    dims = struct.unpack_from(f"<{ndim}I", blob, pos + 4)
+    payload_at = pos + 4 + 4 * ndim
+    return name_at, payload_at, payload_at + 4 * int(np.prod(dims))
+
+
+def test_truncated_checkpoint_is_checkpoint_error(tmp_path):
+    blob = _saved(tmp_path).read_bytes()
+    name_at, payload_at, boundary = _tensor_offsets(blob)
+    cuts = [0, 3, 6, 10, 30, name_at + 2, payload_at + 5, boundary, 30_000, len(blob) // 2, len(blob) - 1]
+    paths = [tmp_path / "absent.vora"]  # no file at all
+    for cut in cuts:
+        paths.append(tmp_path / f"cut{cut}.vora")
+        paths[-1].write_bytes(blob[:cut])
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=0\n")
+    for path in paths:
+        with pytest.raises(checkpoint.CheckpointError, match=str(path)):
+            checkpoint.load(path)
+        assert cli.main(["eval", str(path), str(cfg_path)]) == cli.EXIT_STATE, path
+
+
+def test_corrupt_name_is_checkpoint_error(tmp_path):
+    path = _saved(tmp_path)
+    blob = bytearray(path.read_bytes())
+    name_at, _, _ = _tensor_offsets(bytes(blob))
+    blob[name_at] = 0xFF  # not valid utf-8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(checkpoint.CheckpointError, match="utf-8"):
+        checkpoint.load(path)
+
+
+@pytest.mark.parametrize("name", ["vembed.fc1", "vembed.fc2", "lora.0.q.b", "aux.1.proj"])
+def test_missing_required_tensor_is_checkpoint_error(tmp_path, name):
+    cfg = ModelConfig()
+    state = trainer.collect_state(trainer.build_pipeline(cfg, seed=0))
+    tensors = {n: t.data for n, t in state.items() if n != name}
+    with pytest.raises(checkpoint.CheckpointError, match=name):
+        trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})

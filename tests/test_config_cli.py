@@ -156,6 +156,12 @@ class TestCli:
         assert lines[0] == "mask_mode,distill_mode,rank,threshold,steps_to_threshold,final_loss"
         assert len(lines) == 2
 
+    def test_ablate_last_block_cell(self, tmp_path):
+        cfg_path = write(tmp_path, "seed=0\nablate_masks=hybrid\nablate_distills=last_block\n"
+                                   "ablate_ranks=8\nthresholds=9.0\nablate_steps=3\n"
+                                   "warmup_steps=1\nbatch_size=2\n")
+        assert cli.main(["ablate", cfg_path, str(tmp_path / "ab")]) == 0
+
     def test_gradcheck_exits_zero(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "seed=0\n")
         assert cli.main(["gradcheck", cfg_path]) == 0

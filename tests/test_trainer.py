@@ -133,16 +133,16 @@ class TestPretrain:
         with np.errstate(all="ignore"), pytest.raises(trainer.TrainAbort, match="step"):
             trainer.pretrain(pipe, tcfg, dcfg)
 
-    def test_distill_weight_zero_matches_mode_none(self):
-        # the ablation-only weight at 0 silences the distill gradients
-        mcfg, tcfg, dcfg = small_cfgs(total_steps=6, warmup_steps=2)
-        pipe_a = trainer.build_pipeline(mcfg, seed=0)
-        _, ma = trainer.pretrain(pipe_a, trainer.TrainConfig(
-            total_steps=6, warmup_steps=2, batch_size=4, seed=0, distill_weight=0.0), dcfg)
-        pipe_b = trainer.build_pipeline(mcfg, seed=0)
-        _, mb = trainer.pretrain(pipe_b, trainer.TrainConfig(
-            total_steps=6, warmup_steps=2, batch_size=4, seed=0, distill_mode="none"), dcfg)
-        assert [m["lm_loss"] for m in ma] == [m["lm_loss"] for m in mb]
+    def test_last_block_trains_only_the_last_head(self):
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=3, warmup_steps=1, distill_mode="last_block")
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        before = [{n: t.data.tobytes() for n, t in head.tensors().items()} for head in pipe.heads]
+        _, metrics = trainer.pretrain(pipe, tcfg, dcfg)
+        assert len(metrics) == 3 and all(len(m["per_block"]) == 1 for m in metrics)
+        for head, blobs in zip(pipe.heads[:-1], before[:-1]):
+            for n, t in head.tensors().items():
+                assert t.data.tobytes() == blobs[n], n
+        assert pipe.heads[-1].proj.data.tobytes() != before[-1][pipe.heads[-1].proj.name]
 
     def test_pretrain_requires_unmerged(self):
         mcfg, tcfg, dcfg = small_cfgs()

@@ -108,7 +108,65 @@ class TestVisionEmbed:
         assert ve.param_count() / student < 0.02
 
 
+def straightline_teacher(cfg, params, patches, grid):
+    """Independent plain-numpy re-implementation of the teacher (no tape).
+
+    patches [B, S, patch*patch*3]; returns the per-block states [B, S, d_vit].
+    """
+
+    def rms(x, g, eps=1e-6):
+        return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps) * g
+
+    def gelu(x):
+        return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+
+    def softmax(x):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def ladder(pos, width):
+        quarter = width // 2
+        freq = 1.0 / 10000.0 ** (np.arange(quarter) / quarter)
+        return np.concatenate([np.sin(pos[:, None] * freq), np.cos(pos[:, None] * freq)], axis=1)
+
+    rows, cols = grid
+    b, s, _ = patches.shape
+    d, heads = cfg.d_vit, cfg.vit_heads
+    hd = d // heads
+    r, c = np.divmod(np.arange(s), cols)
+    pe = np.concatenate([ladder(r, d // 2), ladder(c, d - d // 2)], axis=1).astype(np.float32)
+    x = patches @ params["teacher.patch_embed"].data.T + pe
+    states = []
+    for i in range(cfg.n_vit):
+        g = lambda name: params[f"teacher.blocks.{i}.{name}"].data
+        h = rms(x, g("attn_norm"))
+        q, k, v = ((h @ g(n).T).reshape(b, s, heads, hd).transpose(0, 2, 1, 3) for n in "qkv")
+        probs = softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd))
+        x = x + (probs @ v).transpose(0, 2, 1, 3).reshape(b, s, d) @ g("o").T
+        h = rms(x, g("ffn_norm"))
+        x = x + gelu(h @ g("fc1").T) @ g("fc2").T
+        states.append(x)
+    return states
+
+
 class TestTeacher:
+    def test_straightline_oracle_nonsquare_batch(self):
+        cfg = ModelConfig(n_llm=2, n_vit=2, d_model=8, d_vit=12, n_heads=2, d_ff=8, patch=4,
+                          rank=2, vembed_hidden=4, vit_heads=3, vit_ff=16)
+        teacher = Teacher.init(cfg, seed=9)
+        rng = np.random.default_rng(9)
+        # larger weights than init, so attention mixes rows visibly
+        for p in teacher.params.values():
+            p.data = (0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
+        images = [rand_image(rng, 8, 12) for _ in range(2)]  # 2x3 grid
+        got = teacher.forward_batch(images)
+        patches = np.stack([patchify(img, cfg.patch) for img in images])
+        ref = straightline_teacher(cfg, teacher.params, patches, (2, 3))
+        assert len(got) == len(ref) == cfg.n_vit
+        for st, want in zip(got, ref):
+            assert st.shape == (2, 6, cfg.d_vit)
+            npt.assert_allclose(st, want, atol=1e-6)
+
     def test_frozen_and_deterministic(self):
         cfg = ModelConfig()
         teacher = Teacher.init(cfg, seed=0)
