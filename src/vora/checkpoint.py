@@ -10,7 +10,9 @@
                                         float32 payload, row-major
 
 Round-trips are bit-exact: f32 payloads are written verbatim and config
-ints/floats survive the f64 encoding unchanged.
+ints survive the f64 encoding unchanged. Files written before the adapter
+scale was fixed at 1 carry an ``alpha`` field; they load when it equals
+``rank`` (scale 1), and any other value is a CheckpointError.
 """
 
 import math
@@ -97,12 +99,11 @@ def load(path):
             for _ in range(u32()):
                 name = text()
                 raw_cfg[name] = struct.unpack("<d", take(8))[0]
-            kwargs = {}
-            for fld in fields(ModelConfig):
-                if fld.name in raw_cfg:
-                    v = raw_cfg[fld.name]
-                    kwargs[fld.name] = float(v) if fld.type in (float, "float") else int(v)
-            cfg = ModelConfig(**kwargs)
+            cfg = ModelConfig(**{fld.name: int(raw_cfg[fld.name]) for fld in fields(ModelConfig)
+                                 if fld.name in raw_cfg})
+            if raw_cfg.get("alpha", cfg.rank) != cfg.rank:
+                raise CheckpointError(f"{path}: adapter scale alpha={raw_cfg['alpha']:g} / rank={cfg.rank} "
+                                      "is not 1; only alpha == rank is supported")
             meta = {}
             for _ in range(u32()):
                 key = text()

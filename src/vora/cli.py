@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Commands: pretrain, finetune, merge, eval, gradcheck, ablate.
-Exit codes: 0 ok, 2 config error, 3 numeric abort, 4 state misuse.
+Exit codes: 0 ok, 2 config error (a malformed file or an out-of-range
+value), 3 numeric abort, 4 state misuse or a corrupt or incomplete
+checkpoint.
 Set VORA_LOG=debug for per-step logging (default: info).
 """
 
@@ -153,6 +155,10 @@ def cmd_ablate(args):
     tcfg = run_cfg.train_config()
     grid = list(itertools.product(run_cfg["ablate_masks"], run_cfg["ablate_distills"],
                                   run_cfg["ablate_ranks"]))
+    try:
+        trainer.ablation_cells(mcfg, tcfg, grid, run_cfg["ablate_steps"])
+    except ValueError as exc:
+        raise config.ConfigFileError(f"{args.config}: ablation grid: {exc}") from exc
     os.makedirs(args.out_dir, exist_ok=True)
     rows, curves = trainer.run_ablation(mcfg, tcfg, dcfg, grid, run_cfg["thresholds"],
                                         run_cfg["ablate_steps"],

@@ -2,13 +2,16 @@
 
 One ``key=value`` per line, ``#`` starts a comment, unknown keys are
 errors. Every key has a documented default except ``seed``, which must
-be set explicitly: all randomness flows from it. ``normalize`` renders
-the resolved config in a canonical form that parses back identically.
+be set explicitly: all randomness flows from it. Parsing builds the
+model, training and data configs, so an out-of-range value is a
+ConfigFileError before any work starts (``vora ablate`` checks its grid
+cells the same way). ``normalize`` renders the resolved config in a
+canonical form that parses back identically.
 """
 
 from dataclasses import dataclass
 
-from .data import DataConfig
+from .data import VOCAB_SIZE, DataConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -38,6 +41,13 @@ def _float_list(raw):
     return tuple(float(x) for x in _str_list(raw))
 
 
+def _count(raw):
+    n = int(raw)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
 # key -> (default, parser, help). A None default marks a required key.
 SCHEMA = {
     # model
@@ -50,7 +60,6 @@ SCHEMA = {
     "vocab": (200, int, "vocabulary size (builtin vocabulary has 200)"),
     "patch": (8, int, "patch edge length, pixels"),
     "rank": (8, int, "adapter rank"),
-    "alpha": (0.0, float, "adapter scale; 0 means alpha = rank"),
     "max_seq": (160, int, "packing limit"),
     "vembed_hidden": (0, int, "vision-embed hidden width; 0 means d_model/2"),
     "vit_heads": (4, int, "teacher attention heads"),
@@ -76,9 +85,9 @@ SCHEMA = {
     "anyres_min": (16, int, "smallest anyres edge, pixels"),
     "anyres_max": (48, int, "largest anyres edge, pixels"),
     # evaluation
-    "eval_captions": (8, int, "held-out caption samples"),
-    "eval_texts": (8, int, "held-out text samples"),
-    "eval_max_new": (24, int, "decode budget per caption"),
+    "eval_captions": (8, _count, "held-out caption samples"),
+    "eval_texts": (8, _count, "held-out text samples"),
+    "eval_max_new": (24, _count, "decode budget per caption"),
     # ablation
     "ablate_masks": (("hybrid",), _str_list, "mask modes in the ablation grid"),
     "ablate_distills": (("none", "block_wise"), _str_list, "distill modes in the grid"),
@@ -100,7 +109,7 @@ class RunConfig:
         return ModelConfig(
             n_llm=v["n_llm"], n_vit=v["n_vit"], d_model=v["d_model"], d_vit=v["d_vit"],
             n_heads=v["n_heads"], d_ff=v["d_ff"], vocab=v["vocab"], patch=v["patch"],
-            rank=v["rank"], alpha=v["alpha"], max_seq=v["max_seq"],
+            rank=v["rank"], max_seq=v["max_seq"],
             vembed_hidden=v["vembed_hidden"], vit_heads=v["vit_heads"], vit_ff=v["vit_ff"],
         )
 
@@ -154,7 +163,15 @@ def parse_text(text, source="<config>"):
             raise ConfigFileError(f"{source}: missing required key 'seed'")
         else:
             values[key] = default
-    return RunConfig(values)
+    run = RunConfig(values)
+    try:
+        run.model_config(), run.train_config(), run.data_config()
+    except ValueError as exc:
+        raise ConfigFileError(f"{source}: {exc}") from exc
+    if values["vocab"] < VOCAB_SIZE:
+        raise ConfigFileError(f"{source}: vocab ({values['vocab']}) must cover the "
+                              f"{VOCAB_SIZE}-word data vocabulary")
+    return run
 
 
 def parse_file(path):

@@ -8,7 +8,7 @@ in a disjoint index range.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,13 +174,19 @@ def make_scene(rng, height, width, n_shapes=None):
     return shapes
 
 
-def gen_image_caption(seed, resolution=(32, 32), patch=8):
-    """Deterministic scene + caption; same seed gives identical pixels."""
+def check_resolution(resolution, patch):
+    """Raise ValueError unless both edges are patch multiples in [MIN_EDGE, MAX_EDGE]."""
     h, w = resolution
     if h % patch or w % patch:
         raise ValueError(f"resolution {resolution} not a multiple of patch {patch}")
     if not (MIN_EDGE <= h <= MAX_EDGE and MIN_EDGE <= w <= MAX_EDGE):
         raise ValueError(f"resolution {resolution} out of bounds [{MIN_EDGE}, {MAX_EDGE}]")
+
+
+def gen_image_caption(seed, resolution=(32, 32), patch=8):
+    """Deterministic scene + caption; same seed gives identical pixels."""
+    check_resolution(resolution, patch)
+    h, w = resolution
     rng = np.random.default_rng([seed, 1])
     shapes = make_scene(rng, h, w)
     image = Image(render_scene(shapes, h, w))
@@ -247,6 +253,13 @@ class DataConfig:
     anyres_min: int = 16
     anyres_max: int = 48
 
+    def __post_init__(self):
+        if not 0.0 <= self.image_fraction <= 1.0:
+            raise ValueError("image_fraction must lie in [0, 1]")
+        check_resolution(self.resolution, self.patch)  # the held-out captions' resolution
+        if self.anyres:  # the smallest and the largest edge _pick_resolution can draw
+            check_resolution(tuple(n * self.patch for n in _anyres_cells(self)), self.patch)
+
 
 @dataclass
 class PackedBatch:
@@ -257,11 +270,16 @@ class PackedBatch:
     n_image: int
 
 
+def _anyres_cells(dcfg):
+    """Smallest and largest anyres edge, in patches."""
+    lo = max(1, dcfg.anyres_min // dcfg.patch)
+    return lo, max(lo, dcfg.anyres_max // dcfg.patch)
+
+
 def _pick_resolution(rng, dcfg):
     if not dcfg.anyres:
         return dcfg.resolution
-    lo = max(1, dcfg.anyres_min // dcfg.patch)
-    hi = max(lo, dcfg.anyres_max // dcfg.patch)
+    lo, hi = _anyres_cells(dcfg)
     h = int(rng.integers(lo, hi + 1)) * dcfg.patch
     w = int(rng.integers(lo, hi + 1)) * dcfg.patch
     return (h, w)
@@ -305,10 +323,9 @@ def make_batch(rng, batch_size, image_fraction=None, dcfg=None, max_seq=160, hel
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     dcfg = dcfg or DataConfig()
-    frac = dcfg.image_fraction if image_fraction is None else image_fraction
-    if not 0.0 <= frac <= 1.0:
-        raise ValueError("image_fraction must lie in [0, 1]")
-    n_img = int(round(batch_size * frac))
+    if image_fraction is not None:
+        dcfg = replace(dcfg, image_fraction=image_fraction)
+    n_img = int(round(batch_size * dcfg.image_fraction))
     base = HELDOUT_BASE if heldout else 0
     samples = []
     for i in range(batch_size):

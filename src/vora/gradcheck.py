@@ -12,21 +12,39 @@ import numpy as np
 from . import tensor as T
 
 
-def fd_gradient(value_fn, t, h=1e-3):
-    """Central-difference gradient of float-valued value_fn() w.r.t. t."""
-    g = np.zeros_like(t.data)
+def fd_gradient(value_fn, t, h=1e-3, idxs=None):
+    """Central-difference gradient of float-valued value_fn() w.r.t. the
+    flat entries idxs of t (all of them by default), as a flat array."""
     flat = t.data.reshape(-1)
-    gflat = g.reshape(-1)
+    idxs = range(flat.size) if idxs is None else idxs
+    g = np.zeros(len(idxs), dtype=t.data.dtype)
     with T.no_grad():
-        for i in range(flat.size):
+        for j, i in enumerate(idxs):
             keep = flat[i]
             flat[i] = keep + h
             hi = value_fn()
             flat[i] = keep - h
             lo = value_fn()
             flat[i] = keep
-            gflat[i] = (hi - lo) / (2.0 * h)
+            g[j] = (hi - lo) / (2.0 * h)
     return g
+
+
+def _rel_error(analytic, fd):
+    """Worst |analytic - fd| / max(1, |fd|) over matching flat arrays."""
+    err = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
+    return float(err.max()) if err.size else 0.0
+
+
+def _worst_error(value_fn, inputs, h):
+    """Worst error of the tape gradients already in inputs' .grad against
+    finite differences of value_fn, over every requires_grad input."""
+    worst = 0.0
+    for t in inputs:
+        if t.requires_grad:
+            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+            worst = max(worst, _rel_error(analytic.reshape(-1), fd_gradient(value_fn, t, h=h)))
+    return worst
 
 
 def max_rel_error(fn, inputs, h=1e-3):
@@ -37,17 +55,8 @@ def max_rel_error(fn, inputs, h=1e-3):
     """
     for t in inputs:
         t.grad = None
-    loss = fn()
-    T.backward(loss)
-    worst = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        fd = fd_gradient(lambda: float(fn().data), t, h=h)
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        err = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
-        worst = max(worst, float(err.max()) if err.size else 0.0)
-    return worst
+    T.backward(fn())
+    return _worst_error(lambda: float(fn().data), inputs, h)
 
 
 def _check_projected(make_out, inputs, r, h):
@@ -59,22 +68,13 @@ def _check_projected(make_out, inputs, r, h):
     """
     for t in inputs:
         t.grad = None
-    out = make_out()
-    T.backward(T.tsum(T.mul(out, T.constant(r))))
+    T.backward(T.tsum(T.mul(make_out(), T.constant(r))))
 
     def value():
         with T.no_grad():
             return float(np.sum(make_out().data.astype(np.float64) * r))
 
-    worst = 0.0
-    for t in inputs:
-        if not t.requires_grad:
-            continue
-        fd = fd_gradient(value, t, h=h)
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        err = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
-        worst = max(worst, float(err.max()) if err.size else 0.0)
-    return worst
+    return _worst_error(value, inputs, h)
 
 
 def _rand(rng, *shape):
@@ -250,24 +250,12 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
             t.grad = None
         T.active_tape().reset()
         T.backward(fn())
-        with T.no_grad():
-            for name in sorted(trainable):
-                t = trainable[name]
-                flat = t.data.reshape(-1)
-                analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-                idxs = np.arange(flat.size)
-                if flat.size > max_entries:
-                    idxs = np.sort(pick.choice(flat.size, size=max_entries, replace=False))
-                worst = 0.0
-                for i in idxs:
-                    keep = flat[i]
-                    flat[i] = keep + h
-                    hi = float(fn().data)
-                    flat[i] = keep - h
-                    lo = float(fn().data)
-                    flat[i] = keep
-                    fd = (hi - lo) / (2.0 * h)
-                    err = abs(analytic[i] - fd) / max(1.0, abs(fd))
-                    worst = max(worst, err)
-                results.append((f"{case}/{name}", worst, worst <= tol))
+        for name in sorted(trainable):
+            t = trainable[name]
+            analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
+            idxs = np.arange(t.data.size)
+            if t.data.size > max_entries:
+                idxs = np.sort(pick.choice(t.data.size, size=max_entries, replace=False))
+            worst = _rel_error(analytic[idxs], fd_gradient(lambda: float(fn().data), t, h=h, idxs=idxs))
+            results.append((f"{case}/{name}", worst, worst <= tol))
     return results, all(ok for _, _, ok in results)

@@ -1,14 +1,15 @@
-"""Low-rank adapters for the first n_vit blocks: creation, forward delta,
-exact merge into the base weights, parameter accounting.
+"""Low-rank adapters for the first n_vit blocks: creation, forward delta
+and exact merge into the base weights.
 
-Every adapter starts with b = 0 so a freshly attached model computes
-exactly the base model's outputs.
+An adapter is the pair (a, b) and adds b a to its layer's weight, with no
+further scale. Every adapter starts with b = 0 so a freshly attached model
+computes exactly the base model's outputs.
 """
 
 import numpy as np
 
 from . import tensor as T
-from .model import LAYER_NAMES, ConfigError
+from .model import LAYER_NAMES, weight_shape
 from .tensor import Tensor
 
 
@@ -20,31 +21,14 @@ class LoraAdapter:
     """Rank-r pair (a, b) for one targeted linear layer.
 
     a: [rank, d_in] small-random; b: [d_out, rank] zero at creation, so
-    the initial delta (alpha/rank) * b @ a is exactly zero.
+    the initial delta b @ a is exactly zero.
     """
 
-    __slots__ = ("a", "b", "rank", "alpha", "target")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a, b, rank, alpha, target):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
-        self.rank = rank
-        self.alpha = alpha
-        self.target = target  # (block_index, layer_name)
-
-    @property
-    def scaling(self):
-        return self.alpha / self.rank
-
-
-def _layer_dims(cfg, layer):
-    if layer in ("q", "k", "v", "o"):
-        return cfg.d_model, cfg.d_model
-    if layer in ("ffn_gate", "ffn_up"):
-        return cfg.d_model, cfg.d_ff
-    if layer == "ffn_down":
-        return cfg.d_ff, cfg.d_model
-    raise ValueError(f"unknown layer {layer!r}")
 
 
 class AdapterSet:
@@ -60,9 +44,6 @@ class AdapterSet:
     def __iter__(self):
         return iter(self.adapters.values())
 
-    def get(self, block, layer):
-        return self.adapters.get((block, layer))
-
     def tensors(self):
         out = {}
         for (block, layer), ad in sorted(self.adapters.items()):
@@ -71,13 +52,13 @@ class AdapterSet:
         return out
 
     def delta(self, x, block, layer):
-        """Low-rank forward contribution (alpha/rank) * (x a^T) b^T, or None."""
+        """Low-rank forward contribution (x a^T) b^T, or None."""
         if self.merged:
             return None
         ad = self.adapters.get((block, layer))
         if ad is None:
             return None
-        return T.scale(T.linear(T.linear(x, ad.a), ad.b), ad.scaling)
+        return T.linear(T.linear(x, ad.a), ad.b)
 
 
 def attach(cfg, seed=0):
@@ -86,25 +67,21 @@ def attach(cfg, seed=0):
     adapters = {}
     for block in range(cfg.n_vit):
         for layer in LAYER_NAMES:
-            d_in, d_out = _layer_dims(cfg, layer)
-            if cfg.rank >= min(d_in, d_out):
-                raise ConfigError(
-                    f"rank {cfg.rank} >= min(d_in, d_out) = {min(d_in, d_out)} at block {block} layer {layer}"
-                )
+            d_out, d_in = weight_shape(cfg, layer)
             a = Tensor((0.02 * rng.standard_normal((cfg.rank, d_in))).astype(np.float32),
                        requires_grad=True, name=f"lora.{block}.{layer}.a")
             b = Tensor(np.zeros((d_out, cfg.rank), dtype=np.float32),
                        requires_grad=True, name=f"lora.{block}.{layer}.b")
-            adapters[(block, layer)] = LoraAdapter(a, b, cfg.rank, cfg.alpha, (block, layer))
+            adapters[(block, layer)] = LoraAdapter(a, b)
     return AdapterSet(adapters)
 
 
 def merge_adapter(base_w, adapter):
-    """base_w + (alpha/rank) b a, accumulated in float64, rounded to f32.
+    """base_w + b a, accumulated in float64, rounded to f32.
 
     A zero delta leaves the base bytes untouched.
     """
-    delta = adapter.scaling * (adapter.b.data.astype(np.float64) @ adapter.a.data.astype(np.float64))
+    delta = adapter.b.data.astype(np.float64) @ adapter.a.data.astype(np.float64)
     if not np.any(delta):
         return base_w.data.copy()
     return (base_w.data.astype(np.float64) + delta).astype(np.float32)
@@ -118,23 +95,3 @@ def merge_all(model, adapter_set):
         w = model.params[f"llm.blocks.{block}.{layer}"]
         w.data = merge_adapter(w, ad)
     adapter_set.merged = True
-
-
-def adapter_param_count(cfg):
-    total = 0
-    for _ in range(cfg.n_vit):
-        for layer in LAYER_NAMES:
-            d_in, d_out = _layer_dims(cfg, layer)
-            total += cfg.rank * (d_in + d_out)
-    return total
-
-
-def param_count(cfg, include_vision_embed=False, include_aux_heads=False):
-    """Trainable parameter count: adapters, plus extras when requested."""
-    total = adapter_param_count(cfg)
-    if include_vision_embed:
-        patch_in = cfg.patch * cfg.patch * 3
-        total += cfg.vembed_hidden * patch_in + cfg.d_model * cfg.vembed_hidden
-    if include_aux_heads:
-        total += cfg.n_vit * (cfg.d_model + cfg.d_vit * cfg.d_model)
-    return total

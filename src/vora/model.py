@@ -15,6 +15,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 LAYER_NAMES = ("q", "k", "v", "o", "ffn_gate", "ffn_up", "ffn_down")
+BLOCK_PARAMS = ("attn_norm", "q", "k", "v", "o", "ffn_norm", "ffn_gate", "ffn_up", "ffn_down")
 
 
 class ConfigError(ValueError):
@@ -40,15 +41,12 @@ class ModelConfig:
     vocab: int = 200
     patch: int = 8
     rank: int = 8
-    alpha: float = 0.0  # 0 resolves to rank (scale factor 1)
     max_seq: int = 160
     vembed_hidden: int = 0  # 0 resolves to d_model // 2
     vit_heads: int = 4
     vit_ff: int = 0  # 0 resolves to 4 * d_vit
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            self.alpha = float(self.rank)
         if self.vembed_hidden <= 0:
             self.vembed_hidden = self.d_model // 2
         if self.vit_ff <= 0:
@@ -63,6 +61,9 @@ class ModelConfig:
         for name in ("n_llm", "d_model", "d_vit", "n_heads", "d_ff", "vocab", "patch", "rank", "max_seq"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # an adapter's rank must stay below both sides of every adapted layer
+        if self.n_vit and self.rank >= min(self.d_model, self.d_ff):
+            raise ConfigError(f"rank ({self.rank}) must be < min(d_model, d_ff) = {min(self.d_model, self.d_ff)}")
         if self.d_model % self.n_heads:
             raise ConfigError(f"d_model ({self.d_model}) not divisible by n_heads ({self.n_heads})")
         if (self.d_model // self.n_heads) % 2:
@@ -73,6 +74,13 @@ class ModelConfig:
     @property
     def head_dim(self):
         return self.d_model // self.n_heads
+
+
+def weight_shape(cfg, leaf):
+    """[d_out, d_in] of the student weight whose name ends in ``leaf``."""
+    d, ff = cfg.d_model, cfg.d_ff
+    return {"embed": (cfg.vocab, d), "head": (cfg.vocab, d), "q": (d, d), "k": (d, d), "v": (d, d),
+            "o": (d, d), "ffn_gate": (ff, d), "ffn_up": (ff, d), "ffn_down": (d, ff)}[leaf]
 
 
 @dataclass
@@ -173,31 +181,27 @@ class Model:
         self.cfg = cfg
         self.params = params
 
+    @staticmethod
+    def param_names(cfg):
+        """Every student tensor name, in init order."""
+        blocks = [f"llm.blocks.{i}.{name}" for i in range(cfg.n_llm) for name in BLOCK_PARAMS]
+        return ["llm.embed", *blocks, "llm.final_norm", "llm.head"]
+
     @classmethod
     def init(cls, cfg, seed=0):
         rng = np.random.default_rng(seed)
-
-        def w(*shape):
-            return Tensor((0.02 * rng.standard_normal(shape)).astype(np.float32))
-
-        p = {"llm.embed": w(cfg.vocab, cfg.d_model)}
-        for i in range(cfg.n_llm):
-            pre = f"llm.blocks.{i}."
-            p[pre + "attn_norm"] = Tensor(np.ones(cfg.d_model, dtype=np.float32))
-            for name in ("q", "k", "v", "o"):
-                p[pre + name] = w(cfg.d_model, cfg.d_model)
-            p[pre + "ffn_norm"] = Tensor(np.ones(cfg.d_model, dtype=np.float32))
-            p[pre + "ffn_gate"] = w(cfg.d_ff, cfg.d_model)
-            p[pre + "ffn_up"] = w(cfg.d_ff, cfg.d_model)
-            p[pre + "ffn_down"] = w(cfg.d_model, cfg.d_ff)
-        p["llm.final_norm"] = Tensor(np.ones(cfg.d_model, dtype=np.float32))
         # wider readout than the hidden layers: a 0.02-scale frozen head
         # caps attainable logit range (hiddens are RMS-normed) and floors
         # the LM loss far above what adapter training can reach
         head_scale = 0.25 / np.sqrt(cfg.d_model)
-        p["llm.head"] = Tensor((head_scale * rng.standard_normal((cfg.vocab, cfg.d_model))).astype(np.float32))
-        for name, t in p.items():
-            t.name = name
+        p = {}
+        for name in cls.param_names(cfg):
+            leaf = name.rsplit(".", 1)[1]
+            if leaf.endswith("norm"):
+                data = np.ones(cfg.d_model)
+            else:
+                data = (head_scale if leaf == "head" else 0.02) * rng.standard_normal(weight_shape(cfg, leaf))
+            p[name] = Tensor(data, name=name)
         return cls(cfg, p)
 
     def embed_tokens(self, ids):
@@ -251,7 +255,8 @@ class Model:
 
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
-    """Argmax decoding from an embedded prompt; stops at EOS or max_new.
+    """Argmax decoding from an embedded prompt; stops at EOS, after max_new
+    tokens, or when the sequence fed to the model has reached max_seq.
 
     Returns the generated ids (EOS included when it terminated the loop).
     """
@@ -268,7 +273,7 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
             logits, _ = model.forward(emb, mask, adapters, collect_taps=False)
             nxt = int(np.argmax(logits.data[-1]))
             out.append(nxt)
-            if nxt == eos_id:
+            if nxt == eos_id or length >= model.cfg.max_seq:
                 break
             emb = T.concat([emb, model.embed_tokens([nxt])], axis=0)
     return out

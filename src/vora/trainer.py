@@ -53,6 +53,8 @@ class TrainConfig:
             raise ValueError("lr must be > 0")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         # total_steps == 0 is the explicit no-op run (init checkpoint only)
         if self.total_steps != 0 and self.total_steps <= self.warmup_steps:
             raise ValueError("total_steps must exceed warmup_steps")
@@ -99,7 +101,12 @@ def collect_state(pipe):
 
 
 def pipeline_from_state(cfg, tensors, meta=None):
-    """Rebuild a pipeline from checkpoint arrays (names as in collect_state)."""
+    """Rebuild a pipeline from checkpoint arrays (names as in collect_state).
+
+    Every student, teacher and vision-embed tensor the config implies must
+    be present; adapters and aux heads are all present or all absent.
+    Anything missing raises CheckpointError naming the tensor.
+    """
     meta = meta or {}
 
     def wrap(name, trainable=False):
@@ -107,33 +114,20 @@ def pipeline_from_state(cfg, tensors, meta=None):
             raise checkpoint.CheckpointError(f"checkpoint lacks tensor {name!r}")
         return Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable, name=name)
 
-    model_params = {n: wrap(n) for n in tensors if n.startswith("llm.")}
-    model = Model(cfg, model_params)
+    model = Model(cfg, {n: wrap(n) for n in Model.param_names(cfg)})
     adapters = None
     if any(n.startswith("lora.") for n in tensors):
-        ads = {}
-        for block in range(cfg.n_vit):
-            for layer in lora.LAYER_NAMES:
-                a_name = f"lora.{block}.{layer}.a"
-                if a_name not in tensors:
-                    continue
-                ads[(block, layer)] = lora.LoraAdapter(
-                    wrap(a_name, True), wrap(f"lora.{block}.{layer}.b", True),
-                    cfg.rank, cfg.alpha, (block, layer))
-        adapters = lora.AdapterSet(ads)
+        adapters = lora.AdapterSet({
+            (block, layer): lora.LoraAdapter(wrap(f"lora.{block}.{layer}.a", True),
+                                             wrap(f"lora.{block}.{layer}.b", True))
+            for block in range(cfg.n_vit) for layer in lora.LAYER_NAMES})
         adapters.merged = meta.get("merged", "false") == "true"
     vembed = vision.VisionEmbed(cfg, {n: wrap(n, True) for n in ("vembed.fc1", "vembed.fc2")})
-    teacher_params = {n: wrap(n) for n in tensors if n.startswith("teacher.")}
-    if not teacher_params:
-        raise checkpoint.CheckpointError(
-            "checkpoint has no teacher.* tensors; save it with trainer.collect_state, "
-            "which includes the frozen teacher")
-    teacher = vision.Teacher(cfg, teacher_params)
+    teacher = vision.Teacher(cfg, {n: wrap(n) for n in vision.Teacher.param_names(cfg)})
     heads = []
-    for i in range(cfg.n_vit):
-        gname = f"aux.{i}.gain"
-        if gname in tensors:
-            heads.append(distill.AuxHead(i, wrap(gname, True), wrap(f"aux.{i}.proj", True)))
+    if any(n.startswith("aux.") for n in tensors):
+        heads = [distill.AuxHead(i, wrap(f"aux.{i}.gain", True), wrap(f"aux.{i}.proj", True))
+                 for i in range(cfg.n_vit)]
     return Pipeline(cfg, model, adapters, vembed, teacher, heads)
 
 
@@ -194,7 +188,7 @@ def _sum_terms(terms):
     return acc
 
 
-def compute_losses(pipe, batch, mask_mode, distill_mode, collect_taps=None):
+def compute_losses(pipe, batch, mask_mode, distill_mode):
     """LM loss plus the distillation term of ``distill_mode``.
 
     block_wise averages the per-block terms over blocks 0..n_vit-1,
@@ -207,11 +201,9 @@ def compute_losses(pipe, batch, mask_mode, distill_mode, collect_taps=None):
         raise ValueError(f"unknown distill_mode {distill_mode!r}")
     cfg = pipe.cfg
     need_distill = distill_mode != "none" and batch.n_image > 0 and cfg.n_vit > 0
-    if collect_taps is None:
-        collect_taps = need_distill
     embedded = pack_embedded(pipe, batch)
     masks = batch_masks(batch, mask_mode)
-    logits, taps = pipe.model.forward(embedded, masks, pipe.adapters, collect_taps=collect_taps)
+    logits, taps = pipe.model.forward(embedded, masks, pipe.adapters, collect_taps=need_distill)
     lm = distill.lm_loss(logits, batch.layouts, batch.tokens)
 
     if not need_distill:
@@ -457,16 +449,11 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
         correct += sum(1 for a, b in zip(decoded, target) if a == b)
     caption_acc = correct / total
 
-    # text perplexity over supervised positions
-    text_batches = max(1, n_text // 8)
-    nlls = []
-    for _ in range(text_batches):
-        batch = D.make_batch(rng, min(n_text, 8), image_fraction=0.0, dcfg=dcfg,
-                             max_seq=cfg.max_seq, heldout=True)
-        with T.no_grad():
-            out, _ = compute_losses(pipe, batch, tcfg.mask_mode, "none")
-        nlls.append(float(out.lm.data))
-    ppl = float(np.exp(np.mean(nlls)))
+    # text perplexity over the supervised positions of n_text texts
+    batch = D.make_batch(rng, n_text, image_fraction=0.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
+    with T.no_grad():
+        out, _ = compute_losses(pipe, batch, tcfg.mask_mode, "none")
+    ppl = float(np.exp(float(out.lm.data)))
 
     result = {"caption_token_accuracy": caption_acc, "text_perplexity": ppl}
 
@@ -484,6 +471,14 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
 ABLATION_CSV_HEADER = ("mask_mode", "distill_mode", "rank", "threshold", "steps_to_threshold", "final_loss")
 
 
+def ablation_cells(cfg, tcfg, grid, budget_steps):
+    """(cell key, model config, train config) per (mask_mode, distill_mode,
+    rank) cell of the grid; building them validates every cell."""
+    return [((mask_mode, distill_mode, rank), replace(cfg, rank=rank),
+             replace(tcfg, mask_mode=mask_mode, distill_mode=distill_mode, total_steps=budget_steps))
+            for mask_mode, distill_mode, rank in grid]
+
+
 def run_ablation(cfg, tcfg, dcfg, grid, thresholds, budget_steps, csv_path=None):
     """Train one cell per (mask_mode, distill_mode, rank) with a fixed data
     order and scan the smoothed LM loss for each threshold.
@@ -493,9 +488,7 @@ def run_ablation(cfg, tcfg, dcfg, grid, thresholds, budget_steps, csv_path=None)
     """
     rows = []
     curves = {}
-    for mask_mode, distill_mode, rank in grid:
-        cell_cfg = replace(cfg, rank=rank, alpha=0.0)  # alpha re-resolves to rank
-        cell_t = replace(tcfg, mask_mode=mask_mode, distill_mode=distill_mode, total_steps=budget_steps)
+    for (mask_mode, distill_mode, rank), cell_cfg, cell_t in ablation_cells(cfg, tcfg, grid, budget_steps):
         pipe = build_pipeline(cell_cfg, seed=cell_t.seed, teacher_warm=cell_t.teacher_warm,
                               teacher_warm_steps=cell_t.teacher_warm_steps)
         _, metrics = pretrain(pipe, cell_t, dcfg)

@@ -15,6 +15,9 @@ from .model import attention
 from .tensor import Tensor
 
 
+TEACHER_BLOCK_PARAMS = ("attn_norm", "q", "k", "v", "o", "ffn_norm", "fc1", "fc2")
+
+
 class PatchError(ValueError):
     pass
 
@@ -113,9 +116,6 @@ class VisionEmbed:
         y = T.linear(h, self.params["vembed.fc2"])
         return y + T.constant(sincos_grid(rows, cols, self.cfg.d_model))
 
-    def param_count(self):
-        return sum(p.data.size for p in self.params.values())
-
 
 class Teacher:
     """Frozen toy ViT: patch embed + sinusoidal positions, pre-norm blocks
@@ -127,23 +127,23 @@ class Teacher:
         self.cfg = cfg
         self.params = params
 
+    @staticmethod
+    def param_names(cfg):
+        """Every teacher tensor name, in init order."""
+        return ["teacher.patch_embed"] + [f"teacher.blocks.{i}.{name}" for i in range(cfg.n_vit)
+                                          for name in TEACHER_BLOCK_PARAMS]
+
     @classmethod
     def init(cls, cfg, seed=100):
         rng = np.random.default_rng(seed)
-
-        def w(name, *shape):
-            return Tensor((0.02 * rng.standard_normal(shape)).astype(np.float32), name=name)
-
-        patch_in = cfg.patch * cfg.patch * 3
-        p = {"teacher.patch_embed": w("teacher.patch_embed", cfg.d_vit, patch_in)}
-        for i in range(cfg.n_vit):
-            pre = f"teacher.blocks.{i}."
-            p[pre + "attn_norm"] = Tensor(np.ones(cfg.d_vit, dtype=np.float32), name=pre + "attn_norm")
-            for name in ("q", "k", "v", "o"):
-                p[pre + name] = w(pre + name, cfg.d_vit, cfg.d_vit)
-            p[pre + "ffn_norm"] = Tensor(np.ones(cfg.d_vit, dtype=np.float32), name=pre + "ffn_norm")
-            p[pre + "fc1"] = w(pre + "fc1", cfg.vit_ff, cfg.d_vit)
-            p[pre + "fc2"] = w(pre + "fc2", cfg.d_vit, cfg.vit_ff)
+        d, ff = cfg.d_vit, cfg.vit_ff
+        shapes = {"patch_embed": (d, cfg.patch * cfg.patch * 3), "q": (d, d), "k": (d, d), "v": (d, d),
+                  "o": (d, d), "fc1": (ff, d), "fc2": (d, ff)}
+        p = {}
+        for name in cls.param_names(cfg):
+            leaf = name.rsplit(".", 1)[1]
+            data = np.ones(d) if leaf.endswith("norm") else 0.02 * rng.standard_normal(shapes[leaf])
+            p[name] = Tensor(data, name=name)
         return cls(cfg, p)
 
     def blocks_forward(self, x):
@@ -185,7 +185,3 @@ class Teacher:
         with T.no_grad():
             states = self.blocks_forward(self.embed_patches(np.stack(stacks), grid))
         return [st.data for st in states]
-
-    def forward(self, image):
-        """Per-block hidden states for one image: list of [S, d_vit] arrays."""
-        return [st[0] for st in self.forward_batch([image])]

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import asdict, fields, make_dataclass
 
 import numpy as np
 import numpy.testing as npt
@@ -143,10 +144,28 @@ def test_corrupt_name_is_checkpoint_error(tmp_path):
         checkpoint.load(path)
 
 
-@pytest.mark.parametrize("name", ["vembed.fc1", "vembed.fc2", "lora.0.q.b", "aux.1.proj"])
+@pytest.mark.parametrize("name", ["vembed.fc1", "vembed.fc2", "lora.0.q.b", "aux.1.proj", "llm.blocks.2.q",
+                                  "llm.head", "teacher.blocks.0.fc1", "lora.0.q.a", "aux.0.gain"])
 def test_missing_required_tensor_is_checkpoint_error(tmp_path, name):
     cfg = ModelConfig()
     state = trainer.collect_state(trainer.build_pipeline(cfg, seed=0))
     tensors = {n: t.data for n, t in state.items() if n != name}
     with pytest.raises(checkpoint.CheckpointError, match=name):
         trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})
+
+
+@pytest.mark.parametrize("alpha", [8.0, 16.0])
+def test_alpha_field_loads_only_at_scale_one(tmp_path, alpha):
+    # older files carry an alpha config field: their adapters added (alpha / rank) b a
+    cfg = ModelConfig()
+    old_cfg = make_dataclass("OldModelConfig", [(f.name, int) for f in fields(cfg)] + [("alpha", float)])
+    path = tmp_path / "old.vora"
+    tensors = trainer.collect_state(trainer.build_pipeline(cfg, seed=0))
+    checkpoint.save(path, old_cfg(**asdict(cfg), alpha=alpha), tensors, {"merged": "false"})
+    if alpha == cfg.rank:
+        loaded_cfg, loaded, _ = checkpoint.load(path)
+        assert loaded_cfg == cfg and loaded.keys() == tensors.keys()
+    else:
+        with pytest.raises(checkpoint.CheckpointError, match="alpha"):
+            checkpoint.load(path)
+        assert cli.main(["merge", str(path), str(tmp_path / "merged.vora")]) == cli.EXIT_STATE

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from vora import checkpoint, cli, config
+from vora import checkpoint, cli, config, trainer
+from vora.model import ModelConfig
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -35,6 +36,15 @@ class TestConfigParsing:
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(config.ConfigFileError, match="duplicate"):
             config.parse_file(write(tmp_path, "seed=0\nseed=1\n"))
+
+    @pytest.mark.parametrize("lines", [
+        "warmup_steps=400\ntotal_steps=500",
+        "d_model=8\nn_heads=2\nd_ff=8\nrank=2",
+    ])
+    def test_unused_ablation_keys_not_checked(self, tmp_path, lines):
+        # the default ablate_steps and ablate_ranks do not fit these runs,
+        # but only `vora ablate` uses them
+        config.parse_file(write(tmp_path, f"seed=0\n{lines}\n"))
 
     def test_bad_value_reports_line(self, tmp_path):
         with pytest.raises(config.ConfigFileError, match=":2:"):
@@ -161,6 +171,26 @@ class TestCli:
                                    "ablate_ranks=8\nthresholds=9.0\nablate_steps=3\n"
                                    "warmup_steps=1\nbatch_size=2\n")
         assert cli.main(["ablate", cfg_path, str(tmp_path / "ab")]) == 0
+
+    @pytest.mark.parametrize("command, lines", [
+        ("pretrain", "lr=0"), ("pretrain", "mode=bogus"), ("pretrain", "n_heads=5"),
+        ("pretrain", "rank=100"), ("pretrain", "resolution_h=30"), ("pretrain", "image_fraction=1.5"),
+        ("pretrain", "batch_size=0"), ("pretrain", "vocab=50\nimage_fraction=0"),
+        ("eval", "eval_captions=0"), ("ablate", "ablate_distills=none,bogus\nablate_steps=3"),
+    ])
+    def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
+        cfg_path = write(tmp_path, f"seed=0\ntotal_steps=2\nwarmup_steps=1\n{lines}\n")
+        if command == "eval":
+            ckpt = tmp_path / "init.vora"
+            cfg = ModelConfig()
+            checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)),
+                            {"merged": "false"})
+            args = [str(ckpt), cfg_path]
+        else:
+            args = [cfg_path, str(tmp_path / "out")]
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([command, *args]) == cli.EXIT_CONFIG
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_gradcheck_exits_zero(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "seed=0\n")

@@ -139,6 +139,13 @@ class TestDecodeGreedy:
         with pytest.raises(ValueError):
             decode_greedy(model, prefix, lay, eos_id=2, max_new=0)
 
+    def test_stops_at_max_seq(self):
+        model = Model.init(ModelConfig(max_seq=12), seed=0)
+        lay = SequenceLayout((0, 0), (0, 5), 5)
+        prefix = model.embed_tokens(np.arange(5) + 4)
+        # forwards over lengths 5..12 give 8 tokens; a 13-token forward is never run
+        assert len(decode_greedy(model, prefix, lay, eos_id=-1, max_new=50)) == 8
+
 
 def test_config_validation():
     with pytest.raises(Exception):
@@ -147,5 +154,3 @@ def test_config_validation():
         ModelConfig(d_model=65, n_heads=4)
     with pytest.raises(Exception):
         ModelConfig(d_model=0)
-    cfg = ModelConfig(rank=16, alpha=0.0)
-    assert cfg.alpha == 16.0

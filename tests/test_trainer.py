@@ -273,6 +273,21 @@ class TestEval:
         assert -1.0 <= out["distill_alignment"] <= 1.0
         assert 0.0 <= out["caption_token_accuracy"] <= 1.0
 
+    def test_scores_exactly_n_text_texts(self, monkeypatch):
+        mcfg, tcfg, dcfg = small_cfgs()
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        sizes = []
+        make_batch = data.make_batch
+
+        def spy(rng, batch_size, image_fraction=None, **kwargs):
+            if image_fraction == 0.0:
+                sizes.append(batch_size)
+            return make_batch(rng, batch_size, image_fraction=image_fraction, **kwargs)
+
+        monkeypatch.setattr(data, "make_batch", spy)
+        trainer.eval_metrics(pipe, dcfg, tcfg, n_caption=1, n_text=12, max_new=1)
+        assert sum(sizes) == 12
+
     def test_empty_heldout_errors(self):
         mcfg, tcfg, dcfg = small_cfgs()
         pipe = trainer.build_pipeline(mcfg, seed=0)
