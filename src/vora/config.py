@@ -11,7 +11,7 @@ canonical form that parses back identically.
 
 from dataclasses import dataclass
 
-from .data import VOCAB_SIZE, DataConfig
+from .data import VOCAB_SIZE, DataConfig, max_packed_len
 from .model import ModelConfig
 from .trainer import TrainConfig
 
@@ -165,12 +165,16 @@ def parse_text(text, source="<config>"):
             values[key] = default
     run = RunConfig(values)
     try:
-        run.model_config(), run.train_config(), run.data_config()
+        _, _, dcfg = run.model_config(), run.train_config(), run.data_config()
     except ValueError as exc:
         raise ConfigFileError(f"{source}: {exc}") from exc
     if values["vocab"] < VOCAB_SIZE:
         raise ConfigFileError(f"{source}: vocab ({values['vocab']}) must cover the "
                               f"{VOCAB_SIZE}-word data vocabulary")
+    longest = max_packed_len(dcfg)
+    if longest > values["max_seq"]:
+        raise ConfigFileError(f"{source}: max_seq ({values['max_seq']}) is below the longest packed "
+                              f"sequence ({longest}: largest vision span plus longest caption)")
     return run
 
 

@@ -285,6 +285,20 @@ def _pick_resolution(rng, dcfg):
     return (h, w)
 
 
+def max_packed_len(dcfg):
+    """The longest row pack_samples gets under dcfg: the largest grid's
+    vision span (the fixed resolution of the held-out captions, or the
+    largest anyres grid), BOS, the longest caption and EOS. Text rows are
+    shorter."""
+    h, w = dcfg.resolution
+    cells = (h // dcfg.patch) * (w // dcfg.patch)
+    if dcfg.anyres:
+        cells = max(cells, _anyres_cells(dcfg)[1] ** 2)
+    # make_scene draws at most four shapes: "a C S", a two-word relation,
+    # "a C S", then "and a C S" twice
+    return cells + 1 + 3 + 2 + 3 + 4 * 2 + 1
+
+
 def _grid(sample, patch):
     return None if sample.image is None else (sample.image.height // patch, sample.image.width // patch)
 

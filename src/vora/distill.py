@@ -24,12 +24,17 @@ class AuxHead:
         self.norm_gain = norm_gain
         self.proj = proj
 
+    @staticmethod
+    def weight_shape(cfg, leaf):
+        """Shape of the aux-head tensor whose name ends in ``leaf``."""
+        return {"gain": (cfg.d_model,), "proj": (cfg.d_vit, cfg.d_model)}[leaf]
+
     @classmethod
     def init(cls, cfg, block_index, seed=0):
         rng = np.random.default_rng(seed)
-        gain = Tensor(np.ones(cfg.d_model, dtype=np.float32), requires_grad=True,
+        gain = Tensor(np.ones(cls.weight_shape(cfg, "gain"), dtype=np.float32), requires_grad=True,
                       name=f"aux.{block_index}.gain")
-        proj = Tensor((0.02 * rng.standard_normal((cfg.d_vit, cfg.d_model))).astype(np.float32),
+        proj = Tensor((0.02 * rng.standard_normal(cls.weight_shape(cfg, "proj"))).astype(np.float32),
                       requires_grad=True, name=f"aux.{block_index}.proj")
         return cls(block_index, gain, proj)
 

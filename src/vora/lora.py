@@ -61,16 +61,21 @@ class AdapterSet:
         return T.linear(T.linear(x, ad.a), ad.b)
 
 
+def adapter_shape(cfg, layer, leaf):
+    """Shape of factor ``leaf`` ("a" or "b") of the adapter on ``layer``."""
+    d_out, d_in = weight_shape(cfg, layer)
+    return {"a": (cfg.rank, d_in), "b": (d_out, cfg.rank)}[leaf]
+
+
 def attach(cfg, seed=0):
     """One adapter per targeted linear layer in blocks 0..n_vit-1."""
     rng = np.random.default_rng(seed)
     adapters = {}
     for block in range(cfg.n_vit):
         for layer in LAYER_NAMES:
-            d_out, d_in = weight_shape(cfg, layer)
-            a = Tensor((0.02 * rng.standard_normal((cfg.rank, d_in))).astype(np.float32),
+            a = Tensor((0.02 * rng.standard_normal(adapter_shape(cfg, layer, "a"))).astype(np.float32),
                        requires_grad=True, name=f"lora.{block}.{layer}.a")
-            b = Tensor(np.zeros((d_out, cfg.rank), dtype=np.float32),
+            b = Tensor(np.zeros(adapter_shape(cfg, layer, "b"), dtype=np.float32),
                        requires_grad=True, name=f"lora.{block}.{layer}.b")
             adapters[(block, layer)] = LoraAdapter(a, b)
     return AdapterSet(adapters)

@@ -77,10 +77,12 @@ class ModelConfig:
 
 
 def weight_shape(cfg, leaf):
-    """[d_out, d_in] of the student weight whose name ends in ``leaf``."""
+    """Shape of the student tensor whose name ends in ``leaf``: [d_out, d_in]
+    for a weight, [d_model] for a norm gain."""
     d, ff = cfg.d_model, cfg.d_ff
     return {"embed": (cfg.vocab, d), "head": (cfg.vocab, d), "q": (d, d), "k": (d, d), "v": (d, d),
-            "o": (d, d), "ffn_gate": (ff, d), "ffn_up": (ff, d), "ffn_down": (d, ff)}[leaf]
+            "o": (d, d), "ffn_gate": (ff, d), "ffn_up": (ff, d), "ffn_down": (d, ff),
+            "attn_norm": (d,), "ffn_norm": (d,), "final_norm": (d,)}[leaf]
 
 
 @dataclass
@@ -157,18 +159,25 @@ def _apply_rope(x, cos, sin):
     return T.concat([T.mul(x1, cos) - T.mul(x2, sin), T.mul(x2, cos) + T.mul(x1, sin)], axis=-1)
 
 
-def attention(q, k, v, mask, n_heads, rope=None):
+def attention(q, k, v, mask, n_heads, rope=None, cache=None):
     """Multi-head scaled dot-product attention on [B, S, d] projections.
 
     Splits heads, rotates q and k by the rope (cos, sin) tables when
-    given, softmaxes the scaled scores under the additive mask ([S, S],
-    or [B, S, S] per sequence) and merges heads back to [B, S, d].
+    given, softmaxes the scaled scores under the additive mask ([S, L],
+    or [B, S, L] per sequence) and merges heads back to [B, S, d].
+    cache: one block's list of post-RoPE [k, v] ([B, heads, L, hd]); when
+    given, the new keys and values are appended to it and the queries
+    attend over all L of them.
     """
     b, s, d = q.data.shape
     hd = d // n_heads
     q, k, v = (T.swap(T.reshape(t, (b, s, n_heads, hd)), 1, 2) for t in (q, k, v))
     if rope is not None:
         q, k = _apply_rope(q, *rope), _apply_rope(k, *rope)
+    if cache is not None:
+        if cache:
+            k, v = T.concat([cache[0], k], axis=2), T.concat([cache[1], v], axis=2)
+        cache[:] = [k, v]
     scores = T.scale(T.matmul(q, T.swap(k, -1, -2)), 1.0 / np.sqrt(hd))
     probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
     return T.reshape(T.swap(T.matmul(probs, v), 1, 2), (b, s, d))
@@ -198,7 +207,7 @@ class Model:
         for name in cls.param_names(cfg):
             leaf = name.rsplit(".", 1)[1]
             if leaf.endswith("norm"):
-                data = np.ones(cfg.d_model)
+                data = np.ones(weight_shape(cfg, leaf))
             else:
                 data = (head_scale if leaf == "head" else 0.02) * rng.standard_normal(weight_shape(cfg, leaf))
             p[name] = Tensor(data, name=name)
@@ -215,27 +224,35 @@ class Model:
                 y = y + delta
         return y
 
-    def forward(self, embedded, mask, adapters=None, collect_taps=True):
+    def new_cache(self):
+        """An empty K/V cache for ``forward``: one [k, v] list per block."""
+        return [[] for _ in range(self.cfg.n_llm)]
+
+    def forward(self, embedded, mask, adapters=None, collect_taps=True, cache=None):
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [S, d] or [B, S, d] with vision embeddings
         spliced in at the vision span. mask: additive [S, S] or, per
         sequence, [B, S, S]. Returns (logits, taps);
         taps hold the post-residual outputs of blocks 0..n_vit-1.
+        cache (from ``new_cache``): the inputs extend the L positions
+        cached so far; they take positions L..L+S-1, the mask is
+        [S, L+S], and their keys and values join the cache.
         """
         cfg = self.cfg
         squeeze = embedded.data.ndim == 2
         x = T.reshape(embedded, (1,) + embedded.data.shape) if squeeze else embedded
         _, s, d = x.data.shape
-        if s > cfg.max_seq:
-            raise SequenceTooLong(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
-        rope = tuple(T.constant(t) for t in rope_tables(s, cfg.head_dim))
+        past = cache[0][0].data.shape[2] if cache is not None and cache[0] else 0
+        if past + s > cfg.max_seq:
+            raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
+        rope = tuple(T.constant(t[past:]) for t in rope_tables(past + s, cfg.head_dim))
 
         taps = []
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"], eps=1e-6)
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            ctx = attention(q, k, v, mask, cfg.n_heads, rope)
+            ctx = attention(q, k, v, mask, cfg.n_heads, rope, None if cache is None else cache[i])
             x = x + self._linear(ctx, i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"], eps=1e-6)
@@ -256,24 +273,30 @@ class Model:
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
     """Argmax decoding from an embedded prompt; stops at EOS, after max_new
-    tokens, or when the sequence fed to the model has reached max_seq.
+    tokens, or when the sequence has reached max_seq.
 
+    The prompt ([vision span][text]) is encoded once under the mask mode;
+    each later step feeds only the new token and reads the earlier
+    positions from the K/V cache.
     Returns the generated ids (EOS included when it terminated the loop).
     """
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
-    v0, v1 = layout.vision_span
-    emb = prefix_embedded
+    length = prefix_embedded.data.shape[0]
+    v1 = layout.vision_span[1]
+    lay = SequenceLayout(layout.vision_span, (v1, length), supervise_from=length)
+    emb, mask = prefix_embedded, build_attention_mask(lay, length, mask_mode)
+    cache = model.new_cache()
     out = []
     with T.no_grad():
         for _ in range(max_new):
-            length = emb.data.shape[0]
-            lay = SequenceLayout((v0, v1), (v1, length), supervise_from=length)
-            mask = build_attention_mask(lay, length, mask_mode)
-            logits, _ = model.forward(emb, mask, adapters, collect_taps=False)
+            logits, _ = model.forward(emb, mask, adapters, collect_taps=False, cache=cache)
             nxt = int(np.argmax(logits.data[-1]))
             out.append(nxt)
             if nxt == eos_id or length >= model.cfg.max_seq:
                 break
-            emb = T.concat([emb, model.embed_tokens([nxt])], axis=0)
+            emb = model.embed_tokens([nxt])
+            length += 1
+            # a text token sees every earlier position under both mask modes
+            mask = np.zeros((1, length), np.float32)
     return out

@@ -233,7 +233,7 @@ def transpose(a, axes=None):
         axes = tuple(reversed(range(a.data.ndim)))
     axes = tuple(axes)
     out = a.data.transpose(axes)
-    inv = np.argsort(axes)
+    inv = sorted(range(len(axes)), key=axes.__getitem__)
 
     def bwd(g):
         _accum(a, g.transpose(inv))

@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import checkpoint, distill, kernels, lora, vision
 from . import tensor as T
-from .model import Model, build_attention_mask, decode_greedy
+from .model import Model, build_attention_mask, decode_greedy, weight_shape
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
@@ -100,18 +100,34 @@ def collect_state(pipe):
     return tensors
 
 
+def _config_shape(cfg, name):
+    """The shape the config implies for the pipeline tensor ``name``."""
+    kind, *middle, leaf = name.split(".")
+    if kind == "llm":
+        return weight_shape(cfg, leaf)
+    if kind == "lora":
+        return lora.adapter_shape(cfg, middle[1], leaf)
+    owner = {"vembed": vision.VisionEmbed, "teacher": vision.Teacher, "aux": distill.AuxHead}[kind]
+    return owner.weight_shape(cfg, leaf)
+
+
 def pipeline_from_state(cfg, tensors, meta=None):
     """Rebuild a pipeline from checkpoint arrays (names as in collect_state).
 
     Every student, teacher and vision-embed tensor the config implies must
     be present; adapters and aux heads are all present or all absent.
-    Anything missing raises CheckpointError naming the tensor.
+    A missing tensor, or one whose shape is not the one the config
+    implies, raises CheckpointError naming the tensor.
     """
     meta = meta or {}
 
     def wrap(name, trainable=False):
         if name not in tensors:
             raise checkpoint.CheckpointError(f"checkpoint lacks tensor {name!r}")
+        shape, want = np.shape(tensors[name]), _config_shape(cfg, name)
+        if shape != want:
+            raise checkpoint.CheckpointError(f"checkpoint tensor {name!r} has shape {list(shape)}; "
+                                             f"the config implies {list(want)}")
         return Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable, name=name)
 
     model = Model(cfg, {n: wrap(n) for n in Model.param_names(cfg)})
@@ -473,9 +489,11 @@ ABLATION_CSV_HEADER = ("mask_mode", "distill_mode", "rank", "threshold", "steps_
 
 def ablation_cells(cfg, tcfg, grid, budget_steps):
     """(cell key, model config, train config) per (mask_mode, distill_mode,
-    rank) cell of the grid; building them validates every cell."""
+    rank) cell of the grid; building them validates every cell. Every cell
+    is a pretrain run, whatever the config's mode."""
     return [((mask_mode, distill_mode, rank), replace(cfg, rank=rank),
-             replace(tcfg, mask_mode=mask_mode, distill_mode=distill_mode, total_steps=budget_steps))
+             replace(tcfg, mode="pretrain", mask_mode=mask_mode, distill_mode=distill_mode,
+                     total_steps=budget_steps))
             for mask_mode, distill_mode, rank in grid]
 
 

@@ -92,16 +92,18 @@ class VisionEmbed:
         self.cfg = cfg
         self.params = params
 
+    @staticmethod
+    def weight_shape(cfg, leaf):
+        """Shape of the vision-embed weight whose name ends in ``leaf``."""
+        return {"fc1": (cfg.vembed_hidden, cfg.patch * cfg.patch * 3), "fc2": (cfg.d_model, cfg.vembed_hidden)}[leaf]
+
     @classmethod
     def init(cls, cfg, seed=0):
         rng = np.random.default_rng(seed)
-        patch_in = cfg.patch * cfg.patch * 3
-        p = {
-            "vembed.fc1": Tensor((0.02 * rng.standard_normal((cfg.vembed_hidden, patch_in))).astype(np.float32),
-                                 requires_grad=True, name="vembed.fc1"),
-            "vembed.fc2": Tensor((0.02 * rng.standard_normal((cfg.d_model, cfg.vembed_hidden))).astype(np.float32),
-                                 requires_grad=True, name="vembed.fc2"),
-        }
+        p = {}
+        for leaf in ("fc1", "fc2"):
+            data = (0.02 * rng.standard_normal(cls.weight_shape(cfg, leaf))).astype(np.float32)
+            p[f"vembed.{leaf}"] = Tensor(data, requires_grad=True, name=f"vembed.{leaf}")
         return cls(cfg, p)
 
     def forward(self, patches, grid):
@@ -133,16 +135,21 @@ class Teacher:
         return ["teacher.patch_embed"] + [f"teacher.blocks.{i}.{name}" for i in range(cfg.n_vit)
                                           for name in TEACHER_BLOCK_PARAMS]
 
+    @staticmethod
+    def weight_shape(cfg, leaf):
+        """Shape of the teacher tensor whose name ends in ``leaf``."""
+        d, ff = cfg.d_vit, cfg.vit_ff
+        return {"patch_embed": (d, cfg.patch * cfg.patch * 3), "q": (d, d), "k": (d, d), "v": (d, d),
+                "o": (d, d), "fc1": (ff, d), "fc2": (d, ff), "attn_norm": (d,), "ffn_norm": (d,)}[leaf]
+
     @classmethod
     def init(cls, cfg, seed=100):
         rng = np.random.default_rng(seed)
-        d, ff = cfg.d_vit, cfg.vit_ff
-        shapes = {"patch_embed": (d, cfg.patch * cfg.patch * 3), "q": (d, d), "k": (d, d), "v": (d, d),
-                  "o": (d, d), "fc1": (ff, d), "fc2": (d, ff)}
         p = {}
         for name in cls.param_names(cfg):
             leaf = name.rsplit(".", 1)[1]
-            data = np.ones(d) if leaf.endswith("norm") else 0.02 * rng.standard_normal(shapes[leaf])
+            shape = cls.weight_shape(cfg, leaf)
+            data = np.ones(shape) if leaf.endswith("norm") else 0.02 * rng.standard_normal(shape)
             p[name] = Tensor(data, name=name)
         return cls(cfg, p)
 

@@ -154,6 +154,29 @@ def test_missing_required_tensor_is_checkpoint_error(tmp_path, name):
         trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})
 
 
+@pytest.mark.parametrize("name", ["llm.blocks.0.q", "llm.blocks.1.ffn_norm", "llm.embed", "vembed.fc1",
+                                  "teacher.blocks.0.fc2", "lora.0.ffn_up.a", "lora.3.ffn_down.b", "aux.1.proj"])
+def test_wrong_shape_tensor_is_checkpoint_error(tmp_path, name):
+    cfg = ModelConfig()
+    state = trainer.collect_state(trainer.build_pipeline(cfg, seed=0))
+    tensors = {n: t.data for n, t in state.items()}
+    tensors[name] = np.zeros((3, 3), dtype=np.float32)
+    want = ", ".join(map(str, state[name].shape))
+    with pytest.raises(checkpoint.CheckpointError, match=rf"{name}.*\[3, 3\].*\[{want}\]"):
+        trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})
+
+
+def test_wrong_shape_checkpoint_exits_4_in_eval(tmp_path):
+    cfg = ModelConfig()
+    tensors = {n: t.data for n, t in trainer.collect_state(trainer.build_pipeline(cfg, seed=0)).items()}
+    tensors["llm.blocks.0.q"] = np.zeros((3, 3), dtype=np.float32)
+    ckpt = tmp_path / "bad.vora"
+    checkpoint.save(ckpt, cfg, tensors, {"merged": "false"})
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=0\n")
+    assert cli.main(["eval", str(ckpt), str(cfg_path)]) == cli.EXIT_STATE
+
+
 @pytest.mark.parametrize("alpha", [8.0, 16.0])
 def test_alpha_field_loads_only_at_scale_one(tmp_path, alpha):
     # older files carry an alpha config field: their adapters added (alpha / rank) b a

@@ -166,6 +166,12 @@ class TestCli:
         assert lines[0] == "mask_mode,distill_mode,rank,threshold,steps_to_threshold,final_loss"
         assert len(lines) == 2
 
+    def test_ablate_on_finetune_config(self, tmp_path):
+        # every ablation cell is a pretrain run, whatever the config's mode
+        cfg_path = write(tmp_path, "seed=0\nmode=finetune\nablate_distills=none\nablate_steps=3\n"
+                                   "warmup_steps=1\nbatch_size=2\n")
+        assert cli.main(["ablate", cfg_path, str(tmp_path / "ab")]) == 0
+
     def test_ablate_last_block_cell(self, tmp_path):
         cfg_path = write(tmp_path, "seed=0\nablate_masks=hybrid\nablate_distills=last_block\n"
                                    "ablate_ranks=8\nthresholds=9.0\nablate_steps=3\n"
@@ -177,6 +183,8 @@ class TestCli:
         ("pretrain", "rank=100"), ("pretrain", "resolution_h=30"), ("pretrain", "image_fraction=1.5"),
         ("pretrain", "batch_size=0"), ("pretrain", "vocab=50\nimage_fraction=0"),
         ("eval", "eval_captions=0"), ("ablate", "ablate_distills=none,bogus\nablate_steps=3"),
+        ("pretrain", "resolution_h=96\nresolution_w=96"), ("pretrain", "anyres=true\nanyres_max=96"),
+        ("eval", "max_seq=33"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
         cfg_path = write(tmp_path, f"seed=0\ntotal_steps=2\nwarmup_steps=1\n{lines}\n")

@@ -201,6 +201,12 @@ class TestMakeBatch:
         with pytest.raises(ValueError, match="max_seq"):
             pack_samples([sample], 8, max_seq=32)
 
+    @pytest.mark.parametrize("dcfg", [data.DataConfig(), data.DataConfig(anyres=True, anyres_max=40)])
+    def test_max_packed_len_is_the_longest_row(self, dcfg):
+        # 400 image rows reach the largest grid with a longest caption; none is longer
+        batch = make_batch(np.random.default_rng(5), 400, image_fraction=1.0, dcfg=dcfg, max_seq=300)
+        assert batch.tokens.shape[1] == data.max_packed_len(dcfg)
+
 
 def test_dump_dataset_roundtrip(tmp_path):
     import json

@@ -3,7 +3,8 @@ import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora import lora
+from vora import data as D
+from vora import lora, trainer
 from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong,
                         build_attention_mask, decode_greedy)
 
@@ -145,6 +146,105 @@ class TestDecodeGreedy:
         prefix = model.embed_tokens(np.arange(5) + 4)
         # forwards over lengths 5..12 give 8 tokens; a 13-token forward is never run
         assert len(decode_greedy(model, prefix, lay, eos_id=-1, max_new=50)) == 8
+
+
+def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
+    """The oracle for the cached decode: every step re-runs the whole forward
+    over the sequence so far. Returns the ids and each step's last logits."""
+    v0, v1 = layout.vision_span
+    emb, ids, steps = prefix, [], []
+    with T.no_grad():
+        for _ in range(max_new):
+            length = emb.data.shape[0]
+            lay = SequenceLayout((v0, v1), (v1, length), supervise_from=length)
+            logits, _ = model.forward(emb, build_attention_mask(lay, length, mask_mode), adapters,
+                                      collect_taps=False)
+            steps.append(logits.data[-1].copy())
+            ids.append(int(np.argmax(steps[-1])))
+            if ids[-1] == eos_id or length >= model.cfg.max_seq:
+                break
+            emb = T.concat([emb, model.embed_tokens([ids[-1]])], axis=0)
+    return ids, steps
+
+
+def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
+    """decode_greedy, plus the last-position logits and the number of input
+    positions of every forward it runs."""
+    steps, positions = [], []
+    forward = model.forward
+
+    def spy(embedded, *args, **kwargs):
+        logits, taps = forward(embedded, *args, **kwargs)
+        steps.append(logits.data[-1].copy())
+        positions.append(embedded.data.shape[0])
+        return logits, taps
+
+    model.forward = spy
+    try:
+        ids = decode_greedy(model, prefix, layout, eos_id, max_new, adapters=adapters, mask_mode=mask_mode)
+    finally:
+        del model.forward
+    return ids, steps, positions
+
+
+def heldout_prefixes(pipe, n=8, seed=0):
+    """The embedded [vision span][prompt] prefixes and layouts of the n
+    held-out captions `trainer.eval_metrics` decodes for this seed."""
+    rng = np.random.default_rng([seed, 11])
+    out = []
+    for _ in range(n):
+        sample = D.gen_image_caption(D.HELDOUT_BASE + int(rng.integers(0, D.HELDOUT_BASE)))
+        batch = D.pack_samples([sample], pipe.cfg.patch, pipe.cfg.max_seq)
+        lay = batch.layouts[0]
+        with T.no_grad():
+            out.append((T.constant(trainer.pack_embedded(pipe, batch).data[0, : lay.supervise_from]), lay))
+    return out
+
+
+def adapted_pipe():
+    """Default-config pipeline whose adapters are non-zero; large enough
+    that its greedy decodes are not one repeated token."""
+    pipe = trainer.build_pipeline(ModelConfig(), seed=0)
+    rng = np.random.default_rng(5)
+    for ad in pipe.adapters:
+        ad.b.data = (0.5 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
+    return pipe
+
+
+class TestKVCache:
+    @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+    def test_step_logits_match_full_recompute(self, mask_mode):
+        pipe = adapted_pipe()
+        (prefix, lay), = heldout_prefixes(pipe, n=1)
+        assert lay.vision_span[1] > 0
+        for merged in (False, True):
+            if merged:
+                lora.merge_all(pipe.model, pipe.adapters)
+            want_ids, want = full_recompute_decode(pipe.model, prefix, lay, -1, 24, pipe.adapters, mask_mode)
+            ids, got, positions = spied_decode(pipe.model, prefix, lay, -1, 24, pipe.adapters, mask_mode)
+            assert positions == [prefix.data.shape[0]] + [1] * 23  # prefill once, then one token a step
+            assert ids == want_ids
+            assert len(got) == len(want) == 24
+            for g, w in zip(got, want):
+                npt.assert_allclose(g, w, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+    def test_heldout_ids_match_full_recompute(self, mask_mode):
+        pipe = adapted_pipe()
+        for prefix, lay in heldout_prefixes(pipe):
+            got = decode_greedy(pipe.model, prefix, lay, D.EOS, 24, pipe.adapters, mask_mode)
+            want, _ = full_recompute_decode(pipe.model, prefix, lay, D.EOS, 24, pipe.adapters, mask_mode)
+            assert got == want
+
+    def test_cached_forward_past_max_seq_raises(self):
+        model = Model.init(ModelConfig(max_seq=12), seed=0)
+        cache = model.new_cache()
+        with T.no_grad():
+            model.forward(model.embed_tokens(np.arange(10)), np.zeros((10, 10), np.float32), cache=cache)
+            with pytest.raises(SequenceTooLong):
+                model.forward(model.embed_tokens([3, 4, 5]), np.zeros((3, 13), np.float32), cache=cache)
+            logits, _ = model.forward(model.embed_tokens([3, 4]), np.zeros((2, 12), np.float32), cache=cache)
+        assert logits.shape == (2, model.cfg.vocab)
 
 
 def test_config_validation():
