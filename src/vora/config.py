@@ -9,7 +9,7 @@ cells the same way). ``normalize`` renders the resolved config in a
 canonical form that parses back identically.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import VOCAB_SIZE, DataConfig, max_packed_len
 from .model import ModelConfig
@@ -93,7 +93,7 @@ SCHEMA = {
     "ablate_distills": (("none", "block_wise"), _str_list, "distill modes in the grid"),
     "ablate_ranks": ((8,), _int_list, "adapter ranks in the grid"),
     "thresholds": ((4.8, 4.4, 4.0), _float_list, "LM-loss thresholds to scan"),
-    "ablate_steps": (400, int, "training budget per ablation cell"),
+    "ablate_steps": (400, _count, "training budget per ablation cell"),
 }
 
 
@@ -104,33 +104,19 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _build(self, cls, **explicit):
+        """``cls`` from the values named like its fields, plus ``explicit``."""
+        named = {f.name: self.values[f.name] for f in fields(cls) if f.name not in explicit}
+        return cls(**named, **explicit)
+
     def model_config(self):
-        v = self.values
-        return ModelConfig(
-            n_llm=v["n_llm"], n_vit=v["n_vit"], d_model=v["d_model"], d_vit=v["d_vit"],
-            n_heads=v["n_heads"], d_ff=v["d_ff"], vocab=v["vocab"], patch=v["patch"],
-            rank=v["rank"], max_seq=v["max_seq"],
-            vembed_hidden=v["vembed_hidden"], vit_heads=v["vit_heads"], vit_ff=v["vit_ff"],
-        )
+        return self._build(ModelConfig)
 
     def train_config(self, mode=None):
-        v = self.values
-        return TrainConfig(
-            lr=v["lr"], warmup_steps=v["warmup_steps"], batch_size=v["batch_size"],
-            total_steps=v["total_steps"], mode=mode or v["mode"],
-            distill_mode=v["distill_mode"], mask_mode=v["mask_mode"], seed=v["seed"],
-            weight_decay=v["weight_decay"], log_window=v["log_window"],
-            teacher_warm=v["teacher_warm"], teacher_warm_steps=v["teacher_warm_steps"],
-        )
+        return self._build(TrainConfig, mode=mode or self.values["mode"])
 
     def data_config(self):
-        v = self.values
-        return DataConfig(
-            image_fraction=v["image_fraction"],
-            resolution=(v["resolution_h"], v["resolution_w"]),
-            patch=v["patch"], anyres=v["anyres"],
-            anyres_min=v["anyres_min"], anyres_max=v["anyres_max"],
-        )
+        return self._build(DataConfig, resolution=(self.values["resolution_h"], self.values["resolution_w"]))
 
 
 def parse_text(text, source="<config>"):

@@ -6,8 +6,6 @@ Everything is a pure function of (seed, index); the held-out pool lives
 in a disjoint index range.
 """
 
-import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -350,44 +348,3 @@ def make_batch(rng, batch_size, image_fraction=None, dcfg=None, max_seq=160, hel
             samples.append(gen_text_sample(idx))
     return pack_samples(samples, dcfg.patch, max_seq)
 
-
-def dump_dataset(out_dir, count, seed=0, dcfg=None):
-    """Write a manifest + raw images for inspection / cross-checking.
-
-    manifest.jsonl, one record per sample:
-      index     int   sample position in the dump
-      seed      int   generator seed of the sample
-      modality  str   "image_caption" | "text_only"
-      prompt    str   space-joined prompt words (without <bos>)
-      answer    str   space-joined answer words
-      height    int   image rows (image samples only)
-      width     int   image cols (image samples only)
-      image     str   relative path to raw pixels (image samples only)
-
-    Raw image files are float32 little-endian, HWC row-major, values in
-    [0, 1], exactly height*width*3 floats.
-    """
-    dcfg = dcfg or DataConfig()
-    rng = np.random.default_rng([seed, 3])
-    img_dir = os.path.join(out_dir, "images")
-    os.makedirs(img_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "manifest.jsonl"), "w") as mf:
-        for i in range(count):
-            idx = int(rng.integers(0, HELDOUT_BASE))
-            if rng.random() < dcfg.image_fraction:
-                sample = gen_image_caption(idx, _pick_resolution(rng, dcfg), patch=dcfg.patch)
-            else:
-                sample = gen_text_sample(idx)
-            rec = {
-                "index": i,
-                "seed": idx,
-                "modality": sample.modality,
-                "prompt": decode(sample.prompt_tokens[1:]),
-                "answer": decode(sample.answer_tokens),
-            }
-            if sample.image is not None:
-                rel = f"images/{i}.rgb"
-                rec.update(height=sample.image.height, width=sample.image.width, image=rel)
-                with open(os.path.join(out_dir, rel), "wb") as imf:
-                    imf.write(sample.image.pixels.astype("<f4").tobytes())
-            mf.write(json.dumps(rec) + "\n")

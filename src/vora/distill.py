@@ -7,6 +7,7 @@ the DISTILL_MODES.
 import numpy as np
 
 from . import tensor as T
+from .model import init_tensors
 from .tensor import Tensor
 
 DISTILL_MODES = ("none", "last_block", "block_wise")
@@ -25,18 +26,14 @@ class AuxHead:
         self.proj = proj
 
     @staticmethod
-    def weight_shape(cfg, leaf):
-        """Shape of the aux-head tensor whose name ends in ``leaf``."""
-        return {"gain": (cfg.d_model,), "proj": (cfg.d_vit, cfg.d_model)}[leaf]
+    def shapes(cfg, block_index):
+        """The head's norm gain and projection, name -> shape in init order."""
+        return {f"aux.{block_index}.gain": (cfg.d_model,), f"aux.{block_index}.proj": (cfg.d_vit, cfg.d_model)}
 
     @classmethod
     def init(cls, cfg, block_index, seed=0):
-        rng = np.random.default_rng(seed)
-        gain = Tensor(np.ones(cls.weight_shape(cfg, "gain"), dtype=np.float32), requires_grad=True,
-                      name=f"aux.{block_index}.gain")
-        proj = Tensor((0.02 * rng.standard_normal(cls.weight_shape(cfg, "proj"))).astype(np.float32),
-                      requires_grad=True, name=f"aux.{block_index}.proj")
-        return cls(block_index, gain, proj)
+        tensors = init_tensors(cls.shapes(cfg, block_index), np.random.default_rng(seed), requires_grad=True)
+        return cls(block_index, *tensors.values())
 
     def forward(self, h):
         return T.linear(T.rms_norm(h, self.norm_gain, eps=1e-6), self.proj)

@@ -9,8 +9,7 @@ computes exactly the base model's outputs.
 import numpy as np
 
 from . import tensor as T
-from .model import LAYER_NAMES, weight_shape
-from .tensor import Tensor
+from .model import LAYER_NAMES, Model, init_tensors
 
 
 class MergeStateError(RuntimeError):
@@ -45,11 +44,7 @@ class AdapterSet:
         return iter(self.adapters.values())
 
     def tensors(self):
-        out = {}
-        for (block, layer), ad in sorted(self.adapters.items()):
-            out[f"lora.{block}.{layer}.a"] = ad.a
-            out[f"lora.{block}.{layer}.b"] = ad.b
-        return out
+        return {t.name: t for _, ad in sorted(self.adapters.items()) for t in (ad.a, ad.b)}
 
     def delta(self, x, block, layer):
         """Low-rank forward contribution (x a^T) b^T, or None."""
@@ -61,24 +56,36 @@ class AdapterSet:
         return T.linear(T.linear(x, ad.a), ad.b)
 
 
-def adapter_shape(cfg, layer, leaf):
-    """Shape of factor ``leaf`` ("a" or "b") of the adapter on ``layer``."""
-    d_out, d_in = weight_shape(cfg, layer)
-    return {"a": (cfg.rank, d_in), "b": (d_out, cfg.rank)}[leaf]
+def _pairs(cfg):
+    """(block, layer, a name, b name) of every adapted layer, in init order:
+    each of LAYER_NAMES in blocks 0..n_vit-1."""
+    for block in range(cfg.n_vit):
+        for layer in LAYER_NAMES:
+            yield block, layer, f"lora.{block}.{layer}.a", f"lora.{block}.{layer}.b"
+
+
+def shapes(cfg):
+    """Every adapter factor, name -> shape in init order: a [rank, d_in] and
+    b [d_out, rank] for an adapted [d_out, d_in] weight."""
+    base = Model.shapes(cfg)
+    out = {}
+    for block, layer, a, b in _pairs(cfg):
+        d_out, d_in = base[f"llm.blocks.{block}.{layer}"]
+        out[a], out[b] = (cfg.rank, d_in), (d_out, cfg.rank)
+    return out
+
+
+def adapter_set(cfg, tensors):
+    """The AdapterSet over the name -> Tensor entries of a ``shapes(cfg)`` table."""
+    return AdapterSet({(block, layer): LoraAdapter(tensors[a], tensors[b]) for block, layer, a, b in _pairs(cfg)})
 
 
 def attach(cfg, seed=0):
-    """One adapter per targeted linear layer in blocks 0..n_vit-1."""
-    rng = np.random.default_rng(seed)
-    adapters = {}
-    for block in range(cfg.n_vit):
-        for layer in LAYER_NAMES:
-            a = Tensor((0.02 * rng.standard_normal(adapter_shape(cfg, layer, "a"))).astype(np.float32),
-                       requires_grad=True, name=f"lora.{block}.{layer}.a")
-            b = Tensor(np.zeros(adapter_shape(cfg, layer, "b"), dtype=np.float32),
-                       requires_grad=True, name=f"lora.{block}.{layer}.b")
-            adapters[(block, layer)] = LoraAdapter(a, b)
-    return AdapterSet(adapters)
+    """One adapter per targeted linear layer in blocks 0..n_vit-1: a is
+    0.02 * N(0, 1), b is zero."""
+    tensors = init_tensors(shapes(cfg), np.random.default_rng(seed), requires_grad=True,
+                           scale=lambda name: 0.0 if name.endswith(".b") else 0.02)
+    return adapter_set(cfg, tensors)
 
 
 def merge_adapter(base_w, adapter):

@@ -1,13 +1,14 @@
 """Decoder-only student model: pre-norm blocks, RMS-norm, SiLU-gated FFN,
 rotary positions, hybrid vision/text attention masks, per-block taps.
-``attention`` is the multi-head attention of the student and the teacher.
+``attention`` is the multi-head attention of the student and the teacher;
+``init_tensors`` draws every tensor owner's init from its ``shapes`` table.
 
 The packed sequence always puts vision tokens first, then text; the
 hybrid mask gives vision-vision pairs full bi-directional visibility and
 everything else plain causal visibility.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 LAYER_NAMES = ("q", "k", "v", "o", "ffn_gate", "ffn_up", "ffn_down")
-BLOCK_PARAMS = ("attn_norm", "q", "k", "v", "o", "ffn_norm", "ffn_gate", "ffn_up", "ffn_down")
 
 
 class ConfigError(ValueError):
@@ -58,7 +58,8 @@ class ModelConfig:
             raise ConfigError(f"n_vit ({self.n_vit}) must be <= n_llm ({self.n_llm})")
         if self.n_vit < 0:
             raise ConfigError("n_vit must be >= 0")
-        for name in ("n_llm", "d_model", "d_vit", "n_heads", "d_ff", "vocab", "patch", "rank", "max_seq"):
+        for name in ("n_llm", "d_model", "d_vit", "n_heads", "d_ff", "vocab", "patch", "rank", "max_seq",
+                     "vit_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         # an adapter's rank must stay below both sides of every adapted layer
@@ -76,13 +77,24 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
-def weight_shape(cfg, leaf):
-    """Shape of the student tensor whose name ends in ``leaf``: [d_out, d_in]
-    for a weight, [d_model] for a norm gain."""
-    d, ff = cfg.d_model, cfg.d_ff
-    return {"embed": (cfg.vocab, d), "head": (cfg.vocab, d), "q": (d, d), "k": (d, d), "v": (d, d),
-            "o": (d, d), "ffn_gate": (ff, d), "ffn_up": (ff, d), "ffn_down": (d, ff),
-            "attn_norm": (d,), "ffn_norm": (d,), "final_norm": (d,)}[leaf]
+def init_tensors(shapes, rng, requires_grad=False, scale=lambda name: 0.02):
+    """One Tensor per entry of a name -> shape table, drawn in table order.
+
+    A norm gain (name ending in ``norm`` or ``gain``) is ones, a tensor
+    whose ``scale(name)`` is 0 is zeros; neither draws from ``rng``.
+    Every other tensor is scale(name) * N(0, 1).
+    """
+    out = {}
+    for name, shape in shapes.items():
+        s = scale(name)
+        if name.endswith(("norm", "gain")):
+            data = np.ones(shape, dtype=np.float32)
+        elif s == 0:
+            data = np.zeros(shape, dtype=np.float32)
+        else:
+            data = (s * rng.standard_normal(shape)).astype(np.float32)
+        out[name] = Tensor(data, requires_grad=requires_grad, name=name)
+    return out
 
 
 @dataclass
@@ -191,27 +203,26 @@ class Model:
         self.params = params
 
     @staticmethod
-    def param_names(cfg):
-        """Every student tensor name, in init order."""
-        blocks = [f"llm.blocks.{i}.{name}" for i in range(cfg.n_llm) for name in BLOCK_PARAMS]
-        return ["llm.embed", *blocks, "llm.final_norm", "llm.head"]
+    def shapes(cfg):
+        """Every student tensor, name -> shape in init order: [d_out, d_in]
+        for a weight, [d_model] for a norm gain."""
+        d, ff = cfg.d_model, cfg.d_ff
+        block = {"attn_norm": (d,), "q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
+                 "ffn_norm": (d,), "ffn_gate": (ff, d), "ffn_up": (ff, d), "ffn_down": (d, ff)}
+        out = {"llm.embed": (cfg.vocab, d)}
+        for i in range(cfg.n_llm):
+            out.update({f"llm.blocks.{i}.{leaf}": shape for leaf, shape in block.items()})
+        out.update({"llm.final_norm": (d,), "llm.head": (cfg.vocab, d)})
+        return out
 
     @classmethod
     def init(cls, cfg, seed=0):
-        rng = np.random.default_rng(seed)
         # wider readout than the hidden layers: a 0.02-scale frozen head
         # caps attainable logit range (hiddens are RMS-normed) and floors
         # the LM loss far above what adapter training can reach
         head_scale = 0.25 / np.sqrt(cfg.d_model)
-        p = {}
-        for name in cls.param_names(cfg):
-            leaf = name.rsplit(".", 1)[1]
-            if leaf.endswith("norm"):
-                data = np.ones(weight_shape(cfg, leaf))
-            else:
-                data = (head_scale if leaf == "head" else 0.02) * rng.standard_normal(weight_shape(cfg, leaf))
-            p[name] = Tensor(data, name=name)
-        return cls(cfg, p)
+        return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed),
+                                     scale=lambda name: head_scale if name == "llm.head" else 0.02))
 
     def embed_tokens(self, ids):
         return T.embedding(self.params["llm.embed"], ids)

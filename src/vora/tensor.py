@@ -11,13 +11,9 @@ Gradients accumulate additively when a tensor feeds several consumers.
 ``backward`` walks the tape in reverse recording order and clears it.
 """
 
-import os
-
 import numpy as np
 
 from . import kernels
-
-DEBUG = os.environ.get("VORA_DEBUG", "") not in ("", "0", "false", "off")
 
 # Additive-mask sentinel for "disallowed": most-negative finite float32.
 NEG_MASK = float(np.finfo(np.float32).min)
@@ -128,15 +124,8 @@ def active_tape():
     return _TAPE
 
 
-def _finite_check(arr):
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError("non-finite values produced by a forward op")
-
-
 def _make(out_data, inputs, backward):
     """Wrap op output; record a tape node when gradients can flow."""
-    if DEBUG:
-        _finite_check(out_data)
     req = _grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=req)
     if req:

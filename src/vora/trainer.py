@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import checkpoint, distill, kernels, lora, vision
 from . import tensor as T
-from .model import Model, build_attention_mask, decode_greedy, weight_shape
+from .model import Model, build_attention_mask, decode_greedy
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.log_window < 1:
+            raise ValueError("log_window must be >= 1")
         # total_steps == 0 is the explicit no-op run (init checkpoint only)
         if self.total_steps != 0 and self.total_steps <= self.warmup_steps:
             raise ValueError("total_steps must exceed warmup_steps")
@@ -100,50 +102,49 @@ def collect_state(pipe):
     return tensors
 
 
-def _config_shape(cfg, name):
-    """The shape the config implies for the pipeline tensor ``name``."""
-    kind, *middle, leaf = name.split(".")
-    if kind == "llm":
-        return weight_shape(cfg, leaf)
-    if kind == "lora":
-        return lora.adapter_shape(cfg, middle[1], leaf)
-    owner = {"vembed": vision.VisionEmbed, "teacher": vision.Teacher, "aux": distill.AuxHead}[kind]
-    return owner.weight_shape(cfg, leaf)
-
-
 def pipeline_from_state(cfg, tensors, meta=None):
     """Rebuild a pipeline from checkpoint arrays (names as in collect_state).
 
-    Every student, teacher and vision-embed tensor the config implies must
-    be present; adapters and aux heads are all present or all absent.
-    A missing tensor, or one whose shape is not the one the config
-    implies, raises CheckpointError naming the tensor.
+    The expected tensors are the owners' ``shapes`` tables: the student,
+    vision embed and teacher always, the adapters and the aux heads when
+    the file holds any of theirs. A missing tensor, one whose shape is
+    not the one the config implies, or one outside those tables raises
+    CheckpointError naming the tensor.
     """
     meta = meta or {}
+    expected = set()
 
-    def wrap(name, trainable=False):
-        if name not in tensors:
-            raise checkpoint.CheckpointError(f"checkpoint lacks tensor {name!r}")
-        shape, want = np.shape(tensors[name]), _config_shape(cfg, name)
-        if shape != want:
-            raise checkpoint.CheckpointError(f"checkpoint tensor {name!r} has shape {list(shape)}; "
-                                             f"the config implies {list(want)}")
-        return Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable, name=name)
+    def wrap(table, trainable):
+        out = {}
+        for name, want in table.items():
+            if name not in tensors:
+                raise checkpoint.CheckpointError(f"checkpoint lacks tensor {name!r}")
+            shape = np.shape(tensors[name])
+            if shape != want:
+                raise checkpoint.CheckpointError(f"checkpoint tensor {name!r} has shape {list(shape)}; "
+                                                 f"the config implies {list(want)}")
+            out[name] = Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable, name=name)
+        expected.update(table)
+        return out
 
-    model = Model(cfg, {n: wrap(n) for n in Model.param_names(cfg)})
+    def present(*tables):
+        return any(name in table for table in tables for name in tensors)
+
+    model = Model(cfg, wrap(Model.shapes(cfg), False))
     adapters = None
-    if any(n.startswith("lora.") for n in tensors):
-        adapters = lora.AdapterSet({
-            (block, layer): lora.LoraAdapter(wrap(f"lora.{block}.{layer}.a", True),
-                                             wrap(f"lora.{block}.{layer}.b", True))
-            for block in range(cfg.n_vit) for layer in lora.LAYER_NAMES})
+    adapter_shapes = lora.shapes(cfg)
+    if present(adapter_shapes):
+        adapters = lora.adapter_set(cfg, wrap(adapter_shapes, True))
         adapters.merged = meta.get("merged", "false") == "true"
-    vembed = vision.VisionEmbed(cfg, {n: wrap(n, True) for n in ("vembed.fc1", "vembed.fc2")})
-    teacher = vision.Teacher(cfg, {n: wrap(n) for n in vision.Teacher.param_names(cfg)})
+    vembed = vision.VisionEmbed(cfg, wrap(vision.VisionEmbed.shapes(cfg), True))
+    teacher = vision.Teacher(cfg, wrap(vision.Teacher.shapes(cfg), False))
+    head_shapes = [distill.AuxHead.shapes(cfg, i) for i in range(cfg.n_vit)]
     heads = []
-    if any(n.startswith("aux.") for n in tensors):
-        heads = [distill.AuxHead(i, wrap(f"aux.{i}.gain", True), wrap(f"aux.{i}.proj", True))
-                 for i in range(cfg.n_vit)]
+    if present(*head_shapes):
+        heads = [distill.AuxHead(i, *wrap(table, True).values()) for i, table in enumerate(head_shapes)]
+    extra = next((name for name in tensors if name not in expected), None)
+    if extra is not None:
+        raise checkpoint.CheckpointError(f"checkpoint tensor {extra!r} is not one its config implies")
     return Pipeline(cfg, model, adapters, vembed, teacher, heads)
 
 

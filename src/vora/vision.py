@@ -11,11 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .model import attention
+from .model import attention, init_tensors
 from .tensor import Tensor
-
-
-TEACHER_BLOCK_PARAMS = ("attn_norm", "q", "k", "v", "o", "ffn_norm", "fc1", "fc2")
 
 
 class PatchError(ValueError):
@@ -93,18 +90,14 @@ class VisionEmbed:
         self.params = params
 
     @staticmethod
-    def weight_shape(cfg, leaf):
-        """Shape of the vision-embed weight whose name ends in ``leaf``."""
-        return {"fc1": (cfg.vembed_hidden, cfg.patch * cfg.patch * 3), "fc2": (cfg.d_model, cfg.vembed_hidden)}[leaf]
+    def shapes(cfg):
+        """Both vision-embed weights, name -> [d_out, d_in] in init order."""
+        return {"vembed.fc1": (cfg.vembed_hidden, cfg.patch * cfg.patch * 3),
+                "vembed.fc2": (cfg.d_model, cfg.vembed_hidden)}
 
     @classmethod
     def init(cls, cfg, seed=0):
-        rng = np.random.default_rng(seed)
-        p = {}
-        for leaf in ("fc1", "fc2"):
-            data = (0.02 * rng.standard_normal(cls.weight_shape(cfg, leaf))).astype(np.float32)
-            p[f"vembed.{leaf}"] = Tensor(data, requires_grad=True, name=f"vembed.{leaf}")
-        return cls(cfg, p)
+        return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed), requires_grad=True))
 
     def forward(self, patches, grid):
         """patches [S, patch*patch*3] or [n, S, patch*patch*3] (Tensor or
@@ -130,28 +123,20 @@ class Teacher:
         self.params = params
 
     @staticmethod
-    def param_names(cfg):
-        """Every teacher tensor name, in init order."""
-        return ["teacher.patch_embed"] + [f"teacher.blocks.{i}.{name}" for i in range(cfg.n_vit)
-                                          for name in TEACHER_BLOCK_PARAMS]
-
-    @staticmethod
-    def weight_shape(cfg, leaf):
-        """Shape of the teacher tensor whose name ends in ``leaf``."""
+    def shapes(cfg):
+        """Every teacher tensor, name -> shape in init order: [d_out, d_in]
+        for a weight, [d_vit] for a norm gain."""
         d, ff = cfg.d_vit, cfg.vit_ff
-        return {"patch_embed": (d, cfg.patch * cfg.patch * 3), "q": (d, d), "k": (d, d), "v": (d, d),
-                "o": (d, d), "fc1": (ff, d), "fc2": (d, ff), "attn_norm": (d,), "ffn_norm": (d,)}[leaf]
+        block = {"attn_norm": (d,), "q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
+                 "ffn_norm": (d,), "fc1": (ff, d), "fc2": (d, ff)}
+        out = {"teacher.patch_embed": (d, cfg.patch * cfg.patch * 3)}
+        for i in range(cfg.n_vit):
+            out.update({f"teacher.blocks.{i}.{leaf}": shape for leaf, shape in block.items()})
+        return out
 
     @classmethod
     def init(cls, cfg, seed=100):
-        rng = np.random.default_rng(seed)
-        p = {}
-        for name in cls.param_names(cfg):
-            leaf = name.rsplit(".", 1)[1]
-            shape = cls.weight_shape(cfg, leaf)
-            data = np.ones(shape) if leaf.endswith("norm") else 0.02 * rng.standard_normal(shape)
-            p[name] = Tensor(data, name=name)
-        return cls(cfg, p)
+        return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed)))
 
     def blocks_forward(self, x):
         """Stack body on [B, S, d_vit]; caller controls the tape."""

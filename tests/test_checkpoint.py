@@ -154,6 +154,28 @@ def test_missing_required_tensor_is_checkpoint_error(tmp_path, name):
         trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})
 
 
+@pytest.mark.parametrize("name, like", [("llm.blocks.6.q", "llm.blocks.0.q"),
+                                        ("teacher.blocks.4.fc1", "teacher.blocks.0.fc1"),
+                                        ("lora.4.q.a", "lora.0.q.a"), ("aux.4.gain", "aux.0.gain")])
+def test_unexpected_tensor_is_checkpoint_error(name, like):
+    cfg = ModelConfig()
+    state = trainer.collect_state(trainer.build_pipeline(cfg, seed=0))
+    tensors = {n: t.data for n, t in state.items()}
+    tensors[name] = tensors[like].copy()
+    with pytest.raises(checkpoint.CheckpointError, match=name):
+        trainer.pipeline_from_state(cfg, tensors, {"merged": "false"})
+
+
+def test_extra_block_checkpoint_exits_4_in_eval(tmp_path):
+    # a 6-block student saved under a 5-block config
+    tensors = {n: t.data for n, t in trainer.collect_state(trainer.build_pipeline(ModelConfig(), seed=0)).items()}
+    ckpt = tmp_path / "extra.vora"
+    checkpoint.save(ckpt, ModelConfig(n_llm=5), tensors, {"merged": "false"})
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=0\n")
+    assert cli.main(["eval", str(ckpt), str(cfg_path)]) == cli.EXIT_STATE
+
+
 @pytest.mark.parametrize("name", ["llm.blocks.0.q", "llm.blocks.1.ffn_norm", "llm.embed", "vembed.fc1",
                                   "teacher.blocks.0.fc2", "lora.0.ffn_up.a", "lora.3.ffn_down.b", "aux.1.proj"])
 def test_wrong_shape_tensor_is_checkpoint_error(tmp_path, name):

@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from vora import checkpoint, cli, config, trainer
+from vora import checkpoint, cli, config, data, trainer
 from vora.model import ModelConfig
 
 
@@ -65,6 +66,15 @@ class TestConfigParsing:
         cfg2 = config.parse_text(text)
         assert cfg2.values == cfg.values
         assert config.normalize(cfg2) == text  # normalization is idempotent
+
+    def test_every_config_field_has_a_schema_default(self):
+        # resolution is built from resolution_h and resolution_w; seed is required
+        defaults = {key: default for key, (default, _, _) in config.SCHEMA.items()}
+        defaults.update(resolution=(defaults["resolution_h"], defaults["resolution_w"]), seed=0)
+        for cls in (ModelConfig, trainer.TrainConfig, data.DataConfig):  # patch feeds two of them
+            for f in fields(cls):
+                assert f.name in defaults, (cls.__name__, f.name)
+                assert f.default == defaults[f.name], (cls.__name__, f.name)
 
 
 BASE_CFG = "seed=0\ntotal_steps=4\nwarmup_steps=1\nbatch_size=2\n"
@@ -184,7 +194,9 @@ class TestCli:
         ("pretrain", "batch_size=0"), ("pretrain", "vocab=50\nimage_fraction=0"),
         ("eval", "eval_captions=0"), ("ablate", "ablate_distills=none,bogus\nablate_steps=3"),
         ("pretrain", "resolution_h=96\nresolution_w=96"), ("pretrain", "anyres=true\nanyres_max=96"),
-        ("eval", "max_seq=33"),
+        ("eval", "max_seq=33"), ("pretrain", "vit_heads=0"), ("pretrain", "vit_heads=-2"),
+        ("ablate", "log_window=0\nablate_steps=3"), ("ablate", "log_window=-1\nablate_steps=3"),
+        ("ablate", "ablate_steps=0"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
         cfg_path = write(tmp_path, f"seed=0\ntotal_steps=2\nwarmup_steps=1\n{lines}\n")
