@@ -9,6 +9,7 @@ cells the same way). ``normalize`` renders the resolved config in a
 canonical form that parses back identically.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .data import VOCAB_SIZE, DataConfig, max_packed_len
@@ -37,8 +38,15 @@ def _int_list(raw):
     return tuple(int(x) for x in _str_list(raw))
 
 
+def _finite(raw):
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return x
+
+
 def _float_list(raw):
-    return tuple(float(x) for x in _str_list(raw))
+    return tuple(_finite(x) for x in _str_list(raw))
 
 
 def _count(raw):
@@ -65,7 +73,7 @@ SCHEMA = {
     "vit_heads": (4, int, "teacher attention heads"),
     "vit_ff": (0, int, "teacher FFN inner width; 0 means 4*d_vit"),
     # training
-    "lr": (2e-4, float, "learning rate (constant after warmup)"),
+    "lr": (2e-4, _finite, "learning rate (constant after warmup)"),
     "warmup_steps": (100, int, "linear warmup length"),
     "batch_size": (16, int, "sequences per step"),
     "total_steps": (500, int, "optimizer steps; 0 writes the init checkpoint only"),
@@ -73,12 +81,12 @@ SCHEMA = {
     "distill_mode": ("block_wise", str, "none | last_block | block_wise"),
     "mask_mode": ("hybrid", str, "hybrid | causal"),
     "seed": (None, int, "root seed; required, no default"),
-    "weight_decay": (0.01, float, "decoupled decay (0 on norms/embedding)"),
+    "weight_decay": (0.01, _finite, "decoupled decay (0 on norms/embedding)"),
     "log_window": (100, int, "smoothing window for loss curves"),
     "teacher_warm": (False, _bool, "briefly train the teacher before freezing"),
     "teacher_warm_steps": (200, int, "teacher warm-up steps"),
     # data
-    "image_fraction": (0.82, float, "share of image-caption samples per batch"),
+    "image_fraction": (0.82, _finite, "share of image-caption samples per batch"),
     "resolution_h": (32, int, "image height (fixed-resolution mode)"),
     "resolution_w": (32, int, "image width (fixed-resolution mode)"),
     "anyres": (False, _bool, "sample a random patch-multiple resolution per image"),

@@ -256,7 +256,9 @@ class DataConfig:
             raise ValueError("image_fraction must lie in [0, 1]")
         check_resolution(self.resolution, self.patch)  # the held-out captions' resolution
         if self.anyres:  # the smallest and the largest edge _pick_resolution can draw
-            check_resolution(tuple(n * self.patch for n in _anyres_cells(self)), self.patch)
+            check_resolution((self.anyres_min, self.anyres_max), self.patch)
+            if self.anyres_min > self.anyres_max:
+                raise ValueError(f"anyres_min ({self.anyres_min}) exceeds anyres_max ({self.anyres_max})")
 
 
 @dataclass
@@ -270,8 +272,7 @@ class PackedBatch:
 
 def _anyres_cells(dcfg):
     """Smallest and largest anyres edge, in patches."""
-    lo = max(1, dcfg.anyres_min // dcfg.patch)
-    return lo, max(lo, dcfg.anyres_max // dcfg.patch)
+    return dcfg.anyres_min // dcfg.patch, dcfg.anyres_max // dcfg.patch
 
 
 def _pick_resolution(rng, dcfg):

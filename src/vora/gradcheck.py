@@ -144,22 +144,26 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         ids = rng.integers(0, 6, size=7)
         return (lambda: T.embedding(table, ids)), [table]
 
+    def lead(rng):
+        # the row kernels take any leading dims: half the draws are 3-D
+        return (2,) if rng.random() < 0.5 else ()
+
     def case_gelu(rng):
-        a = _rand(rng, 3, 5)
+        a = _rand(rng, *lead(rng), 3, 5)
         return (lambda: T.gelu(a)), [a]
 
     def case_silu(rng):
-        a = _rand(rng, 3, 5)
+        a = _rand(rng, *lead(rng), 3, 5)
         return (lambda: T.silu(a)), [a]
 
     def case_rms_norm(rng):
-        a = _rand(rng, 3, 6)
+        a = _rand(rng, *lead(rng), 3, 6)
         gain = _rand(rng, 6)
         return (lambda: T.rms_norm(a, gain, eps=1e-5)), [a, gain]
 
     def case_softmax(rng):
-        a = _rand(rng, 4, 5)
-        mask = np.zeros((4, 5), dtype=np.float32)
+        a = _rand(rng, *lead(rng), 4, 5)
+        mask = np.zeros((4, 5), dtype=np.float32)  # broadcast over any leading dim
         drop = rng.random((4, 5)) < 0.3
         drop[:, 0] = False  # keep every row alive
         mask[drop] = T.NEG_MASK

@@ -27,10 +27,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name")
 
     def __init__(self, data, requires_grad=False, name=None):
-        if isinstance(data, np.ndarray) and data.dtype == np.float32:
-            self.data = data
-        else:
-            self.data = np.asarray(data, dtype=np.float32)
+        self.data = np.asarray(data, dtype=np.float32)  # a float32 array is kept as it is
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.name = name
@@ -137,7 +134,8 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float32, copy=True)
+        # the one place a gradient's layout is set: a C-ordered float32 copy
+        t.grad = np.array(g, dtype=np.float32, order="C")
     else:
         t.grad += g
 
@@ -298,21 +296,19 @@ def embedding(table, ids):
 
 
 def gelu(a):
-    flat = np.ascontiguousarray(a.data.reshape(-1))
-    out = kernels.gelu_fwd(flat).reshape(a.data.shape)
+    out = kernels.gelu_fwd(a.data)
 
     def bwd(g):
-        _accum(a, kernels.gelu_bwd(flat, np.ascontiguousarray(g.reshape(-1))).reshape(a.data.shape))
+        _accum(a, kernels.gelu_bwd(a.data, g))
 
     return _make(out, (a,), bwd)
 
 
 def silu(a):
-    flat = np.ascontiguousarray(a.data.reshape(-1))
-    out = kernels.silu_fwd(flat).reshape(a.data.shape)
+    out = kernels.silu_fwd(a.data)
 
     def bwd(g):
-        _accum(a, kernels.silu_bwd(flat, np.ascontiguousarray(g.reshape(-1))).reshape(a.data.shape))
+        _accum(a, kernels.silu_bwd(a.data, g))
 
     return _make(out, (a,), bwd)
 
@@ -322,37 +318,30 @@ def rms_norm(a, gain, eps=1e-6):
     d = a.data.shape[-1]
     if gain.data.shape != (d,):
         raise ShapeError(f"rms_norm gain shape {gain.data.shape} != ({d},)")
-    rows = np.ascontiguousarray(a.data.reshape(-1, d))
-    y, inv = kernels.rmsnorm_fwd(rows, gain.data, float(eps))
+    y, inv = kernels.rmsnorm_fwd(a.data, gain.data, float(eps))
 
     def bwd(g):
-        gx, ggain = kernels.rmsnorm_bwd(rows, gain.data, inv, np.ascontiguousarray(g.reshape(-1, d)))
-        _accum(a, gx.reshape(a.data.shape))
+        gx, ggain = kernels.rmsnorm_bwd(a.data, gain.data, inv, g)
+        _accum(a, gx)
         _accum(gain, ggain)
 
-    return _make(y.reshape(a.data.shape), (a, gain), bwd)
+    return _make(y, (a, gain), bwd)
 
 
 def softmax_rows(a, additive_mask):
-    """Softmax over the last axis with an additive 0 / NEG_MASK mask.
+    """Softmax over the last axis with an additive 0 / NEG_MASK mask array.
 
-    Masked entries come out exactly 0; each row sums to 1 over the
-    unmasked entries. A fully masked row is an error.
+    The mask broadcasts against ``a``; masked entries come out exactly 0,
+    each row sums to 1 over the rest, and a fully masked row is an error.
     """
-    mask = additive_mask.data if isinstance(additive_mask, Tensor) else np.asarray(additive_mask, dtype=np.float32)
-    mask = np.ascontiguousarray(np.broadcast_to(mask, a.data.shape), dtype=np.float32)
-    n = a.data.shape[-1]
-    mask2 = mask.reshape(-1, n)
-    if np.any((mask2 < 0.0).all(axis=1)):
+    if np.any((additive_mask < 0.0).all(axis=-1)):
         raise ValueError("row fully masked")
-    rows = np.ascontiguousarray(a.data.reshape(-1, n))
-    probs = kernels.softmax_fwd(rows, mask2)
+    probs = kernels.softmax_fwd(a.data, additive_mask)
 
     def bwd(g):
-        gx = kernels.softmax_bwd(probs, np.ascontiguousarray(g.reshape(-1, n)))
-        _accum(a, gx.reshape(a.data.shape))
+        _accum(a, kernels.softmax_bwd(probs, g))
 
-    return _make(probs.reshape(a.data.shape), (a,), bwd)
+    return _make(probs, (a,), bwd)
 
 
 def cross_entropy(logits, targets, ignore_mask=None):
@@ -376,13 +365,11 @@ def cross_entropy(logits, targets, ignore_mask=None):
     n_live = int(live.sum())
     if n_live == 0:
         raise ValueError("all positions ignored")
-    rows = np.ascontiguousarray(logits.data)
-    nll, probs = kernels.ce_fwd(rows, targets, live)
+    nll, probs = kernels.ce_fwd(logits.data, targets, live)
     loss = np.float32(nll.sum(dtype=np.float64) / n_live)
 
     def bwd(g):
-        gl = kernels.ce_bwd(probs, targets, live, float(g) / n_live)
-        _accum(logits, gl)
+        _accum(logits, kernels.ce_bwd(probs, targets, live, float(g) / n_live))
 
     return _make(np.asarray(loss), (logits,), bwd)
 

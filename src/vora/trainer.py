@@ -51,8 +51,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
+        for name in ("seed", "warmup_steps", "weight_decay", "teacher_warm_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.log_window < 1:
@@ -266,8 +267,8 @@ class TrainState:
         return cls(
             step=0,
             trainable=dict(trainable),
-            m={n: np.zeros(t.data.size, dtype=np.float32) for n, t in trainable.items()},
-            v={n: np.zeros(t.data.size, dtype=np.float32) for n, t in trainable.items()},
+            m={n: np.zeros_like(t.data) for n, t in trainable.items()},
+            v={n: np.zeros_like(t.data) for n, t in trainable.items()},
         )
 
 
@@ -286,11 +287,8 @@ def adamw_step(state, lr, cfg):
     for name, p in state.trainable.items():
         if p.grad is None:
             raise ValueError(f"missing gradient for trainable tensor {name}")
-        kernels.adamw_update(
-            p.data.reshape(-1), p.grad.reshape(-1).astype(np.float32),
-            state.m[name], state.v[name],
-            lr, BETA1, BETA2, ADAM_EPS, decay_for(name, cfg.weight_decay), bc1, bc2,
-        )
+        kernels.adamw_update(p.data, p.grad, state.m[name], state.v[name],
+                             lr, BETA1, BETA2, ADAM_EPS, decay_for(name, cfg.weight_decay), bc1, bc2)
     state.step = t
 
 

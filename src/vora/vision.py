@@ -52,7 +52,7 @@ def patchify(image, patch):
         raise PatchError(f"width {w} not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
     tiles = px.reshape(gh, patch, gw, patch, 3).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(tiles.reshape(gh * gw, patch * patch * 3))
+    return tiles.reshape(gh * gw, patch * patch * 3)
 
 
 def sincos_grid(rows, cols, dim):

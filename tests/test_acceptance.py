@@ -53,6 +53,7 @@ def test_01_merge_equivalence():
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_02_frozen_base_invariance():
     t0 = time.monotonic()
     cfg = micro_config()
@@ -167,6 +168,7 @@ def test_06_loss_definitions():
     assert ok
 
 
+@pytest.mark.slow
 def test_07_training_sanity():
     t0 = time.monotonic()
     cfg = micro_config()
@@ -185,6 +187,7 @@ def test_07_training_sanity():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_08_directional_ablation_echo(tmp_path):
     cfg = micro_config()
     tcfg = trainer.TrainConfig(total_steps=400, warmup_steps=100, batch_size=8, seed=0,

@@ -196,10 +196,15 @@ class TestCli:
         ("pretrain", "resolution_h=96\nresolution_w=96"), ("pretrain", "anyres=true\nanyres_max=96"),
         ("eval", "max_seq=33"), ("pretrain", "vit_heads=0"), ("pretrain", "vit_heads=-2"),
         ("ablate", "log_window=0\nablate_steps=3"), ("ablate", "log_window=-1\nablate_steps=3"),
-        ("ablate", "ablate_steps=0"),
+        ("ablate", "ablate_steps=0"), ("pretrain", "seed=-1"), ("pretrain", "lr=nan"),
+        ("pretrain", "lr=inf"), ("ablate", "thresholds=4.0,nan\nablate_steps=3"),
+        ("pretrain", "weight_decay=-1"), ("pretrain", "teacher_warm_steps=-5"),
+        ("pretrain", "anyres=true\nanyres_min=48\nanyres_max=16"),
+        ("pretrain", "anyres=true\nanyres_min=20\nanyres_max=44"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
-        cfg_path = write(tmp_path, f"seed=0\ntotal_steps=2\nwarmup_steps=1\n{lines}\n")
+        seed = "" if lines.startswith("seed=") else "seed=0\n"
+        cfg_path = write(tmp_path, f"{seed}total_steps=2\nwarmup_steps=1\n{lines}\n")
         if command == "eval":
             ckpt = tmp_path / "init.vora"
             cfg = ModelConfig()

@@ -74,6 +74,12 @@ class TestSoftmaxRows:
             out = T.softmax_rows(x, mask).data
             npt.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
             assert (out[drop] == 0.0).all()
+            # masked entries rely on exp underflowing to exactly 0: also at
+            # extreme scores, and under a mask broadcast over a leading dim
+            for scores in (1e4 * x.data, rng.standard_normal((2, rows, cols))):
+                out = T.softmax_rows(tensor(scores), mask).data
+                npt.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+                assert (out[..., drop] == 0.0).all()
 
     def test_fully_masked_row_errors(self):
         x = tensor(np.zeros((2, 3)))

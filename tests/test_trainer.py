@@ -144,6 +144,20 @@ class TestPretrain:
                 assert t.data.tobytes() == blobs[n], n
         assert pipe.heads[-1].proj.data.tobytes() != before[-1][pipe.heads[-1].proj.name]
 
+    def test_gradients_are_c_ordered_float32_like_their_tensor(self):
+        # adamw_step hands p.grad to the kernel as it is: the tape must give
+        # every trainable tensor a C-contiguous float32 gradient of its shape
+        mcfg, tcfg, dcfg = ModelConfig(), trainer.TrainConfig(seed=0), data.DataConfig()
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        trainable, _ = trainer._partition(pipe, tcfg)
+        batch = data.make_batch(np.random.default_rng(0), tcfg.batch_size, dcfg=dcfg, max_seq=mcfg.max_seq)
+        out, _ = trainer.compute_losses(pipe, batch, tcfg.mask_mode, tcfg.distill_mode)
+        T.backward(out.total)
+        bad = [name for name, p in trainable.items()
+               if not (p.grad.dtype == np.float32 and p.grad.shape == p.data.shape
+                       and p.grad.flags.c_contiguous)]
+        assert not bad
+
     def test_pretrain_requires_unmerged(self):
         mcfg, tcfg, dcfg = small_cfgs()
         pipe = trainer.build_pipeline(mcfg, seed=0)
