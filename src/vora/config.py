@@ -31,7 +31,10 @@ def _bool(raw):
 
 
 def _str_list(raw):
-    return tuple(x.strip() for x in raw.split(",") if x.strip())
+    items = tuple(x.strip() for x in raw.split(",") if x.strip())
+    if not items:
+        raise ValueError(f"needs at least one value, got {raw!r}")
+    return items
 
 
 def _int_list(raw):

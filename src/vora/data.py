@@ -1,17 +1,19 @@
 """Deterministic synthetic data: rendered shape scenes with
 grammar-generated captions, templated text QA, a fixed word-level
-vocabulary, and batch packing with modality mixing.
+vocabulary, and batch packing with modality mixing. An image is its
+[H, W, 3] float32 pixel array in [0, 1].
 
 Everything is a pure function of (seed, index); the held-out pool lives
 in a disjoint index range.
 """
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
 from .model import SequenceLayout
-from .vision import Image
+from .vision import patchify
 
 # ---------------------------------------------------------------------------
 # vocabulary
@@ -74,14 +76,11 @@ def decode(ids):
 
 @dataclass
 class Sample:
-    modality: str  # "image_caption" | "text_only"
-    image: Image | None
+    image: np.ndarray | None  # [H, W, 3] float32; None for a text sample
     prompt_tokens: list
     answer_tokens: list
 
     def __post_init__(self):
-        if (self.image is not None) != (self.modality == "image_caption"):
-            raise ValueError("image present iff modality == image_caption")
         if not self.answer_tokens:
             raise ValueError("answer must be nonempty")
 
@@ -187,10 +186,8 @@ def gen_image_caption(seed, resolution=(32, 32), patch=8):
     h, w = resolution
     rng = np.random.default_rng([seed, 1])
     shapes = make_scene(rng, h, w)
-    image = Image(render_scene(shapes, h, w))
     return Sample(
-        modality="image_caption",
-        image=image,
+        image=render_scene(shapes, h, w),
         prompt_tokens=[BOS],
         answer_tokens=encode(caption_tokens(shapes)),
     )
@@ -229,7 +226,6 @@ def gen_text_sample(seed):
         prompt = ["reverse", ":"] + words
         answer = list(reversed(words))
     return Sample(
-        modality="text_only",
         image=None,
         prompt_tokens=[BOS] + encode(prompt),
         answer_tokens=encode(answer),
@@ -265,9 +261,12 @@ class DataConfig:
 class PackedBatch:
     tokens: np.ndarray  # [B, S] int64, IMG in vision spans, PAD tail
     layouts: list
-    images: list  # Image | None per sequence; image rows first, sorted by grid
+    runs: list  # (start, end, grid, patches [n, S, patch*patch*3]) per grid over the image rows
     grids: list  # (rows, cols) | None per sequence
-    n_image: int
+
+    @property
+    def n_image(self):
+        return self.runs[-1][1] if self.runs else 0
 
 
 def _anyres_cells(dcfg):
@@ -299,35 +298,38 @@ def max_packed_len(dcfg):
 
 
 def _grid(sample, patch):
-    return None if sample.image is None else (sample.image.height // patch, sample.image.width // patch)
+    return None if sample.image is None else (sample.image.shape[0] // patch, sample.image.shape[1] // patch)
 
 
 def pack_samples(samples, patch, max_seq):
     """[IMG-span][prompt][answer][EOS] per sequence, PAD to the batch max.
 
     Rows are reordered: image samples first, stable-sorted by grid, then
-    text samples in their given order, so rows sharing a grid are adjacent.
+    text samples in their given order, so rows sharing a grid are adjacent
+    and each grid's images are patchified once, into one run.
     """
+    ordered = sorted(samples, key=lambda smp: (smp.image is None, _grid(smp, patch) or ()))
     rows = []
     layouts = []
-    images = []
-    grids = []
-    for sample in sorted(samples, key=lambda smp: (smp.image is None, _grid(smp, patch) or ())):
-        grid = _grid(sample, patch)
+    grids = [_grid(sample, patch) for sample in ordered]
+    for sample, grid in zip(ordered, grids):
         s_v = grid[0] * grid[1] if grid else 0
         ids = [IMG] * s_v + list(sample.prompt_tokens) + list(sample.answer_tokens) + [EOS]
         if len(ids) > max_seq:
             raise ValueError(f"packed length {len(ids)} exceeds max_seq {max_seq}")
         layouts.append(SequenceLayout((0, s_v), (s_v, len(ids)), s_v + len(sample.prompt_tokens)))
         rows.append(ids)
-        images.append(sample.image)
-        grids.append(grid)
+    images = [sample.image for sample in ordered if sample.image is not None]
+    runs = []
+    for grid, group in groupby(zip(images, grids), key=lambda pair: pair[1]):
+        patches = np.stack([patchify(image, patch) for image, _ in group])
+        start = runs[-1][1] if runs else 0
+        runs.append((start, start + len(patches), grid, patches))
     s_max = max(len(r) for r in rows)
     tokens = np.full((len(rows), s_max), PAD, dtype=np.int64)
     for i, r in enumerate(rows):
         tokens[i, : len(r)] = r
-    return PackedBatch(tokens=tokens, layouts=layouts, images=images, grids=grids,
-                       n_image=sum(im is not None for im in images))
+    return PackedBatch(tokens=tokens, layouts=layouts, runs=runs, grids=grids)
 
 
 def make_batch(rng, batch_size, image_fraction=None, dcfg=None, max_seq=160, heldout=False):

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import tensor as T
 from .model import init_tensors
-from .tensor import Tensor
 
 DISTILL_MODES = ("none", "last_block", "block_wise")
 
@@ -68,39 +67,32 @@ def block_distill_loss(h_llm, h_vit, head):
     """(1/S) sum_s (1 - cos(head(h_llm[s]), h_vit[s])); value in [0, 2].
 
     h_llm: Tensor [S, d_model] (or [B, S, d_model]) restricted to the
-    vision span; h_vit: matching teacher states, treated as constant.
+    vision span; h_vit: the matching float32 teacher states, an array
+    treated as constant.
     """
-    hv = h_vit if isinstance(h_vit, Tensor) else T.constant(np.asarray(h_vit, dtype=np.float32))
-    if h_llm.data.shape[:-1] != hv.data.shape[:-1]:
-        raise T.ShapeError(f"token counts differ: {h_llm.data.shape} vs {hv.data.shape}")
-    return _cosine_rows(head.forward(h_llm), hv)
+    if h_llm.data.shape[:-1] != h_vit.shape[:-1]:
+        raise T.ShapeError(f"token counts differ: {h_llm.data.shape} vs {h_vit.shape}")
+    return _cosine_rows(head.forward(h_llm), T.constant(h_vit))
 
 
 def lm_loss(logits, layouts, tokens):
     """Next-token cross entropy over supervised positions only.
 
-    logits: [B, S, V] or [S, V]; tokens: matching int array of packed
-    ids; layouts: one SequenceLayout per sequence. Position t is
-    supervised iff supervise_from <= t < text_end, predicted from
-    logits at t-1.
+    logits: [B, S, V]; tokens: matching [B, S] int array of packed ids;
+    layouts: one SequenceLayout per sequence. Position t is supervised
+    iff supervise_from <= t < text_end, predicted from logits at t-1.
     """
-    squeeze = logits.data.ndim == 2
-    lg = T.reshape(logits, (1,) + logits.data.shape) if squeeze else logits
-    tok = np.asarray(tokens, dtype=np.int64)
-    if squeeze:
-        tok = tok[None, :]
-    lays = [layouts] if not isinstance(layouts, (list, tuple)) else list(layouts)
-    b, s, v = lg.data.shape
+    b, s, v = logits.data.shape
     live = np.zeros((b, s - 1), dtype=bool)
-    for i, lay in enumerate(lays):
+    for i, lay in enumerate(layouts):
         t1 = lay.text_span[1]
         if lay.supervise_from >= t1:
             raise ValueError(f"no supervised positions in sequence {i}")
         if lay.supervise_from < 1:
             raise ValueError("position 0 cannot be supervised (nothing precedes it)")
         live[i, lay.supervise_from - 1 : t1 - 1] = True
-    flat = T.reshape(T.slice_axis(lg, 1, 0, s - 1), (b * (s - 1), v))
-    return T.cross_entropy(flat, tok[:, 1:].reshape(-1), ignore_mask=~live.reshape(-1))
+    flat = T.reshape(T.slice_axis(logits, 1, 0, s - 1), (b * (s - 1), v))
+    return T.cross_entropy(flat, tokens[:, 1:].reshape(-1), ignore_mask=~live.reshape(-1))
 
 
 def total_loss(distill, lm):

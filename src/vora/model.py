@@ -56,14 +56,12 @@ class ModelConfig:
     def validate(self):
         if self.n_vit > self.n_llm:
             raise ConfigError(f"n_vit ({self.n_vit}) must be <= n_llm ({self.n_llm})")
-        if self.n_vit < 0:
-            raise ConfigError("n_vit must be >= 0")
-        for name in ("n_llm", "d_model", "d_vit", "n_heads", "d_ff", "vocab", "patch", "rank", "max_seq",
-                     "vit_heads"):
+        for name in ("n_llm", "n_vit", "d_model", "d_vit", "n_heads", "d_ff", "vocab", "patch", "rank",
+                     "max_seq", "vit_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         # an adapter's rank must stay below both sides of every adapted layer
-        if self.n_vit and self.rank >= min(self.d_model, self.d_ff):
+        if self.rank >= min(self.d_model, self.d_ff):
             raise ConfigError(f"rank ({self.rank}) must be < min(d_model, d_ff) = {min(self.d_model, self.d_ff)}")
         if self.d_model % self.n_heads:
             raise ConfigError(f"d_model ({self.d_model}) not divisible by n_heads ({self.n_heads})")

@@ -152,35 +152,16 @@ def pipeline_from_state(cfg, tensors, meta=None):
 # ---------------------------------------------------------------------------
 # batch forward
 
-def _grid_runs(batch):
-    """[start, end, grid] per run of consecutive image rows sharing a grid.
-
-    Image rows sit first, sorted by grid (see data.pack_samples), so each
-    grid forms one run and a fixed-resolution batch is a single run.
-    """
-    runs = []
-    for i in range(batch.n_image):
-        if runs and runs[-1][2] == batch.grids[i]:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1, batch.grids[i]])
-    return runs
-
-
 def pack_embedded(pipe, batch):
     """Differentiable splice: vision embeddings at the vision span, token
     embeddings elsewhere; one vision-embed call per grid run."""
-    cfg = pipe.cfg
     b, s = batch.tokens.shape
-    runs = _grid_runs(batch)
-    vis = [pipe.vembed.forward(np.stack([vision.patchify(batch.images[i], cfg.patch)
-                                         for i in range(start, end)]), grid)
-           for start, end, grid in runs]
+    vis = [pipe.vembed.forward(patches, grid) for _, _, grid, patches in batch.runs]
     tok = pipe.model.embed_tokens(batch.tokens)
-    if not runs:
+    if not batch.runs:
         return tok
     parts = [T.concat([v, T.slice_axis(T.slice_axis(tok, 0, start, end), 1, grid[0] * grid[1], s)], axis=1)
-             for v, (start, end, grid) in zip(vis, runs)]
+             for v, (start, end, grid, _) in zip(vis, batch.runs)]
     if batch.n_image < b:
         parts.append(T.slice_axis(tok, 0, batch.n_image, b))
     return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
@@ -218,7 +199,7 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
     if distill_mode not in distill.DISTILL_MODES:
         raise ValueError(f"unknown distill_mode {distill_mode!r}")
     cfg = pipe.cfg
-    need_distill = distill_mode != "none" and batch.n_image > 0 and cfg.n_vit > 0
+    need_distill = distill_mode != "none" and batch.n_image > 0
     embedded = pack_embedded(pipe, batch)
     masks = batch_masks(batch, mask_mode)
     logits, taps = pipe.model.forward(embedded, masks, pipe.adapters, collect_taps=need_distill)
@@ -230,18 +211,18 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
 
     if len(pipe.heads) < cfg.n_vit:
         raise T.ShapeError(f"{len(pipe.heads)} aux heads for {cfg.n_vit} distilled blocks")
-    runs = _grid_runs(batch)
+    runs = batch.runs
     # one gradient-free teacher forward per run: per block [n_run, S_run, d_vit]
-    tstates = [pipe.teacher.forward_batch(batch.images[start:end]) for start, end, _ in runs]
+    tstates = [pipe.teacher.forward_batch(patches, grid) for _, _, grid, patches in runs]
     blocks = distill.distilled_blocks(distill_mode, cfg.n_vit)
     # vision-span rows of each distilled tap, one slice per grid run
     vis = [[T.slice_axis(T.slice_axis(taps[blk].hidden, 0, start, end), 1, 0, grid[0] * grid[1])
-            for start, end, grid in runs] for blk in blocks]
+            for start, end, grid, _ in runs] for blk in blocks]
     per_block_t = []
     for blk, spans in zip(blocks, vis):
         terms = [distill.block_distill_loss(h, states[blk], pipe.heads[blk]) for h, states in zip(spans, tstates)]
         if len(terms) > 1:
-            terms = [T.scale(t, (end - start) / batch.n_image) for t, (start, end, _) in zip(terms, runs)]
+            terms = [T.scale(t, (end - start) / batch.n_image) for t, (start, end, _, _) in zip(terms, runs)]
         per_block_t.append(_sum_terms(terms))
 
     per_block = [float(t.data) for t in per_block_t]
@@ -472,7 +453,7 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
 
     result = {"caption_token_accuracy": caption_acc, "text_perplexity": ppl}
 
-    if pipe.heads and pipe.cfg.n_vit > 0:
+    if pipe.heads:
         batch = D.make_batch(rng, 4, image_fraction=1.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
         with T.no_grad():
             out, _ = compute_losses(pipe, batch, tcfg.mask_mode, "block_wise")

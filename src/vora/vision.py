@@ -6,52 +6,29 @@ The teacher has no CLS token, so student and teacher sequences align
 one-to-one at every patch position.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .model import attention, init_tensors
-from .tensor import Tensor
 
 
 class PatchError(ValueError):
     pass
 
 
-@dataclass
-class Image:
-    """HWC float pixels in [0, 1]."""
-
-    pixels: np.ndarray  # [H, W, 3] float32
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float32)
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise PatchError(f"expected [H, W, 3] pixels, got {self.pixels.shape}")
-
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
-
 def patchify(image, patch):
-    """[S, patch*patch*3] rows, row-major over the (H/p, W/p) grid.
+    """[S, patch*patch*3] rows of an [H, W, 3] float32 image, row-major
+    over the (H/p, W/p) grid.
 
     Each row is one flattened patch (HWC order within the patch).
     """
-    px = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=np.float32)
-    h, w, _ = px.shape
+    h, w, _ = image.shape
     if h % patch:
         raise PatchError(f"height {h} not divisible by patch {patch}")
     if w % patch:
         raise PatchError(f"width {w} not divisible by patch {patch}")
     gh, gw = h // patch, w // patch
-    tiles = px.reshape(gh, patch, gw, patch, 3).transpose(0, 2, 1, 3, 4)
+    tiles = image.reshape(gh, patch, gw, patch, 3).transpose(0, 2, 1, 3, 4)
     return tiles.reshape(gh * gw, patch * patch * 3)
 
 
@@ -100,14 +77,13 @@ class VisionEmbed:
         return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed), requires_grad=True))
 
     def forward(self, patches, grid):
-        """patches [S, patch*patch*3] or [n, S, patch*patch*3] (Tensor or
-        array), grid (rows, cols)."""
+        """patches [S, patch*patch*3] or [n, S, patch*patch*3] float32,
+        grid (rows, cols)."""
         rows, cols = grid
-        pt = patches if isinstance(patches, Tensor) else T.constant(np.asarray(patches, dtype=np.float32))
-        s = pt.data.shape[-2]
+        s = patches.shape[-2]
         if s != rows * cols:
             raise PatchError(f"{s} patches but grid {rows}x{cols}")
-        h = T.gelu(T.linear(pt, self.params["vembed.fc1"]))
+        h = T.gelu(T.linear(T.constant(patches), self.params["vembed.fc1"]))
         y = T.linear(h, self.params["vembed.fc2"])
         return y + T.constant(sincos_grid(rows, cols, self.cfg.d_model))
 
@@ -154,26 +130,15 @@ class Teacher:
         return states
 
     def embed_patches(self, patches, grid):
-        """Patch embedding plus sinusoidal positions: [..., S, d_vit]."""
+        """Patch embedding plus sinusoidal positions of a float32 patch
+        stack [..., S, patch*patch*3]: [..., S, d_vit]."""
         rows, cols = grid
-        pt = patches if isinstance(patches, Tensor) else T.constant(np.asarray(patches, dtype=np.float32))
-        x = T.linear(pt, self.params["teacher.patch_embed"])
+        x = T.linear(T.constant(patches), self.params["teacher.patch_embed"])
         return x + T.constant(sincos_grid(rows, cols, self.cfg.d_vit))
 
-    def forward_batch(self, images):
-        """Per-block states for same-resolution images: list (length n_vit)
-        of [B, S, d_vit] arrays, gradient-free."""
-        patch = self.cfg.patch
-        stacks = []
-        grid = None
-        for image in images:
-            px = image.pixels if isinstance(image, Image) else image
-            g = (px.shape[0] // patch, px.shape[1] // patch)
-            if grid is None:
-                grid = g
-            elif g != grid:
-                raise PatchError("forward_batch needs a uniform resolution")
-            stacks.append(patchify(image, patch))
+    def forward_batch(self, patches, grid):
+        """Per-block states of a patch stack [B, S, patch*patch*3] on one
+        grid: list (length n_vit) of [B, S, d_vit] arrays, gradient-free."""
         with T.no_grad():
-            states = self.blocks_forward(self.embed_patches(np.stack(stacks), grid))
+            states = self.blocks_forward(self.embed_patches(patches, grid))
         return [st.data for st in states]

@@ -200,7 +200,8 @@ class TestCli:
         ("pretrain", "lr=inf"), ("ablate", "thresholds=4.0,nan\nablate_steps=3"),
         ("pretrain", "weight_decay=-1"), ("pretrain", "teacher_warm_steps=-5"),
         ("pretrain", "anyres=true\nanyres_min=48\nanyres_max=16"),
-        ("pretrain", "anyres=true\nanyres_min=20\nanyres_max=44"),
+        ("pretrain", "anyres=true\nanyres_min=20\nanyres_max=44"), ("pretrain", "n_vit=0"),
+        ("ablate", "ablate_masks=,\nablate_steps=3"), ("ablate", "thresholds=,\nablate_steps=3"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
         seed = "" if lines.startswith("seed=") else "seed=0\n"

@@ -4,6 +4,7 @@ import pytest
 
 import vora.tensor as T
 from vora import data, distill
+from vora.vision import patchify
 from vora.data import (BOS, EOS, IMG, PAD, VOCAB, caption_tokens, decode, encode,
                        gen_image_caption, gen_text_sample, make_batch, pack_samples)
 
@@ -43,7 +44,7 @@ class TestImageCaption:
     def test_same_seed_identical(self):
         a = gen_image_caption(1234)
         b = gen_image_caption(1234)
-        npt.assert_array_equal(a.image.pixels, b.image.pixels)
+        npt.assert_array_equal(a.image, b.image)
         assert a.answer_tokens == b.answer_tokens
 
     def test_one_shape_scene_one_color_one_shape_word(self):
@@ -61,7 +62,7 @@ class TestImageCaption:
 
     def test_rendered_colors_present(self):
         sample = gen_image_caption(77)
-        px = sample.image.pixels
+        px = sample.image
         # background plus at least one painted shape color
         assert (px == data.BACKGROUND).any()
         assert (px != data.BACKGROUND).any()
@@ -129,8 +130,7 @@ class TestMakeBatch:
     def test_fraction_one_all_images(self):
         batch = make_batch(np.random.default_rng(1), 6, image_fraction=1.0)
         assert batch.n_image == 6
-        for im in batch.images:
-            assert im is not None
+        assert None not in batch.grids
 
     def test_counts_match_fraction_within_rounding(self):
         batch = make_batch(np.random.default_rng(2), 10, image_fraction=0.82)
@@ -147,8 +147,11 @@ class TestMakeBatch:
         small2 = gen_image_caption(4, resolution=(16, 16))
         batch = pack_samples([text, wide, small, small2], 8, 160)
         assert batch.n_image == 3
-        assert batch.images == [small.image, small2.image, wide.image, None]
         assert batch.grids == [(2, 2), (2, 2), (2, 3), None]
+        # one patch stack per grid, built from the images in row order
+        assert [run[:3] for run in batch.runs] == [(0, 2, (2, 2)), (2, 3, (2, 3))]
+        for run, images in zip(batch.runs, [[small.image, small2.image], [wide.image]]):
+            npt.assert_array_equal(run[3], np.stack([patchify(im, 8) for im in images]))
         assert batch.layouts[3].vision_span == (0, 0)
         assert batch.tokens[3, 0] == BOS
 
@@ -183,9 +186,8 @@ class TestMakeBatch:
         def run(seed):
             batch = make_batch(np.random.default_rng(seed), 5, image_fraction=0.6)
             blob = batch.tokens.tobytes()
-            for im in batch.images:
-                if im is not None:
-                    blob += im.pixels.tobytes()
+            for _, _, _, patches in batch.runs:
+                blob += patches.tobytes()
             return blob
 
         assert run(9) == run(9)

@@ -13,10 +13,6 @@ class TestAttach:
         cfg = ModelConfig(n_vit=4)
         assert len(lora.attach(cfg)) == 28
 
-    def test_zero_blocks_empty(self):
-        cfg = ModelConfig(n_vit=0)
-        assert len(lora.attach(cfg)) == 0
-
     def test_targets_enumerate_blocks_x_layers(self):
         cfg = ModelConfig(n_llm=2, n_vit=2)
         adapters = lora.attach(cfg)

@@ -251,6 +251,8 @@ def test_config_validation():
     with pytest.raises(Exception):
         ModelConfig(n_vit=9, n_llm=6)
     with pytest.raises(Exception):
+        ModelConfig(n_vit=0)
+    with pytest.raises(Exception):
         ModelConfig(d_model=65, n_heads=4)
     with pytest.raises(Exception):
         ModelConfig(d_model=0)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora import data, distill, lora, trainer
+from vora import data, distill, lora, trainer, vision
 from vora.model import ModelConfig
 from vora.tensor import Tensor
 
@@ -190,6 +190,25 @@ class TestGridRuns:
 
         singles = [dist([smp]) for smp in samples[:4]]
         assert abs(dist(samples) - np.mean(singles)) <= 1e-6
+
+    def test_each_image_patchified_once_per_step(self, monkeypatch):
+        # the batch carries each grid's patch stack; the vision embed and the
+        # teacher both read it, so a step patchifies each image exactly once
+        calls = []
+
+        def counting(image, patch):
+            calls.append(patch)
+            return patchify(image, patch)
+
+        patchify = vision.patchify
+        monkeypatch.setattr(vision, "patchify", counting)
+        monkeypatch.setattr(data, "patchify", counting, raising=False)
+        cfg = ModelConfig()
+        batch = data.make_batch(np.random.default_rng(0), 8, image_fraction=1.0,
+                                dcfg=data.DataConfig(anyres=True), max_seq=cfg.max_seq)
+        with T.no_grad():
+            trainer.compute_losses(trainer.build_pipeline(cfg, seed=0), batch, "hybrid", "block_wise")
+        assert len(calls) == 8
 
 
 class TestFinetune:

@@ -5,11 +5,11 @@ import pytest
 import vora.tensor as T
 from vora import distill, lora
 from vora.model import Model, ModelConfig
-from vora.vision import Image, PatchError, Teacher, VisionEmbed, patchify, sincos_grid
+from vora.vision import PatchError, Teacher, VisionEmbed, patchify, sincos_grid
 
 
 def rand_image(rng, h, w):
-    return Image(rng.random((h, w, 3)).astype(np.float32))
+    return rng.random((h, w, 3)).astype(np.float32)
 
 
 class TestPatchify:
@@ -24,7 +24,7 @@ class TestPatchify:
         assert out.shape == (24, 192)
 
     def test_constant_image_identical_rows(self):
-        img = Image(np.full((16, 16, 3), 0.25, dtype=np.float32))
+        img = np.full((16, 16, 3), 0.25, dtype=np.float32)
         out = patchify(img, 8)
         for row in out[1:]:
             npt.assert_array_equal(row, out[0])
@@ -34,13 +34,13 @@ class TestPatchify:
         with pytest.raises(PatchError, match="height 30"):
             patchify(rand_image(rng, 30, 32), 8)
         with pytest.raises(PatchError, match="width 33"):
-            patchify(Image(np.zeros((32, 33, 3), dtype=np.float32)), 8)
+            patchify(np.zeros((32, 33, 3), dtype=np.float32), 8)
 
     def test_row_major_patch_order(self):
         # paint one patch and find it at the right row
         px = np.zeros((16, 16, 3), dtype=np.float32)
         px[8:16, 0:8] = 1.0  # grid position (1, 0) -> row index 2 of a 2x2 grid
-        out = patchify(Image(px), 8)
+        out = patchify(px, 8)
         assert out[2].min() == 1.0
         assert out[0].max() == 0.0 and out[1].max() == 0.0 and out[3].max() == 0.0
 
@@ -159,8 +159,8 @@ class TestTeacher:
         for p in teacher.params.values():
             p.data = (0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
         images = [rand_image(rng, 8, 12) for _ in range(2)]  # 2x3 grid
-        got = teacher.forward_batch(images)
         patches = np.stack([patchify(img, cfg.patch) for img in images])
+        got = teacher.forward_batch(patches, (2, 3))
         ref = straightline_teacher(cfg, teacher.params, patches, (2, 3))
         assert len(got) == len(ref) == cfg.n_vit
         for st, want in zip(got, ref):
@@ -171,9 +171,9 @@ class TestTeacher:
         cfg = ModelConfig()
         teacher = Teacher.init(cfg, seed=0)
         rng = np.random.default_rng(4)
-        img = rand_image(rng, 32, 32)
-        s1 = teacher.forward_batch([img])
-        s2 = teacher.forward_batch([img])
+        patches = patchify(rand_image(rng, 32, 32), cfg.patch)[None]
+        s1 = teacher.forward_batch(patches, (4, 4))
+        s2 = teacher.forward_batch(patches, (4, 4))
         for a, b in zip(s1, s2):
             npt.assert_array_equal(a, b)
 
@@ -181,7 +181,7 @@ class TestTeacher:
         cfg = ModelConfig()
         teacher = Teacher.init(cfg, seed=0)
         rng = np.random.default_rng(5)
-        states = teacher.forward_batch([rand_image(rng, 32, 48)])
+        states = teacher.forward_batch(patchify(rand_image(rng, 32, 48), cfg.patch)[None], (4, 6))
         assert len(states) == cfg.n_vit
         for st in states:
             assert st.shape == (1, 24, cfg.d_vit)
@@ -204,7 +204,7 @@ class TestTeacher:
         teacher = Teacher.init(cfg, seed=0)
         head = distill.init_heads(cfg, seed=1)[0]
         rng = np.random.default_rng(7)
-        states = teacher.forward_batch([rand_image(rng, 32, 32)])
+        states = teacher.forward_batch(patchify(rand_image(rng, 32, 32), cfg.patch)[None], (4, 4))
         h = T.param((0.1 * rng.standard_normal((16, cfg.d_model))).astype(np.float32))
         loss = distill.block_distill_loss(h, states[0][0], head)
         T.backward(loss)
