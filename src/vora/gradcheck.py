@@ -123,6 +123,11 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
             a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5)
         return (lambda: T.matmul(a, b)), [a, b]
 
+    def case_linear(rng):
+        x = _rand(rng, 3, 4) if rng.random() < 0.5 else _rand(rng, 2, 3, 4)
+        w = _rand(rng, 5, 4)
+        return (lambda: T.linear(x, w)), [x, w]
+
     def case_transpose(rng):
         a = _rand(rng, 2, 3, 4)
         return (lambda: T.transpose(a, (2, 0, 1))), [a]
@@ -161,6 +166,13 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         gain = _rand(rng, 6)
         return (lambda: T.rms_norm(a, gain, eps=1e-5)), [a, gain]
 
+    def case_rope(rng):
+        # [B, S, d] in 2 heads of hd 4; any angle table exercises the op
+        x = _rand(rng, 2, 3, 8)
+        ang = rng.uniform(-np.pi, np.pi, (3, 2))
+        cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
+        return (lambda: T.rope(x, cos, sin, 2)), [x]
+
     def case_softmax(rng):
         a = _rand(rng, *lead(rng), 4, 5)
         mask = np.zeros((4, 5), dtype=np.float32)  # broadcast over any leading dim
@@ -191,6 +203,7 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("mul", case_mul)
     run("scale", case_scale)
     run("matmul", case_matmul)
+    run("linear", case_linear)
     run("transpose", case_transpose)
     run("reshape", case_reshape)
     run("concat", case_concat)
@@ -199,6 +212,7 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("gelu", case_gelu)
     run("silu", case_silu)
     run("rms_norm", case_rms_norm)
+    run("rope", case_rope)
     run("softmax_rows", case_softmax)
     run("cross_entropy", case_cross_entropy)
     run("tsum", case_tsum)

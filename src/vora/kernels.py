@@ -65,9 +65,11 @@ def rmsnorm_bwd(x, gain, inv, gout):
     d = x.shape[-1]
     gy_g = gout * gain
     dot = np.sum(gy_g * x, axis=-1, keepdims=True)
-    gx = gy_g * inv - x * (dot * inv**3 / d)
-    ggain = np.sum(gout * x * inv, axis=tuple(range(x.ndim - 1)))
-    return gx, ggain
+    return gy_g * inv - x * (dot * inv**3 / d)
+
+
+def rmsnorm_gain_bwd(x, inv, gout):
+    return np.sum(gout * x * inv, axis=tuple(range(x.ndim - 1)))
 
 
 def ce_fwd(logits, targets, live):

@@ -160,35 +160,30 @@ def rope_tables(seq_len, head_dim, base=10000.0):
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
 
-def _apply_rope(x, cos, sin):
-    # x [..., S, hd]; rotate the (i, i+hd/2) pairs by the position angle
-    hd = x.shape[-1]
-    half = hd // 2
-    x1 = T.slice_axis(x, -1, 0, half)
-    x2 = T.slice_axis(x, -1, half, hd)
-    return T.concat([T.mul(x1, cos) - T.mul(x2, sin), T.mul(x2, cos) + T.mul(x1, sin)], axis=-1)
-
-
 def attention(q, k, v, mask, n_heads, rope=None, cache=None):
     """Multi-head scaled dot-product attention on [B, S, d] projections.
 
-    Splits heads, rotates q and k by the rope (cos, sin) tables when
-    given, softmaxes the scaled scores under the additive mask ([S, L],
-    or [B, S, L] per sequence) and merges heads back to [B, S, d].
+    Splits heads, rotates q and k by the rope (cos, sin) [S, hd/2]
+    arrays of ``rope_tables`` when given, softmaxes the scaled scores
+    under the additive mask ([S, L], or [B, S, L] per sequence) and
+    merges heads back to [B, S, d].
     cache: one block's list of post-RoPE [k, v] ([B, heads, L, hd]); when
     given, the new keys and values are appended to it and the queries
     attend over all L of them.
     """
     b, s, d = q.data.shape
     hd = d // n_heads
-    q, k, v = (T.swap(T.reshape(t, (b, s, n_heads, hd)), 1, 2) for t in (q, k, v))
-    if rope is not None:
-        q, k = _apply_rope(q, *rope), _apply_rope(k, *rope)
+
+    def heads(t):
+        return T.swap(T.reshape(t, (b, s, n_heads, hd)), 1, 2)
+
+    q, k = (heads(t) if rope is None else T.rope(t, *rope, n_heads) for t in (q, k))
+    v = heads(v)
     if cache is not None:
         if cache:
             k, v = T.concat([cache[0], k], axis=2), T.concat([cache[1], v], axis=2)
         cache[:] = [k, v]
-    scores = T.scale(T.matmul(q, T.swap(k, -1, -2)), 1.0 / np.sqrt(hd))
+    scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(hd))
     probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
     return T.reshape(T.swap(T.matmul(probs, v), 1, 2), (b, s, d))
 
@@ -255,7 +250,7 @@ class Model:
         past = cache[0][0].data.shape[2] if cache is not None and cache[0] else 0
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
-        rope = tuple(T.constant(t[past:]) for t in rope_tables(past + s, cfg.head_dim))
+        rope = tuple(t[past:] for t in rope_tables(past + s, cfg.head_dim))
 
         taps = []
         for i in range(cfg.n_llm):

@@ -2,12 +2,16 @@
 
 The op set is exactly what the model stack needs: elementwise add/mul,
 scalar scale, (batched) matmul, transpose/reshape/concat/slice, embedding
-lookup, GELU/SiLU, RMS-norm, masked row softmax, cross entropy, sum and
-elementwise power; ``linear`` (x·wᵀ) is every linear layer. Heavy
-elementwise work is delegated to :mod:`vora.kernels`; matmul goes
-straight to BLAS.
+lookup, GELU/SiLU, RMS-norm, rotary positions (``rope``), masked row
+softmax, cross entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
+every linear layer: one tape node, one 2-D GEMM forward and one per
+operand gradient, whatever the leading dims of x. Heavy elementwise work
+is delegated to :mod:`vora.kernels`; matmul goes straight to BLAS.
 
 Gradients accumulate additively when a tensor feeds several consumers.
+A backward computes only the gradients of inputs that require one, so a
+frozen weight costs no arithmetic, and a leaf keeps the array its first
+gradient arrived in unless that array is strided or shared (``_accum``).
 ``backward`` walks the tape in reverse recording order and clears it.
 """
 
@@ -130,14 +134,23 @@ def _make(out_data, inputs, backward):
     return out
 
 
-def _accum(t, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        # the one place a gradient's layout is set: a C-ordered float32 copy
-        t.grad = np.array(g, dtype=np.float32, order="C")
-    else:
+def _accum(t, g, copy=False):
+    """Add g into t.grad; callers pass only inputs that require a gradient.
+
+    g is handed over: a backward passes arrays that nothing else holds,
+    new ones or views of its own released output gradient. A first
+    gradient keeps g when it is a writeable C-contiguous float32 array of
+    t's shape. Any other g (a strided view, a broadcast) is copied, which
+    sets the layout every gradient has: C-ordered float32. copy=True: g
+    also goes to another consumer, so it is never kept.
+    """
+    if t.grad is not None:
         t.grad += g
+    elif (not copy and g.dtype == np.float32 and g.shape == t.data.shape
+          and g.flags.c_contiguous and g.flags.writeable):
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=np.float32, order="C")
 
 
 def _unbroadcast(g, shape):
@@ -154,10 +167,11 @@ def _unbroadcast(g, shape):
 
 
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
     ``loss`` must be a scalar produced through recorded ops. The tape is
-    consumed: it is cleared after the walk.
+    consumed: it is cleared after the walk, and each op output's gradient
+    is handed to its inputs, so op outputs end with ``grad`` None.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -165,7 +179,10 @@ def backward(loss):
         loss.grad = np.ones_like(loss.data)
     for out, bwd in reversed(_TAPE.nodes):
         if out.grad is not None:
-            bwd(out.grad)
+            # every consumer of out ran before its node: the node's inputs
+            # take its gradient over, and op outputs keep no .grad
+            g, out.grad = out.grad, None
+            bwd(g)
     _TAPE.reset()
 
 
@@ -177,8 +194,10 @@ def add(a, b):
     out = a.data + b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape), copy=b.requires_grad)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -187,8 +206,10 @@ def mul(a, b):
     out = a.data * b.data
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -203,14 +224,42 @@ def scale(a, s):
     return _make(out, (a,), bwd)
 
 
-def matmul(a, b):
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
+def matmul(a, b, transpose_b=False):
+    """a @ b, or a @ bᵀ (b's last two axes swapped) when ``transpose_b``.
+
+    A 2-D b multiplies every row of a, whatever its leading dims, in one
+    2-D GEMM, and its gradient is one 2-D GEMM too; a higher-rank b
+    broadcasts batch-wise over the leading dims.
+    """
+    bm = b.data.swapaxes(-1, -2) if transpose_b else b.data
+    if a.data.ndim < 2 or bm.ndim < 2 or a.data.shape[-1] != bm.shape[-2]:
+        raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {bm.shape}")
+    if bm.ndim == 2:
+        return _matmul_2d(a, b, bm, transpose_b)
+    out = a.data @ bm
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ bm.swapaxes(-1, -2), a.data.shape))
+        if b.requires_grad:
+            gb = g.swapaxes(-1, -2) @ a.data if transpose_b else a.data.swapaxes(-1, -2) @ g
+            _accum(b, _unbroadcast(gb, b.data.shape))
+
+    return _make(out, (a, b), bwd)
+
+
+def _matmul_2d(a, b, bm, transpose_b):
+    # a [..., K] flattened to [N, K]; bm [K, M] is b, or bᵀ when transpose_b
+    lead, k = a.data.shape[:-1], a.data.shape[-1]
+    a2 = a.data.reshape(-1, k)
+    out = (a2 @ bm).reshape(lead + bm.shape[-1:])
+
+    def bwd(g):
+        g2 = g.reshape(a2.shape[0], -1)
+        if a.requires_grad:
+            _accum(a, (g2 @ bm.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _accum(b, g2.T @ a2 if transpose_b else a2.T @ g2)
 
     return _make(out, (a, b), bwd)
 
@@ -229,8 +278,8 @@ def transpose(a, axes=None):
 
 
 def linear(x, w):
-    """x·wᵀ for a weight stored [d_out, d_in]: records transpose, then matmul."""
-    return matmul(x, transpose(w))
+    """x·wᵀ for a weight stored [d_out, d_in]: one matmul node, one 2-D GEMM."""
+    return matmul(x, w, transpose_b=True)
 
 
 def swap(a, ax0, ax1):
@@ -257,9 +306,10 @@ def concat(tensors, axis=0):
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accum(t, g[tuple(idx)])
 
     return _make(out, tuple(tensors), bwd)
 
@@ -317,11 +367,38 @@ def rms_norm(a, gain, eps=1e-6):
     y, inv = kernels.rmsnorm_fwd(a.data, gain.data, float(eps))
 
     def bwd(g):
-        gx, ggain = kernels.rmsnorm_bwd(a.data, gain.data, inv, g)
-        _accum(a, gx)
-        _accum(gain, ggain)
+        if a.requires_grad:
+            _accum(a, kernels.rmsnorm_bwd(a.data, gain.data, inv, g))
+        if gain.requires_grad:
+            _accum(gain, kernels.rmsnorm_gain_bwd(a.data, inv, g))
 
     return _make(y, (a, gain), bwd)
+
+
+def rope(x, cos, sin, n_heads):
+    """Rotary positions on a [B, S, d] projection, returned as rotated heads
+    [B, n_heads, S, hd]: each head's (i, i + hd/2) pair turns by the angle
+    whose cos/sin tables ([S, hd/2] arrays) hold it for that position."""
+    b, s, d = x.data.shape
+    hd = d // n_heads
+    half = hd // 2
+    if d % n_heads or hd % 2 or cos.shape != (s, half) or sin.shape != (s, half):
+        raise ShapeError(f"rope: {x.data.shape} in {n_heads} heads with tables {cos.shape}, {sin.shape}")
+    xh = x.data.reshape(b, s, n_heads, hd).transpose(0, 2, 1, 3)
+    x1, x2 = xh[..., :half], xh[..., half:]
+    out = np.empty((b, n_heads, s, hd), dtype=np.float32)
+    out[..., :half] = x1 * cos - x2 * sin
+    out[..., half:] = x2 * cos + x1 * sin
+
+    def bwd(g):
+        g1, g2 = g[..., :half], g[..., half:]
+        gx = np.empty((b, s, n_heads, hd), dtype=np.float32)
+        gh = gx.transpose(0, 2, 1, 3)
+        gh[..., :half] = g1 * cos + g2 * sin
+        gh[..., half:] = g2 * cos - g1 * sin
+        _accum(x, gx.reshape(b, s, d))
+
+    return _make(out, (x,), bwd)
 
 
 def softmax_rows(a, additive_mask):

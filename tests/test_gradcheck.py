@@ -6,8 +6,8 @@ import vora.tensor as T
 from vora.gradcheck import max_rel_error, op_suite
 
 ALL_OPS = {
-    "add", "mul", "scale", "matmul", "transpose", "reshape", "concat",
-    "slice_axis", "embedding", "gelu", "silu", "rms_norm", "softmax_rows",
+    "add", "mul", "scale", "matmul", "linear", "transpose", "reshape", "concat",
+    "slice_axis", "embedding", "gelu", "silu", "rms_norm", "rope", "softmax_rows",
     "cross_entropy", "tsum", "power",
 }
 

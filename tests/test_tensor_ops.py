@@ -211,3 +211,128 @@ def test_concat_and_slice_roundtrip():
     b = tensor(np.arange(6, 12, dtype=np.float32).reshape(2, 3))
     cat = T.concat([a, b], axis=0)
     npt.assert_array_equal(T.slice_axis(cat, 0, 2, 4).data, b.data)
+
+
+def _grads(make_out, inputs, r):
+    """Forward output and each input's gradient of sum(out * r)."""
+    for t in inputs:
+        t.grad = None
+    out = make_out()
+    T.backward(T.tsum(T.mul(out, T.constant(r))))
+    return out.data, [t.grad for t in inputs]
+
+
+def _assert_same_op(fused, composed, inputs, r, atol=1e-6):
+    out_f, grads_f = _grads(fused, inputs, r)
+    out_c, grads_c = _grads(composed, inputs, r)
+    npt.assert_allclose(out_f, out_c, rtol=0, atol=atol)
+    for t, gf, gc in zip(inputs, grads_f, grads_c):
+        assert gf.shape == t.shape
+        npt.assert_allclose(gf, gc, rtol=0, atol=atol)
+
+
+class TestFusedOps:
+    """linear and rope against the compositions they replace, at model shapes."""
+
+    def test_linear_matches_matmul_of_transpose(self):
+        rng = np.random.default_rng(11)
+        for shape in ((16, 34, 64), (34, 64)):
+            x = tensor(rng.standard_normal(shape), requires_grad=True)
+            w = tensor(0.02 * rng.standard_normal((64, 64)), requires_grad=True)
+            r = rng.standard_normal(shape[:-1] + (64,)).astype(np.float32)
+            _assert_same_op(lambda: T.linear(x, w), lambda: T.matmul(x, T.transpose(w)), [x, w], r)
+            # and against float64 numpy: y = x·wᵀ, dx = r·w, dw = Σ rᵀ·x
+            out, (gx, gw) = _grads(lambda: T.linear(x, w), [x, w], r)
+            x64, w64, r64 = (v.astype(np.float64).reshape(-1, 64) for v in (x.data, w.data, r))
+            npt.assert_allclose(out.reshape(-1, 64), x64 @ w64.T, rtol=1e-5, atol=1e-6)
+            npt.assert_allclose(gx.reshape(-1, 64), r64 @ w64, rtol=1e-5, atol=1e-6)
+            npt.assert_allclose(gw, r64.T @ x64, rtol=1e-5, atol=1e-4)
+
+    def test_linear_is_one_node_for_any_leading_dims(self):
+        x = tensor(np.ones((2, 3, 4)), requires_grad=True)
+        w = tensor(np.ones((5, 4)), requires_grad=True)
+        T.active_tape().reset()
+        assert T.linear(x, w).shape == (2, 3, 5)
+        assert len(T.active_tape().nodes) == 1
+        T.active_tape().reset()
+
+    def test_rope_matches_slice_mul_concat(self):
+        from vora.model import rope_tables
+
+        rng = np.random.default_rng(12)
+        b, s, h, hd = 16, 34, 4, 16
+        cos, sin = rope_tables(s, hd)
+        x = tensor(rng.standard_normal((b, s, h * hd)), requires_grad=True)
+        r = rng.standard_normal((b, h, s, hd)).astype(np.float32)
+
+        def composed():
+            heads = T.swap(T.reshape(x, (b, s, h, hd)), 1, 2)
+            x1, x2 = T.slice_axis(heads, -1, 0, hd // 2), T.slice_axis(heads, -1, hd // 2, hd)
+            c, sn = T.constant(cos), T.constant(sin)
+            return T.concat([T.mul(x1, c) - T.mul(x2, sn), T.mul(x2, c) + T.mul(x1, sn)], axis=-1)
+
+        _assert_same_op(lambda: T.rope(x, cos, sin, h), composed, [x], r)
+
+    def test_rope_rejects_mismatched_tables(self):
+        x = tensor(np.zeros((1, 5, 8)))
+        cos = sin = np.ones((4, 2), dtype=np.float32)
+        with pytest.raises(T.ShapeError):
+            T.rope(x, cos, sin, 2)
+
+
+_GATED = {
+    "add": (lambda a, b: T.add(a, b), (3, 4), (4,)),
+    "mul": (lambda a, b: T.mul(a, b), (2, 3, 4), (1, 3, 4)),
+    "matmul": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
+    "linear": (lambda a, b: T.linear(a, b), (2, 3, 4), (5, 4)),
+    "rms_norm": (lambda a, b: T.rms_norm(a, b), (2, 3, 4), (4,)),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), (2, 4), (3, 4)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_GATED))
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_frozen_operand_gets_no_gradient_and_changes_nothing(op, frozen):
+    fn, *shapes = _GATED[op]
+    rng = np.random.default_rng(5)
+    data = [rng.standard_normal(s) for s in shapes]
+    with T.no_grad():
+        r = rng.standard_normal(fn(*(tensor(d) for d in data)).shape).astype(np.float32)
+
+    def run(trainable):
+        ts = [tensor(d, requires_grad=i in trainable) for i, d in enumerate(data)]
+        T.backward(T.tsum(T.mul(fn(*ts), T.constant(r))))
+        return ts
+
+    both = run({0, 1})
+    one = run({1 - frozen})
+    assert one[frozen].grad is None
+    assert one[1 - frozen].grad.tobytes() == both[1 - frozen].grad.tobytes()
+
+
+def test_accumulated_gradients_own_their_memory():
+    # a + a, add(a, b), reshape, transpose, tsum and concat chains: every
+    # branch lands in a gradient that no other gradient aliases
+    rng = np.random.default_rng(9)
+    a, b, c, d, e = (tensor(rng.standard_normal(s), requires_grad=True)
+                     for s in ((3, 4), (3, 4), (3, 4), (2, 4), (1, 4)))
+    r1, r2, r3 = (rng.standard_normal(s) for s in ((3, 4), (3, 4), (3, 4)))
+    ops = [T.add(a, a), T.add(a, b)]
+    ops.append(T.transpose(T.reshape(ops[1], (4, 3))))
+    ops.append(T.tsum(T.tsum(c, axis=1)))
+    ops.append(T.concat([d, e], axis=0))
+    parts = [T.tsum(T.mul(ops[0], tensor(r1))), T.tsum(T.mul(ops[2], tensor(r2))), ops[3],
+             T.tsum(T.mul(ops[4], tensor(r3)))]
+    T.backward(T.add(T.add(parts[0], parts[1]), T.add(parts[2], parts[3])))
+
+    back = r2.T.reshape(3, 4)  # r2 carried back through the transpose and the reshape
+    npt.assert_allclose(a.grad, 2 * r1 + back, rtol=1e-6)
+    npt.assert_allclose(b.grad, back, rtol=1e-6)
+    npt.assert_array_equal(c.grad, np.ones((3, 4)))
+    npt.assert_allclose(np.concatenate([d.grad, e.grad]), r3, rtol=1e-6)
+    assert all(t.grad is None for t in ops + parts)  # op outputs hand theirs on
+    leaves = [t.grad for t in (a, b, c, d, e)]
+    for i, g in enumerate(leaves):
+        assert g.flags.c_contiguous and g.flags.writeable and g.dtype == np.float32
+        for h in leaves[i + 1:]:
+            assert not np.shares_memory(g, h)

@@ -146,17 +146,27 @@ class TestPretrain:
 
     def test_gradients_are_c_ordered_float32_like_their_tensor(self):
         # adamw_step hands p.grad to the kernel as it is: the tape must give
-        # every trainable tensor a C-contiguous float32 gradient of its shape
-        mcfg, tcfg, dcfg = ModelConfig(), trainer.TrainConfig(seed=0), data.DataConfig()
-        pipe = trainer.build_pipeline(mcfg, seed=0)
-        trainable, _ = trainer._partition(pipe, tcfg)
-        batch = data.make_batch(np.random.default_rng(0), tcfg.batch_size, dcfg=dcfg, max_seq=mcfg.max_seq)
-        out, _ = trainer.compute_losses(pipe, batch, tcfg.mask_mode, tcfg.distill_mode)
-        T.backward(out.total)
-        bad = [name for name, p in trainable.items()
-               if not (p.grad.dtype == np.float32 and p.grad.shape == p.data.shape
-                       and p.grad.flags.c_contiguous)]
-        assert not bad
+        # every trainable tensor a C-contiguous float32 gradient of its shape,
+        # of its own. In finetune every base weight trains, so a linear
+        # layer's weight gradient is kept straight from its GEMM.
+        for mode in ("pretrain", "finetune"):
+            mcfg, tcfg, dcfg = ModelConfig(), trainer.TrainConfig(seed=0, mode=mode), data.DataConfig()
+            pipe = trainer.build_pipeline(mcfg, seed=0)
+            distill_mode = tcfg.distill_mode
+            if mode == "finetune":  # the state trainer.finetune trains in
+                lora.merge_all(pipe.model, pipe.adapters)
+                pipe.adapters, pipe.heads, distill_mode = None, [], "none"
+            trainable, _ = trainer._partition(pipe, tcfg)
+            batch = data.make_batch(np.random.default_rng(0), tcfg.batch_size, dcfg=dcfg, max_seq=mcfg.max_seq)
+            out, _ = trainer.compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
+            T.backward(out.total)
+            bad = [name for name, p in trainable.items()
+                   if not (p.grad.dtype == np.float32 and p.grad.shape == p.data.shape
+                           and p.grad.flags.c_contiguous)]
+            assert not bad, mode
+            grads = [p.grad for p in trainable.values()]
+            assert not any(np.shares_memory(g, h) for i, g in enumerate(grads) for h in grads[i + 1:]), mode
+        assert "llm.blocks.0.q" in trainable and "llm.embed" in trainable
 
     def test_pretrain_requires_unmerged(self):
         mcfg, tcfg, dcfg = small_cfgs()

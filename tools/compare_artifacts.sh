@@ -5,6 +5,10 @@
 #   tools/compare_artifacts.sh REV
 #
 # Prints "same" or "DIFFERS" per artifact and exits 1 on any difference.
+# A differing .json/.jsonl artifact is followed by the worst absolute
+# difference over its numeric fields, a differing .vora checkpoint by the
+# worst absolute tensor difference, so float32 reassociation (tiny) can be
+# told from a fault (large, or a changed structure).
 # config.resolved is compared without its "# written:" timestamp line.
 # BLAS runs on one thread, and vora is imported from each tree's src/.
 set -euo pipefail
@@ -48,6 +52,62 @@ flows "$tmp/rev/src" "$tmp/out_rev" 2> "$tmp/rev.log" || { cat "$tmp/rev.log" >&
 echo "running the flows on the working tree ..." >&2
 flows "$root/src" "$tmp/out_tree" 2> "$tmp/tree.log" || { cat "$tmp/tree.log" >&2; exit 2; }
 
+worst_diff() {  # worst_diff A B: the worst absolute numeric difference of two artifacts
+    PYTHONPATH="$root/src" python3 - "$1" "$2" <<'PY'
+import json, sys
+
+import numpy as np
+
+from vora import checkpoint
+
+
+def leaves(x, path=""):
+    """path -> value for every scalar field of a parsed JSON document."""
+    if isinstance(x, dict):
+        return {k: v for key, val in x.items() for k, v in leaves(val, f"{path}.{key}").items()}
+    if isinstance(x, list):
+        return {k: v for i, val in enumerate(x) for k, v in leaves(val, f"{path}[{i}]").items()}
+    return {path: x}
+
+
+def is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def worst_field(a, b):
+    if a.keys() != b.keys():
+        return "fields differ"
+    nums = [k for k in a if is_num(a[k]) and is_num(b[k])]
+    if any(a[k] != b[k] for k in a.keys() - set(nums)):
+        return "non-numeric fields differ"
+    key = max(nums, key=lambda k: abs(a[k] - b[k]), default=None)
+    return "no numeric fields" if key is None else f"worst abs diff {abs(a[key] - b[key]):.3g} ({key})"
+
+
+def worst_tensor(a, b):
+    (cfg_a, ta, _), (cfg_b, tb, _) = checkpoint.load(a), checkpoint.load(b)
+    if cfg_a != cfg_b or ta.keys() != tb.keys() or any(ta[n].shape != tb[n].shape for n in ta):
+        return "config, tensor names or shapes differ"
+    diff = {n: float(np.abs(ta[n] - tb[n]).max(initial=0.0)) for n in ta}
+    name = max(diff, key=diff.get)
+    return f"worst abs tensor diff {diff[name]:.3g} ({name})"
+
+
+def parse(path):
+    with open(path) as f:
+        if path.endswith(".jsonl"):
+            return leaves([json.loads(line) for line in f if line.strip()])
+        return leaves(json.load(f))
+
+
+a, b = sys.argv[1:]
+try:
+    print(worst_tensor(a, b) if a.endswith(".vora") else worst_field(parse(a), parse(b)))
+except (OSError, ValueError) as exc:  # CheckpointError and JSONDecodeError are ValueErrors
+    print(f"unreadable: {exc}")
+PY
+}
+
 status=0
 while read -r name; do
     a=$tmp/out_rev/$name b=$tmp/out_tree/$name
@@ -56,6 +116,12 @@ while read -r name; do
     else
         same=$( [[ -f $a && -f $b ]] && cmp -s "$a" "$b" && echo y || echo n)
     fi
-    if [[ $same == y ]]; then echo "same     $name"; else echo "DIFFERS  $name"; status=1; fi
+    if [[ $same == y ]]; then echo "same     $name"; continue; fi
+    status=1
+    if [[ -f $a && -f $b && $name =~ \.(json|jsonl|vora)$ ]]; then
+        echo "DIFFERS  $name: $(worst_diff "$a" "$b")"
+    else
+        echo "DIFFERS  $name"
+    fi
 done < <( (cd "$tmp/out_rev" && find . -type f; cd "$tmp/out_tree" && find . -type f) | sed 's|^\./||' | sort -u)
 exit $status
