@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: pretrain, finetune, merge, eval, gradcheck, ablate.
-Exit codes: 0 ok, 2 config error (a malformed file or an out-of-range
-value), 3 numeric abort, 4 state misuse or a corrupt or incomplete
-checkpoint.
+Exit codes: 0 ok, 2 config error (a malformed file, an out-of-range
+value, or data keys that do not fit the checkpoint's model), 3 numeric
+abort, 4 merging or fine-tuning a checkpoint without unmerged adapters,
+or a corrupt or incomplete checkpoint.
 Set VORA_LOG=debug for per-step logging (default: info).
 """
 
@@ -23,10 +24,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_STATE = 4
-
-
-class StateError(RuntimeError):
-    pass
 
 
 def _setup_logging():
@@ -83,16 +80,19 @@ def cmd_pretrain(args):
     return EXIT_OK
 
 
-def cmd_finetune(args):
+def _checkpoint_run(args):
+    """(run config, data config, pipeline) for eval and finetune. The model
+    is the checkpoint's; the run config's data keys must fit it."""
     run_cfg = config.parse_file(args.config)
     cfg, tensors, meta = checkpoint.load(args.checkpoint)
-    if meta.get("merged") == "true":
-        raise StateError("checkpoint is already merged; fine-tuning needs unmerged adapters")
-    pipe = trainer.pipeline_from_state(cfg, tensors, meta)
-    if pipe.adapters is None:
-        raise StateError("checkpoint carries no adapters to merge")
-    tcfg = run_cfg.train_config(mode="finetune")
     dcfg = run_cfg.data_config()
+    config.check_data_fits(dcfg, cfg, f"{args.config} on checkpoint {args.checkpoint}")
+    return run_cfg, dcfg, trainer.pipeline_from_state(cfg, tensors, meta)
+
+
+def cmd_finetune(args):
+    run_cfg, dcfg, pipe = _checkpoint_run(args)
+    tcfg = run_cfg.train_config(mode="finetune")
     _, metrics = trainer.finetune(pipe, tcfg, dcfg, metrics_sink=_metrics_logger())
     out_meta = {"stage": "finetune", "merged": "true",
                 "mask_mode": tcfg.mask_mode, "distill_mode": "none"}
@@ -103,30 +103,16 @@ def cmd_finetune(args):
 
 def cmd_merge(args):
     cfg, tensors, meta = checkpoint.load(args.checkpoint_in)
-    if meta.get("merged") == "true":
-        raise StateError("checkpoint is already merged")
     pipe = trainer.pipeline_from_state(cfg, tensors, meta)
-    if pipe.adapters is None:
-        raise StateError("checkpoint carries no adapters to merge")
-    lora.merge_all(pipe.model, pipe.adapters)
-    merged = {}
-    merged.update(pipe.model.params)
-    merged.update(pipe.vembed.params)
-    merged.update(pipe.teacher.params)
-    out_meta = dict(meta)
-    out_meta.update(stage="merged", merged="true")
-    checkpoint.save(args.checkpoint_out, cfg, merged, out_meta)
-    log.info("merged %d adapters -> %s", len(pipe.adapters), args.checkpoint_out)
+    trainer.merge(pipe)
+    checkpoint.save(args.checkpoint_out, cfg, trainer.collect_state(pipe), dict(meta, stage="merged", merged="true"))
+    log.info("merged adapters -> %s", args.checkpoint_out)
     return EXIT_OK
 
 
 def cmd_eval(args):
-    run_cfg = config.parse_file(args.config)
-    cfg, tensors, meta = checkpoint.load(args.checkpoint)
-    pipe = trainer.pipeline_from_state(cfg, tensors, meta)
-    tcfg = run_cfg.train_config()
-    dcfg = run_cfg.data_config()
-    metrics = trainer.eval_metrics(pipe, dcfg, tcfg,
+    run_cfg, dcfg, pipe = _checkpoint_run(args)
+    metrics = trainer.eval_metrics(pipe, dcfg, run_cfg.train_config(),
                                    n_caption=run_cfg["eval_captions"],
                                    n_text=run_cfg["eval_texts"],
                                    max_new=run_cfg["eval_max_new"])
@@ -221,7 +207,7 @@ def main(argv=None):
     except trainer.TrainAbort as exc:
         log.error("numeric abort: %s", exc)
         return EXIT_NUMERIC
-    except (StateError, lora.MergeStateError, checkpoint.CheckpointError) as exc:
+    except (lora.MergeStateError, checkpoint.CheckpointError) as exc:
         log.error("state error: %s", exc)
         return EXIT_STATE
 

@@ -5,7 +5,9 @@ errors. Every key has a documented default except ``seed``, which must
 be set explicitly: all randomness flows from it. Parsing builds the
 model, training and data configs, so an out-of-range value is a
 ConfigFileError before any work starts (``vora ablate`` checks its grid
-cells the same way). ``normalize`` renders the resolved config in a
+cells the same way, and ``vora eval``/``vora finetune`` check the data
+keys against the checkpoint's model with ``check_data_fits``). A list
+key repeats no value. ``normalize`` renders the resolved config in a
 canonical form that parses back identically.
 """
 
@@ -30,17 +32,6 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _str_list(raw):
-    items = tuple(x.strip() for x in raw.split(",") if x.strip())
-    if not items:
-        raise ValueError(f"needs at least one value, got {raw!r}")
-    return items
-
-
-def _int_list(raw):
-    return tuple(int(x) for x in _str_list(raw))
-
-
 def _finite(raw):
     x = float(raw)
     if not math.isfinite(x):
@@ -48,8 +39,19 @@ def _finite(raw):
     return x
 
 
-def _float_list(raw):
-    return tuple(_finite(x) for x in _str_list(raw))
+def _list_of(cast):
+    """Comma list of one or more values through ``cast``, none repeated after the cast."""
+    def parse(raw):
+        items = tuple(cast(x.strip()) for x in raw.split(",") if x.strip())
+        if not items:
+            raise ValueError(f"needs at least one value, got {raw!r}")
+        if len(set(items)) < len(items):
+            raise ValueError(f"repeats a value in {raw!r}")
+        return items
+    return parse
+
+
+_str_list, _int_list, _float_list = _list_of(str), _list_of(int), _list_of(_finite)
 
 
 def _count(raw):
@@ -162,17 +164,26 @@ def parse_text(text, source="<config>"):
             values[key] = default
     run = RunConfig(values)
     try:
-        _, _, dcfg = run.model_config(), run.train_config(), run.data_config()
+        mcfg, _, dcfg = run.model_config(), run.train_config(), run.data_config()
     except ValueError as exc:
         raise ConfigFileError(f"{source}: {exc}") from exc
     if values["vocab"] < VOCAB_SIZE:
         raise ConfigFileError(f"{source}: vocab ({values['vocab']}) must cover the "
                               f"{VOCAB_SIZE}-word data vocabulary")
-    longest = max_packed_len(dcfg)
-    if longest > values["max_seq"]:
-        raise ConfigFileError(f"{source}: max_seq ({values['max_seq']}) is below the longest packed "
-                              f"sequence ({longest}: largest vision span plus longest caption)")
+    check_data_fits(dcfg, mcfg, source)
     return run
+
+
+def check_data_fits(dcfg, mcfg, source):
+    """ConfigFileError unless data config ``dcfg`` fits model config
+    ``mcfg``: the same patch, and a max_seq that holds the longest packed
+    sequence."""
+    if dcfg.patch != mcfg.patch:
+        raise ConfigFileError(f"{source}: patch ({dcfg.patch}) differs from the model's patch ({mcfg.patch})")
+    longest = max_packed_len(dcfg)
+    if longest > mcfg.max_seq:
+        raise ConfigFileError(f"{source}: max_seq ({mcfg.max_seq}) is below the longest packed "
+                              f"sequence ({longest}: largest vision span plus longest caption)")
 
 
 def parse_file(path):

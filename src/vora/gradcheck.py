@@ -251,18 +251,13 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
                                       D.gen_image_caption(seed + 1, (8, 8), patch=4)], cfg.patch, cfg.max_seq),
     }
 
-    trainable = {}
-    trainable.update(pipe.adapters.tensors())
-    trainable.update(pipe.vembed.params)
-    for head in pipe.heads:
-        trainable.update(head.tensors())
+    trainable, _ = trainer._partition(pipe, trainer.TrainConfig())  # the pretrain partition
 
     pick = np.random.default_rng(seed)
     results = []
     for case, batch in batches.items():
         def fn():
-            out, _ = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
-            return out.total
+            return trainer.compute_losses(pipe, batch, "hybrid", "block_wise").total
 
         for t in trainable.values():
             t.grad = None

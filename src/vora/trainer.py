@@ -19,6 +19,8 @@ from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
+SPIKE_WINDOW, SPIKE_FACTOR = 50, 2.0  # full_llm_probe: a spike exceeds FACTOR x the trailing WINDOW's median
+WARM_LR, WARM_BATCH = 1e-3, 16  # warm_teacher's lr and images per step
 
 TRAIN_MODES = ("pretrain", "finetune", "full_llm_unstable")
 
@@ -78,6 +80,18 @@ class Pipeline:
     teacher: vision.Teacher
     heads: list
 
+    def groups(self):
+        """Every tensor of the pipeline by owner, owner -> {name: Tensor}:
+        llm, lora (while the adapters are unmerged), vembed, teacher, and
+        one aux.<block> per head."""
+        groups = {"llm": self.model.params}
+        if self.adapters is not None and not self.adapters.merged:
+            groups["lora"] = self.adapters.tensors()
+        groups["vembed"] = self.vembed.params
+        groups["teacher"] = self.teacher.params
+        groups.update((f"aux.{head.block_index}", head.tensors()) for head in self.heads)
+        return groups
+
 
 def build_pipeline(cfg, seed=0, teacher_warm=False, teacher_warm_steps=200):
     model = Model.init(cfg, seed=seed)
@@ -92,15 +106,17 @@ def build_pipeline(cfg, seed=0, teacher_warm=False, teacher_warm_steps=200):
 
 def collect_state(pipe):
     """Every named tensor of the pipeline, for checkpointing."""
-    tensors = {}
-    tensors.update(pipe.model.params)
-    if pipe.adapters is not None and not pipe.adapters.merged:
-        tensors.update(pipe.adapters.tensors())
-    tensors.update(pipe.vembed.params)
-    tensors.update(pipe.teacher.params)
-    for head in pipe.heads:
-        tensors.update(head.tensors())
-    return tensors
+    return {name: t for group in pipe.groups().values() for name, t in group.items()}
+
+
+def merge(pipe):
+    """Fold the adapters into the student and drop the aux heads: the one
+    merge of a pipeline. MergeStateError when no unmerged adapters exist."""
+    if pipe.adapters is None or pipe.adapters.merged:
+        raise lora.MergeStateError("no unmerged adapters to merge (already merged or fine-tuned)")
+    lora.merge_all(pipe.model, pipe.adapters)
+    pipe.adapters = None
+    pipe.heads = []
 
 
 def pipeline_from_state(cfg, tensors, meta=None):
@@ -207,7 +223,7 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
 
     if not need_distill:
         dist = T.constant(np.zeros((), dtype=np.float32))
-        return LossOut(distill.total_loss(dist, lm), lm, dist, []), logits
+        return LossOut(distill.total_loss(dist, lm), lm, dist, [])
 
     if len(pipe.heads) < cfg.n_vit:
         raise T.ShapeError(f"{len(pipe.heads)} aux heads for {cfg.n_vit} distilled blocks")
@@ -227,7 +243,7 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
 
     per_block = [float(t.data) for t in per_block_t]
     dist = per_block_t[0] if len(per_block_t) == 1 else T.scale(_sum_terms(per_block_t), 1.0 / len(per_block_t))
-    return LossOut(distill.total_loss(dist, lm), lm, dist, per_block), logits
+    return LossOut(distill.total_loss(dist, lm), lm, dist, per_block)
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +305,16 @@ def _set_requires_grad(tensors, flag):
 def _partition(pipe, tcfg):
     """(trainable, frozen) name->Tensor maps for the configured mode.
 
-    Only the aux heads of the blocks the distill mode aligns train; the
-    others get no gradient and stay frozen."""
-    base = dict(pipe.model.params)
-    extras = dict(pipe.vembed.params)
-    adapter_tensors = pipe.adapters.tensors() if (pipe.adapters and not pipe.adapters.merged) else {}
-
-    if tcfg.mode == "pretrain":
-        trainable, frozen = {**adapter_tensors, **extras}, {**base, **pipe.teacher.params}
-    else:  # finetune, full_llm_unstable: everything in the student unfrozen, no adapters
-        trainable, frozen = {**base, **extras}, {**pipe.teacher.params, **adapter_tensors}
-    distilled = [] if tcfg.mode == "finetune" else distill.distilled_blocks(tcfg.distill_mode, pipe.cfg.n_vit)
-    for head in pipe.heads:
-        (trainable if head.block_index in distilled else frozen).update(head.tensors())
+    Pretraining trains the adapters and the vision embed, the other modes
+    the student and the vision embed; outside finetune the aux heads of
+    the blocks the distill mode aligns train too. Every other owner of
+    ``pipe.groups()`` stays frozen."""
+    owners = {"lora", "vembed"} if tcfg.mode == "pretrain" else {"llm", "vembed"}
+    if tcfg.mode != "finetune":
+        owners.update(f"aux.{b}" for b in distill.distilled_blocks(tcfg.distill_mode, pipe.cfg.n_vit))
+    trainable, frozen = {}, {}
+    for owner, tensors in pipe.groups().items():
+        (trainable if owner in owners else frozen).update(tensors)
     _set_requires_grad(trainable, True)
     _set_requires_grad(frozen, False)
     return trainable, frozen
@@ -329,13 +342,11 @@ def train_step(state, tcfg, step, loss_fn):
     return out, lr
 
 
-def train_loop(pipe, tcfg, dcfg, adapters_active=True, metrics_sink=None):
+def train_loop(pipe, tcfg, dcfg, metrics_sink=None):
     """Shared step loop; returns the per-step metrics list."""
     trainable, frozen = _partition(pipe, tcfg)
     state = TrainState.create(trainable, frozen)
     rng_data = np.random.default_rng([tcfg.seed, 10])
-    if not adapters_active:
-        pipe = replace(pipe, adapters=None)
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
 
@@ -343,7 +354,7 @@ def train_loop(pipe, tcfg, dcfg, adapters_active=True, metrics_sink=None):
     for step in range(tcfg.total_steps):
         batch = D.make_batch(rng_data, tcfg.batch_size, dcfg=dcfg, max_seq=pipe.cfg.max_seq)
         out, lr = train_step(state, tcfg, step,
-                             lambda: compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)[0])
+                             lambda: compute_losses(pipe, batch, tcfg.mask_mode, distill_mode))
         rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
         if use_distill:
             rec["distill_loss"] = float(out.dist.data)
@@ -370,26 +381,22 @@ def finetune(pipe, tcfg, dcfg, metrics_sink=None):
     vision embed on the LM loss only."""
     if tcfg.mode != "finetune":
         raise ValueError("finetune requires mode == 'finetune'")
-    if pipe.adapters is None or pipe.adapters.merged:
-        raise lora.MergeStateError("finetune needs a checkpoint with unmerged adapters")
-    lora.merge_all(pipe.model, pipe.adapters)
-    pipe.adapters = None
-    pipe.heads = []
+    merge(pipe)
     metrics = train_loop(pipe, tcfg, dcfg, metrics_sink=metrics_sink)
     return collect_state(pipe), metrics
 
 
-def full_llm_probe(pipe, tcfg, dcfg, metrics_sink=None, spike_window=50, spike_factor=2.0):
+def full_llm_probe(pipe, tcfg, dcfg, metrics_sink=None):
     """Unfreeze everything (no adapters) and report whether the loss spikes
-    above spike_factor x the trailing median. Reporting only."""
+    above SPIKE_FACTOR x the trailing median. Reporting only."""
     if tcfg.mode != "full_llm_unstable":
         raise ValueError("full_llm_probe requires mode == 'full_llm_unstable'")
-    metrics = train_loop(pipe, tcfg, dcfg, adapters_active=False, metrics_sink=metrics_sink)
+    metrics = train_loop(replace(pipe, adapters=None), tcfg, dcfg, metrics_sink=metrics_sink)
     losses = [m["total_loss"] for m in metrics]
     spike_at = None
     for s in range(5, len(losses)):
-        med = statistics.median(losses[max(0, s - spike_window):s])
-        if losses[s] > spike_factor * med:
+        med = statistics.median(losses[max(0, s - SPIKE_WINDOW):s])
+        if losses[s] > SPIKE_FACTOR * med:
             spike_at = s
             break
     return collect_state(pipe), metrics, {"spike_detected": spike_at is not None, "spike_step": spike_at}
@@ -448,7 +455,7 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
     # text perplexity over the supervised positions of n_text texts
     batch = D.make_batch(rng, n_text, image_fraction=0.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
     with T.no_grad():
-        out, _ = compute_losses(pipe, batch, tcfg.mask_mode, "none")
+        out = compute_losses(pipe, batch, tcfg.mask_mode, "none")
     ppl = float(np.exp(float(out.lm.data)))
 
     result = {"caption_token_accuracy": caption_acc, "text_perplexity": ppl}
@@ -456,7 +463,7 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
     if pipe.heads:
         batch = D.make_batch(rng, 4, image_fraction=1.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
         with T.no_grad():
-            out, _ = compute_losses(pipe, batch, tcfg.mask_mode, "block_wise")
+            out = compute_losses(pipe, batch, tcfg.mask_mode, "block_wise")
         result["distill_alignment"] = 1.0 - float(out.dist.data)  # mean cosine
     return result
 
@@ -511,28 +518,28 @@ def run_ablation(cfg, tcfg, dcfg, grid, thresholds, budget_steps, csv_path=None)
     return rows, curves
 
 
-def overfit_pair(pipe, sample, steps=300, lr=3e-3, mask_mode="hybrid", distill_mode="none"):
-    """Repeat one sample until memorized; returns (metrics, decoded ids).
+def overfit_pair(pipe, sample, steps=300, lr=3e-3):
+    """Repeat one sample until memorized (hybrid mask, no distillation).
+    Returns (metrics, decoded ids).
 
     The decode starts from the packed prefix ([vision span][prompt]) and
     should reproduce the answer exactly once the pair is learned.
     """
-    tcfg = TrainConfig(lr=lr, warmup_steps=10, batch_size=1, total_steps=steps,
-                       mask_mode=mask_mode, distill_mode=distill_mode, seed=0)
+    tcfg = TrainConfig(lr=lr, warmup_steps=10, batch_size=1, total_steps=steps, distill_mode="none", seed=0)
     batch = D.pack_samples([sample], pipe.cfg.patch, pipe.cfg.max_seq)
     state = TrainState.create(*_partition(pipe, tcfg))
 
     metrics = []
     for step in range(steps):
-        out, _ = train_step(state, tcfg, step, lambda: compute_losses(pipe, batch, mask_mode, distill_mode)[0])
+        out, _ = train_step(state, tcfg, step, lambda: compute_losses(pipe, batch, tcfg.mask_mode, tcfg.distill_mode))
         metrics.append({"step": step, "lm_loss": float(out.lm.data)})
-    return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, mask_mode)
+    return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, tcfg.mask_mode)
 
 
 # ---------------------------------------------------------------------------
 # teacher warming
 
-def warm_teacher(teacher, cfg, steps=200, seed=7, lr=1e-3, batch_size=16):
+def warm_teacher(teacher, cfg, steps=200, seed=7):
     """Briefly train the toy ViT on single-shape (kind, color) classification
     so its features carry the attributes captions talk about, then freeze it."""
     rng = np.random.default_rng([seed, 20])
@@ -544,14 +551,14 @@ def warm_teacher(teacher, cfg, steps=200, seed=7, lr=1e-3, batch_size=16):
     trainable = dict(teacher.params)
     trainable["warm.head"] = head
     state = TrainState.create(trainable, {})
-    warm_cfg = TrainConfig(lr=lr, warmup_steps=0, total_steps=max(steps, 1), seed=seed)
+    warm_cfg = TrainConfig(lr=WARM_LR, warmup_steps=0, total_steps=max(steps, 1), seed=seed)
     h, w = cfg.patch * 4, cfg.patch * 4
     grid = (h // cfg.patch, w // cfg.patch)
     zero = T.constant(np.zeros((), dtype=np.float32))
     for step in range(steps):
         patches = []
         labels = []
-        for _ in range(batch_size):
+        for _ in range(WARM_BATCH):
             shapes = D.make_scene(rng, h, w, n_shapes=1)
             labels.append(shapes[0].kind * len(D.COLOR_NAMES) + shapes[0].color)
             patches.append(vision.patchify(D.render_scene(shapes, h, w), cfg.patch))

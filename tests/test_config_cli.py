@@ -202,16 +202,20 @@ class TestCli:
         ("pretrain", "anyres=true\nanyres_min=48\nanyres_max=16"),
         ("pretrain", "anyres=true\nanyres_min=20\nanyres_max=44"), ("pretrain", "n_vit=0"),
         ("ablate", "ablate_masks=,\nablate_steps=3"), ("ablate", "thresholds=,\nablate_steps=3"),
+        ("eval", "patch=4"), ("eval", "max_seq=200\nresolution_h=96\nresolution_w=96"), ("finetune", "patch=4"),
+        ("ablate", "ablate_ranks=8,8\nablate_steps=3"), ("ablate", "ablate_ranks=8,08\nablate_steps=3"),
+        ("ablate", "ablate_masks=hybrid,hybrid\nablate_steps=3"),
+        ("ablate", "ablate_distills=none,none\nablate_steps=3"), ("ablate", "thresholds=4.0,4.0\nablate_steps=3"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
         seed = "" if lines.startswith("seed=") else "seed=0\n"
         cfg_path = write(tmp_path, f"{seed}total_steps=2\nwarmup_steps=1\n{lines}\n")
-        if command == "eval":
+        if command in ("eval", "finetune"):  # on a default-config checkpoint
             ckpt = tmp_path / "init.vora"
             cfg = ModelConfig()
             checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)),
                             {"merged": "false"})
-            args = [str(ckpt), cfg_path]
+            args = [str(ckpt), cfg_path] + ([str(tmp_path / "out")] if command == "finetune" else [])
         else:
             args = [cfg_path, str(tmp_path / "out")]
         before = sorted(tmp_path.iterdir())

@@ -178,8 +178,8 @@ class TestMakeBatch:
         extra = np.full((1, 4), PAD, dtype=np.int64)
         padded.tokens = np.concatenate([padded.tokens, extra], axis=1)
         with T.no_grad():
-            out_a, _ = trainer.compute_losses(pipe, short, "hybrid", "none")
-            out_b, _ = trainer.compute_losses(pipe, padded, "hybrid", "none")
+            out_a = trainer.compute_losses(pipe, short, "hybrid", "none")
+            out_b = trainer.compute_losses(pipe, padded, "hybrid", "none")
         npt.assert_array_equal(out_a.lm.data, out_b.lm.data)
 
     def test_global_determinism_bytes(self):

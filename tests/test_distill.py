@@ -102,8 +102,7 @@ class TestDistillLoss:
         pipe = nano_pipe(n_vit=len(values))
         monkeypatch.setattr(distill, "block_distill_loss",
                             lambda h, v, head: T.constant(np.float32(values[head.block_index])))
-        out, _ = trainer.compute_losses(pipe, image_batch(sizes), "hybrid", mode)
-        return out
+        return trainer.compute_losses(pipe, image_batch(sizes), "hybrid", mode)
 
     def test_mean_of_constant_blocks(self, monkeypatch):
         out = self._losses(monkeypatch, [0.7, 0.7, 0.7], "block_wise")
@@ -129,12 +128,12 @@ class TestDistillLoss:
             return T.constant(np.float32(v.shape[1]))
 
         monkeypatch.setattr(distill, "block_distill_loss", fake)
-        out, _ = trainer.compute_losses(pipe, image_batch([(8, 12), (8, 8), (8, 12)]), "hybrid", "block_wise")
+        out = trainer.compute_losses(pipe, image_batch([(8, 12), (8, 8), (8, 12)]), "hybrid", "block_wise")
         assert calls == [(1, 4), (2, 6)]  # grid (2, 2) sorts before (2, 3)
         npt.assert_allclose(out.dist.item(), (1 * 4 + 2 * 6) / 3, rtol=1e-6)
 
     def test_mode_none_zero_no_edges(self):
-        out, _ = trainer.compute_losses(nano_pipe(), image_batch([(8, 8)]), "hybrid", "none")
+        out = trainer.compute_losses(nano_pipe(), image_batch([(8, 8)]), "hybrid", "none")
         assert out.dist.item() == 0.0
         assert not out.dist.requires_grad
         assert out.per_block == []
@@ -148,7 +147,7 @@ class TestDistillLoss:
 class TestGradientRouting:
     def test_distill_backward_reaches_only_student_vision_params(self):
         pipe = nano_pipe(n_vit=2, seed=0)
-        out, _ = trainer.compute_losses(pipe, image_batch([(8, 8)], seed=5), "hybrid", "block_wise")
+        out = trainer.compute_losses(pipe, image_batch([(8, 8)], seed=5), "hybrid", "block_wise")
         T.backward(out.dist)
         for ad in pipe.adapters:
             assert ad.a.grad is not None and ad.b.grad is not None
@@ -163,7 +162,7 @@ class TestGradientRouting:
 
     def test_mode_none_total_touches_no_aux(self):
         pipe = nano_pipe(seed=9)
-        out, _ = trainer.compute_losses(pipe, image_batch([(8, 8)], seed=9), "hybrid", "none")
+        out = trainer.compute_losses(pipe, image_batch([(8, 8)], seed=9), "hybrid", "none")
         T.backward(out.total)
         assert pipe.vembed.params["vembed.fc1"].grad is not None
         for h in pipe.heads:

@@ -154,11 +154,11 @@ class TestPretrain:
             pipe = trainer.build_pipeline(mcfg, seed=0)
             distill_mode = tcfg.distill_mode
             if mode == "finetune":  # the state trainer.finetune trains in
-                lora.merge_all(pipe.model, pipe.adapters)
-                pipe.adapters, pipe.heads, distill_mode = None, [], "none"
+                trainer.merge(pipe)
+                distill_mode = "none"
             trainable, _ = trainer._partition(pipe, tcfg)
             batch = data.make_batch(np.random.default_rng(0), tcfg.batch_size, dcfg=dcfg, max_seq=mcfg.max_seq)
-            out, _ = trainer.compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
+            out = trainer.compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
             T.backward(out.total)
             bad = [name for name, p in trainable.items()
                    if not (p.grad.dtype == np.float32 and p.grad.shape == p.data.shape
@@ -176,6 +176,32 @@ class TestPretrain:
             trainer.pretrain(pipe, tcfg, dcfg)
 
 
+class TestOwners:
+    N_VIT = ModelConfig().n_vit
+    AUX = tuple(f"aux.{b}" for b in range(N_VIT))
+
+    @pytest.mark.parametrize("mode, trained", [
+        ("pretrain", ("lora", "vembed") + AUX),
+        ("finetune", ("llm", "vembed")),
+        ("full_llm_unstable", ("llm", "vembed") + AUX),
+    ])
+    def test_groups_partition_the_state_and_trained_owners(self, mode, trained):
+        pipe = trainer.build_pipeline(ModelConfig(), seed=0)
+        if mode == "finetune":  # the state trainer.finetune trains in
+            trainer.merge(pipe)
+        groups = pipe.groups()
+        owners = ["llm", "vembed", "teacher"] if mode == "finetune" else ["llm", "lora", "vembed", "teacher", *self.AUX]
+        assert list(groups) == owners
+        state = trainer.collect_state(pipe)
+        names = [name for tensors in groups.values() for name in tensors]
+        assert len(names) == len(set(names)) and set(names) == set(state)  # each tensor in exactly one group
+        trainable, frozen = trainer._partition(pipe, trainer.TrainConfig(mode=mode, seed=0))
+        assert set(trainable) == {name for owner in trained for name in groups[owner]}
+        assert set(frozen) == set(state) - set(trainable)
+        assert all(t.requires_grad for t in trainable.values())
+        assert not any(t.requires_grad for t in frozen.values())
+
+
 class TestGridRuns:
     NANO = dict(n_llm=2, n_vit=2, d_model=8, d_vit=8, n_heads=2, d_ff=8, patch=4, rank=2,
                 max_seq=64, vembed_hidden=4, vit_heads=2, vit_ff=8)
@@ -183,7 +209,7 @@ class TestGridRuns:
     def test_text_first_batch_computes_losses(self):
         pipe = trainer.build_pipeline(ModelConfig(), seed=0)
         batch = data.pack_samples([data.gen_text_sample(1), data.gen_image_caption(2)], 8, 160)
-        out, _ = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
+        out = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
         assert np.isfinite(out.total.item()) and out.dist.item() > 0.0
 
     def test_mixed_grid_dist_is_mean_of_single_images(self):
@@ -194,8 +220,7 @@ class TestGridRuns:
 
         def dist(batch_samples):
             with T.no_grad():
-                out, _ = trainer.compute_losses(pipe, data.pack_samples(batch_samples, 4, 64),
-                                                "hybrid", "block_wise")
+                out = trainer.compute_losses(pipe, data.pack_samples(batch_samples, 4, 64), "hybrid", "block_wise")
             return out.dist.item()
 
         singles = [dist([smp]) for smp in samples[:4]]
@@ -237,11 +262,10 @@ class TestFinetune:
             before = [pipe.model.forward(trainer.pack_embedded(pipe, b),
                                          trainer.batch_masks(b, "hybrid"), pipe.adapters)[0].data
                       for b in batches]
-        lora.merge_all(pipe.model, pipe.adapters)
-        pipe.adapters = None
+        trainer.merge(pipe)
         with T.no_grad():
             after = [pipe.model.forward(trainer.pack_embedded(pipe, b),
-                                        trainer.batch_masks(b, "hybrid"), None)[0].data
+                                        trainer.batch_masks(b, "hybrid"), pipe.adapters)[0].data
                      for b in batches]
         for x, y in zip(before, after):
             assert np.abs(x - y).max() <= 1e-5
