@@ -261,12 +261,34 @@ class DataConfig:
 class PackedBatch:
     tokens: np.ndarray  # [B, S] int64, IMG in vision spans, PAD tail
     layouts: list
-    runs: list  # (start, end, grid, patches [n, S, patch*patch*3]) per grid over the image rows
+    patches: np.ndarray  # [n_vision, patch*patch*3]: every image's patch rows, image after image
+    runs: list  # (start, end, grid, patches [n, S, patch*patch*3]) per grid over the image rows; views of `patches`
     grids: list  # (rows, cols) | None per sequence
 
     @property
     def n_image(self):
         return self.runs[-1][1] if self.runs else 0
+
+    @property
+    def n_vision(self):
+        """Vision tokens of the batch: the first rows of the flat order."""
+        return self.patches.shape[0]
+
+    @property
+    def rows(self):
+        """[B, S] index of each position into the flat order of the batch's
+        live tokens, -1 at padding. The flat order holds every image's
+        vision span first, image after image (so row r < n_vision is patch
+        row r), then every sequence's text span, sequence after sequence."""
+        v1 = np.array([lay.vision_span[1] for lay in self.layouts])
+        t1 = np.array([lay.total_len for lay in self.layouts])
+        n_text = t1 - v1
+        col = np.arange(self.tokens.shape[1])[None, :]
+        vis = (np.cumsum(v1) - v1)[:, None] + col
+        text = (self.n_vision + np.cumsum(n_text) - n_text - v1)[:, None] + col
+        rows = np.where(col < v1[:, None], vis, text)
+        rows[col >= t1[:, None]] = -1
+        return rows
 
 
 def _anyres_cells(dcfg):
@@ -305,8 +327,9 @@ def pack_samples(samples, patch, max_seq):
     """[IMG-span][prompt][answer][EOS] per sequence, PAD to the batch max.
 
     Rows are reordered: image samples first, stable-sorted by grid, then
-    text samples in their given order, so rows sharing a grid are adjacent
-    and each grid's images are patchified once, into one run.
+    text samples in their given order, so rows sharing a grid are adjacent.
+    Each image is patchified once, into the batch's flat patch stack; each
+    grid's run views its images' part of it as [n, S, patch*patch*3].
     """
     ordered = sorted(samples, key=lambda smp: (smp.image is None, _grid(smp, patch) or ()))
     rows = []
@@ -319,17 +342,19 @@ def pack_samples(samples, patch, max_seq):
             raise ValueError(f"packed length {len(ids)} exceeds max_seq {max_seq}")
         layouts.append(SequenceLayout((0, s_v), (s_v, len(ids)), s_v + len(sample.prompt_tokens)))
         rows.append(ids)
-    images = [sample.image for sample in ordered if sample.image is not None]
+    images = [patchify(sample.image, patch) for sample in ordered if sample.image is not None]
+    patches = np.concatenate(images) if images else np.zeros((0, patch * patch * 3), dtype=np.float32)
     runs = []
-    for grid, group in groupby(zip(images, grids), key=lambda pair: pair[1]):
-        patches = np.stack([patchify(image, patch) for image, _ in group])
-        start = runs[-1][1] if runs else 0
-        runs.append((start, start + len(patches), grid, patches))
+    start = row = 0
+    for grid, group in groupby(grids[:len(images)]):
+        n, s_v = len(list(group)), grid[0] * grid[1]
+        runs.append((start, start + n, grid, patches[row:row + n * s_v].reshape(n, s_v, -1)))
+        start, row = start + n, row + n * s_v
     s_max = max(len(r) for r in rows)
     tokens = np.full((len(rows), s_max), PAD, dtype=np.int64)
     for i, r in enumerate(rows):
         tokens[i, : len(r)] = r
-    return PackedBatch(tokens=tokens, layouts=layouts, runs=runs, grids=grids)
+    return PackedBatch(tokens=tokens, layouts=layouts, patches=patches, runs=runs, grids=grids)
 
 
 def make_batch(rng, batch_size, image_fraction=None, dcfg=None, max_seq=160, heldout=False):

@@ -51,39 +51,37 @@ def distilled_blocks(mode, n_vit):
     return {"none": [], "last_block": blocks[-1:], "block_wise": blocks}[mode]
 
 
-def _cosine_rows(p, v):
-    """Mean over rows of (1 - cos(p_row, v_row)); leading dims flattened."""
+def _cosine_rows(p, v, weights=None):
+    """Mean over rows of (1 - cos(p_row, v_row)), leading dims flattened;
+    with per-row ``weights`` (summing to 1) their weighted sum instead."""
     dots = T.tsum(T.mul(p, v), axis=-1)
     pn = T.tsum(T.mul(p, p), axis=-1)
     vn = T.tsum(T.mul(v, v), axis=-1)
     if float(pn.data.min()) <= 0.0 or float(vn.data.min()) <= 0.0:
         raise ValueError("zero-norm vector: cosine undefined")
     cos = T.mul(dots, T.power(T.mul(pn, vn), -0.5))
-    ones = T.constant(np.ones_like(cos.data))
-    return T.tmean(ones - cos)
+    loss = T.constant(np.ones_like(cos.data)) - cos
+    return T.tmean(loss) if weights is None else T.tsum(T.mul(loss, T.constant(weights)))
 
 
-def block_distill_loss(h_llm, h_vit, head):
+def block_distill_loss(h_llm, h_vit, head, weights=None):
     """(1/S) sum_s (1 - cos(head(h_llm[s]), h_vit[s])); value in [0, 2].
 
     h_llm: Tensor [S, d_model] (or [B, S, d_model]) restricted to the
     vision span; h_vit: the matching float32 teacher states, an array
-    treated as constant.
+    treated as constant. weights: optional [S] row weights summing to 1,
+    which replace the uniform 1/S (a batch weighs each image's rows
+    1/(n_image * S_image), the mean over images).
     """
     if h_llm.data.shape[:-1] != h_vit.shape[:-1]:
         raise T.ShapeError(f"token counts differ: {h_llm.data.shape} vs {h_vit.shape}")
-    return _cosine_rows(head.forward(h_llm), T.constant(h_vit))
+    return _cosine_rows(head.forward(h_llm), T.constant(h_vit), weights)
 
 
-def lm_loss(logits, layouts, tokens):
-    """Next-token cross entropy over supervised positions only.
-
-    logits: [B, S, V]; tokens: matching [B, S] int array of packed ids;
-    layouts: one SequenceLayout per sequence. Position t is supervised
-    iff supervise_from <= t < text_end, predicted from logits at t-1.
-    """
-    b, s, v = logits.data.shape
-    live = np.zeros((b, s - 1), dtype=bool)
+def supervised(layouts, s):
+    """[B, s-1] bool: entry (i, t-1) is True iff position t of sequence i
+    is supervised, i.e. supervise_from <= t < text_end."""
+    live = np.zeros((len(layouts), s - 1), dtype=bool)
     for i, lay in enumerate(layouts):
         t1 = lay.text_span[1]
         if lay.supervise_from >= t1:
@@ -91,8 +89,25 @@ def lm_loss(logits, layouts, tokens):
         if lay.supervise_from < 1:
             raise ValueError("position 0 cannot be supervised (nothing precedes it)")
         live[i, lay.supervise_from - 1 : t1 - 1] = True
-    flat = T.reshape(T.slice_axis(logits, 1, 0, s - 1), (b * (s - 1), v))
-    return T.cross_entropy(flat, tokens[:, 1:].reshape(-1), ignore_mask=~live.reshape(-1))
+    return live
+
+
+def lm_loss(logits, layouts, tokens):
+    """Next-token cross entropy over supervised positions only.
+
+    tokens: [B, S] int array of packed ids; layouts: one SequenceLayout
+    per sequence. Position t is supervised iff supervise_from <= t <
+    text_end, predicted from the logits at t-1. logits: [B, S, V] at
+    every position, or [n, V] holding just the n predictions of the
+    supervised positions, in the row-major order of ``supervised``.
+    """
+    b, s = tokens.shape
+    live = supervised(layouts, s)
+    targets = tokens[:, 1:]
+    if logits.data.ndim == 2:
+        return T.cross_entropy(logits, targets[live])
+    flat = T.reshape(T.slice_axis(logits, 1, 0, s - 1), (b * (s - 1), logits.data.shape[-1]))
+    return T.cross_entropy(flat, targets.reshape(-1), ignore_mask=~live.reshape(-1))
 
 
 def total_loss(distill, lm):

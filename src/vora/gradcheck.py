@@ -173,6 +173,22 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
         return (lambda: T.rope(x, cos, sin, 2)), [x]
 
+    def holes(rng, shape, n):
+        # distinct row numbers below n, with some -1 holes
+        rows = rng.permutation(n)[: int(np.prod(shape))].reshape(shape)
+        rows[rng.random(shape) < 0.3] = -1
+        return rows
+
+    def case_gather_rows(rng):
+        a = _rand(rng, 7, *lead(rng), 3)
+        rows = holes(rng, (2, 3), 7)
+        return (lambda: T.gather_rows(a, rows)), [a]
+
+    def case_scatter_rows(rng):
+        a = _rand(rng, 2, 3, *lead(rng), 3)
+        rows = holes(rng, (2, 3), 8)
+        return (lambda: T.scatter_rows(a, rows, 8)), [a]
+
     def case_softmax(rng):
         a = _rand(rng, *lead(rng), 4, 5)
         mask = np.zeros((4, 5), dtype=np.float32)  # broadcast over any leading dim
@@ -208,6 +224,8 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("reshape", case_reshape)
     run("concat", case_concat)
     run("slice_axis", case_slice)
+    run("gather_rows", case_gather_rows)
+    run("scatter_rows", case_scatter_rows)
     run("embedding", case_embedding)
     run("gelu", case_gelu)
     run("silu", case_silu)
@@ -233,7 +251,8 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
 
     Two batches: "fixed" (one 8x8 image row, one text row) and
     "mixed-grid" (a text row and two images on different grids, so the
-    distillation term averages over two grid runs). Checks a
+    teacher groups its attention by image and the distillation term
+    weighs the rows of two grids). Checks a
     deterministic entry sample of every trainable tensor (all entries
     when a tensor has at most max_entries). Returns (results,
     all_passed) with per-tensor worst errors, named "<batch>/<tensor>".

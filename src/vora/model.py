@@ -1,5 +1,6 @@
 """Decoder-only student model: pre-norm blocks, RMS-norm, SiLU-gated FFN,
-rotary positions, hybrid vision/text attention masks, per-block taps.
+rotary positions, hybrid vision/text attention masks, per-block taps. The
+stack runs on padded sequences or, token-major, on a batch's live tokens.
 ``attention`` is the multi-head attention of the student and the teacher;
 ``init_tensors`` draws every tensor owner's init from its ``shapes`` table.
 
@@ -160,17 +161,24 @@ def rope_tables(seq_len, head_dim, base=10000.0):
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
 
-def attention(q, k, v, mask, n_heads, rope=None, cache=None):
-    """Multi-head scaled dot-product attention on [B, S, d] projections.
+def attention(q, k, v, mask, n_heads, rope=None, cache=None, rows=None):
+    """Multi-head scaled dot-product attention on [B, S, d] projections,
+    or on flat [N, d] ones with ``rows``.
 
     Splits heads, rotates q and k by the rope (cos, sin) [S, hd/2]
     arrays of ``rope_tables`` when given, softmaxes the scaled scores
     under the additive mask ([S, L], or [B, S, L] per sequence) and
     merges heads back to [B, S, d].
+    rows: [B, S] index of each sequence position into the N flat rows
+    (-1 at padding); q, k and v are gathered into [B, S, d] and the
+    context is scattered back to [N, d].
     cache: one block's list of post-RoPE [k, v] ([B, heads, L, hd]); when
     given, the new keys and values are appended to it and the queries
     attend over all L of them.
     """
+    if rows is not None:
+        n = q.data.shape[0]
+        q, k, v = (T.gather_rows(t, rows) for t in (q, k, v))
     b, s, d = q.data.shape
     hd = d // n_heads
 
@@ -185,7 +193,10 @@ def attention(q, k, v, mask, n_heads, rope=None, cache=None):
         cache[:] = [k, v]
     scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(hd))
     probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
-    return T.reshape(T.swap(T.matmul(probs, v), 1, 2), (b, s, d))
+    ctx = T.swap(T.matmul(probs, v), 1, 2)  # [B, S, heads, hd]
+    if rows is None:
+        return T.reshape(ctx, (b, s, d))
+    return T.reshape(T.scatter_rows(ctx, rows, n), (n, d))
 
 
 class Model:
@@ -232,7 +243,8 @@ class Model:
         """An empty K/V cache for ``forward``: one [k, v] list per block."""
         return [[] for _ in range(self.cfg.n_llm)]
 
-    def forward(self, embedded, mask, adapters=None, collect_taps=True, cache=None):
+    def forward(self, embedded, mask, adapters=None, collect_taps=True, cache=None, rows=None,
+                logit_rows=None):
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [S, d] or [B, S, d] with vision embeddings
@@ -242,11 +254,17 @@ class Model:
         cache (from ``new_cache``): the inputs extend the L positions
         cached so far; they take positions L..L+S-1, the mask is
         [S, L+S], and their keys and values join the cache.
+        rows (token-major batch): embedded is [N, d], the batch's live
+        tokens in the flat order rows [B, S] indexes (-1 at padding, see
+        ``data.PackedBatch.rows``), and the mask is [B, S, S]. Norms,
+        linear layers, adapter deltas, the FFN and the residuals run on
+        the N rows; only attention sees [B, S] sequences. Taps are
+        [N, d], logits [N, vocab], or only the logit_rows rows of them.
         """
         cfg = self.cfg
-        squeeze = embedded.data.ndim == 2
+        squeeze = embedded.data.ndim == 2 and rows is None
         x = T.reshape(embedded, (1,) + embedded.data.shape) if squeeze else embedded
-        _, s, d = x.data.shape
+        s = x.data.shape[1] if rows is None else rows.shape[1]
         past = cache[0][0].data.shape[2] if cache is not None and cache[0] else 0
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
@@ -256,7 +274,7 @@ class Model:
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"], eps=1e-6)
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            ctx = attention(q, k, v, mask, cfg.n_heads, rope, None if cache is None else cache[i])
+            ctx = attention(q, k, v, mask, cfg.n_heads, rope, None if cache is None else cache[i], rows)
             x = x + self._linear(ctx, i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"], eps=1e-6)
@@ -265,9 +283,11 @@ class Model:
             x = x + self._linear(T.mul(T.silu(gate), up), i, "ffn_down", adapters)
 
             if collect_taps and i < cfg.n_vit:
-                tap = T.reshape(x, (s, d)) if squeeze else x
+                tap = T.reshape(x, (s, cfg.d_model)) if squeeze else x
                 taps.append(BlockTap(block_index=i, hidden=tap))
 
+        if logit_rows is not None:
+            x = T.gather_rows(x, logit_rows)
         xn = T.rms_norm(x, self.params["llm.final_norm"], eps=1e-6)
         logits = T.linear(xn, self.params["llm.head"])
         if squeeze:

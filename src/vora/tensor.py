@@ -1,9 +1,10 @@
 """Dense float32 tensors with reverse-mode autodiff on an eager tape.
 
 The op set is exactly what the model stack needs: elementwise add/mul,
-scalar scale, (batched) matmul, transpose/reshape/concat/slice, embedding
-lookup, GELU/SiLU, RMS-norm, rotary positions (``rope``), masked row
-softmax, cross entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
+scalar scale, (batched) matmul, transpose/reshape/concat/slice, row
+gather/scatter by an index with -1 holes, embedding lookup, GELU/SiLU,
+RMS-norm, rotary positions (``rope``), masked row softmax, cross
+entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
 every linear layer: one tape node, one 2-D GEMM forward and one per
 operand gradient, whatever the leading dims of x. Heavy elementwise work
 is delegated to :mod:`vora.kernels`; matmul goes straight to BLAS.
@@ -326,6 +327,49 @@ def slice_axis(a, axis, start, stop):
         _accum(a, full)
 
     return _make(out, (a,), bwd)
+
+
+def _live(rows):
+    """Flat positions of the entries >= 0 of an int index, and those entries."""
+    flat = np.asarray(rows).reshape(-1)
+    at = np.flatnonzero(flat >= 0)
+    return at, flat[at]
+
+
+def _gather(x, shape, at, src):
+    # [*shape, ...]: row src[j] of x at flat position at[j], zero elsewhere
+    out = np.zeros((int(np.prod(shape)),) + x.shape[1:], dtype=np.float32)
+    out[at] = x[src]
+    return out.reshape(shape + x.shape[1:])
+
+
+def _scatter(x, n, at, dst, ndim):
+    # [n, ...]: flat entry at[j] of x (leading ndim axes flattened) at row dst[j], zero elsewhere
+    tail = x.shape[ndim:]
+    out = np.zeros((n,) + tail, dtype=np.float32)
+    out[dst] = x.reshape((-1,) + tail)[at]
+    return out
+
+
+def gather_rows(a, rows):
+    """Rows of a [N, ...] tensor picked by an int index of any shape:
+    out[j] = a[rows[j]], a zero row where rows[j] is -1. The picked rows
+    must be distinct; ``scatter_rows`` is the backward."""
+    rows = np.asarray(rows)
+    at, src = _live(rows)
+    n = a.data.shape[0]
+    return _make(_gather(a.data, rows.shape, at, src), (a,),
+                 lambda g: _accum(a, _scatter(g, n, at, src, rows.ndim)))
+
+
+def scatter_rows(a, rows, n):
+    """The adjoint of ``gather_rows``: [n, ...] rows from a [*rows.shape, ...]
+    tensor, out[rows[j]] = a[j] for every rows[j] >= 0 (distinct), zero
+    rows where no entry points; entries at -1 are dropped."""
+    rows = np.asarray(rows)
+    at, dst = _live(rows)
+    return _make(_scatter(a.data, n, at, dst, rows.ndim), (a,),
+                 lambda g: _accum(a, _gather(g, rows.shape, at, dst)))
 
 
 def embedding(table, ids):

@@ -168,19 +168,28 @@ def pipeline_from_state(cfg, tensors, meta=None):
 # ---------------------------------------------------------------------------
 # batch forward
 
-def pack_embedded(pipe, batch):
-    """Differentiable splice: vision embeddings at the vision span, token
-    embeddings elsewhere; one vision-embed call per grid run."""
-    b, s = batch.tokens.shape
-    vis = [pipe.vembed.forward(patches, grid) for _, _, grid, patches in batch.runs]
-    tok = pipe.model.embed_tokens(batch.tokens)
+def grid_runs(batch):
+    """The batch's (grid, n_images) runs, as the vision embed and the
+    teacher take them with its flat patch stack."""
+    return [(grid, end - start) for start, end, grid, _ in batch.runs]
+
+
+def embed_batch(pipe, batch):
+    """[N, d] embeddings of the batch's live tokens in its flat order
+    (``PackedBatch.rows``): one vision-embed call over every patch, then
+    the token embeddings of the text spans."""
+    rows = batch.rows
+    tok = pipe.model.embed_tokens(batch.tokens[rows >= batch.n_vision])
     if not batch.runs:
         return tok
-    parts = [T.concat([v, T.slice_axis(T.slice_axis(tok, 0, start, end), 1, grid[0] * grid[1], s)], axis=1)
-             for v, (start, end, grid, _) in zip(vis, batch.runs)]
-    if batch.n_image < b:
-        parts.append(T.slice_axis(tok, 0, batch.n_image, b))
-    return parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+    return T.concat([pipe.vembed.forward(batch.patches, grid_runs(batch)), tok], axis=0)
+
+
+def pack_embedded(pipe, batch):
+    """[B, S, d] padded embeddings: ``embed_batch`` placed at each
+    sequence's positions, zero at padding. The padded input of
+    ``Model.forward`` (merge probe, decode prefix, tests)."""
+    return T.gather_rows(embed_batch(pipe, batch), batch.rows)
 
 
 def batch_masks(batch, mask_mode):
@@ -196,29 +205,27 @@ class LossOut:
     per_block: list = field(default_factory=list)
 
 
-def _sum_terms(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
-
-
 def compute_losses(pipe, batch, mask_mode, distill_mode):
-    """LM loss plus the distillation term of ``distill_mode``.
+    """LM loss plus the distillation term of ``distill_mode``, token-major.
 
-    block_wise averages the per-block terms over blocks 0..n_vit-1,
-    last_block keeps the final distilled block only, none adds an exact
-    0 with no graph edges. Each block's term is
-    sum over grid runs g of (n_g / n_image) * block_distill_loss(run g),
-    i.e. the mean over images of their per-image cosine loss.
+    The student runs on the batch's N live tokens (``embed_batch``, then
+    ``Model.forward`` with the batch's rows), and its head only on the
+    rows that predict a supervised token. block_wise averages the
+    per-block terms over blocks 0..n_vit-1, last_block keeps the final
+    distilled block only, none adds an exact 0 with no graph edges. A
+    block's term is one weighted cosine over all vision rows of its tap
+    against one teacher pass over every patch, row weight
+    1/(n_image * S_image): the mean over images of their per-image
+    cosine loss.
     """
     if distill_mode not in distill.DISTILL_MODES:
         raise ValueError(f"unknown distill_mode {distill_mode!r}")
     cfg = pipe.cfg
     need_distill = distill_mode != "none" and batch.n_image > 0
-    embedded = pack_embedded(pipe, batch)
-    masks = batch_masks(batch, mask_mode)
-    logits, taps = pipe.model.forward(embedded, masks, pipe.adapters, collect_taps=need_distill)
+    rows = batch.rows
+    head_rows = rows[:, :-1][distill.supervised(batch.layouts, rows.shape[1])]
+    logits, taps = pipe.model.forward(embed_batch(pipe, batch), batch_masks(batch, mask_mode), pipe.adapters,
+                                      collect_taps=need_distill, rows=rows, logit_rows=head_rows)
     lm = distill.lm_loss(logits, batch.layouts, batch.tokens)
 
     if not need_distill:
@@ -227,22 +234,16 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
 
     if len(pipe.heads) < cfg.n_vit:
         raise T.ShapeError(f"{len(pipe.heads)} aux heads for {cfg.n_vit} distilled blocks")
-    runs = batch.runs
-    # one gradient-free teacher forward per run: per block [n_run, S_run, d_vit]
-    tstates = [pipe.teacher.forward_batch(patches, grid) for _, _, grid, patches in runs]
-    blocks = distill.distilled_blocks(distill_mode, cfg.n_vit)
-    # vision-span rows of each distilled tap, one slice per grid run
-    vis = [[T.slice_axis(T.slice_axis(taps[blk].hidden, 0, start, end), 1, 0, grid[0] * grid[1])
-            for start, end, grid, _ in runs] for blk in blocks]
-    per_block_t = []
-    for blk, spans in zip(blocks, vis):
-        terms = [distill.block_distill_loss(h, states[blk], pipe.heads[blk]) for h, states in zip(spans, tstates)]
-        if len(terms) > 1:
-            terms = [T.scale(t, (end - start) / batch.n_image) for t, (start, end, _, _) in zip(terms, runs)]
-        per_block_t.append(_sum_terms(terms))
-
+    runs = grid_runs(batch)
+    states = pipe.teacher.forward_batch(batch.patches, runs)  # per block [n_vision, d_vit]
+    weights = np.concatenate([np.full(n * r * c, 1.0 / (batch.n_image * r * c), dtype=np.float32)
+                              for (r, c), n in runs])
+    per_block_t = [distill.block_distill_loss(T.slice_axis(taps[blk].hidden, 0, 0, batch.n_vision), states[blk],
+                                              pipe.heads[blk], weights)
+                   for blk in distill.distilled_blocks(distill_mode, cfg.n_vit)]
     per_block = [float(t.data) for t in per_block_t]
-    dist = per_block_t[0] if len(per_block_t) == 1 else T.scale(_sum_terms(per_block_t), 1.0 / len(per_block_t))
+    dist = per_block_t[0] if len(per_block_t) == 1 else T.scale(sum(per_block_t[1:], per_block_t[0]),
+                                                                   1.0 / len(per_block_t))
     return LossOut(distill.total_loss(dist, lm), lm, dist, per_block)
 
 

@@ -58,6 +58,28 @@ def sincos_grid(rows, cols, dim):
     return pe
 
 
+def positions(patches, grid, dim):
+    """Positional rows of a patch stack: ``sincos_grid`` [S, dim] of one
+    grid (rows, cols) for a [..., S, patch*patch*3] stack, or, for a flat
+    stack and a list of (grid, n_images) runs, each run's table once per
+    image, in run order. PatchError unless they match the stack's rows."""
+    if isinstance(grid, tuple):
+        pe = sincos_grid(*grid, dim)
+    else:
+        pe = np.concatenate([np.tile(sincos_grid(*g, dim), (n, 1)) for g, n in grid])
+    if patches.shape[-2] != pe.shape[0]:
+        raise PatchError(f"{patches.shape[-2]} patches but {pe.shape[0]} positions for grid {grid}")
+    return pe
+
+
+def image_rows(runs):
+    """[n_image, S_max] index of each image's rows in the flat patch stack
+    of a list of (grid, n_images) runs, -1 past an image's last patch."""
+    sizes = np.concatenate([np.full(n, rows * cols) for (rows, cols), n in runs])
+    col = np.arange(sizes.max())[None, :]
+    return np.where(col < sizes[:, None], (np.cumsum(sizes) - sizes)[:, None] + col, -1)
+
+
 class VisionEmbed:
     """Two-layer MLP (GELU between) projecting patches to model width,
     plus the parameter-free positional term."""
@@ -77,15 +99,14 @@ class VisionEmbed:
         return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed), requires_grad=True))
 
     def forward(self, patches, grid):
-        """patches [S, patch*patch*3] or [n, S, patch*patch*3] float32,
-        grid (rows, cols)."""
-        rows, cols = grid
-        s = patches.shape[-2]
-        if s != rows * cols:
-            raise PatchError(f"{s} patches but grid {rows}x{cols}")
+        """Embedded patch rows: patches [S, patch*patch*3] or
+        [n, S, patch*patch*3] on one grid (rows, cols), or the flat
+        [N, patch*patch*3] stack of a batch with grid its list of
+        (grid, n_images) runs, all images in one call."""
+        pe = positions(patches, grid, self.cfg.d_model)
         h = T.gelu(T.linear(T.constant(patches), self.params["vembed.fc1"]))
         y = T.linear(h, self.params["vembed.fc2"])
-        return y + T.constant(sincos_grid(rows, cols, self.cfg.d_model))
+        return y + T.constant(pe)
 
 
 class Teacher:
@@ -114,16 +135,22 @@ class Teacher:
     def init(cls, cfg, seed=100):
         return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed)))
 
-    def blocks_forward(self, x):
-        """Stack body on [B, S, d_vit]; caller controls the tape."""
-        s = x.data.shape[1]
-        zero_mask = np.zeros((s, s), dtype=np.float32)  # bi-directional
+    def blocks_forward(self, x, images=None):
+        """Stack body on [B, S, d_vit], attention within each sequence; or
+        on flat [N, d_vit] rows, attention then within each image, whose
+        rows ``images`` ([n_image, S_max], see ``image_rows``) lists.
+        Caller controls the tape."""
+        if images is None:
+            s = x.data.shape[1]
+            mask = np.zeros((s, s), dtype=np.float32)  # bi-directional
+        else:  # bi-directional over the image's own rows
+            mask = np.where(images[:, None, :] >= 0, np.float32(0.0), np.float32(T.NEG_MASK))
         states = []
         for i in range(self.cfg.n_vit):
             w = lambda name: self.params[f"teacher.blocks.{i}.{name}"]
             h = T.rms_norm(x, w("attn_norm"), eps=1e-6)
             q, k, v = (T.linear(h, w(name)) for name in ("q", "k", "v"))
-            x = x + T.linear(attention(q, k, v, zero_mask, self.cfg.vit_heads), w("o"))
+            x = x + T.linear(attention(q, k, v, mask, self.cfg.vit_heads, rows=images), w("o"))
             h = T.rms_norm(x, w("ffn_norm"), eps=1e-6)
             x = x + T.linear(T.gelu(T.linear(h, w("fc1"))), w("fc2"))
             states.append(x)
@@ -131,14 +158,21 @@ class Teacher:
 
     def embed_patches(self, patches, grid):
         """Patch embedding plus sinusoidal positions of a float32 patch
-        stack [..., S, patch*patch*3]: [..., S, d_vit]."""
-        rows, cols = grid
+        stack, grid as in ``VisionEmbed.forward``: [..., S, d_vit]."""
+        pe = positions(patches, grid, self.cfg.d_vit)
         x = T.linear(T.constant(patches), self.params["teacher.patch_embed"])
-        return x + T.constant(sincos_grid(rows, cols, self.cfg.d_vit))
+        return x + T.constant(pe)
 
     def forward_batch(self, patches, grid):
-        """Per-block states of a patch stack [B, S, patch*patch*3] on one
-        grid: list (length n_vit) of [B, S, d_vit] arrays, gradient-free."""
+        """Per-block states (list of n_vit float32 arrays), gradient-free.
+
+        A [B, S, patch*patch*3] stack on one grid (rows, cols) gives
+        [B, S, d_vit] states. The flat [N, patch*patch*3] stack of a batch,
+        grid its list of (grid, n_images) runs, gives [N, d_vit] states in
+        one pass: every linear layer runs on all N rows, and only attention
+        groups them, image by image.
+        """
+        images = None if isinstance(grid, tuple) else image_rows(grid)
         with T.no_grad():
-            states = self.blocks_forward(self.embed_patches(patches, grid))
+            states = self.blocks_forward(self.embed_patches(patches, grid), images)
         return [st.data for st in states]

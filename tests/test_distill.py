@@ -101,7 +101,7 @@ class TestDistillLoss:
         """compute_losses with block b's cosine term pinned to values[b]."""
         pipe = nano_pipe(n_vit=len(values))
         monkeypatch.setattr(distill, "block_distill_loss",
-                            lambda h, v, head: T.constant(np.float32(values[head.block_index])))
+                            lambda h, v, head, weights: T.constant(np.float32(values[head.block_index])))
         return trainer.compute_losses(pipe, image_batch(sizes), "hybrid", mode)
 
     def test_mean_of_constant_blocks(self, monkeypatch):
@@ -119,18 +119,23 @@ class TestDistillLoss:
         npt.assert_allclose(out.dist.item(), 0.9, atol=1e-6)
 
     def test_grid_runs_weighted_by_image_count(self, monkeypatch):
-        # one run per grid; each run's term is its vision-token count here
+        # one call per block over every image's vision rows; each image's
+        # rows share weight 1/n_image, so the term is the mean over images
         pipe = nano_pipe(n_vit=1)
         calls = []
 
-        def fake(h, v, head):
-            calls.append(h.data.shape[:2])
-            return T.constant(np.float32(v.shape[1]))
+        def fake(h, v, head, weights):
+            calls.append((h.data.shape[0], v.shape[0], weights))
+            return T.constant(np.float32(weights @ row_sizes))
 
         monkeypatch.setattr(distill, "block_distill_loss", fake)
+        sizes = [4, 6, 6]  # grid (2, 2) sorts before (2, 3)
+        row_sizes = np.repeat(sizes, sizes).astype(np.float32)  # each row's image token count
         out = trainer.compute_losses(pipe, image_batch([(8, 12), (8, 8), (8, 12)]), "hybrid", "block_wise")
-        assert calls == [(1, 4), (2, 6)]  # grid (2, 2) sorts before (2, 3)
-        npt.assert_allclose(out.dist.item(), (1 * 4 + 2 * 6) / 3, rtol=1e-6)
+        assert [c[:2] for c in calls] == [(16, 16)]
+        weights = calls[0][2]
+        npt.assert_allclose([weights[0:4].sum(), weights[4:10].sum(), weights[10:16].sum()], [1 / 3] * 3, rtol=1e-6)
+        npt.assert_allclose(out.dist.item(), np.mean(sizes), rtol=1e-6)
 
     def test_mode_none_zero_no_edges(self):
         out = trainer.compute_losses(nano_pipe(), image_batch([(8, 8)]), "hybrid", "none")

@@ -7,7 +7,7 @@ from vora.gradcheck import max_rel_error, op_suite
 
 ALL_OPS = {
     "add", "mul", "scale", "matmul", "linear", "transpose", "reshape", "concat",
-    "slice_axis", "embedding", "gelu", "silu", "rms_norm", "rope", "softmax_rows",
+    "slice_axis", "gather_rows", "scatter_rows", "embedding", "gelu", "silu", "rms_norm", "rope", "softmax_rows",
     "cross_entropy", "tsum", "power",
 }
 

@@ -213,6 +213,23 @@ def test_concat_and_slice_roundtrip():
     npt.assert_array_equal(T.slice_axis(cat, 0, 2, 4).data, b.data)
 
 
+def test_gather_and_scatter_rows_zero_holes_and_own_their_memory():
+    a = tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
+    rows = np.array([[2, -1], [0, 3]])
+    out = T.gather_rows(a, rows)
+    npt.assert_array_equal(out.data, [[a.data[2], np.zeros(3)], [a.data[0], a.data[3]]])
+    assert not np.shares_memory(out.data, a.data)
+    T.backward(T.tsum(T.mul(out, T.constant(np.full((2, 2, 3), 5.0, dtype=np.float32)))))
+    npt.assert_array_equal(a.grad, [[5] * 3, [0] * 3, [5] * 3, [5] * 3])  # row 1 is picked by no entry
+
+    ctx = tensor(np.arange(12, dtype=np.float32).reshape(2, 2, 3), requires_grad=True)
+    back = T.scatter_rows(ctx, rows, 4)
+    npt.assert_array_equal(back.data, [ctx.data[1, 0], np.zeros(3), ctx.data[0, 0], ctx.data[1, 1]])
+    assert not np.shares_memory(back.data, ctx.data)
+    T.backward(T.tsum(back))
+    npt.assert_array_equal(ctx.grad, [[[1] * 3, [0] * 3], [[1] * 3, [1] * 3]])  # the -1 entry gets none
+
+
 def _grads(make_out, inputs, r):
     """Forward output and each input's gradient of sum(out * r)."""
     for t in inputs:

@@ -227,8 +227,9 @@ class TestGridRuns:
         assert abs(dist(samples) - np.mean(singles)) <= 1e-6
 
     def test_each_image_patchified_once_per_step(self, monkeypatch):
-        # the batch carries each grid's patch stack; the vision embed and the
-        # teacher both read it, so a step patchifies each image exactly once
+        # the batch carries every image's patches in one stack; the vision
+        # embed and the teacher both read it, so a step patchifies each image
+        # exactly once
         calls = []
 
         def counting(image, patch):
@@ -244,6 +245,79 @@ class TestGridRuns:
         with T.no_grad():
             trainer.compute_losses(trainer.build_pipeline(cfg, seed=0), batch, "hybrid", "block_wise")
         assert len(calls) == 8
+
+
+class TestTokenMajor:
+    """The token-major path of compute_losses against the padded forward it
+    replaced and against one-sample batches."""
+
+    CFG = dict(n_llm=3, n_vit=2, d_model=32, d_vit=24, n_heads=2, d_ff=64, rank=4, vit_heads=2)
+    RESOLUTIONS = {"fixed": [(32, 32)] * 3, "anyres": [(16, 24), (32, 32), (16, 16), (24, 16)],
+                   "text": [], "image": [(32, 24), (32, 24), (16, 32)]}
+    N_TEXT = {"fixed": 2, "anyres": 2, "text": 4, "image": 0}
+
+    def _pipe(self):
+        pipe = trainer.build_pipeline(ModelConfig(**self.CFG), seed=3)
+        rng = np.random.default_rng(4)
+        for ad in pipe.adapters:  # non-zero deltas, so the adapter path is checked too
+            ad.b.data = (0.05 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
+        return pipe
+
+    def _samples(self, kind):
+        images = [data.gen_image_caption(10 + i, hw) for i, hw in enumerate(self.RESOLUTIONS[kind])]
+        return images + [data.gen_text_sample(20 + i) for i in range(self.N_TEXT[kind])]
+
+    @staticmethod
+    def _padded_embedding(pipe, batch):
+        """The padded input built image by image: each image's vision-embed
+        rows on its own grid at its vision span, token embeddings elsewhere
+        (PAD included)."""
+        emb = pipe.model.embed_tokens(batch.tokens).data.copy()
+        for start, end, grid, patches in batch.runs:
+            for row, stack in zip(range(start, end), patches):
+                emb[row, : grid[0] * grid[1]] = pipe.vembed.forward(stack, grid).data
+        return T.constant(emb)
+
+    @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+    @pytest.mark.parametrize("kind", ["fixed", "anyres", "text", "image"])
+    def test_flat_forward_matches_padded_forward(self, kind, mask_mode):
+        pipe = self._pipe()
+        batch = data.pack_samples(self._samples(kind), 8, 160)
+        rows = batch.rows
+        live = rows >= 0
+        masks = trainer.batch_masks(batch, mask_mode)
+        with T.no_grad():
+            ref = self._padded_embedding(pipe, batch)
+            npt.assert_allclose(trainer.pack_embedded(pipe, batch).data[live], ref.data[live], atol=1e-6)
+            want, want_taps = pipe.model.forward(ref, masks, pipe.adapters)
+            got, got_taps = pipe.model.forward(trainer.embed_batch(pipe, batch), masks, pipe.adapters, rows=rows)
+        assert got.shape == (live.sum(), pipe.cfg.vocab)
+        npt.assert_allclose(got.data[rows[live]], want.data[live], atol=1e-5)
+        for g, w in zip(got_taps, want_taps):
+            npt.assert_allclose(g.hidden.data[rows[live]], w.hidden.data[live], atol=1e-5)
+
+    @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+    @pytest.mark.parametrize("kind", ["fixed", "anyres", "text", "image"])
+    def test_batch_losses_are_weighted_single_sample_losses(self, kind, mask_mode):
+        # lm: mean over supervised tokens; dist and per_block: mean over images
+        pipe = self._pipe()
+        samples = self._samples(kind)
+
+        def losses(batch_samples):
+            with T.no_grad():
+                return trainer.compute_losses(pipe, data.pack_samples(batch_samples, 8, 160), mask_mode,
+                                              "block_wise")
+
+        out = losses(samples)
+        singles = [losses([smp]) for smp in samples]
+        n_sup = [len(smp.answer_tokens) + 1 for smp in samples]  # answer and EOS
+        npt.assert_allclose(out.lm.item(), np.dot(n_sup, [o.lm.item() for o in singles]) / sum(n_sup), rtol=2e-6)
+        images = [o for smp, o in zip(samples, singles) if smp.image is not None]
+        if not images:
+            assert out.dist.item() == 0.0 and out.per_block == []
+            return
+        npt.assert_allclose(out.dist.item(), np.mean([o.dist.item() for o in images]), rtol=2e-6)
+        npt.assert_allclose(out.per_block, np.mean([o.per_block for o in images], axis=0), rtol=2e-6)
 
 
 class TestFinetune:
