@@ -59,6 +59,7 @@ def cmd_pretrain(args):
     run_cfg = config.parse_file(args.config)
     mcfg = run_cfg.model_config()
     dcfg = run_cfg.data_config()
+    config.check_data_fits(dcfg, mcfg, args.config)
     tcfg = run_cfg.train_config()
     if tcfg.mode == "finetune":
         raise config.ConfigFileError("mode=finetune: use the finetune command")
@@ -137,6 +138,7 @@ def cmd_ablate(args):
     run_cfg = config.parse_file(args.config)
     mcfg = run_cfg.model_config()
     dcfg = run_cfg.data_config()
+    config.check_data_fits(dcfg, mcfg, args.config)
     tcfg = run_cfg.train_config()
     grid = list(itertools.product(run_cfg["ablate_masks"], run_cfg["ablate_distills"],
                                   run_cfg["ablate_ranks"]))

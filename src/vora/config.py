@@ -5,9 +5,11 @@ errors. Every key has a documented default except ``seed``, which must
 be set explicitly: all randomness flows from it. Parsing builds the
 model, training and data configs, so an out-of-range value is a
 ConfigFileError before any work starts (``vora ablate`` checks its grid
-cells the same way, and ``vora eval``/``vora finetune`` check the data
-keys against the checkpoint's model with ``check_data_fits``). A list
-key repeats no value. ``normalize`` renders the resolved config in a
+cells the same way). Whether the data keys fit a model
+(``check_data_fits``) is checked against the model that will run: the
+run config's under ``vora pretrain`` and ``vora ablate``, the
+checkpoint's under ``vora eval`` and ``vora finetune``. A list key
+repeats no value. ``normalize`` renders the resolved config in a
 canonical form that parses back identically.
 """
 
@@ -163,14 +165,13 @@ def parse_text(text, source="<config>"):
         else:
             values[key] = default
     run = RunConfig(values)
-    try:
-        mcfg, _, dcfg = run.model_config(), run.train_config(), run.data_config()
+    try:  # building each config checks its keys' ranges
+        run.model_config(), run.train_config(), run.data_config()
     except ValueError as exc:
         raise ConfigFileError(f"{source}: {exc}") from exc
     if values["vocab"] < VOCAB_SIZE:
         raise ConfigFileError(f"{source}: vocab ({values['vocab']}) must cover the "
                               f"{VOCAB_SIZE}-word data vocabulary")
-    check_data_fits(dcfg, mcfg, source)
     return run
 
 

@@ -262,12 +262,18 @@ class PackedBatch:
     tokens: np.ndarray  # [B, S] int64, IMG in vision spans, PAD tail
     layouts: list
     patches: np.ndarray  # [n_vision, patch*patch*3]: every image's patch rows, image after image
-    runs: list  # (start, end, grid, patches [n, S, patch*patch*3]) per grid over the image rows; views of `patches`
     grids: list  # (rows, cols) | None per sequence
 
     @property
     def n_image(self):
-        return self.runs[-1][1] if self.runs else 0
+        return sum(grid is not None for grid in self.grids)
+
+    @property
+    def runs(self):
+        """(grid, n_images) per run of equal grids over the image rows, in
+        row order: the runs of ``patches`` that the vision embed and the
+        teacher take with it."""
+        return [(grid, len(list(group))) for grid, group in groupby(g for g in self.grids if g is not None)]
 
     @property
     def n_vision(self):
@@ -328,8 +334,7 @@ def pack_samples(samples, patch, max_seq):
 
     Rows are reordered: image samples first, stable-sorted by grid, then
     text samples in their given order, so rows sharing a grid are adjacent.
-    Each image is patchified once, into the batch's flat patch stack; each
-    grid's run views its images' part of it as [n, S, patch*patch*3].
+    Each image is patchified once, into the batch's flat patch stack.
     """
     ordered = sorted(samples, key=lambda smp: (smp.image is None, _grid(smp, patch) or ()))
     rows = []
@@ -344,17 +349,11 @@ def pack_samples(samples, patch, max_seq):
         rows.append(ids)
     images = [patchify(sample.image, patch) for sample in ordered if sample.image is not None]
     patches = np.concatenate(images) if images else np.zeros((0, patch * patch * 3), dtype=np.float32)
-    runs = []
-    start = row = 0
-    for grid, group in groupby(grids[:len(images)]):
-        n, s_v = len(list(group)), grid[0] * grid[1]
-        runs.append((start, start + n, grid, patches[row:row + n * s_v].reshape(n, s_v, -1)))
-        start, row = start + n, row + n * s_v
     s_max = max(len(r) for r in rows)
     tokens = np.full((len(rows), s_max), PAD, dtype=np.int64)
     for i, r in enumerate(rows):
         tokens[i, : len(r)] = r
-    return PackedBatch(tokens=tokens, layouts=layouts, patches=patches, runs=runs, grids=grids)
+    return PackedBatch(tokens=tokens, layouts=layouts, patches=patches, grids=grids)
 
 
 def make_batch(rng, batch_size, image_fraction=None, dcfg=None, max_seq=160, heldout=False):

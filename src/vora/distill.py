@@ -93,21 +93,23 @@ def supervised(layouts, s):
 
 
 def lm_loss(logits, layouts, tokens):
-    """Next-token cross entropy over supervised positions only.
+    """Next-token cross entropy, the mean over supervised positions only.
 
     tokens: [B, S] int array of packed ids; layouts: one SequenceLayout
     per sequence. Position t is supervised iff supervise_from <= t <
-    text_end, predicted from the logits at t-1. logits: [B, S, V] at
-    every position, or [n, V] holding just the n predictions of the
-    supervised positions, in the row-major order of ``supervised``.
+    text_end, predicted from the logits at t-1. logits: [n, V] holding
+    just the n predictions of the supervised positions, in the row-major
+    order of ``supervised``, or [B, S, V] at every position, whose
+    supervised rows are picked first; either way one cross entropy over
+    those n rows, so padding and unsupervised positions never count.
     """
     b, s = tokens.shape
     live = supervised(layouts, s)
-    targets = tokens[:, 1:]
-    if logits.data.ndim == 2:
-        return T.cross_entropy(logits, targets[live])
-    flat = T.reshape(T.slice_axis(logits, 1, 0, s - 1), (b * (s - 1), logits.data.shape[-1]))
-    return T.cross_entropy(flat, targets.reshape(-1), ignore_mask=~live.reshape(-1))
+    if logits.data.ndim == 3:
+        v = logits.data.shape[-1]
+        at = np.arange(b * s).reshape(b, s)[:, :-1][live]
+        logits = T.gather_rows(T.reshape(logits, (b * s, v)), at)
+    return T.cross_entropy(logits, tokens[:, 1:][live])
 
 
 def total_loss(distill, lm):

@@ -200,9 +200,7 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     def case_cross_entropy(rng):
         logits = _rand(rng, 6, 5)
         targets = rng.integers(0, 5, size=6)
-        ignore = rng.random(6) < 0.3
-        ignore[0] = False
-        return (lambda: T.cross_entropy(logits, targets, ignore)), [logits]
+        return (lambda: T.cross_entropy(logits, targets)), [logits]
 
     def case_tsum(rng):
         a = _rand(rng, 3, 4)

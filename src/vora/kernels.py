@@ -72,20 +72,19 @@ def rmsnorm_gain_bwd(x, inv, gout):
     return np.sum(gout * x * inv, axis=tuple(range(x.ndim - 1)))
 
 
-def ce_fwd(logits, targets, live):
+def ce_fwd(logits, targets):
     m = logits.max(axis=-1, keepdims=True)
     e = np.exp(logits - m)
     z = e.sum(axis=-1, keepdims=True)
     probs = e / z
     lse = (np.log(z) + m)[:, 0]
     nll = lse - logits[np.arange(logits.shape[0]), targets]
-    return np.where(live, nll, 0.0), probs
+    return nll, probs
 
 
-def ce_bwd(probs, targets, live, scale):
+def ce_bwd(probs, targets, scale):
     g = probs * scale
     g[np.arange(probs.shape[0]), targets] -= scale
-    g[~live] = 0.0
     return g
 
 

@@ -461,11 +461,12 @@ def softmax_rows(a, additive_mask):
     return _make(probs, (a,), bwd)
 
 
-def cross_entropy(logits, targets, ignore_mask=None):
-    """Mean negative log-softmax probability over unignored positions.
+def cross_entropy(logits, targets):
+    """Mean over all t rows of the negative log-softmax probability of
+    the row's target.
 
-    logits: [t, V]; targets: int ids in [0, V); ignore_mask: bool[t],
-    True = excluded from the mean.
+    logits: [t, V] with t >= 1; targets: int ids in [0, V). A caller that
+    supervises only some rows picks them first (``distill.lm_loss``).
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects [t, V] logits, got {logits.data.shape}")
@@ -473,20 +474,15 @@ def cross_entropy(logits, targets, ignore_mask=None):
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (t,):
         raise ShapeError(f"targets shape {targets.shape} != ({t},)")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
+    if t == 0:
+        raise ValueError("cross_entropy of zero rows")
+    if targets.min() < 0 or targets.max() >= v:
         raise ValueError(f"target id out of range [0, {v})")
-    if ignore_mask is None:
-        live = np.ones(t, dtype=bool)
-    else:
-        live = ~np.asarray(ignore_mask, dtype=bool)
-    n_live = int(live.sum())
-    if n_live == 0:
-        raise ValueError("all positions ignored")
-    nll, probs = kernels.ce_fwd(logits.data, targets, live)
-    loss = np.float32(nll.sum(dtype=np.float64) / n_live)
+    nll, probs = kernels.ce_fwd(logits.data, targets)
+    loss = np.float32(nll.sum(dtype=np.float64) / t)
 
     def bwd(g):
-        _accum(logits, kernels.ce_bwd(probs, targets, live, float(g) / n_live))
+        _accum(logits, kernels.ce_bwd(probs, targets, float(g) / t))
 
     return _make(np.asarray(loss), (logits,), bwd)
 

@@ -168,21 +168,15 @@ def pipeline_from_state(cfg, tensors, meta=None):
 # ---------------------------------------------------------------------------
 # batch forward
 
-def grid_runs(batch):
-    """The batch's (grid, n_images) runs, as the vision embed and the
-    teacher take them with its flat patch stack."""
-    return [(grid, end - start) for start, end, grid, _ in batch.runs]
-
-
 def embed_batch(pipe, batch):
     """[N, d] embeddings of the batch's live tokens in its flat order
     (``PackedBatch.rows``): one vision-embed call over every patch, then
     the token embeddings of the text spans."""
     rows = batch.rows
     tok = pipe.model.embed_tokens(batch.tokens[rows >= batch.n_vision])
-    if not batch.runs:
+    if not batch.n_image:
         return tok
-    return T.concat([pipe.vembed.forward(batch.patches, grid_runs(batch)), tok], axis=0)
+    return T.concat([pipe.vembed.forward(batch.patches, batch.runs), tok], axis=0)
 
 
 def pack_embedded(pipe, batch):
@@ -234,7 +228,7 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
 
     if len(pipe.heads) < cfg.n_vit:
         raise T.ShapeError(f"{len(pipe.heads)} aux heads for {cfg.n_vit} distilled blocks")
-    runs = grid_runs(batch)
+    runs = batch.runs
     states = pipe.teacher.forward_batch(batch.patches, runs)  # per block [n_vision, d_vit]
     weights = np.concatenate([np.full(n * r * c, 1.0 / (batch.n_image * r * c), dtype=np.float32)
                               for (r, c), n in runs])
@@ -554,7 +548,7 @@ def warm_teacher(teacher, cfg, steps=200, seed=7):
     state = TrainState.create(trainable, {})
     warm_cfg = TrainConfig(lr=WARM_LR, warmup_steps=0, total_steps=max(steps, 1), seed=seed)
     h, w = cfg.patch * 4, cfg.patch * 4
-    grid = (h // cfg.patch, w // cfg.patch)
+    runs = [((h // cfg.patch, w // cfg.patch), WARM_BATCH)]
     zero = T.constant(np.zeros((), dtype=np.float32))
     for step in range(steps):
         patches = []
@@ -565,8 +559,8 @@ def warm_teacher(teacher, cfg, steps=200, seed=7):
             patches.append(vision.patchify(D.render_scene(shapes, h, w), cfg.patch))
 
         def loss_fn():
-            states = teacher.blocks_forward(teacher.embed_patches(np.stack(patches), grid))
-            pooled = T.tmean(states[-1], axis=1)  # [B, d_vit]
+            states = teacher.forward(np.concatenate(patches), runs)
+            pooled = T.tmean(T.reshape(states[-1], (WARM_BATCH, -1, cfg.d_vit)), axis=1)  # [B, d_vit]
             loss = T.cross_entropy(T.linear(pooled, head), np.asarray(labels))
             return LossOut(loss, loss, zero)
 

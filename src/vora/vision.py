@@ -58,17 +58,14 @@ def sincos_grid(rows, cols, dim):
     return pe
 
 
-def positions(patches, grid, dim):
-    """Positional rows of a patch stack: ``sincos_grid`` [S, dim] of one
-    grid (rows, cols) for a [..., S, patch*patch*3] stack, or, for a flat
-    stack and a list of (grid, n_images) runs, each run's table once per
-    image, in run order. PatchError unless they match the stack's rows."""
-    if isinstance(grid, tuple):
-        pe = sincos_grid(*grid, dim)
-    else:
-        pe = np.concatenate([np.tile(sincos_grid(*g, dim), (n, 1)) for g, n in grid])
-    if patches.shape[-2] != pe.shape[0]:
-        raise PatchError(f"{patches.shape[-2]} patches but {pe.shape[0]} positions for grid {grid}")
+def positions(patches, runs, dim):
+    """Positional rows [N, dim] of a flat [N, patch*patch*3] patch stack
+    and its list of (grid, n_images) runs: each run's ``sincos_grid``
+    table once per image, in run order. PatchError unless they match the
+    stack's rows."""
+    pe = np.concatenate([np.tile(sincos_grid(*grid, dim), (n, 1)) for grid, n in runs])
+    if patches.shape[0] != pe.shape[0]:
+        raise PatchError(f"{patches.shape[0]} patches but {pe.shape[0]} positions for runs {runs}")
     return pe
 
 
@@ -98,12 +95,11 @@ class VisionEmbed:
     def init(cls, cfg, seed=0):
         return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed), requires_grad=True))
 
-    def forward(self, patches, grid):
-        """Embedded patch rows: patches [S, patch*patch*3] or
-        [n, S, patch*patch*3] on one grid (rows, cols), or the flat
-        [N, patch*patch*3] stack of a batch with grid its list of
-        (grid, n_images) runs, all images in one call."""
-        pe = positions(patches, grid, self.cfg.d_model)
+    def forward(self, patches, runs):
+        """Embedded rows [N, d_model] of a batch's flat [N, patch*patch*3]
+        patch stack and its list of (grid, n_images) runs, all images in
+        one call."""
+        pe = positions(patches, runs, self.cfg.d_model)
         h = T.gelu(T.linear(T.constant(patches), self.params["vembed.fc1"]))
         y = T.linear(h, self.params["vembed.fc2"])
         return y + T.constant(pe)
@@ -112,8 +108,9 @@ class VisionEmbed:
 class Teacher:
     """Frozen toy ViT: patch embed + sinusoidal positions, pre-norm blocks
     with bi-directional attention and a GELU MLP; per-block outputs are
-    the distillation targets. All parameters have requires_grad False and
-    the forward runs with the tape disabled."""
+    the distillation targets. All parameters have requires_grad False
+    (``trainer.warm_teacher`` alone trains them), and training reads the
+    states through ``forward_batch``, with the tape disabled."""
 
     def __init__(self, cfg, params):
         self.cfg = cfg
@@ -135,16 +132,16 @@ class Teacher:
     def init(cls, cfg, seed=100):
         return cls(cfg, init_tensors(cls.shapes(cfg), np.random.default_rng(seed)))
 
-    def blocks_forward(self, x, images=None):
-        """Stack body on [B, S, d_vit], attention within each sequence; or
-        on flat [N, d_vit] rows, attention then within each image, whose
-        rows ``images`` ([n_image, S_max], see ``image_rows``) lists.
-        Caller controls the tape."""
-        if images is None:
-            s = x.data.shape[1]
-            mask = np.zeros((s, s), dtype=np.float32)  # bi-directional
-        else:  # bi-directional over the image's own rows
-            mask = np.where(images[:, None, :] >= 0, np.float32(0.0), np.float32(T.NEG_MASK))
+    def forward(self, patches, runs):
+        """Per-block states (list of n_vit [N, d_vit] Tensors) of a flat
+        [N, patch*patch*3] patch stack and its list of (grid, n_images)
+        runs: patch embedding plus sinusoidal positions, then the blocks.
+        Every linear layer runs on all N rows; attention is bi-directional
+        within each image. Caller controls the tape."""
+        pe = positions(patches, runs, self.cfg.d_vit)
+        images = image_rows(runs)
+        mask = np.where(images[:, None, :] >= 0, np.float32(0.0), np.float32(T.NEG_MASK))
+        x = T.linear(T.constant(patches), self.params["teacher.patch_embed"]) + T.constant(pe)
         states = []
         for i in range(self.cfg.n_vit):
             w = lambda name: self.params[f"teacher.blocks.{i}.{name}"]
@@ -156,23 +153,7 @@ class Teacher:
             states.append(x)
         return states
 
-    def embed_patches(self, patches, grid):
-        """Patch embedding plus sinusoidal positions of a float32 patch
-        stack, grid as in ``VisionEmbed.forward``: [..., S, d_vit]."""
-        pe = positions(patches, grid, self.cfg.d_vit)
-        x = T.linear(T.constant(patches), self.params["teacher.patch_embed"])
-        return x + T.constant(pe)
-
-    def forward_batch(self, patches, grid):
-        """Per-block states (list of n_vit float32 arrays), gradient-free.
-
-        A [B, S, patch*patch*3] stack on one grid (rows, cols) gives
-        [B, S, d_vit] states. The flat [N, patch*patch*3] stack of a batch,
-        grid its list of (grid, n_images) runs, gives [N, d_vit] states in
-        one pass: every linear layer runs on all N rows, and only attention
-        groups them, image by image.
-        """
-        images = None if isinstance(grid, tuple) else image_rows(grid)
+    def forward_batch(self, patches, runs):
+        """``forward`` with the tape off: per-block float32 [N, d_vit] arrays."""
         with T.no_grad():
-            states = self.blocks_forward(self.embed_patches(patches, grid), images)
-        return [st.data for st in states]
+            return [st.data for st in self.forward(patches, runs)]

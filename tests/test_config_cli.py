@@ -194,7 +194,7 @@ class TestCli:
         ("pretrain", "batch_size=0"), ("pretrain", "vocab=50\nimage_fraction=0"),
         ("eval", "eval_captions=0"), ("ablate", "ablate_distills=none,bogus\nablate_steps=3"),
         ("pretrain", "resolution_h=96\nresolution_w=96"), ("pretrain", "anyres=true\nanyres_max=96"),
-        ("eval", "max_seq=33"), ("pretrain", "vit_heads=0"), ("pretrain", "vit_heads=-2"),
+        ("pretrain", "max_seq=33"), ("pretrain", "vit_heads=0"), ("pretrain", "vit_heads=-2"),
         ("ablate", "log_window=0\nablate_steps=3"), ("ablate", "log_window=-1\nablate_steps=3"),
         ("ablate", "ablate_steps=0"), ("pretrain", "seed=-1"), ("pretrain", "lr=nan"),
         ("pretrain", "lr=inf"), ("ablate", "thresholds=4.0,nan\nablate_steps=3"),
@@ -221,6 +221,18 @@ class TestCli:
         before = sorted(tmp_path.iterdir())
         assert cli.main([command, *args]) == cli.EXIT_CONFIG
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_eval_checks_max_seq_against_the_checkpoint_model(self, tmp_path, capsys):
+        # 96x96 images need a max_seq of 162: more than the run config's own
+        # default 160, but within the checkpoint's 200, and only the
+        # checkpoint's model runs under eval
+        cfg_path = write(tmp_path, "seed=0\nresolution_h=96\nresolution_w=96\n"
+                                   "eval_captions=1\neval_texts=1\neval_max_new=2\n")
+        ckpt = tmp_path / "init.vora"
+        cfg = ModelConfig(max_seq=200)
+        checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)), {"merged": "false"})
+        assert cli.main(["eval", str(ckpt), cfg_path]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["text_perplexity"])
 
     def test_gradcheck_exits_zero(self, tmp_path, capsys):
         cfg_path = write(tmp_path, "seed=0\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vora.tensor as T
 from vora import data, distill
@@ -148,10 +150,10 @@ class TestMakeBatch:
         batch = pack_samples([text, wide, small, small2], 8, 160)
         assert batch.n_image == 3
         assert batch.grids == [(2, 2), (2, 2), (2, 3), None]
-        # one patch stack per grid, built from the images in row order
-        assert [run[:3] for run in batch.runs] == [(0, 2, (2, 2)), (2, 3, (2, 3))]
-        for run, images in zip(batch.runs, [[small.image, small2.image], [wide.image]]):
-            npt.assert_array_equal(run[3], np.stack([patchify(im, 8) for im in images]))
+        # one flat patch stack, built from the images in row order, and one run per grid
+        assert batch.runs == [((2, 2), 2), ((2, 3), 1)]
+        npt.assert_array_equal(batch.patches,
+                               np.concatenate([patchify(im, 8) for im in (small.image, small2.image, wide.image)]))
         assert batch.layouts[3].vision_span == (0, 0)
         assert batch.tokens[3, 0] == BOS
 
@@ -185,12 +187,23 @@ class TestMakeBatch:
     def test_global_determinism_bytes(self):
         def run(seed):
             batch = make_batch(np.random.default_rng(seed), 5, image_fraction=0.6)
-            blob = batch.tokens.tobytes()
-            for _, _, _, patches in batch.runs:
-                blob += patches.tobytes()
-            return blob
+            return batch.tokens.tobytes() + batch.patches.tobytes() + repr(batch.runs).encode()
 
         assert run(9) == run(9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 16),
+           image_fraction=st.floats(0.0, 1.0))
+    def test_runs_follow_grids_and_cover_patches(self, seed, batch_size, image_fraction):
+        batch = make_batch(np.random.default_rng(seed), batch_size, image_fraction=image_fraction,
+                           dcfg=data.DataConfig(anyres=True))
+        runs = batch.runs
+        assert sum(n * r * c for (r, c), n in runs) == batch.n_vision == batch.patches.shape[0]
+        image_grids = [g for g in batch.grids if g is not None]
+        assert batch.n_image == len(image_grids)
+        assert [grid for grid, n in runs for _ in range(n)] == image_grids
+        assert all(n >= 1 for _, n in runs)
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
 
     def test_anyres_resolution_diversity(self):
         dcfg = data.DataConfig(anyres=True)

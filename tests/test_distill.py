@@ -218,6 +218,30 @@ class TestLmLoss:
         npt.assert_allclose(got, np.mean(nll), atol=1e-5)
 
 
+    def test_padding_does_not_count(self):
+        # [B, S, V] logits with a PAD tail whose logits would dominate if
+        # they counted give the loss of the [n, V] supervised rows alone
+        rng = np.random.default_rng(13)
+        v, s = 9, 10
+        lays = [SequenceLayout((0, 3), (3, 8), 5), SequenceLayout((0, 0), (0, 6), 2)]
+        tokens = rng.integers(1, v, size=(2, s))
+        logits_arr = rng.standard_normal((2, s, v)).astype(np.float32)
+        for i, lay in enumerate(lays):
+            tokens[i, lay.text_span[1]:] = data.PAD
+            logits_arr[i, lay.text_span[1] - 1:] = 0.0
+            logits_arr[i, lay.text_span[1] - 1:, data.PAD + 1] = 100.0  # wrong by ~100 nats at every PAD target
+        live = distill.supervised(lays, s)
+        padded, rows = T.param(logits_arr), T.param(logits_arr[:, :-1][live])
+        got = distill.lm_loss(padded, lays, tokens)
+        T.backward(got)
+        want = distill.lm_loss(rows, lays, tokens)
+        T.backward(want)
+        assert want.item() < 10.0
+        assert got.item() == want.item()
+        npt.assert_array_equal(padded.grad[:, :-1][live], rows.grad)
+        assert not padded.grad[:, :-1][~live].any() and not padded.grad[:, -1].any()
+
+
 class TestTotalLoss:
     @pytest.mark.parametrize("a,b", [(0.0, 1.5), (1.5, 0.0), (0.25, 1.75)])
     def test_exact_sum(self, a, b):

@@ -273,9 +273,12 @@ class TestTokenMajor:
         rows on its own grid at its vision span, token embeddings elsewhere
         (PAD included)."""
         emb = pipe.model.embed_tokens(batch.tokens).data.copy()
-        for start, end, grid, patches in batch.runs:
-            for row, stack in zip(range(start, end), patches):
-                emb[row, : grid[0] * grid[1]] = pipe.vembed.forward(stack, grid).data
+        start = 0
+        for row, grid in enumerate(batch.grids):
+            if grid is not None:
+                s_v = grid[0] * grid[1]
+                emb[row, :s_v] = pipe.vembed.forward(batch.patches[start:start + s_v], [(grid, 1)]).data
+                start += s_v
         return T.constant(emb)
 
     @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])

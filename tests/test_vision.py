@@ -51,7 +51,7 @@ class TestVisionEmbed:
         ve = VisionEmbed.init(cfg, seed=0)
         rng = np.random.default_rng(0)
         patches = rng.random((1, cfg.patch * cfg.patch * 3)).astype(np.float32)
-        out = ve.forward(patches, (1, 1))
+        out = ve.forward(patches, [((1, 1), 1)])
         assert out.shape == (1, cfg.d_model)
         assert np.isfinite(out.data).all()
 
@@ -64,16 +64,18 @@ class TestVisionEmbed:
         shared = rng.random((cfg.patch * cfg.patch * 3,)).astype(np.float32)
         small = np.stack([shared, rng.random(192).astype(np.float32)])
         big = np.stack([shared] + [rng.random(192).astype(np.float32) for _ in range(5)])
-        out_small = ve.forward(small, (1, 2)).data
-        out_big = ve.forward(big, (2, 3)).data
+        out_small = ve.forward(small, [((1, 2), 1)]).data
+        out_big = ve.forward(big, [((2, 3), 1)]).data
         npt.assert_array_equal(out_small[0], out_big[0])
 
     def test_independent_mlp_pe_recomputation(self):
+        # one (2, 3) image, then two (1, 2) images: each image's positions
+        # restart at its own grid origin
         cfg = ModelConfig()
         ve = VisionEmbed.init(cfg, seed=2)
         rng = np.random.default_rng(2)
-        patches = rng.random((6, 192)).astype(np.float32)
-        got = ve.forward(patches, (2, 3)).data
+        patches = rng.random((10, 192)).astype(np.float32)
+        got = ve.forward(patches, [((2, 3), 1), ((1, 2), 2)]).data
 
         # independent recomputation: MLP + factorized sin/cos table
         def gelu(x):
@@ -85,9 +87,11 @@ class TestVisionEmbed:
         half = cfg.d_model // 2
         quarter = half // 2
         freq = 1.0 / 10000.0 ** (np.arange(quarter) / quarter)
-        pe = np.zeros((6, cfg.d_model), dtype=np.float32)
-        for idx in range(6):
-            r, c = divmod(idx, 3)
+        pe = np.zeros((10, cfg.d_model), dtype=np.float32)
+        grid_cols = [3] * 6 + [2] * 2 + [2] * 2
+        image_start = [0] * 6 + [6] * 2 + [8] * 2
+        for idx in range(10):
+            r, c = divmod(idx - image_start[idx], grid_cols[idx])
             pe[idx, :quarter] = np.sin(r * freq)
             pe[idx, quarter:half] = np.cos(r * freq)
             pe[idx, half : half + quarter] = np.sin(c * freq)
@@ -98,7 +102,9 @@ class TestVisionEmbed:
         cfg = ModelConfig()
         ve = VisionEmbed.init(cfg, seed=3)
         with pytest.raises(PatchError):
-            ve.forward(np.zeros((5, 192), dtype=np.float32), (2, 3))
+            ve.forward(np.zeros((5, 192), dtype=np.float32), [((2, 3), 1)])
+        with pytest.raises(PatchError):  # one image short of the runs
+            ve.forward(np.zeros((6, 192), dtype=np.float32), [((2, 3), 2)])
 
     def test_param_share_below_two_percent(self):
         cfg = ModelConfig()
@@ -151,6 +157,8 @@ def straightline_teacher(cfg, params, patches, grid):
 
 class TestTeacher:
     def test_straightline_oracle_nonsquare_batch(self):
+        # two 2x3 images and one 1x2 image in one flat stack: the oracle
+        # runs each grid's images on their own
         cfg = ModelConfig(n_llm=2, n_vit=2, d_model=8, d_vit=12, n_heads=2, d_ff=8, patch=4,
                           rank=2, vembed_hidden=4, vit_heads=3, vit_ff=16)
         teacher = Teacher.init(cfg, seed=9)
@@ -158,22 +166,24 @@ class TestTeacher:
         # larger weights than init, so attention mixes rows visibly
         for p in teacher.params.values():
             p.data = (0.3 * rng.standard_normal(p.data.shape)).astype(np.float32)
-        images = [rand_image(rng, 8, 12) for _ in range(2)]  # 2x3 grid
-        patches = np.stack([patchify(img, cfg.patch) for img in images])
-        got = teacher.forward_batch(patches, (2, 3))
-        ref = straightline_teacher(cfg, teacher.params, patches, (2, 3))
+        wide = np.stack([patchify(rand_image(rng, 8, 12), cfg.patch) for _ in range(2)])  # 2x3 grid
+        flat = patchify(rand_image(rng, 4, 8), cfg.patch)[None]  # 1x2 grid
+        got = teacher.forward_batch(np.concatenate([wide.reshape(12, -1), flat[0]]), [((2, 3), 2), ((1, 2), 1)])
+        ref = [np.concatenate([a.reshape(12, -1), b.reshape(2, -1)])
+               for a, b in zip(straightline_teacher(cfg, teacher.params, wide, (2, 3)),
+                               straightline_teacher(cfg, teacher.params, flat, (1, 2)))]
         assert len(got) == len(ref) == cfg.n_vit
         for st, want in zip(got, ref):
-            assert st.shape == (2, 6, cfg.d_vit)
+            assert st.shape == (14, cfg.d_vit)
             npt.assert_allclose(st, want, atol=1e-6)
 
     def test_frozen_and_deterministic(self):
         cfg = ModelConfig()
         teacher = Teacher.init(cfg, seed=0)
         rng = np.random.default_rng(4)
-        patches = patchify(rand_image(rng, 32, 32), cfg.patch)[None]
-        s1 = teacher.forward_batch(patches, (4, 4))
-        s2 = teacher.forward_batch(patches, (4, 4))
+        patches = patchify(rand_image(rng, 32, 32), cfg.patch)
+        s1 = teacher.forward_batch(patches, [((4, 4), 1)])
+        s2 = teacher.forward_batch(patches, [((4, 4), 1)])
         for a, b in zip(s1, s2):
             npt.assert_array_equal(a, b)
 
@@ -181,10 +191,10 @@ class TestTeacher:
         cfg = ModelConfig()
         teacher = Teacher.init(cfg, seed=0)
         rng = np.random.default_rng(5)
-        states = teacher.forward_batch(patchify(rand_image(rng, 32, 48), cfg.patch)[None], (4, 6))
+        states = teacher.forward_batch(patchify(rand_image(rng, 32, 48), cfg.patch), [((4, 6), 1)])
         assert len(states) == cfg.n_vit
         for st in states:
-            assert st.shape == (1, 24, cfg.d_vit)
+            assert st.shape == (24, cfg.d_vit)
             assert np.isfinite(st).all()
 
     def test_patch_embed_permutation_equivariance(self):
@@ -204,9 +214,9 @@ class TestTeacher:
         teacher = Teacher.init(cfg, seed=0)
         head = distill.init_heads(cfg, seed=1)[0]
         rng = np.random.default_rng(7)
-        states = teacher.forward_batch(patchify(rand_image(rng, 32, 32), cfg.patch)[None], (4, 4))
+        states = teacher.forward_batch(patchify(rand_image(rng, 32, 32), cfg.patch), [((4, 4), 1)])
         h = T.param((0.1 * rng.standard_normal((16, cfg.d_model))).astype(np.float32))
-        loss = distill.block_distill_loss(h, states[0][0], head)
+        loss = distill.block_distill_loss(h, states[0], head)
         T.backward(loss)
         for p in teacher.params.values():
             assert p.grad is None

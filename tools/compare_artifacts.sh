@@ -8,7 +8,9 @@
 # A differing .json/.jsonl artifact is followed by the worst absolute
 # difference over its numeric fields, a differing .vora checkpoint by the
 # worst absolute tensor difference, so float32 reassociation (tiny) can be
-# told from a fault (large, or a changed structure).
+# told from a fault (large, or a changed structure). Any other differing
+# artifact (gradcheck.txt, report.csv, ...) is followed by a unified diff of
+# the two files, indented, so the changed lines show.
 # config.resolved is compared without its "# written:" timestamp line.
 # BLAS runs on one thread, and vora is imported from each tree's src/.
 set -euo pipefail
@@ -108,20 +110,23 @@ except (OSError, ValueError) as exc:  # CheckpointError and JSONDecodeError are 
 PY
 }
 
+view() {  # view FILE: the artifact as compared
+    if [[ $1 == */config.resolved ]]; then grep -v '^# written:' "$1"; else cat "$1"; fi
+}
+
 status=0
 while read -r name; do
     a=$tmp/out_rev/$name b=$tmp/out_tree/$name
-    if [[ $name == */config.resolved ]]; then
-        same=$(cmp -s <(grep -v '^# written:' "$a") <(grep -v '^# written:' "$b") && echo y || echo n)
-    else
-        same=$( [[ -f $a && -f $b ]] && cmp -s "$a" "$b" && echo y || echo n)
-    fi
+    same=$( [[ -f $a && -f $b ]] && cmp -s <(view "$a") <(view "$b") && echo y || echo n)
     if [[ $same == y ]]; then echo "same     $name"; continue; fi
     status=1
-    if [[ -f $a && -f $b && $name =~ \.(json|jsonl|vora)$ ]]; then
+    if [[ ! -f $a || ! -f $b ]]; then
+        echo "DIFFERS  $name (only in $([[ -f $a ]] && echo "$rev" || echo "the working tree"))"
+    elif [[ $name =~ \.(json|jsonl|vora)$ ]]; then
         echo "DIFFERS  $name: $(worst_diff "$a" "$b")"
     else
-        echo "DIFFERS  $name"
+        echo "DIFFERS  $name:"
+        diff -u --label "$rev/$name" --label "tree/$name" <(view "$a") <(view "$b") | sed 's/^/    /' || true
     fi
 done < <( (cd "$tmp/out_rev" && find . -type f; cd "$tmp/out_tree" && find . -type f) | sed 's|^\./||' | sort -u)
 exit $status
