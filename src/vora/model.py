@@ -172,9 +172,9 @@ def attention(q, k, v, mask, n_heads, rope=None, cache=None, rows=None):
     rows: [B, S] index of each sequence position into the N flat rows
     (-1 at padding); q, k and v are gathered into [B, S, d] and the
     context is scattered back to [N, d].
-    cache: one block's list of post-RoPE [k, v] ([B, heads, L, hd]); when
-    given, the new keys and values are appended to it and the queries
-    attend over all L of them.
+    cache: one block's (keys, values, filled) of a ``KVCache``; the new
+    post-RoPE keys and values are written in place at positions
+    filled..filled+S-1 and the queries attend over positions 0..filled+S-1.
     """
     if rows is not None:
         n = q.data.shape[0]
@@ -188,15 +188,38 @@ def attention(q, k, v, mask, n_heads, rope=None, cache=None, rows=None):
     q, k = (heads(t) if rope is None else T.rope(t, *rope, n_heads) for t in (q, k))
     v = heads(v)
     if cache is not None:
-        if cache:
-            k, v = T.concat([cache[0], k], axis=2), T.concat([cache[1], v], axis=2)
-        cache[:] = [k, v]
+        keys, values, filled = cache
+        keys[:, :, filled:filled + s], values[:, :, filled:filled + s] = k.data, v.data
+        if filled:  # a prefill attends over its own keys and values only
+            k, v = T.constant(keys[:, :, :filled + s]), T.constant(values[:, :, :filled + s])
     scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(hd))
     probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
     ctx = T.swap(T.matmul(probs, v), 1, 2)  # [B, S, heads, hd]
     if rows is None:
         return T.reshape(ctx, (b, s, d))
     return T.reshape(T.scatter_rows(ctx, rows, n), (n, d))
+
+
+@dataclass
+class KVCache:
+    """Preallocated post-RoPE keys and values of every block, each
+    [n_llm, B, heads, capacity, hd]; positions 0..filled-1 hold data.
+    Forward-only: a cached forward runs under ``T.no_grad()``."""
+
+    keys: np.ndarray
+    values: np.ndarray
+    filled: int = 0
+
+    def check(self, batch, length):
+        """Raise unless a forward of ``batch`` sequences reaching ``length``
+        positions can run on this cache now."""
+        if T.grad_enabled():
+            raise ValueError("the K/V cache is forward-only: run a cached forward under T.no_grad()")
+        _, b, _, capacity, _ = self.keys.shape
+        if batch != b:
+            raise ValueError(f"batch of {batch} sequences on a cache for {b}")
+        if length > capacity:
+            raise SequenceTooLong(f"sequence length {length} exceeds the cache capacity {capacity}")
 
 
 class Model:
@@ -239,9 +262,12 @@ class Model:
                 y = y + delta
         return y
 
-    def new_cache(self):
-        """An empty K/V cache for ``forward``: one [k, v] list per block."""
-        return [[] for _ in range(self.cfg.n_llm)]
+    def new_cache(self, batch, capacity):
+        """An empty ``KVCache`` for ``forward`` on [batch, S, d] inputs,
+        room for ``capacity`` positions."""
+        cfg = self.cfg
+        shape = (cfg.n_llm, batch, cfg.n_heads, capacity, cfg.head_dim)
+        return KVCache(np.empty(shape, np.float32), np.empty(shape, np.float32))
 
     def forward(self, embedded, mask, adapters=None, collect_taps=True, cache=None, rows=None,
                 logit_rows=None):
@@ -251,9 +277,9 @@ class Model:
         spliced in at the vision span. mask: additive [S, S] or, per
         sequence, [B, S, S]. Returns (logits, taps);
         taps hold the post-residual outputs of blocks 0..n_vit-1.
-        cache (from ``new_cache``): the inputs extend the L positions
-        cached so far; they take positions L..L+S-1, the mask is
-        [S, L+S], and their keys and values join the cache.
+        cache (from ``new_cache``, forward-only): the inputs extend the L
+        positions cached so far; they take positions L..L+S-1, the mask
+        is [S, L+S], and their keys and values are written into the cache.
         rows (token-major batch): embedded is [N, d], the batch's live
         tokens in the flat order rows [B, S] indexes (-1 at padding, see
         ``data.PackedBatch.rows``), and the mask is [B, S, S]. Norms,
@@ -265,16 +291,19 @@ class Model:
         squeeze = embedded.data.ndim == 2 and rows is None
         x = T.reshape(embedded, (1,) + embedded.data.shape) if squeeze else embedded
         s = x.data.shape[1] if rows is None else rows.shape[1]
-        past = cache[0][0].data.shape[2] if cache is not None and cache[0] else 0
+        past = 0 if cache is None else cache.filled
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
+        if cache is not None:
+            cache.check(x.data.shape[0], past + s)
         rope = tuple(t[past:] for t in rope_tables(past + s, cfg.head_dim))
 
         taps = []
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"], eps=1e-6)
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            ctx = attention(q, k, v, mask, cfg.n_heads, rope, None if cache is None else cache[i], rows)
+            ctx = attention(q, k, v, mask, cfg.n_heads, rope,
+                            None if cache is None else (cache.keys[i], cache.values[i], past), rows)
             x = x + self._linear(ctx, i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"], eps=1e-6)
@@ -286,6 +315,8 @@ class Model:
                 tap = T.reshape(x, (s, cfg.d_model)) if squeeze else x
                 taps.append(BlockTap(block_index=i, hidden=tap))
 
+        if cache is not None:
+            cache.filled = past + s
         if logit_rows is not None:
             x = T.gather_rows(x, logit_rows)
         xn = T.rms_norm(x, self.params["llm.final_norm"], eps=1e-6)
@@ -296,31 +327,45 @@ class Model:
 
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
-    """Argmax decoding from an embedded prompt; stops at EOS, after max_new
-    tokens, or when the sequence has reached max_seq.
+    """Argmax decoding from embedded prompts, all rows of a batch at once.
 
-    The prompt ([vision span][text]) is encoded once under the mask mode;
-    each later step feeds only the new token and reads the earlier
-    positions from the K/V cache.
-    Returns the generated ids (EOS included when it terminated the loop).
+    prefix_embedded: [B, S, d], B prompts ([vision span][text]) with a
+    list of B layouts, which must share one vision span and supervision
+    start; or [S, d] with one layout, a batch of one.
+    The prompts are encoded once under the mask mode; each later step
+    feeds only the new tokens and reads the earlier positions from the
+    K/V cache, sized to min(max_seq, S + max_new). A row stops at EOS,
+    after max_new tokens, or when the sequence has reached max_seq; the
+    loop runs until every row has stopped.
+    Returns each row's generated ids (EOS included when it ended the row),
+    or, for an [S, d] prompt, the one row's ids.
     """
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
-    length = prefix_embedded.data.shape[0]
-    v1 = layout.vision_span[1]
-    lay = SequenceLayout(layout.vision_span, (v1, length), supervise_from=length)
-    emb, mask = prefix_embedded, build_attention_mask(lay, length, mask_mode)
-    cache = model.new_cache()
-    out = []
+    squeeze = prefix_embedded.data.ndim == 2
+    emb = T.constant(prefix_embedded.data[None]) if squeeze else prefix_embedded
+    batch, length = emb.data.shape[:2]
+    layouts = [layout] if squeeze else list(layout)
+    if len(layouts) != batch or len({(lay.vision_span, lay.supervise_from) for lay in layouts}) > 1:
+        raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
+    v1 = layouts[0].vision_span[1]
+    lay = SequenceLayout(layouts[0].vision_span, (v1, length), supervise_from=length)
+    mask = build_attention_mask(lay, length, mask_mode)
+    cache = model.new_cache(batch, min(model.cfg.max_seq, length + max_new))
+    out = [[] for _ in range(batch)]
+    live = [True] * batch
     with T.no_grad():
         for _ in range(max_new):
             logits, _ = model.forward(emb, mask, adapters, collect_taps=False, cache=cache)
-            nxt = int(np.argmax(logits.data[-1]))
-            out.append(nxt)
-            if nxt == eos_id or length >= model.cfg.max_seq:
+            nxt = logits.data[:, -1].argmax(axis=-1)
+            for row, token in enumerate(nxt.tolist()):
+                if live[row]:
+                    out[row].append(token)
+                    live[row] = token != eos_id
+            if not any(live) or length >= model.cfg.max_seq:
                 break
-            emb = model.embed_tokens([nxt])
+            emb = model.embed_tokens(nxt[:, None])
             length += 1
             # a text token sees every earlier position under both mask modes
             mask = np.zeros((1, length), np.float32)
-    return out
+    return out[0] if squeeze else out

@@ -93,6 +93,11 @@ def constant(data, name=None):
 _grad_enabled = True
 
 
+def grad_enabled():
+    """Whether ops record tape nodes (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 class no_grad:
     """Context manager that disables tape recording."""
 

@@ -422,29 +422,35 @@ def steps_to_threshold(losses, threshold, window):
 
 
 def _decode_caption(pipe, batch, max_new, mask_mode):
-    """Greedy ids after the packed prefix ([vision span][prompt]) of row 0."""
+    """Greedy ids of every row after its packed prefix ([vision span][prompt]),
+    one decode for the whole batch; its rows must share one layout."""
     lay = batch.layouts[0]
     with T.no_grad():
-        prefix = T.constant(pack_embedded(pipe, batch).data[0, : lay.supervise_from])
-    return decode_greedy(pipe.model, prefix, lay, D.EOS, max_new, adapters=pipe.adapters, mask_mode=mask_mode)
+        prefix = T.constant(pack_embedded(pipe, batch).data[:, : lay.supervise_from])
+    return decode_greedy(pipe.model, prefix, batch.layouts, D.EOS, max_new, adapters=pipe.adapters,
+                         mask_mode=mask_mode)
 
 
 def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
     """Held-out metrics: greedy caption token accuracy, text perplexity,
-    and (when heads exist) mean per-block cosine alignment."""
+    and (when heads exist) mean per-block cosine alignment.
+
+    The n_caption captions are rendered at ``dcfg.resolution`` (also under
+    anyres), so they share one layout and decode as one batch."""
     if n_caption < 1 or n_text < 1:
         raise ValueError("empty heldout")
     cfg = pipe.cfg
     rng = np.random.default_rng([tcfg.seed, 11])
     # caption accuracy
+    samples = [D.gen_image_caption(D.HELDOUT_BASE + int(rng.integers(0, D.HELDOUT_BASE)), dcfg.resolution,
+                                   patch=dcfg.patch) for _ in range(n_caption)]
+    # pack_samples keeps the order of same-grid samples
+    decoded = _decode_caption(pipe, D.pack_samples(samples, dcfg.patch, cfg.max_seq), max_new, tcfg.mask_mode)
     correct = total = 0
-    for _ in range(n_caption):
-        idx = D.HELDOUT_BASE + int(rng.integers(0, D.HELDOUT_BASE))
-        sample = D.gen_image_caption(idx, dcfg.resolution, patch=dcfg.patch)
-        decoded = _decode_caption(pipe, D.pack_samples([sample], dcfg.patch, cfg.max_seq), max_new, tcfg.mask_mode)
+    for sample, ids in zip(samples, decoded):
         target = list(sample.answer_tokens) + [D.EOS]
         total += len(target)
-        correct += sum(1 for a, b in zip(decoded, target) if a == b)
+        correct += sum(1 for a, b in zip(ids, target) if a == b)
     caption_acc = correct / total
 
     # text perplexity over the supervised positions of n_text texts
@@ -528,7 +534,7 @@ def overfit_pair(pipe, sample, steps=300, lr=3e-3):
     for step in range(steps):
         out, _ = train_step(state, tcfg, step, lambda: compute_losses(pipe, batch, tcfg.mask_mode, tcfg.distill_mode))
         metrics.append({"step": step, "lm_loss": float(out.lm.data)})
-    return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, tcfg.mask_mode)
+    return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, tcfg.mask_mode)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -168,15 +170,15 @@ def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None,
 
 
 def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
-    """decode_greedy, plus the last-position logits and the number of input
-    positions of every forward it runs."""
+    """decode_greedy, plus every forward's last-position logits ([B, vocab])
+    and number of input positions (over all rows of the batch)."""
     steps, positions = [], []
     forward = model.forward
 
     def spy(embedded, *args, **kwargs):
         logits, taps = forward(embedded, *args, **kwargs)
-        steps.append(logits.data[-1].copy())
-        positions.append(embedded.data.shape[0])
+        steps.append(logits.data[..., -1, :].reshape(-1, logits.shape[-1]).copy())
+        positions.append(math.prod(embedded.data.shape[:-1]))
         return logits, taps
 
     model.forward = spy
@@ -203,11 +205,15 @@ def heldout_prefixes(pipe, n=8, seed=0):
 
 def adapted_pipe():
     """Default-config pipeline whose adapters are non-zero; large enough
-    that its greedy decodes are not one repeated token."""
+    that its greedy decodes are not one repeated token. Its vision embed
+    is scaled up 20x, so that the held-out captions' images steer their
+    decodes apart."""
     pipe = trainer.build_pipeline(ModelConfig(), seed=0)
     rng = np.random.default_rng(5)
     for ad in pipe.adapters:
         ad.b.data = (0.5 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
+    for t in pipe.vembed.params.values():
+        t.data = 20 * t.data
     return pipe
 
 
@@ -226,7 +232,7 @@ class TestKVCache:
             assert ids == want_ids
             assert len(got) == len(want) == 24
             for g, w in zip(got, want):
-                npt.assert_allclose(g, w, rtol=0, atol=1e-5)
+                npt.assert_allclose(g[0], w, rtol=0, atol=1e-5)
 
     @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
     def test_heldout_ids_match_full_recompute(self, mask_mode):
@@ -238,13 +244,128 @@ class TestKVCache:
 
     def test_cached_forward_past_max_seq_raises(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
-        cache = model.new_cache()
+        cache = model.new_cache(1, 12)
         with T.no_grad():
             model.forward(model.embed_tokens(np.arange(10)), np.zeros((10, 10), np.float32), cache=cache)
             with pytest.raises(SequenceTooLong):
                 model.forward(model.embed_tokens([3, 4, 5]), np.zeros((3, 13), np.float32), cache=cache)
             logits, _ = model.forward(model.embed_tokens([3, 4]), np.zeros((2, 12), np.float32), cache=cache)
         assert logits.shape == (2, model.cfg.vocab)
+
+    def test_cache_is_forward_only_and_sized_to_its_batch(self):
+        model = Model.init(ModelConfig(max_seq=12), seed=0)
+        emb, mask = model.embed_tokens(np.arange(4)), np.zeros((4, 4), np.float32)
+        with pytest.raises(ValueError, match="forward-only"):
+            model.forward(emb, mask, cache=model.new_cache(1, 12))
+        with T.no_grad():
+            with pytest.raises(ValueError, match="batch of 1 sequences on a cache for 2"):
+                model.forward(emb, mask, cache=model.new_cache(2, 12))
+            with pytest.raises(SequenceTooLong, match="capacity 3"):
+                model.forward(emb, mask, cache=model.new_cache(1, 3))
+
+
+def heldout_batch(pipe, n=8, seed=0):
+    """The n prefixes of ``heldout_prefixes`` packed as one [n, S, d]
+    batch, as `trainer.eval_metrics` decodes them, with their layouts."""
+    rng = np.random.default_rng([seed, 11])
+    samples = [D.gen_image_caption(D.HELDOUT_BASE + int(rng.integers(0, D.HELDOUT_BASE))) for _ in range(n)]
+    batch = D.pack_samples(samples, pipe.cfg.patch, pipe.cfg.max_seq)
+    with T.no_grad():
+        emb = trainer.pack_embedded(pipe, batch).data[:, : batch.layouts[0].supervise_from]
+    return T.constant(emb), batch.layouts
+
+
+def truncated(ids, eos_id):
+    """ids up to and including the first eos_id."""
+    return ids[: ids.index(eos_id) + 1] if eos_id in ids else ids
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+    def test_rows_match_batch_of_one(self, mask_mode):
+        pipe = adapted_pipe()
+        for merged in (False, True):
+            if merged:
+                trainer.merge(pipe)
+            prefix, layouts = heldout_batch(pipe)
+            got = decode_greedy(pipe.model, prefix, layouts, D.EOS, 24, pipe.adapters, mask_mode)
+            want = [decode_greedy(pipe.model, p, lay, D.EOS, 24, pipe.adapters, mask_mode)
+                    for p, lay in heldout_prefixes(pipe)]
+            assert got == want
+            assert len(set(map(tuple, got))) > 1  # the rows decode differently
+
+    @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+    def test_step_logits_match_full_recompute(self, mask_mode):
+        pipe = adapted_pipe()
+        prefix, layouts = heldout_batch(pipe)
+        b, s, _ = prefix.shape
+        for merged in (False, True):
+            if merged:
+                trainer.merge(pipe)
+            ids, got, positions = spied_decode(pipe.model, prefix, layouts, -1, 24, pipe.adapters, mask_mode)
+            assert positions == [b * s] + [b] * 23
+            for row in range(b):
+                want_ids, want = full_recompute_decode(pipe.model, T.constant(prefix.data[row]), layouts[row], -1,
+                                                       24, pipe.adapters, mask_mode)
+                assert ids[row] == want_ids
+                for g, w in zip(got, want, strict=True):
+                    npt.assert_allclose(g[row], w, rtol=0, atol=1e-5)
+
+    def test_row_ends_at_its_eos_while_others_run_on(self):
+        pipe = adapted_pipe()
+        prefix, layouts = heldout_batch(pipe)
+        free = decode_greedy(pipe.model, prefix, layouts, -1, 24, pipe.adapters)
+        # an id row 0 emits early that some other row never emits
+        eos = next(t for t in free[0][:12] if any(t not in row for row in free[1:]))
+        got = decode_greedy(pipe.model, prefix, layouts, eos, 24, pipe.adapters)
+        assert got == [truncated(row, eos) for row in free]
+        assert got[0][-1] == eos and len(got[0]) <= 12
+        assert max(map(len, got)) == 24
+
+    def test_max_seq_stops_every_row_at_once(self):
+        model = Model.init(ModelConfig(max_seq=12), seed=0)
+        lay = SequenceLayout((0, 0), (0, 5), 5)
+        prefix = model.embed_tokens(np.arange(15).reshape(3, 5) + 4)
+        # forwards over lengths 5..12 give 8 tokens per row
+        assert [len(ids) for ids in decode_greedy(model, prefix, [lay] * 3, eos_id=-1, max_new=50)] == [8] * 3
+
+    def test_prefixes_with_different_layouts_rejected(self):
+        model = Model.init(ModelConfig(), seed=0)
+        prefix = model.embed_tokens(np.arange(10).reshape(2, 5) + 4)
+        text, vision = SequenceLayout((0, 0), (0, 5), 5), SequenceLayout((0, 2), (2, 5), 5)
+        with pytest.raises(ValueError, match=r"share one layout.*vision_span=\(0, 2\)"):
+            decode_greedy(model, prefix, [text, vision], eos_id=2, max_new=4)
+        with pytest.raises(ValueError, match="share one layout"):
+            decode_greedy(model, prefix, [text], eos_id=2, max_new=4)
+
+
+def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
+    """The paper's "no extra inference cost": after the merge, decoding runs
+    exactly the matmuls of a never-adapted model of the same config."""
+    pipe = adapted_pipe()
+    prefix, layouts = heldout_batch(pipe)
+    matmul = T.matmul
+
+    def shapes_of(model, adapters):
+        calls = []
+
+        def spy(a, b, transpose_b=False):
+            calls.append((a.shape, b.shape, transpose_b))
+            return matmul(a, b, transpose_b)
+
+        monkeypatch.setattr(T, "matmul", spy)
+        try:
+            decode_greedy(model, prefix, layouts, -1, 24, adapters)
+        finally:
+            monkeypatch.setattr(T, "matmul", matmul)
+        return calls
+
+    unmerged = shapes_of(pipe.model, pipe.adapters)
+    trainer.merge(pipe)
+    merged = shapes_of(pipe.model, pipe.adapters)
+    base = shapes_of(Model.init(pipe.cfg, seed=1), None)
+    assert merged == base
+    assert len(unmerged) > len(merged)
 
 
 def test_config_validation():

@@ -6,7 +6,7 @@ import pytest
 
 import vora.tensor as T
 from vora import data, distill, lora, trainer, vision
-from vora.model import ModelConfig
+from vora.model import ModelConfig, decode_greedy
 from vora.tensor import Tensor
 
 SMALL = dict(total_steps=12, warmup_steps=3, batch_size=4)
@@ -407,7 +407,89 @@ class TestAblation:
         npt.assert_allclose(trainer.smoothed(vals, 2), [4.0, 3.0, 4.0, 3.0])
 
 
+def per_caption_eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
+    """The oracle of the batched ``trainer.eval_metrics``: the same metrics
+    from one batch-1 decode per caption. Returns (metrics, decoded ids)."""
+    cfg = pipe.cfg
+    rng = np.random.default_rng([tcfg.seed, 11])
+    correct = total = 0
+    decodes = []
+    for _ in range(n_caption):
+        idx = data.HELDOUT_BASE + int(rng.integers(0, data.HELDOUT_BASE))
+        sample = data.gen_image_caption(idx, dcfg.resolution, patch=dcfg.patch)
+        batch = data.pack_samples([sample], dcfg.patch, cfg.max_seq)
+        lay = batch.layouts[0]
+        with T.no_grad():
+            prefix = T.constant(trainer.pack_embedded(pipe, batch).data[0, : lay.supervise_from])
+        decoded = decode_greedy(pipe.model, prefix, lay, data.EOS, max_new, adapters=pipe.adapters,
+                                mask_mode=tcfg.mask_mode)
+        decodes.append(decoded)
+        target = list(sample.answer_tokens) + [data.EOS]
+        total += len(target)
+        correct += sum(1 for a, b in zip(decoded, target) if a == b)
+    result = {"caption_token_accuracy": correct / total}
+
+    batch = data.make_batch(rng, n_text, image_fraction=0.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
+    with T.no_grad():
+        out = trainer.compute_losses(pipe, batch, tcfg.mask_mode, "none")
+    result["text_perplexity"] = float(np.exp(float(out.lm.data)))
+    if pipe.heads:
+        batch = data.make_batch(rng, 4, image_fraction=1.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
+        with T.no_grad():
+            out = trainer.compute_losses(pipe, batch, tcfg.mask_mode, "block_wise")
+        result["distill_alignment"] = 1.0 - float(out.dist.data)
+    return result, decodes
+
+
 class TestEval:
+    @pytest.mark.parametrize("anyres", [False, True])
+    def test_batched_decode_matches_per_caption_oracle(self, monkeypatch, anyres):
+        mcfg, tcfg, dcfg = small_cfgs(seed=3)
+        dcfg = data.DataConfig(anyres=anyres)
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        rng = np.random.default_rng(5)
+        for ad in pipe.adapters:
+            ad.b.data = (0.5 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
+        for t in pipe.vembed.params.values():  # images steer the decodes apart
+            t.data = 20 * t.data
+        decodes = []
+
+        def spy(*args, **kwargs):
+            decodes.append(decode_greedy(*args, **kwargs))
+            return decodes[-1]
+
+        monkeypatch.setattr(trainer, "decode_greedy", spy)
+        for merged in (False, True):
+            if merged:
+                trainer.merge(pipe)
+            for n in (1, 3, 8):
+                decodes.clear()
+                got = trainer.eval_metrics(pipe, dcfg, tcfg, n_caption=n)
+                want, want_ids = per_caption_eval_metrics(pipe, dcfg, tcfg, n_caption=n)
+                assert got == want
+                assert decodes == [want_ids]  # one decode call for the n captions
+            assert len(set(map(tuple, want_ids))) > 1
+
+    def test_scores_each_caption_against_its_own_decode(self, monkeypatch):
+        mcfg, tcfg, dcfg = small_cfgs()
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        packed = []
+        pack_samples = data.pack_samples
+
+        def spy(samples, *args):
+            packed.append(pack_samples(samples, *args))
+            return packed[-1]
+
+        def perfect(model, prefix, layouts, *args, **kwargs):
+            """Each row's own answer and EOS, read from the caption batch."""
+            return [packed[-1].tokens[row, lay.supervise_from: lay.total_len].tolist()
+                    for row, lay in enumerate(layouts)]
+
+        monkeypatch.setattr(data, "pack_samples", spy)
+        monkeypatch.setattr(trainer, "decode_greedy", perfect)
+        assert trainer.eval_metrics(pipe, dcfg, tcfg, n_caption=8)["caption_token_accuracy"] == 1.0
+        assert len({tuple(row) for row in packed[0].tokens.tolist()}) == 8
+
     def test_untrained_perplexity_near_vocab(self):
         mcfg, tcfg, dcfg = small_cfgs()
         pipe = trainer.build_pipeline(mcfg, seed=0)

@@ -27,6 +27,7 @@ common="seed=0\ntotal_steps=20\nwarmup_steps=5\n"
 printf "$common" > "$tmp/cfg/default.cfg"
 printf "${common}anyres=true\nteacher_warm=true\nteacher_warm_steps=3\n" > "$tmp/cfg/anyres.cfg"
 printf "${common}mode=full_llm_unstable\n" > "$tmp/cfg/probe.cfg"
+printf "${common}eval_captions=1\n" > "$tmp/cfg/one.cfg"
 printf "${common}anyres=true\nablate_masks=hybrid,causal\nablate_distills=none,last_block,block_wise\nablate_steps=6\n" \
     > "$tmp/cfg/ablate.cfg"
 
@@ -45,6 +46,7 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora eval anyres/checkpoint.vora "$cfg/anyres.cfg" > "$out/eval_anyres.json"
     vora eval finetune/checkpoint.vora "$cfg/default.cfg" > "$out/eval_finetune.json"
     vora eval probe/checkpoint.vora "$cfg/probe.cfg" > "$out/eval_probe.json"
+    vora eval pretrain/checkpoint.vora "$cfg/one.cfg" > "$out/eval_one.json"  # a batch of one caption
     vora ablate "$cfg/ablate.cfg" ablate
     vora gradcheck "$cfg/default.cfg" > "$out/gradcheck.txt"
 }
