@@ -2,9 +2,10 @@
 
 Commands: pretrain, finetune, merge, eval, gradcheck, ablate.
 Exit codes: 0 ok, 2 config error (a malformed file, an out-of-range
-value, or data keys that do not fit the checkpoint's model), 3 numeric
-abort, 4 merging or fine-tuning a checkpoint without unmerged adapters,
-or a corrupt or incomplete checkpoint.
+value, data keys that do not fit the model that runs, or training
+batches that hold no image), 3 numeric abort, 4 merging or fine-tuning a
+checkpoint without unmerged adapters, or a corrupt or incomplete
+checkpoint.
 Set VORA_LOG=debug for per-step logging (default: info).
 """
 
@@ -55,12 +56,18 @@ def _metrics_logger():
     return sink
 
 
+def _training_run(path):
+    """(run config, model config, data config, train config) for pretrain
+    and ablate, whose model is the run config's, checked before any work."""
+    run_cfg = config.parse_file(path)
+    mcfg, dcfg, tcfg = run_cfg.model_config(), run_cfg.data_config(), run_cfg.train_config()
+    config.check_data_fits(dcfg, mcfg, path)
+    config.check_batch_images(dcfg, tcfg.batch_size, path)
+    return run_cfg, mcfg, dcfg, tcfg
+
+
 def cmd_pretrain(args):
-    run_cfg = config.parse_file(args.config)
-    mcfg = run_cfg.model_config()
-    dcfg = run_cfg.data_config()
-    config.check_data_fits(dcfg, mcfg, args.config)
-    tcfg = run_cfg.train_config()
+    run_cfg, mcfg, dcfg, tcfg = _training_run(args.config)
     if tcfg.mode == "finetune":
         raise config.ConfigFileError("mode=finetune: use the finetune command")
     pipe = trainer.build_pipeline(mcfg, seed=tcfg.seed, teacher_warm=tcfg.teacher_warm,
@@ -94,6 +101,7 @@ def _checkpoint_run(args):
 def cmd_finetune(args):
     run_cfg, dcfg, pipe = _checkpoint_run(args)
     tcfg = run_cfg.train_config(mode="finetune")
+    config.check_batch_images(dcfg, tcfg.batch_size, args.config)
     _, metrics = trainer.finetune(pipe, tcfg, dcfg, metrics_sink=_metrics_logger())
     out_meta = {"stage": "finetune", "merged": "true",
                 "mask_mode": tcfg.mask_mode, "distill_mode": "none"}
@@ -135,11 +143,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_ablate(args):
-    run_cfg = config.parse_file(args.config)
-    mcfg = run_cfg.model_config()
-    dcfg = run_cfg.data_config()
-    config.check_data_fits(dcfg, mcfg, args.config)
-    tcfg = run_cfg.train_config()
+    run_cfg, mcfg, dcfg, tcfg = _training_run(args.config)
     grid = list(itertools.product(run_cfg["ablate_masks"], run_cfg["ablate_distills"],
                                   run_cfg["ablate_ranks"]))
     try:

@@ -6,9 +6,11 @@ be set explicitly: all randomness flows from it. Parsing builds the
 model, training and data configs, so an out-of-range value is a
 ConfigFileError before any work starts (``vora ablate`` checks its grid
 cells the same way). Whether the data keys fit a model
-(``check_data_fits``) is checked against the model that will run: the
-run config's under ``vora pretrain`` and ``vora ablate``, the
-checkpoint's under ``vora eval`` and ``vora finetune``. A list key
+(``check_data_fits``: vocab, patch and max_seq) is checked against the
+model that will run: the run config's under ``vora pretrain`` and
+``vora ablate``, the checkpoint's under ``vora eval`` and ``vora
+finetune``. The training commands also check that every batch holds an
+image (``check_batch_images``); ``vora eval`` sets its own. A list key
 repeats no value. ``normalize`` renders the resolved config in a
 canonical form that parses back identically.
 """
@@ -169,22 +171,30 @@ def parse_text(text, source="<config>"):
         run.model_config(), run.train_config(), run.data_config()
     except ValueError as exc:
         raise ConfigFileError(f"{source}: {exc}") from exc
-    if values["vocab"] < VOCAB_SIZE:
-        raise ConfigFileError(f"{source}: vocab ({values['vocab']}) must cover the "
-                              f"{VOCAB_SIZE}-word data vocabulary")
     return run
 
 
 def check_data_fits(dcfg, mcfg, source):
     """ConfigFileError unless data config ``dcfg`` fits model config
-    ``mcfg``: the same patch, and a max_seq that holds the longest packed
-    sequence."""
+    ``mcfg``: a vocab that covers the data vocabulary, the same patch, and
+    a max_seq that holds the longest packed sequence."""
+    if mcfg.vocab < VOCAB_SIZE:
+        raise ConfigFileError(f"{source}: vocab ({mcfg.vocab}) must cover the {VOCAB_SIZE}-word data vocabulary")
     if dcfg.patch != mcfg.patch:
         raise ConfigFileError(f"{source}: patch ({dcfg.patch}) differs from the model's patch ({mcfg.patch})")
     longest = max_packed_len(dcfg)
     if longest > mcfg.max_seq:
         raise ConfigFileError(f"{source}: max_seq ({mcfg.max_seq}) is below the longest packed "
                               f"sequence ({longest}: largest vision span plus longest caption)")
+
+
+def check_batch_images(dcfg, batch_size, source):
+    """ConfigFileError unless every training batch holds an image: the
+    vision embed trains in every mode, and only an image gives it a
+    gradient."""
+    if dcfg.images_per_batch(batch_size) < 1:
+        raise ConfigFileError(f"{source}: batch_size ({batch_size}) x image_fraction ({dcfg.image_fraction}) "
+                              "rounds to no image per batch; training needs at least one")
 
 
 def parse_file(path):

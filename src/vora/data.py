@@ -256,6 +256,10 @@ class DataConfig:
             if self.anyres_min > self.anyres_max:
                 raise ValueError(f"anyres_min ({self.anyres_min}) exceeds anyres_max ({self.anyres_max})")
 
+    def images_per_batch(self, batch_size):
+        """Image-caption samples in a ``make_batch`` batch of batch_size."""
+        return int(round(batch_size * self.image_fraction))
+
 
 @dataclass
 class PackedBatch:
@@ -364,7 +368,7 @@ def make_batch(rng, batch_size, image_fraction=None, dcfg=None, max_seq=160, hel
     dcfg = dcfg or DataConfig()
     if image_fraction is not None:
         dcfg = replace(dcfg, image_fraction=image_fraction)
-    n_img = int(round(batch_size * dcfg.image_fraction))
+    n_img = dcfg.images_per_batch(batch_size)
     base = HELDOUT_BASE if heldout else 0
     samples = []
     for i in range(batch_size):

@@ -51,9 +51,9 @@ def distilled_blocks(mode, n_vit):
     return {"none": [], "last_block": blocks[-1:], "block_wise": blocks}[mode]
 
 
-def _cosine_rows(p, v, weights=None):
-    """Mean over rows of (1 - cos(p_row, v_row)), leading dims flattened;
-    with per-row ``weights`` (summing to 1) their weighted sum instead."""
+def _cosine_rows(p, v, weights):
+    """Weighted sum over rows of (1 - cos(p_row, v_row)); ``weights``
+    holds one weight per row (the leading dims)."""
     dots = T.tsum(T.mul(p, v), axis=-1)
     pn = T.tsum(T.mul(p, p), axis=-1)
     vn = T.tsum(T.mul(v, v), axis=-1)
@@ -61,20 +61,23 @@ def _cosine_rows(p, v, weights=None):
         raise ValueError("zero-norm vector: cosine undefined")
     cos = T.mul(dots, T.power(T.mul(pn, vn), -0.5))
     loss = T.constant(np.ones_like(cos.data)) - cos
-    return T.tmean(loss) if weights is None else T.tsum(T.mul(loss, T.constant(weights)))
+    return T.tsum(T.mul(loss, T.constant(weights)))
 
 
 def block_distill_loss(h_llm, h_vit, head, weights=None):
     """(1/S) sum_s (1 - cos(head(h_llm[s]), h_vit[s])); value in [0, 2].
 
-    h_llm: Tensor [S, d_model] (or [B, S, d_model]) restricted to the
-    vision span; h_vit: the matching float32 teacher states, an array
-    treated as constant. weights: optional [S] row weights summing to 1,
-    which replace the uniform 1/S (a batch weighs each image's rows
-    1/(n_image * S_image), the mean over images).
+    h_llm: Tensor [S, d_model] (or [B, S, d_model], whose B*S rows count
+    as S) restricted to the vision span; h_vit: the matching float32
+    teacher states, an array treated as constant. weights: optional [S]
+    row weights summing to 1, which replace the uniform 1/S (a batch
+    weighs each image's rows 1/(n_image * S_image), the mean over images).
     """
     if h_llm.data.shape[:-1] != h_vit.shape[:-1]:
         raise T.ShapeError(f"token counts differ: {h_llm.data.shape} vs {h_vit.shape}")
+    if weights is None:
+        lead = h_vit.shape[:-1]
+        weights = np.full(lead, 1.0 / np.prod(lead), dtype=np.float32)
     return _cosine_rows(head.forward(h_llm), T.constant(h_vit), weights)
 
 

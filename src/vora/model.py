@@ -121,12 +121,6 @@ class SequenceLayout:
         return self.text_span[1]
 
 
-@dataclass
-class BlockTap:
-    block_index: int
-    hidden: Tensor  # [..., seq, d_model], post-residual block output
-
-
 def build_attention_mask(layout, total_len, mode="hybrid"):
     """Additive mask [total_len, total_len]: 0 = allowed, NEG_MASK = blocked.
 
@@ -153,10 +147,10 @@ def build_attention_mask(layout, total_len, mode="hybrid"):
     return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK)).astype(np.float32)
 
 
-def rope_tables(seq_len, head_dim, base=10000.0):
+def rope_tables(seq_len, head_dim):
     """cos/sin [seq_len, head_dim/2] for half-split rotary application."""
     half = head_dim // 2
-    inv_freq = 1.0 / base ** (np.arange(half) / half)
+    inv_freq = 1.0 / 10000.0 ** (np.arange(half) / half)
     ang = np.arange(seq_len)[:, None] * inv_freq[None, :]
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
@@ -273,29 +267,31 @@ class Model:
                 logit_rows=None):
         """Run the stack on already-embedded inputs.
 
-        embedded: Tensor [S, d] or [B, S, d] with vision embeddings
-        spliced in at the vision span. mask: additive [S, S] or, per
-        sequence, [B, S, S]. Returns (logits, taps);
-        taps hold the post-residual outputs of blocks 0..n_vit-1.
+        embedded: Tensor [B, S, d] with vision embeddings spliced in at the
+        vision span, mask additive [S, S] or, per sequence, [B, S, S].
+        Returns (logits, taps); taps are the post-residual output Tensors
+        of blocks 0..n_vit-1, in block order.
+        rows (token-major batch): embedded is [N, d], the batch's live
+        tokens in the flat order rows [B, S] indexes (-1 at padding, see
+        ``data.PackedBatch.rows``). Norms, linear layers, adapter deltas,
+        the FFN and the residuals run on the N rows; only attention sees
+        [B, S] sequences. Taps are [N, d], logits [N, vocab], or only the
+        logit_rows rows of them. An [S, d] input without rows is one
+        sequence, rows = arange(S)[None]: [S, d] taps, [S, vocab] logits.
         cache (from ``new_cache``, forward-only): the inputs extend the L
         positions cached so far; they take positions L..L+S-1, the mask
         is [S, L+S], and their keys and values are written into the cache.
-        rows (token-major batch): embedded is [N, d], the batch's live
-        tokens in the flat order rows [B, S] indexes (-1 at padding, see
-        ``data.PackedBatch.rows``), and the mask is [B, S, S]. Norms,
-        linear layers, adapter deltas, the FFN and the residuals run on
-        the N rows; only attention sees [B, S] sequences. Taps are
-        [N, d], logits [N, vocab], or only the logit_rows rows of them.
         """
         cfg = self.cfg
-        squeeze = embedded.data.ndim == 2 and rows is None
-        x = T.reshape(embedded, (1,) + embedded.data.shape) if squeeze else embedded
-        s = x.data.shape[1] if rows is None else rows.shape[1]
+        x = embedded
+        if x.data.ndim == 2 and rows is None:
+            rows = np.arange(x.data.shape[0])[None]
+        b, s = x.data.shape[:2] if rows is None else rows.shape
         past = 0 if cache is None else cache.filled
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
         if cache is not None:
-            cache.check(x.data.shape[0], past + s)
+            cache.check(b, past + s)
         rope = tuple(t[past:] for t in rope_tables(past + s, cfg.head_dim))
 
         taps = []
@@ -312,18 +308,14 @@ class Model:
             x = x + self._linear(T.mul(T.silu(gate), up), i, "ffn_down", adapters)
 
             if collect_taps and i < cfg.n_vit:
-                tap = T.reshape(x, (s, cfg.d_model)) if squeeze else x
-                taps.append(BlockTap(block_index=i, hidden=tap))
+                taps.append(x)
 
         if cache is not None:
             cache.filled = past + s
         if logit_rows is not None:
             x = T.gather_rows(x, logit_rows)
         xn = T.rms_norm(x, self.params["llm.final_norm"], eps=1e-6)
-        logits = T.linear(xn, self.params["llm.head"])
-        if squeeze:
-            logits = T.reshape(logits, (s, cfg.vocab))
-        return logits, taps
+        return T.linear(xn, self.params["llm.head"]), taps
 
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):

@@ -66,12 +66,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -492,23 +486,18 @@ def cross_entropy(logits, targets):
     return _make(np.asarray(loss), (logits,), bwd)
 
 
-def tsum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float32)
+def tsum(a, axis=None):
+    out = a.data.sum(axis=axis, dtype=np.float32)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
+        _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape))
 
     return _make(np.asarray(out), (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims=False):
+def tmean(a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def power(a, p):

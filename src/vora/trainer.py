@@ -232,12 +232,11 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
     states = pipe.teacher.forward_batch(batch.patches, runs)  # per block [n_vision, d_vit]
     weights = np.concatenate([np.full(n * r * c, 1.0 / (batch.n_image * r * c), dtype=np.float32)
                               for (r, c), n in runs])
-    per_block_t = [distill.block_distill_loss(T.slice_axis(taps[blk].hidden, 0, 0, batch.n_vision), states[blk],
+    per_block_t = [distill.block_distill_loss(T.slice_axis(taps[blk], 0, 0, batch.n_vision), states[blk],
                                               pipe.heads[blk], weights)
                    for blk in distill.distilled_blocks(distill_mode, cfg.n_vit)]
     per_block = [float(t.data) for t in per_block_t]
-    dist = per_block_t[0] if len(per_block_t) == 1 else T.scale(sum(per_block_t[1:], per_block_t[0]),
-                                                                   1.0 / len(per_block_t))
+    dist = T.scale(sum(per_block_t[1:], per_block_t[0]), 1.0 / len(per_block_t))
     return LossOut(distill.total_loss(dist, lm), lm, dist, per_block)
 
 

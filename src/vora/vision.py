@@ -9,7 +9,7 @@ one-to-one at every patch position.
 import numpy as np
 
 from . import tensor as T
-from .model import attention, init_tensors
+from .model import attention, init_tensors, rope_tables
 
 
 class PatchError(ValueError):
@@ -36,26 +36,17 @@ def sincos_grid(rows, cols, dim):
     """Factorized 2-D sinusoidal encoding [rows*cols, dim], row-major.
 
     First half of the channels encodes the row index, second half the
-    column index, each with a standard 1-D sin/cos ladder. Defined for
-    any grid, so any patch-divisible resolution works.
+    column index, each as [sin | cos] of the ``rope_tables`` ladder (a
+    zero column pads an odd width). Defined for any grid, so any
+    patch-divisible resolution works.
     """
+    def axis(n, width):
+        cos, sin = rope_tables(n, width)
+        return np.concatenate([sin, cos, np.zeros((n, width % 2), np.float32)], axis=1)
+
     half = dim // 2
-
-    def ladder(pos, n, d):
-        quarter = d // 2
-        freq = 1.0 / 10000.0 ** (np.arange(quarter) / max(quarter, 1))
-        ang = pos[:, None] * freq[None, :]
-        out = np.zeros((n, d), dtype=np.float32)
-        out[:, :quarter] = np.sin(ang)
-        out[:, quarter : 2 * quarter] = np.cos(ang)
-        return out
-
-    r = np.repeat(np.arange(rows), cols).astype(np.float64)
-    c = np.tile(np.arange(cols), rows).astype(np.float64)
-    pe = np.zeros((rows * cols, dim), dtype=np.float32)
-    pe[:, :half] = ladder(r, rows * cols, half)
-    pe[:, half:] = ladder(c, rows * cols, dim - half)
-    return pe
+    return np.concatenate([np.repeat(axis(rows, half), cols, axis=0),
+                           np.tile(axis(cols, dim - half), (rows, 1))], axis=1)
 
 
 def positions(patches, runs, dim):

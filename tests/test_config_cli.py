@@ -206,6 +206,10 @@ class TestCli:
         ("ablate", "ablate_ranks=8,8\nablate_steps=3"), ("ablate", "ablate_ranks=8,08\nablate_steps=3"),
         ("ablate", "ablate_masks=hybrid,hybrid\nablate_steps=3"),
         ("ablate", "ablate_distills=none,none\nablate_steps=3"), ("ablate", "thresholds=4.0,4.0\nablate_steps=3"),
+        # batches without an image leave the trainable vision embed without a gradient
+        ("pretrain", "image_fraction=0.0"), ("pretrain", "image_fraction=0.0\nmode=full_llm_unstable"),
+        ("finetune", "image_fraction=0.0"), ("ablate", "image_fraction=0.0\nablate_steps=3"),
+        ("pretrain", "batch_size=1\nimage_fraction=0.4"),
     ])
     def test_out_of_range_value_exits_2_before_work(self, tmp_path, command, lines):
         seed = "" if lines.startswith("seed=") else "seed=0\n"
@@ -230,6 +234,27 @@ class TestCli:
                                    "eval_captions=1\neval_texts=1\neval_max_new=2\n")
         ckpt = tmp_path / "init.vora"
         cfg = ModelConfig(max_seq=200)
+        checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)), {"merged": "false"})
+        assert cli.main(["eval", str(ckpt), cfg_path]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["text_perplexity"])
+
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    def test_vocab_is_checked_against_the_checkpoint_model(self, tmp_path, command):
+        # the checkpoint's vocab misses the data vocabulary: exit 2 before work
+        cfg_path = write(tmp_path, "seed=0\ntotal_steps=2\nwarmup_steps=1\n")
+        ckpt = tmp_path / "small.vora"
+        cfg = ModelConfig(vocab=20)
+        checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)), {"merged": "false"})
+        out = [str(tmp_path / "out")] if command == "finetune" else []
+        before = sorted(tmp_path.iterdir())
+        assert cli.main([command, str(ckpt), cfg_path, *out]) == cli.EXIT_CONFIG
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_eval_ignores_the_run_config_vocab(self, tmp_path, capsys):
+        # vocab=100 is below the data vocabulary, but only the checkpoint's model runs
+        cfg_path = write(tmp_path, "seed=0\nvocab=100\neval_captions=1\neval_texts=1\neval_max_new=2\n")
+        ckpt = tmp_path / "init.vora"
+        cfg = ModelConfig()
         checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)), {"merged": "false"})
         assert cli.main(["eval", str(ckpt), cfg_path]) == 0
         assert np.isfinite(json.loads(capsys.readouterr().out)["text_perplexity"])

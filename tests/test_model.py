@@ -95,7 +95,7 @@ class TestForward:
         npt.assert_allclose(logits.data, ref_logits, atol=1e-6)
         assert len(taps) == len(ref_taps)
         for tap, ref in zip(taps, ref_taps):
-            npt.assert_allclose(tap.hidden.data, ref, atol=1e-6)
+            npt.assert_allclose(tap.data, ref, atol=1e-6)
 
     def test_sequence_too_long(self):
         cfg = ModelConfig(max_seq=8)
@@ -116,6 +116,13 @@ class TestForward:
         for i in range(2):
             single, _ = model.forward(T.constant(emb[i]), mask)
             npt.assert_allclose(batch_logits.data[i], single.data, atol=1e-6)
+        # an [S, d] input is a batch of one sequence, bit for bit, taps included
+        one, one_taps = model.forward(T.constant(emb[0]), mask)
+        padded, padded_taps = model.forward(T.constant(emb[:1]), mask)
+        assert one.shape == (5, cfg.vocab) and [t.shape for t in one_taps] == [(5, cfg.d_model)] * cfg.n_vit
+        npt.assert_array_equal(one.data, padded.data[0])
+        for got, want in zip(one_taps, padded_taps, strict=True):
+            npt.assert_array_equal(got.data, want.data[0])
 
 
 class TestDecodeGreedy:

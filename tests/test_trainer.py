@@ -297,7 +297,7 @@ class TestTokenMajor:
         assert got.shape == (live.sum(), pipe.cfg.vocab)
         npt.assert_allclose(got.data[rows[live]], want.data[live], atol=1e-5)
         for g, w in zip(got_taps, want_taps):
-            npt.assert_allclose(g.hidden.data[rows[live]], w.hidden.data[live], atol=1e-5)
+            npt.assert_allclose(g.data[rows[live]], w.data[live], atol=1e-5)
 
     @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
     @pytest.mark.parametrize("kind", ["fixed", "anyres", "text", "image"])

@@ -223,6 +223,26 @@ class TestTeacher:
         assert head.proj.grad is not None
 
 
+@pytest.mark.parametrize("dim", [2, 5, 9, 48])
+def test_sincos_grid_matches_float64_formula(dim):
+    # channel j < w//2 of an axis half of width w is sin(p / 10000^(j / (w//2))),
+    # the next w//2 channels the matching cos, and an odd width ends in a 0
+    def half(pos, width):
+        quarter = width // 2
+        out = np.zeros((len(pos), width))
+        for j in range(quarter):
+            ang = pos / 10000.0 ** (j / quarter)
+            out[:, j], out[:, quarter + j] = np.sin(ang), np.cos(ang)
+        return out
+
+    for rows, cols in ((1, 1), (1, 3), (2, 7), (5, 3), (4, 4)):
+        k = np.arange(rows * cols, dtype=np.float64)
+        want = np.concatenate([half(k // cols, dim // 2), half(k % cols, dim - dim // 2)], axis=1)
+        got = sincos_grid(rows, cols, dim)
+        assert got.dtype == np.float32 and got.shape == (rows * cols, dim)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
 def test_sincos_any_grid_finite():
     for rows, cols in ((1, 1), (2, 7), (5, 3), (12, 12)):
         pe = sincos_grid(rows, cols, 64)

@@ -12,6 +12,7 @@
 # artifact (gradcheck.txt, report.csv, ...) is followed by a unified diff of
 # the two files, indented, so the changed lines show.
 # config.resolved is compared without its "# written:" timestamp line.
+# The last line gives the src/vora line count of REV and of the working tree.
 # BLAS runs on one thread, and vora is imported from each tree's src/.
 set -euo pipefail
 
@@ -131,4 +132,6 @@ while read -r name; do
         diff -u --label "$rev/$name" --label "tree/$name" <(view "$a") <(view "$b") | sed 's/^/    /' || true
     fi
 done < <( (cd "$tmp/out_rev" && find . -type f; cd "$tmp/out_tree" && find . -type f) | sed 's|^\./||' | sort -u)
+lines() { cat "$1"/src/vora/*.py | wc -l; }
+echo "src/vora lines: $(lines "$tmp/rev") at $rev, $(lines "$root") in the working tree"
 exit $status
