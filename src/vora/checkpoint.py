@@ -69,7 +69,8 @@ def load(path):
     """Read (ModelConfig, {name: float32 array}, {meta key: value}).
 
     A missing, truncated or corrupt file raises CheckpointError naming
-    the path.
+    the path, and a config field that is not a whole number, or an n_llm
+    above the number of tensors in the file, one naming the field.
     """
     pos = 0
 
@@ -99,8 +100,11 @@ def load(path):
             for _ in range(u32()):
                 name = text()
                 raw_cfg[name] = struct.unpack("<d", take(8))[0]
-            cfg = ModelConfig(**{fld.name: int(raw_cfg[fld.name]) for fld in fields(ModelConfig)
-                                 if fld.name in raw_cfg})
+            known = {fld.name: raw_cfg[fld.name] for fld in fields(ModelConfig) if fld.name in raw_cfg}
+            for name, value in known.items():
+                if not value.is_integer():
+                    raise CheckpointError(f"{path}: config field {name}={value!r} is not a whole number")
+            cfg = ModelConfig(**{name: int(value) for name, value in known.items()})
             if raw_cfg.get("alpha", cfg.rank) != cfg.rank:
                 raise CheckpointError(f"{path}: adapter scale alpha={raw_cfg['alpha']:g} / rank={cfg.rank} "
                                       "is not 1; only alpha == rank is supported")
@@ -115,6 +119,11 @@ def load(path):
                 shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
                 data = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
                 tensors[name] = np.array(data, dtype=np.float32)  # own, writable copy
+            # every block owns at least one tensor (and n_vit <= n_llm): checked
+            # here, before a caller builds the name tables, which grow with n_llm
+            if cfg.n_llm > len(tensors):
+                raise CheckpointError(f"{path}: config field n_llm={cfg.n_llm} asks for more blocks than "
+                                      f"the file's {len(tensors)} tensors")
     except CheckpointError:
         raise
     except (OSError, struct.error, ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError

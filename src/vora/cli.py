@@ -16,8 +16,9 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 
-from . import checkpoint, config, gradcheck, lora, trainer
+from . import checkpoint, config, distill, gradcheck, lora, trainer
 
 log = logging.getLogger("vora")
 
@@ -89,17 +90,18 @@ def cmd_pretrain(args):
 
 
 def _checkpoint_run(args):
-    """(run config, data config, pipeline) for eval and finetune. The model
-    is the checkpoint's; the run config's data keys must fit it."""
+    """(run config, data config, pipeline, checkpoint meta) for eval and
+    finetune. The model is the checkpoint's; the run config's data keys
+    must fit it."""
     run_cfg = config.parse_file(args.config)
     cfg, tensors, meta = checkpoint.load(args.checkpoint)
     dcfg = run_cfg.data_config()
     config.check_data_fits(dcfg, cfg, f"{args.config} on checkpoint {args.checkpoint}")
-    return run_cfg, dcfg, trainer.pipeline_from_state(cfg, tensors, meta)
+    return run_cfg, dcfg, trainer.pipeline_from_state(cfg, tensors, meta), meta
 
 
 def cmd_finetune(args):
-    run_cfg, dcfg, pipe = _checkpoint_run(args)
+    run_cfg, dcfg, pipe, _ = _checkpoint_run(args)
     tcfg = run_cfg.train_config(mode="finetune")
     config.check_batch_images(dcfg, tcfg.batch_size, args.config)
     _, metrics = trainer.finetune(pipe, tcfg, dcfg, metrics_sink=_metrics_logger())
@@ -120,8 +122,13 @@ def cmd_merge(args):
 
 
 def cmd_eval(args):
-    run_cfg, dcfg, pipe = _checkpoint_run(args)
-    metrics = trainer.eval_metrics(pipe, dcfg, run_cfg.train_config(),
+    run_cfg, dcfg, pipe, meta = _checkpoint_run(args)
+    # the aux heads are scored in the distill mode that trained them; a file
+    # without the entry counts as trained in the default mode
+    distill_mode = meta.get("distill_mode", trainer.TrainConfig.distill_mode)
+    if distill_mode not in distill.DISTILL_MODES:
+        raise checkpoint.CheckpointError(f"{args.checkpoint}: unknown distill_mode {distill_mode!r}")
+    metrics = trainer.eval_metrics(pipe, dcfg, replace(run_cfg.train_config(), distill_mode=distill_mode),
                                    n_caption=run_cfg["eval_captions"],
                                    n_text=run_cfg["eval_texts"],
                                    max_new=run_cfg["eval_max_new"])

@@ -290,8 +290,8 @@ class PackedBatch:
         live tokens, -1 at padding. The flat order holds every image's
         vision span first, image after image (so row r < n_vision is patch
         row r), then every sequence's text span, sequence after sequence."""
-        v1 = np.array([lay.vision_span[1] for lay in self.layouts])
-        t1 = np.array([lay.total_len for lay in self.layouts])
+        v1 = np.array([lay.n_vision for lay in self.layouts])
+        t1 = np.array([lay.length for lay in self.layouts])
         n_text = t1 - v1
         col = np.arange(self.tokens.shape[1])[None, :]
         vis = (np.cumsum(v1) - v1)[:, None] + col
@@ -349,7 +349,7 @@ def pack_samples(samples, patch, max_seq):
         ids = [IMG] * s_v + list(sample.prompt_tokens) + list(sample.answer_tokens) + [EOS]
         if len(ids) > max_seq:
             raise ValueError(f"packed length {len(ids)} exceeds max_seq {max_seq}")
-        layouts.append(SequenceLayout((0, s_v), (s_v, len(ids)), s_v + len(sample.prompt_tokens)))
+        layouts.append(SequenceLayout(s_v, len(ids), s_v + len(sample.prompt_tokens)))
         rows.append(ids)
     images = [patchify(sample.image, patch) for sample in ordered if sample.image is not None]
     patches = np.concatenate(images) if images else np.zeros((0, patch * patch * 3), dtype=np.float32)

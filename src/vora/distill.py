@@ -15,30 +15,27 @@ DISTILL_MODES = ("none", "last_block", "block_wise")
 class AuxHead:
     """RMS-norm + linear projection from model width to teacher width.
 
-    One head per distilled block; trained during pre-training, discarded
-    at fine-tune.
+    One head per distilled block, its block the head's position in the
+    pipeline's list; ``params`` is the name -> Tensor table of
+    ``shapes(cfg, block)``. Trained during pre-training, discarded at
+    fine-tune.
     """
 
-    def __init__(self, block_index, norm_gain, proj):
-        self.block_index = block_index
-        self.norm_gain = norm_gain
-        self.proj = proj
+    def __init__(self, params):
+        self.params = params
+        self.norm_gain, self.proj = params.values()
 
     @staticmethod
-    def shapes(cfg, block_index):
+    def shapes(cfg, block):
         """The head's norm gain and projection, name -> shape in init order."""
-        return {f"aux.{block_index}.gain": (cfg.d_model,), f"aux.{block_index}.proj": (cfg.d_vit, cfg.d_model)}
+        return {f"aux.{block}.gain": (cfg.d_model,), f"aux.{block}.proj": (cfg.d_vit, cfg.d_model)}
 
     @classmethod
-    def init(cls, cfg, block_index, seed=0):
-        tensors = init_tensors(cls.shapes(cfg, block_index), np.random.default_rng(seed), requires_grad=True)
-        return cls(block_index, *tensors.values())
+    def init(cls, cfg, block, seed=0):
+        return cls(init_tensors(cls.shapes(cfg, block), np.random.default_rng(seed), requires_grad=True))
 
     def forward(self, h):
         return T.linear(T.rms_norm(h, self.norm_gain, eps=1e-6), self.proj)
-
-    def tensors(self):
-        return {self.norm_gain.name: self.norm_gain, self.proj.name: self.proj}
 
 
 def init_heads(cfg, seed=0):
@@ -83,15 +80,14 @@ def block_distill_loss(h_llm, h_vit, head, weights=None):
 
 def supervised(layouts, s):
     """[B, s-1] bool: entry (i, t-1) is True iff position t of sequence i
-    is supervised, i.e. supervise_from <= t < text_end."""
+    is supervised, i.e. supervise_from <= t < length."""
     live = np.zeros((len(layouts), s - 1), dtype=bool)
     for i, lay in enumerate(layouts):
-        t1 = lay.text_span[1]
-        if lay.supervise_from >= t1:
+        if lay.supervise_from >= lay.length:
             raise ValueError(f"no supervised positions in sequence {i}")
         if lay.supervise_from < 1:
             raise ValueError("position 0 cannot be supervised (nothing precedes it)")
-        live[i, lay.supervise_from - 1 : t1 - 1] = True
+        live[i, lay.supervise_from - 1 : lay.length - 1] = True
     return live
 
 
@@ -100,7 +96,7 @@ def lm_loss(logits, layouts, tokens):
 
     tokens: [B, S] int array of packed ids; layouts: one SequenceLayout
     per sequence. Position t is supervised iff supervise_from <= t <
-    text_end, predicted from the logits at t-1. logits: [n, V] holding
+    length, predicted from the logits at t-1. logits: [n, V] holding
     just the n predictions of the supervised positions, in the row-major
     order of ``supervised``, or [B, S, V] at every position, whose
     supervised rows are picked first; either way one cross entropy over

@@ -6,35 +6,38 @@ further scale. Every adapter starts with b = 0 so a freshly attached model
 computes exactly the base model's outputs.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import tensor as T
 from .model import LAYER_NAMES, Model, init_tensors
+from .tensor import Tensor
 
 
 class MergeStateError(RuntimeError):
     pass
 
 
-class LoraAdapter:
+class LoraAdapter(NamedTuple):
     """Rank-r pair (a, b) for one targeted linear layer.
 
     a: [rank, d_in] small-random; b: [d_out, rank] zero at creation, so
     the initial delta b @ a is exactly zero.
     """
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
+    a: Tensor
+    b: Tensor
 
 
 class AdapterSet:
-    """All adapters of a model, keyed by (block, layer); tracks merge state."""
+    """All adapters of a model: ``params`` is the name -> Tensor table of
+    ``shapes(cfg)`` it is built from, ``adapters`` its (a, b) pair per
+    (block, layer); tracks merge state."""
 
-    def __init__(self, adapters):
-        self.adapters = adapters
+    def __init__(self, cfg, params):
+        self.params = params
+        self.adapters = {(block, layer): LoraAdapter(params[a], params[b]) for block, layer, a, b in _pairs(cfg)}
         self.merged = False
 
     def __len__(self):
@@ -42,9 +45,6 @@ class AdapterSet:
 
     def __iter__(self):
         return iter(self.adapters.values())
-
-    def tensors(self):
-        return {t.name: t for _, ad in sorted(self.adapters.items()) for t in (ad.a, ad.b)}
 
     def delta(self, x, block, layer):
         """Low-rank forward contribution (x a^T) b^T, or None."""
@@ -75,17 +75,11 @@ def shapes(cfg):
     return out
 
 
-def adapter_set(cfg, tensors):
-    """The AdapterSet over the name -> Tensor entries of a ``shapes(cfg)`` table."""
-    return AdapterSet({(block, layer): LoraAdapter(tensors[a], tensors[b]) for block, layer, a, b in _pairs(cfg)})
-
-
 def attach(cfg, seed=0):
     """One adapter per targeted linear layer in blocks 0..n_vit-1: a is
     0.02 * N(0, 1), b is zero."""
-    tensors = init_tensors(shapes(cfg), np.random.default_rng(seed), requires_grad=True,
-                           scale=lambda name: 0.0 if name.endswith(".b") else 0.02)
-    return adapter_set(cfg, tensors)
+    return AdapterSet(cfg, init_tensors(shapes(cfg), np.random.default_rng(seed), requires_grad=True,
+                                        scale=lambda name: 0.0 if name.endswith(".b") else 0.02))
 
 
 def merge_adapter(base_w, adapter):

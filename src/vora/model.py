@@ -2,11 +2,13 @@
 rotary positions, hybrid vision/text attention masks, per-block taps. The
 stack runs on padded sequences or, token-major, on a batch's live tokens.
 ``attention`` is the multi-head attention of the student and the teacher;
-``init_tensors`` draws every tensor owner's init from its ``shapes`` table.
+``init_tensors`` draws every tensor owner's init from its ``shapes`` table,
+whose keys are the tensors' names.
 
-The packed sequence always puts vision tokens first, then text; the
-hybrid mask gives vision-vision pairs full bi-directional visibility and
-everything else plain causal visibility.
+A packed sequence is three integers (``SequenceLayout``): vision tokens
+[0, n_vision), then text up to its length, supervised from
+supervise_from. The hybrid mask gives vision-vision pairs full
+bi-directional visibility and everything else plain causal visibility.
 """
 
 from dataclasses import dataclass
@@ -92,33 +94,22 @@ def init_tensors(shapes, rng, requires_grad=False, scale=lambda name: 0.02):
             data = np.zeros(shape, dtype=np.float32)
         else:
             data = (s * rng.standard_normal(shape)).astype(np.float32)
-        out[name] = Tensor(data, requires_grad=requires_grad, name=name)
+        out[name] = Tensor(data, requires_grad=requires_grad)
     return out
 
 
 @dataclass
 class SequenceLayout:
-    """Token spans of one packed sequence: [vision)[text), supervision start."""
+    """One packed sequence: vision [0, n_vision), text [n_vision, length),
+    supervision from ``supervise_from``."""
 
-    vision_span: tuple
-    text_span: tuple
+    n_vision: int
+    length: int
     supervise_from: int
 
     def __post_init__(self):
-        v0, v1 = self.vision_span
-        t0, t1 = self.text_span
-        if not (0 <= v0 <= v1):
-            raise LayoutError(f"bad vision span {self.vision_span}")
-        if not (v1 <= t0 <= t1):
-            raise LayoutError(f"spans overlap or run backwards: vision {self.vision_span}, text {self.text_span}")
-        if t0 != v1:
-            raise LayoutError(f"gap between vision span {self.vision_span} and text span {self.text_span}")
-        if not (t0 <= self.supervise_from <= t1):
-            raise LayoutError(f"supervise_from {self.supervise_from} outside text span {self.text_span}")
-
-    @property
-    def total_len(self):
-        return self.text_span[1]
+        if not (0 <= self.n_vision <= self.supervise_from <= self.length):
+            raise LayoutError(f"need 0 <= n_vision <= supervise_from <= length, got {self}")
 
 
 def build_attention_mask(layout, total_len, mode="hybrid"):
@@ -132,18 +123,13 @@ def build_attention_mask(layout, total_len, mode="hybrid"):
     """
     if mode not in ("hybrid", "causal"):
         raise ValueError(f"unknown mask mode {mode!r}")
-    if layout.total_len > total_len:
-        raise LayoutError(f"layout extent {layout.total_len} exceeds total_len {total_len}")
+    if layout.length > total_len:
+        raise LayoutError(f"layout length {layout.length} exceeds total_len {total_len}")
     q = np.arange(total_len)[:, None]
     k = np.arange(total_len)[None, :]
-    causal = k <= q
-    if mode == "causal":
-        allowed = causal
-    else:
-        v0, v1 = layout.vision_span
-        vis_q = (q >= v0) & (q < v1)
-        vis_k = (k >= v0) & (k < v1)
-        allowed = np.where(vis_q, vis_q & vis_k, causal)
+    allowed = k <= q
+    if mode == "hybrid":
+        allowed = np.where(q < layout.n_vision, k < layout.n_vision, allowed)
     return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK)).astype(np.float32)
 
 
@@ -338,11 +324,9 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     emb = T.constant(prefix_embedded.data[None]) if squeeze else prefix_embedded
     batch, length = emb.data.shape[:2]
     layouts = [layout] if squeeze else list(layout)
-    if len(layouts) != batch or len({(lay.vision_span, lay.supervise_from) for lay in layouts}) > 1:
+    if len(layouts) != batch or len({(lay.n_vision, lay.supervise_from) for lay in layouts}) > 1:
         raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
-    v1 = layouts[0].vision_span[1]
-    lay = SequenceLayout(layouts[0].vision_span, (v1, length), supervise_from=length)
-    mask = build_attention_mask(lay, length, mask_mode)
+    mask = build_attention_mask(SequenceLayout(layouts[0].n_vision, length, length), length, mask_mode)
     cache = model.new_cache(batch, min(model.cfg.max_seq, length + max_new))
     out = [[] for _ in range(batch)]
     live = [True] * batch

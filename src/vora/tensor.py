@@ -29,13 +29,12 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float32)  # a float32 array is kept as it is
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.name = name
 
     @property
     def shape(self):
@@ -49,8 +48,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        tag = f" '{self.name}'" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # light operator sugar; every path funnels into the module-level ops
     def __add__(self, other):
@@ -72,13 +70,13 @@ class Tensor:
         return reshape(self, shape)
 
 
-def param(data, name=None):
+def param(data):
     """Trainable leaf tensor."""
-    return Tensor(data, requires_grad=True, name=name)
+    return Tensor(data, requires_grad=True)
 
 
-def constant(data, name=None):
-    return Tensor(data, requires_grad=False, name=name)
+def constant(data):
+    return Tensor(data, requires_grad=False)
 
 
 # ---------------------------------------------------------------------------

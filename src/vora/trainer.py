@@ -83,13 +83,13 @@ class Pipeline:
     def groups(self):
         """Every tensor of the pipeline by owner, owner -> {name: Tensor}:
         llm, lora (while the adapters are unmerged), vembed, teacher, and
-        one aux.<block> per head."""
+        one aux.<i> per head, i its list position (its block)."""
         groups = {"llm": self.model.params}
         if self.adapters is not None and not self.adapters.merged:
-            groups["lora"] = self.adapters.tensors()
+            groups["lora"] = self.adapters.params
         groups["vembed"] = self.vembed.params
         groups["teacher"] = self.teacher.params
-        groups.update((f"aux.{head.block_index}", head.tensors()) for head in self.heads)
+        groups.update((f"aux.{i}", head.params) for i, head in enumerate(self.heads))
         return groups
 
 
@@ -140,7 +140,7 @@ def pipeline_from_state(cfg, tensors, meta=None):
             if shape != want:
                 raise checkpoint.CheckpointError(f"checkpoint tensor {name!r} has shape {list(shape)}; "
                                                  f"the config implies {list(want)}")
-            out[name] = Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable, name=name)
+            out[name] = Tensor(np.array(tensors[name], dtype=np.float32), requires_grad=trainable)
         expected.update(table)
         return out
 
@@ -151,14 +151,14 @@ def pipeline_from_state(cfg, tensors, meta=None):
     adapters = None
     adapter_shapes = lora.shapes(cfg)
     if present(adapter_shapes):
-        adapters = lora.adapter_set(cfg, wrap(adapter_shapes, True))
+        adapters = lora.AdapterSet(cfg, wrap(adapter_shapes, True))
         adapters.merged = meta.get("merged", "false") == "true"
     vembed = vision.VisionEmbed(cfg, wrap(vision.VisionEmbed.shapes(cfg), True))
     teacher = vision.Teacher(cfg, wrap(vision.Teacher.shapes(cfg), False))
     head_shapes = [distill.AuxHead.shapes(cfg, i) for i in range(cfg.n_vit)]
     heads = []
     if present(*head_shapes):
-        heads = [distill.AuxHead(i, *wrap(table, True).values()) for i, table in enumerate(head_shapes)]
+        heads = [distill.AuxHead(wrap(table, True)) for table in head_shapes]
     extra = next((name for name in tensors if name not in expected), None)
     if extra is not None:
         raise checkpoint.CheckpointError(f"checkpoint tensor {extra!r} is not one its config implies")
@@ -432,7 +432,8 @@ def _decode_caption(pipe, batch, max_new, mask_mode):
 
 def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
     """Held-out metrics: greedy caption token accuracy, text perplexity,
-    and (when heads exist) mean per-block cosine alignment.
+    and, when heads exist and tcfg's distill mode aligns any block, the
+    mean cosine alignment over the blocks that mode aligns.
 
     The n_caption captions are rendered at ``dcfg.resolution`` (also under
     anyres), so they share one layout and decode as one batch."""
@@ -460,10 +461,10 @@ def eval_metrics(pipe, dcfg, tcfg, n_caption=8, n_text=8, max_new=24):
 
     result = {"caption_token_accuracy": caption_acc, "text_perplexity": ppl}
 
-    if pipe.heads:
+    if pipe.heads and tcfg.distill_mode != "none":
         batch = D.make_batch(rng, 4, image_fraction=1.0, dcfg=dcfg, max_seq=cfg.max_seq, heldout=True)
         with T.no_grad():
-            out = compute_losses(pipe, batch, tcfg.mask_mode, "block_wise")
+            out = compute_losses(pipe, batch, tcfg.mask_mode, tcfg.distill_mode)
         result["distill_alignment"] = 1.0 - float(out.dist.data)  # mean cosine
     return result
 
@@ -539,14 +540,13 @@ def overfit_pair(pipe, sample, steps=300, lr=3e-3):
 # ---------------------------------------------------------------------------
 # teacher warming
 
-def warm_teacher(teacher, cfg, steps=200, seed=7):
+def warm_teacher(teacher, cfg, steps, seed):
     """Briefly train the toy ViT on single-shape (kind, color) classification
     so its features carry the attributes captions talk about, then freeze it."""
     rng = np.random.default_rng([seed, 20])
     d_vit = cfg.d_vit
     n_classes = len(D.SHAPE_NAMES) * len(D.COLOR_NAMES)
-    head = Tensor((0.02 * rng.standard_normal((n_classes, d_vit))).astype(np.float32),
-                  requires_grad=True, name="warm.head")
+    head = T.param((0.02 * rng.standard_normal((n_classes, d_vit))).astype(np.float32))
     _set_requires_grad(teacher.params, True)
     trainable = dict(teacher.params)
     trainable["warm.head"] = head

@@ -39,7 +39,7 @@ def test_01_merge_equivalence():
         for ad in adapters:
             ad.b.data = (0.02 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
         emb = T.constant((0.1 * rng.standard_normal((20, cfg.d_model))).astype(np.float32))
-        lay = SequenceLayout((0, 8), (8, 20), 9)
+        lay = SequenceLayout(8, 20, 9)
         mask = build_attention_mask(lay, 20, "hybrid")
         with T.no_grad():
             split, _ = model.forward(emb, mask, adapters=adapters)
@@ -83,7 +83,7 @@ def test_03_zero_init_identity():
     for _ in range(20):
         n = int(rng.integers(1, 16))
         ids = rng.integers(0, cfg.vocab, size=n)
-        lay = SequenceLayout((0, 0), (0, n), min(1, n))
+        lay = SequenceLayout(0, n, min(1, n))
         mask = build_attention_mask(lay, n, "hybrid")
         with T.no_grad():
             base, _ = model.forward(model.embed_tokens(ids), mask)
@@ -114,7 +114,7 @@ def test_05_mask_correctness():
     ok = True
     for total in range(1, 9):
         for v1 in range(0, total + 1):
-            lay = SequenceLayout((0, v1), (v1, total), min(max(v1, 1), total))
+            lay = SequenceLayout(v1, total, min(max(v1, 1), total))
             for mode in ("hybrid", "causal"):
                 mask = build_attention_mask(lay, total, mode)
                 for q in range(total):
@@ -153,7 +153,7 @@ def test_06_loss_definitions():
 
     v = cfg.vocab
     logits = T.constant(np.zeros((1, 5, v), dtype=np.float32))
-    lay = SequenceLayout((0, 0), (0, 5), 2)
+    lay = SequenceLayout(0, 5, 2)
     uniform = distill.lm_loss(logits, [lay], np.zeros((1, 5), dtype=np.int64)).item()
     uniform_ok = abs(uniform - math.log(v)) <= 1e-4
 
@@ -237,7 +237,7 @@ def test_09_anyres_support():
 
     batch = data.make_batch(np.random.default_rng(1), 8, image_fraction=1.0, dcfg=dcfg,
                             max_seq=cfg.max_seq)
-    span_ok = all(lay.vision_span[1] == g[0] * g[1] for lay, g in zip(batch.layouts, batch.grids))
+    span_ok = all(lay.n_vision == g[0] * g[1] for lay, g in zip(batch.layouts, batch.grids))
     ok = counts_ok and finite_ok and span_ok
     report(9, "native-resolution fuzz", ok,
            f"20 grids counted, 20 training steps finite={finite_ok}")

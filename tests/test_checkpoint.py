@@ -52,7 +52,7 @@ def test_bad_version(tmp_path):
 def test_adapter_names_follow_convention(tmp_path):
     cfg = ModelConfig(n_vit=2)
     adapters = lora.attach(cfg, seed=0)
-    names = set(adapters.tensors())
+    names = set(adapters.params)
     for block in range(2):
         for layer in lora.LAYER_NAMES:
             assert f"lora.{block}.{layer}.a" in names
@@ -82,7 +82,7 @@ def test_pipeline_from_state_restores_forward(tmp_path):
     cfg2, tensors, meta = checkpoint.load(path)
     pipe2 = trainer.pipeline_from_state(cfg2, tensors, meta)
     ids = np.arange(5) + 4
-    lay = SequenceLayout((0, 0), (0, 5), 1)
+    lay = SequenceLayout(0, 5, 1)
     mask = build_attention_mask(lay, 5, "hybrid")
     a, _ = pipe.model.forward(pipe.model.embed_tokens(ids), mask, pipe.adapters)
     b, _ = pipe2.model.forward(pipe2.model.embed_tokens(ids), mask, pipe2.adapters)
@@ -142,6 +142,38 @@ def test_corrupt_name_is_checkpoint_error(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(checkpoint.CheckpointError, match="utf-8"):
         checkpoint.load(path)
+
+
+def _patch_fields(path, **values):
+    """Overwrite the f64 value of the named config fields in the file."""
+    blob = bytearray(path.read_bytes())
+    pos = 8
+    (n_cfg,) = struct.unpack_from("<I", blob, pos)
+    pos += 4
+    for _ in range(n_cfg):
+        (n,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4: pos + 4 + n].decode()
+        pos += 4 + n
+        if name in values:
+            struct.pack_into("<d", blob, pos, values[name])
+        pos += 8
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("values, field", [({"n_llm": 6.5}, "n_llm"), ({"n_vit": 2.5}, "n_vit"),
+                                           ({"d_model": 64.25}, "d_model"), ({"rank": float("nan")}, "rank"),
+                                           ({"n_llm": 1e7}, "n_llm"), ({"n_llm": 1e7, "n_vit": 1e7}, "n_llm"),
+                                           ({"n_llm": 400.0, "n_vit": 400.0}, "n_llm")])
+def test_corrupt_config_field_is_checkpoint_error(tmp_path, values, field):
+    # a fraction used to truncate silently; a huge block count built its
+    # name tables block by block before any check
+    path = _saved(tmp_path)
+    _patch_fields(path, **values)
+    with pytest.raises(checkpoint.CheckpointError, match=field):
+        checkpoint.load(path)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("seed=0\n")
+    assert cli.main(["eval", str(path), str(cfg_path)]) == cli.EXIT_STATE
 
 
 @pytest.mark.parametrize("name", ["vembed.fc1", "vembed.fc2", "lora.0.q.b", "aux.1.proj", "llm.blocks.2.q",

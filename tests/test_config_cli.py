@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vora import checkpoint, cli, config, data, trainer
+from vora import checkpoint, cli, config, data, distill, trainer
 from vora.model import ModelConfig
 
 
@@ -150,6 +150,37 @@ class TestCli:
         assert before["caption_token_accuracy"] == after["caption_token_accuracy"]
         assert abs(before["text_perplexity"] - after["text_perplexity"]) <= 1e-3 * before["text_perplexity"]
         assert "distill_alignment" in before and "distill_alignment" not in after
+
+    @pytest.mark.parametrize("distill_mode", ["last_block", "none"])
+    def test_eval_aligns_only_the_blocks_the_checkpoint_trained(self, tmp_path, capsys, monkeypatch, distill_mode):
+        # the run config says block_wise; the checkpoint's distill_mode decides
+        cfg_path = write(tmp_path, f"{BASE_CFG}distill_mode={distill_mode}\n", "train.cfg")
+        eval_cfg = write(tmp_path, "seed=0\neval_captions=1\neval_texts=1\neval_max_new=2\n", "eval.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", cfg_path, str(out)]) == 0
+        losses = []
+        block_loss = distill.block_distill_loss
+
+        def spy(*args):
+            loss = block_loss(*args)
+            losses.append(float(loss.data))
+            return loss
+
+        monkeypatch.setattr(distill, "block_distill_loss", spy)
+        assert cli.main(["eval", str(out / "checkpoint.vora"), eval_cfg]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        if distill_mode == "none":
+            assert "distill_alignment" not in metrics and losses == []
+        else:  # the last block's head alone, not the mean over all four
+            assert len(losses) == 1
+            assert metrics["distill_alignment"] == pytest.approx(1.0 - losses[0], abs=1e-6)
+
+    def test_eval_unknown_distill_mode_exits_4(self, tmp_path):
+        ckpt = tmp_path / "odd.vora"
+        cfg = ModelConfig()
+        checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)),
+                        {"merged": "false", "distill_mode": "every_other_block"})
+        assert cli.main(["eval", str(ckpt), write(tmp_path, "seed=0\n")]) == cli.EXIT_STATE
 
     def test_finetune_and_already_merged_exit_4(self, tmp_path):
         cfg_path = write(tmp_path, BASE_CFG)

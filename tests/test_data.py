@@ -127,7 +127,7 @@ class TestMakeBatch:
         batch = make_batch(np.random.default_rng(0), 6, image_fraction=0.0)
         assert batch.n_image == 0
         for lay in batch.layouts:
-            assert lay.vision_span == (0, 0)
+            assert lay.n_vision == 0
 
     def test_fraction_one_all_images(self):
         batch = make_batch(np.random.default_rng(1), 6, image_fraction=1.0)
@@ -154,16 +154,14 @@ class TestMakeBatch:
         assert batch.runs == [((2, 2), 2), ((2, 3), 1)]
         npt.assert_array_equal(batch.patches,
                                np.concatenate([patchify(im, 8) for im in (small.image, small2.image, wide.image)]))
-        assert batch.layouts[3].vision_span == (0, 0)
+        assert batch.layouts[3].n_vision == 0
         assert batch.tokens[3, 0] == BOS
 
     def test_layout_structure(self):
         batch = make_batch(np.random.default_rng(3), 4, image_fraction=0.5)
         for i, lay in enumerate(batch.layouts):
-            v0, v1 = lay.vision_span
-            t0, t1 = lay.text_span
-            assert v0 == 0 and t0 == v1
-            assert (batch.tokens[i, v0:v1] == IMG).all()
+            v1, t1 = lay.n_vision, lay.length
+            assert (batch.tokens[i, :v1] == IMG).all()
             assert batch.tokens[i, t1 - 1] == EOS
             assert (batch.tokens[i, t1:] == PAD).all()
             assert batch.tokens[i, v1] == BOS

@@ -101,7 +101,7 @@ class TestDistillLoss:
         """compute_losses with block b's cosine term pinned to values[b]."""
         pipe = nano_pipe(n_vit=len(values))
         monkeypatch.setattr(distill, "block_distill_loss",
-                            lambda h, v, head, weights: T.constant(np.float32(values[head.block_index])))
+                            lambda h, v, head, weights: T.constant(np.float32(values[pipe.heads.index(head)])))
         return trainer.compute_losses(pipe, image_batch(sizes), "hybrid", mode)
 
     def test_mean_of_constant_blocks(self, monkeypatch):
@@ -178,13 +178,13 @@ class TestLmLoss:
     def test_empty_supervision_errors(self):
         rng = np.random.default_rng(10)
         logits = T.constant(rng.standard_normal((1, 5, 8)).astype(np.float32))
-        lay = SequenceLayout((0, 0), (0, 5), 5)  # supervise_from == T
+        lay = SequenceLayout(0, 5, 5)  # supervise_from == T
         with pytest.raises(ValueError, match="supervised"):
             distill.lm_loss(logits, [lay], np.zeros((1, 5), dtype=np.int64))
 
     def test_uniform_logits_ln_v(self):
         logits = T.constant(np.zeros((1, 5, 8), dtype=np.float32))
-        lay = SequenceLayout((0, 0), (0, 5), 2)  # 3 supervised tokens
+        lay = SequenceLayout(0, 5, 2)  # 3 supervised tokens
         loss = distill.lm_loss(logits, [lay], np.zeros((1, 5), dtype=np.int64))
         npt.assert_allclose(loss.item(), math.log(8), atol=1e-6)
 
@@ -194,7 +194,7 @@ class TestLmLoss:
         v, s = 12, 6
         logits_arr = rng.standard_normal((1, s, v)).astype(np.float32)
         tokens = rng.integers(0, v, size=(1, s))
-        lay = SequenceLayout((0, 0), (0, s), 1)
+        lay = SequenceLayout(0, s, 1)
         got = distill.lm_loss(T.constant(logits_arr), [lay], tokens).item()
         # plain next-token causal LM oracle
         nll = []
@@ -208,7 +208,7 @@ class TestLmLoss:
         rng = np.random.default_rng(12)
         logits_arr = rng.standard_normal((1, 8, 9)).astype(np.float32)
         tokens = rng.integers(0, 9, size=(1, 8))
-        lay = SequenceLayout((0, 4), (4, 8), 5)
+        lay = SequenceLayout(4, 8, 5)
         got = distill.lm_loss(T.constant(logits_arr), [lay], tokens).item()
         nll = []
         for t in range(5, 8):
@@ -223,13 +223,13 @@ class TestLmLoss:
         # they counted give the loss of the [n, V] supervised rows alone
         rng = np.random.default_rng(13)
         v, s = 9, 10
-        lays = [SequenceLayout((0, 3), (3, 8), 5), SequenceLayout((0, 0), (0, 6), 2)]
+        lays = [SequenceLayout(3, 8, 5), SequenceLayout(0, 6, 2)]
         tokens = rng.integers(1, v, size=(2, s))
         logits_arr = rng.standard_normal((2, s, v)).astype(np.float32)
         for i, lay in enumerate(lays):
-            tokens[i, lay.text_span[1]:] = data.PAD
-            logits_arr[i, lay.text_span[1] - 1:] = 0.0
-            logits_arr[i, lay.text_span[1] - 1:, data.PAD + 1] = 100.0  # wrong by ~100 nats at every PAD target
+            tokens[i, lay.length:] = data.PAD
+            logits_arr[i, lay.length - 1:] = 0.0
+            logits_arr[i, lay.length - 1:, data.PAD + 1] = 100.0  # wrong by ~100 nats at every PAD target
         live = distill.supervised(lays, s)
         padded, rows = T.param(logits_arr), T.param(logits_arr[:, :-1][live])
         got = distill.lm_loss(padded, lays, tokens)

@@ -31,9 +31,11 @@ class TestAttach:
 
 
 def adapted_linear(x, base_w, ad):
-    """The model's adapted linear layer: x base_w^T plus AdapterSet.delta."""
+    """The model's adapted linear layer: x base_w^T plus AdapterSet.delta
+    (an n_vit=1 set whose block-0 layers all hold ``ad``)."""
     model = Model(ModelConfig(), {"llm.blocks.0.q": base_w})
-    return model._linear(x, 0, "q", lora.AdapterSet({(0, "q"): ad}))
+    params = {f"lora.0.{layer}.{f}": t for layer in LAYER_NAMES for f, t in zip("ab", ad)}
+    return model._linear(x, 0, "q", lora.AdapterSet(ModelConfig(n_vit=1), params))
 
 
 class TestLoraForward:
@@ -117,7 +119,7 @@ class TestMerge:
         for ad in adapters:  # give the deltas real mass
             ad.b.data = (0.02 * rng.standard_normal(ad.b.data.shape)).astype(np.float32)
         ids = rng.integers(0, cfg.vocab, size=7)
-        lay = SequenceLayout((0, 0), (0, 7), 1)
+        lay = SequenceLayout(0, 7, 1)
         mask = build_attention_mask(lay, 7, "hybrid")
         before, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)
         lora.merge_all(model, adapters)
@@ -141,7 +143,7 @@ class TestParamCount:
             ModelConfig(rank=0)
 
     def test_rank_monotonicity(self):
-        counts = [sum(t.data.size for t in lora.attach(ModelConfig(rank=r)).tensors().values())
+        counts = [sum(t.data.size for t in lora.attach(ModelConfig(rank=r)).params.values())
                   for r in (1, 2, 4, 8, 16)]
         assert all(a < b for a, b in zip(counts, counts[1:]))
 
@@ -155,7 +157,7 @@ def test_zero_init_identity_invariant():
     for _ in range(5):
         n = int(rng.integers(1, 10))
         ids = rng.integers(0, cfg.vocab, size=n)
-        lay = SequenceLayout((0, 0), (0, n), min(1, n))
+        lay = SequenceLayout(0, n, min(1, n))
         mask = build_attention_mask(lay, n, "hybrid")
         base, _ = model.forward(model.embed_tokens(ids), mask)
         with_ad, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)

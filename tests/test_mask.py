@@ -24,7 +24,7 @@ def oracle_allowed(v0, v1, q, k, mode):
 
 class TestHybridMask:
     def test_hand_enumerated_5x5(self):
-        lay = SequenceLayout((0, 3), (3, 5), 4)
+        lay = SequenceLayout(3, 5, 4)
         mask = build_attention_mask(lay, 5, "hybrid")
         expect = {
             0: {0, 1, 2},
@@ -37,24 +37,24 @@ class TestHybridMask:
             assert {k for k in range(5) if mask[q, k] == 0.0} == expect[q]
 
     def test_empty_vision_is_causal(self):
-        lay = SequenceLayout((0, 0), (0, 4), 1)
+        lay = SequenceLayout(0, 4, 1)
         mask = build_attention_mask(lay, 4, "hybrid")
         tri = np.where(np.tril(np.ones((4, 4), dtype=bool)), 0.0, NEG).astype(np.float32)
         npt.assert_array_equal(mask, tri)
 
     def test_causal_mode_row_zero(self):
-        lay = SequenceLayout((0, 3), (3, 5), 4)
+        lay = SequenceLayout(3, 5, 4)
         mask = build_attention_mask(lay, 5, mode="causal")
         assert {k for k in range(5) if mask[0, k] == 0.0} == {0}
 
     def test_exhaustive_small_layouts(self):
-        # every layout with total_len <= 8 against the rule oracle
+        # every layout of length <= 8 against the rule oracle
         for total in range(1, 9):
             for v1 in range(0, total + 1):
                 sup = min(v1 + 1, total)
                 if sup >= total and v1 >= total:
                     continue
-                lay = SequenceLayout((0, v1), (v1, total), min(max(v1, 1), total))
+                lay = SequenceLayout(v1, total, min(max(v1, 1), total))
                 for mode in ("hybrid", "causal"):
                     mask = build_attention_mask(lay, total, mode)
                     for q in range(total):
@@ -62,16 +62,26 @@ class TestHybridMask:
                             want = oracle_allowed(0, v1, q, k, mode)
                             assert (mask[q, k] == 0.0) == want, (lay, mode, q, k)
 
-    def test_overlapping_spans_error(self):
+    @pytest.mark.parametrize("n_vision, length, supervise_from", [
+        (-1, 4, 2), (0, 4, -1), (3, 6, 2), (4, 3, 3), (0, 4, 5), (2, 1, 1), (5, 4, 5), (-2, -1, -1)])
+    def test_inconsistent_layout_error(self, n_vision, length, supervise_from):
+        # the one rule: 0 <= n_vision <= supervise_from <= length
         with pytest.raises(LayoutError):
-            SequenceLayout((0, 4), (3, 6), 4)
+            SequenceLayout(n_vision, length, supervise_from)
+
+    @pytest.mark.parametrize("n_vision, length, supervise_from", [(0, 0, 0), (0, 5, 0), (3, 3, 3), (3, 6, 6),
+                                                                  (4, 9, 4)])
+    def test_consistent_layouts_build(self, n_vision, length, supervise_from):
+        # (n_vision, length, length) is decode's layout of a prefix
+        lay = SequenceLayout(n_vision, length, supervise_from)
+        assert (lay.n_vision, lay.length, lay.supervise_from) == (n_vision, length, supervise_from)
 
     def test_hybrid_vs_causal_differ_only_in_vision_block(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             total = int(rng.integers(2, 13))
             v1 = int(rng.integers(0, total))
-            lay = SequenceLayout((0, v1), (v1, total), min(v1 + 1, total))
+            lay = SequenceLayout(v1, total, min(v1 + 1, total))
             hybrid = allowed_set(build_attention_mask(lay, total, "hybrid"))
             causal = allowed_set(build_attention_mask(lay, total, "causal"))
             diff = hybrid ^ causal
@@ -85,7 +95,7 @@ class TestMaskSoundness:
         for _ in range(50):
             total = int(rng.integers(2, 13))
             v1 = int(rng.integers(0, total))
-            lay = SequenceLayout((0, v1), (v1, total), min(v1 + 1, total))
+            lay = SequenceLayout(v1, total, min(v1 + 1, total))
             mask = build_attention_mask(lay, total, "hybrid")
             scores = T.constant(rng.standard_normal((total, total)).astype(np.float32))
             probs = T.softmax_rows(scores, mask).data
@@ -96,7 +106,7 @@ class TestMaskSoundness:
         cfg = ModelConfig(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
                           patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
         model = Model.init(cfg, seed=0)
-        lay = SequenceLayout((0, 3), (3, 6), 4)
+        lay = SequenceLayout(3, 6, 4)
         mask = build_attention_mask(lay, 6, "hybrid")
         rng = np.random.default_rng(0)
         emb = T.constant(rng.standard_normal((6, cfg.d_model)).astype(np.float32) * 0.1)
@@ -121,7 +131,7 @@ def test_empty_vision_no_adapters_equals_plain_causal_lm():
     cfg = ModelConfig()
     model = Model.init(cfg, seed=3)
     ids = np.array([5, 9, 17, 30, 8])
-    lay = SequenceLayout((0, 0), (0, 5), 1)
+    lay = SequenceLayout(0, 5, 1)
     emb = model.embed_tokens(ids)
     hybrid_logits, _ = model.forward(emb, build_attention_mask(lay, 5, "hybrid"), collect_taps=False)
     causal_logits, _ = model.forward(model.embed_tokens(ids),
@@ -134,7 +144,7 @@ def test_tap_count_and_shapes():
     model = Model.init(cfg, seed=1)
     rng = np.random.default_rng(2)
     emb = T.constant(rng.standard_normal((7, cfg.d_model)).astype(np.float32) * 0.1)
-    lay = SequenceLayout((0, 4), (4, 7), 5)
+    lay = SequenceLayout(4, 7, 5)
     _, taps = model.forward(emb, build_attention_mask(lay, 7, "hybrid"))
     assert len(taps) == cfg.n_vit
     for tap in taps:

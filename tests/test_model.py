@@ -69,7 +69,7 @@ class TestForward:
         adapters = lora.attach(cfg, seed=1)  # b = 0 at creation
         rng = np.random.default_rng(2)
         ids = rng.integers(0, cfg.vocab, size=6)
-        lay = SequenceLayout((0, 0), (0, 6), 1)
+        lay = SequenceLayout(0, 6, 1)
         mask = build_attention_mask(lay, 6, "hybrid")
         base_logits, _ = model.forward(model.embed_tokens(ids), mask, adapters=None)
         lora_logits, _ = model.forward(model.embed_tokens(ids), mask, adapters=adapters)
@@ -78,7 +78,7 @@ class TestForward:
     def test_single_token_shape(self):
         cfg = ModelConfig()
         model = Model.init(cfg, seed=0)
-        lay = SequenceLayout((0, 0), (0, 1), 1)
+        lay = SequenceLayout(0, 1, 1)
         logits, _ = model.forward(model.embed_tokens([7]), build_attention_mask(lay, 1, "hybrid"))
         assert logits.shape == (1, cfg.vocab)
         assert np.isfinite(logits.data).all()
@@ -88,7 +88,7 @@ class TestForward:
         model = Model.init(cfg, seed=7)
         rng = np.random.default_rng(7)
         emb = (0.1 * rng.standard_normal((4, cfg.d_model))).astype(np.float32)
-        lay = SequenceLayout((0, 2), (2, 4), 3)
+        lay = SequenceLayout(2, 4, 3)
         mask = build_attention_mask(lay, 4, "hybrid")
         logits, taps = model.forward(T.constant(emb), mask)
         ref_logits, ref_taps = straightline_forward(cfg, model.params, emb, mask)
@@ -100,7 +100,7 @@ class TestForward:
     def test_sequence_too_long(self):
         cfg = ModelConfig(max_seq=8)
         model = Model.init(cfg, seed=0)
-        lay = SequenceLayout((0, 0), (0, 9), 1)
+        lay = SequenceLayout(0, 9, 1)
         with pytest.raises(SequenceTooLong):
             model.forward(model.embed_tokens(np.zeros(9, dtype=int)),
                           np.zeros((9, 9), dtype=np.float32))
@@ -110,7 +110,7 @@ class TestForward:
         model = Model.init(cfg, seed=3)
         rng = np.random.default_rng(3)
         emb = (0.1 * rng.standard_normal((2, 5, cfg.d_model))).astype(np.float32)
-        lay = SequenceLayout((0, 0), (0, 5), 1)
+        lay = SequenceLayout(0, 5, 1)
         mask = build_attention_mask(lay, 5, "hybrid")
         batch_logits, _ = model.forward(T.constant(emb), np.stack([mask, mask]))
         for i in range(2):
@@ -130,7 +130,7 @@ class TestDecodeGreedy:
         cfg = ModelConfig()
         model = Model.init(cfg, seed=0)
         prefix = model.embed_tokens([1, 10, 20])  # arbitrary prompt
-        lay = SequenceLayout((0, 0), (0, 3), 3)
+        lay = SequenceLayout(0, 3, 3)
         return cfg, model, prefix, lay
 
     def test_max_new_appends_exactly_one(self):
@@ -151,7 +151,7 @@ class TestDecodeGreedy:
 
     def test_stops_at_max_seq(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
-        lay = SequenceLayout((0, 0), (0, 5), 5)
+        lay = SequenceLayout(0, 5, 5)
         prefix = model.embed_tokens(np.arange(5) + 4)
         # forwards over lengths 5..12 give 8 tokens; a 13-token forward is never run
         assert len(decode_greedy(model, prefix, lay, eos_id=-1, max_new=50)) == 8
@@ -160,12 +160,11 @@ class TestDecodeGreedy:
 def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
     """The oracle for the cached decode: every step re-runs the whole forward
     over the sequence so far. Returns the ids and each step's last logits."""
-    v0, v1 = layout.vision_span
     emb, ids, steps = prefix, [], []
     with T.no_grad():
         for _ in range(max_new):
             length = emb.data.shape[0]
-            lay = SequenceLayout((v0, v1), (v1, length), supervise_from=length)
+            lay = SequenceLayout(layout.n_vision, length, length)
             logits, _ = model.forward(emb, build_attention_mask(lay, length, mask_mode), adapters,
                                       collect_taps=False)
             steps.append(logits.data[-1].copy())
@@ -229,7 +228,7 @@ class TestKVCache:
     def test_step_logits_match_full_recompute(self, mask_mode):
         pipe = adapted_pipe()
         (prefix, lay), = heldout_prefixes(pipe, n=1)
-        assert lay.vision_span[1] > 0
+        assert lay.n_vision > 0
         for merged in (False, True):
             if merged:
                 lora.merge_all(pipe.model, pipe.adapters)
@@ -331,7 +330,7 @@ class TestBatchedDecode:
 
     def test_max_seq_stops_every_row_at_once(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
-        lay = SequenceLayout((0, 0), (0, 5), 5)
+        lay = SequenceLayout(0, 5, 5)
         prefix = model.embed_tokens(np.arange(15).reshape(3, 5) + 4)
         # forwards over lengths 5..12 give 8 tokens per row
         assert [len(ids) for ids in decode_greedy(model, prefix, [lay] * 3, eos_id=-1, max_new=50)] == [8] * 3
@@ -339,8 +338,8 @@ class TestBatchedDecode:
     def test_prefixes_with_different_layouts_rejected(self):
         model = Model.init(ModelConfig(), seed=0)
         prefix = model.embed_tokens(np.arange(10).reshape(2, 5) + 4)
-        text, vision = SequenceLayout((0, 0), (0, 5), 5), SequenceLayout((0, 2), (2, 5), 5)
-        with pytest.raises(ValueError, match=r"share one layout.*vision_span=\(0, 2\)"):
+        text, vision = SequenceLayout(0, 5, 5), SequenceLayout(2, 5, 5)
+        with pytest.raises(ValueError, match=r"share one layout.*n_vision=2"):
             decode_greedy(model, prefix, [text, vision], eos_id=2, max_new=4)
         with pytest.raises(ValueError, match="share one layout"):
             decode_greedy(model, prefix, [text], eos_id=2, max_new=4)

@@ -20,7 +20,7 @@ def small_cfgs(seed=0, **overrides):
 
 class TestAdamW:
     def _state(self, value=1.0):
-        p = Tensor(np.array([value], dtype=np.float32), requires_grad=True, name="w")
+        p = Tensor(np.array([value], dtype=np.float32), requires_grad=True)
         state = trainer.TrainState.create({"w": p}, {})
         return p, state
 
@@ -136,13 +136,13 @@ class TestPretrain:
     def test_last_block_trains_only_the_last_head(self):
         mcfg, tcfg, dcfg = small_cfgs(total_steps=3, warmup_steps=1, distill_mode="last_block")
         pipe = trainer.build_pipeline(mcfg, seed=0)
-        before = [{n: t.data.tobytes() for n, t in head.tensors().items()} for head in pipe.heads]
+        before = [{n: t.data.tobytes() for n, t in head.params.items()} for head in pipe.heads]
         _, metrics = trainer.pretrain(pipe, tcfg, dcfg)
         assert len(metrics) == 3 and all(len(m["per_block"]) == 1 for m in metrics)
         for head, blobs in zip(pipe.heads[:-1], before[:-1]):
-            for n, t in head.tensors().items():
+            for n, t in head.params.items():
                 assert t.data.tobytes() == blobs[n], n
-        assert pipe.heads[-1].proj.data.tobytes() != before[-1][pipe.heads[-1].proj.name]
+        assert pipe.heads[-1].proj.data.tobytes() != before[-1][f"aux.{mcfg.n_vit - 1}.proj"]
 
     def test_gradients_are_c_ordered_float32_like_their_tensor(self):
         # adamw_step hands p.grad to the kernel as it is: the tape must give
@@ -482,7 +482,7 @@ class TestEval:
 
         def perfect(model, prefix, layouts, *args, **kwargs):
             """Each row's own answer and EOS, read from the caption batch."""
-            return [packed[-1].tokens[row, lay.supervise_from: lay.total_len].tolist()
+            return [packed[-1].tokens[row, lay.supervise_from: lay.length].tolist()
                     for row, lay in enumerate(layouts)]
 
         monkeypatch.setattr(data, "pack_samples", spy)

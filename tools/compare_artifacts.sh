@@ -28,6 +28,7 @@ common="seed=0\ntotal_steps=20\nwarmup_steps=5\n"
 printf "$common" > "$tmp/cfg/default.cfg"
 printf "${common}anyres=true\nteacher_warm=true\nteacher_warm_steps=3\n" > "$tmp/cfg/anyres.cfg"
 printf "${common}mode=full_llm_unstable\n" > "$tmp/cfg/probe.cfg"
+printf "${common}distill_mode=last_block\n" > "$tmp/cfg/last_block.cfg"
 printf "${common}eval_captions=1\n" > "$tmp/cfg/one.cfg"
 printf "${common}anyres=true\nablate_masks=hybrid,causal\nablate_distills=none,last_block,block_wise\nablate_steps=6\n" \
     > "$tmp/cfg/ablate.cfg"
@@ -39,6 +40,7 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora pretrain "$cfg/default.cfg" pretrain
     vora pretrain "$cfg/anyres.cfg" anyres
     vora pretrain "$cfg/probe.cfg" probe
+    vora pretrain "$cfg/last_block.cfg" last_block
     vora finetune pretrain/checkpoint.vora "$cfg/default.cfg" finetune
     vora merge pretrain/checkpoint.vora merged.vora
     vora merge anyres/checkpoint.vora anyres_merged.vora
@@ -48,6 +50,8 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora eval finetune/checkpoint.vora "$cfg/default.cfg" > "$out/eval_finetune.json"
     vora eval probe/checkpoint.vora "$cfg/probe.cfg" > "$out/eval_probe.json"
     vora eval pretrain/checkpoint.vora "$cfg/one.cfg" > "$out/eval_one.json"  # a batch of one caption
+    # the default (block_wise) run config on a last_block checkpoint
+    vora eval last_block/checkpoint.vora "$cfg/default.cfg" > "$out/eval_last_block.json"
     vora ablate "$cfg/ablate.cfg" ablate
     vora gradcheck "$cfg/default.cfg" > "$out/gradcheck.txt"
 }
