@@ -19,6 +19,7 @@ import time
 from dataclasses import replace
 
 from . import checkpoint, config, distill, gradcheck, lora, trainer
+from .model import MASK_MODES
 
 log = logging.getLogger("vora")
 
@@ -123,12 +124,14 @@ def cmd_merge(args):
 
 def cmd_eval(args):
     run_cfg, dcfg, pipe, meta = _checkpoint_run(args)
-    # the aux heads are scored in the distill mode that trained them; a file
-    # without the entry counts as trained in the default mode
-    distill_mode = meta.get("distill_mode", trainer.TrainConfig.distill_mode)
-    if distill_mode not in distill.DISTILL_MODES:
-        raise checkpoint.CheckpointError(f"{args.checkpoint}: unknown distill_mode {distill_mode!r}")
-    metrics = trainer.eval_metrics(pipe, dcfg, replace(run_cfg.train_config(), distill_mode=distill_mode),
+    # a checkpoint is scored under the mask and in the distill mode that
+    # trained it; a file without an entry counts as trained at the default
+    modes = {}
+    for key, known in (("mask_mode", MASK_MODES), ("distill_mode", distill.DISTILL_MODES)):
+        modes[key] = meta.get(key, getattr(trainer.TrainConfig, key))
+        if modes[key] not in known:
+            raise checkpoint.CheckpointError(f"{args.checkpoint}: unknown {key} {modes[key]!r}")
+    metrics = trainer.eval_metrics(pipe, dcfg, replace(run_cfg.train_config(), **modes),
                                    n_caption=run_cfg["eval_captions"],
                                    n_text=run_cfg["eval_texts"],
                                    max_new=run_cfg["eval_max_new"])

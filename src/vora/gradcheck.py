@@ -161,16 +161,21 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         a = _rand(rng, *lead(rng), 3, 5)
         return (lambda: T.silu(a)), [a]
 
+    def case_swiglu(rng):
+        shape = (*lead(rng), 3, 5)
+        gate, up = _rand(rng, *shape), _rand(rng, *shape)
+        return (lambda: T.swiglu(gate, up)), [gate, up]
+
     def case_rms_norm(rng):
         a = _rand(rng, *lead(rng), 3, 6)
         gain = _rand(rng, 6)
         return (lambda: T.rms_norm(a, gain, eps=1e-5)), [a, gain]
 
     def case_rope(rng):
-        # [B, S, d] in 2 heads of hd 4; any angle table exercises the op
-        x = _rand(rng, 2, 3, 8)
-        ang = rng.uniform(-np.pi, np.pi, (3, 2))
-        cos, sin = np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
+        # 4 rows of 2 heads of hd 4; rope is linear in x, so any tables
+        # exercise its backward
+        x = _rand(rng, 4, 8)
+        cos, sin = (rng.uniform(-1, 1, (4, 8)).astype(np.float32) for _ in range(2))
         return (lambda: T.rope(x, cos, sin, 2)), [x]
 
     def holes(rng, shape, n):
@@ -179,14 +184,21 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         rows[rng.random(shape) < 0.3] = -1
         return rows
 
+    # half the gather/scatter draws are head-major: 2 heads of width 2
     def case_gather_rows(rng):
-        a = _rand(rng, 7, *lead(rng), 3)
         rows = holes(rng, (2, 3), 7)
+        if rng.random() < 0.5:
+            a = _rand(rng, 7, 4)
+            return (lambda: T.gather_rows(a, rows, heads=2)), [a]
+        a = _rand(rng, 7, *lead(rng), 3)
         return (lambda: T.gather_rows(a, rows)), [a]
 
     def case_scatter_rows(rng):
-        a = _rand(rng, 2, 3, *lead(rng), 3)
         rows = holes(rng, (2, 3), 8)
+        if rng.random() < 0.5:
+            a = _rand(rng, 2, 2, 3, 2)
+            return (lambda: T.scatter_rows(a, rows, 8, heads=2)), [a]
+        a = _rand(rng, 2, 3, *lead(rng), 3)
         return (lambda: T.scatter_rows(a, rows, 8)), [a]
 
     def case_softmax(rng):
@@ -227,6 +239,7 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("embedding", case_embedding)
     run("gelu", case_gelu)
     run("silu", case_silu)
+    run("swiglu", case_swiglu)
     run("rms_norm", case_rms_norm)
     run("rope", case_rope)
     run("softmax_rows", case_softmax)

@@ -2,10 +2,12 @@
 
 The tape ops in ``tensor`` call these for the row reductions and
 elementwise transcendentals of the model (masked softmax, RMS-norm,
-GELU/SiLU, cross-entropy); ``trainer.adamw_step`` calls ``adamw_update``
-once per trainable tensor. Kernels take float32 arrays of any shape and
-layout, as the tape holds them, and return float32; every reduction runs
-over the last axis with ``keepdims``. Matmuls go straight to numpy/BLAS.
+GELU/SiLU, the fused SwiGLU gate, cross-entropy); ``trainer.adamw_step``
+calls ``adamw_update`` once per trainable tensor. Kernels take float32
+arrays of any shape and layout, as the tape holds them, and return
+float32; every reduction runs over the last axis with ``keepdims``. A
+kernel writes its temporaries in place where it can, so a pass allocates
+little beyond its outputs. Matmuls go straight to numpy/BLAS.
 """
 
 import numpy as np
@@ -29,8 +31,11 @@ def softmax_fwd(x, mask):
 
 
 def softmax_bwd(probs, gout):
-    dot = np.sum(probs * gout, axis=-1, keepdims=True)
-    return probs * (gout - dot)
+    g = probs * gout
+    dot = g.sum(axis=-1, keepdims=True)
+    np.subtract(gout, dot, out=g)
+    g *= probs
+    return g
 
 
 def gelu_fwd(x):
@@ -56,20 +61,60 @@ def silu_bwd(x, gout):
     return gout * (s * (1.0 + x * (1.0 - s)))
 
 
+def swiglu_fwd(gate, up):
+    """(silu(gate) * up, sigmoid(gate)); the sigmoid is kept for ``swiglu_bwd``."""
+    sig = np.negative(gate)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    out = gate * sig
+    out *= up
+    return out, sig
+
+
+def swiglu_bwd(gate, up, sig, gout, d_gate=True, d_up=True):
+    """(gradient of gate, gradient of up) of silu(gate) * up from its
+    forward's sigmoid; None for a gradient not asked for."""
+    dg = du = t = None
+    if d_gate:
+        dg = gout * up
+        t = 1.0 - sig
+        t *= gate
+        t += 1.0
+        t *= sig  # silu'(gate) = sig * (1 + gate * (1 - sig))
+        dg *= t
+    if d_up:
+        du = np.multiply(gate, sig, out=t)
+        du *= gout
+    return dg, du
+
+
 def rmsnorm_fwd(x, gain, eps):
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    return x * inv * gain, inv
+    y = np.multiply(x, x)
+    ms = y.sum(axis=-1, keepdims=True)
+    ms /= x.shape[-1]
+    ms += eps
+    np.sqrt(ms, out=ms)
+    inv = np.divide(1.0, ms, out=ms)
+    np.multiply(x, inv, out=y)
+    y *= gain
+    return y, inv
 
 
 def rmsnorm_bwd(x, gain, inv, gout):
-    d = x.shape[-1]
-    gy_g = gout * gain
-    dot = np.sum(gy_g * x, axis=-1, keepdims=True)
-    return gy_g * inv - x * (dot * inv**3 / d)
+    gx = gout * gain
+    t = gx * x
+    dot = t.sum(axis=-1, keepdims=True)
+    np.multiply(x, dot * inv**3 / x.shape[-1], out=t)
+    gx *= inv
+    gx -= t
+    return gx
 
 
 def rmsnorm_gain_bwd(x, inv, gout):
-    return np.sum(gout * x * inv, axis=tuple(range(x.ndim - 1)))
+    t = gout * x
+    t *= inv
+    return t.sum(axis=tuple(range(x.ndim - 1)))
 
 
 def ce_fwd(logits, targets):

@@ -1,7 +1,8 @@
-"""Decoder-only student model: pre-norm blocks, RMS-norm, SiLU-gated FFN,
+"""Decoder-only student model: pre-norm blocks, RMS-norm, SwiGLU FFN,
 rotary positions, hybrid vision/text attention masks, per-block taps. The
-stack runs on padded sequences or, token-major, on a batch's live tokens.
-``attention`` is the multi-head attention of the student and the teacher;
+stack runs token-major on flat rows: a batch's live tokens, or padded
+sequences flattened. ``attention`` is the multi-head attention of the
+student and the teacher;
 ``init_tensors`` draws every tensor owner's init from its ``shapes`` table,
 whose keys are the tensors' names.
 
@@ -19,6 +20,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 LAYER_NAMES = ("q", "k", "v", "o", "ffn_gate", "ffn_up", "ffn_down")
+MASK_MODES = ("hybrid", "causal")
 
 
 class ConfigError(ValueError):
@@ -121,7 +123,7 @@ def build_attention_mask(layout, total_len, mode="hybrid"):
     they are never visible to in-layout queries because padding sits at
     the end of the sequence.
     """
-    if mode not in ("hybrid", "causal"):
+    if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     if layout.length > total_len:
         raise LayoutError(f"layout length {layout.length} exceeds total_len {total_len}")
@@ -141,43 +143,47 @@ def rope_tables(seq_len, head_dim):
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
 
-def attention(q, k, v, mask, n_heads, rope=None, cache=None, rows=None):
-    """Multi-head scaled dot-product attention on [B, S, d] projections,
-    or on flat [N, d] ones with ``rows``.
+def rope_row_tables(seq_len, n_heads, head_dim, scale=1.0):
+    """Full-width cos/sin [seq_len, n_heads * head_dim] of ``T.rope`` per
+    position, both times scale: ``rope_tables``' cos over both halves of
+    every head, its sin negated over the first half."""
+    cos, sin = rope_tables(seq_len, head_dim)
+    s = np.float32(scale)
+    return (np.tile(np.concatenate([cos, cos], axis=1), n_heads) * s,
+            np.tile(np.concatenate([-sin, sin], axis=1), n_heads) * s)
 
-    Splits heads, rotates q and k by the rope (cos, sin) [S, hd/2]
-    arrays of ``rope_tables`` when given, softmaxes the scaled scores
-    under the additive mask ([S, L], or [B, S, L] per sequence) and
-    merges heads back to [B, S, d].
-    rows: [B, S] index of each sequence position into the N flat rows
-    (-1 at padding); q, k and v are gathered into [B, S, d] and the
-    context is scattered back to [N, d].
+
+def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
+    """Multi-head scaled dot-product attention on flat [N, d] projections.
+
+    rows: [B, S] index of each sequence position into the N rows (-1 at
+    padding), or its ``T.RowIndex``. rope: per-row (cos, sin) tables
+    [N, d] of q and of k (``rope_row_tables`` at each row's position);
+    q's carry the 1/√hd score scale, so the scores are scaled here only
+    without rope. q and k are rotated as rows, then q, k and v are
+    gathered head-major into [B, heads, S, hd]; the scores are softmaxed
+    under the additive mask ([S, L], or [B, S, L] per sequence) and the
+    context is scattered straight back to [N, d].
     cache: one block's (keys, values, filled) of a ``KVCache``; the new
     post-RoPE keys and values are written in place at positions
     filled..filled+S-1 and the queries attend over positions 0..filled+S-1.
     """
-    if rows is not None:
-        n = q.data.shape[0]
-        q, k, v = (T.gather_rows(t, rows) for t in (q, k, v))
-    b, s, d = q.data.shape
-    hd = d // n_heads
-
-    def heads(t):
-        return T.swap(T.reshape(t, (b, s, n_heads, hd)), 1, 2)
-
-    q, k = (heads(t) if rope is None else T.rope(t, *rope, n_heads) for t in (q, k))
-    v = heads(v)
+    n, d = q.data.shape
+    if rope is not None:
+        (q_cos, q_sin), (k_cos, k_sin) = rope
+        q, k = T.rope(q, q_cos, q_sin, n_heads), T.rope(k, k_cos, k_sin, n_heads)
+    q, k, v = (T.gather_rows(t, rows, heads=n_heads) for t in (q, k, v))
+    s = rows.shape[1]
     if cache is not None:
         keys, values, filled = cache
         keys[:, :, filled:filled + s], values[:, :, filled:filled + s] = k.data, v.data
         if filled:  # a prefill attends over its own keys and values only
             k, v = T.constant(keys[:, :, :filled + s]), T.constant(values[:, :, :filled + s])
-    scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(hd))
+    scores = T.matmul(q, k, transpose_b=True)
+    if rope is None:
+        scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
     probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
-    ctx = T.swap(T.matmul(probs, v), 1, 2)  # [B, S, heads, hd]
-    if rows is None:
-        return T.reshape(ctx, (b, s, d))
-    return T.reshape(T.scatter_rows(ctx, rows, n), (n, d))
+    return T.scatter_rows(T.matmul(probs, v), rows, n, heads=n_heads)
 
 
 @dataclass
@@ -208,6 +214,11 @@ class Model:
     def __init__(self, cfg, params):
         self.cfg = cfg
         self.params = params
+        # rope tables of every position up to max_seq: q's (with the score
+        # scale folded in) and k's
+        hd = cfg.head_dim
+        self.rope = (rope_row_tables(cfg.max_seq, cfg.n_heads, hd, 1.0 / np.sqrt(hd)),
+                     rope_row_tables(cfg.max_seq, cfg.n_heads, hd))
 
     @staticmethod
     def shapes(cfg):
@@ -256,42 +267,50 @@ class Model:
         embedded: Tensor [B, S, d] with vision embeddings spliced in at the
         vision span, mask additive [S, S] or, per sequence, [B, S, S].
         Returns (logits, taps); taps are the post-residual output Tensors
-        of blocks 0..n_vit-1, in block order.
+        of blocks 0..n_vit-1, in block order. A [B, S, d] input runs as
+        its B * S rows flattened; its logits and taps come back [B, S, ...].
         rows (token-major batch): embedded is [N, d], the batch's live
         tokens in the flat order rows [B, S] indexes (-1 at padding, see
         ``data.PackedBatch.rows``). Norms, linear layers, adapter deltas,
-        the FFN and the residuals run on the N rows; only attention sees
-        [B, S] sequences. Taps are [N, d], logits [N, vocab], or only the
-        logit_rows rows of them. An [S, d] input without rows is one
-        sequence, rows = arange(S)[None]: [S, d] taps, [S, vocab] logits.
+        rope, the FFN and the residuals run on the N rows; only the
+        attention core sees [B, S] sequences. Taps are [N, d], logits
+        [N, vocab], or only the logit_rows rows of them. An [S, d] input
+        without rows is one sequence, rows = arange(S)[None]: [S, d] taps,
+        [S, vocab] logits.
         cache (from ``new_cache``, forward-only): the inputs extend the L
         positions cached so far; they take positions L..L+S-1, the mask
         is [S, L+S], and their keys and values are written into the cache.
         """
         cfg = self.cfg
         x = embedded
-        if x.data.ndim == 2 and rows is None:
-            rows = np.arange(x.data.shape[0])[None]
-        b, s = x.data.shape[:2] if rows is None else rows.shape
+        padded = rows is None and x.data.ndim == 3
+        if rows is None:
+            rows = np.arange(x.data.size // cfg.d_model).reshape(-1, x.data.shape[-2])
+            if padded:
+                x = T.reshape(x, (rows.size, cfg.d_model))
+        b, s = rows.shape
         past = 0 if cache is None else cache.filled
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
         if cache is not None:
             cache.check(b, past + s)
-        rope = tuple(t[past:] for t in rope_tables(past + s, cfg.head_dim))
+        index = T.RowIndex(rows)  # found once, used by every block's attention
+        pos = np.zeros(x.data.shape[0], dtype=np.intp)  # each row's position in its sequence
+        pos[index.rows] = index.cells[1] + past
+        rope = tuple((cos[pos], sin[pos]) for cos, sin in self.rope)
 
         taps = []
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"], eps=1e-6)
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            ctx = attention(q, k, v, mask, cfg.n_heads, rope,
-                            None if cache is None else (cache.keys[i], cache.values[i], past), rows)
+            ctx = attention(q, k, v, mask, cfg.n_heads, index, rope,
+                            None if cache is None else (cache.keys[i], cache.values[i], past))
             x = x + self._linear(ctx, i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"], eps=1e-6)
             gate = self._linear(h, i, "ffn_gate", adapters)
             up = self._linear(h, i, "ffn_up", adapters)
-            x = x + self._linear(T.mul(T.silu(gate), up), i, "ffn_down", adapters)
+            x = x + self._linear(T.swiglu(gate, up), i, "ffn_down", adapters)
 
             if collect_taps and i < cfg.n_vit:
                 taps.append(x)
@@ -301,7 +320,12 @@ class Model:
         if logit_rows is not None:
             x = T.gather_rows(x, logit_rows)
         xn = T.rms_norm(x, self.params["llm.final_norm"], eps=1e-6)
-        return T.linear(xn, self.params["llm.head"]), taps
+        logits = T.linear(xn, self.params["llm.head"])
+        if padded:
+            taps = [T.reshape(t, (b, s, cfg.d_model)) for t in taps]
+            if logit_rows is None:
+                logits = T.reshape(logits, (b, s, cfg.vocab))
+        return logits, taps
 
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):

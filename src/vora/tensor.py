@@ -2,9 +2,10 @@
 
 The op set is exactly what the model stack needs: elementwise add/mul,
 scalar scale, (batched) matmul, transpose/reshape/concat/slice, row
-gather/scatter by an index with -1 holes, embedding lookup, GELU/SiLU,
-RMS-norm, rotary positions (``rope``), masked row softmax, cross
-entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
+gather/scatter by an index with -1 holes (head-major for attention),
+embedding lookup, GELU/SiLU, the fused SwiGLU gate (``swiglu``),
+RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
+cross entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
 every linear layer: one tape node, one 2-D GEMM forward and one per
 operand gradient, whatever the leading dims of x. Heavy elementwise work
 is delegated to :mod:`vora.kernels`; matmul goes straight to BLAS.
@@ -15,6 +16,8 @@ frozen weight costs no arithmetic, and a leaf keeps the array its first
 gradient arrived in unless that array is strided or shared (``_accum``).
 ``backward`` walks the tape in reverse recording order and clears it.
 """
+
+import math
 
 import numpy as np
 
@@ -280,12 +283,6 @@ def linear(x, w):
     return matmul(x, w, transpose_b=True)
 
 
-def swap(a, ax0, ax1):
-    axes = list(range(a.data.ndim))
-    axes[ax0], axes[ax1] = axes[ax1], axes[ax0]
-    return transpose(a, axes)
-
-
 def reshape(a, shape):
     old = a.data.shape
     out = a.data.reshape(shape)
@@ -326,47 +323,77 @@ def slice_axis(a, axis, start, stop):
     return _make(out, (a,), bwd)
 
 
-def _live(rows):
-    """Flat positions of the entries >= 0 of an int index, and those entries."""
-    flat = np.asarray(rows).reshape(-1)
-    at = np.flatnonzero(flat >= 0)
-    return at, flat[at]
+class RowIndex:
+    """An int index of any shape into the rows of a [N, ...] stack, -1 at
+    holes, with its live entries found once: ``at``, their flat positions,
+    ``rows``, their entries, and for a [B, S] index ``cells``, their
+    (sequence, position) pairs. ``gather_rows`` and ``scatter_rows`` take
+    one or a plain int array; a caller that moves rows by one index many
+    times (attention, in every block) builds it once."""
+
+    __slots__ = ("shape", "at", "rows", "cells")
+
+    def __init__(self, rows):
+        rows = np.asarray(rows)
+        flat = rows.reshape(-1)
+        self.shape = rows.shape
+        self.at = np.flatnonzero(flat >= 0)
+        self.rows = flat[self.at]
+        self.cells = np.divmod(self.at, rows.shape[1]) if rows.ndim == 2 else None
 
 
-def _gather(x, shape, at, src):
-    # [*shape, ...]: row src[j] of x at flat position at[j], zero elsewhere
-    out = np.zeros((int(np.prod(shape)),) + x.shape[1:], dtype=np.float32)
-    out[at] = x[src]
-    return out.reshape(shape + x.shape[1:])
+def _gather(x, idx, heads):
+    # [*idx.shape, ...]: row idx.rows[j] of x at flat position idx.at[j], zero
+    # elsewhere; heads: x is [N, d], out [B, heads, S, d/heads]
+    size = math.prod(idx.shape)
+    new = np.empty if idx.at.size == size else np.zeros  # no holes: every entry is written
+    if heads:
+        b, s = idx.shape
+        hd = x.shape[1] // heads
+        out = new((b, heads, s, hd), dtype=np.float32)
+        out.transpose(0, 2, 1, 3)[idx.cells] = x[idx.rows].reshape(-1, heads, hd)
+        return out
+    out = new((size,) + x.shape[1:], dtype=np.float32)
+    out[idx.at] = x[idx.rows]
+    return out.reshape(idx.shape + x.shape[1:])
 
 
-def _scatter(x, n, at, dst, ndim):
-    # [n, ...]: flat entry at[j] of x (leading ndim axes flattened) at row dst[j], zero elsewhere
-    tail = x.shape[ndim:]
-    out = np.zeros((n,) + tail, dtype=np.float32)
-    out[dst] = x.reshape((-1,) + tail)[at]
+def _scatter(x, n, idx, heads):
+    # [n, ...]: flat entry idx.at[j] of x (the index's axes flattened) at row
+    # idx.rows[j], zero elsewhere; heads: x is [B, heads, S, hd], out [n, heads * hd]
+    if heads:
+        picked = x.transpose(0, 2, 1, 3)[idx.cells].reshape(idx.at.size, heads * x.shape[3])
+    else:
+        picked = x.reshape((-1,) + x.shape[len(idx.shape):])[idx.at]
+    out = (np.empty if idx.rows.size == n else np.zeros)((n,) + picked.shape[1:], dtype=np.float32)
+    out[idx.rows] = picked
     return out
 
 
-def gather_rows(a, rows):
-    """Rows of a [N, ...] tensor picked by an int index of any shape:
-    out[j] = a[rows[j]], a zero row where rows[j] is -1. The picked rows
-    must be distinct; ``scatter_rows`` is the backward."""
-    rows = np.asarray(rows)
-    at, src = _live(rows)
+def gather_rows(a, rows, heads=0):
+    """Rows of a [N, ...] tensor picked by an int index of any shape (or
+    its ``RowIndex``): out[j] = a[rows[j]], a zero row where rows[j] is -1.
+    The picked rows must be distinct; ``scatter_rows`` is the backward.
+    heads: a is [N, d], the rows of that many heads, and rows is [B, S];
+    the picked rows land head-major, [B, heads, S, d/heads], as attention
+    takes them."""
+    idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
+    if heads and (idx.cells is None or a.data.ndim != 2 or a.data.shape[1] % heads):
+        raise ShapeError(f"gather_rows: {a.data.shape} in {heads} heads by rows {idx.shape}")
     n = a.data.shape[0]
-    return _make(_gather(a.data, rows.shape, at, src), (a,),
-                 lambda g: _accum(a, _scatter(g, n, at, src, rows.ndim)))
+    return _make(_gather(a.data, idx, heads), (a,), lambda g: _accum(a, _scatter(g, n, idx, heads)))
 
 
-def scatter_rows(a, rows, n):
+def scatter_rows(a, rows, n, heads=0):
     """The adjoint of ``gather_rows``: [n, ...] rows from a [*rows.shape, ...]
     tensor, out[rows[j]] = a[j] for every rows[j] >= 0 (distinct), zero
-    rows where no entry points; entries at -1 are dropped."""
-    rows = np.asarray(rows)
-    at, dst = _live(rows)
-    return _make(_scatter(a.data, n, at, dst, rows.ndim), (a,),
-                 lambda g: _accum(a, _gather(g, rows.shape, at, dst)))
+    rows where no entry points; entries at -1 are dropped.
+    heads: a is head-major [B, heads, S, hd] and rows [B, S]; the rows
+    come out [n, heads * hd]."""
+    idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
+    if heads and (idx.cells is None or a.data.shape[:3:2] != idx.shape or a.data.shape[1] != heads):
+        raise ShapeError(f"scatter_rows: {a.data.shape} in {heads} heads by rows {idx.shape}")
+    return _make(_scatter(a.data, n, idx, heads), (a,), lambda g: _accum(a, _gather(g, idx, heads)))
 
 
 def embedding(table, ids):
@@ -400,6 +427,23 @@ def silu(a):
     return _make(out, (a,), bwd)
 
 
+def swiglu(gate, up):
+    """silu(gate) * up, the gated FFN activation (arXiv 2002.05202), as one
+    node: one kernel pass forward and one for both gradients."""
+    if gate.data.shape != up.data.shape:
+        raise ShapeError(f"swiglu: gate {gate.data.shape} and up {up.data.shape}")
+    out, sig = kernels.swiglu_fwd(gate.data, up.data)
+
+    def bwd(g):
+        dg, du = kernels.swiglu_bwd(gate.data, up.data, sig, g, gate.requires_grad, up.requires_grad)
+        if dg is not None:
+            _accum(gate, dg)
+        if du is not None:
+            _accum(up, du)
+
+    return _make(out, (gate, up), bwd)
+
+
 def rms_norm(a, gain, eps=1e-6):
     """y = x / sqrt(mean(x^2) + eps) * gain, per trailing vector."""
     d = a.data.shape[-1]
@@ -416,30 +460,31 @@ def rms_norm(a, gain, eps=1e-6):
     return _make(y, (a, gain), bwd)
 
 
+def _turn(x, cos, sin, n_heads, back):
+    # x·cos plus x with each head's halves swapped times sin (forward), or
+    # the adjoint, (x·sin) with the halves swapped (back)
+    n, d = x.shape
+    out = np.empty((n, d), dtype=np.float32)
+    xv, sv, ov = (t.reshape(n, n_heads, 2, -1) for t in (x, sin, out))
+    for i in (0, 1):
+        np.multiply(xv[:, :, 1 - i], sv[:, :, 1 - i if back else i], out=ov[:, :, i])
+    out += x * cos
+    return out
+
+
 def rope(x, cos, sin, n_heads):
-    """Rotary positions on a [B, S, d] projection, returned as rotated heads
-    [B, n_heads, S, hd]: each head's (i, i + hd/2) pair turns by the angle
-    whose cos/sin tables ([S, hd/2] arrays) hold it for that position."""
-    b, s, d = x.data.shape
-    hd = d // n_heads
-    half = hd // 2
-    if d % n_heads or hd % 2 or cos.shape != (s, half) or sin.shape != (s, half):
+    """Rotary positions (arXiv 2104.09864) on [N, d] rows of n_heads heads:
+    each head's (i, i + hd/2) pair turns by its row's angle.
+
+    cos and sin are full-width per-row tables [N, d] (see
+    ``model.rope_row_tables``): cos repeats over both halves of every
+    head and sin is negated on the first half, so out = x·cos + x'·sin
+    with x' each head's halves swapped. Tables scaled by a constant scale
+    the output."""
+    if x.data.ndim != 2 or x.data.shape[1] % (2 * n_heads) or not cos.shape == sin.shape == x.data.shape:
         raise ShapeError(f"rope: {x.data.shape} in {n_heads} heads with tables {cos.shape}, {sin.shape}")
-    xh = x.data.reshape(b, s, n_heads, hd).transpose(0, 2, 1, 3)
-    x1, x2 = xh[..., :half], xh[..., half:]
-    out = np.empty((b, n_heads, s, hd), dtype=np.float32)
-    out[..., :half] = x1 * cos - x2 * sin
-    out[..., half:] = x2 * cos + x1 * sin
-
-    def bwd(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        gx = np.empty((b, s, n_heads, hd), dtype=np.float32)
-        gh = gx.transpose(0, 2, 1, 3)
-        gh[..., :half] = g1 * cos + g2 * sin
-        gh[..., half:] = g2 * cos - g1 * sin
-        _accum(x, gx.reshape(b, s, d))
-
-    return _make(out, (x,), bwd)
+    out = _turn(x.data, cos, sin, n_heads, False)
+    return _make(out, (x,), lambda g: _accum(x, _turn(g, cos, sin, n_heads, True)))
 
 
 def softmax_rows(a, additive_mask):

@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import checkpoint, distill, kernels, lora, vision
 from . import tensor as T
-from .model import Model, build_attention_mask, decode_greedy
+from .model import MASK_MODES, Model, build_attention_mask, decode_greedy
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
@@ -67,7 +67,7 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.distill_mode not in distill.DISTILL_MODES:
             raise ValueError(f"unknown distill_mode {self.distill_mode!r}")
-        if self.mask_mode not in ("hybrid", "causal"):
+        if self.mask_mode not in MASK_MODES:
             raise ValueError(f"unknown mask_mode {self.mask_mode!r}")
 
 

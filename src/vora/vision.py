@@ -132,13 +132,14 @@ class Teacher:
         pe = positions(patches, runs, self.cfg.d_vit)
         images = image_rows(runs)
         mask = np.where(images[:, None, :] >= 0, np.float32(0.0), np.float32(T.NEG_MASK))
+        index = T.RowIndex(images)
         x = T.linear(T.constant(patches), self.params["teacher.patch_embed"]) + T.constant(pe)
         states = []
         for i in range(self.cfg.n_vit):
             w = lambda name: self.params[f"teacher.blocks.{i}.{name}"]
             h = T.rms_norm(x, w("attn_norm"), eps=1e-6)
             q, k, v = (T.linear(h, w(name)) for name in ("q", "k", "v"))
-            x = x + T.linear(attention(q, k, v, mask, self.cfg.vit_heads, rows=images), w("o"))
+            x = x + T.linear(attention(q, k, v, mask, self.cfg.vit_heads, index), w("o"))
             h = T.rms_norm(x, w("ffn_norm"), eps=1e-6)
             x = x + T.linear(T.gelu(T.linear(h, w("fc1"))), w("fc2"))
             states.append(x)

@@ -175,12 +175,32 @@ class TestCli:
             assert len(losses) == 1
             assert metrics["distill_alignment"] == pytest.approx(1.0 - losses[0], abs=1e-6)
 
-    def test_eval_unknown_distill_mode_exits_4(self, tmp_path):
+    def test_eval_scores_under_the_checkpoints_mask(self, tmp_path, capsys):
+        # the run config's mask_mode (default hybrid) does not override the
+        # causal mask the checkpoint trained under
+        common = "seed=0\ntotal_steps=20\nwarmup_steps=5\neval_captions=2\neval_texts=2\neval_max_new=4\n"
+        causal_cfg = write(tmp_path, f"{common}mask_mode=causal\n", "causal.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", causal_cfg, str(out)]) == 0
+        printed = []
+        for cfg_path in (causal_cfg, write(tmp_path, common, "default.cfg")):
+            assert cli.main(["eval", str(out / "checkpoint.vora"), cfg_path]) == 0
+            printed.append(capsys.readouterr().out)
+        assert "distill_alignment" in printed[0] and printed[0] == printed[1]
+
+    @staticmethod
+    def _eval_with_meta(tmp_path, meta):
         ckpt = tmp_path / "odd.vora"
         cfg = ModelConfig()
         checkpoint.save(ckpt, cfg, trainer.collect_state(trainer.build_pipeline(cfg, seed=0)),
-                        {"merged": "false", "distill_mode": "every_other_block"})
-        assert cli.main(["eval", str(ckpt), write(tmp_path, "seed=0\n")]) == cli.EXIT_STATE
+                        dict(meta, merged="false"))
+        return cli.main(["eval", str(ckpt), write(tmp_path, "seed=0\n")])
+
+    def test_eval_unknown_distill_mode_exits_4(self, tmp_path):
+        assert self._eval_with_meta(tmp_path, {"distill_mode": "every_other_block"}) == cli.EXIT_STATE
+
+    def test_eval_unknown_mask_mode_exits_4(self, tmp_path):
+        assert self._eval_with_meta(tmp_path, {"mask_mode": "sideways"}) == cli.EXIT_STATE
 
     def test_finetune_and_already_merged_exit_4(self, tmp_path):
         cfg_path = write(tmp_path, BASE_CFG)

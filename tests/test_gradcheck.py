@@ -7,8 +7,8 @@ from vora.gradcheck import max_rel_error, op_suite
 
 ALL_OPS = {
     "add", "mul", "scale", "matmul", "linear", "transpose", "reshape", "concat",
-    "slice_axis", "gather_rows", "scatter_rows", "embedding", "gelu", "silu", "rms_norm", "rope", "softmax_rows",
-    "cross_entropy", "tsum", "power",
+    "slice_axis", "gather_rows", "scatter_rows", "embedding", "gelu", "silu", "swiglu", "rms_norm", "rope",
+    "softmax_rows", "cross_entropy", "tsum", "power",
 }
 
 

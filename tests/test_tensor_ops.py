@@ -244,7 +244,8 @@ def _assert_same_op(fused, composed, inputs, r, atol=1e-6):
 
 
 class TestFusedOps:
-    """linear and rope against the compositions they replace, at model shapes."""
+    """linear, rope, swiglu and the head-major gather and scatter against the
+    compositions they replace, at model shapes."""
 
     def test_linear_matches_matmul_of_transpose(self):
         rng = np.random.default_rng(11)
@@ -269,27 +270,82 @@ class TestFusedOps:
         T.active_tape().reset()
 
     def test_rope_matches_slice_mul_concat(self):
-        from vora.model import rope_tables
+        from vora.model import rope_row_tables, rope_tables
 
         rng = np.random.default_rng(12)
-        b, s, h, hd = 16, 34, 4, 16
-        cos, sin = rope_tables(s, hd)
-        x = tensor(rng.standard_normal((b, s, h * hd)), requires_grad=True)
-        r = rng.standard_normal((b, h, s, hd)).astype(np.float32)
+        n, s, h, hd = 16 * 34, 34, 4, 16
+        pos = rng.integers(0, s, n)  # each row's position
+        x = tensor(rng.standard_normal((n, h * hd)), requires_grad=True)
+        r = rng.standard_normal((n, h * hd)).astype(np.float32)
+        for scale in (1.0, 1.0 / math.sqrt(hd), 1.0 / math.sqrt(6.0)):
+            cos, sin = (t[pos] for t in rope_row_tables(s, h, hd, scale))
+            c, sn = (T.constant((t[pos] * np.float32(scale))[:, None]) for t in rope_tables(s, hd))
 
-        def composed():
-            heads = T.swap(T.reshape(x, (b, s, h, hd)), 1, 2)
-            x1, x2 = T.slice_axis(heads, -1, 0, hd // 2), T.slice_axis(heads, -1, hd // 2, hd)
-            c, sn = T.constant(cos), T.constant(sin)
-            return T.concat([T.mul(x1, c) - T.mul(x2, sn), T.mul(x2, c) + T.mul(x1, sn)], axis=-1)
+            def composed():
+                heads = T.reshape(x, (n, h, hd))
+                x1, x2 = T.slice_axis(heads, -1, 0, hd // 2), T.slice_axis(heads, -1, hd // 2, hd)
+                out = T.concat([T.mul(x1, c) - T.mul(x2, sn), T.mul(x2, c) + T.mul(x1, sn)], axis=-1)
+                return T.reshape(out, (n, h * hd))
 
-        _assert_same_op(lambda: T.rope(x, cos, sin, h), composed, [x], r)
+            # the same products and sums in the same order: equal to the bit
+            out, grads = _grads(lambda: T.rope(x, cos, sin, h), [x], r)
+            want, want_grads = _grads(composed, [x], r)
+            assert out.tobytes() == want.tobytes() and grads[0].tobytes() == want_grads[0].tobytes()
 
     def test_rope_rejects_mismatched_tables(self):
-        x = tensor(np.zeros((1, 5, 8)))
-        cos = sin = np.ones((4, 2), dtype=np.float32)
+        x = tensor(np.zeros((5, 8)))
+        ok = np.ones((5, 8), dtype=np.float32)
+        for cos, sin, heads in ((np.ones((4, 8), np.float32), ok, 2), (ok, ok[:, :4], 2), (ok, ok, 3)):
+            with pytest.raises(T.ShapeError):
+                T.rope(x, cos, sin, heads)
+        with pytest.raises(T.ShapeError):  # a [B, S, d] projection is no longer rows
+            T.rope(tensor(np.zeros((1, 5, 8))), ok, ok, 2)
+
+    def test_swiglu_matches_mul_of_silu(self):
+        rng = np.random.default_rng(13)
+        shape = (380, 256)
+        gate = tensor(3.0 * rng.standard_normal(shape), requires_grad=True)
+        up = tensor(rng.standard_normal(shape), requires_grad=True)
+        r = rng.standard_normal(shape).astype(np.float32)
+        out, grads = _grads(lambda: T.swiglu(gate, up), [gate, up], r)
+        want, want_grads = _grads(lambda: T.mul(T.silu(gate), up), [gate, up], r)
+        assert out.tobytes() == want.tobytes()
+        for g, w in zip(grads, want_grads):
+            npt.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
+        # a frozen up takes no gradient and leaves gate's unchanged
+        up.requires_grad = False
+        _, (g_gate, g_up) = _grads(lambda: T.swiglu(gate, up), [gate, up], r)
+        assert g_up is None and g_gate.tobytes() == grads[0].tobytes()
         with pytest.raises(T.ShapeError):
-            T.rope(x, cos, sin, 2)
+            T.swiglu(gate, tensor(np.zeros((380, 255))))
+
+    @pytest.mark.parametrize("n", [12, 15])  # 3 holes, none
+    def test_head_major_gather_and_scatter_match_reshape_and_transpose(self, n):
+        rng = np.random.default_rng(14)
+        b, s, h, hd = 3, 5, 2, 4
+        rows = np.full((b, s), -1)
+        rows.reshape(-1)[rng.permutation(b * s)[:n]] = np.arange(n)
+        a = tensor(rng.standard_normal((n, h * hd)), requires_grad=True)
+        r = rng.standard_normal((b, h, s, hd)).astype(np.float32)
+        composed = lambda: T.transpose(T.reshape(T.gather_rows(a, rows), (b, s, h, hd)), (0, 2, 1, 3))  # noqa: E731
+        out, grads = _grads(lambda: T.gather_rows(a, rows, heads=h), [a], r)
+        want, want_grads = _grads(composed, [a], r)
+        assert out.tobytes() == np.ascontiguousarray(want).tobytes() and out.flags.c_contiguous
+        assert grads[0].tobytes() == want_grads[0].tobytes()
+
+        ctx = tensor(rng.standard_normal((b, h, s, hd)), requires_grad=True)
+        r = rng.standard_normal((n + 1, h * hd)).astype(np.float32)  # row n is picked by no entry
+        composed = lambda: T.reshape(T.scatter_rows(T.transpose(ctx, (0, 2, 1, 3)), rows, n + 1), (n + 1, h * hd))  # noqa: E731
+        out, grads = _grads(lambda: T.scatter_rows(ctx, rows, n + 1, heads=h), [ctx], r)
+        want, want_grads = _grads(composed, [ctx], r)
+        assert out.tobytes() == want.tobytes() and not out[n].any()
+        assert grads[0].tobytes() == want_grads[0].tobytes()
+        out, _ = _grads(lambda: T.scatter_rows(ctx, rows, n, heads=h), [ctx], r[:n])
+        assert out.tobytes() == want[:n].tobytes()
+        for bad in (lambda: T.gather_rows(a, rows, heads=3), lambda: T.gather_rows(a, rows[0], heads=2),
+                    lambda: T.scatter_rows(ctx, rows, n, heads=4), lambda: T.scatter_rows(ctx, rows.T, n, heads=2)):
+            with pytest.raises(T.ShapeError):
+                bad()
 
 
 _GATED = {
@@ -298,6 +354,7 @@ _GATED = {
     "matmul": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
     "linear": (lambda a, b: T.linear(a, b), (2, 3, 4), (5, 4)),
     "rms_norm": (lambda a, b: T.rms_norm(a, b), (2, 3, 4), (4,)),
+    "swiglu": (lambda a, b: T.swiglu(a, b), (2, 3, 4), (2, 3, 4)),
     "concat": (lambda a, b: T.concat([a, b], axis=0), (2, 4), (3, 4)),
 }
 
