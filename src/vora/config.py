@@ -1,18 +1,20 @@
 """Flat key=value run configuration.
 
 One ``key=value`` per line, ``#`` starts a comment, unknown keys are
-errors. Every key has a documented default except ``seed``, which must
-be set explicitly: all randomness flows from it. Parsing builds the
-model, training and data configs, so an out-of-range value is a
-ConfigFileError before any work starts (``vora ablate`` checks its grid
-cells the same way). Whether the data keys fit a model
-(``check_data_fits``: vocab, patch and max_seq) is checked against the
-model that will run: the run config's under ``vora pretrain`` and
-``vora ablate``, the checkpoint's under ``vora eval`` and ``vora
-finetune``. The training commands also check that every batch holds an
-image (``check_batch_images``); ``vora eval`` sets its own. A list key
-repeats no value. ``normalize`` renders the resolved config in a
-canonical form that parses back identically.
+errors. The keys are the fields of ``ModelConfig``, ``TrainConfig`` and
+``DataConfig`` with their defaults (``resolution`` as ``resolution_h``
+and ``resolution_w``), plus the command keys listed in ``SCHEMA``. Every
+key has a default except ``seed``, which must be set explicitly: all
+randomness flows from it. Parsing builds the model, training and data
+configs, so an out-of-range value is a ConfigFileError before any work
+starts (``vora ablate`` checks its grid cells the same way). Whether the
+data keys fit a model (``check_data_fits``: vocab, patch and max_seq) is
+checked against the model that will run: the run config's under ``vora
+pretrain`` and ``vora ablate``, the checkpoint's under ``vora eval`` and
+``vora finetune``. The training commands also check that every batch
+holds an image (``check_batch_images``); ``vora eval`` sets its own. A
+list key repeats no value. ``normalize`` renders the resolved config in
+a canonical form that parses back identically.
 """
 
 import math
@@ -65,52 +67,26 @@ def _count(raw):
     return n
 
 
-# key -> (default, parser, help). A None default marks a required key.
+_FIELD_PARSERS = {int: int, float: _finite, bool: _bool, str: str}
+
+# key -> (default, parser); a None default marks a required key. Each config
+# field is a key with its default, parsed by its type; the keys after them are not fields.
 SCHEMA = {
-    # model
-    "n_llm": (6, int, "student block count"),
-    "n_vit": (4, int, "teacher block count (= distilled student blocks)"),
-    "d_model": (64, int, "student width"),
-    "d_vit": (48, int, "teacher width"),
-    "n_heads": (4, int, "student attention heads"),
-    "d_ff": (256, int, "student FFN inner width"),
-    "vocab": (200, int, "vocabulary size (builtin vocabulary has 200)"),
-    "patch": (8, int, "patch edge length, pixels"),
-    "rank": (8, int, "adapter rank"),
-    "max_seq": (160, int, "packing limit"),
-    "vembed_hidden": (0, int, "vision-embed hidden width; 0 means d_model/2"),
-    "vit_heads": (4, int, "teacher attention heads"),
-    "vit_ff": (0, int, "teacher FFN inner width; 0 means 4*d_vit"),
-    # training
-    "lr": (2e-4, _finite, "learning rate (constant after warmup)"),
-    "warmup_steps": (100, int, "linear warmup length"),
-    "batch_size": (16, int, "sequences per step"),
-    "total_steps": (500, int, "optimizer steps; 0 writes the init checkpoint only"),
-    "mode": ("pretrain", str, "pretrain | finetune | full_llm_unstable"),
-    "distill_mode": ("block_wise", str, "none | last_block | block_wise"),
-    "mask_mode": ("hybrid", str, "hybrid | causal"),
-    "seed": (None, int, "root seed; required, no default"),
-    "weight_decay": (0.01, _finite, "decoupled decay (0 on norms/embedding)"),
-    "log_window": (100, int, "smoothing window for loss curves"),
-    "teacher_warm": (False, _bool, "briefly train the teacher before freezing"),
-    "teacher_warm_steps": (200, int, "teacher warm-up steps"),
-    # data
-    "image_fraction": (0.82, _finite, "share of image-caption samples per batch"),
-    "resolution_h": (32, int, "image height (fixed-resolution mode)"),
-    "resolution_w": (32, int, "image width (fixed-resolution mode)"),
-    "anyres": (False, _bool, "sample a random patch-multiple resolution per image"),
-    "anyres_min": (16, int, "smallest anyres edge, pixels"),
-    "anyres_max": (48, int, "largest anyres edge, pixels"),
+    **{f.name: (f.default, _FIELD_PARSERS[f.type])
+       for cls in (ModelConfig, TrainConfig, DataConfig) for f in fields(cls) if f.name != "resolution"},
+    "seed": (None, int),  # root seed; required, no default
+    "resolution_h": (DataConfig.resolution[0], int),  # DataConfig.resolution, fixed-resolution mode
+    "resolution_w": (DataConfig.resolution[1], int),
     # evaluation
-    "eval_captions": (8, _count, "held-out caption samples"),
-    "eval_texts": (8, _count, "held-out text samples"),
-    "eval_max_new": (24, _count, "decode budget per caption"),
+    "eval_captions": (8, _count),  # held-out caption samples
+    "eval_texts": (8, _count),  # held-out text samples
+    "eval_max_new": (24, _count),  # decode budget per caption
     # ablation
-    "ablate_masks": (("hybrid",), _str_list, "mask modes in the ablation grid"),
-    "ablate_distills": (("none", "block_wise"), _str_list, "distill modes in the grid"),
-    "ablate_ranks": ((8,), _int_list, "adapter ranks in the grid"),
-    "thresholds": ((4.8, 4.4, 4.0), _float_list, "LM-loss thresholds to scan"),
-    "ablate_steps": (400, _count, "training budget per ablation cell"),
+    "ablate_masks": (("hybrid",), _str_list),  # mask modes in the ablation grid
+    "ablate_distills": (("none", "block_wise"), _str_list),  # distill modes in the grid
+    "ablate_ranks": ((8,), _int_list),  # adapter ranks in the grid
+    "thresholds": ((4.8, 4.4, 4.0), _float_list),  # LM-loss thresholds to scan
+    "ablate_steps": (400, _count),  # training budget per ablation cell
 }
 
 
@@ -153,17 +129,16 @@ def parse_text(text, source="<config>"):
             raise ConfigFileError(f"{source}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigFileError(f"{source}:{lineno}: missing value for key {key!r}")
-        default, caster, _ = SCHEMA[key]
         try:
-            seen[key] = caster(value)
+            seen[key] = SCHEMA[key][1](value)
         except (TypeError, ValueError) as exc:
             raise ConfigFileError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     values = {}
-    for key, (default, _, _) in SCHEMA.items():
+    for key, (default, _) in SCHEMA.items():
         if key in seen:
             values[key] = seen[key]
         elif default is None:
-            raise ConfigFileError(f"{source}: missing required key 'seed'")
+            raise ConfigFileError(f"{source}: missing required key {key!r}")
         else:
             values[key] = default
     run = RunConfig(values)

@@ -240,12 +240,12 @@ HELDOUT_BASE = 1 << 30  # held-out samples draw seeds at or above this
 
 @dataclass
 class DataConfig:
-    image_fraction: float = 0.82
-    resolution: tuple = (32, 32)
-    patch: int = 8
-    anyres: bool = False
-    anyres_min: int = 16
-    anyres_max: int = 48
+    image_fraction: float = 0.82  # share of image-caption samples per batch
+    resolution: tuple = (32, 32)  # (height, width) in fixed-resolution mode
+    patch: int = 8  # patch edge length, pixels
+    anyres: bool = False  # sample a random patch-multiple resolution per image
+    anyres_min: int = 16  # smallest anyres edge, pixels
+    anyres_max: int = 48  # largest anyres edge, pixels
 
     def __post_init__(self):
         if not 0.0 <= self.image_fraction <= 1.0:

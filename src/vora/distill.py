@@ -35,7 +35,7 @@ class AuxHead:
         return cls(init_tensors(cls.shapes(cfg, block), np.random.default_rng(seed), requires_grad=True))
 
     def forward(self, h):
-        return T.linear(T.rms_norm(h, self.norm_gain, eps=1e-6), self.proj)
+        return T.linear(T.rms_norm(h, self.norm_gain), self.proj)
 
 
 def init_heads(cfg, seed=0):
@@ -96,19 +96,11 @@ def lm_loss(logits, layouts, tokens):
 
     tokens: [B, S] int array of packed ids; layouts: one SequenceLayout
     per sequence. Position t is supervised iff supervise_from <= t <
-    length, predicted from the logits at t-1. logits: [n, V] holding
-    just the n predictions of the supervised positions, in the row-major
-    order of ``supervised``, or [B, S, V] at every position, whose
-    supervised rows are picked first; either way one cross entropy over
-    those n rows, so padding and unsupervised positions never count.
+    length, predicted from the logits at t-1. logits: [n, V], just the n
+    predictions of the supervised positions, in the row-major order of
+    ``supervised``, so padding and unsupervised positions never count.
     """
-    b, s = tokens.shape
-    live = supervised(layouts, s)
-    if logits.data.ndim == 3:
-        v = logits.data.shape[-1]
-        at = np.arange(b * s).reshape(b, s)[:, :-1][live]
-        logits = T.gather_rows(T.reshape(logits, (b * s, v)), at)
-    return T.cross_entropy(logits, tokens[:, 1:][live])
+    return T.cross_entropy(logits, tokens[:, 1:][supervised(layouts, tokens.shape[1])])
 
 
 def total_loss(distill, lm):

@@ -281,7 +281,7 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
                                       D.gen_image_caption(seed + 1, (8, 8), patch=4)], cfg.patch, cfg.max_seq),
     }
 
-    trainable, _ = trainer._partition(pipe, trainer.TrainConfig())  # the pretrain partition
+    trainable = trainer._partition(pipe, trainer.TrainConfig())  # the pretrain partition
 
     pick = np.random.default_rng(seed)
     results = []

@@ -37,19 +37,19 @@ class SequenceTooLong(ValueError):
 
 @dataclass
 class ModelConfig:
-    n_llm: int = 6
-    n_vit: int = 4
-    d_model: int = 64
-    d_vit: int = 48
-    n_heads: int = 4
-    d_ff: int = 256
-    vocab: int = 200
-    patch: int = 8
-    rank: int = 8
-    max_seq: int = 160
-    vembed_hidden: int = 0  # 0 resolves to d_model // 2
-    vit_heads: int = 4
-    vit_ff: int = 0  # 0 resolves to 4 * d_vit
+    n_llm: int = 6  # student block count
+    n_vit: int = 4  # teacher block count (= distilled student blocks)
+    d_model: int = 64  # student width
+    d_vit: int = 48  # teacher width
+    n_heads: int = 4  # student attention heads
+    d_ff: int = 256  # student FFN inner width
+    vocab: int = 200  # vocabulary size (builtin vocabulary has 200)
+    patch: int = 8  # patch edge length, pixels
+    rank: int = 8  # adapter rank
+    max_seq: int = 160  # packing limit
+    vembed_hidden: int = 0  # vision-embed hidden width; 0 resolves to d_model // 2
+    vit_heads: int = 4  # teacher attention heads
+    vit_ff: int = 0  # teacher FFN inner width; 0 resolves to 4 * d_vit
 
     def __post_init__(self):
         if self.vembed_hidden <= 0:
@@ -135,22 +135,21 @@ def build_attention_mask(layout, total_len, mode="hybrid"):
     return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK)).astype(np.float32)
 
 
-def rope_tables(seq_len, head_dim):
-    """cos/sin [seq_len, head_dim/2] for half-split rotary application."""
+def rope_tables(pos, head_dim):
+    """cos/sin [len(pos), head_dim/2] at integer positions ``pos`` for
+    half-split rotary application."""
     half = head_dim // 2
     inv_freq = 1.0 / 10000.0 ** (np.arange(half) / half)
-    ang = np.arange(seq_len)[:, None] * inv_freq[None, :]
+    ang = pos[:, None] * inv_freq[None, :]
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
 
-def rope_row_tables(seq_len, n_heads, head_dim, scale=1.0):
-    """Full-width cos/sin [seq_len, n_heads * head_dim] of ``T.rope`` per
-    position, both times scale: ``rope_tables``' cos over both halves of
-    every head, its sin negated over the first half."""
-    cos, sin = rope_tables(seq_len, head_dim)
-    s = np.float32(scale)
-    return (np.tile(np.concatenate([cos, cos], axis=1), n_heads) * s,
-            np.tile(np.concatenate([-sin, sin], axis=1), n_heads) * s)
+def rope_row_tables(pos, n_heads, head_dim):
+    """Full-width cos/sin [len(pos), n_heads * head_dim] of ``T.rope`` at
+    positions ``pos``: ``rope_tables``' cos over both halves of every head,
+    its sin negated over the first half."""
+    cos, sin = rope_tables(pos, head_dim)
+    return np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
 
 
 def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
@@ -214,11 +213,6 @@ class Model:
     def __init__(self, cfg, params):
         self.cfg = cfg
         self.params = params
-        # rope tables of every position up to max_seq: q's (with the score
-        # scale folded in) and k's
-        hd = cfg.head_dim
-        self.rope = (rope_row_tables(cfg.max_seq, cfg.n_heads, hd, 1.0 / np.sqrt(hd)),
-                     rope_row_tables(cfg.max_seq, cfg.n_heads, hd))
 
     @staticmethod
     def shapes(cfg):
@@ -297,17 +291,20 @@ class Model:
         index = T.RowIndex(rows)  # found once, used by every block's attention
         pos = np.zeros(x.data.shape[0], dtype=np.intp)  # each row's position in its sequence
         pos[index.rows] = index.cells[1] + past
-        rope = tuple((cos[pos], sin[pos]) for cos, sin in self.rope)
+        # rope tables at the rows' positions: k's, and q's with the 1/√hd score scale folded in
+        k_rope = rope_row_tables(pos, cfg.n_heads, cfg.head_dim)
+        score_scale = np.float32(1.0 / np.sqrt(cfg.head_dim))
+        rope = (tuple(t * score_scale for t in k_rope), k_rope)
 
         taps = []
         for i in range(cfg.n_llm):
-            h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"], eps=1e-6)
+            h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"])
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
             ctx = attention(q, k, v, mask, cfg.n_heads, index, rope,
                             None if cache is None else (cache.keys[i], cache.values[i], past))
             x = x + self._linear(ctx, i, "o", adapters)
 
-            h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"], eps=1e-6)
+            h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"])
             gate = self._linear(h, i, "ffn_gate", adapters)
             up = self._linear(h, i, "ffn_up", adapters)
             x = x + self._linear(T.swiglu(gate, up), i, "ffn_down", adapters)
@@ -319,7 +316,7 @@ class Model:
             cache.filled = past + s
         if logit_rows is not None:
             x = T.gather_rows(x, logit_rows)
-        xn = T.rms_norm(x, self.params["llm.final_norm"], eps=1e-6)
+        xn = T.rms_norm(x, self.params["llm.final_norm"])
         logits = T.linear(xn, self.params["llm.head"])
         if padded:
             taps = [T.reshape(t, (b, s, cfg.d_model)) for t in taps]

@@ -508,7 +508,7 @@ def cross_entropy(logits, targets):
     the row's target.
 
     logits: [t, V] with t >= 1; targets: int ids in [0, V). A caller that
-    supervises only some rows picks them first (``distill.lm_loss``).
+    supervises only some rows computes only those (``trainer.compute_losses``).
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects [t, V] logits, got {logits.data.shape}")

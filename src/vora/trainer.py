@@ -37,18 +37,18 @@ class TrainAbort(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    lr: float = 2e-4
-    warmup_steps: int = 100
-    batch_size: int = 16
-    total_steps: int = 500
-    mode: str = "pretrain"
-    distill_mode: str = "block_wise"
-    mask_mode: str = "hybrid"
-    seed: int = 0
-    weight_decay: float = 0.01
-    log_window: int = 100
-    teacher_warm: bool = False
-    teacher_warm_steps: int = 200
+    lr: float = 2e-4  # learning rate (constant after warmup)
+    warmup_steps: int = 100  # linear warmup length
+    batch_size: int = 16  # sequences per step
+    total_steps: int = 500  # optimizer steps; 0 writes the init checkpoint only
+    mode: str = "pretrain"  # pretrain | finetune | full_llm_unstable
+    distill_mode: str = "block_wise"  # none | last_block | block_wise
+    mask_mode: str = "hybrid"  # hybrid | causal
+    seed: int = 0  # root seed (a run config must set it)
+    weight_decay: float = 0.01  # decoupled decay (0 on norms/embedding)
+    log_window: int = 100  # smoothing window for loss curves
+    teacher_warm: bool = False  # briefly train the teacher before freezing
+    teacher_warm_steps: int = 200  # teacher warm-up steps
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -251,10 +251,7 @@ class TrainState:
     v: dict
 
     @classmethod
-    def create(cls, trainable, frozen):
-        overlap = set(trainable) & set(frozen)
-        if overlap:
-            raise ValueError(f"tensors both frozen and trainable: {sorted(overlap)}")
+    def create(cls, trainable):
         return cls(
             step=0,
             trainable=dict(trainable),
@@ -297,21 +294,22 @@ def _set_requires_grad(tensors, flag):
 
 
 def _partition(pipe, tcfg):
-    """(trainable, frozen) name->Tensor maps for the configured mode.
+    """The trainable name->Tensor map for the configured mode; sets
+    requires_grad on every owner of ``pipe.groups()``.
 
     Pretraining trains the adapters and the vision embed, the other modes
     the student and the vision embed; outside finetune the aux heads of
-    the blocks the distill mode aligns train too. Every other owner of
-    ``pipe.groups()`` stays frozen."""
+    the blocks the distill mode aligns train too. Every other owner stays
+    frozen."""
     owners = {"lora", "vembed"} if tcfg.mode == "pretrain" else {"llm", "vembed"}
     if tcfg.mode != "finetune":
         owners.update(f"aux.{b}" for b in distill.distilled_blocks(tcfg.distill_mode, pipe.cfg.n_vit))
-    trainable, frozen = {}, {}
+    trainable = {}
     for owner, tensors in pipe.groups().items():
-        (trainable if owner in owners else frozen).update(tensors)
-    _set_requires_grad(trainable, True)
-    _set_requires_grad(frozen, False)
-    return trainable, frozen
+        _set_requires_grad(tensors, owner in owners)
+        if owner in owners:
+            trainable.update(tensors)
+    return trainable
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +336,7 @@ def train_step(state, tcfg, step, loss_fn):
 
 def train_loop(pipe, tcfg, dcfg, metrics_sink=None):
     """Shared step loop; returns the per-step metrics list."""
-    trainable, frozen = _partition(pipe, tcfg)
-    state = TrainState.create(trainable, frozen)
+    state = TrainState.create(_partition(pipe, tcfg))
     rng_data = np.random.default_rng([tcfg.seed, 10])
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
@@ -528,7 +525,7 @@ def overfit_pair(pipe, sample, steps=300, lr=3e-3):
     """
     tcfg = TrainConfig(lr=lr, warmup_steps=10, batch_size=1, total_steps=steps, distill_mode="none", seed=0)
     batch = D.pack_samples([sample], pipe.cfg.patch, pipe.cfg.max_seq)
-    state = TrainState.create(*_partition(pipe, tcfg))
+    state = TrainState.create(_partition(pipe, tcfg))
 
     metrics = []
     for step in range(steps):
@@ -550,7 +547,7 @@ def warm_teacher(teacher, cfg, steps, seed):
     _set_requires_grad(teacher.params, True)
     trainable = dict(teacher.params)
     trainable["warm.head"] = head
-    state = TrainState.create(trainable, {})
+    state = TrainState.create(trainable)
     warm_cfg = TrainConfig(lr=WARM_LR, warmup_steps=0, total_steps=max(steps, 1), seed=seed)
     h, w = cfg.patch * 4, cfg.patch * 4
     runs = [((h // cfg.patch, w // cfg.patch), WARM_BATCH)]

@@ -41,7 +41,7 @@ def sincos_grid(rows, cols, dim):
     patch-divisible resolution works.
     """
     def axis(n, width):
-        cos, sin = rope_tables(n, width)
+        cos, sin = rope_tables(np.arange(n), width)
         return np.concatenate([sin, cos, np.zeros((n, width % 2), np.float32)], axis=1)
 
     half = dim // 2
@@ -137,10 +137,10 @@ class Teacher:
         states = []
         for i in range(self.cfg.n_vit):
             w = lambda name: self.params[f"teacher.blocks.{i}.{name}"]
-            h = T.rms_norm(x, w("attn_norm"), eps=1e-6)
+            h = T.rms_norm(x, w("attn_norm"))
             q, k, v = (T.linear(h, w(name)) for name in ("q", "k", "v"))
             x = x + T.linear(attention(q, k, v, mask, self.cfg.vit_heads, index), w("o"))
-            h = T.rms_norm(x, w("ffn_norm"), eps=1e-6)
+            h = T.rms_norm(x, w("ffn_norm"))
             x = x + T.linear(T.gelu(T.linear(h, w("fc1"))), w("fc2"))
             states.append(x)
         return states

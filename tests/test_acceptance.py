@@ -152,9 +152,9 @@ def test_06_loss_definitions():
     perfect_ok = abs(perfect) <= 1e-6
 
     v = cfg.vocab
-    logits = T.constant(np.zeros((1, 5, v), dtype=np.float32))
-    lay = SequenceLayout(0, 5, 2)
-    uniform = distill.lm_loss(logits, [lay], np.zeros((1, 5), dtype=np.int64)).item()
+    lay = SequenceLayout(0, 5, 2)  # 3 supervised positions: 3 zero logit rows
+    rows = T.constant(np.zeros((3, v), dtype=np.float32))
+    uniform = distill.lm_loss(rows, [lay], np.zeros((1, 5), dtype=np.int64)).item()
     uniform_ok = abs(uniform - math.log(v)) <= 1e-4
 
     sum_ok = True

@@ -69,12 +69,15 @@ class TestConfigParsing:
 
     def test_every_config_field_has_a_schema_default(self):
         # resolution is built from resolution_h and resolution_w; seed is required
-        defaults = {key: default for key, (default, _, _) in config.SCHEMA.items()}
+        defaults = {key: default for key, (default, _) in config.SCHEMA.items()}
+        assert defaults["seed"] is None
         defaults.update(resolution=(defaults["resolution_h"], defaults["resolution_w"]), seed=0)
         for cls in (ModelConfig, trainer.TrainConfig, data.DataConfig):  # patch feeds two of them
             for f in fields(cls):
                 assert f.name in defaults, (cls.__name__, f.name)
                 assert f.default == defaults[f.name], (cls.__name__, f.name)
+                if f.name in config.SCHEMA:  # its parser reads the rendered default back as the field's type
+                    assert type(config.SCHEMA[f.name][1](config._render(f.default))) is f.type, (cls.__name__, f.name)
 
 
 BASE_CFG = "seed=0\ntotal_steps=4\nwarmup_steps=1\nbatch_size=2\n"
@@ -100,6 +103,15 @@ class TestCli:
         assert cli.main(["pretrain", cfg_path, str(out)]) == 0
         assert (out / "checkpoint.vora").exists()
         assert (out / "metrics.jsonl").read_text() == ""
+
+    def test_huge_max_seq_allocates_nothing_per_position(self, tmp_path):
+        # nothing is sized by max_seq, so a limit no sequence reaches costs
+        # no memory in pretrain or eval
+        cfg_path = write(tmp_path, "seed=0\nmax_seq=1000000000000\ntotal_steps=0\n"
+                                   "eval_captions=2\neval_texts=2\neval_max_new=4\n")
+        out = tmp_path / "out"
+        assert cli.main(["pretrain", cfg_path, str(out)]) == 0
+        assert cli.main(["eval", str(out / "checkpoint.vora"), cfg_path]) == 0
 
     def test_invalid_config_exits_2(self, tmp_path):
         cfg_path = write(tmp_path, "seed=0\nnot_a_key=1\n")

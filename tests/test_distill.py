@@ -175,17 +175,17 @@ class TestGradientRouting:
 
 
 class TestLmLoss:
+    # lm_loss takes the supervised rows: logits[:, :-1][supervised(...)]
     def test_empty_supervision_errors(self):
-        rng = np.random.default_rng(10)
-        logits = T.constant(rng.standard_normal((1, 5, 8)).astype(np.float32))
         lay = SequenceLayout(0, 5, 5)  # supervise_from == T
         with pytest.raises(ValueError, match="supervised"):
-            distill.lm_loss(logits, [lay], np.zeros((1, 5), dtype=np.int64))
+            distill.lm_loss(T.constant(np.zeros((0, 8), dtype=np.float32)), [lay], np.zeros((1, 5), dtype=np.int64))
 
     def test_uniform_logits_ln_v(self):
-        logits = T.constant(np.zeros((1, 5, 8), dtype=np.float32))
+        logits = np.zeros((1, 5, 8), dtype=np.float32)
         lay = SequenceLayout(0, 5, 2)  # 3 supervised tokens
-        loss = distill.lm_loss(logits, [lay], np.zeros((1, 5), dtype=np.int64))
+        rows = T.constant(logits[:, :-1][distill.supervised([lay], 5)])
+        loss = distill.lm_loss(rows, [lay], np.zeros((1, 5), dtype=np.int64))
         npt.assert_allclose(loss.item(), math.log(8), atol=1e-6)
 
     def test_text_only_equals_plain_causal_lm(self):
@@ -195,7 +195,8 @@ class TestLmLoss:
         logits_arr = rng.standard_normal((1, s, v)).astype(np.float32)
         tokens = rng.integers(0, v, size=(1, s))
         lay = SequenceLayout(0, s, 1)
-        got = distill.lm_loss(T.constant(logits_arr), [lay], tokens).item()
+        rows = T.constant(logits_arr[:, :-1][distill.supervised([lay], s)])
+        got = distill.lm_loss(rows, [lay], tokens).item()
         # plain next-token causal LM oracle
         nll = []
         for t in range(1, s):
@@ -209,37 +210,14 @@ class TestLmLoss:
         logits_arr = rng.standard_normal((1, 8, 9)).astype(np.float32)
         tokens = rng.integers(0, 9, size=(1, 8))
         lay = SequenceLayout(4, 8, 5)
-        got = distill.lm_loss(T.constant(logits_arr), [lay], tokens).item()
+        rows = T.constant(logits_arr[:, :-1][distill.supervised([lay], 8)])
+        got = distill.lm_loss(rows, [lay], tokens).item()
         nll = []
         for t in range(5, 8):
             row = logits_arr[0, t - 1]
             lse = np.log(np.exp(row - row.max()).sum()) + row.max()
             nll.append(lse - row[tokens[0, t]])
         npt.assert_allclose(got, np.mean(nll), atol=1e-5)
-
-
-    def test_padding_does_not_count(self):
-        # [B, S, V] logits with a PAD tail whose logits would dominate if
-        # they counted give the loss of the [n, V] supervised rows alone
-        rng = np.random.default_rng(13)
-        v, s = 9, 10
-        lays = [SequenceLayout(3, 8, 5), SequenceLayout(0, 6, 2)]
-        tokens = rng.integers(1, v, size=(2, s))
-        logits_arr = rng.standard_normal((2, s, v)).astype(np.float32)
-        for i, lay in enumerate(lays):
-            tokens[i, lay.length:] = data.PAD
-            logits_arr[i, lay.length - 1:] = 0.0
-            logits_arr[i, lay.length - 1:, data.PAD + 1] = 100.0  # wrong by ~100 nats at every PAD target
-        live = distill.supervised(lays, s)
-        padded, rows = T.param(logits_arr), T.param(logits_arr[:, :-1][live])
-        got = distill.lm_loss(padded, lays, tokens)
-        T.backward(got)
-        want = distill.lm_loss(rows, lays, tokens)
-        T.backward(want)
-        assert want.item() < 10.0
-        assert got.item() == want.item()
-        npt.assert_array_equal(padded.grad[:, :-1][live], rows.grad)
-        assert not padded.grad[:, :-1][~live].any() and not padded.grad[:, -1].any()
 
 
 class TestTotalLoss:

@@ -8,7 +8,7 @@ import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
 from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong,
-                        build_attention_mask, decode_greedy)
+                        build_attention_mask, decode_greedy, rope_row_tables)
 
 MICRO = dict(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
              patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
@@ -372,6 +372,14 @@ def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
     base = shapes_of(Model.init(pipe.cfg, seed=1), None)
     assert merged == base
     assert len(unmerged) > len(merged)
+
+
+def test_rope_tables_at_positions_equal_the_full_tables_rows():
+    # the forward builds its RoPE tables for its rows' positions only; they
+    # are the rows of the tables of every position, to the bit
+    pos = np.array([5, 0, 159, 3, 3, 77])
+    for got, full in zip(rope_row_tables(pos, 4, 16), rope_row_tables(np.arange(160), 4, 16)):
+        assert got.tobytes() == full[pos].tobytes()
 
 
 def test_config_validation():

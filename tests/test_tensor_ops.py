@@ -278,8 +278,8 @@ class TestFusedOps:
         x = tensor(rng.standard_normal((n, h * hd)), requires_grad=True)
         r = rng.standard_normal((n, h * hd)).astype(np.float32)
         for scale in (1.0, 1.0 / math.sqrt(hd), 1.0 / math.sqrt(6.0)):
-            cos, sin = (t[pos] for t in rope_row_tables(s, h, hd, scale))
-            c, sn = (T.constant((t[pos] * np.float32(scale))[:, None]) for t in rope_tables(s, hd))
+            cos, sin = (t * np.float32(scale) for t in rope_row_tables(pos, h, hd))
+            c, sn = (T.constant((t * np.float32(scale))[:, None]) for t in rope_tables(pos, hd))
 
             def composed():
                 heads = T.reshape(x, (n, h, hd))

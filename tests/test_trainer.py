@@ -21,7 +21,7 @@ def small_cfgs(seed=0, **overrides):
 class TestAdamW:
     def _state(self, value=1.0):
         p = Tensor(np.array([value], dtype=np.float32), requires_grad=True)
-        state = trainer.TrainState.create({"w": p}, {})
+        state = trainer.TrainState.create({"w": p})
         return p, state
 
     def test_zero_grad_zero_decay_fixed_point(self):
@@ -156,7 +156,7 @@ class TestPretrain:
             if mode == "finetune":  # the state trainer.finetune trains in
                 trainer.merge(pipe)
                 distill_mode = "none"
-            trainable, _ = trainer._partition(pipe, tcfg)
+            trainable = trainer._partition(pipe, tcfg)
             batch = data.make_batch(np.random.default_rng(0), tcfg.batch_size, dcfg=dcfg, max_seq=mcfg.max_seq)
             out = trainer.compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
             T.backward(out.total)
@@ -213,11 +213,9 @@ class TestOwners:
         state = trainer.collect_state(pipe)
         names = [name for tensors in groups.values() for name in tensors]
         assert len(names) == len(set(names)) and set(names) == set(state)  # each tensor in exactly one group
-        trainable, frozen = trainer._partition(pipe, trainer.TrainConfig(mode=mode, seed=0))
+        trainable = trainer._partition(pipe, trainer.TrainConfig(mode=mode, seed=0))
         assert set(trainable) == {name for owner in trained for name in groups[owner]}
-        assert set(frozen) == set(state) - set(trainable)
-        assert all(t.requires_grad for t in trainable.values())
-        assert not any(t.requires_grad for t in frozen.values())
+        assert all(t.requires_grad == (name in trainable) for name, t in state.items())
 
 
 class TestGridRuns:

@@ -30,6 +30,8 @@ printf "${common}anyres=true\nteacher_warm=true\nteacher_warm_steps=3\n" > "$tmp
 printf "${common}mode=full_llm_unstable\n" > "$tmp/cfg/probe.cfg"
 printf "${common}distill_mode=last_block\n" > "$tmp/cfg/last_block.cfg"
 printf "${common}eval_captions=1\n" > "$tmp/cfg/one.cfg"
+# non-default float and string keys, read through the parsers of their field types
+printf "${common}lr=0.0005\nweight_decay=0.0\nimage_fraction=0.75\nmask_mode=causal\n" > "$tmp/cfg/typed.cfg"
 printf "${common}anyres=true\nablate_masks=hybrid,causal\nablate_distills=none,last_block,block_wise\nablate_steps=6\n" \
     > "$tmp/cfg/ablate.cfg"
 
@@ -41,6 +43,7 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora pretrain "$cfg/anyres.cfg" anyres
     vora pretrain "$cfg/probe.cfg" probe
     vora pretrain "$cfg/last_block.cfg" last_block
+    vora pretrain "$cfg/typed.cfg" typed
     vora finetune pretrain/checkpoint.vora "$cfg/default.cfg" finetune
     vora merge pretrain/checkpoint.vora merged.vora
     vora merge anyres/checkpoint.vora anyres_merged.vora
@@ -52,6 +55,7 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora eval pretrain/checkpoint.vora "$cfg/one.cfg" > "$out/eval_one.json"  # a batch of one caption
     # the default (block_wise) run config on a last_block checkpoint
     vora eval last_block/checkpoint.vora "$cfg/default.cfg" > "$out/eval_last_block.json"
+    vora eval typed/checkpoint.vora "$cfg/typed.cfg" > "$out/eval_typed.json"
     vora ablate "$cfg/ablate.cfg" ablate
     vora gradcheck "$cfg/default.cfg" > "$out/gradcheck.txt"
 }
