@@ -128,6 +128,12 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         w = _rand(rng, 5, 4)
         return (lambda: T.linear(x, w)), [x, w]
 
+    def case_adapted_linear(rng):
+        # x·(w + b·a)ᵀ with a rank-2 pair
+        x = _rand(rng, 3, 4) if rng.random() < 0.5 else _rand(rng, 2, 3, 4)
+        w, a, b = _rand(rng, 5, 4), _rand(rng, 2, 4), _rand(rng, 5, 2)
+        return (lambda: T.linear(x, w, (a, b))), [x, w, a, b]
+
     def case_transpose(rng):
         a = _rand(rng, 2, 3, 4)
         return (lambda: T.transpose(a, (2, 0, 1))), [a]
@@ -230,6 +236,7 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("scale", case_scale)
     run("matmul", case_matmul)
     run("linear", case_linear)
+    run("adapted_linear", case_adapted_linear)
     run("transpose", case_transpose)
     run("reshape", case_reshape)
     run("concat", case_concat)

@@ -1,16 +1,17 @@
-"""Low-rank adapters for the first n_vit blocks: creation, forward delta
-and exact merge into the base weights.
+"""Low-rank adapters for the first n_vit blocks: creation, the pair each
+adapted layer runs with, and exact merge into the base weights.
 
 An adapter is the pair (a, b) and adds b a to its layer's weight, with no
-further scale. Every adapter starts with b = 0 so a freshly attached model
-computes exactly the base model's outputs.
+further scale. Unmerged, a layer runs as one ``T.linear(x, w, (a, b))``
+call, which trains on the merged weight w + b a; the merge writes that
+weight into the base for good. Every adapter starts with b = 0 so a
+freshly attached model computes exactly the base model's outputs.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from . import tensor as T
 from .model import LAYER_NAMES, Model, init_tensors
 from .tensor import Tensor
 
@@ -46,14 +47,10 @@ class AdapterSet:
     def __iter__(self):
         return iter(self.adapters.values())
 
-    def delta(self, x, block, layer):
-        """Low-rank forward contribution (x a^T) b^T, or None."""
-        if self.merged:
-            return None
-        ad = self.adapters.get((block, layer))
-        if ad is None:
-            return None
-        return T.linear(T.linear(x, ad.a), ad.b)
+    def delta(self, block, layer):
+        """The layer's (a, b) pair, which ``T.linear`` adds to its weight as
+        b·a; None when the layer has no adapter or the set is merged."""
+        return None if self.merged else self.adapters.get((block, layer))
 
 
 def _pairs(cfg):

@@ -21,6 +21,7 @@ from .tensor import Tensor
 
 LAYER_NAMES = ("q", "k", "v", "o", "ffn_gate", "ffn_up", "ffn_down")
 MASK_MODES = ("hybrid", "causal")
+CACHE_STRETCH = 32  # decode positions a new K/V cache holds past its prompts
 
 
 class ConfigError(ValueError):
@@ -188,12 +189,27 @@ def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
 @dataclass
 class KVCache:
     """Preallocated post-RoPE keys and values of every block, each
-    [n_llm, B, heads, capacity, hd]; positions 0..filled-1 hold data.
-    Forward-only: a cached forward runs under ``T.no_grad()``."""
+    [n_llm, B, heads, capacity, hd]; positions 0..filled-1 hold data, and
+    ``reserve`` grows the capacity. Forward-only: a cached forward runs
+    under ``T.no_grad()``."""
 
     keys: np.ndarray
     values: np.ndarray
     filled: int = 0
+
+    def reserve(self, length, most):
+        """Make room for ``length`` positions: a full cache grows to twice
+        its capacity (or to ``length``, if more), but never past ``most``.
+        The filled positions are copied over."""
+        capacity = self.keys.shape[3]
+        if length <= capacity:
+            return
+        grown = min(most, max(length, 2 * capacity))
+        for name in ("keys", "values"):
+            old = getattr(self, name)
+            new = np.empty(old.shape[:3] + (grown,) + old.shape[4:], np.float32)
+            new[:, :, :, :self.filled] = old[:, :, :, :self.filled]
+            setattr(self, name, new)
 
     def check(self, batch, length):
         """Raise unless a forward of ``batch`` sequences reaching ``length``
@@ -240,12 +256,8 @@ class Model:
         return T.embedding(self.params["llm.embed"], ids)
 
     def _linear(self, x, block, layer, adapters):
-        y = T.linear(x, self.params[f"llm.blocks.{block}.{layer}"])
-        if adapters is not None:
-            delta = adapters.delta(x, block, layer)
-            if delta is not None:
-                y = y + delta
-        return y
+        ab = None if adapters is None else adapters.delta(block, layer)
+        return T.linear(x, self.params[f"llm.blocks.{block}.{layer}"], ab)
 
     def new_cache(self, batch, capacity):
         """An empty ``KVCache`` for ``forward`` on [batch, S, d] inputs,
@@ -265,12 +277,12 @@ class Model:
         its B * S rows flattened; its logits and taps come back [B, S, ...].
         rows (token-major batch): embedded is [N, d], the batch's live
         tokens in the flat order rows [B, S] indexes (-1 at padding, see
-        ``data.PackedBatch.rows``). Norms, linear layers, adapter deltas,
-        rope, the FFN and the residuals run on the N rows; only the
-        attention core sees [B, S] sequences. Taps are [N, d], logits
-        [N, vocab], or only the logit_rows rows of them. An [S, d] input
-        without rows is one sequence, rows = arange(S)[None]: [S, d] taps,
-        [S, vocab] logits.
+        ``data.PackedBatch.rows``). Norms, linear layers (an adapted one
+        with its pair, see ``T.linear``), rope, the FFN and the residuals
+        run on the N rows; only the attention core sees [B, S] sequences.
+        Taps are [N, d], logits [N, vocab], or only the logit_rows rows of
+        them. An [S, d] input without rows is one sequence, rows =
+        arange(S)[None]: [S, d] taps, [S, vocab] logits.
         cache (from ``new_cache``, forward-only): the inputs extend the L
         positions cached so far; they take positions L..L+S-1, the mask
         is [S, L+S], and their keys and values are written into the cache.
@@ -333,7 +345,10 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     start; or [S, d] with one layout, a batch of one.
     The prompts are encoded once under the mask mode; each later step
     feeds only the new tokens and reads the earlier positions from the
-    K/V cache, sized to min(max_seq, S + max_new). A row stops at EOS,
+    K/V cache. The cache starts at min(max_seq, S + min(max_new,
+    CACHE_STRETCH)) positions and doubles whenever the decode fills it,
+    up to max_seq, so it holds about what the decode reaches, however
+    large max_new and max_seq are. A row stops at EOS,
     after max_new tokens, or when the sequence has reached max_seq; the
     loop runs until every row has stopped.
     Returns each row's generated ids (EOS included when it ended the row),
@@ -348,7 +363,7 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     if len(layouts) != batch or len({(lay.n_vision, lay.supervise_from) for lay in layouts}) > 1:
         raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
     mask = build_attention_mask(SequenceLayout(layouts[0].n_vision, length, length), length, mask_mode)
-    cache = model.new_cache(batch, min(model.cfg.max_seq, length + max_new))
+    cache = model.new_cache(batch, min(model.cfg.max_seq, length + min(max_new, CACHE_STRETCH)))
     out = [[] for _ in range(batch)]
     live = [True] * batch
     with T.no_grad():
@@ -363,6 +378,7 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
                 break
             emb = model.embed_tokens(nxt[:, None])
             length += 1
+            cache.reserve(length, model.cfg.max_seq)
             # a text token sees every earlier position under both mask modes
             mask = np.zeros((1, length), np.float32)
     return out[0] if squeeze else out

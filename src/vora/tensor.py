@@ -7,8 +7,10 @@ embedding lookup, GELU/SiLU, the fused SwiGLU gate (``swiglu``),
 RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
 cross entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
 every linear layer: one tape node, one 2-D GEMM forward and one per
-operand gradient, whatever the leading dims of x. Heavy elementwise work
-is delegated to :mod:`vora.kernels`; matmul goes straight to BLAS.
+operand gradient, whatever the leading dims of x. With an adapter pair
+(a, b) it is x·(w + b·a)ᵀ, still one node and, when it trains, one GEMM
+forward on the merged weight. Heavy elementwise work is delegated to
+:mod:`vora.kernels`; matmul goes straight to BLAS.
 
 Gradients accumulate additively when a tensor feeds several consumers.
 A backward computes only the gradients of inputs that require one, so a
@@ -278,9 +280,48 @@ def transpose(a, axes=None):
     return _make(out, (a,), bwd)
 
 
-def linear(x, w):
-    """x·wᵀ for a weight stored [d_out, d_in]: one matmul node, one 2-D GEMM."""
-    return matmul(x, w, transpose_b=True)
+def linear(x, w, ab=None):
+    """x·wᵀ for a weight stored [d_out, d_in]: one matmul node, one 2-D GEMM.
+
+    ab: a low-rank pair (a [r, d_in], b [d_out, r]). The layer is then
+    x·(w + b·a)ᵀ = x·wᵀ + (x·aᵀ)·bᵀ (arXiv 2106.09685), as one node on the
+    merged weight w' = w + b·a, built once per call: one 2-D GEMM forward,
+    and dx = g·w', dw = gᵀ·x, db = gᵀ·(x·aᵀ) and da = (g·b)ᵀ·x, each only
+    for an input that requires it; x·aᵀ is kept from the forward only
+    when b needs it. A call that records no node and has fewer rows than
+    d_in·d_out / (d_in + d_out), such as a decode step, runs
+    x·wᵀ + (x·aᵀ)·bᵀ instead: on so few rows that costs fewer flops than
+    building w'.
+    """
+    if ab is None:
+        return matmul(x, w, transpose_b=True)
+    a, b = ab
+    (d_out, d_in), r = w.data.shape, a.data.shape[0]
+    if x.data.shape[-1:] != (d_in,) or a.data.shape != (r, d_in) or b.data.shape != (d_out, r):
+        raise ShapeError(f"linear shape mismatch: {x.data.shape} x ({w.data.shape} + "
+                         f"{b.data.shape}·{a.data.shape})ᵀ")
+    x2 = x.data.reshape(-1, d_in)
+    lead = x.data.shape[:-1]
+    if x2.shape[0] * (d_in + d_out) < d_in * d_out and not (
+            _grad_enabled and any(t.requires_grad for t in (x, w, a, b))):
+        return Tensor((x2 @ w.data.T + (x2 @ a.data.T) @ b.data.T).reshape(lead + (d_out,)))
+    wm = b.data @ a.data
+    wm += w.data
+    out = (x2 @ wm.T).reshape(lead + (d_out,))
+    u = x2 @ a.data.T if _grad_enabled and b.requires_grad else None
+
+    def bwd(g):
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            _accum(x, (g2 @ wm).reshape(x.data.shape))
+        if w.requires_grad:
+            _accum(w, g2.T @ x2)
+        if a.requires_grad:
+            _accum(a, (g2 @ b.data).T @ x2)
+        if b.requires_grad:
+            _accum(b, g2.T @ u)
+
+    return _make(out, (x, w, a, b), bwd)
 
 
 def reshape(a, shape):

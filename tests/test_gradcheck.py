@@ -6,7 +6,7 @@ import vora.tensor as T
 from vora.gradcheck import max_rel_error, op_suite
 
 ALL_OPS = {
-    "add", "mul", "scale", "matmul", "linear", "transpose", "reshape", "concat",
+    "add", "mul", "scale", "matmul", "linear", "adapted_linear", "transpose", "reshape", "concat",
     "slice_axis", "gather_rows", "scatter_rows", "embedding", "gelu", "silu", "swiglu", "rms_norm", "rope",
     "softmax_rows", "cross_entropy", "tsum", "power",
 }

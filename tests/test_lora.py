@@ -31,8 +31,9 @@ class TestAttach:
 
 
 def adapted_linear(x, base_w, ad):
-    """The model's adapted linear layer: x base_w^T plus AdapterSet.delta
-    (an n_vit=1 set whose block-0 layers all hold ``ad``)."""
+    """The model's adapted linear layer: ``Model._linear`` on the pair
+    AdapterSet.delta hands it, x (base_w + b a)^T (an n_vit=1 set whose
+    block-0 layers all hold ``ad``)."""
     model = Model(ModelConfig(), {"llm.blocks.0.q": base_w})
     params = {f"lora.0.{layer}.{f}": t for layer in LAYER_NAMES for f, t in zip("ab", ad)}
     return model._linear(x, 0, "q", lora.AdapterSet(ModelConfig(n_vit=1), params))

@@ -7,7 +7,7 @@ import pytest
 import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
-from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong,
+from vora.model import (CACHE_STRETCH, Model, ModelConfig, SequenceLayout, SequenceTooLong,
                         build_attention_mask, decode_greedy, rope_row_tables)
 
 MICRO = dict(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
@@ -347,31 +347,79 @@ class TestBatchedDecode:
 
 def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
     """The paper's "no extra inference cost": after the merge, decoding runs
-    exactly the matmuls of a never-adapted model of the same config."""
+    exactly the matmuls of a never-adapted model of the same config.
+    Unmerged, each adapted layer is one fused ``T.linear(x, w, (a, b))``
+    call in place of its plain matmul."""
     pipe = adapted_pipe()
     prefix, layouts = heldout_batch(pipe)
-    matmul = T.matmul
+    matmul, linear = T.matmul, T.linear
 
     def shapes_of(model, adapters):
-        calls = []
+        calls, fused = [], []
 
         def spy(a, b, transpose_b=False):
             calls.append((a.shape, b.shape, transpose_b))
             return matmul(a, b, transpose_b)
 
+        def linear_spy(x, w, ab=None):
+            if ab is not None:
+                fused.append((x.shape, w.shape))
+            return linear(x, w, ab)
+
         monkeypatch.setattr(T, "matmul", spy)
+        monkeypatch.setattr(T, "linear", linear_spy)
         try:
             decode_greedy(model, prefix, layouts, -1, 24, adapters)
         finally:
             monkeypatch.setattr(T, "matmul", matmul)
-        return calls
+            monkeypatch.setattr(T, "linear", linear)
+        return calls, fused
 
-    unmerged = shapes_of(pipe.model, pipe.adapters)
+    unmerged, unmerged_fused = shapes_of(pipe.model, pipe.adapters)
     trainer.merge(pipe)
-    merged = shapes_of(pipe.model, pipe.adapters)
-    base = shapes_of(Model.init(pipe.cfg, seed=1), None)
+    merged, merged_fused = shapes_of(pipe.model, pipe.adapters)
+    base, base_fused = shapes_of(Model.init(pipe.cfg, seed=1), None)
     assert merged == base
-    assert len(unmerged) > len(merged)
+    assert len(unmerged_fused) > 0 and len(merged_fused) == len(base_fused) == 0
+    assert len(unmerged) + len(unmerged_fused) == len(base)  # one linear call per layer either way
+
+
+def test_decode_cache_grows_with_the_positions_decoded(monkeypatch):
+    # a zeroed head makes every logit 0, so the first token is id 0 = EOS:
+    # the cache holds the prompt plus CACHE_STRETCH positions, whatever
+    # max_seq and max_new allow
+    model = Model.init(ModelConfig(max_seq=10**12), seed=0)
+    model.params["llm.head"].data[:] = 0.0
+    capacities = []
+    new_cache = Model.new_cache
+
+    def spy(self, batch, capacity):
+        capacities.append(capacity)
+        assert capacity <= 64  # checked before anything is allocated
+        return new_cache(self, batch, capacity)
+
+    monkeypatch.setattr(Model, "new_cache", spy)
+    prefix = model.embed_tokens([1, 10, 20])
+    assert decode_greedy(model, prefix, SequenceLayout(0, 3, 3), eos_id=0, max_new=10**9) == [0]
+    assert capacities == [3 + CACHE_STRETCH]
+
+
+def test_decode_past_the_cache_stretch_matches_full_recompute(monkeypatch):
+    # the cache starts at S + CACHE_STRETCH, doubles, then stops at max_seq
+    pipe = adapted_pipe()
+    (prefix, lay), = heldout_prefixes(pipe, n=1)
+    s, max_new = prefix.data.shape[0], 100
+    assert 2 * (s + CACHE_STRETCH) < s + max_new < pipe.cfg.max_seq < 4 * (s + CACHE_STRETCH)
+    caches = []
+    new_cache = Model.new_cache
+    monkeypatch.setattr(Model, "new_cache", lambda self, *args: caches.append(new_cache(self, *args)) or caches[-1])
+    ids, got, _ = spied_decode(pipe.model, prefix, lay, -1, max_new, pipe.adapters)
+    want_ids, want = full_recompute_decode(pipe.model, prefix, lay, -1, max_new, pipe.adapters)
+    assert ids == want_ids and len(ids) == max_new
+    for g, w in zip(got, want, strict=True):
+        npt.assert_allclose(g[0], w, rtol=0, atol=1e-5)
+    (cache,) = caches
+    assert cache.keys.shape[3] == cache.values.shape[3] == pipe.cfg.max_seq
 
 
 def test_rope_tables_at_positions_equal_the_full_tables_rows():

@@ -244,8 +244,9 @@ def _assert_same_op(fused, composed, inputs, r, atol=1e-6):
 
 
 class TestFusedOps:
-    """linear, rope, swiglu and the head-major gather and scatter against the
-    compositions they replace, at model shapes."""
+    """linear (plain and with an adapter pair), rope, swiglu and the
+    head-major gather and scatter against the compositions they replace,
+    at model shapes."""
 
     def test_linear_matches_matmul_of_transpose(self):
         rng = np.random.default_rng(11)
@@ -268,6 +269,61 @@ class TestFusedOps:
         assert T.linear(x, w).shape == (2, 3, 5)
         assert len(T.active_tape().nodes) == 1
         T.active_tape().reset()
+
+    def test_adapted_linear_matches_base_plus_low_rank_composition(self):
+        # the oracle is the composition the fused op replaced:
+        # x·wᵀ + (x·aᵀ)·bᵀ, four nodes
+        rng = np.random.default_rng(15)
+        for shape in ((16, 34, 64), (380, 64)):
+            for d_out in (64, 256):
+                x = tensor(rng.standard_normal(shape), requires_grad=True)
+                w, a, b = (tensor(0.02 * rng.standard_normal(s), requires_grad=True)
+                           for s in ((d_out, 64), (8, 64), (d_out, 8)))
+                r = rng.standard_normal(shape[:-1] + (d_out,)).astype(np.float32)
+                T.active_tape().reset()
+                T.linear(x, w, (a, b))
+                assert len(T.active_tape().nodes) == 1
+                T.active_tape().reset()
+                out, grads = _grads(lambda: T.linear(x, w, (a, b)), [x, w, a, b], r)
+                want, want_grads = _grads(lambda: T.linear(x, w) + T.linear(T.linear(x, a), b), [x, w, a, b], r)
+                # dx = g·w' sums the products in another order than g·w + (g·b)·a
+                for got, oracle in zip([out] + grads, [want] + want_grads):
+                    assert got.shape == oracle.shape
+                    npt.assert_allclose(got, oracle, rtol=1e-6, atol=1e-6)
+
+    def test_adapted_linear_forward_only_matches_composition_at_any_row_count(self):
+        # without a tape node, few rows run the low-rank form and many the
+        # merged weight: 1, 8 and 51 rows fall below 64·256 / (64 + 256) = 51.2
+        rng = np.random.default_rng(17)
+        w, a, b = (tensor(0.02 * rng.standard_normal(s)) for s in ((256, 64), (8, 64), (256, 8)))
+        for n in (1, 8, 51, 52, 380):
+            x = tensor(rng.standard_normal((n, 64)), requires_grad=True)
+            with T.no_grad():
+                got = T.linear(x, w, (a, b))
+                want = T.linear(x, w) + T.linear(T.linear(x, a), b)
+            npt.assert_allclose(got.data, want.data, rtol=1e-6, atol=1e-6)
+            assert not got.requires_grad
+
+    def test_adapted_linear_with_zero_b_is_the_plain_linear_bitwise(self):
+        rng = np.random.default_rng(16)
+        x = tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        w = tensor(rng.standard_normal((6, 8)), requires_grad=True)
+        a, b = tensor(rng.standard_normal((2, 8))), tensor(np.zeros((6, 2)))
+        r = rng.standard_normal((2, 5, 6)).astype(np.float32)
+        out, grads = _grads(lambda: T.linear(x, w, (a, b)), [x, w], r)
+        want, want_grads = _grads(lambda: T.linear(x, w), [x, w], r)
+        assert out.tobytes() == want.tobytes()
+        for g, wg in zip(grads, want_grads):
+            assert g.tobytes() == wg.tobytes()
+
+    def test_adapted_linear_rejects_mismatched_shapes(self):
+        x, w = tensor(np.zeros((3, 8))), tensor(np.zeros((6, 8)))
+        a, b = tensor(np.zeros((2, 8))), tensor(np.zeros((6, 2)))
+        T.linear(x, w, (a, b))  # the shapes that fit
+        for bad in ((tensor(np.zeros((3, 5))), w, a, b), (x, w, tensor(np.zeros((2, 7))), b),
+                    (x, w, a, tensor(np.zeros((5, 2)))), (x, w, a, tensor(np.zeros((6, 3))))):
+            with pytest.raises(T.ShapeError):
+                T.linear(bad[0], bad[1], bad[2:])
 
     def test_rope_matches_slice_mul_concat(self):
         from vora.model import rope_row_tables, rope_tables
@@ -353,14 +409,15 @@ _GATED = {
     "mul": (lambda a, b: T.mul(a, b), (2, 3, 4), (1, 3, 4)),
     "matmul": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
     "linear": (lambda a, b: T.linear(a, b), (2, 3, 4), (5, 4)),
+    "adapted_linear": (lambda x, w, a, b: T.linear(x, w, (a, b)), (2, 3, 4), (5, 4), (2, 4), (5, 2)),
     "rms_norm": (lambda a, b: T.rms_norm(a, b), (2, 3, 4), (4,)),
     "swiglu": (lambda a, b: T.swiglu(a, b), (2, 3, 4), (2, 3, 4)),
     "concat": (lambda a, b: T.concat([a, b], axis=0), (2, 4), (3, 4)),
 }
 
 
-@pytest.mark.parametrize("op", sorted(_GATED))
-@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("frozen, op", [(i, op) for op, (_, *shapes) in sorted(_GATED.items())
+                                         for i in range(len(shapes))])
 def test_frozen_operand_gets_no_gradient_and_changes_nothing(op, frozen):
     fn, *shapes = _GATED[op]
     rng = np.random.default_rng(5)
@@ -373,10 +430,12 @@ def test_frozen_operand_gets_no_gradient_and_changes_nothing(op, frozen):
         T.backward(T.tsum(T.mul(fn(*ts), T.constant(r))))
         return ts
 
-    both = run({0, 1})
-    one = run({1 - frozen})
+    every = set(range(len(shapes)))
+    full = run(every)
+    one = run(every - {frozen})
     assert one[frozen].grad is None
-    assert one[1 - frozen].grad.tobytes() == both[1 - frozen].grad.tobytes()
+    for i in every - {frozen}:
+        assert one[i].grad.tobytes() == full[i].grad.tobytes()
 
 
 def test_accumulated_gradients_own_their_memory():

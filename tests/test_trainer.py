@@ -168,11 +168,12 @@ class TestPretrain:
             assert not any(np.shares_memory(g, h) for i, g in enumerate(grads) for h in grads[i + 1:]), mode
         assert "llm.blocks.0.q" in trainable and "llm.embed" in trainable
 
-    @pytest.mark.parametrize("mode, most", [("pretrain", 280), ("finetune", 136)])
+    @pytest.mark.parametrize("mode, most", [("pretrain", 196), ("finetune", 136)])
     def test_tape_nodes_per_step_stay_within_budget(self, mode, most):
         # a work counter: the tape nodes one compute_losses records on a
-        # seeded default batch (rope on the rows, the head-major gather and
-        # the fused SwiGLU brought them to these counts)
+        # seeded default batch (rope on the rows, the head-major gather, the
+        # fused SwiGLU and the one-node adapted linear brought them to these
+        # counts)
         mcfg, tcfg, dcfg = ModelConfig(), trainer.TrainConfig(seed=0, mode=mode), data.DataConfig()
         pipe = trainer.build_pipeline(mcfg, seed=0)
         distill_mode = tcfg.distill_mode
