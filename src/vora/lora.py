@@ -3,15 +3,16 @@ adapted layer runs with, and exact merge into the base weights.
 
 An adapter is the pair (a, b) and adds b a to its layer's weight, with no
 further scale. Unmerged, a layer runs as one ``T.linear(x, w, (a, b))``
-call, which trains on the merged weight w + b a; the merge writes that
-weight into the base for good. Every adapter starts with b = 0 so a
-freshly attached model computes exactly the base model's outputs.
+call, on the float32 merged weight ``T.merged_weight``; the merge writes
+that very weight into the base for good. Every adapter starts with b = 0
+so a freshly attached model computes exactly the base model's outputs.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from . import tensor as T
 from .model import LAYER_NAMES, Model, init_tensors
 from .tensor import Tensor
 
@@ -80,14 +81,9 @@ def attach(cfg, seed=0):
 
 
 def merge_adapter(base_w, adapter):
-    """base_w + b a, accumulated in float64, rounded to f32.
-
-    A zero delta leaves the base bytes untouched.
-    """
-    delta = adapter.b.data.astype(np.float64) @ adapter.a.data.astype(np.float64)
-    if not np.any(delta):
-        return base_w.data.copy()
-    return (base_w.data.astype(np.float64) + delta).astype(np.float32)
+    """base_w + b a, the float32 weight ``T.linear`` runs the adapted layer
+    on (``T.merged_weight``)."""
+    return T.merged_weight(base_w.data, adapter.a.data, adapter.b.data)
 
 
 def merge_all(model, adapter_set):

@@ -2,9 +2,9 @@
 rotary positions, hybrid vision/text attention masks, per-block taps. The
 stack runs token-major on flat rows: a batch's live tokens, or padded
 sequences flattened. ``attention`` is the multi-head attention of the
-student and the teacher;
-``init_tensors`` draws every tensor owner's init from its ``shapes`` table,
-whose keys are the tensors' names.
+student and the teacher, ``decode_greedy`` decodes over a K/V cache of the
+positions decoded so far, and ``init_tensors`` draws every tensor owner's
+init from its ``shapes`` table, whose keys are the tensors' names.
 
 A packed sequence is three integers (``SequenceLayout``): vision tokens
 [0, n_vision), then text up to its length, supervised from
@@ -21,7 +21,6 @@ from .tensor import Tensor
 
 LAYER_NAMES = ("q", "k", "v", "o", "ffn_gate", "ffn_up", "ffn_down")
 MASK_MODES = ("hybrid", "causal")
-CACHE_STRETCH = 32  # decode positions a new K/V cache holds past its prompts
 
 
 class ConfigError(ValueError):
@@ -164,63 +163,24 @@ def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
     gathered head-major into [B, heads, S, hd]; the scores are softmaxed
     under the additive mask ([S, L], or [B, S, L] per sequence) and the
     context is scattered straight back to [N, d].
-    cache: one block's (keys, values, filled) of a ``KVCache``; the new
-    post-RoPE keys and values are written in place at positions
-    filled..filled+S-1 and the queries attend over positions 0..filled+S-1.
+    cache: one block's [keys, values] list, each [B, heads, L, hd] post-RoPE,
+    or empty before a prefill. The queries attend over the L cached
+    positions and their own S; the list then holds all L+S of them.
     """
     n, d = q.data.shape
     if rope is not None:
         (q_cos, q_sin), (k_cos, k_sin) = rope
         q, k = T.rope(q, q_cos, q_sin, n_heads), T.rope(k, k_cos, k_sin, n_heads)
     q, k, v = (T.gather_rows(t, rows, heads=n_heads) for t in (q, k, v))
-    s = rows.shape[1]
+    if cache:
+        k, v = (T.constant(np.concatenate([past, new.data], axis=2)) for past, new in zip(cache, (k, v)))
     if cache is not None:
-        keys, values, filled = cache
-        keys[:, :, filled:filled + s], values[:, :, filled:filled + s] = k.data, v.data
-        if filled:  # a prefill attends over its own keys and values only
-            k, v = T.constant(keys[:, :, :filled + s]), T.constant(values[:, :, :filled + s])
+        cache[:] = k.data, v.data
     scores = T.matmul(q, k, transpose_b=True)
     if rope is None:
         scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
     probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
     return T.scatter_rows(T.matmul(probs, v), rows, n, heads=n_heads)
-
-
-@dataclass
-class KVCache:
-    """Preallocated post-RoPE keys and values of every block, each
-    [n_llm, B, heads, capacity, hd]; positions 0..filled-1 hold data, and
-    ``reserve`` grows the capacity. Forward-only: a cached forward runs
-    under ``T.no_grad()``."""
-
-    keys: np.ndarray
-    values: np.ndarray
-    filled: int = 0
-
-    def reserve(self, length, most):
-        """Make room for ``length`` positions: a full cache grows to twice
-        its capacity (or to ``length``, if more), but never past ``most``.
-        The filled positions are copied over."""
-        capacity = self.keys.shape[3]
-        if length <= capacity:
-            return
-        grown = min(most, max(length, 2 * capacity))
-        for name in ("keys", "values"):
-            old = getattr(self, name)
-            new = np.empty(old.shape[:3] + (grown,) + old.shape[4:], np.float32)
-            new[:, :, :, :self.filled] = old[:, :, :, :self.filled]
-            setattr(self, name, new)
-
-    def check(self, batch, length):
-        """Raise unless a forward of ``batch`` sequences reaching ``length``
-        positions can run on this cache now."""
-        if T.grad_enabled():
-            raise ValueError("the K/V cache is forward-only: run a cached forward under T.no_grad()")
-        _, b, _, capacity, _ = self.keys.shape
-        if batch != b:
-            raise ValueError(f"batch of {batch} sequences on a cache for {b}")
-        if length > capacity:
-            raise SequenceTooLong(f"sequence length {length} exceeds the cache capacity {capacity}")
 
 
 class Model:
@@ -259,13 +219,6 @@ class Model:
         ab = None if adapters is None else adapters.delta(block, layer)
         return T.linear(x, self.params[f"llm.blocks.{block}.{layer}"], ab)
 
-    def new_cache(self, batch, capacity):
-        """An empty ``KVCache`` for ``forward`` on [batch, S, d] inputs,
-        room for ``capacity`` positions."""
-        cfg = self.cfg
-        shape = (cfg.n_llm, batch, cfg.n_heads, capacity, cfg.head_dim)
-        return KVCache(np.empty(shape, np.float32), np.empty(shape, np.float32))
-
     def forward(self, embedded, mask, adapters=None, collect_taps=True, cache=None, rows=None,
                 logit_rows=None):
         """Run the stack on already-embedded inputs.
@@ -283,9 +236,10 @@ class Model:
         Taps are [N, d], logits [N, vocab], or only the logit_rows rows of
         them. An [S, d] input without rows is one sequence, rows =
         arange(S)[None]: [S, d] taps, [S, vocab] logits.
-        cache (from ``new_cache``, forward-only): the inputs extend the L
-        positions cached so far; they take positions L..L+S-1, the mask
-        is [S, L+S], and their keys and values are written into the cache.
+        cache (forward-only): a list, empty before the prefill, which the
+        forward fills with one [keys, values] pair per block; a later call
+        on the same B sequences takes positions L..L+S-1 after the L cached
+        ones, with an [S, L+S] mask, and appends its keys and values.
         """
         cfg = self.cfg
         x = embedded
@@ -295,11 +249,16 @@ class Model:
             if padded:
                 x = T.reshape(x, (rows.size, cfg.d_model))
         b, s = rows.shape
-        past = 0 if cache is None else cache.filled
+        past = cache[0][0].shape[2] if cache else 0
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
         if cache is not None:
-            cache.check(b, past + s)
+            if T.grad_enabled():
+                raise ValueError("the K/V cache is forward-only: run a cached forward under T.no_grad()")
+            if not cache:
+                cache.extend([] for _ in range(cfg.n_llm))
+            elif cache[0][0].shape[0] != b:
+                raise ValueError(f"batch of {b} sequences on a cache for {cache[0][0].shape[0]}")
         index = T.RowIndex(rows)  # found once, used by every block's attention
         pos = np.zeros(x.data.shape[0], dtype=np.intp)  # each row's position in its sequence
         pos[index.rows] = index.cells[1] + past
@@ -312,8 +271,7 @@ class Model:
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"])
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            ctx = attention(q, k, v, mask, cfg.n_heads, index, rope,
-                            None if cache is None else (cache.keys[i], cache.values[i], past))
+            ctx = attention(q, k, v, mask, cfg.n_heads, index, rope, None if cache is None else cache[i])
             x = x + self._linear(ctx, i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"])
@@ -324,8 +282,6 @@ class Model:
             if collect_taps and i < cfg.n_vit:
                 taps.append(x)
 
-        if cache is not None:
-            cache.filled = past + s
         if logit_rows is not None:
             x = T.gather_rows(x, logit_rows)
         xn = T.rms_norm(x, self.params["llm.final_norm"])
@@ -344,13 +300,11 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     list of B layouts, which must share one vision span and supervision
     start; or [S, d] with one layout, a batch of one.
     The prompts are encoded once under the mask mode; each later step
-    feeds only the new tokens and reads the earlier positions from the
-    K/V cache. The cache starts at min(max_seq, S + min(max_new,
-    CACHE_STRETCH)) positions and doubles whenever the decode fills it,
-    up to max_seq, so it holds about what the decode reaches, however
-    large max_new and max_seq are. A row stops at EOS,
-    after max_new tokens, or when the sequence has reached max_seq; the
-    loop runs until every row has stopped.
+    feeds only the new tokens, reads the earlier positions' keys and
+    values from the K/V cache and appends its own, so the cache holds
+    just the positions decoded so far, however large max_new and max_seq
+    are. A row stops at EOS, after max_new tokens, or when the sequence
+    has reached max_seq; the loop runs until every row has stopped.
     Returns each row's generated ids (EOS included when it ended the row),
     or, for an [S, d] prompt, the one row's ids.
     """
@@ -363,7 +317,7 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     if len(layouts) != batch or len({(lay.n_vision, lay.supervise_from) for lay in layouts}) > 1:
         raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
     mask = build_attention_mask(SequenceLayout(layouts[0].n_vision, length, length), length, mask_mode)
-    cache = model.new_cache(batch, min(model.cfg.max_seq, length + min(max_new, CACHE_STRETCH)))
+    cache = []
     out = [[] for _ in range(batch)]
     live = [True] * batch
     with T.no_grad():
@@ -378,7 +332,6 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
                 break
             emb = model.embed_tokens(nxt[:, None])
             length += 1
-            cache.reserve(length, model.cfg.max_seq)
             # a text token sees every earlier position under both mask modes
             mask = np.zeros((1, length), np.float32)
     return out[0] if squeeze else out

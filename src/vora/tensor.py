@@ -280,6 +280,15 @@ def transpose(a, axes=None):
     return _make(out, (a,), bwd)
 
 
+def merged_weight(w, a, b):
+    """w + b·a of arrays in float32, b·a first, then w added in place: the
+    one merged weight, which ``linear`` trains on and ``lora.merge_adapter``
+    writes."""
+    out = b @ a
+    out += w
+    return out
+
+
 def linear(x, w, ab=None):
     """x·wᵀ for a weight stored [d_out, d_in]: one matmul node, one 2-D GEMM.
 
@@ -305,8 +314,7 @@ def linear(x, w, ab=None):
     if x2.shape[0] * (d_in + d_out) < d_in * d_out and not (
             _grad_enabled and any(t.requires_grad for t in (x, w, a, b))):
         return Tensor((x2 @ w.data.T + (x2 @ a.data.T) @ b.data.T).reshape(lead + (d_out,)))
-    wm = b.data @ a.data
-    wm += w.data
+    wm = merged_weight(w.data, a.data, b.data)
     out = (x2 @ wm.T).reshape(lead + (d_out,))
     u = x2 @ a.data.T if _grad_enabled and b.requires_grad else None
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,8 +8,8 @@ import pytest
 import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
-from vora.model import (CACHE_STRETCH, Model, ModelConfig, SequenceLayout, SequenceTooLong,
-                        build_attention_mask, decode_greedy, rope_row_tables)
+from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong, build_attention_mask, decode_greedy,
+                        rope_row_tables)
 
 MICRO = dict(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
              patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
@@ -250,7 +251,7 @@ class TestKVCache:
 
     def test_cached_forward_past_max_seq_raises(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
-        cache = model.new_cache(1, 12)
+        cache = []
         with T.no_grad():
             model.forward(model.embed_tokens(np.arange(10)), np.zeros((10, 10), np.float32), cache=cache)
             with pytest.raises(SequenceTooLong):
@@ -261,13 +262,14 @@ class TestKVCache:
     def test_cache_is_forward_only_and_sized_to_its_batch(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
         emb, mask = model.embed_tokens(np.arange(4)), np.zeros((4, 4), np.float32)
+        cache = []
         with pytest.raises(ValueError, match="forward-only"):
-            model.forward(emb, mask, cache=model.new_cache(1, 12))
+            model.forward(emb, mask, cache=cache)
+        assert cache == []
         with T.no_grad():
+            model.forward(model.embed_tokens(np.arange(8).reshape(2, 4)), mask, cache=cache)
             with pytest.raises(ValueError, match="batch of 1 sequences on a cache for 2"):
-                model.forward(emb, mask, cache=model.new_cache(2, 12))
-            with pytest.raises(SequenceTooLong, match="capacity 3"):
-                model.forward(emb, mask, cache=model.new_cache(1, 3))
+                model.forward(model.embed_tokens([5]), np.zeros((1, 5), np.float32), cache=cache)
 
 
 def heldout_batch(pipe, n=8, seed=0):
@@ -384,42 +386,51 @@ def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
     assert len(unmerged) + len(unmerged_fused) == len(base)  # one linear call per layer either way
 
 
-def test_decode_cache_grows_with_the_positions_decoded(monkeypatch):
+def test_decode_cache_grows_with_the_positions_decoded():
     # a zeroed head makes every logit 0, so the first token is id 0 = EOS:
-    # the cache holds the prompt plus CACHE_STRETCH positions, whatever
+    # the decode holds what one prefill of 3 positions needs, whatever
     # max_seq and max_new allow
     model = Model.init(ModelConfig(max_seq=10**12), seed=0)
     model.params["llm.head"].data[:] = 0.0
-    capacities = []
-    new_cache = Model.new_cache
-
-    def spy(self, batch, capacity):
-        capacities.append(capacity)
-        assert capacity <= 64  # checked before anything is allocated
-        return new_cache(self, batch, capacity)
-
-    monkeypatch.setattr(Model, "new_cache", spy)
     prefix = model.embed_tokens([1, 10, 20])
-    assert decode_greedy(model, prefix, SequenceLayout(0, 3, 3), eos_id=0, max_new=10**9) == [0]
-    assert capacities == [3 + CACHE_STRETCH]
+    tracemalloc.start()
+    try:
+        assert decode_greedy(model, prefix, SequenceLayout(0, 3, 3), eos_id=0, max_new=10**9) == [0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
-def test_decode_past_the_cache_stretch_matches_full_recompute(monkeypatch):
-    # the cache starts at S + CACHE_STRETCH, doubles, then stops at max_seq
+def test_long_decode_matches_full_recompute():
+    # 100 new tokens: the cache grows one position a step well past the
+    # 24-token eval decode
     pipe = adapted_pipe()
     (prefix, lay), = heldout_prefixes(pipe, n=1)
-    s, max_new = prefix.data.shape[0], 100
-    assert 2 * (s + CACHE_STRETCH) < s + max_new < pipe.cfg.max_seq < 4 * (s + CACHE_STRETCH)
-    caches = []
-    new_cache = Model.new_cache
-    monkeypatch.setattr(Model, "new_cache", lambda self, *args: caches.append(new_cache(self, *args)) or caches[-1])
+    max_new = 100
+    assert prefix.data.shape[0] + max_new < pipe.cfg.max_seq
     ids, got, _ = spied_decode(pipe.model, prefix, lay, -1, max_new, pipe.adapters)
     want_ids, want = full_recompute_decode(pipe.model, prefix, lay, -1, max_new, pipe.adapters)
     assert ids == want_ids and len(ids) == max_new
     for g, w in zip(got, want, strict=True):
         npt.assert_allclose(g[0], w, rtol=0, atol=1e-5)
-    (cache,) = caches
-    assert cache.keys.shape[3] == cache.values.shape[3] == pipe.cfg.max_seq
+
+
+def test_merged_logits_equal_unmerged_bit_for_bit():
+    """The merge writes the float32 weight an unmerged adapted layer runs on
+    (``T.merged_weight``), so on rows enough that every adapted layer builds
+    that weight, merged and unmerged logits are the same bits."""
+    pipe = adapted_pipe()
+    prefix, layouts = heldout_batch(pipe, n=4)
+    b, s, _ = prefix.shape
+    cfg = pipe.cfg
+    assert b * s * (cfg.d_model + cfg.d_ff) >= cfg.d_model * cfg.d_ff  # too many rows for the few-row path
+    mask = build_attention_mask(SequenceLayout(layouts[0].n_vision, s, s), s)
+    with T.no_grad():
+        unmerged, _ = pipe.model.forward(prefix, mask, pipe.adapters, collect_taps=False)
+        trainer.merge(pipe)
+        merged, _ = pipe.model.forward(prefix, mask, pipe.adapters, collect_taps=False)
+    assert merged.data.tobytes() == unmerged.data.tobytes()
 
 
 def test_rope_tables_at_positions_equal_the_full_tables_rows():

@@ -30,6 +30,7 @@ printf "${common}anyres=true\nteacher_warm=true\nteacher_warm_steps=3\n" > "$tmp
 printf "${common}mode=full_llm_unstable\n" > "$tmp/cfg/probe.cfg"
 printf "${common}distill_mode=last_block\n" > "$tmp/cfg/last_block.cfg"
 printf "${common}eval_captions=1\n" > "$tmp/cfg/one.cfg"
+printf "${common}eval_max_new=100\n" > "$tmp/cfg/long.cfg"
 # non-default float and string keys, read through the parsers of their field types
 printf "${common}lr=0.0005\nweight_decay=0.0\nimage_fraction=0.75\nmask_mode=causal\n" > "$tmp/cfg/typed.cfg"
 printf "${common}anyres=true\nablate_masks=hybrid,causal\nablate_distills=none,last_block,block_wise\nablate_steps=6\n" \
@@ -53,6 +54,8 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora eval finetune/checkpoint.vora "$cfg/default.cfg" > "$out/eval_finetune.json"
     vora eval probe/checkpoint.vora "$cfg/probe.cfg" > "$out/eval_probe.json"
     vora eval pretrain/checkpoint.vora "$cfg/one.cfg" > "$out/eval_one.json"  # a batch of one caption
+    # a decode budget of 100 tokens, well past the 24 of the default
+    vora eval pretrain/checkpoint.vora "$cfg/long.cfg" > "$out/eval_long.json"
     # the default (block_wise) run config on a last_block checkpoint
     vora eval last_block/checkpoint.vora "$cfg/default.cfg" > "$out/eval_last_block.json"
     vora eval typed/checkpoint.vora "$cfg/typed.cfg" > "$out/eval_typed.json"
