@@ -2,7 +2,7 @@
 
 The tape ops in ``tensor`` call these for the row reductions and
 elementwise transcendentals of the model (masked softmax, RMS-norm,
-GELU/SiLU, the fused SwiGLU gate, cross-entropy); ``trainer.adamw_step``
+GELU, the fused SwiGLU gate, cross-entropy); ``trainer.adamw_step``
 calls ``adamw_update`` once per trainable tensor. Kernels take float32
 arrays of any shape and layout, as the tape holds them, and return
 float32; every reduction runs over the last axis with ``keepdims``. A
@@ -51,6 +51,8 @@ def gelu_bwd(x, gout):
     return gout * dydx
 
 
+# no tape op calls silu_fwd/silu_bwd (``swiglu_*`` computes SiLU inside the
+# gate); they stay because perfbench's tracer patches them by name
 def silu_fwd(x):
     s = 1.0 / (1.0 + np.exp(-x))
     return x * s

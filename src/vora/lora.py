@@ -80,17 +80,11 @@ def attach(cfg, seed=0):
                                         scale=lambda name: 0.0 if name.endswith(".b") else 0.02))
 
 
-def merge_adapter(base_w, adapter):
-    """base_w + b a, the float32 weight ``T.linear`` runs the adapted layer
-    on (``T.merged_weight``)."""
-    return T.merged_weight(base_w.data, adapter.a.data, adapter.b.data)
-
-
 def merge_all(model, adapter_set):
     """Fold every adapter into its base weight in place; one-shot only."""
     if adapter_set.merged:
         raise MergeStateError("adapters already merged")
-    for (block, layer), ad in sorted(adapter_set.adapters.items()):
+    for (block, layer), (a, b) in sorted(adapter_set.adapters.items()):
         w = model.params[f"llm.blocks.{block}.{layer}"]
-        w.data = merge_adapter(w, ad)
+        w.data = T.merged_weight(w.data, a.data, b.data)
     adapter_set.merged = True

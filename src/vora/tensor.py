@@ -1,11 +1,13 @@
 """Dense float32 tensors with reverse-mode autodiff on an eager tape.
 
-The op set is exactly what the model stack needs: elementwise add/mul,
-scalar scale, (batched) matmul, transpose/reshape/concat/slice, row
-gather/scatter by an index with -1 holes (head-major for attention),
-embedding lookup, GELU/SiLU, the fused SwiGLU gate (``swiglu``),
-RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
-cross entropy, sum and elementwise power. ``linear`` (x·wᵀ) is
+The op set is exactly what the model stack needs: elementwise add/mul
+of equal shapes, scalar scale, (batched) matmul, transpose/reshape/
+concat/slice, row gather/scatter by an index with -1 holes (head-major
+for attention), embedding lookup, GELU, the fused SwiGLU gate
+(``swiglu``; there is no separate SiLU op), RMS-norm, rotary positions
+on flat rows (``rope``), masked row softmax, cross entropy, sum and
+elementwise power. No op broadcasts its tensor operands: unequal shapes
+are a ``ShapeError``. ``linear`` (x·wᵀ) is
 every linear layer: one tape node, one 2-D GEMM forward and one per
 operand gradient, whatever the leading dims of x. With an adapter pair
 (a, b) it is x·(w + b·a)ᵀ, still one node and, when it trains, one GEMM
@@ -61,18 +63,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, scale(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def param(data):
@@ -156,19 +146,6 @@ def _accum(t, g, copy=False):
         t.grad = np.array(g, dtype=np.float32, order="C")
 
 
-def _unbroadcast(g, shape):
-    """Sum gradient over broadcast dimensions back to ``shape``."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def backward(loss):
     """Populate ``grad`` on every requires_grad leaf reachable from loss.
 
@@ -193,26 +170,33 @@ def backward(loss):
 # ops
 
 
+def _same_shape(name, a, b):
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{name} of unequal shapes: {a.data.shape} and {b.data.shape}")
+
+
 def add(a, b):
+    _same_shape("add", a, b)
     out = a.data + b.data
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape), copy=b.requires_grad)
+            _accum(a, g, copy=b.requires_grad)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+            _accum(b, g)
 
     return _make(out, (a, b), bwd)
 
 
 def mul(a, b):
+    _same_shape("mul", a, b)
     out = a.data * b.data
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, g * b.data)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, g * a.data)
 
     return _make(out, (a, b), bwd)
 
@@ -231,11 +215,12 @@ def matmul(a, b, transpose_b=False):
     """a @ b, or a @ bᵀ (b's last two axes swapped) when ``transpose_b``.
 
     A 2-D b multiplies every row of a, whatever its leading dims, in one
-    2-D GEMM, and its gradient is one 2-D GEMM too; a higher-rank b
-    broadcasts batch-wise over the leading dims.
+    2-D GEMM, and its gradient is one 2-D GEMM too; a higher-rank b is a
+    batch of matrices with the same leading dims as a.
     """
     bm = b.data.swapaxes(-1, -2) if transpose_b else b.data
-    if a.data.ndim < 2 or bm.ndim < 2 or a.data.shape[-1] != bm.shape[-2]:
+    if (a.data.ndim < 2 or bm.ndim < 2 or a.data.shape[-1] != bm.shape[-2]
+            or bm.ndim > 2 and a.data.shape[:-2] != bm.shape[:-2]):
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {bm.shape}")
     if bm.ndim == 2:
         return _matmul_2d(a, b, bm, transpose_b)
@@ -243,10 +228,9 @@ def matmul(a, b, transpose_b=False):
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ bm.swapaxes(-1, -2), a.data.shape))
+            _accum(a, g @ bm.swapaxes(-1, -2))
         if b.requires_grad:
-            gb = g.swapaxes(-1, -2) @ a.data if transpose_b else a.data.swapaxes(-1, -2) @ g
-            _accum(b, _unbroadcast(gb, b.data.shape))
+            _accum(b, g.swapaxes(-1, -2) @ a.data if transpose_b else a.data.swapaxes(-1, -2) @ g)
 
     return _make(out, (a, b), bwd)
 
@@ -282,7 +266,7 @@ def transpose(a, axes=None):
 
 def merged_weight(w, a, b):
     """w + b·a of arrays in float32, b·a first, then w added in place: the
-    one merged weight, which ``linear`` trains on and ``lora.merge_adapter``
+    one merged weight, which ``linear`` trains on and ``lora.merge_all``
     writes."""
     out = b @ a
     out += w
@@ -463,15 +447,6 @@ def gelu(a):
 
     def bwd(g):
         _accum(a, kernels.gelu_bwd(a.data, g))
-
-    return _make(out, (a,), bwd)
-
-
-def silu(a):
-    out = kernels.silu_fwd(a.data)
-
-    def bwd(g):
-        _accum(a, kernels.silu_bwd(a.data, g))
 
     return _make(out, (a,), bwd)
 

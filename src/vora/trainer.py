@@ -334,16 +334,23 @@ def train_step(state, tcfg, step, loss_fn):
     return out, lr
 
 
-def train_loop(pipe, tcfg, dcfg, metrics_sink=None):
-    """Shared step loop; returns the per-step metrics list."""
+def batch_draws(pipe, tcfg, dcfg):
+    """The training batches: endless ``D.make_batch`` draws of
+    tcfg.batch_size sequences from one generator seeded [tcfg.seed, 10]."""
+    rng = np.random.default_rng([tcfg.seed, 10])
+    while True:
+        yield D.make_batch(rng, tcfg.batch_size, dcfg=dcfg, max_seq=pipe.cfg.max_seq)
+
+
+def train_loop(pipe, tcfg, batches, metrics_sink=None):
+    """The one step loop: tcfg.total_steps steps, step i on the i-th batch
+    of the iterable ``batches``; returns the per-step metrics list."""
     state = TrainState.create(_partition(pipe, tcfg))
-    rng_data = np.random.default_rng([tcfg.seed, 10])
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
 
     metrics = []
-    for step in range(tcfg.total_steps):
-        batch = D.make_batch(rng_data, tcfg.batch_size, dcfg=dcfg, max_seq=pipe.cfg.max_seq)
+    for step, batch in zip(range(tcfg.total_steps), batches):
         out, lr = train_step(state, tcfg, step,
                              lambda: compute_losses(pipe, batch, tcfg.mask_mode, distill_mode))
         rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
@@ -363,7 +370,7 @@ def pretrain(pipe, tcfg, dcfg, metrics_sink=None):
         raise ValueError("pretrain requires mode == 'pretrain'")
     if pipe.adapters is None or pipe.adapters.merged:
         raise lora.MergeStateError("pretrain needs unmerged adapters")
-    metrics = train_loop(pipe, tcfg, dcfg, metrics_sink=metrics_sink)
+    metrics = train_loop(pipe, tcfg, batch_draws(pipe, tcfg, dcfg), metrics_sink=metrics_sink)
     return collect_state(pipe), metrics
 
 
@@ -373,7 +380,7 @@ def finetune(pipe, tcfg, dcfg, metrics_sink=None):
     if tcfg.mode != "finetune":
         raise ValueError("finetune requires mode == 'finetune'")
     merge(pipe)
-    metrics = train_loop(pipe, tcfg, dcfg, metrics_sink=metrics_sink)
+    metrics = train_loop(pipe, tcfg, batch_draws(pipe, tcfg, dcfg), metrics_sink=metrics_sink)
     return collect_state(pipe), metrics
 
 
@@ -382,7 +389,7 @@ def full_llm_probe(pipe, tcfg, dcfg, metrics_sink=None):
     above SPIKE_FACTOR x the trailing median. Reporting only."""
     if tcfg.mode != "full_llm_unstable":
         raise ValueError("full_llm_probe requires mode == 'full_llm_unstable'")
-    metrics = train_loop(replace(pipe, adapters=None), tcfg, dcfg, metrics_sink=metrics_sink)
+    metrics = train_loop(replace(pipe, adapters=None), tcfg, batch_draws(pipe, tcfg, dcfg), metrics_sink=metrics_sink)
     losses = [m["total_loss"] for m in metrics]
     spike_at = None
     for s in range(5, len(losses)):
@@ -514,24 +521,6 @@ def run_ablation(cfg, tcfg, dcfg, grid, thresholds, budget_steps, csv_path=None)
             for row in rows:
                 writer.writerow(row)
     return rows, curves
-
-
-def overfit_pair(pipe, sample, steps=300, lr=3e-3):
-    """Repeat one sample until memorized (hybrid mask, no distillation).
-    Returns (metrics, decoded ids).
-
-    The decode starts from the packed prefix ([vision span][prompt]) and
-    should reproduce the answer exactly once the pair is learned.
-    """
-    tcfg = TrainConfig(lr=lr, warmup_steps=10, batch_size=1, total_steps=steps, distill_mode="none", seed=0)
-    batch = D.pack_samples([sample], pipe.cfg.patch, pipe.cfg.max_seq)
-    state = TrainState.create(_partition(pipe, tcfg))
-
-    metrics = []
-    for step in range(steps):
-        out, _ = train_step(state, tcfg, step, lambda: compute_losses(pipe, batch, tcfg.mask_mode, tcfg.distill_mode))
-        metrics.append({"step": step, "lm_loss": float(out.lm.data)})
-    return metrics, _decode_caption(pipe, batch, len(sample.answer_tokens) + 4, tcfg.mask_mode)[0]
 
 
 # ---------------------------------------------------------------------------

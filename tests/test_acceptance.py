@@ -3,6 +3,7 @@ line (run with -s to see them live). Property-based; the ablation echo
 criterion may print WARN instead of failing, as documented.
 """
 
+import itertools
 import math
 import time
 
@@ -12,7 +13,7 @@ import pytest
 
 import vora.tensor as T
 from vora import data, distill, gradcheck, lora, trainer, vision
-from vora.model import Model, ModelConfig, SequenceLayout, build_attention_mask
+from vora.model import Model, ModelConfig, SequenceLayout, build_attention_mask, decode_greedy
 
 MICRO = dict(n_llm=6, n_vit=4, d_model=64, d_vit=48, rank=8)
 
@@ -249,7 +250,16 @@ def test_10_overfit_one_sample():
     cfg = micro_config()
     pipe = trainer.build_pipeline(cfg, seed=0)
     sample = data.gen_image_caption(0)
-    _, decoded = trainer.overfit_pair(pipe, sample, steps=300, lr=3e-3)
+    # repeat the one sample (hybrid mask, no distillation) until memorized
+    tcfg = trainer.TrainConfig(lr=3e-3, warmup_steps=10, batch_size=1, total_steps=300, distill_mode="none", seed=0)
+    batch = data.pack_samples([sample], cfg.patch, cfg.max_seq)
+    trainer.train_loop(pipe, tcfg, itertools.repeat(batch))
+    # decode from the packed prefix ([vision span][prompt])
+    lay = batch.layouts[0]
+    with T.no_grad():
+        prefix = T.constant(trainer.pack_embedded(pipe, batch).data[0, : lay.supervise_from])
+    decoded = decode_greedy(pipe.model, prefix, lay, data.EOS, len(sample.answer_tokens) + 4,
+                            adapters=pipe.adapters, mask_mode=tcfg.mask_mode)
     want = list(sample.answer_tokens) + [data.EOS]
     exact = decoded == want
     elapsed = time.monotonic() - t0

@@ -87,7 +87,7 @@ class TestMerge:
         w = Tensor(rng.standard_normal((6, 8)).astype(np.float32))
         ad = lora.LoraAdapter(Tensor(rng.standard_normal((2, 8)).astype(np.float32)),
                               Tensor(np.zeros((6, 2), dtype=np.float32)))
-        merged = lora.merge_adapter(w, ad)
+        merged = T.merged_weight(w.data, ad.a.data, ad.b.data)
         assert merged.tobytes() == w.data.tobytes()
 
     def test_forward_equivalence_20_trials(self):
@@ -101,7 +101,7 @@ class TestMerge:
                 Tensor((0.1 * rng.standard_normal((r, d_in))).astype(np.float32)),
                 Tensor((0.1 * rng.standard_normal((d_out, r))).astype(np.float32)))
             split = adapted_linear(x, w, ad).data
-            merged = (T.matmul(x, T.transpose(Tensor(lora.merge_adapter(w, ad))))).data
+            merged = (T.matmul(x, T.transpose(Tensor(T.merged_weight(w.data, ad.a.data, ad.b.data))))).data
             assert np.abs(split - merged).max() <= 1e-5
 
     def test_double_merge_guarded(self):

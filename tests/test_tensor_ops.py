@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -41,6 +42,17 @@ class TestMatmul:
         out = T.matmul(a, w)
         assert out.shape == (2, 3, 5)
         npt.assert_allclose(out.data, a.data @ w.data, rtol=1e-6)
+
+
+@pytest.mark.parametrize("op, a, b", [
+    (T.add, (3, 4), (4,)), (T.add, (3, 4), (1, 4)), (T.mul, (2, 3, 4), (1, 3, 4)), (T.mul, (4,), (3, 4)),
+    (T.matmul, (2, 3, 4), (1, 4, 5)), (T.matmul, (3, 4), (2, 4, 5)), (T.matmul, (2, 2, 3, 4), (2, 4, 5)),
+])
+def test_mismatched_shapes_raise_naming_both(op, a, b):
+    # no op broadcasts: unequal operand shapes, or unequal batch dims of a
+    # matmul, are an error that names both shapes
+    with pytest.raises(T.ShapeError, match=re.escape(str(a)) + ".*" + re.escape(str(b))):
+        op(tensor(np.ones(a)), tensor(np.ones(b)))
 
 
 class TestSoftmaxRows:
@@ -335,7 +347,9 @@ class TestFusedOps:
         r = rng.standard_normal((n, h * hd)).astype(np.float32)
         for scale in (1.0, 1.0 / math.sqrt(hd), 1.0 / math.sqrt(6.0)):
             cos, sin = (t * np.float32(scale) for t in rope_row_tables(pos, h, hd))
-            c, sn = (T.constant((t * np.float32(scale))[:, None]) for t in rope_tables(pos, hd))
+            # [n, h, hd/2]: each row's table repeated for every head
+            c, sn = (T.constant(np.repeat((t * np.float32(scale))[:, None], h, axis=1))
+                     for t in rope_tables(pos, hd))
 
             def composed():
                 heads = T.reshape(x, (n, h, hd))
@@ -364,7 +378,11 @@ class TestFusedOps:
         up = tensor(rng.standard_normal(shape), requires_grad=True)
         r = rng.standard_normal(shape).astype(np.float32)
         out, grads = _grads(lambda: T.swiglu(gate, up), [gate, up], r)
-        want, want_grads = _grads(lambda: T.mul(T.silu(gate), up), [gate, up], r)
+        # numpy oracle in float32: silu(x) = x·s, silu'(x) = s·(1 + x·(1 - s)), s = sigmoid(x)
+        x = gate.data
+        s = 1.0 / (1.0 + np.exp(-x))
+        want = x * s * up.data
+        want_grads = [r * up.data * (s * (1.0 + x * (1.0 - s))), r * (x * s)]
         assert out.tobytes() == want.tobytes()
         for g, w in zip(grads, want_grads):
             npt.assert_allclose(g, w, rtol=1e-6, atol=1e-6)
@@ -405,9 +423,10 @@ class TestFusedOps:
 
 
 _GATED = {
-    "add": (lambda a, b: T.add(a, b), (3, 4), (4,)),
-    "mul": (lambda a, b: T.mul(a, b), (2, 3, 4), (1, 3, 4)),
+    "add": (lambda a, b: T.add(a, b), (3, 4), (3, 4)),
+    "mul": (lambda a, b: T.mul(a, b), (2, 3, 4), (2, 3, 4)),
     "matmul": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
+    "batched_matmul": (lambda a, b: T.matmul(a, b, transpose_b=True), (2, 3, 4), (2, 5, 4)),
     "linear": (lambda a, b: T.linear(a, b), (2, 3, 4), (5, 4)),
     "adapted_linear": (lambda x, w, a, b: T.linear(x, w, (a, b)), (2, 3, 4), (5, 4), (2, 4), (5, 2)),
     "rms_norm": (lambda a, b: T.rms_norm(a, b), (2, 3, 4), (4,)),

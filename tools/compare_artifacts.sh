@@ -54,8 +54,30 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora eval finetune/checkpoint.vora "$cfg/default.cfg" > "$out/eval_finetune.json"
     vora eval probe/checkpoint.vora "$cfg/probe.cfg" > "$out/eval_probe.json"
     vora eval pretrain/checkpoint.vora "$cfg/one.cfg" > "$out/eval_one.json"  # a batch of one caption
-    # a decode budget of 100 tokens, well past the 24 of the default
-    vora eval pretrain/checkpoint.vora "$cfg/long.cfg" > "$out/eval_long.json"
+    # a decode budget of 100 tokens, well past the 24 of the default. The
+    # eval scores only the first len(answer)+1 ids of a row, so every id that
+    # trainer.decode_greedy returns is also written, to decoded_long.json
+    (cd "$out" && PYTHONPATH="$src" python3 - "$cfg/long.cfg" > eval_long.json) <<'PY'
+import json
+import sys
+
+from vora import cli, trainer
+
+decode, ids = trainer.decode_greedy, []
+
+
+def recording(*args, **kwargs):
+    out = decode(*args, **kwargs)
+    ids.append(out)
+    return out
+
+
+trainer.decode_greedy = recording
+status = cli.main(["eval", "pretrain/checkpoint.vora", sys.argv[1]])
+with open("decoded_long.json", "w") as f:
+    json.dump(ids, f)
+sys.exit(status)
+PY
     # the default (block_wise) run config on a last_block checkpoint
     vora eval last_block/checkpoint.vora "$cfg/default.cfg" > "$out/eval_last_block.json"
     vora eval typed/checkpoint.vora "$cfg/typed.cfg" > "$out/eval_typed.json"
@@ -63,10 +85,12 @@ flows() {  # flows SRC OUT: every flow with vora from SRC, artifacts under OUT
     vora gradcheck "$cfg/default.cfg" > "$out/gradcheck.txt"
 }
 
+# each run is a background job, so that set -e stops it at its first failing
+# flow (a function called as `flows ... || ...` would ignore set -e)
 echo "running the flows on $rev ..." >&2
-flows "$tmp/rev/src" "$tmp/out_rev" 2> "$tmp/rev.log" || { cat "$tmp/rev.log" >&2; exit 2; }
+flows "$tmp/rev/src" "$tmp/out_rev" 2> "$tmp/rev.log" & wait $! || { cat "$tmp/rev.log" >&2; exit 2; }
 echo "running the flows on the working tree ..." >&2
-flows "$root/src" "$tmp/out_tree" 2> "$tmp/tree.log" || { cat "$tmp/tree.log" >&2; exit 2; }
+flows "$root/src" "$tmp/out_tree" 2> "$tmp/tree.log" & wait $! || { cat "$tmp/tree.log" >&2; exit 2; }
 
 worst_diff() {  # worst_diff A B: the worst absolute numeric difference of two artifacts
     PYTHONPATH="$root/src" python3 - "$1" "$2" <<'PY'
