@@ -115,11 +115,11 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
         return (lambda: T.scale(a, c)), [a]
 
     def case_matmul(rng):
-        if rng.random() < 0.5:
-            a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-        else:
-            a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 5)
-        return (lambda: T.matmul(a, b)), [a, b]
+        # a 2-D b, and attention's batched q·kᵀ and probs·v
+        a_shape, b_shape, transpose_b = [((3, 4), (4, 2), False), ((2, 3, 4), (4, 5), False),
+                                         ((2, 3, 4), (2, 5, 4), True), ((2, 3, 4), (2, 4, 5), False)][rng.integers(4)]
+        a, b = _rand(rng, *a_shape), _rand(rng, *b_shape)
+        return (lambda: T.matmul(a, b, transpose_b=transpose_b)), [a, b]
 
     def case_linear(rng):
         x = _rand(rng, 3, 4) if rng.random() < 0.5 else _rand(rng, 2, 3, 4)
@@ -143,10 +143,6 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     def case_concat(rng):
         a, b = _rand(rng, 2, 3), _rand(rng, 4, 3)
         return (lambda: T.concat([a, b], axis=0)), [a, b]
-
-    def case_slice(rng):
-        a = _rand(rng, 5, 4)
-        return (lambda: T.slice_axis(a, 0, 1, 3)), [a]
 
     def case_embedding(rng):
         table = _rand(rng, 6, 4)
@@ -234,7 +230,6 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("transpose", case_transpose)
     run("reshape", case_reshape)
     run("concat", case_concat)
-    run("slice_axis", case_slice)
     run("gather_rows", case_gather_rows)
     run("scatter_rows", case_scatter_rows)
     run("embedding", case_embedding)

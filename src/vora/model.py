@@ -8,8 +8,8 @@ init from its ``shapes`` table, whose keys are the tensors' names.
 
 A packed sequence is three integers (``SequenceLayout``): vision tokens
 [0, n_vision), then text up to its length, supervised from
-supervise_from. The hybrid mask gives vision-vision pairs full
-bi-directional visibility and everything else plain causal visibility.
+supervise_from. The hybrid mask (``attention_mask``, which builds every
+mask) gives vision-vision pairs bi-directional visibility, the rest causal.
 """
 
 from dataclasses import dataclass
@@ -80,17 +80,22 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
 
+def is_norm_gain(name):
+    """A norm gain's name ends in norm or gain: it starts at ones, never decays."""
+    return name.endswith(("norm", "gain"))
+
+
 def init_tensors(shapes, rng, requires_grad=False, scale=lambda name: 0.02):
     """One Tensor per entry of a name -> shape table, drawn in table order.
 
-    A norm gain (name ending in ``norm`` or ``gain``) is ones, a tensor
-    whose ``scale(name)`` is 0 is zeros; neither draws from ``rng``.
-    Every other tensor is scale(name) * N(0, 1).
+    A norm gain (``is_norm_gain``) is ones, a tensor whose ``scale(name)``
+    is 0 is zeros; neither draws from ``rng``. Every other tensor is
+    scale(name) * N(0, 1).
     """
     out = {}
     for name, shape in shapes.items():
         s = scale(name)
-        if name.endswith(("norm", "gain")):
+        if is_norm_gain(name):
             data = np.ones(shape, dtype=np.float32)
         elif s == 0:
             data = np.zeros(shape, dtype=np.float32)
@@ -114,25 +119,27 @@ class SequenceLayout:
             raise LayoutError(f"need 0 <= n_vision <= supervise_from <= length, got {self}")
 
 
-def build_attention_mask(layout, total_len, mode="hybrid"):
-    """Additive mask [total_len, total_len]: 0 = allowed, NEG_MASK = blocked.
-
-    hybrid: vision queries see the whole vision span (bi-directional);
-    every other query is causal (k <= q). causal: k <= q everywhere.
-    Positions beyond the layout (padding) are treated as causal rows;
-    they are never visible to in-layout queries because padding sits at
-    the end of the sequence.
-    """
+def attention_mask(n_vision, s, mode="hybrid", past=0):
+    """The visibility rule as an additive mask [B, s, past + s], 0 where
+    allowed, NEG_MASK where blocked: queries at positions past..past+s-1
+    of B sequences, vision spans [0, n_vision[b]) (an int: B = 1). Query
+    q sees every key k <= q; under hybrid, a query in its vision span sees
+    exactly that span. A decode step passes past = the cached length."""
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
+    nv = np.asarray(n_vision).reshape(-1, 1, 1)
+    q = np.arange(past, past + s)[:, None]
+    k = np.arange(past + s)[None, :]
+    allowed = (k <= q) | ((q < nv) & (k < nv) & (mode == "hybrid"))
+    return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK))
+
+
+def build_attention_mask(layout, total_len, mode="hybrid"):
+    """[total_len, total_len] ``attention_mask`` of one layout; padding
+    rows are causal, and no in-layout query sees them (they come last)."""
     if layout.length > total_len:
         raise LayoutError(f"layout length {layout.length} exceeds total_len {total_len}")
-    q = np.arange(total_len)[:, None]
-    k = np.arange(total_len)[None, :]
-    allowed = k <= q
-    if mode == "hybrid":
-        allowed = np.where(q < layout.n_vision, k < layout.n_vision, allowed)
-    return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK)).astype(np.float32)
+    return attention_mask(layout.n_vision, total_len, mode)[0]
 
 
 def rope_tables(pos, head_dim):
@@ -161,8 +168,8 @@ def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
     q's carry the 1/√hd score scale, so the scores are scaled here only
     without rope. q and k are rotated as rows, then q, k and v are
     gathered head-major into [B, heads, S, hd]; the scores are softmaxed
-    under the additive mask ([S, L], or [B, S, L] per sequence) and the
-    context is scattered straight back to [N, d].
+    under the additive mask ([B, S, L] or [S, L]) and the context is
+    scattered straight back to [N, d].
     cache: one block's [keys, values] list, each [B, heads, L, hd] post-RoPE,
     or empty before a prefill. The queries attend over the L cached
     positions and their own S; the list then holds all L+S of them.
@@ -179,7 +186,7 @@ def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
     scores = T.matmul(q, k, transpose_b=True)
     if rope is None:
         scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
-    probs = T.softmax_rows(scores, mask[:, None] if mask.ndim == 3 else mask)
+    probs = T.softmax_rows(scores, mask[..., None, :, :])  # one mask for every head
     return T.scatter_rows(T.matmul(probs, v), rows, n, heads=n_heads)
 
 
@@ -224,7 +231,7 @@ class Model:
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [B, S, d] with vision embeddings spliced in at the
-        vision span, mask additive [S, S] or, per sequence, [B, S, S].
+        vision span, mask ``attention_mask``'s [B, S, S], or one [S, S].
         Returns (logits, taps); taps are the post-residual output Tensors
         of blocks 0..n_vit-1, in block order. A [B, S, d] input runs as
         its B * S rows flattened; its logits and taps come back [B, S, ...].
@@ -239,7 +246,7 @@ class Model:
         cache (forward-only): a list, empty before the prefill, which the
         forward fills with one [keys, values] pair per block; a later call
         on the same B sequences takes positions L..L+S-1 after the L cached
-        ones, with an [S, L+S] mask, and appends its keys and values.
+        ones, with a mask at past=L, and appends its keys and values.
         """
         cfg = self.cfg
         x = embedded
@@ -303,7 +310,8 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     feeds only the new tokens, reads the earlier positions' keys and
     values from the K/V cache and appends its own, so the cache holds
     just the positions decoded so far, however large max_new and max_seq
-    are. A row stops at EOS, after max_new tokens, or when the sequence
+    are; each step's mask is ``attention_mask`` at past = the cache's
+    length. A row stops at EOS, after max_new tokens, or when the sequence
     has reached max_seq; the loop runs until every row has stopped.
     Returns each row's generated ids (EOS included when it ended the row),
     or, for an [S, d] prompt, the one row's ids.
@@ -312,26 +320,24 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
         raise ValueError("max_new must be >= 1")
     squeeze = prefix_embedded.data.ndim == 2
     emb = T.constant(prefix_embedded.data[None]) if squeeze else prefix_embedded
-    batch, length = emb.data.shape[:2]
+    batch, s = emb.data.shape[:2]
     layouts = [layout] if squeeze else list(layout)
     if len(layouts) != batch or len({(lay.n_vision, lay.supervise_from) for lay in layouts}) > 1:
         raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
-    mask = build_attention_mask(SequenceLayout(layouts[0].n_vision, length, length), length, mask_mode)
-    cache = []
+    cache, past = [], 0
     out = [[] for _ in range(batch)]
     live = [True] * batch
     with T.no_grad():
         for _ in range(max_new):
+            mask = attention_mask(layouts[0].n_vision, s, mask_mode, past)
             logits, _ = model.forward(emb, mask, adapters, collect_taps=False, cache=cache)
             nxt = logits.data[:, -1].argmax(axis=-1)
             for row, token in enumerate(nxt.tolist()):
                 if live[row]:
                     out[row].append(token)
                     live[row] = token != eos_id
-            if not any(live) or length >= model.cfg.max_seq:
+            if not any(live) or past + s >= model.cfg.max_seq:
                 break
             emb = model.embed_tokens(nxt[:, None])
-            length += 1
-            # a text token sees every earlier position under both mask modes
-            mask = np.zeros((1, length), np.float32)
+            past, s = past + s, 1
     return out[0] if squeeze else out

@@ -2,12 +2,12 @@
 
 The op set is exactly what the model stack needs: elementwise add/mul
 of equal shapes, scalar scale, (batched) matmul, transpose/reshape/
-concat/slice, row gather/scatter by an index with -1 holes (head-major
-for attention), embedding lookup, GELU, the fused SwiGLU gate
-(``swiglu``; there is no separate SiLU op), RMS-norm, rotary positions
-on flat rows (``rope``), masked row softmax, cross entropy, sum and
-elementwise power. No op broadcasts its tensor operands: unequal shapes
-are a ``ShapeError``. ``linear`` (x·wᵀ) is
+concat, row gather/scatter by an index with -1 holes (head-major for
+attention; a gather is the one row selection), embedding lookup, GELU,
+the fused SwiGLU gate (``swiglu``; there is no separate SiLU op),
+RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
+cross entropy, sum and elementwise power. No op broadcasts its tensor
+operands: unequal shapes are a ``ShapeError``. ``linear`` (x·wᵀ) is
 every linear layer: one tape node, one 2-D GEMM forward and one per
 operand gradient, whatever the leading dims of x. With an adapter pair
 (a, b) it is x·(w + b·a)ᵀ, still one node and, when it trains, one GEMM
@@ -340,20 +340,6 @@ def concat(tensors, axis=0):
                 _accum(t, g[tuple(idx)])
 
     return _make(out, tuple(tensors), bwd)
-
-
-def slice_axis(a, axis, start, stop):
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = np.ascontiguousarray(a.data[idx])
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accum(a, full)
-
-    return _make(out, (a,), bwd)
 
 
 class RowIndex:

@@ -14,7 +14,7 @@ import numpy as np
 from . import data as D
 from . import checkpoint, distill, kernels, lora, vision
 from . import tensor as T
-from .model import MASK_MODES, Model, build_attention_mask, decode_greedy
+from .model import MASK_MODES, Model, attention_mask, decode_greedy, is_norm_gain
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999
@@ -187,8 +187,8 @@ def pack_embedded(pipe, batch):
 
 
 def batch_masks(batch, mask_mode):
-    b, s = batch.tokens.shape
-    return np.stack([build_attention_mask(lay, s, mask_mode) for lay in batch.layouts])
+    """The batch's [B, S, S] ``attention_mask``, from its layouts' vision spans."""
+    return attention_mask([lay.n_vision for lay in batch.layouts], batch.tokens.shape[1], mask_mode)
 
 
 @dataclass
@@ -232,7 +232,8 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
     states = pipe.teacher.forward_batch(batch.patches, runs)  # per block [n_vision, d_vit]
     weights = np.concatenate([np.full(n * r * c, 1.0 / (batch.n_image * r * c), dtype=np.float32)
                               for (r, c), n in runs])
-    per_block_t = [distill.block_distill_loss(T.slice_axis(taps[blk], 0, 0, batch.n_vision), states[blk],
+    vision = T.RowIndex(np.arange(batch.n_vision))  # the taps' vision rows lead the flat order
+    per_block_t = [distill.block_distill_loss(T.gather_rows(taps[blk], vision), states[blk],
                                               pipe.heads[blk], weights)
                    for blk in distill.distilled_blocks(distill_mode, cfg.n_vit)]
     per_block = [float(t.data) for t in per_block_t]
@@ -262,7 +263,7 @@ class TrainState:
 
 def decay_for(name, weight_decay):
     """Decoupled decay: zero on norm gains and the token embedding."""
-    if "norm" in name or name.endswith(".gain") or name == "llm.embed":
+    if is_norm_gain(name) or name == "llm.embed":
         return 0.0
     return weight_decay
 

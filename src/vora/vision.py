@@ -9,7 +9,7 @@ one-to-one at every patch position.
 import numpy as np
 
 from . import tensor as T
-from .model import attention, init_tensors, rope_tables
+from .model import attention, attention_mask, init_tensors, rope_tables
 
 
 class PatchError(ValueError):
@@ -61,11 +61,12 @@ def positions(patches, runs, dim):
 
 
 def image_rows(runs):
-    """[n_image, S_max] index of each image's rows in the flat patch stack
-    of a list of (grid, n_images) runs, -1 past an image's last patch."""
+    """Each image's patch count [n_image], and [n_image, S_max] index of its
+    rows in the flat patch stack of a list of (grid, n_images) runs, -1
+    past an image's last patch."""
     sizes = np.concatenate([np.full(n, rows * cols) for (rows, cols), n in runs])
     col = np.arange(sizes.max())[None, :]
-    return np.where(col < sizes[:, None], (np.cumsum(sizes) - sizes)[:, None] + col, -1)
+    return sizes, np.where(col < sizes[:, None], (np.cumsum(sizes) - sizes)[:, None] + col, -1)
 
 
 class VisionEmbed:
@@ -128,10 +129,10 @@ class Teacher:
         [N, patch*patch*3] patch stack and its list of (grid, n_images)
         runs: patch embedding plus sinusoidal positions, then the blocks.
         Every linear layer runs on all N rows; attention is bi-directional
-        within each image. Caller controls the tape."""
+        within each image, an all-vision sequence. Caller controls the tape."""
         pe = positions(patches, runs, self.cfg.d_vit)
-        images = image_rows(runs)
-        mask = np.where(images[:, None, :] >= 0, np.float32(0.0), np.float32(T.NEG_MASK))
+        sizes, images = image_rows(runs)
+        mask = attention_mask(sizes, images.shape[1])
         index = T.RowIndex(images)
         x = T.linear(T.constant(patches), self.params["teacher.patch_embed"]) + T.constant(pe)
         states = []

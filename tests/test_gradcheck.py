@@ -9,8 +9,8 @@ from vora.gradcheck import max_rel_error, op_suite
 
 ALL_OPS = {
     "add", "mul", "scale", "matmul", "linear", "adapted_linear", "transpose", "reshape", "concat",
-    "slice_axis", "gather_rows", "scatter_rows", "embedding", "gelu", "swiglu", "rms_norm", "rope",
-    "softmax_rows", "cross_entropy", "tsum", "power",
+    "gather_rows", "scatter_rows", "embedding", "gelu", "swiglu", "rms_norm", "rope", "softmax_rows",
+    "cross_entropy", "tsum", "power",
 }
 
 

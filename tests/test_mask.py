@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora.model import (LayoutError, Model, ModelConfig, SequenceLayout,
+from vora.model import (MASK_MODES, LayoutError, Model, ModelConfig, SequenceLayout, attention_mask,
                         build_attention_mask)
 
 NEG = T.NEG_MASK
@@ -20,6 +22,13 @@ def oracle_allowed(v0, v1, q, k, mode):
     if v0 <= q < v1:
         return v0 <= k < v1
     return k <= q
+
+
+def oracle_mask(n_vision, q_pos, length, mode):
+    """Additive [len(q_pos), length] mask of one sequence by ``oracle_allowed``:
+    queries at positions q_pos over keys 0..length-1."""
+    return np.array([[0.0 if oracle_allowed(0, n_vision, q, k, mode) else NEG for k in range(length)]
+                     for q in q_pos], dtype=np.float32)
 
 
 class TestHybridMask:
@@ -87,6 +96,50 @@ class TestHybridMask:
             diff = hybrid ^ causal
             above_diag_vision = {(q, k) for q in range(v1) for k in range(v1) if k > q}
             assert diff == above_diag_vision
+
+
+class TestMaskRule:
+    """``attention_mask``, the one rule, in its batch and cache forms."""
+
+    def test_batches_after_a_cache_enumerated(self):
+        # B <= 3 sequences of s <= 6 queries after past <= 4 cached
+        # positions: query i sits at position past + i
+        for mode in MASK_MODES:
+            for s in range(1, 7):
+                for past in range(5):
+                    length = past + s
+                    want = {nv: oracle_mask(nv, range(past, length), length, mode) for nv in range(length + 1)}
+                    for b in (1, 2, 3):
+                        for spans in itertools.product(range(length + 1), repeat=b):
+                            got = attention_mask(spans, s, mode, past)
+                            assert got.dtype == np.float32 and got.shape == (b, s, length)
+                            assert np.array_equal(got, np.stack([want[nv] for nv in spans])), (mode, past, spans)
+                    assert np.array_equal(attention_mask(length, s, mode, past), want[length][None])
+
+    def test_all_vision_sequences(self):
+        # the teacher's images: each an all-vision sequence padded to the
+        # largest; a patch sees exactly its own image's patches
+        for b in (1, 2, 3):
+            for sizes in itertools.product(range(1, 7), repeat=b):
+                s = max(sizes)
+                for mask, n in zip(attention_mask(sizes, s), sizes, strict=True):
+                    npt.assert_array_equal(mask, oracle_mask(n, range(s), s, "hybrid"))
+                    assert (mask[:n, :n] == 0.0).all() and (mask[:n, n:] == NEG).all()
+
+    @pytest.mark.parametrize("mode", MASK_MODES)
+    def test_one_row_extension_steps(self, mode):
+        # decode: a prefix of length S, then one-row steps at past = S, S+1, ...
+        # Each step's row is the full recompute's row at that position, and
+        # a text token sees every earlier position
+        for prefix in range(1, 7):
+            for nv in range(prefix + 1):
+                full = attention_mask(nv, prefix + 4, mode)[0]
+                npt.assert_array_equal(attention_mask(nv, prefix, mode)[0], full[:prefix, :prefix])
+                for past in range(prefix, prefix + 4):
+                    step = attention_mask(nv, 1, mode, past)
+                    assert step.shape == (1, 1, past + 1) and (step == 0.0).all()
+                    npt.assert_array_equal(step[0], oracle_mask(nv, [past], past + 1, mode))
+                    npt.assert_array_equal(step[0], full[past:past + 1, :past + 1])
 
 
 class TestMaskSoundness:

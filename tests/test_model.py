@@ -11,6 +11,8 @@ from vora import lora, trainer
 from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong, build_attention_mask, decode_greedy,
                         rope_row_tables)
 
+from test_mask import oracle_mask
+
 MICRO = dict(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
              patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
 
@@ -160,14 +162,14 @@ class TestDecodeGreedy:
 
 def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
     """The oracle for the cached decode: every step re-runs the whole forward
-    over the sequence so far. Returns the ids and each step's last logits."""
+    over the sequence so far, under the mask of the tests' own rule
+    (``oracle_mask``). Returns the ids and each step's last logits."""
     emb, ids, steps = prefix, [], []
     with T.no_grad():
         for _ in range(max_new):
             length = emb.data.shape[0]
-            lay = SequenceLayout(layout.n_vision, length, length)
-            logits, _ = model.forward(emb, build_attention_mask(lay, length, mask_mode), adapters,
-                                      collect_taps=False)
+            mask = oracle_mask(layout.n_vision, range(length), length, mask_mode)
+            logits, _ = model.forward(emb, mask, adapters, collect_taps=False)
             steps.append(logits.data[-1].copy())
             ids.append(int(np.argmax(steps[-1])))
             if ids[-1] == eos_id or length >= model.cfg.max_seq:

@@ -217,7 +217,10 @@ def test_concat_and_slice_roundtrip():
     a = tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
     b = tensor(np.arange(6, 12, dtype=np.float32).reshape(2, 3))
     cat = T.concat([a, b], axis=0)
-    npt.assert_array_equal(T.slice_axis(cat, 0, 2, 4).data, b.data)
+    npt.assert_array_equal(cat.data, np.concatenate([a.data, b.data]))
+    # a run of rows is sliced out by gather_rows
+    npt.assert_array_equal(T.gather_rows(cat, np.arange(2)).data, a.data)
+    npt.assert_array_equal(T.gather_rows(cat, np.arange(2, 4)).data, b.data)
 
 
 def test_gather_and_scatter_rows_zero_holes_and_own_their_memory():
@@ -345,22 +348,19 @@ class TestFusedOps:
         pos = rng.integers(0, s, n)  # each row's position
         x = tensor(rng.standard_normal((n, h * hd)), requires_grad=True)
         r = rng.standard_normal((n, h * hd)).astype(np.float32)
+        # each head's halves, [n, h, hd/2]
+        x1, x2 = np.split(x.data.reshape(n, h, hd), 2, axis=-1)
+        r1, r2 = np.split(r.reshape(n, h, hd), 2, axis=-1)
         for scale in (1.0, 1.0 / math.sqrt(hd), 1.0 / math.sqrt(6.0)):
             cos, sin = (t * np.float32(scale) for t in rope_row_tables(pos, h, hd))
-            # [n, h, hd/2]: each row's table repeated for every head
-            c, sn = (T.constant(np.repeat((t * np.float32(scale))[:, None], h, axis=1))
-                     for t in rope_tables(pos, hd))
-
-            def composed():
-                heads = T.reshape(x, (n, h, hd))
-                x1, x2 = T.slice_axis(heads, -1, 0, hd // 2), T.slice_axis(heads, -1, hd // 2, hd)
-                out = T.concat([T.mul(x1, c) - T.mul(x2, sn), T.mul(x2, c) + T.mul(x1, sn)], axis=-1)
-                return T.reshape(out, (n, h * hd))
-
-            # the same products and sums in the same order: equal to the bit
+            # [n, 1, hd/2]: each row's table, the same for every head
+            c, sn = ((t * np.float32(scale))[:, None] for t in rope_tables(pos, hd))
+            # numpy oracle in float32, with the same products and sums as
+            # the op (a - b is a + -b, and + commutes): equal to the bit
+            want = np.concatenate([x1 * c - x2 * sn, x2 * c + x1 * sn], axis=-1).reshape(n, h * hd)
+            want_grad = np.concatenate([r1 * c + r2 * sn, r2 * c - r1 * sn], axis=-1).reshape(n, h * hd)
             out, grads = _grads(lambda: T.rope(x, cos, sin, h), [x], r)
-            want, want_grads = _grads(composed, [x], r)
-            assert out.tobytes() == want.tobytes() and grads[0].tobytes() == want_grads[0].tobytes()
+            assert out.tobytes() == want.tobytes() and grads[0].tobytes() == want_grad.tobytes()
 
     def test_rope_rejects_mismatched_tables(self):
         x = tensor(np.zeros((5, 8)))
