@@ -1,7 +1,7 @@
 """Feature-alignment objective: per-block projection heads, the per-block
-cosine distillation loss, supervised-span LM loss, and their unweighted
-sum. ``trainer.compute_losses`` combines the per-block terms for each of
-the DISTILL_MODES.
+cosine distillation loss and the supervised-span LM loss (one tape node
+each, ``cosine_loss`` and ``cross_entropy``), and their unweighted sum.
+``trainer.compute_losses`` combines the per-block terms per DISTILL_MODE.
 """
 
 import numpy as np
@@ -48,19 +48,6 @@ def distilled_blocks(mode, n_vit):
     return {"none": [], "last_block": blocks[-1:], "block_wise": blocks}[mode]
 
 
-def _cosine_rows(p, v, weights):
-    """Weighted sum over rows of (1 - cos(p_row, v_row)); ``weights``
-    holds one weight per row (the leading dims)."""
-    dots = T.tsum(T.mul(p, v), axis=-1)
-    pn = T.tsum(T.mul(p, p), axis=-1)
-    vn = T.tsum(T.mul(v, v), axis=-1)
-    if float(pn.data.min()) <= 0.0 or float(vn.data.min()) <= 0.0:
-        raise ValueError("zero-norm vector: cosine undefined")
-    cos = T.mul(dots, T.power(T.mul(pn, vn), -0.5))
-    loss = T.constant(np.ones_like(cos.data)) - cos
-    return T.tsum(T.mul(loss, T.constant(weights)))
-
-
 def block_distill_loss(h_llm, h_vit, head, weights=None):
     """(1/S) sum_s (1 - cos(head(h_llm[s]), h_vit[s])); value in [0, 2].
 
@@ -69,13 +56,13 @@ def block_distill_loss(h_llm, h_vit, head, weights=None):
     teacher states, an array treated as constant. weights: optional [S]
     row weights summing to 1, which replace the uniform 1/S (a batch
     weighs each image's rows 1/(n_image * S_image), the mean over images).
+    One ``T.cosine_loss`` node: unequal token counts are a ShapeError, a
+    zero row a ValueError.
     """
-    if h_llm.data.shape[:-1] != h_vit.shape[:-1]:
-        raise T.ShapeError(f"token counts differ: {h_llm.data.shape} vs {h_vit.shape}")
     if weights is None:
         lead = h_vit.shape[:-1]
         weights = np.full(lead, 1.0 / np.prod(lead), dtype=np.float32)
-    return _cosine_rows(head.forward(h_llm), T.constant(h_vit), weights)
+    return T.cosine_loss(head.forward(h_llm), h_vit, weights)
 
 
 def supervised(layouts, s):

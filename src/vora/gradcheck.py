@@ -59,6 +59,11 @@ def max_rel_error(fn, inputs, h=1e-3):
     return _worst_error(lambda: float(fn().data), inputs, h)
 
 
+def project(out, r):
+    """sum(out * r), r an array of out's shape, as a [1, 1] linear node: out gets exactly g·r."""
+    return T.linear(T.reshape(out, (1, -1)), T.constant(r.reshape(1, -1)))
+
+
 def _check_projected(make_out, inputs, r, h):
     """Gradients of sum(out * r): tape vs finite differences.
 
@@ -68,7 +73,7 @@ def _check_projected(make_out, inputs, r, h):
     """
     for t in inputs:
         t.grad = None
-    T.backward(T.tsum(T.mul(make_out(), T.constant(r))))
+    T.backward(project(make_out(), r))
 
     def value():
         with T.no_grad():
@@ -104,10 +109,6 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     def case_add(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
         return (lambda: T.add(a, b)), [a, b]
-
-    def case_mul(rng):
-        a, b = _rand(rng, 2, 3, 4), _rand(rng, 2, 3, 4)
-        return (lambda: T.mul(a, b)), [a, b]
 
     def case_scale(rng):
         a = _rand(rng, 5)
@@ -216,13 +217,13 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
             return (lambda: T.tsum(a)), [a]
         return (lambda: T.tsum(a, axis=1)), [a]
 
-    def case_power(rng):
-        a = T.param((rng.random((3, 4)) + 0.75).astype(np.float32))
-        c = float(rng.choice([0.5, 2.0, -1.0]))
-        return (lambda: T.power(a, c)), [a]
+    def case_cosine_loss(rng):
+        p = _rand(rng, *lead(rng), 3, 4)
+        v = 0.5 * rng.standard_normal(p.shape).astype(np.float32)
+        weights = rng.uniform(0.1, 1.0, p.shape[:-1]).astype(np.float32)
+        return (lambda: T.cosine_loss(p, v, weights)), [p]
 
     run("add", case_add)
-    run("mul", case_mul)
     run("scale", case_scale)
     run("matmul", case_matmul)
     run("linear", case_linear)
@@ -239,8 +240,8 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
     run("rope", case_rope)
     run("softmax_rows", case_softmax)
     run("cross_entropy", case_cross_entropy)
+    run("cosine_loss", case_cosine_loss)
     run("tsum", case_tsum)
-    run("power", case_power)
     return results
 
 

@@ -1,18 +1,19 @@
 """Dense float32 tensors with reverse-mode autodiff on an eager tape.
 
-The op set is exactly what the model stack needs: elementwise add/mul
-of equal shapes, scalar scale, (batched) matmul, transpose/reshape/
+The op set is exactly what the model stack needs: elementwise add of
+equal shapes, scalar scale, (batched) matmul, transpose/reshape/
 concat, row gather/scatter by an index with -1 holes (head-major for
 attention; a gather is the one row selection), embedding lookup, GELU,
 the fused SwiGLU gate (``swiglu``; there is no separate SiLU op),
 RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
-cross entropy, sum and elementwise power. No op broadcasts its tensor
-operands: unequal shapes are a ``ShapeError``. ``linear`` (x·wᵀ) is
-every linear layer: one tape node, one 2-D GEMM forward and one per
-operand gradient, whatever the leading dims of x. With an adapter pair
-(a, b) it is x·(w + b·a)ᵀ, still one node and, when it trains, one GEMM
-forward on the merged weight. Heavy elementwise work is delegated to
-:mod:`vora.kernels`; matmul goes straight to BLAS.
+cross entropy, the weighted cosine loss of distillation (``cosine_loss``)
+and sum. No op broadcasts its tensor operands: unequal shapes are a
+``ShapeError``. ``linear`` (x·wᵀ) is every linear layer: one tape node,
+one 2-D GEMM forward and one per operand gradient, whatever the leading
+dims of x. With an adapter pair (a, b) it is x·(w + b·a)ᵀ, still one
+node and, when it trains, one GEMM forward on the merged weight. Heavy
+elementwise work is delegated to :mod:`vora.kernels`; matmul goes
+straight to BLAS.
 
 Gradients accumulate additively when a tensor feeds several consumers.
 A backward computes only the gradients of inputs that require one, so a
@@ -60,9 +61,6 @@ class Tensor:
     # light operator sugar; every path funnels into the module-level ops
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
 
 
 def param(data):
@@ -170,13 +168,9 @@ def backward(loss):
 # ops
 
 
-def _same_shape(name, a, b):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{name} of unequal shapes: {a.data.shape} and {b.data.shape}")
-
-
 def add(a, b):
-    _same_shape("add", a, b)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add of unequal shapes: {a.data.shape} and {b.data.shape}")
     out = a.data + b.data
 
     def bwd(g):
@@ -184,19 +178,6 @@ def add(a, b):
             _accum(a, g, copy=b.requires_grad)
         if b.requires_grad:
             _accum(b, g)
-
-    return _make(out, (a, b), bwd)
-
-
-def mul(a, b):
-    _same_shape("mul", a, b)
-    out = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
 
     return _make(out, (a, b), bwd)
 
@@ -539,6 +520,31 @@ def cross_entropy(logits, targets):
     return _make(np.asarray(loss), (logits,), bwd)
 
 
+def cosine_loss(p, v, weights):
+    """Σᵢ wᵢ·(1 − cos(pᵢ, vᵢ)) over the rows of p [..., d] against a constant
+    array v of p's shape, weights of p's leading shape: one node, float32
+    throughout. A zero row on either side is a ValueError."""
+    v, w = np.asarray(v, dtype=np.float32), np.asarray(weights, dtype=np.float32)
+    if v.shape != p.data.shape or w.shape != v.shape[:-1]:
+        raise ShapeError(f"cosine_loss: p {p.data.shape}, v {v.shape}, weights {w.shape}")
+    x = p.data
+    dots, pn, vn = ((a * b).sum(axis=-1, dtype=np.float32) for a, b in ((x, v), (x, x), (v, v)))
+    if float(pn.min()) <= 0.0 or float(vn.min()) <= 0.0:
+        raise ValueError("zero-norm vector: cosine undefined")
+    pv = pn * vn
+    inv = pv ** np.float32(-0.5)
+    loss = ((np.float32(1.0) - dots * inv) * w).sum(dtype=np.float32)
+
+    def bwd(g):
+        gc = -(g * w)  # d/dcos of each row
+        dx = (gc * dots * np.float32(-0.5) * pv ** np.float32(-1.5) * vn)[..., None] * x  # through p·p
+        dx += dx  # once per operand of p·p
+        dx += (gc * inv)[..., None] * v
+        _accum(p, dx)
+
+    return _make(np.asarray(loss), (p,), bwd)
+
+
 def tsum(a, axis=None):
     out = a.data.sum(axis=axis, dtype=np.float32)
 
@@ -546,18 +552,3 @@ def tsum(a, axis=None):
         _accum(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.data.shape))
 
     return _make(np.asarray(out), (a,), bwd)
-
-
-def tmean(a, axis=None):
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
-
-
-def power(a, p):
-    """Elementwise a**p; caller guarantees the domain (used on positives)."""
-    out = a.data**np.float32(p)
-
-    def bwd(g):
-        _accum(a, g * p * a.data ** np.float32(p - 1))
-
-    return _make(out, (a,), bwd)

@@ -552,7 +552,8 @@ def warm_teacher(teacher, cfg, steps, seed):
 
         def loss_fn():
             states = teacher.forward(np.concatenate(patches), runs)
-            pooled = T.tmean(T.reshape(states[-1], (WARM_BATCH, -1, cfg.d_vit)), axis=1)  # [B, d_vit]
+            rows = T.reshape(states[-1], (WARM_BATCH, -1, cfg.d_vit))
+            pooled = T.scale(T.tsum(rows, axis=1), 1.0 / rows.shape[1])  # [B, d_vit], the mean over rows
             loss = T.cross_entropy(T.linear(pooled, head), np.asarray(labels))
             return LossOut(loss, loss, zero)
 

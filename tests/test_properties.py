@@ -24,15 +24,17 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 def configs(draw):
     """A small ModelConfig: 1-4 heads of an even dim 2-8, 1-3 blocks of
     which 1..n_llm are distilled, rank 1 to d_model - 1, 2x2 patches and
-    a teacher of 1, 2 or 4 heads whose width is a multiple of 4 (each
-    half of the oracle's positional encoding is [sin | cos] pairs)."""
+    a teacher of 1, 2 or 4 heads whose width is any multiple of its head
+    count up to 12 (odd widths too, whose positional encoding pads a zero
+    column)."""
     heads, head_dim = draw(st.integers(1, 4)), draw(st.sampled_from([2, 4, 6, 8]))
     d = heads * head_dim
     n_llm = draw(st.integers(1, 3))
+    vit_heads = draw(st.sampled_from([1, 2, 4]))
     return ModelConfig(n_llm=n_llm, n_vit=draw(st.integers(1, n_llm)), d_model=d, n_heads=heads,
                        d_ff=draw(st.integers(d, 2 * d)), rank=draw(st.integers(1, d - 1)), vocab=16, patch=2,
-                       max_seq=32, vembed_hidden=4, d_vit=4 * draw(st.integers(1, 3)),
-                       vit_heads=draw(st.sampled_from([1, 2, 4])), vit_ff=draw(st.integers(2, 12)))
+                       max_seq=32, vembed_hidden=4, d_vit=vit_heads * draw(st.integers(1, 12 // vit_heads)),
+                       vit_heads=vit_heads, vit_ff=draw(st.integers(2, 12)))
 
 
 def assert_within(got, want, rel):

@@ -4,8 +4,11 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vora.tensor as T
+from vora.gradcheck import project
 
 
 def tensor(data, requires_grad=False):
@@ -45,7 +48,7 @@ class TestMatmul:
 
 
 @pytest.mark.parametrize("op, a, b", [
-    (T.add, (3, 4), (4,)), (T.add, (3, 4), (1, 4)), (T.mul, (2, 3, 4), (1, 3, 4)), (T.mul, (4,), (3, 4)),
+    (T.add, (3, 4), (4,)), (T.add, (3, 4), (1, 4)), (T.add, (2, 3, 4), (1, 3, 4)), (T.add, (4,), (3, 4)),
     (T.matmul, (2, 3, 4), (1, 4, 5)), (T.matmul, (3, 4), (2, 4, 5)), (T.matmul, (2, 2, 3, 4), (2, 4, 5)),
 ])
 def test_mismatched_shapes_raise_naming_both(op, a, b):
@@ -156,11 +159,6 @@ class TestBackward:
         T.backward(T.tsum(x))
         npt.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
-    def test_square_at_three(self):
-        x = tensor([3.0], requires_grad=True)
-        T.backward(T.tsum(T.mul(x, x)))
-        npt.assert_allclose(x.grad, [6.0])
-
     def test_non_scalar_errors(self):
         x = tensor([1.0, 2.0], requires_grad=True)
         y = T.scale(x, 2.0)
@@ -229,7 +227,7 @@ def test_gather_and_scatter_rows_zero_holes_and_own_their_memory():
     out = T.gather_rows(a, rows)
     npt.assert_array_equal(out.data, [[a.data[2], np.zeros(3)], [a.data[0], a.data[3]]])
     assert not np.shares_memory(out.data, a.data)
-    T.backward(T.tsum(T.mul(out, T.constant(np.full((2, 2, 3), 5.0, dtype=np.float32)))))
+    T.backward(T.tsum(T.scale(out, 5.0)))
     npt.assert_array_equal(a.grad, [[5] * 3, [0] * 3, [5] * 3, [5] * 3])  # row 1 is picked by no entry
 
     ctx = tensor(np.arange(12, dtype=np.float32).reshape(2, 2, 3), requires_grad=True)
@@ -245,7 +243,7 @@ def _grads(make_out, inputs, r):
     for t in inputs:
         t.grad = None
     out = make_out()
-    T.backward(T.tsum(T.mul(out, T.constant(r))))
+    T.backward(project(out, r))
     return out.data, [t.grad for t in inputs]
 
 
@@ -422,9 +420,56 @@ class TestFusedOps:
                 bad()
 
 
+def cosine_chain(x, v, w):
+    """Σ w·(1 − cos) of the rows of x against v and its gradient in x, in
+    float32 numpy: the elementwise tape chain the fused op replaced,
+    transcribed node by node, forward then backward (seed gradient 1)."""
+    dots = (x * v).sum(axis=-1, dtype=np.float32)
+    pn = (x * x).sum(axis=-1, dtype=np.float32)
+    vn = (v * v).sum(axis=-1, dtype=np.float32)
+    pw = (pn * vn) ** np.float32(-0.5)
+    cos = dots * pw
+    loss = ((np.ones_like(cos) + cos * np.float32(-1.0)) * w).sum(dtype=np.float32)
+    g_cos = (np.ones_like(w) * w) * np.float32(-1.0)
+    g_dots, g_pw = g_cos * pw, g_cos * dots
+    g_pn = g_pw * np.float32(-0.5) * (pn * vn) ** np.float32(-1.5) * vn
+    grad = g_pn[..., None] * x  # x·x: the same gradient once per operand
+    grad = grad + g_pn[..., None] * x
+    return loss, grad + g_dots[..., None] * v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(1, 300), width=st.integers(1, 64), scale_p=st.floats(0.01, 10), scale_v=st.floats(0.01, 10),
+       seed=st.integers(0, 2**16))
+def test_cosine_loss_matches_the_elementwise_chain_bitwise(rows, width, scale_p, scale_v, seed):
+    rng = np.random.default_rng(seed)
+    x = (scale_p * rng.standard_normal((rows, width))).astype(np.float32)
+    v = (scale_v * rng.standard_normal((rows, width))).astype(np.float32)
+    w = rng.uniform(0.01, 1.0, rows).astype(np.float32)
+    p = tensor(x, requires_grad=True)
+    T.active_tape().reset()
+    loss = T.cosine_loss(p, v, w)
+    assert len(T.active_tape().nodes) == 1
+    T.backward(loss)
+    want, want_grad = cosine_chain(x, v, w)
+    assert loss.data.tobytes() == np.asarray(want).tobytes()
+    assert p.grad.tobytes() == want_grad.tobytes()
+
+
+def test_cosine_loss_rejects_zero_rows_and_mismatched_shapes():
+    x, v, w = np.ones((3, 4), np.float32), np.ones((3, 4), np.float32), np.ones(3, np.float32)
+    zero = x.copy()
+    zero[1] = 0.0
+    for p, t in ((zero, v), (x, zero)):
+        with pytest.raises(ValueError, match="zero-norm"):
+            T.cosine_loss(tensor(p), t, w)
+    for p, t, ws in ((x, v[:, :3], w), (x, v[:2], w), (x, v, w[:2]), (x, v, w[:, None])):
+        with pytest.raises(T.ShapeError):
+            T.cosine_loss(tensor(p), t, ws)
+
+
 _GATED = {
     "add": (lambda a, b: T.add(a, b), (3, 4), (3, 4)),
-    "mul": (lambda a, b: T.mul(a, b), (2, 3, 4), (2, 3, 4)),
     "matmul": (lambda a, b: T.matmul(a, b), (2, 3, 4), (4, 5)),
     "batched_matmul": (lambda a, b: T.matmul(a, b, transpose_b=True), (2, 3, 4), (2, 5, 4)),
     "linear": (lambda a, b: T.linear(a, b), (2, 3, 4), (5, 4)),
@@ -446,7 +491,7 @@ def test_frozen_operand_gets_no_gradient_and_changes_nothing(op, frozen):
 
     def run(trainable):
         ts = [tensor(d, requires_grad=i in trainable) for i, d in enumerate(data)]
-        T.backward(T.tsum(T.mul(fn(*ts), T.constant(r))))
+        T.backward(project(fn(*ts), r))
         return ts
 
     every = set(range(len(shapes)))
@@ -468,8 +513,7 @@ def test_accumulated_gradients_own_their_memory():
     ops.append(T.transpose(T.reshape(ops[1], (4, 3))))
     ops.append(T.tsum(T.tsum(c, axis=1)))
     ops.append(T.concat([d, e], axis=0))
-    parts = [T.tsum(T.mul(ops[0], tensor(r1))), T.tsum(T.mul(ops[2], tensor(r2))), ops[3],
-             T.tsum(T.mul(ops[4], tensor(r3)))]
+    parts = [project(ops[0], r1), project(ops[2], r2), T.reshape(ops[3], (1, 1)), project(ops[4], r3)]
     T.backward(T.add(T.add(parts[0], parts[1]), T.add(parts[2], parts[3])))
 
     back = r2.T.reshape(3, 4)  # r2 carried back through the transpose and the reshape

@@ -131,9 +131,11 @@ def straightline_teacher(cfg, params, patches, grid):
         return e / e.sum(axis=-1, keepdims=True)
 
     def ladder(pos, width):
+        # [sin | cos] pairs, and a zero column when width is odd
         quarter = width // 2
         freq = 1.0 / 10000.0 ** (np.arange(quarter) / quarter)
-        return np.concatenate([np.sin(pos[:, None] * freq), np.cos(pos[:, None] * freq)], axis=1)
+        return np.concatenate([np.sin(pos[:, None] * freq), np.cos(pos[:, None] * freq),
+                               np.zeros((len(pos), width % 2))], axis=1)
 
     rows, cols = grid
     b, s, _ = patches.shape
