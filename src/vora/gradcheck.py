@@ -1,8 +1,10 @@
 """Finite-difference gradient verification for every tape op.
 
-The oracle only ever evaluates forward passes (central differences,
-h=1e-3), so it stays independent of the backward implementations it
-checks. Error metric per element: |analytic - fd| / max(1, |fd|).
+The oracle only ever evaluates forward passes (central differences with
+step ``H``), so it stays independent of the backward implementations it
+checks. Error metric per entry: |analytic - fd| / max(1, |fd|); a case
+passes at or below ``TOL``. ``end_to_end_check`` samples ``MAX_ENTRIES``
+entries of each larger tensor.
 """
 
 import zlib
@@ -11,52 +13,31 @@ import numpy as np
 
 from . import tensor as T
 
+H = 1e-3  # central-difference step
+TOL = 1e-3  # worst error a passing case may read
+MAX_ENTRIES = 48  # entries end_to_end_check samples per tensor
 
-def fd_gradient(value_fn, t, h=1e-3, idxs=None):
-    """Central-difference gradient of float-valued value_fn() w.r.t. the
-    flat entries idxs of t (all of them by default), as a flat array."""
+
+def _grad_error(value_fn, t, idxs=None):
+    """Worst |analytic - fd| / max(1, |fd|) over t's flat entries idxs (all
+    by default): analytic is the tape gradient already in t.grad (zeros
+    when none arrived), fd the central difference of float-valued
+    value_fn(), run under no_grad."""
     flat = t.data.reshape(-1)
-    idxs = range(flat.size) if idxs is None else idxs
-    g = np.zeros(len(idxs), dtype=t.data.dtype)
+    idxs = np.arange(flat.size) if idxs is None else idxs
+    fd = np.zeros(len(idxs), dtype=t.data.dtype)
     with T.no_grad():
         for j, i in enumerate(idxs):
             keep = flat[i]
-            flat[i] = keep + h
+            flat[i] = keep + H
             hi = value_fn()
-            flat[i] = keep - h
+            flat[i] = keep - H
             lo = value_fn()
             flat[i] = keep
-            g[j] = (hi - lo) / (2.0 * h)
-    return g
-
-
-def _rel_error(analytic, fd):
-    """Worst |analytic - fd| / max(1, |fd|) over matching flat arrays."""
+            fd[j] = (hi - lo) / (2.0 * H)
+    analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)[idxs]
     err = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
     return float(err.max()) if err.size else 0.0
-
-
-def _worst_error(value_fn, inputs, h):
-    """Worst error of the tape gradients already in inputs' .grad against
-    finite differences of value_fn, over every requires_grad input."""
-    worst = 0.0
-    for t in inputs:
-        if t.requires_grad:
-            analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-            worst = max(worst, _rel_error(analytic.reshape(-1), fd_gradient(value_fn, t, h=h)))
-    return worst
-
-
-def max_rel_error(fn, inputs, h=1e-3):
-    """Compare tape gradients of scalar fn() against finite differences.
-
-    Returns the worst |analytic - fd| / max(1, |fd|) over all entries of
-    all requires_grad inputs.
-    """
-    for t in inputs:
-        t.grad = None
-    T.backward(fn())
-    return _worst_error(lambda: float(fn().data), inputs, h)
 
 
 def project(out, r):
@@ -64,7 +45,7 @@ def project(out, r):
     return T.linear(T.reshape(out, (1, -1)), T.constant(r.reshape(1, -1)))
 
 
-def _check_projected(make_out, inputs, r, h):
+def _check_projected(make_out, inputs, r):
     """Gradients of sum(out * r): tape vs finite differences.
 
     The analytic side runs entirely on the float32 tape; the fd side
@@ -79,14 +60,14 @@ def _check_projected(make_out, inputs, r, h):
         with T.no_grad():
             return float(np.sum(make_out().data.astype(np.float64) * r))
 
-    return _worst_error(value, inputs, h)
+    return max((_grad_error(value, t) for t in inputs if t.requires_grad), default=0.0)
 
 
 def _rand(rng, *shape):
     return T.param((0.5 * rng.standard_normal(shape)).astype(np.float32))
 
 
-def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
+def op_suite(seed=0, trials=50):
     """Run the per-op finite-difference suite.
 
     Returns a list of (op_name, worst_error, passed). Shapes use extents
@@ -103,8 +84,8 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
             with T.no_grad():
                 shape = make_out().data.shape
             r = rng.standard_normal(shape).astype(np.float32)
-            worst = max(worst, _check_projected(make_out, inputs, r, h))
-        results.append((name, worst, worst <= tol))
+            worst = max(worst, _check_projected(make_out, inputs, r))
+        results.append((name, worst, worst <= TOL))
 
     def case_add(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
@@ -143,7 +124,7 @@ def op_suite(seed=0, trials=50, tol=1e-3, h=1e-3):
 
     def case_concat(rng):
         a, b = _rand(rng, 2, 3), _rand(rng, 4, 3)
-        return (lambda: T.concat([a, b], axis=0)), [a, b]
+        return (lambda: T.concat([a, b])), [a, b]
 
     def case_embedding(rng):
         table = _rand(rng, 6, 4)
@@ -253,7 +234,7 @@ def nano_config():
                        patch=4, rank=2, max_seq=64, vembed_hidden=4, vit_heads=2, vit_ff=8)
 
 
-def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
+def end_to_end_check(seed=0):
     """Finite-difference the combined objective on the nano model.
 
     Two batches: "fixed" (one 8x8 image row, one text row) and
@@ -261,7 +242,7 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
     teacher groups its attention by image and the distillation term
     weighs the rows of two grids). Checks a
     deterministic entry sample of every trainable tensor (all entries
-    when a tensor has at most max_entries). Returns (results,
+    when a tensor has at most MAX_ENTRIES). Returns (results,
     all_passed) with per-tensor worst errors, named "<batch>/<tensor>".
     """
     from . import data as D
@@ -291,10 +272,9 @@ def end_to_end_check(seed=0, h=1e-3, tol=1e-3, max_entries=48):
         T.backward(fn())
         for name in sorted(trainable):
             t = trainable[name]
-            analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
-            idxs = np.arange(t.data.size)
-            if t.data.size > max_entries:
-                idxs = np.sort(pick.choice(t.data.size, size=max_entries, replace=False))
-            worst = _rel_error(analytic[idxs], fd_gradient(lambda: float(fn().data), t, h=h, idxs=idxs))
-            results.append((f"{case}/{name}", worst, worst <= tol))
+            idxs = None
+            if t.data.size > MAX_ENTRIES:
+                idxs = np.sort(pick.choice(t.data.size, size=MAX_ENTRIES, replace=False))
+            worst = _grad_error(lambda: float(fn().data), t, idxs)
+            results.append((f"{case}/{name}", worst, worst <= TOL))
     return results, all(ok for _, _, ok in results)

@@ -42,9 +42,6 @@ class AdapterSet:
         self.adapters = {(block, layer): LoraAdapter(params[a], params[b]) for block, layer, a, b in _pairs(cfg)}
         self.merged = False
 
-    def __len__(self):
-        return len(self.adapters)
-
     def __iter__(self):
         return iter(self.adapters.values())
 

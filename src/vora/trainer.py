@@ -176,7 +176,7 @@ def embed_batch(pipe, batch):
     tok = pipe.model.embed_tokens(batch.tokens[rows >= batch.n_vision])
     if not batch.n_image:
         return tok
-    return T.concat([pipe.vembed.forward(batch.patches, batch.runs), tok], axis=0)
+    return T.concat([pipe.vembed.forward(batch.patches, batch.runs), tok])
 
 
 def pack_embedded(pipe, batch):
@@ -538,7 +538,7 @@ def warm_teacher(teacher, cfg, steps, seed):
     trainable = dict(teacher.params)
     trainable["warm.head"] = head
     state = TrainState.create(trainable)
-    warm_cfg = TrainConfig(lr=WARM_LR, warmup_steps=0, total_steps=max(steps, 1), seed=seed)
+    warm_cfg = TrainConfig(lr=WARM_LR, warmup_steps=0)
     h, w = cfg.patch * 4, cfg.patch * 4
     runs = [((h // cfg.patch, w // cfg.patch), WARM_BATCH)]
     zero = T.constant(np.zeros((), dtype=np.float32))

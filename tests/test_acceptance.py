@@ -143,25 +143,25 @@ def test_06_loss_definitions():
         s = int(rng.integers(1, 8))
         h = T.constant(rng.standard_normal((s, cfg.d_model)).astype(np.float32))
         v = rng.standard_normal((s, cfg.d_vit)).astype(np.float32)
-        val = distill.block_distill_loss(h, v, head).item()
+        val = float(distill.block_distill_loss(h, v, head).data)
         range_ok &= -1e-6 <= val <= 2.0 + 1e-6
 
     h = T.constant(rng.standard_normal((6, cfg.d_model)).astype(np.float32))
     with T.no_grad():
         aligned = head.forward(h).data
-    perfect = distill.block_distill_loss(h, aligned, head).item()
+    perfect = float(distill.block_distill_loss(h, aligned, head).data)
     perfect_ok = abs(perfect) <= 1e-6
 
     v = cfg.vocab
     lay = SequenceLayout(0, 5, 2)  # 3 supervised positions: 3 zero logit rows
     rows = T.constant(np.zeros((3, v), dtype=np.float32))
-    uniform = distill.lm_loss(rows, [lay], np.zeros((1, 5), dtype=np.int64)).item()
+    uniform = float(distill.lm_loss(rows, [lay], np.zeros((1, 5), dtype=np.int64)).data)
     uniform_ok = abs(uniform - math.log(v)) <= 1e-4
 
     sum_ok = True
     for a, b in ((0.0, 1.5), (1.5, 0.0), (0.25, 1.75), (0.4, 0.8)):
         ta, tb = T.constant(np.float32(a)), T.constant(np.float32(b))
-        sum_ok &= distill.total_loss(ta, tb).item() == float(np.float32(a) + np.float32(b))
+        sum_ok &= float(distill.total_loss(ta, tb).data) == float(np.float32(a) + np.float32(b))
 
     ok = range_ok and perfect_ok and uniform_ok and sum_ok
     report(6, "loss definitions", ok,

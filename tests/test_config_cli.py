@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import fields
 
@@ -78,6 +79,13 @@ class TestConfigParsing:
                 assert f.default == defaults[f.name], (cls.__name__, f.name)
                 if f.name in config.SCHEMA:  # its parser reads the rendered default back as the field's type
                     assert type(config.SCHEMA[f.name][1](config._render(f.default))) is f.type, (cls.__name__, f.name)
+
+    def test_eval_keys_default_to_eval_metrics_defaults(self):
+        # perfbench's deploy cycle calls eval_metrics with its own defaults
+        # as the `vora eval` defaults, so the two must agree
+        params = inspect.signature(trainer.eval_metrics).parameters
+        for key, arg in (("eval_captions", "n_caption"), ("eval_texts", "n_text"), ("eval_max_new", "max_new")):
+            assert config.SCHEMA[key][0] == params[arg].default, key
 
 
 BASE_CFG = "seed=0\ntotal_steps=4\nwarmup_steps=1\nbatch_size=2\n"

@@ -26,7 +26,7 @@ class TestBlockDistillLoss:
         h = T.constant(rng.standard_normal((5, cfg.d_model)).astype(np.float32))
         target = head_output(head, h)  # teacher equals the head output
         loss = distill.block_distill_loss(h, target, head)
-        assert abs(loss.item()) <= 1e-6
+        assert abs(float(loss.data)) <= 1e-6
 
     def test_anti_alignment_is_two(self):
         cfg = ModelConfig()
@@ -34,7 +34,7 @@ class TestBlockDistillLoss:
         rng = np.random.default_rng(1)
         h = T.constant(rng.standard_normal((4, cfg.d_model)).astype(np.float32))
         loss = distill.block_distill_loss(h, -head_output(head, h), head)
-        npt.assert_allclose(loss.item(), 2.0, atol=1e-6)
+        npt.assert_allclose(float(loss.data), 2.0, atol=1e-6)
 
     def test_direct_cosine_oracle(self):
         cfg = ModelConfig(d_vit=4)
@@ -46,7 +46,7 @@ class TestBlockDistillLoss:
         want = np.mean([1.0 - p[i] @ v[i] / (np.linalg.norm(p[i]) * np.linalg.norm(v[i]))
                         for i in range(3)])
         loss = distill.block_distill_loss(h, v, head)
-        npt.assert_allclose(loss.item(), want, atol=1e-6)
+        npt.assert_allclose(float(loss.data), want, atol=1e-6)
 
     def test_zero_norm_errors(self):
         cfg = ModelConfig()
@@ -62,9 +62,9 @@ class TestBlockDistillLoss:
         rng = np.random.default_rng(3)
         h = T.constant(rng.standard_normal((4, cfg.d_model)).astype(np.float32))
         v = rng.standard_normal((4, cfg.d_vit)).astype(np.float32)
-        base = distill.block_distill_loss(h, v, head).item()
+        base = float(distill.block_distill_loss(h, v, head).data)
         for s in (0.5, 3.0, 41.0):
-            scaled = distill.block_distill_loss(h, s * v, head).item()
+            scaled = float(distill.block_distill_loss(h, s * v, head).data)
             assert abs(scaled - base) <= 1e-6
 
     def test_range_fuzz_200_trials(self):
@@ -75,7 +75,7 @@ class TestBlockDistillLoss:
             s = int(rng.integers(1, 7))
             h = T.constant(rng.standard_normal((s, cfg.d_model)).astype(np.float32))
             v = rng.standard_normal((s, 8)).astype(np.float32)
-            loss = distill.block_distill_loss(h, v, head).item()
+            loss = float(distill.block_distill_loss(h, v, head).data)
             assert -1e-6 <= loss <= 2.0 + 1e-6
 
 
@@ -106,17 +106,17 @@ class TestDistillLoss:
 
     def test_mean_of_constant_blocks(self, monkeypatch):
         out = self._losses(monkeypatch, [0.7, 0.7, 0.7], "block_wise")
-        npt.assert_allclose(out.dist.item(), 0.7, atol=1e-6)
+        npt.assert_allclose(float(out.dist.data), 0.7, atol=1e-6)
 
     def test_constructed_point_four_point_eight(self, monkeypatch):
         out = self._losses(monkeypatch, [0.4, 0.8], "block_wise")
         npt.assert_allclose(out.per_block, [0.4, 0.8], atol=1e-6)
-        npt.assert_allclose(out.dist.item(), 0.6, atol=1e-6)
+        npt.assert_allclose(float(out.dist.data), 0.6, atol=1e-6)
 
     def test_last_block_uses_final_block_only(self, monkeypatch):
         out = self._losses(monkeypatch, [0.3, 0.9], "last_block")
         npt.assert_allclose(out.per_block, [0.9], atol=1e-6)
-        npt.assert_allclose(out.dist.item(), 0.9, atol=1e-6)
+        npt.assert_allclose(float(out.dist.data), 0.9, atol=1e-6)
 
     def test_grid_runs_weighted_by_image_count(self, monkeypatch):
         # one call per block over every image's vision rows; each image's
@@ -135,11 +135,11 @@ class TestDistillLoss:
         assert [c[:2] for c in calls] == [(16, 16)]
         weights = calls[0][2]
         npt.assert_allclose([weights[0:4].sum(), weights[4:10].sum(), weights[10:16].sum()], [1 / 3] * 3, rtol=1e-6)
-        npt.assert_allclose(out.dist.item(), np.mean(sizes), rtol=1e-6)
+        npt.assert_allclose(float(out.dist.data), np.mean(sizes), rtol=1e-6)
 
     def test_mode_none_zero_no_edges(self):
         out = trainer.compute_losses(nano_pipe(), image_batch([(8, 8)]), "hybrid", "none")
-        assert out.dist.item() == 0.0
+        assert float(out.dist.data) == 0.0
         assert not out.dist.requires_grad
         assert out.per_block == []
 
@@ -186,7 +186,7 @@ class TestLmLoss:
         lay = SequenceLayout(0, 5, 2)  # 3 supervised tokens
         rows = T.constant(logits[:, :-1][distill.supervised([lay], 5)])
         loss = distill.lm_loss(rows, [lay], np.zeros((1, 5), dtype=np.int64))
-        npt.assert_allclose(loss.item(), math.log(8), atol=1e-6)
+        npt.assert_allclose(float(loss.data), math.log(8), atol=1e-6)
 
     def test_text_only_equals_plain_causal_lm(self):
         # supervising the whole sequence after <bos> equals a plain LM loss
@@ -196,7 +196,7 @@ class TestLmLoss:
         tokens = rng.integers(0, v, size=(1, s))
         lay = SequenceLayout(0, s, 1)
         rows = T.constant(logits_arr[:, :-1][distill.supervised([lay], s)])
-        got = distill.lm_loss(rows, [lay], tokens).item()
+        got = float(distill.lm_loss(rows, [lay], tokens).data)
         # plain next-token causal LM oracle
         nll = []
         for t in range(1, s):
@@ -211,7 +211,7 @@ class TestLmLoss:
         tokens = rng.integers(0, 9, size=(1, 8))
         lay = SequenceLayout(4, 8, 5)
         rows = T.constant(logits_arr[:, :-1][distill.supervised([lay], 8)])
-        got = distill.lm_loss(rows, [lay], tokens).item()
+        got = float(distill.lm_loss(rows, [lay], tokens).data)
         nll = []
         for t in range(5, 8):
             row = logits_arr[0, t - 1]
@@ -225,4 +225,4 @@ class TestTotalLoss:
     def test_exact_sum(self, a, b):
         ta = T.constant(np.asarray(a, dtype=np.float32))
         tb = T.constant(np.asarray(b, dtype=np.float32))
-        assert distill.total_loss(ta, tb).item() == np.float32(a) + np.float32(b)
+        assert float(distill.total_loss(ta, tb).data) == np.float32(a) + np.float32(b)

@@ -7,7 +7,7 @@ import numpy as np
 import vora.tensor as T
 from vora import data as D
 from vora import trainer
-from vora.gradcheck import max_rel_error, nano_config, op_suite
+from vora.gradcheck import TOL, _check_projected, nano_config, op_suite
 
 ALL_OPS = {
     "add", "scale", "matmul", "linear", "adapted_linear", "transpose", "reshape", "concat",
@@ -37,7 +37,43 @@ def test_composite_chain():
         p = T.softmax_rows(h, mask)
         return T.tsum(T.swiglu(h, T.gelu(p)))  # silu(h) * gelu(p)
 
-    assert max_rel_error(fn, [x, w, gain]) <= 1e-3
+    assert _check_projected(fn, [x, w, gain], np.ones((), dtype=np.float32)) <= 1e-3
+
+
+def test_checker_catches_a_wrong_backward():
+    # an op made for this test, forward 2·x but backward 3·g, must fail the
+    # check; T.scale(x, 2.0), the right one, must pass it
+    rng = np.random.default_rng(0)
+    x = T.param(rng.standard_normal((3, 4)).astype(np.float32))
+    r = rng.standard_normal((3, 4)).astype(np.float32)
+
+    def wrong_double(a):
+        def bwd(g):
+            T._accum(a, 3.0 * g)
+
+        return T._make(2.0 * a.data, (a,), bwd)
+
+    assert _check_projected(lambda: wrong_double(x), [x], r) > TOL
+    assert _check_projected(lambda: T.scale(x, 2.0), [x], r) <= TOL
+
+
+def test_checker_compares_a_missing_gradient_as_zeros():
+    # y never reaches the tape: unused, its zero gradient is right; read
+    # by the forward but not recorded as an input, it is wrong
+    rng = np.random.default_rng(1)
+    x, y = (T.param(rng.standard_normal((2, 3)).astype(np.float32)) for _ in range(2))
+    r = rng.standard_normal((2, 3)).astype(np.float32)
+    assert _check_projected(lambda: T.scale(x, 2.0), [x, y], r) <= TOL
+    assert y.grad is None
+
+    def unrecorded_add():
+        def bwd(g):
+            T._accum(x, g)
+
+        return T._make(x.data + y.data, (x,), bwd)
+
+    assert _check_projected(unrecorded_add, [x, y], r) > TOL
+    assert y.grad is None
 
 
 def test_op_suite_covers_exactly_the_tape_ops():

@@ -11,7 +11,7 @@ from vora.tensor import Tensor
 class TestAttach:
     def test_counts_seven_layers_per_block(self):
         cfg = ModelConfig(n_vit=4)
-        assert len(lora.attach(cfg)) == 28
+        assert len(lora.attach(cfg).adapters) == 28
 
     def test_targets_enumerate_blocks_x_layers(self):
         cfg = ModelConfig(n_llm=2, n_vit=2)

@@ -174,7 +174,7 @@ def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None,
             ids.append(int(np.argmax(steps[-1])))
             if ids[-1] == eos_id or length >= model.cfg.max_seq:
                 break
-            emb = T.concat([emb, model.embed_tokens([ids[-1]])], axis=0)
+            emb = T.concat([emb, model.embed_tokens([ids[-1]])])
     return ids, steps
 
 

@@ -168,18 +168,18 @@ class TestPretrain:
             assert not any(np.shares_memory(g, h) for i, g in enumerate(grads) for h in grads[i + 1:]), mode
         assert "llm.blocks.0.q" in trainable and "llm.embed" in trainable
 
-    @pytest.mark.parametrize("mode, most", [("pretrain", 196), ("finetune", 136)])
+    @pytest.mark.parametrize("mode, most", [("pretrain", 156), ("finetune", 137)])
     def test_tape_nodes_per_step_stay_within_budget(self, mode, most):
         # a work counter: the tape nodes one compute_losses records on a
-        # seeded default batch (rope on the rows, the head-major gather, the
-        # fused SwiGLU and the one-node adapted linear brought them to these
-        # counts)
+        # seeded default batch, with the requires_grad flags a training step
+        # of that mode runs with
         mcfg, tcfg, dcfg = ModelConfig(), trainer.TrainConfig(seed=0, mode=mode), data.DataConfig()
         pipe = trainer.build_pipeline(mcfg, seed=0)
         distill_mode = tcfg.distill_mode
         if mode == "finetune":
             trainer.merge(pipe)
             distill_mode = "none"
+        trainer._partition(pipe, tcfg)
         batch = data.make_batch(np.random.default_rng(0), tcfg.batch_size, dcfg=dcfg, max_seq=mcfg.max_seq)
         T.active_tape().reset()
         trainer.compute_losses(pipe, batch, tcfg.mask_mode, distill_mode)
@@ -227,7 +227,7 @@ class TestGridRuns:
         pipe = trainer.build_pipeline(ModelConfig(), seed=0)
         batch = data.pack_samples([data.gen_text_sample(1), data.gen_image_caption(2)], 8, 160)
         out = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
-        assert np.isfinite(out.total.item()) and out.dist.item() > 0.0
+        assert np.isfinite(float(out.total.data)) and float(out.dist.data) > 0.0
 
     def test_mixed_grid_dist_is_mean_of_single_images(self):
         pipe = trainer.build_pipeline(ModelConfig(**self.NANO), seed=0)
@@ -238,7 +238,7 @@ class TestGridRuns:
         def dist(batch_samples):
             with T.no_grad():
                 out = trainer.compute_losses(pipe, data.pack_samples(batch_samples, 4, 64), "hybrid", "block_wise")
-            return out.dist.item()
+            return float(out.dist.data)
 
         singles = [dist([smp]) for smp in samples[:4]]
         assert abs(dist(samples) - np.mean(singles)) <= 1e-6
@@ -331,12 +331,12 @@ class TestTokenMajor:
         out = losses(samples)
         singles = [losses([smp]) for smp in samples]
         n_sup = [len(smp.answer_tokens) + 1 for smp in samples]  # answer and EOS
-        npt.assert_allclose(out.lm.item(), np.dot(n_sup, [o.lm.item() for o in singles]) / sum(n_sup), rtol=2e-6)
+        npt.assert_allclose(float(out.lm.data), np.dot(n_sup, [float(o.lm.data) for o in singles]) / sum(n_sup), rtol=2e-6)
         images = [o for smp, o in zip(samples, singles) if smp.image is not None]
         if not images:
-            assert out.dist.item() == 0.0 and out.per_block == []
+            assert float(out.dist.data) == 0.0 and out.per_block == []
             return
-        npt.assert_allclose(out.dist.item(), np.mean([o.dist.item() for o in images]), rtol=2e-6)
+        npt.assert_allclose(float(out.dist.data), np.mean([float(o.dist.data) for o in images]), rtol=2e-6)
         npt.assert_allclose(out.per_block, np.mean([o.per_block for o in images], axis=0), rtol=2e-6)
 
 
