@@ -5,7 +5,8 @@ Exit codes: 0 ok, 2 config error (a malformed file, an out-of-range
 value, data keys that do not fit the model that runs, or training
 batches that hold no image), 3 numeric abort, 4 merging or fine-tuning a
 checkpoint without unmerged adapters, or a corrupt or incomplete
-checkpoint.
+checkpoint, 5 the shard worker of a two-shard training run died or gave
+no answer in time (the message names the step).
 Set VORA_LOG=debug for per-step logging (default: info).
 """
 
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_STATE = 4
+EXIT_WORKER = 5
 
 
 def _setup_logging():
@@ -226,6 +228,9 @@ def main(argv=None):
     except (lora.MergeStateError, checkpoint.CheckpointError) as exc:
         log.error("state error: %s", exc)
         return EXIT_STATE
+    except trainer.ShardWorkerError as exc:
+        log.error("shard worker error: %s", exc)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .distill import supervised
 from .model import SequenceLayout
 from .vision import patchify
 
@@ -267,6 +268,28 @@ class PackedBatch:
     layouts: list
     patches: np.ndarray  # [n_vision, patch*patch*3]: every image's patch rows, image after image
     grids: list  # (rows, cols) | None per sequence
+    whole: tuple | None = None  # (supervised positions, images) of the batch this is a shard of
+
+    def shards(self, n):
+        """The batch dealt into min(n, B) shards, sequence i to shard i % n:
+        each a batch of its own (tokens trimmed to its longest sequence, its
+        layouts, grids and patch rows) whose ``whole`` holds the loss
+        normalisers of this batch. Dealing alternates because the images
+        lead the batch (``pack_samples``). One shard is the batch itself."""
+        count = min(n, len(self.layouts))
+        if count == 1:
+            return [self]
+        starts = np.cumsum([0] + [lay.n_vision for lay in self.layouts])
+        whole = (int(supervised(self.layouts, self.tokens.shape[1]).sum()), self.n_image)
+        out = []
+        for k in range(count):
+            seqs = range(k, len(self.layouts), count)
+            layouts = self.layouts[k::count]
+            width = max(lay.length for lay in layouts)
+            out.append(PackedBatch(np.ascontiguousarray(self.tokens[k::count, :width]), layouts,
+                                   np.concatenate([self.patches[starts[i]:starts[i + 1]] for i in seqs]),
+                                   self.grids[k::count], whole))
+        return out
 
     @property
     def n_image(self):

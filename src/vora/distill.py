@@ -78,8 +78,10 @@ def supervised(layouts, s):
     return live
 
 
-def lm_loss(logits, layouts, tokens):
-    """Next-token cross entropy, the mean over supervised positions only.
+def lm_loss(logits, layouts, tokens, n=None):
+    """Next-token cross entropy, the mean over supervised positions only
+    (their sum over n, the supervised positions of the whole batch, for
+    a shard of it).
 
     tokens: [B, S] int array of packed ids; layouts: one SequenceLayout
     per sequence. Position t is supervised iff supervise_from <= t <
@@ -87,7 +89,7 @@ def lm_loss(logits, layouts, tokens):
     predictions of the supervised positions, in the row-major order of
     ``supervised``, so padding and unsupervised positions never count.
     """
-    return T.cross_entropy(logits, tokens[:, 1:][supervised(layouts, tokens.shape[1])])
+    return T.cross_entropy(logits, tokens[:, 1:][supervised(layouts, tokens.shape[1])], n)
 
 
 def total_loss(distill, lm):

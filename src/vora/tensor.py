@@ -489,12 +489,13 @@ def softmax_rows(a, additive_mask):
     return _make(probs, (a,), bwd)
 
 
-def cross_entropy(logits, targets):
-    """Mean over all t rows of the negative log-softmax probability of
-    the row's target.
+def cross_entropy(logits, targets, n=None):
+    """Sum over all t rows of the negative log-softmax probability of
+    the row's target, divided by n (default t: the mean).
 
     logits: [t, V] with t >= 1; targets: int ids in [0, V). A caller that
-    supervises only some rows computes only those (``trainer.compute_losses``).
+    supervises only some rows computes only those (``trainer.compute_losses``),
+    and a shard of a batch divides by the batch's row count.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects [t, V] logits, got {logits.data.shape}")
@@ -507,10 +508,11 @@ def cross_entropy(logits, targets):
     if targets.min() < 0 or targets.max() >= v:
         raise ValueError(f"target id out of range [0, {v})")
     nll, probs = kernels.ce_fwd(logits.data, targets)
-    loss = np.float32(nll.sum(dtype=np.float64) / t)
+    n = t if n is None else n
+    loss = np.float32(nll.sum(dtype=np.float64) / n)
 
     def bwd(g):
-        _accum(logits, kernels.ce_bwd(probs, targets, float(g) / t))
+        _accum(logits, kernels.ce_bwd(probs, targets, float(g) / n))
 
     return _make(np.asarray(loss), (logits,), bwd)
 

@@ -3,9 +3,22 @@
 merged; distillation removed; full model + vision embed trainable). Plus
 AdamW, the ablation runner, held-out metrics, and the full-unfreeze
 instability probe.
+
+A training run takes two processes where it can (``_two_shards``: batches
+of two or more sequences, two CPUs this process may run on, and fork):
+each step deals the batch's sequences alternately into two shards; this
+process runs shard 0 and one worker, forked once per run, runs shard 1.
+Both use the whole batch's loss normalisers, so the two gradients sum to
+the batch's gradient (up to float32 reassociation). The trainable
+weights live in a shared mapping that only this process writes; the
+worker sends back its losses and its gradients, which are added to
+shard 0's before AdamW, which runs here alone. Elsewhere there is no
+worker and the whole step runs here.
 """
 
 import csv
+import mmap
+import os
 import statistics
 from dataclasses import dataclass, field, replace
 
@@ -21,8 +34,13 @@ BETA1, BETA2 = 0.9, 0.999
 ADAM_EPS = 1e-8
 SPIKE_WINDOW, SPIKE_FACTOR = 50, 2.0  # full_llm_probe: a spike exceeds FACTOR x the trailing WINDOW's median
 WARM_LR, WARM_BATCH = 1e-3, 16  # warm_teacher's lr and images per step
+WORKER_TIMEOUT_S = 600.0  # longest wait for the shard worker's answer
 
 TRAIN_MODES = ("pretrain", "finetune", "full_llm_unstable")
+
+
+class ShardWorkerError(RuntimeError):
+    """The shard worker died, or gave no answer within WORKER_TIMEOUT_S."""
 
 
 class TrainAbort(RuntimeError):
@@ -210,7 +228,9 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
     block's term is one weighted cosine over all vision rows of its tap
     against one teacher pass over every patch, row weight
     1/(n_image * S_image): the mean over images of their per-image
-    cosine loss.
+    cosine loss. A shard of a batch (``PackedBatch.shards``) takes both
+    normalisers, the supervised positions and n_image, from the whole
+    batch, so the shards' losses and gradients sum to the batch's.
     """
     if distill_mode not in distill.DISTILL_MODES:
         raise ValueError(f"unknown distill_mode {distill_mode!r}")
@@ -218,9 +238,10 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
     need_distill = distill_mode != "none" and batch.n_image > 0
     rows = batch.rows
     head_rows = rows[:, :-1][distill.supervised(batch.layouts, rows.shape[1])]
+    n_lm, n_image = batch.whole or (None, batch.n_image)
     logits, taps = pipe.model.forward(embed_batch(pipe, batch), batch_masks(batch, mask_mode), pipe.adapters,
                                       collect_taps=need_distill, rows=rows, logit_rows=head_rows)
-    lm = distill.lm_loss(logits, batch.layouts, batch.tokens)
+    lm = distill.lm_loss(logits, batch.layouts, batch.tokens, n_lm)
 
     if not need_distill:
         dist = T.constant(np.zeros((), dtype=np.float32))
@@ -230,7 +251,7 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
         raise T.ShapeError(f"{len(pipe.heads)} aux heads for {cfg.n_vit} distilled blocks")
     runs = batch.runs
     states = pipe.teacher.forward_batch(batch.patches, runs)  # per block [n_vision, d_vit]
-    weights = np.concatenate([np.full(n * r * c, 1.0 / (batch.n_image * r * c), dtype=np.float32)
+    weights = np.concatenate([np.full(n * r * c, 1.0 / (n_image * r * c), dtype=np.float32)
                               for (r, c), n in runs])
     vision = T.RowIndex(np.arange(batch.n_vision))  # the taps' vision rows lead the flat order
     per_block_t = [distill.block_distill_loss(T.gather_rows(taps[blk], vision), states[blk],
@@ -314,22 +335,190 @@ def _partition(pipe, tcfg):
 
 
 # ---------------------------------------------------------------------------
+# the shard worker
+
+def _shared(arrays):
+    """Copies of the float32 arrays, as views into one new anonymous
+    shared mapping: a process forked afterwards shares their memory."""
+    sizes = [a.size for a in arrays]
+    flat = np.frombuffer(mmap.mmap(-1, 4 * max(sum(sizes), 1)), dtype=np.float32)
+    views = [flat[o:o + a.size].reshape(a.shape) for o, a in zip(np.cumsum([0] + sizes), arrays)]
+    for view, a in zip(views, arrays):
+        view[...] = a
+    return views
+
+
+def _set_blas_threads(n):
+    """Set the loaded OpenBLAS's thread count to n and return the count it
+    had; None, and nothing set, where no OpenBLAS is found. Two shards run
+    one BLAS thread each: with two each on a 2-CPU host, the spinning BLAS
+    threads of both processes took turns and a step took three times as
+    long as with one shard."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas{}64_", "openblas{}64_", "scipy_openblas{}", "openblas{}"):
+            get, put = (getattr(lib, name.format(f"_{verb}_num_threads"), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                put(n)
+                return before
+    return None
+
+
+def _serve(conn, parent_end, pipe, tensors, grads, mask_mode, distill_mode):
+    """The worker's loop: per shard received, zero the grads, run the
+    forward and the backward, write the gradients into ``grads`` and send
+    one answer: the losses and which tensors got a gradient. A failure is
+    sent as its exception. Returns when the main process closes its end,
+    or on Ctrl-C, which the main process handles."""
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    parent_end.close()
+    try:
+        while True:
+            shard = conn.recv()
+            try:
+                for t in tensors:
+                    t.grad = None
+                T.active_tape().reset()
+                out = compute_losses(pipe, shard, mask_mode, distill_mode)
+                T.backward(out.total)
+                for t, g in zip(tensors, grads):
+                    if t.grad is not None:
+                        g[...] = t.grad
+                conn.send((float(out.lm.data), float(out.dist.data), out.per_block,
+                           [t.grad is not None for t in tensors]))
+            except Exception as exc:  # raised again in the main process, this traceback its cause
+                conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
+    except (EOFError, OSError, KeyboardInterrupt):
+        return
+
+
+def _two_shards(tcfg):
+    """Whether a run splits its steps between this process and a worker:
+    batches of two or more sequences, at least one step, two CPUs this
+    process may run on, and fork. On one CPU two shards only take turns."""
+    if tcfg.batch_size < 2 or tcfg.total_steps < 1:
+        return False
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    import multiprocessing  # here, not at import: only a run that shards pays for it
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+class _ShardWorker:
+    """Shard 1 of every step, in one forked process.
+
+    Made after ``_partition``: the trainable tensors' arrays move into one
+    shared mapping, in ``Pipeline.groups()`` order, that only the main
+    process writes (AdamW), and the worker returns its gradients through a
+    second one. Per step the main process sends shard 1 (``send``), runs
+    shard 0 and its backward, then takes shard 1's answer (``combine``)."""
+
+    def __init__(self, pipe, trainable, mask_mode, distill_mode):
+        import multiprocessing
+
+        self.tensors = list(trainable.values())
+        self.grads = _shared([np.zeros(t.shape, dtype=np.float32) for t in self.tensors])
+        # fork, not spawn: the worker takes the pipeline and the mappings as they are, unpickled
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, pipe, self.tensors,
+                                                                  self.grads, mask_mode, distill_mode))
+        self.blas_threads = _set_blas_threads(1)  # the worker inherits the count
+        for t, view in zip(self.tensors, _shared([t.data for t in self.tensors])):
+            t.data = view
+        try:
+            self.proc.start()
+        except BaseException:
+            self.conn.close()
+            self._release()
+            raise
+        finally:
+            child_end.close()
+
+    def send(self, step, shard):
+        try:
+            self.conn.send(shard)
+        except OSError:
+            raise self._dead(step) from None
+
+    def _dead(self, step):
+        self.proc.join(1.0)
+        return ShardWorkerError(f"step {step}: the shard worker died (exit code {self.proc.exitcode})")
+
+    def combine(self, out, trainable, step):
+        """Shard 1's answer added to shard 0's: its gradients to the
+        trainable tensors' (in place, shard 0 += shard 1) and its losses to
+        ``out``. Returns the whole batch's LossOut."""
+        if not self.conn.poll(WORKER_TIMEOUT_S):
+            raise ShardWorkerError(f"step {step}: the shard worker gave no answer in {WORKER_TIMEOUT_S:g} s")
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._dead(step) from None
+        if isinstance(msg, Exception):
+            raise msg
+        lm, dist, per_block, got = msg
+        for p, g, has in zip(trainable.values(), self.grads, got):
+            if has and p.grad is None:
+                p.grad = g.copy()
+            elif has:
+                p.grad += g
+        lm = T.constant(out.lm.data + np.float32(lm))
+        dist = T.constant(out.dist.data + np.float32(dist))
+        if out.per_block and per_block:  # a shard without an image has no per-block terms
+            per_block = [a + b for a, b in zip(out.per_block, per_block)]
+        return LossOut(distill.total_loss(dist, lm), lm, dist, per_block or out.per_block)
+
+    def _release(self):
+        """Give the trainable tensors private arrays and BLAS its thread count back."""
+        for t in self.tensors:
+            t.data = t.data.copy()
+        if self.blas_threads is not None:
+            _set_blas_threads(self.blas_threads)
+
+    def close(self):
+        """End the worker, then ``_release``."""
+        self.conn.close()
+        self.proc.join(1.0)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+        self._release()
+
+
+# ---------------------------------------------------------------------------
 # training loops
 
-def train_step(state, tcfg, step, loss_fn):
+def train_step(state, tcfg, step, loss_fn, worker=None):
     """The one step body every loop shares: zero the grads, start a fresh
-    tape, run ``loss_fn() -> LossOut``, abort on a non-finite loss,
-    backprop its total, then AdamW at lr_at(tcfg, step).
-    Returns (LossOut, lr)."""
+    tape, run ``loss_fn() -> LossOut``, backprop its total, abort on a
+    non-finite loss, then AdamW at lr_at(tcfg, step). With ``worker``,
+    which runs shard 1 of the step while ``loss_fn`` runs shard 0, the
+    losses checked and returned are the whole batch's, and AdamW takes the
+    sum of both shards' gradients. Returns (LossOut, lr)."""
     for p in state.trainable.values():
         p.grad = None
     T.active_tape().reset()
     out = loss_fn()
+    T.backward(out.total)
+    if worker is not None:
+        out = worker.combine(out, state.trainable, step)
     lm_val = float(out.lm.data)
     dist_val = float(out.dist.data)
     if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
         raise TrainAbort(step, lm_val, dist_val)
-    T.backward(out.total)
     lr = lr_at(tcfg, step)
     adamw_step(state, lr, tcfg)
     return out, lr
@@ -345,22 +534,38 @@ def batch_draws(pipe, tcfg, dcfg):
 
 def train_loop(pipe, tcfg, batches, metrics_sink=None):
     """The one step loop: tcfg.total_steps steps, step i on the i-th batch
-    of the iterable ``batches``; returns the per-step metrics list."""
+    of the iterable ``batches``; returns the per-step metrics list.
+
+    Where ``_two_shards`` holds, each batch of two or more sequences splits
+    into two shards (``PackedBatch.shards``): this process runs shard 0 and
+    a worker forked for the run runs shard 1. The worker ends with the
+    loop, however the loop ends."""
     state = TrainState.create(_partition(pipe, tcfg))
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
 
     metrics = []
-    for step, batch in zip(range(tcfg.total_steps), batches):
-        out, lr = train_step(state, tcfg, step,
-                             lambda: compute_losses(pipe, batch, tcfg.mask_mode, distill_mode))
-        rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
-        if use_distill:
-            rec["distill_loss"] = float(out.dist.data)
-            rec["per_block"] = out.per_block
-        metrics.append(rec)
-        if metrics_sink is not None:
-            metrics_sink(rec)
+    worker = None
+    try:
+        if _two_shards(tcfg):
+            worker = _ShardWorker(pipe, state.trainable, tcfg.mask_mode, distill_mode)
+        for step, batch in zip(range(tcfg.total_steps), batches):
+            first, *rest = batch.shards(1 if worker is None else 2)
+            for shard in rest:
+                worker.send(step, shard)
+            out, lr = train_step(state, tcfg, step,
+                                 lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode),
+                                 worker if rest else None)
+            rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
+            if use_distill:
+                rec["distill_loss"] = float(out.dist.data)
+                rec["per_block"] = out.per_block
+            metrics.append(rec)
+            if metrics_sink is not None:
+                metrics_sink(rec)
+    finally:
+        if worker is not None:
+            worker.close()
     return metrics
 
 

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -128,6 +129,31 @@ class TestCli:
     def test_missing_seed_exits_2(self, tmp_path):
         cfg_path = write(tmp_path, "total_steps=1\n")
         assert cli.main(["pretrain", cfg_path, str(tmp_path / "x")]) == 2
+
+    def test_a_dead_shard_worker_exits_5_naming_the_step(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: True)
+        main, real = os.getpid(), trainer.compute_losses
+        monkeypatch.setattr(trainer, "compute_losses",
+                            lambda *args: real(*args) if os.getpid() == main else os._exit(1))
+        cfg_path = write(tmp_path, BASE_CFG)
+        assert cli.main(["pretrain", cfg_path, str(tmp_path / "x")]) == cli.EXIT_WORKER == 5
+        assert "step 0: the shard worker died" in caplog.text
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_value_error_in_either_shard_leaves_the_cli_alike(self, tmp_path, monkeypatch, shards):
+        # raised in the main process with one shard, in the worker alone with two
+        main, real = os.getpid(), trainer.compute_losses
+
+        def losses(*args):
+            if shards == 2 and os.getpid() == main:
+                return real(*args)
+            raise ValueError("fault in a shard")
+
+        monkeypatch.setattr(trainer, "compute_losses", losses)
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: shards == 2)
+        cfg_path = write(tmp_path, BASE_CFG)
+        with pytest.raises(ValueError, match="fault in a shard"):
+            cli.main(["pretrain", cfg_path, str(tmp_path / "x")])
 
     def test_nan_abort_exits_3(self, tmp_path):
         cfg_path = write(tmp_path, "seed=0\nlr=1e30\nwarmup_steps=0\ntotal_steps=30\nbatch_size=2\n")

@@ -219,3 +219,42 @@ class TestMakeBatch:
         # 400 image rows reach the largest grid with a longest caption; none is longer
         batch = make_batch(np.random.default_rng(5), 400, image_fraction=1.0, dcfg=dcfg, max_seq=300)
         assert batch.tokens.shape[1] == data.max_packed_len(dcfg)
+
+
+def _patch_blocks(batch):
+    """Each sequence's patch rows, in sequence order."""
+    starts = np.cumsum([0] + [lay.n_vision for lay in batch.layouts])
+    return [batch.patches[a:b] for a, b in zip(starts, starts[1:])]
+
+
+class TestShards:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch_size=st.integers(1, 16),
+           kind=st.sampled_from(["fixed", "anyres", "text"]), image_fraction=st.floats(0.0, 1.0))
+    def test_two_shards_recompose_the_batch(self, seed, batch_size, kind, image_fraction):
+        batch = make_batch(np.random.default_rng(seed), batch_size,
+                           image_fraction=0.0 if kind == "text" else image_fraction,
+                           dcfg=data.DataConfig(anyres=kind == "anyres"))
+        shards = batch.shards(2)
+        if batch_size == 1:
+            assert len(shards) == 1 and shards[0] is batch
+            return
+        assert len(shards) == 2 and batch.shards(1)[0] is batch
+        supervised = sum(lay.length - lay.supervise_from for lay in batch.layouts)
+        blocks = [_patch_blocks(s) for s in shards]
+        for i, lay in enumerate(batch.layouts):
+            shard, row = shards[i % 2], i // 2
+            assert shard.layouts[row] == lay and shard.grids[row] == batch.grids[i]
+            npt.assert_array_equal(shard.tokens[row, :lay.length], batch.tokens[i, :lay.length])
+            assert (shard.tokens[row, lay.length:] == PAD).all()
+            npt.assert_array_equal(blocks[i % 2][row], _patch_blocks(batch)[i])
+        for shard in shards:
+            assert shard.whole == (supervised, batch.n_image)
+            assert shard.tokens.shape[1] == max(lay.length for lay in shard.layouts)
+            assert shard.tokens.flags.c_contiguous and shard.tokens.dtype == batch.tokens.dtype
+        counts = {}
+        for shard in shards:
+            for grid, n in shard.runs:
+                counts[grid] = counts.get(grid, 0) + n
+        assert counts == dict(batch.runs)
+        assert shards[0].n_image + shards[1].n_image == batch.n_image

@@ -1,19 +1,23 @@
 """Property checks over small random model configs (hypothesis,
 derandomized): the token-major training forward, the teacher on a
 mixed-grid stack and the cached greedy decode, each against a plain
-oracle of the tests. Every oracle mask comes from the tests' own rule
+oracle of the tests, and a two-shard training step against the
+one-shard step. Every oracle mask comes from the tests' own rule
 (``test_mask.oracle_mask``), never from vora."""
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vora.tensor as T
-from vora import lora
+from vora import data, lora
 from vora.model import MASK_MODES, Model, ModelConfig, SequenceLayout, decode_greedy, is_norm_gain
 from vora.vision import Teacher, patchify
 
 from test_mask import oracle_mask
+from test_trainer import assert_steps_match, one_step
 from test_model import full_recompute_decode, straightline_forward
 from test_vision import straightline_teacher
 
@@ -120,3 +124,15 @@ def test_cached_decode_ids_match_full_recompute(cfg, prefix, batch, data):
         for row, got in zip(emb, ids, strict=True):
             want, _ = full_recompute_decode(model, T.constant(row), lay, -1, 6, adapters, mode)
             assert got == want
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(cfg=configs().filter(lambda cfg: cfg.d_vit > 1), batch_size=st.integers(2, 6), anyres=st.booleans(),
+       mask_mode=st.sampled_from(MASK_MODES))
+def test_two_shard_step_equals_one_shard_step(cfg, batch_size, anyres, mask_mode):
+    # a 1-wide teacher makes every cosine +-1: its gradient is zero and
+    # computes as float32 noise, which no relative bound holds
+    cfg = replace(cfg, vocab=data.VOCAB_SIZE, max_seq=80)
+    dcfg = data.DataConfig(resolution=(8, 8), patch=2, anyres=anyres, anyres_min=8, anyres_max=12)
+    steps = [one_step(cfg, dcfg, shards, batch_size=batch_size, mask_mode=mask_mode) for shards in (1, 2)]
+    assert_steps_match(steps[1], steps[0])

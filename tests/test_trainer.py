@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -193,6 +196,209 @@ class TestPretrain:
         lora.merge_all(pipe.model, pipe.adapters)
         with pytest.raises(lora.MergeStateError):
             trainer.pretrain(pipe, tcfg, dcfg)
+
+
+def one_step(mcfg, dcfg, shards, mode="pretrain", **train):
+    """One training step at lr 2e-4 (no warmup) in 1 or 2 shards: its
+    metrics record, then name -> gradient and name -> weights after AdamW
+    of every trained tensor."""
+    tcfg = trainer.TrainConfig(seed=0, total_steps=1, warmup_steps=0, mode=mode, **train)
+    pipe = trainer.build_pipeline(mcfg, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "_two_shards", lambda tcfg: shards == 2)
+        _, (rec,) = (trainer.finetune if mode == "finetune" else trainer.pretrain)(pipe, tcfg, dcfg)
+    trained = {n: t for n, t in trainer.collect_state(pipe).items() if t.requires_grad}
+    return rec, {n: t.grad for n, t in trained.items()}, {n: t.data for n, t in trained.items()}
+
+
+def assert_steps_match(got, want, rel=1e-5):
+    """Two ``one_step`` results agree within rel: each loss, per-block term
+    and gradient at most rel times its largest magnitude off, and each
+    updated tensor at most rel off in norm. The first AdamW step moves a
+    zero-initialised adapter entry by lr * g / (|g| + 1e-8), so an entry
+    whose gradient is near 1e-8 carries its gradient's own float32 error
+    (up to 1e-3 of the entry) at full size: in the largest entry the
+    weights differ by up to 2.5e-4 at the default config, in norm by at
+    most 5.5e-6."""
+    (rec, grads, weights), (rec_want, grads_want, weights_want) = got, want
+    assert set(rec) == set(rec_want)
+    for key in ("total_loss", "lm_loss", "distill_loss"):
+        if key in rec:
+            assert abs(rec[key] - rec_want[key]) <= rel * abs(rec_want[key]), key
+    assert len(rec.get("per_block", [])) == len(rec_want.get("per_block", []))
+    for a, b in zip(rec.get("per_block", []), rec_want.get("per_block", [])):
+        assert abs(a - b) <= rel * abs(b)
+    assert set(grads) == set(grads_want)
+    for name in grads:
+        assert np.abs(grads[name] - grads_want[name]).max() <= rel * np.abs(grads_want[name]).max(), name
+        diff = np.linalg.norm(weights[name] - weights_want[name])
+        assert diff <= rel * np.linalg.norm(weights_want[name]), name
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every shard worker a test starts, in start order; every run of the
+    test takes two shards, whatever the host."""
+    monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: True)
+    made = []
+    init = trainer._ShardWorker.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(trainer._ShardWorker, "__init__", record)
+    return made
+
+
+def assert_gone(workers, count=1):
+    """count workers ran, each has exited and been reaped, and no child process is left."""
+    assert len(workers) == count
+    for w in workers:
+        assert w.proc.exitcode is not None
+        with pytest.raises(ProcessLookupError):
+            os.kill(w.proc.pid, 0)
+    assert multiprocessing.active_children() == []
+
+
+def in_worker(fn):
+    """A compute_losses that runs fn() instead in any process but this one."""
+    main, real = os.getpid(), trainer.compute_losses
+
+    def patched(*args):
+        return real(*args) if os.getpid() == main else fn()
+
+    return patched
+
+
+class TestShards:
+    @pytest.mark.parametrize("mode, anyres, mask_mode", [
+        ("pretrain", False, "hybrid"), ("pretrain", True, "hybrid"), ("pretrain", False, "causal"),
+        ("pretrain", True, "causal"), ("finetune", False, "hybrid"),
+    ])
+    def test_two_shard_step_equals_one_shard_step(self, mode, anyres, mask_mode):
+        dcfg = data.DataConfig(anyres=anyres)
+        steps = [one_step(ModelConfig(), dcfg, shards, mode=mode, mask_mode=mask_mode) for shards in (1, 2)]
+        assert_steps_match(steps[1], steps[0])
+
+    def test_the_worker_ends_with_the_loop_and_leaves_private_arrays(self, workers):
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=3, warmup_steps=1)
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        trainer.pretrain(pipe, tcfg, dcfg)
+        assert_gone(workers)
+        assert all(t.data.flags.owndata for t in trainer.collect_state(pipe).values() if t.requires_grad)
+
+    def test_one_shard_starts_no_worker(self, workers, monkeypatch):
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: False)
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=2, warmup_steps=1)
+        trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert_gone(workers, count=0)
+
+    def test_two_shards_need_two_sequences_a_step_two_cpus_and_fork(self, monkeypatch):
+        tcfg = trainer.TrainConfig(seed=0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+        assert trainer._two_shards(tcfg)
+        assert not trainer._two_shards(trainer.TrainConfig(seed=0, batch_size=1))
+        assert not trainer._two_shards(trainer.TrainConfig(seed=0, total_steps=0))
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert not trainer._two_shards(tcfg)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert not trainer._two_shards(tcfg)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert not trainer._two_shards(tcfg)
+
+    def test_a_failed_fork_leaves_blas_and_the_weights_as_they_were(self, workers, monkeypatch):
+        before = trainer._set_blas_threads(2)
+        if before is None:
+            pytest.skip("no OpenBLAS library is loaded")
+
+        def no_fork(self):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        mcfg, tcfg, dcfg = small_cfgs()
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        try:
+            with pytest.raises(OSError, match="cannot fork"):
+                trainer.pretrain(pipe, tcfg, dcfg)
+            assert trainer._set_blas_threads(before) == 2
+        finally:
+            trainer._set_blas_threads(before)
+        assert all(t.data.flags.owndata for t in trainer.collect_state(pipe).values() if t.requires_grad)
+        assert_gone(workers, count=0)
+
+    def test_a_raising_metrics_sink_ends_the_worker(self, workers):
+        class Stop(Exception):
+            pass
+
+        def sink(rec):
+            if rec["step"] == 1:
+                raise Stop
+
+        mcfg, tcfg, dcfg = small_cfgs()
+        with pytest.raises(Stop):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg, metrics_sink=sink)
+        assert_gone(workers)
+
+    def test_a_numeric_abort_ends_the_worker(self, workers):
+        tcfg = trainer.TrainConfig(lr=1e30, warmup_steps=0, total_steps=30, batch_size=2, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(trainer.TrainAbort, match="step"):
+            trainer.pretrain(trainer.build_pipeline(ModelConfig(), seed=0), tcfg, data.DataConfig())
+        assert_gone(workers)
+
+    @pytest.mark.parametrize("exc", [T.ShapeError("shape fault in shard 1"), ValueError("value fault in shard 1")])
+    def test_a_worker_exception_is_raised_as_itself(self, workers, monkeypatch, exc):
+        def fail():
+            raise exc
+
+        monkeypatch.setattr(trainer, "compute_losses", in_worker(fail))
+        mcfg, tcfg, dcfg = small_cfgs()
+        with pytest.raises(type(exc), match="in shard 1"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert_gone(workers)
+
+    def test_a_dead_worker_raises_shard_worker_error(self, workers, monkeypatch):
+        monkeypatch.setattr(trainer, "compute_losses", in_worker(lambda: os._exit(7)))
+        mcfg, tcfg, dcfg = small_cfgs()
+        with pytest.raises(trainer.ShardWorkerError, match="step 0: the shard worker died"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert_gone(workers)
+
+    def test_a_silent_worker_times_out(self, workers, monkeypatch):
+        monkeypatch.setattr(trainer, "WORKER_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(trainer, "compute_losses", in_worker(lambda: time.sleep(60)))
+        mcfg, tcfg, dcfg = small_cfgs()
+        start = time.perf_counter()
+        with pytest.raises(trainer.ShardWorkerError, match="step 0: the shard worker gave no answer in 0.5 s"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert time.perf_counter() - start < 30
+        assert_gone(workers)
+
+    def test_blas_runs_one_thread_during_a_two_shard_run_only(self, workers):
+        before = trainer._set_blas_threads(2)
+        if before is None:
+            pytest.skip("no OpenBLAS library is loaded")
+        during = []
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=2, warmup_steps=1)
+        try:
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg,
+                             metrics_sink=lambda rec: during.append(trainer._set_blas_threads(1)))
+            assert during == [1, 1]
+            assert trainer._set_blas_threads(before) == 2
+        finally:
+            trainer._set_blas_threads(before)
+
+    def test_the_worker_exits_when_the_main_end_closes(self):
+        pipe = trainer.build_pipeline(ModelConfig(), seed=0)
+        worker = trainer._ShardWorker(pipe, trainer._partition(pipe, trainer.TrainConfig(seed=0)),
+                                      "hybrid", "block_wise")
+        worker.conn.close()
+        worker.proc.join(10)
+        assert worker.proc.exitcode == 0
+        worker.close()
+        assert multiprocessing.active_children() == []
 
 
 class TestOwners:

@@ -18,6 +18,10 @@ quartiles: a ratio below 1 means the tree is faster.
 
 BLAS runs on one thread. The script uses `trainer._partition`,
 `TrainState`, `train_step` and `compute_losses`, so REV must have them.
+
+It measures the one-shard step body only: `train_step` without a shard
+worker, on the whole batch, in this process's CPU time, which cannot see
+a worker's half of a step. A claim about two-shard steps rests on `perfbench/run.py` pairs, which time steps in wall time.
 """
 
 import argparse
