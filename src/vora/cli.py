@@ -5,7 +5,7 @@ Exit codes: 0 ok, 2 config error (a malformed file, an out-of-range
 value, data keys that do not fit the model that runs, or training
 batches that hold no image), 3 numeric abort, 4 merging or fine-tuning a
 checkpoint without unmerged adapters, or a corrupt or incomplete
-checkpoint, 5 the shard worker of a two-shard training run died or gave
+checkpoint, 5 the forked shard worker of a training run died or gave
 no answer in time (the message names the step).
 Set VORA_LOG=debug for per-step logging (default: info).
 """
@@ -176,40 +176,26 @@ def cmd_ablate(args):
     return EXIT_OK
 
 
+COMMANDS = (  # name, function, help, positional arguments
+    ("pretrain", cmd_pretrain, "stage-1 training: frozen base, adapters learn vision", ("config", "out_dir")),
+    ("finetune", cmd_finetune, "stage-2 training: merge adapters, train the full model",
+     ("checkpoint", "config", "out_dir")),
+    ("merge", cmd_merge, "fold adapters into the base weights", ("checkpoint_in", "checkpoint_out")),
+    ("eval", cmd_eval, "held-out metrics for a checkpoint", ("checkpoint", "config")),
+    ("gradcheck", cmd_gradcheck, "finite-difference verification of all gradients", ("config",)),
+    ("ablate", cmd_ablate, "mask/distill/rank grid with fixed data order", ("config", "out_dir")),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="vora", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pretrain", help="stage-1 training: frozen base, adapters learn vision")
-    p.add_argument("config")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_pretrain)
-
-    p = sub.add_parser("finetune", help="stage-2 training: merge adapters, train the full model")
-    p.add_argument("checkpoint")
-    p.add_argument("config")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_finetune)
-
-    p = sub.add_parser("merge", help="fold adapters into the base weights")
-    p.add_argument("checkpoint_in")
-    p.add_argument("checkpoint_out")
-    p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("eval", help="held-out metrics for a checkpoint")
-    p.add_argument("checkpoint")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("ablate", help="mask/distill/rank grid with fixed data order")
-    p.add_argument("config")
-    p.add_argument("out_dir")
-    p.set_defaults(func=cmd_ablate)
+    for name, func, help_text, positionals in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -270,25 +270,25 @@ class PackedBatch:
     grids: list  # (rows, cols) | None per sequence
     whole: tuple | None = None  # (supervised positions, images) of the batch this is a shard of
 
-    def shards(self, n):
-        """The batch dealt into min(n, B) shards, sequence i to shard i % n:
+    def shards(self):
+        """The batch dealt into two shards, sequence i to shard i % 2:
         each a batch of its own (tokens trimmed to its longest sequence, its
         layouts, grids and patch rows) whose ``whole`` holds the loss
         normalisers of this batch. Dealing alternates because the images
-        lead the batch (``pack_samples``). One shard is the batch itself."""
-        count = min(n, len(self.layouts))
-        if count == 1:
+        lead the batch (``pack_samples``). A one-sequence batch is its own
+        one shard."""
+        if len(self.layouts) == 1:
             return [self]
         starts = np.cumsum([0] + [lay.n_vision for lay in self.layouts])
         whole = (int(supervised(self.layouts, self.tokens.shape[1]).sum()), self.n_image)
         out = []
-        for k in range(count):
-            seqs = range(k, len(self.layouts), count)
-            layouts = self.layouts[k::count]
+        for k in range(2):
+            seqs = range(k, len(self.layouts), 2)
+            layouts = self.layouts[k::2]
             width = max(lay.length for lay in layouts)
-            out.append(PackedBatch(np.ascontiguousarray(self.tokens[k::count, :width]), layouts,
+            out.append(PackedBatch(np.ascontiguousarray(self.tokens[k::2, :width]), layouts,
                                    np.concatenate([self.patches[starts[i]:starts[i + 1]] for i in seqs]),
-                                   self.grids[k::count], whole))
+                                   self.grids[k::2], whole))
         return out
 
     @property

@@ -61,10 +61,11 @@ class ModelConfig:
     def validate(self):
         if self.n_vit > self.n_llm:
             raise ConfigError(f"n_vit ({self.n_vit}) must be <= n_llm ({self.n_llm})")
-        for name in ("n_llm", "n_vit", "d_model", "d_vit", "n_heads", "d_ff", "vocab", "patch", "rank",
-                     "max_seq", "vit_heads"):
+        for name in ("n_llm", "n_vit", "d_model", "n_heads", "d_ff", "vocab", "patch", "rank", "max_seq", "vit_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.d_vit < 2:
+            raise ConfigError(f"d_vit ({self.d_vit}) must be >= 2: at width 1 every distillation cosine is +-1")
         # an adapter's rank must stay below both sides of every adapted layer
         if self.rank >= min(self.d_model, self.d_ff):
             raise ConfigError(f"rank ({self.rank}) must be < min(d_model, d_ff) = {min(self.d_model, self.d_ff)}")

@@ -4,16 +4,13 @@ merged; distillation removed; full model + vision embed trainable). Plus
 AdamW, the ablation runner, held-out metrics, and the full-unfreeze
 instability probe.
 
-A training run takes two processes where it can (``_two_shards``: batches
-of two or more sequences, two CPUs this process may run on, and fork):
-each step deals the batch's sequences alternately into two shards; this
-process runs shard 0 and one worker, forked once per run, runs shard 1.
-Both use the whole batch's loss normalisers, so the two gradients sum to
-the batch's gradient (up to float32 reassociation). The trainable
-weights live in a shared mapping that only this process writes; the
-worker sends back its losses and its gradients, which are added to
-shard 0's before AdamW, which runs here alone. Elsewhere there is no
-worker and the whole step runs here.
+A training step on a batch of two or more sequences deals its sequences
+alternately into two shards that use the whole batch's loss normalisers,
+so their gradients sum to the batch's. Shard 1 runs first, in a worker
+forked for the run where ``_two_shards`` holds, else in this process;
+its answer comes back through one buffer and one ``combine`` and is
+added to shard 0's, which runs here, as does AdamW. Where shard 1 ran
+changes no bit of a run's results.
 """
 
 import csv
@@ -374,12 +371,10 @@ def _set_blas_threads(n):
     return None
 
 
-def _serve(conn, parent_end, pipe, tensors, grads, mask_mode, distill_mode):
-    """The worker's loop: per shard received, zero the grads, run the
-    forward and the backward, write the gradients into ``grads`` and send
-    one answer: the losses and which tensors got a gradient. A failure is
-    sent as its exception. Returns when the main process closes its end,
-    or on Ctrl-C, which the main process handles."""
+def _serve(conn, parent_end, run):
+    """The worker's loop: one answer, ``run(shard)``, per shard received.
+    A failure is sent as its exception. Returns when the main process
+    closes its end, or on Ctrl-C, which the main process handles."""
     from multiprocessing.pool import ExceptionWithTraceback
 
     parent_end.close()
@@ -387,16 +382,7 @@ def _serve(conn, parent_end, pipe, tensors, grads, mask_mode, distill_mode):
         while True:
             shard = conn.recv()
             try:
-                for t in tensors:
-                    t.grad = None
-                T.active_tape().reset()
-                out = compute_losses(pipe, shard, mask_mode, distill_mode)
-                T.backward(out.total)
-                for t, g in zip(tensors, grads):
-                    if t.grad is not None:
-                        g[...] = t.grad
-                conn.send((float(out.lm.data), float(out.dist.data), out.per_block,
-                           [t.grad is not None for t in tensors]))
+                conn.send(run(shard))
             except Exception as exc:  # raised again in the main process, this traceback its cause
                 conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
     except (EOFError, OSError, KeyboardInterrupt):
@@ -404,37 +390,85 @@ def _serve(conn, parent_end, pipe, tensors, grads, mask_mode, distill_mode):
 
 
 def _two_shards(tcfg):
-    """Whether a run splits its steps between this process and a worker:
-    batches of two or more sequences, at least one step, two CPUs this
-    process may run on, and fork. On one CPU two shards only take turns."""
+    """Whether shard 1 of each step runs in a forked worker rather than in
+    this process: batches of two or more sequences, at least one step, two
+    CPUs this process may run on, and fork. It decides where shard 1 runs,
+    never what a step computes. On one CPU two processes only take turns."""
     if tcfg.batch_size < 2 or tcfg.total_steps < 1:
         return False
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
-    import multiprocessing  # here, not at import: only a run that shards pays for it
+    import multiprocessing  # here, not at import: only a run that forks pays for it
 
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class _ShardWorker:
-    """Shard 1 of every step, in one forked process.
+class _SerialShard:
+    """Shard 1 of every step, run in this process before shard 0: ``send``
+    runs it at once, its gradients set aside in one buffer made per run,
+    and ``combine`` adds its answer to shard 0's."""
 
-    Made after ``_partition``: the trainable tensors' arrays move into one
-    shared mapping, in ``Pipeline.groups()`` order, that only the main
-    process writes (AdamW), and the worker returns its gradients through a
-    second one. Per step the main process sends shard 1 (``send``), runs
-    shard 0 and its backward, then takes shard 1's answer (``combine``)."""
+    def __init__(self, pipe, trainable, mask_mode, distill_mode):
+        self.pipe, self.modes = pipe, (mask_mode, distill_mode)
+        self.tensors = list(trainable.values())
+        self.grads = _shared([np.zeros(t.shape, dtype=np.float32) for t in self.tensors])
+
+    def run(self, shard):
+        """The one shard body, in whichever process runs shard 1: zero the
+        grads, run the forward and the backward on a fresh tape and write
+        the gradients into the shard-1 buffer. Returns the answer
+        ``combine`` takes: the losses and which tensors got a gradient."""
+        for t in self.tensors:
+            t.grad = None
+        T.active_tape().reset()
+        out = compute_losses(self.pipe, shard, *self.modes)
+        T.backward(out.total)
+        for t, g in zip(self.tensors, self.grads):
+            if t.grad is not None:
+                g[...] = t.grad
+        return float(out.lm.data), float(out.dist.data), out.per_block, [t.grad is not None for t in self.tensors]
+
+    def send(self, step, shard):
+        self.answer = self.run(shard)
+
+    def _answer(self, step):
+        return self.answer
+
+    def combine(self, out, step):
+        """Shard 1's answer added to shard 0's: its gradients to the
+        trainable tensors' (in place, shard 0 += shard 1) and its losses to
+        ``out``. Returns the whole batch's LossOut."""
+        lm, dist, per_block, got = self._answer(step)
+        for p, g, has in zip(self.tensors, self.grads, got):
+            if has and p.grad is None:
+                p.grad = g.copy()
+            elif has:
+                p.grad += g
+        lm = T.constant(out.lm.data + np.float32(lm))
+        dist = T.constant(out.dist.data + np.float32(dist))
+        if out.per_block and per_block:  # a shard without an image has no per-block terms
+            per_block = [a + b for a, b in zip(out.per_block, per_block)]
+        return LossOut(distill.total_loss(dist, lm), lm, dist, per_block or out.per_block)
+
+    def close(self):
+        pass
+
+
+class _ShardWorker(_SerialShard):
+    """Shard 1 of every step, in one forked process, which runs it while
+    this process runs shard 0. Made after ``_partition``: the trainable
+    tensors' arrays move into one shared mapping, in ``Pipeline.groups()``
+    order, that only this process writes (AdamW); the worker writes the
+    shard-1 buffer."""
 
     def __init__(self, pipe, trainable, mask_mode, distill_mode):
         import multiprocessing
 
-        self.tensors = list(trainable.values())
-        self.grads = _shared([np.zeros(t.shape, dtype=np.float32) for t in self.tensors])
+        super().__init__(pipe, trainable, mask_mode, distill_mode)
         # fork, not spawn: the worker takes the pipeline and the mappings as they are, unpickled
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, pipe, self.tensors,
-                                                                  self.grads, mask_mode, distill_mode))
+        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, self.run))
         self.blas_threads = _set_blas_threads(1)  # the worker inherits the count
         for t, view in zip(self.tensors, _shared([t.data for t in self.tensors])):
             t.data = view
@@ -457,10 +491,7 @@ class _ShardWorker:
         self.proc.join(1.0)
         return ShardWorkerError(f"step {step}: the shard worker died (exit code {self.proc.exitcode})")
 
-    def combine(self, out, trainable, step):
-        """Shard 1's answer added to shard 0's: its gradients to the
-        trainable tensors' (in place, shard 0 += shard 1) and its losses to
-        ``out``. Returns the whole batch's LossOut."""
+    def _answer(self, step):
         if not self.conn.poll(WORKER_TIMEOUT_S):
             raise ShardWorkerError(f"step {step}: the shard worker gave no answer in {WORKER_TIMEOUT_S:g} s")
         try:
@@ -469,17 +500,7 @@ class _ShardWorker:
             raise self._dead(step) from None
         if isinstance(msg, Exception):
             raise msg
-        lm, dist, per_block, got = msg
-        for p, g, has in zip(trainable.values(), self.grads, got):
-            if has and p.grad is None:
-                p.grad = g.copy()
-            elif has:
-                p.grad += g
-        lm = T.constant(out.lm.data + np.float32(lm))
-        dist = T.constant(out.dist.data + np.float32(dist))
-        if out.per_block and per_block:  # a shard without an image has no per-block terms
-            per_block = [a + b for a, b in zip(out.per_block, per_block)]
-        return LossOut(distill.total_loss(dist, lm), lm, dist, per_block or out.per_block)
+        return msg
 
     def _release(self):
         """Give the trainable tensors private arrays and BLAS its thread count back."""
@@ -501,11 +522,11 @@ class _ShardWorker:
 # ---------------------------------------------------------------------------
 # training loops
 
-def train_step(state, tcfg, step, loss_fn, worker=None):
+def train_step(state, tcfg, step, loss_fn, shard1=None):
     """The one step body every loop shares: zero the grads, start a fresh
     tape, run ``loss_fn() -> LossOut``, backprop its total, abort on a
-    non-finite loss, then AdamW at lr_at(tcfg, step). With ``worker``,
-    which runs shard 1 of the step while ``loss_fn`` runs shard 0, the
+    non-finite loss, then AdamW at lr_at(tcfg, step). With ``shard1``,
+    which was sent shard 1 of the step while ``loss_fn`` runs shard 0, the
     losses checked and returned are the whole batch's, and AdamW takes the
     sum of both shards' gradients. Returns (LossOut, lr)."""
     for p in state.trainable.values():
@@ -513,8 +534,8 @@ def train_step(state, tcfg, step, loss_fn, worker=None):
     T.active_tape().reset()
     out = loss_fn()
     T.backward(out.total)
-    if worker is not None:
-        out = worker.combine(out, state.trainable, step)
+    if shard1 is not None:
+        out = shard1.combine(out, step)
     lm_val = float(out.lm.data)
     dist_val = float(out.dist.data)
     if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
@@ -536,36 +557,33 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
     """The one step loop: tcfg.total_steps steps, step i on the i-th batch
     of the iterable ``batches``; returns the per-step metrics list.
 
-    Where ``_two_shards`` holds, each batch of two or more sequences splits
-    into two shards (``PackedBatch.shards``): this process runs shard 0 and
-    a worker forked for the run runs shard 1. The worker ends with the
-    loop, however the loop ends."""
+    A batch of two or more sequences trains as its two shards
+    (``PackedBatch.shards``), shard 1 in this process or in a worker
+    forked for the run (``_two_shards``), to the same bits either way.
+    The worker ends with the loop, however the loop ends."""
     state = TrainState.create(_partition(pipe, tcfg))
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
 
     metrics = []
-    worker = None
+    shard1 = (_ShardWorker if _two_shards(tcfg) else _SerialShard)(pipe, state.trainable, tcfg.mask_mode,
+                                                                    distill_mode)
     try:
-        if _two_shards(tcfg):
-            worker = _ShardWorker(pipe, state.trainable, tcfg.mask_mode, distill_mode)
         for step, batch in zip(range(tcfg.total_steps), batches):
-            first, *rest = batch.shards(1 if worker is None else 2)
+            first, *rest = batch.shards()
             for shard in rest:
-                worker.send(step, shard)
+                shard1.send(step, shard)
             out, lr = train_step(state, tcfg, step,
                                  lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode),
-                                 worker if rest else None)
+                                 shard1 if rest else None)
             rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
             if use_distill:
-                rec["distill_loss"] = float(out.dist.data)
-                rec["per_block"] = out.per_block
+                rec.update(distill_loss=float(out.dist.data), per_block=out.per_block)
             metrics.append(rec)
             if metrics_sink is not None:
                 metrics_sink(rec)
     finally:
-        if worker is not None:
-            worker.close()
+        shard1.close()
     return metrics
 
 
@@ -711,21 +729,14 @@ def run_ablation(cfg, tcfg, dcfg, grid, thresholds, budget_steps, csv_path=None)
         lm_curve = [m["lm_loss"] for m in metrics]
         curves[(mask_mode, distill_mode, rank)] = metrics
         final = smoothed(lm_curve, tcfg.log_window)[-1]
-        for thr in thresholds:
-            rows.append({
-                "mask_mode": mask_mode,
-                "distill_mode": distill_mode,
-                "rank": rank,
-                "threshold": thr,
-                "steps_to_threshold": steps_to_threshold(lm_curve, thr, tcfg.log_window),
-                "final_loss": final,
-            })
+        rows += [dict(zip(ABLATION_CSV_HEADER, (mask_mode, distill_mode, rank, thr,
+                                                steps_to_threshold(lm_curve, thr, tcfg.log_window), final)))
+                 for thr in thresholds]
     if csv_path:
         with open(csv_path, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=ABLATION_CSV_HEADER)
             writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
     return rows, curves
 
 

@@ -106,6 +106,24 @@ class TestCli:
         assert a[1:] == b[1:]
         assert a[0].startswith("# written:")
 
+    @pytest.mark.parametrize("command, lines", [
+        ("pretrain", ""), ("pretrain", "anyres=true"), ("pretrain", "mask_mode=causal"),
+        ("pretrain", "anyres=true\nmask_mode=causal"), ("pretrain", "mode=full_llm_unstable"), ("finetune", ""),
+    ])
+    def test_one_process_and_two_write_the_same_bytes(self, tmp_path, monkeypatch, command, lines):
+        # whether shard 1 runs in a worker or in the command's process changes no byte
+        cfg_path = write(tmp_path, f"seed=0\ntotal_steps=4\nwarmup_steps=1\n{lines}\n")
+        outs = []
+        for fork in (False, True):
+            monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: fork)
+            pretrained, out = tmp_path / f"pretrain_{fork}", tmp_path / f"{command}_{fork}"
+            assert cli.main(["pretrain", cfg_path, str(pretrained)]) == 0
+            if command == "finetune":
+                assert cli.main(["finetune", str(pretrained / "checkpoint.vora"), cfg_path, str(out)]) == 0
+            outs.append(out)
+        for artifact in ("metrics.jsonl", "checkpoint.vora"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
+
     def test_total_steps_zero_writes_init_checkpoint(self, tmp_path):
         cfg_path = write(tmp_path, "seed=0\ntotal_steps=0\n")
         out = tmp_path / "out"
@@ -141,7 +159,8 @@ class TestCli:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_value_error_in_either_shard_leaves_the_cli_alike(self, tmp_path, monkeypatch, shards):
-        # raised in the main process with one shard, in the worker alone with two
+        # `shards` counts the processes the two shards run in: with 1 the main
+        # process raises, with 2 the worker alone
         main, real = os.getpid(), trainer.compute_losses
 
         def losses(*args):
@@ -292,6 +311,7 @@ class TestCli:
         ("eval", "eval_captions=0"), ("ablate", "ablate_distills=none,bogus\nablate_steps=3"),
         ("pretrain", "resolution_h=96\nresolution_w=96"), ("pretrain", "anyres=true\nanyres_max=96"),
         ("pretrain", "max_seq=33"), ("pretrain", "vit_heads=0"), ("pretrain", "vit_heads=-2"),
+        ("pretrain", "d_vit=1\nvit_heads=1"),
         ("ablate", "log_window=0\nablate_steps=3"), ("ablate", "log_window=-1\nablate_steps=3"),
         ("ablate", "ablate_steps=0"), ("pretrain", "seed=-1"), ("pretrain", "lr=nan"),
         ("pretrain", "lr=inf"), ("ablate", "thresholds=4.0,nan\nablate_steps=3"),
@@ -322,6 +342,11 @@ class TestCli:
         before = sorted(tmp_path.iterdir())
         assert cli.main([command, *args]) == cli.EXIT_CONFIG
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_one_wide_teacher_exits_2_saying_why(self, tmp_path, caplog):
+        cfg_path = write(tmp_path, "seed=0\ntotal_steps=2\nwarmup_steps=1\nd_vit=1\nvit_heads=1\n")
+        assert cli.main(["pretrain", cfg_path, str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "d_vit (1) must be >= 2: at width 1 every distillation cosine is +-1" in caplog.text
 
     def test_eval_checks_max_seq_against_the_checkpoint_model(self, tmp_path, capsys):
         # 96x96 images need a max_seq of 162: more than the run config's own

@@ -235,11 +235,11 @@ class TestShards:
         batch = make_batch(np.random.default_rng(seed), batch_size,
                            image_fraction=0.0 if kind == "text" else image_fraction,
                            dcfg=data.DataConfig(anyres=kind == "anyres"))
-        shards = batch.shards(2)
+        shards = batch.shards()
         if batch_size == 1:
             assert len(shards) == 1 and shards[0] is batch
             return
-        assert len(shards) == 2 and batch.shards(1)[0] is batch
+        assert len(shards) == 2
         supervised = sum(lay.length - lay.supervise_from for lay in batch.layouts)
         blocks = [_patch_blocks(s) for s in shards]
         for i, lay in enumerate(batch.layouts):

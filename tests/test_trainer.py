@@ -198,28 +198,58 @@ class TestPretrain:
             trainer.pretrain(pipe, tcfg, dcfg)
 
 
-def one_step(mcfg, dcfg, shards, mode="pretrain", **train):
-    """One training step at lr 2e-4 (no warmup) in 1 or 2 shards: its
-    metrics record, then name -> gradient and name -> weights after AdamW
-    of every trained tensor."""
+def one_step(mcfg, dcfg, fork, mode="pretrain", **train):
+    """One training step at lr 2e-4 (no warmup), shard 1 in a forked
+    worker or in this process: its metrics record, then name -> gradient
+    and name -> weights after AdamW of every trained tensor."""
     tcfg = trainer.TrainConfig(seed=0, total_steps=1, warmup_steps=0, mode=mode, **train)
     pipe = trainer.build_pipeline(mcfg, seed=0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainer, "_two_shards", lambda tcfg: shards == 2)
+        mp.setattr(trainer, "_two_shards", lambda tcfg: fork)
         _, (rec,) = (trainer.finetune if mode == "finetune" else trainer.pretrain)(pipe, tcfg, dcfg)
     trained = {n: t for n, t in trainer.collect_state(pipe).items() if t.requires_grad}
     return rec, {n: t.grad for n, t in trained.items()}, {n: t.data for n, t in trained.items()}
 
 
+def whole_step(mcfg, dcfg, mode="pretrain", **train):
+    """The oracle of ``one_step``: the same first batch, unsharded, through
+    ``compute_losses``, one backward and ``adamw_step``, in its return form."""
+    tcfg = trainer.TrainConfig(seed=0, total_steps=1, warmup_steps=0, mode=mode, **train)
+    pipe = trainer.build_pipeline(mcfg, seed=0)
+    distill_mode = "none" if mode == "finetune" else tcfg.distill_mode
+    if mode == "finetune":
+        trainer.merge(pipe)
+    trained = trainer._partition(pipe, tcfg)
+    state = trainer.TrainState.create(trained)
+    T.active_tape().reset()
+    out = trainer.compute_losses(pipe, next(trainer.batch_draws(pipe, tcfg, dcfg)), tcfg.mask_mode, distill_mode)
+    T.backward(out.total)
+    trainer.adamw_step(state, tcfg.lr, tcfg)
+    rec = {"step": 0, "lr": tcfg.lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
+    if distill_mode != "none":
+        rec.update(distill_loss=float(out.dist.data), per_block=out.per_block)
+    return rec, {n: t.grad for n, t in trained.items()}, {n: t.data for n, t in trained.items()}
+
+
+def assert_steps_equal(got, want):
+    """Two ``one_step`` results agree bit for bit."""
+    (rec, grads, weights), (rec_want, grads_want, weights_want) = got, want
+    assert rec == rec_want
+    for arrays, arrays_want in ((grads, grads_want), (weights, weights_want)):
+        assert arrays.keys() == arrays_want.keys()
+        for name in arrays:
+            npt.assert_array_equal(arrays[name], arrays_want[name], err_msg=name)
+
+
 def assert_steps_match(got, want, rel=1e-5):
-    """Two ``one_step`` results agree within rel: each loss, per-block term
-    and gradient at most rel times its largest magnitude off, and each
-    updated tensor at most rel off in norm. The first AdamW step moves a
-    zero-initialised adapter entry by lr * g / (|g| + 1e-8), so an entry
-    whose gradient is near 1e-8 carries its gradient's own float32 error
-    (up to 1e-3 of the entry) at full size: in the largest entry the
-    weights differ by up to 2.5e-4 at the default config, in norm by at
-    most 5.5e-6."""
+    """A ``one_step`` result and its ``whole_step`` oracle agree within rel:
+    each loss, per-block term and gradient at most rel times its largest
+    magnitude off, and each updated tensor at most rel off in norm. The
+    first AdamW step moves a zero-initialised adapter entry by
+    lr * g / (|g| + 1e-8), so an entry whose gradient is near 1e-8 carries
+    its gradient's own float32 error (up to 1e-3 of the entry) at full
+    size: in the largest entry the weights differ by up to 2.5e-4 at the
+    default config, in norm by at most 5.5e-6."""
     (rec, grads, weights), (rec_want, grads_want, weights_want) = got, want
     assert set(rec) == set(rec_want)
     for key in ("total_loss", "lm_loss", "distill_loss"):
@@ -277,9 +307,11 @@ class TestShards:
         ("pretrain", True, "causal"), ("finetune", False, "hybrid"),
     ])
     def test_two_shard_step_equals_one_shard_step(self, mode, anyres, mask_mode):
+        # one process and two compute the same bits, and the shards sum to the whole batch's step
         dcfg = data.DataConfig(anyres=anyres)
-        steps = [one_step(ModelConfig(), dcfg, shards, mode=mode, mask_mode=mask_mode) for shards in (1, 2)]
-        assert_steps_match(steps[1], steps[0])
+        serial, forked = (one_step(ModelConfig(), dcfg, fork, mode=mode, mask_mode=mask_mode) for fork in (False, True))
+        assert_steps_equal(serial, forked)
+        assert_steps_match(forked, whole_step(ModelConfig(), dcfg, mode=mode, mask_mode=mask_mode))
 
     def test_the_worker_ends_with_the_loop_and_leaves_private_arrays(self, workers):
         mcfg, tcfg, dcfg = small_cfgs(total_steps=3, warmup_steps=1)
@@ -289,6 +321,7 @@ class TestShards:
         assert all(t.data.flags.owndata for t in trainer.collect_state(pipe).values() if t.requires_grad)
 
     def test_one_shard_starts_no_worker(self, workers, monkeypatch):
+        # both shards of every step in this process: no worker forks
         monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: False)
         mcfg, tcfg, dcfg = small_cfgs(total_steps=2, warmup_steps=1)
         trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
@@ -431,7 +464,11 @@ class TestGridRuns:
 
     def test_text_first_batch_computes_losses(self):
         pipe = trainer.build_pipeline(ModelConfig(), seed=0)
-        batch = data.pack_samples([data.gen_text_sample(1), data.gen_image_caption(2)], 8, 160)
+        packed = data.pack_samples([data.gen_text_sample(1), data.gen_image_caption(2)], 8, 160)
+        # pack_samples puts the image first; the rows swapped, the text leads (the one image's patches stay)
+        batch = data.PackedBatch(np.ascontiguousarray(packed.tokens[::-1]), packed.layouts[::-1], packed.patches,
+                                 packed.grids[::-1])
+        assert batch.grids == [None, packed.grids[0]]
         out = trainer.compute_losses(pipe, batch, "hybrid", "block_wise")
         assert np.isfinite(float(out.total.data)) and float(out.dist.data) > 0.0
 

@@ -19,9 +19,12 @@ quartiles: a ratio below 1 means the tree is faster.
 BLAS runs on one thread. The script uses `trainer._partition`,
 `TrainState`, `train_step` and `compute_losses`, so REV must have them.
 
-It measures the one-shard step body only: `train_step` without a shard
-worker, on the whole batch, in this process's CPU time, which cannot see
-a worker's half of a step. A claim about two-shard steps rests on `perfbench/run.py` pairs, which time steps in wall time.
+It times `train_step` on the whole batch, which is not the step a
+training run takes: a run steps on every batch of two or more sequences
+as its two shards (`trainer.train_loop`), and takes the whole-batch
+step only at batch_size 1. So the script compares the step bodies of two
+revisions, not their runs. A claim about run steps rests on
+`perfbench/run.py` pairs, which time them in wall time.
 """
 
 import argparse
