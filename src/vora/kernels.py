@@ -3,11 +3,12 @@
 The tape ops in ``tensor`` call these for the row reductions and
 elementwise transcendentals of the model (masked softmax, RMS-norm,
 GELU, the fused SwiGLU gate, cross-entropy); ``trainer.adamw_step``
-calls ``adamw_update`` once per trainable tensor. Kernels take float32
-arrays of any shape and layout, as the tape holds them, and return
-float32; every reduction runs over the last axis with ``keepdims``. A
-kernel writes its temporaries in place where it can, so a pass allocates
-little beyond its outputs. Matmuls go straight to numpy/BLAS.
+calls ``adamw_update`` once per decay class, on slices of the trainable
+set's flat arenas. Kernels take float32 arrays of any shape and layout,
+as the tape holds them, and return float32; every reduction runs over
+the last axis with ``keepdims``. A kernel writes its temporaries in
+place where it can, so a pass allocates little beyond its outputs.
+Matmuls go straight to numpy/BLAS.
 """
 
 import numpy as np
@@ -135,11 +136,18 @@ def ce_bwd(probs, targets, scale):
     return g
 
 
-def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, bc1, bc2):
-    """In-place AdamW on same-shape float32 arrays: moments m, v and the weights p."""
+def adamw_update(p, g, m, v, lr, b1, b2, eps, wd, bc1, bc2, scratch):
+    """In-place AdamW on same-shape float32 arrays (moments m, v, weights p)
+    that allocates nothing: it overwrites g and keeps its temporaries in
+    ``scratch``. Its float32 operations, in order, are those of ``m = b1 m +
+    (1-b1) g; v = b2 v + (1-b2) g g; p -= lr (m/bc1)/(sqrt(v/bc2)+eps) + lr wd p``."""
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=scratch)
     v *= b2
-    v += (1.0 - b2) * g * g
-    update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-    p -= lr * update + lr * wd * p
+    v += np.multiply(np.multiply(g, 1.0 - b2, out=scratch), g, out=scratch)
+    np.sqrt(np.divide(v, bc2, out=scratch), out=scratch)
+    scratch += eps
+    np.divide(np.divide(m, bc1, out=g), scratch, out=g)
+    g *= lr
+    g += np.multiply(p, lr * wd, out=scratch)
+    p -= g

@@ -6,11 +6,11 @@ instability probe.
 
 A training step on a batch of two or more sequences deals its sequences
 alternately into two shards that use the whole batch's loss normalisers,
-so their gradients sum to the batch's. Shard 1 runs first, in a worker
-forked for the run where ``_two_shards`` holds, else in this process;
-its answer comes back through one buffer and one ``combine`` and is
-added to shard 0's, which runs here, as does AdamW. Where shard 1 ran
-changes no bit of a run's results.
+so their gradients sum to the batch's. Shard 0 runs here; shard 1 runs
+alongside it in a worker forked for the run where ``_two_shards`` holds,
+else here after it. Each writes its gradients into its own flat arena of
+the run's ``TrainState``; ``combine`` adds them, and AdamW updates the
+weight arena. Where shard 1 ran changes no bit of a run's results.
 """
 
 import csv
@@ -18,6 +18,7 @@ import mmap
 import os
 import statistics
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -260,42 +261,68 @@ def compute_losses(pipe, batch, mask_mode, distill_mode):
 
 
 # ---------------------------------------------------------------------------
-# optimizer
+# optimizer and the step
+
+def _arena(n):
+    """n float32 zeros in one new anonymous shared mapping: a process
+    forked afterwards shares their memory."""
+    return np.frombuffer(mmap.mmap(-1, 4 * max(n, 1)), dtype=np.float32)[:n]
+
+
+def decays(name):
+    """Whether decoupled decay applies: not to norm gains or the token embedding."""
+    return not (is_norm_gain(name) or name == "llm.embed")
+
 
 @dataclass
 class TrainState:
+    """AdamW over a trainable set, in one flat float32 arena per role:
+    ``weights``, ``grads`` (shard 0's, shard 1's), moments ``m`` and ``v``.
+    Their layout: the first ``n_decay`` entries hold the tensors that
+    ``decays``, the rest the others, each class in its map's order. Every
+    trainable tensor's ``.data`` is a view into ``weights`` until ``release``."""
     step: int
-    trainable: dict
-    m: dict
-    v: dict
+    trainable: dict  # name -> Tensor, in arena order
+    n_decay: int
+    weights: np.ndarray
+    grads: tuple
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def create(cls, trainable):
-        return cls(
-            step=0,
-            trainable=dict(trainable),
-            m={n: np.zeros_like(t.data) for n, t in trainable.items()},
-            v={n: np.zeros_like(t.data) for n, t in trainable.items()},
-        )
+        trainable = dict(sorted(trainable.items(), key=lambda item: not decays(item[0])))
+        n = sum(t.data.size for t in trainable.values())
+        weights, g0, g1, m, v = (_arena(n) for _ in range(5))
+        state = cls(0, trainable, sum(t.data.size for k, t in trainable.items() if decays(k)), weights, (g0, g1), m, v)
+        for t, view in zip(trainable.values(), state.views(weights)):
+            view[...] = t.data
+            t.data = view
+        return state
 
+    def views(self, arena):
+        """The arena's per-tensor views, shaped as the trainable tensors, in arena order."""
+        offsets = np.cumsum([0] + [t.data.size for t in self.trainable.values()])
+        return [arena[o:o + t.data.size].reshape(t.data.shape) for o, t in zip(offsets, self.trainable.values())]
 
-def decay_for(name, weight_decay):
-    """Decoupled decay: zero on norm gains and the token embedding."""
-    if is_norm_gain(name) or name == "llm.embed":
-        return 0.0
-    return weight_decay
+    def release(self):
+        """Give every trainable tensor a private copy of its weights, and no
+        gradient: a shard's gradient is not the step's."""
+        for t in self.trainable.values():
+            t.data, t.grad = t.data.copy(), None
 
 
 def adamw_step(state, lr, cfg):
-    """One AdamW update over the trainable set; frozen tensors untouched."""
+    """One AdamW update of the weight arena by the gradient in
+    ``state.grads[0]``, one kernel call per decay class. It overwrites that
+    gradient, and shard 1's arena, added in by then, is the kernel's scratch."""
     t = state.step + 1
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    for name, p in state.trainable.items():
-        if p.grad is None:
-            raise ValueError(f"missing gradient for trainable tensor {name}")
-        kernels.adamw_update(p.data, p.grad, state.m[name], state.v[name],
-                             lr, BETA1, BETA2, ADAM_EPS, decay_for(name, cfg.weight_decay), bc1, bc2)
+    g, scratch = state.grads
+    for part, wd in ((slice(0, state.n_decay), cfg.weight_decay), (slice(state.n_decay, None), 0.0)):
+        kernels.adamw_update(state.weights[part], g[part], state.m[part], state.v[part], lr, BETA1, BETA2,
+                             ADAM_EPS, wd, bc1, bc2, scratch[part])
     state.step = t
 
 
@@ -331,19 +358,58 @@ def _partition(pipe, tcfg):
     return trainable
 
 
+def run_shard(state, i, loss_fn):
+    """The one shard body, for shard i in whichever process runs it: zero
+    the grads, run ``loss_fn() -> LossOut`` and its backward on a fresh
+    tape, and copy the gradients into ``state.grads[i]``, -0.0 where a
+    tensor got none (x + -0.0 is x, bit for bit). Returns the answer
+    ``combine`` takes: (lm, dist, per_block, which tensors got a gradient)."""
+    tensors = state.trainable.values()
+    for p in tensors:
+        p.grad = None
+    T.active_tape().reset()
+    out = loss_fn()
+    T.backward(out.total)
+    got = [p.grad is not None for p in tensors]
+    for p, view in zip(tensors, state.views(state.grads[i])):
+        view[...] = -0.0 if p.grad is None else p.grad
+    return float(out.lm.data), float(out.dist.data), out.per_block, got
+
+
+def combine(state, a, b):
+    """Shard 1's answer b added to shard 0's a: one add over the gradient
+    arenas (into shard 0's) and the sums of the losses, float32 as a
+    shard's are. Returns the whole batch's answer."""
+    g0, g1 = state.grads
+    g0 += g1
+    lm, dist = (float(np.float32(x) + np.float32(y)) for x, y in zip(a[:2], b[:2]))
+    per_block = [x + y for x, y in zip(a[2], b[2])] if a[2] and b[2] else a[2] or b[2]  # an imageless shard has none
+    return lm, dist, per_block, [x or y for x, y in zip(a[3], b[3])]
+
+
+def train_step(state, tcfg, step, loss_fn, shard1=None):
+    """The one step body every loop shares: ``run_shard`` on ``loss_fn``
+    as shard 0, ``combine`` with shard 1's answer, which ``shard1()``
+    returns, if given; abort on a non-finite loss, ValueError on a tensor
+    neither shard gave a gradient, then AdamW at lr_at(tcfg, step).
+    Returns the whole batch's (LossOut, lr)."""
+    answer = run_shard(state, 0, loss_fn)
+    if shard1 is not None:
+        answer = combine(state, answer, shard1())
+    lm_val, dist_val, per_block, got = answer
+    if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
+        raise TrainAbort(step, lm_val, dist_val)
+    missing = [name for name, has in zip(state.trainable, got) if not has]
+    if missing:
+        raise ValueError(f"missing gradient for trainable tensor {missing[0]}")
+    lr = lr_at(tcfg, step)
+    adamw_step(state, lr, tcfg)
+    lm, dist = T.constant(np.float32(lm_val)), T.constant(np.float32(dist_val))
+    return LossOut(distill.total_loss(dist, lm), lm, dist, per_block), lr
+
+
 # ---------------------------------------------------------------------------
 # the shard worker
-
-def _shared(arrays):
-    """Copies of the float32 arrays, as views into one new anonymous
-    shared mapping: a process forked afterwards shares their memory."""
-    sizes = [a.size for a in arrays]
-    flat = np.frombuffer(mmap.mmap(-1, 4 * max(sum(sizes), 1)), dtype=np.float32)
-    views = [flat[o:o + a.size].reshape(a.shape) for o, a in zip(np.cumsum([0] + sizes), arrays)]
-    for view, a in zip(views, arrays):
-        view[...] = a
-    return views
-
 
 def _set_blas_threads(n):
     """Set the loaded OpenBLAS's thread count to n and return the count it
@@ -403,95 +469,42 @@ def _two_shards(tcfg):
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-class _SerialShard:
-    """Shard 1 of every step, run in this process before shard 0: ``send``
-    runs it at once, its gradients set aside in one buffer made per run,
-    and ``combine`` adds its answer to shard 0's."""
+class _ShardWorker:
+    """Shard 1 of every step, ``run(shard)`` in one forked process, which
+    runs it while this process runs shard 0. The worker shares the state's
+    arenas: it reads the weights, which only this process writes (AdamW),
+    and writes ``grads[1]``."""
 
-    def __init__(self, pipe, trainable, mask_mode, distill_mode):
-        self.pipe, self.modes = pipe, (mask_mode, distill_mode)
-        self.tensors = list(trainable.values())
-        self.grads = _shared([np.zeros(t.shape, dtype=np.float32) for t in self.tensors])
-
-    def run(self, shard):
-        """The one shard body, in whichever process runs shard 1: zero the
-        grads, run the forward and the backward on a fresh tape and write
-        the gradients into the shard-1 buffer. Returns the answer
-        ``combine`` takes: the losses and which tensors got a gradient."""
-        for t in self.tensors:
-            t.grad = None
-        T.active_tape().reset()
-        out = compute_losses(self.pipe, shard, *self.modes)
-        T.backward(out.total)
-        for t, g in zip(self.tensors, self.grads):
-            if t.grad is not None:
-                g[...] = t.grad
-        return float(out.lm.data), float(out.dist.data), out.per_block, [t.grad is not None for t in self.tensors]
-
-    def send(self, step, shard):
-        self.answer = self.run(shard)
-
-    def _answer(self, step):
-        return self.answer
-
-    def combine(self, out, step):
-        """Shard 1's answer added to shard 0's: its gradients to the
-        trainable tensors' (in place, shard 0 += shard 1) and its losses to
-        ``out``. Returns the whole batch's LossOut."""
-        lm, dist, per_block, got = self._answer(step)
-        for p, g, has in zip(self.tensors, self.grads, got):
-            if has and p.grad is None:
-                p.grad = g.copy()
-            elif has:
-                p.grad += g
-        lm = T.constant(out.lm.data + np.float32(lm))
-        dist = T.constant(out.dist.data + np.float32(dist))
-        if out.per_block and per_block:  # a shard without an image has no per-block terms
-            per_block = [a + b for a, b in zip(out.per_block, per_block)]
-        return LossOut(distill.total_loss(dist, lm), lm, dist, per_block or out.per_block)
-
-    def close(self):
-        pass
-
-
-class _ShardWorker(_SerialShard):
-    """Shard 1 of every step, in one forked process, which runs it while
-    this process runs shard 0. Made after ``_partition``: the trainable
-    tensors' arrays move into one shared mapping, in ``Pipeline.groups()``
-    order, that only this process writes (AdamW); the worker writes the
-    shard-1 buffer."""
-
-    def __init__(self, pipe, trainable, mask_mode, distill_mode):
+    def __init__(self, run):
         import multiprocessing
 
-        super().__init__(pipe, trainable, mask_mode, distill_mode)
-        # fork, not spawn: the worker takes the pipeline and the mappings as they are, unpickled
+        # fork, not spawn: the worker takes the pipeline and the arenas as they are, unpickled
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, self.run))
+        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, run))
         self.blas_threads = _set_blas_threads(1)  # the worker inherits the count
-        for t, view in zip(self.tensors, _shared([t.data for t in self.tensors])):
-            t.data = view
         try:
             self.proc.start()
         except BaseException:
             self.conn.close()
-            self._release()
+            self._restore_blas()
             raise
         finally:
             child_end.close()
 
     def send(self, step, shard):
+        """Send the worker shard 1 of the step; returns what waits for its answer."""
         try:
             self.conn.send(shard)
         except OSError:
             raise self._dead(step) from None
+        return partial(self.answer, step)
 
     def _dead(self, step):
         self.proc.join(1.0)
         return ShardWorkerError(f"step {step}: the shard worker died (exit code {self.proc.exitcode})")
 
-    def _answer(self, step):
+    def answer(self, step):
         if not self.conn.poll(WORKER_TIMEOUT_S):
             raise ShardWorkerError(f"step {step}: the shard worker gave no answer in {WORKER_TIMEOUT_S:g} s")
         try:
@@ -502,48 +515,22 @@ class _ShardWorker(_SerialShard):
             raise msg
         return msg
 
-    def _release(self):
-        """Give the trainable tensors private arrays and BLAS its thread count back."""
-        for t in self.tensors:
-            t.data = t.data.copy()
+    def _restore_blas(self):
         if self.blas_threads is not None:
             _set_blas_threads(self.blas_threads)
 
     def close(self):
-        """End the worker, then ``_release``."""
+        """End the worker and give BLAS its thread count back."""
         self.conn.close()
         self.proc.join(1.0)
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join()
-        self._release()
+        self._restore_blas()
 
 
 # ---------------------------------------------------------------------------
 # training loops
-
-def train_step(state, tcfg, step, loss_fn, shard1=None):
-    """The one step body every loop shares: zero the grads, start a fresh
-    tape, run ``loss_fn() -> LossOut``, backprop its total, abort on a
-    non-finite loss, then AdamW at lr_at(tcfg, step). With ``shard1``,
-    which was sent shard 1 of the step while ``loss_fn`` runs shard 0, the
-    losses checked and returned are the whole batch's, and AdamW takes the
-    sum of both shards' gradients. Returns (LossOut, lr)."""
-    for p in state.trainable.values():
-        p.grad = None
-    T.active_tape().reset()
-    out = loss_fn()
-    T.backward(out.total)
-    if shard1 is not None:
-        out = shard1.combine(out, step)
-    lm_val = float(out.lm.data)
-    dist_val = float(out.dist.data)
-    if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
-        raise TrainAbort(step, lm_val, dist_val)
-    lr = lr_at(tcfg, step)
-    adamw_step(state, lr, tcfg)
-    return out, lr
-
 
 def batch_draws(pipe, tcfg, dcfg):
     """The training batches: endless ``D.make_batch`` draws of
@@ -558,24 +545,28 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
     of the iterable ``batches``; returns the per-step metrics list.
 
     A batch of two or more sequences trains as its two shards
-    (``PackedBatch.shards``), shard 1 in this process or in a worker
-    forked for the run (``_two_shards``), to the same bits either way.
-    The worker ends with the loop, however the loop ends."""
+    (``PackedBatch.shards``), shard 1 in this process after shard 0 or
+    alongside it in a worker forked for the run (``_two_shards``), to the
+    same bits either way. However the loop ends, the worker ends with it
+    and the trainable tensors get private arrays back (``TrainState.release``)."""
     state = TrainState.create(_partition(pipe, tcfg))
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
 
+    def run1(shard):
+        return run_shard(state, 1, lambda: compute_losses(pipe, shard, tcfg.mask_mode, distill_mode))
+
     metrics = []
-    shard1 = (_ShardWorker if _two_shards(tcfg) else _SerialShard)(pipe, state.trainable, tcfg.mask_mode,
-                                                                    distill_mode)
+    worker = None
     try:
+        worker = _ShardWorker(run1) if _two_shards(tcfg) else None
         for step, batch in zip(range(tcfg.total_steps), batches):
             first, *rest = batch.shards()
-            for shard in rest:
-                shard1.send(step, shard)
+            shard1 = None
+            if rest:
+                shard1 = worker.send(step, *rest) if worker else partial(run1, *rest)
             out, lr = train_step(state, tcfg, step,
-                                 lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode),
-                                 shard1 if rest else None)
+                                 lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode), shard1)
             rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
             if use_distill:
                 rec.update(distill_loss=float(out.dist.data), per_block=out.per_block)
@@ -583,7 +574,9 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
             if metrics_sink is not None:
                 metrics_sink(rec)
     finally:
-        shard1.close()
+        if worker is not None:
+            worker.close()
+        state.release()
     return metrics
 
 
@@ -747,20 +740,16 @@ def warm_teacher(teacher, cfg, steps, seed):
     """Briefly train the toy ViT on single-shape (kind, color) classification
     so its features carry the attributes captions talk about, then freeze it."""
     rng = np.random.default_rng([seed, 20])
-    d_vit = cfg.d_vit
     n_classes = len(D.SHAPE_NAMES) * len(D.COLOR_NAMES)
-    head = T.param((0.02 * rng.standard_normal((n_classes, d_vit))).astype(np.float32))
+    head = T.param((0.02 * rng.standard_normal((n_classes, cfg.d_vit))).astype(np.float32))
     _set_requires_grad(teacher.params, True)
-    trainable = dict(teacher.params)
-    trainable["warm.head"] = head
-    state = TrainState.create(trainable)
+    state = TrainState.create({**teacher.params, "warm.head": head})
     warm_cfg = TrainConfig(lr=WARM_LR, warmup_steps=0)
     h, w = cfg.patch * 4, cfg.patch * 4
     runs = [((h // cfg.patch, w // cfg.patch), WARM_BATCH)]
     zero = T.constant(np.zeros((), dtype=np.float32))
     for step in range(steps):
-        patches = []
-        labels = []
+        patches, labels = [], []
         for _ in range(WARM_BATCH):
             shapes = D.make_scene(rng, h, w, n_shapes=1)
             labels.append(shapes[0].kind * len(D.COLOR_NAMES) + shapes[0].color)
@@ -774,4 +763,5 @@ def warm_teacher(teacher, cfg, steps, seed):
             return LossOut(loss, loss, zero)
 
         train_step(state, warm_cfg, step, loss_fn)
+    state.release()
     _set_requires_grad(teacher.params, False)

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora import data, distill, lora, trainer, vision
+from vora import data, distill, kernels, lora, trainer, vision
 from vora.model import ModelConfig, decode_greedy
 from vora.tensor import Tensor
 
@@ -21,6 +21,17 @@ def small_cfgs(seed=0, **overrides):
     return ModelConfig(), trainer.TrainConfig(seed=seed, **args), data.DataConfig()
 
 
+def reference_adamw(p, g, m, v, lr, b1, b2, eps, wd, bc1, bc2):
+    """The allocating AdamW kernel that ``kernels.adamw_update`` replaced,
+    kept as its oracle."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+    p -= lr * update + lr * wd * p
+
+
 class TestAdamW:
     def _state(self, value=1.0):
         p = Tensor(np.array([value], dtype=np.float32), requires_grad=True)
@@ -29,9 +40,9 @@ class TestAdamW:
 
     def test_zero_grad_zero_decay_fixed_point(self):
         p, state = self._state()
-        p.grad = np.zeros(1, dtype=np.float32)
         cfg = trainer.TrainConfig(weight_decay=0.0, warmup_steps=0, total_steps=1, seed=0)
         for _ in range(3):
+            state.grads[0][:] = 0.0
             trainer.adamw_step(state, lr=0.1, cfg=cfg)
         npt.assert_array_equal(p.data, [1.0])
 
@@ -49,7 +60,7 @@ class TestAdamW:
             w -= lr * mhat / (math.sqrt(vhat) + eps)
         cfg = trainer.TrainConfig(weight_decay=0.0, warmup_steps=0, total_steps=1, seed=0)
         for g in grads:
-            p.grad = np.array([g], dtype=np.float32)
+            state.grads[0][:] = g
             trainer.adamw_step(state, lr=lr, cfg=cfg)
         npt.assert_allclose(p.data[0], w, atol=1e-7)
 
@@ -57,22 +68,98 @@ class TestAdamW:
         p, state = self._state(2.0)
         cfg = trainer.TrainConfig(weight_decay=0.01, warmup_steps=0, total_steps=1, seed=0)
         lr = 0.5
-        p.grad = np.zeros(1, dtype=np.float32)
+        state.grads[0][:] = 0.0
         trainer.adamw_step(state, lr=lr, cfg=cfg)
         npt.assert_allclose(p.data[0], 2.0 * (1 - lr * 0.01), rtol=1e-6)
 
     def test_missing_grad_names_tensor(self):
-        p, state = self._state()
+        # the loss reaches u only: the step names w and leaves both weights as they were
+        p, _ = self._state()
+        u = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
+        state = trainer.TrainState.create({"w": p, "u": u})
         cfg = trainer.TrainConfig(warmup_steps=0, total_steps=1, seed=0)
-        with pytest.raises(ValueError, match="w"):
-            trainer.adamw_step(state, lr=0.1, cfg=cfg)
+
+        def loss_fn():
+            loss = T.tsum(u)
+            return trainer.LossOut(loss, loss, T.constant(np.zeros((), dtype=np.float32)))
+
+        with pytest.raises(ValueError, match="trainable tensor w$"):
+            trainer.train_step(state, cfg, 0, loss_fn)
+        npt.assert_array_equal(state.weights, [1.0, 3.0])
+
+    def test_missing_grad_in_both_shards_names_tensor(self, monkeypatch):
+        # text-only batches: neither shard of a step gives the vision embed a gradient
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: False)
+        mcfg, tcfg, _ = small_cfgs(total_steps=2, warmup_steps=1)
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        with pytest.raises(ValueError, match="missing gradient for trainable tensor vembed"):
+            trainer.pretrain(pipe, tcfg, data.DataConfig(image_fraction=0.0))
 
     def test_no_decay_on_norms_and_embedding(self):
-        assert trainer.decay_for("llm.blocks.0.attn_norm", 0.01) == 0.0
-        assert trainer.decay_for("aux.1.gain", 0.01) == 0.0
-        assert trainer.decay_for("llm.embed", 0.01) == 0.0
-        assert trainer.decay_for("llm.blocks.0.q", 0.01) == 0.01
-        assert trainer.decay_for("vembed.fc1", 0.01) == 0.01
+        assert not trainer.decays("llm.blocks.0.attn_norm")
+        assert not trainer.decays("aux.1.gain")
+        assert not trainer.decays("llm.embed")
+        assert trainer.decays("llm.blocks.0.q")
+        assert trainer.decays("vembed.fc1")
+
+    def test_arenas_order_tensors_by_decay_class(self):
+        pipe = trainer.build_pipeline(ModelConfig(), seed=0)
+        trainable = trainer._partition(pipe, trainer.TrainConfig(seed=0))
+        state = trainer.TrainState.create(trainable)
+        try:
+            names = list(state.trainable)
+            flags = [trainer.decays(name) for name in names]
+            assert flags == sorted(flags, reverse=True) and set(flags) == {True, False}
+            for flag in (True, False):  # each class keeps the order of the map it was made from
+                assert [n for n in names if trainer.decays(n) == flag] == [n for n in trainable
+                                                                             if trainer.decays(n) == flag]
+            assert state.n_decay == sum(t.data.size for name, t in trainable.items() if trainer.decays(name))
+            for t, view in zip(state.trainable.values(), state.views(state.weights)):
+                assert np.shares_memory(t.data, view)
+        finally:
+            state.release()
+        assert all(t.data.flags.owndata for t in trainable.values())
+
+    def test_kernel_matches_the_allocating_reference_bit_for_bit(self):
+        # two decay classes as two slices of one arena against the reference
+        # per tensor, gradients from 1e-9 to 1, so some sit near ADAM_EPS
+        rng = np.random.default_rng(0)
+        sizes, n_decay = [7, 300, 64, 1, 129], 371
+        n = sum(sizes)
+        p = rng.standard_normal(n).astype(np.float32)
+        m, v = np.zeros(n, np.float32), np.zeros(n, np.float32)
+        p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+        bounds = np.cumsum([0] + sizes)
+        scratch = np.empty(n, np.float32)
+        for t in range(1, 6):
+            g = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9, 0, n)).astype(np.float32)
+            g[::17] = 0.0
+            lr, bc1, bc2 = 1e-3 * t, 1.0 - trainer.BETA1**t, 1.0 - trainer.BETA2**t
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                wd = 0.01 if hi <= n_decay else 0.0
+                reference_adamw(p_ref[lo:hi], g[lo:hi], m_ref[lo:hi], v_ref[lo:hi], lr, trainer.BETA1,
+                                trainer.BETA2, trainer.ADAM_EPS, wd, bc1, bc2)
+            for part, wd in ((slice(0, n_decay), 0.01), (slice(n_decay, n), 0.0)):
+                kernels.adamw_update(p[part], g.copy()[part], m[part], v[part], lr, trainer.BETA1, trainer.BETA2,
+                                     trainer.ADAM_EPS, wd, bc1, bc2, scratch[part])
+            for got, want in ((p, p_ref), (m, m_ref), (v, v_ref)):
+                npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_a_pretrain_step_calls_the_kernel_at_most_twice(self, monkeypatch):
+        calls = []
+        real = kernels.adamw_update
+
+        def count(p, *args):
+            calls.append(p.size)
+            real(p, *args)
+
+        monkeypatch.setattr(kernels, "adamw_update", count)
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=2, warmup_steps=1)
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        trainer.pretrain(pipe, tcfg, dcfg)
+        n = sum(t.data.size for t in trainer.collect_state(pipe).values() if t.requires_grad)
+        assert 0 < len(calls) <= 2 * tcfg.total_steps
+        assert sum(calls) == n * tcfg.total_steps  # every trainable entry, once a step
 
 
 class TestWarmup:
@@ -148,10 +235,12 @@ class TestPretrain:
         assert pipe.heads[-1].proj.data.tobytes() != before[-1][f"aux.{mcfg.n_vit - 1}.proj"]
 
     def test_gradients_are_c_ordered_float32_like_their_tensor(self):
-        # adamw_step hands p.grad to the kernel as it is: the tape must give
-        # every trainable tensor a C-contiguous float32 gradient of its shape,
-        # of its own. In finetune every base weight trains, so a linear
-        # layer's weight gradient is kept straight from its GEMM.
+        # the tape keeps a first gradient as it comes and adds later ones
+        # into it in place, and run_shard copies the result into a gradient
+        # arena view: every trainable tensor must get a C-contiguous float32
+        # gradient of its shape, of its own. In finetune every base weight
+        # trains, so a linear layer's weight gradient is kept straight from
+        # its GEMM.
         for mode in ("pretrain", "finetune"):
             mcfg, tcfg, dcfg = ModelConfig(), trainer.TrainConfig(seed=0, mode=mode), data.DataConfig()
             pipe = trainer.build_pipeline(mcfg, seed=0)
@@ -190,12 +279,32 @@ class TestPretrain:
         T.active_tape().reset()
         assert nodes <= most
 
+    def test_a_warmed_teacher_is_frozen_on_private_arrays(self):
+        cold = trainer.build_pipeline(ModelConfig(), seed=0).teacher.params
+        warm = trainer.build_pipeline(ModelConfig(), seed=0, teacher_warm=True, teacher_warm_steps=2).teacher.params
+        assert all(t.data.flags.owndata and not t.requires_grad and t.grad is None for t in warm.values())
+        assert any(t.data.tobytes() != cold[n].data.tobytes() for n, t in warm.items())
+
     def test_pretrain_requires_unmerged(self):
         mcfg, tcfg, dcfg = small_cfgs()
         pipe = trainer.build_pipeline(mcfg, seed=0)
         lora.merge_all(pipe.model, pipe.adapters)
         with pytest.raises(lora.MergeStateError):
             trainer.pretrain(pipe, tcfg, dcfg)
+
+
+def capture_grads(mp):
+    """name -> a copy of the gradient ``trainer.adamw_step`` is given, filled
+    in at each call: the summed gradient of a step, which the tensors do not
+    keep."""
+    grads, real = {}, trainer.adamw_step
+
+    def capture(state, lr, cfg):
+        grads.update((name, g.copy()) for name, g in zip(state.trainable, state.views(state.grads[0])))
+        real(state, lr, cfg)
+
+    mp.setattr(trainer, "adamw_step", capture)
+    return grads
 
 
 def one_step(mcfg, dcfg, fork, mode="pretrain", **train):
@@ -206,9 +315,10 @@ def one_step(mcfg, dcfg, fork, mode="pretrain", **train):
     pipe = trainer.build_pipeline(mcfg, seed=0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "_two_shards", lambda tcfg: fork)
+        grads = capture_grads(mp)
         _, (rec,) = (trainer.finetune if mode == "finetune" else trainer.pretrain)(pipe, tcfg, dcfg)
     trained = {n: t for n, t in trainer.collect_state(pipe).items() if t.requires_grad}
-    return rec, {n: t.grad for n, t in trained.items()}, {n: t.data for n, t in trained.items()}
+    return rec, grads, {n: t.data for n, t in trained.items()}
 
 
 def whole_step(mcfg, dcfg, mode="pretrain", **train):
@@ -219,26 +329,34 @@ def whole_step(mcfg, dcfg, mode="pretrain", **train):
     distill_mode = "none" if mode == "finetune" else tcfg.distill_mode
     if mode == "finetune":
         trainer.merge(pipe)
-    trained = trainer._partition(pipe, tcfg)
-    state = trainer.TrainState.create(trained)
+    state = trainer.TrainState.create(trainer._partition(pipe, tcfg))
     T.active_tape().reset()
     out = trainer.compute_losses(pipe, next(trainer.batch_draws(pipe, tcfg, dcfg)), tcfg.mask_mode, distill_mode)
     T.backward(out.total)
+    grads = {n: t.grad for n, t in state.trainable.items()}
+    for g, view in zip(grads.values(), state.views(state.grads[0])):
+        view[...] = g
     trainer.adamw_step(state, tcfg.lr, tcfg)
+    state.release()
     rec = {"step": 0, "lr": tcfg.lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
     if distill_mode != "none":
         rec.update(distill_loss=float(out.dist.data), per_block=out.per_block)
-    return rec, {n: t.grad for n, t in trained.items()}, {n: t.data for n, t in trained.items()}
+    return rec, grads, {n: t.data for n, t in state.trainable.items()}
 
 
 def assert_steps_equal(got, want):
-    """Two ``one_step`` results agree bit for bit."""
+    """Two ``one_step`` results agree bit for bit, each gradient a float32
+    array of its tensor's shape."""
     (rec, grads, weights), (rec_want, grads_want, weights_want) = got, want
     assert rec == rec_want
     for arrays, arrays_want in ((grads, grads_want), (weights, weights_want)):
         assert arrays.keys() == arrays_want.keys()
         for name in arrays:
             npt.assert_array_equal(arrays[name], arrays_want[name], err_msg=name)
+    assert grads.keys() == weights.keys()
+    for name, weight in weights.items():
+        for g in (grads[name], grads_want[name]):
+            assert isinstance(g, np.ndarray) and g.dtype == np.float32 and g.shape == weight.shape, name
 
 
 def assert_steps_match(got, want, rel=1e-5):
@@ -313,6 +431,24 @@ class TestShards:
         assert_steps_equal(serial, forked)
         assert_steps_match(forked, whole_step(ModelConfig(), dcfg, mode=mode, mask_mode=mask_mode))
 
+    def test_combine_keeps_a_gradient_only_one_shard_gave_bit_for_bit(self):
+        # shard 0's loss misses p, so its arena holds -0.0 there, and the
+        # sum keeps every bit of shard 1's gradient, the signs of zeros too
+        p, q = (Tensor(np.ones(4, dtype=np.float32), requires_grad=True) for _ in range(2))
+        state = trainer.TrainState.create({"p": p, "q": q})
+
+        def loss_fn():
+            loss = T.tsum(q)
+            return trainer.LossOut(loss, loss, T.constant(np.zeros((), dtype=np.float32)))
+
+        a = trainer.run_shard(state, 0, loss_fn)
+        g1 = np.array([-0.0, 0.0, -1e-40, 2.5, 1.0, -1.0, 0.0, -0.0], dtype=np.float32)
+        state.grads[1][:] = g1
+        lm, dist, per_block, got = trainer.combine(state, a, (1.0, 0.0, [], [True, True]))
+        npt.assert_array_equal(state.grads[0][:4].view(np.uint32), g1[:4].view(np.uint32))
+        npt.assert_array_equal(state.grads[0][4:], [2.0, 0.0, 1.0, 1.0])
+        assert a[3] == [False, True] and got == [True, True] and (lm, dist) == (5.0, 0.0)
+
     def test_the_worker_ends_with_the_loop_and_leaves_private_arrays(self, workers):
         mcfg, tcfg, dcfg = small_cfgs(total_steps=3, warmup_steps=1)
         pipe = trainer.build_pipeline(mcfg, seed=0)
@@ -324,8 +460,10 @@ class TestShards:
         # both shards of every step in this process: no worker forks
         monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: False)
         mcfg, tcfg, dcfg = small_cfgs(total_steps=2, warmup_steps=1)
-        trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        pipe = trainer.build_pipeline(mcfg, seed=0)
+        trainer.pretrain(pipe, tcfg, dcfg)
         assert_gone(workers, count=0)
+        assert all(t.data.flags.owndata for t in trainer.collect_state(pipe).values() if t.requires_grad)
 
     def test_two_shards_need_two_sequences_a_step_two_cpus_and_fork(self, monkeypatch):
         tcfg = trainer.TrainConfig(seed=0)
@@ -424,9 +562,7 @@ class TestShards:
             trainer._set_blas_threads(before)
 
     def test_the_worker_exits_when_the_main_end_closes(self):
-        pipe = trainer.build_pipeline(ModelConfig(), seed=0)
-        worker = trainer._ShardWorker(pipe, trainer._partition(pipe, trainer.TrainConfig(seed=0)),
-                                      "hybrid", "block_wise")
+        worker = trainer._ShardWorker(lambda shard: None)
         worker.conn.close()
         worker.proc.join(10)
         assert worker.proc.exitcode == 0
