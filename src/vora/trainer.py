@@ -10,7 +10,9 @@ so their gradients sum to the batch's. Shard 0 runs here; shard 1 runs
 alongside it in a worker forked for the run where ``_two_shards`` holds,
 else here after it. Each writes its gradients into its own flat arena of
 the run's ``TrainState``; ``combine`` adds them, and AdamW updates the
-weight arena. Where shard 1 ran changes no bit of a run's results.
+weight arena: here all of it, or, with a worker, the first half of each
+decay class here and the second half in the worker at the same time.
+Where shard 1 and AdamW's halves ran changes no bit of a run's results.
 """
 
 import csv
@@ -280,7 +282,9 @@ class TrainState:
     ``weights``, ``grads`` (shard 0's, shard 1's), moments ``m`` and ``v``.
     Their layout: the first ``n_decay`` entries hold the tensors that
     ``decays``, the rest the others, each class in its map's order. Every
-    trainable tensor's ``.data`` is a view into ``weights`` until ``release``."""
+    trainable tensor's ``.data`` is a view into ``weights`` until ``release``.
+    ``second_half``: None, or, while a worker runs, what starts AdamW's
+    second halves in it."""
     step: int
     trainable: dict  # name -> Tensor, in arena order
     n_decay: int
@@ -288,6 +292,7 @@ class TrainState:
     grads: tuple
     m: np.ndarray
     v: np.ndarray
+    second_half: object = None  # callable (t, lr, weight_decay)
 
     @classmethod
     def create(cls, trainable):
@@ -314,16 +319,33 @@ class TrainState:
 
 def adamw_step(state, lr, cfg):
     """One AdamW update of the weight arena by the gradient in
-    ``state.grads[0]``, one kernel call per decay class. It overwrites that
-    gradient, and shard 1's arena, added in by then, is the kernel's scratch."""
+    ``state.grads[0]``: ``_adamw`` on each whole decay class, or, with a
+    ``second_half``, on the first half of each here while the worker runs
+    the second halves. Step t travels to the worker, whose state is a
+    forked copy; ``_ShardWorker.settle`` waits for its halves."""
     t = state.step + 1
+    if state.second_half is not None:
+        state.second_half(t, lr, cfg.weight_decay)
+    _adamw(state, t, lr, cfg.weight_decay, None if state.second_half is None else 0)
+    state.step = t
+
+
+def _adamw(state, t, lr, weight_decay, half=None):
+    """AdamW step t at lr, one kernel call per decay class: on the whole
+    class, or on its first (half 0) or second (half 1) half, split at the
+    class's middle entry. It overwrites that part of ``grads[0]``, and the
+    same part of shard 1's arena, added in by then, is the kernel's scratch.
+    AdamW is elementwise, so the halves give the whole call's bits."""
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     g, scratch = state.grads
-    for part, wd in ((slice(0, state.n_decay), cfg.weight_decay), (slice(state.n_decay, None), 0.0)):
+    for (lo, hi), wd in (((0, state.n_decay), weight_decay), ((state.n_decay, state.weights.size), 0.0)):
+        if half is not None:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if half == 0 else (mid, hi)
+        part = slice(lo, hi)
         kernels.adamw_update(state.weights[part], g[part], state.m[part], state.v[part], lr, BETA1, BETA2,
                              ADAM_EPS, wd, bc1, bc2, scratch[part])
-    state.step = t
 
 
 def lr_at(cfg, step):
@@ -437,18 +459,19 @@ def _set_blas_threads(n):
     return None
 
 
-def _serve(conn, parent_end, run):
-    """The worker's loop: one answer, ``run(shard)``, per shard received.
-    A failure is sent as its exception. Returns when the main process
-    closes its end, or on Ctrl-C, which the main process handles."""
+def _serve(conn, parent_end, jobs):
+    """The worker's loop: one answer, ``jobs[j](*args)``, per message
+    (j, args) received. A failure is sent as its exception. Returns when
+    the main process closes its end, or on Ctrl-C, which the main process
+    handles."""
     from multiprocessing.pool import ExceptionWithTraceback
 
     parent_end.close()
     try:
         while True:
-            shard = conn.recv()
+            j, args = conn.recv()
             try:
-                conn.send(run(shard))
+                conn.send(jobs[j](*args))
             except Exception as exc:  # raised again in the main process, this traceback its cause
                 conn.send(ExceptionWithTraceback(exc, exc.__traceback__))
     except (EOFError, OSError, KeyboardInterrupt):
@@ -470,18 +493,23 @@ def _two_shards(tcfg):
 
 
 class _ShardWorker:
-    """Shard 1 of every step, ``run(shard)`` in one forked process, which
-    runs it while this process runs shard 0. The worker shares the state's
-    arenas: it reads the weights, which only this process writes (AdamW),
-    and writes ``grads[1]``."""
+    """One forked process that runs ``jobs[0](shard)``, shard 1 of every
+    step, while this process runs shard 0, and ``jobs[1](t, lr,
+    weight_decay)``, AdamW's second halves, while this process runs the
+    first halves. The worker shares the state's arenas: it reads the
+    weights and writes ``grads[1]``, and in its AdamW job writes its halves
+    of the weights, ``m``, ``v`` and both gradient arenas. Every answer
+    comes back in order; ``settle`` reads the AdamW one before this process
+    reads the weights again."""
 
-    def __init__(self, run):
+    def __init__(self, *jobs):
         import multiprocessing
 
         # fork, not spawn: the worker takes the pipeline and the arenas as they are, unpickled
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, run))
+        self.pending = None  # the step whose AdamW halves are not yet known to be written
+        self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, jobs))
         self.blas_threads = _set_blas_threads(1)  # the worker inherits the count
         try:
             self.proc.start()
@@ -492,13 +520,27 @@ class _ShardWorker:
         finally:
             child_end.close()
 
-    def send(self, step, shard):
-        """Send the worker shard 1 of the step; returns what waits for its answer."""
+    def _post(self, step, job, args):
         try:
-            self.conn.send(shard)
+            self.conn.send((job, args))
         except OSError:
             raise self._dead(step) from None
+
+    def send(self, step, shard):
+        """Send the worker shard 1 of the step; returns what waits for its answer."""
+        self._post(step, 0, (shard,))
         return partial(self.answer, step)
+
+    def second_half(self, t, lr, weight_decay):
+        """Start AdamW step t's second halves in the worker (``_adamw``)."""
+        self._post(t - 1, 1, (t, lr, weight_decay))
+        self.pending = t - 1
+
+    def settle(self):
+        """Wait until the worker has written the AdamW halves it was last sent."""
+        if self.pending is not None:
+            step, self.pending = self.pending, None
+            self.answer(step)
 
     def _dead(self, step):
         self.proc.join(1.0)
@@ -547,8 +589,11 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
     A batch of two or more sequences trains as its two shards
     (``PackedBatch.shards``), shard 1 in this process after shard 0 or
     alongside it in a worker forked for the run (``_two_shards``), to the
-    same bits either way. However the loop ends, the worker ends with it
-    and the trainable tensors get private arrays back (``TrainState.release``)."""
+    same bits either way. A worker also runs the second half of each
+    AdamW update while the step's record goes to ``metrics_sink`` and the
+    next batch is drawn, so the sink must not read the trainable weights.
+    However the loop ends, the worker ends with it and the trainable
+    tensors get private arrays back (``TrainState.release``)."""
     state = TrainState.create(_partition(pipe, tcfg))
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
@@ -559,9 +604,13 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
     metrics = []
     worker = None
     try:
-        worker = _ShardWorker(run1) if _two_shards(tcfg) else None
+        if _two_shards(tcfg):
+            worker = _ShardWorker(run1, partial(_adamw, state, half=1))
+            state.second_half = worker.second_half
         for step, batch in zip(range(tcfg.total_steps), batches):
             first, *rest = batch.shards()
+            if worker:
+                worker.settle()  # the last step's second halves, before shard 0's forward reads them
             shard1 = None
             if rest:
                 shard1 = worker.send(step, *rest) if worker else partial(run1, *rest)
@@ -573,6 +622,8 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
             metrics.append(rec)
             if metrics_sink is not None:
                 metrics_sink(rec)
+        if worker:
+            worker.settle()
     finally:
         if worker is not None:
             worker.close()

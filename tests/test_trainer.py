@@ -145,7 +145,37 @@ class TestAdamW:
             for got, want in ((p, p_ref), (m, m_ref), (v, v_ref)):
                 npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
+    @pytest.mark.parametrize("decay, rest", [((7, 300, 1), (129, 5)), ((1,), ()), ((), (3,)), ((1,), (1,))])
+    def test_split_halves_match_the_whole_classes_bit_for_bit(self, decay, rest):
+        # adamw_step with a second_half, which runs the second half of each
+        # decay class as the worker would (from the step t it is sent),
+        # against the whole-class calls: odd class sizes, a class of one
+        # entry (one half empty) and an empty class
+        rng = np.random.default_rng(0)
+        init = {**{f"w{i}": rng.standard_normal(n) for i, n in enumerate(decay)},
+                **{f"b{i}.gain": rng.standard_normal(n) for i, n in enumerate(rest)}}
+        whole, split = (trainer.TrainState.create({name: Tensor(x, requires_grad=True) for name, x in init.items()})
+                        for _ in range(2))
+        sent = []
+        split.second_half = lambda *msg: sent.append(msg)
+        cfg = trainer.TrainConfig(weight_decay=0.01, warmup_steps=0, total_steps=1, seed=0)
+        n = whole.weights.size
+        for t in range(1, 6):
+            g = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9, 0, n)).astype(np.float32)
+            g[::7] = 0.0
+            for state in (whole, split):
+                state.grads[0][:] = g
+                state.grads[1][:] = rng.standard_normal(n)  # scratch: never read
+                trainer.adamw_step(state, lr=1e-3 * t, cfg=cfg)
+            assert sent == [(t, 1e-3 * t, 0.01)] and split.step == whole.step == t
+            trainer._adamw(split, *sent.pop(), half=1)
+            for got, want in ((split.weights, whole.weights), (split.m, whole.m), (split.v, whole.v)):
+                npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
     def test_a_pretrain_step_calls_the_kernel_at_most_twice(self, monkeypatch):
+        # in one process: with a worker, this process sees only its halves
+        # (the split is checked by TestShards)
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: False)
         calls = []
         real = kernels.adamw_update
 
@@ -409,9 +439,10 @@ def assert_gone(workers, count=1):
     assert multiprocessing.active_children() == []
 
 
-def in_worker(fn):
-    """A compute_losses that runs fn() instead in any process but this one."""
-    main, real = os.getpid(), trainer.compute_losses
+def in_worker(fn, real=None):
+    """A real (by default compute_losses) that runs fn() instead in any
+    process but this one."""
+    main, real = os.getpid(), real or trainer.compute_losses
 
     def patched(*args):
         return real(*args) if os.getpid() == main else fn()
@@ -536,6 +567,55 @@ class TestShards:
         with pytest.raises(trainer.ShardWorkerError, match="step 0: the shard worker died"):
             trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
         assert_gone(workers)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_a_worker_that_dies_in_its_adamw_half_names_the_step(self, workers, monkeypatch, steps):
+        # read where the next step starts, or after the last step
+        monkeypatch.setattr(kernels, "adamw_update", in_worker(lambda: os._exit(7), kernels.adamw_update))
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=steps, warmup_steps=0)
+        with pytest.raises(trainer.ShardWorkerError, match=r"step 0: the shard worker died \(exit code 7\)"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert_gone(workers)
+
+    @pytest.mark.parametrize("exc", [FloatingPointError("fault in the half"), ValueError("fault in the half")])
+    def test_a_worker_exception_in_its_adamw_half_is_raised_as_itself(self, workers, monkeypatch, exc):
+        def fail():
+            raise exc
+
+        monkeypatch.setattr(kernels, "adamw_update", in_worker(fail, kernels.adamw_update))
+        mcfg, tcfg, dcfg = small_cfgs()
+        with pytest.raises(type(exc), match="in the half"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert_gone(workers)
+
+    def test_an_aborted_step_leaves_the_arenas_as_they_were(self, workers, monkeypatch):
+        # forked runs that abort at step 1, after a step whose second halves
+        # the worker wrote: once on a non-finite loss, once on a tensor
+        # neither shard gave a gradient. The worker gets its AdamW job only
+        # after this process's checks, so weights, m and v keep their bits.
+        starts, real = [], trainer.train_step
+
+        def record(state, *args):
+            starts.append((state, [a.copy() for a in (state.weights, state.m, state.v)]))
+            return real(state, *args)
+
+        monkeypatch.setattr(trainer, "train_step", record)
+        mcfg, dcfg = ModelConfig(), data.DataConfig()
+        tcfg = trainer.TrainConfig(lr=1e30, warmup_steps=0, total_steps=30, batch_size=2, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(trainer.TrainAbort, match="step 1"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        rng = np.random.default_rng(0)
+        batches = [data.make_batch(rng, 4, image_fraction=f, dcfg=dcfg, max_seq=mcfg.max_seq) for f in (0.5, 0.0)]
+        tcfg = trainer.TrainConfig(warmup_steps=0, total_steps=2, batch_size=4, seed=0)
+        with pytest.raises(ValueError, match="missing gradient"):
+            trainer.train_loop(trainer.build_pipeline(mcfg, seed=0), tcfg, batches)
+        assert len(starts) == 4
+        for (_, first), (state, before) in (starts[:2], starts[2:]):
+            moved, mid = before[0] != first[0], state.n_decay // 2
+            assert moved[:mid].any() and moved[mid:state.n_decay].any()  # both halves of step 0 landed
+            for arena, was in zip((state.weights, state.m, state.v), before):
+                npt.assert_array_equal(arena.view(np.uint32), was.view(np.uint32))
+        assert_gone(workers, count=2)
 
     def test_a_silent_worker_times_out(self, workers, monkeypatch):
         monkeypatch.setattr(trainer, "WORKER_TIMEOUT_S", 0.5)
