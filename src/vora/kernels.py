@@ -22,10 +22,15 @@ _GELU_K1 = 0.044715
 
 
 def softmax_fwd(x, mask):
-    # exp underflows to exactly 0 at NEG_MASK, the one masked value: masked
-    # entries need no zeroing pass
-    z = x + mask
-    z -= z.max(axis=-1, keepdims=True)
+    """Row softmax of x + mask. exp underflows to exactly 0 at NEG_MASK, the
+    one masked value, so masked entries need no zeroing pass. mask None
+    masks nothing, with the bits of a zero mask: x + 0 only turns -0.0
+    into +0.0, and exp takes either zero to 1."""
+    if mask is None:
+        z = x - x.max(axis=-1, keepdims=True)
+    else:
+        z = x + mask
+        z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z

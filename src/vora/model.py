@@ -3,13 +3,16 @@ rotary positions, hybrid vision/text attention masks, per-block taps. The
 stack runs token-major on flat rows: a batch's live tokens, or padded
 sequences flattened. ``attention`` is the multi-head attention of the
 student and the teacher, ``decode_greedy`` decodes over a K/V cache of the
-positions decoded so far, and ``init_tensors`` draws every tensor owner's
-init from its ``shapes`` table, whose keys are the tensors' names.
+positions decoded so far (per block, head-major key and value buffers with
+spare capacity that each step writes its new row into, in place), and
+``init_tensors`` draws every tensor owner's init from its ``shapes`` table,
+whose keys are the tensors' names.
 
 A packed sequence is three integers (``SequenceLayout``): vision tokens
 [0, n_vision), then text up to its length, supervised from
 supervise_from. The hybrid mask (``attention_mask``, which builds every
 mask) gives vision-vision pairs bi-directional visibility, the rest causal.
+A mask of None masks nothing; a decode passes one only to its prefill.
 """
 
 from dataclasses import dataclass
@@ -125,7 +128,8 @@ def attention_mask(n_vision, s, mode="hybrid", past=0):
     allowed, NEG_MASK where blocked: queries at positions past..past+s-1
     of B sequences, vision spans [0, n_vision[b]) (an int: B = 1). Query
     q sees every key k <= q; under hybrid, a query in its vision span sees
-    exactly that span. A decode step passes past = the cached length."""
+    exactly that span. A cached forward of s > 1 positions after L passes
+    past = L; a one-row step's row is all zeros, so a decode builds none."""
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     nv = np.asarray(n_vision).reshape(-1, 1, 1)
@@ -160,6 +164,29 @@ def rope_row_tables(pos, n_heads, head_dim):
     return np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
 
 
+def _cache_write(cache, k, v):
+    """Write one block's new head-major keys and values [B, heads, s, hd]
+    into its cache [keys, values, L] after the L cached positions; returns
+    views of all L+s. A prefill (empty cache) keeps its own arrays, full;
+    a write past the capacity first moves the L cached positions into
+    buffers of twice the capacity (or L+s, if more)."""
+    if not cache:
+        cache[:] = k, v, k.shape[2]
+        return k, v
+    keys, values, past = cache
+    end = past + k.shape[2]
+    if end > keys.shape[2]:
+        cap = max(2 * keys.shape[2], end)
+        grown = [np.empty(t.shape[:2] + (cap,) + t.shape[3:], dtype=np.float32) for t in (keys, values)]
+        for new, old in zip(grown, (keys, values)):
+            new[:, :, :past] = old[:, :, :past]
+        keys, values = grown
+    keys[:, :, past:end] = k
+    values[:, :, past:end] = v
+    cache[:] = keys, values, end
+    return keys[:, :, :end], values[:, :, :end]
+
+
 def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
     """Multi-head scaled dot-product attention on flat [N, d] projections.
 
@@ -169,25 +196,25 @@ def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
     q's carry the 1/√hd score scale, so the scores are scaled here only
     without rope. q and k are rotated as rows, then q, k and v are
     gathered head-major into [B, heads, S, hd]; the scores are softmaxed
-    under the additive mask ([B, S, L] or [S, L]) and the context is
-    scattered straight back to [N, d].
-    cache: one block's [keys, values] list, each [B, heads, L, hd] post-RoPE,
-    or empty before a prefill. The queries attend over the L cached
-    positions and their own S; the list then holds all L+S of them.
+    under the additive mask ([B, S, L] or [S, L]; None masks nothing) and
+    the context is scattered straight back to [N, d].
+    cache: one block's [keys, values, L], keys and values [B, heads, C, hd]
+    post-RoPE buffers whose first L of C positions are cached, or empty
+    before a prefill. The S new keys and values are written in place
+    after the L (``_cache_write``), and the queries attend over views of
+    all L+S positions.
     """
     n, d = q.data.shape
     if rope is not None:
         (q_cos, q_sin), (k_cos, k_sin) = rope
         q, k = T.rope(q, q_cos, q_sin, n_heads), T.rope(k, k_cos, k_sin, n_heads)
     q, k, v = (T.gather_rows(t, rows, heads=n_heads) for t in (q, k, v))
-    if cache:
-        k, v = (T.constant(np.concatenate([past, new.data], axis=2)) for past, new in zip(cache, (k, v)))
     if cache is not None:
-        cache[:] = k.data, v.data
+        k, v = (T.constant(t) for t in _cache_write(cache, k.data, v.data))
     scores = T.matmul(q, k, transpose_b=True)
     if rope is None:
         scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
-    probs = T.softmax_rows(scores, mask[..., None, :, :])  # one mask for every head
+    probs = T.softmax_rows(scores, None if mask is None else mask[..., None, :, :])  # one mask for every head
     return T.scatter_rows(T.matmul(probs, v), rows, n, heads=n_heads)
 
 
@@ -232,7 +259,8 @@ class Model:
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [B, S, d] with vision embeddings spliced in at the
-        vision span, mask ``attention_mask``'s [B, S, S], or one [S, S].
+        vision span, mask ``attention_mask``'s [B, S, S], or one [S, S], or
+        None: nothing masked, every query sees every key.
         Returns (logits, taps); taps are the post-residual output Tensors
         of blocks 0..n_vit-1, in block order. A [B, S, d] input runs as
         its B * S rows flattened; its logits and taps come back [B, S, ...].
@@ -245,9 +273,11 @@ class Model:
         them. An [S, d] input without rows is one sequence, rows =
         arange(S)[None]: [S, d] taps, [S, vocab] logits.
         cache (forward-only): a list, empty before the prefill, which the
-        forward fills with one [keys, values] pair per block; a later call
-        on the same B sequences takes positions L..L+S-1 after the L cached
-        ones, with a mask at past=L, and appends its keys and values.
+        forward fills with one [keys, values, L] entry per block (see
+        ``attention``); a later call on the same B sequences takes positions
+        L..L+S-1 after the L cached ones, with a mask at past=L (None for a
+        one-row step, whose query sees every key), and writes its keys and
+        values in place after them.
         """
         cfg = self.cfg
         x = embedded
@@ -257,7 +287,7 @@ class Model:
             if padded:
                 x = T.reshape(x, (rows.size, cfg.d_model))
         b, s = rows.shape
-        past = cache[0][0].shape[2] if cache else 0
+        past = cache[0][2] if cache else 0
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
         if cache is not None:
@@ -307,12 +337,14 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     prefix_embedded: [B, S, d], B prompts ([vision span][text]) with a
     list of B layouts, which must share one vision span and supervision
     start; or [S, d] with one layout, a batch of one.
-    The prompts are encoded once under the mask mode; each later step
-    feeds only the new tokens, reads the earlier positions' keys and
-    values from the K/V cache and appends its own, so the cache holds
-    just the positions decoded so far, however large max_new and max_seq
-    are; each step's mask is ``attention_mask`` at past = the cache's
-    length. A row stops at EOS, after max_new tokens, or when the sequence
+    The prompts are encoded once under the mask mode, whose
+    ``attention_mask`` is the only mask a decode builds; each later step
+    feeds only the new tokens, one per row, reads the earlier positions'
+    keys and values from the K/V cache and writes its own in place after
+    them, so the cache grows (doubling) with the positions decoded so far,
+    however large max_new and max_seq are. A one-row step's query sees
+    every earlier key under both mask modes, so it runs with mask None.
+    A row stops at EOS, after max_new tokens, or when the sequence
     has reached max_seq; the loop runs until every row has stopped.
     Returns each row's generated ids (EOS included when it ended the row),
     or, for an [S, d] prompt, the one row's ids.
@@ -326,11 +358,11 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     if len(layouts) != batch or len({(lay.n_vision, lay.supervise_from) for lay in layouts}) > 1:
         raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
     cache, past = [], 0
+    mask = attention_mask(layouts[0].n_vision, s, mask_mode)
     out = [[] for _ in range(batch)]
     live = [True] * batch
     with T.no_grad():
         for _ in range(max_new):
-            mask = attention_mask(layouts[0].n_vision, s, mask_mode, past)
             logits, _ = model.forward(emb, mask, adapters, collect_taps=False, cache=cache)
             nxt = logits.data[:, -1].argmax(axis=-1)
             for row, token in enumerate(nxt.tolist()):
@@ -340,5 +372,5 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
             if not any(live) or past + s >= model.cfg.max_seq:
                 break
             emb = model.embed_tokens(nxt[:, None])
-            past, s = past + s, 1
+            past, s, mask = past + s, 1, None
     return out[0] if squeeze else out

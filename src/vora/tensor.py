@@ -322,11 +322,15 @@ class RowIndex:
     """An int index of any shape into the rows of a [N, ...] stack, -1 at
     holes, with its live entries found once: ``at``, their flat positions,
     ``rows``, their entries, and for a [B, S] index ``cells``, their
-    (sequence, position) pairs. ``gather_rows`` and ``scatter_rows`` take
-    one or a plain int array; a caller that moves rows by one index many
-    times (attention, in every block) builds it once."""
+    (sequence, position) pairs. ``dense``: the index has no holes and its
+    flat entry j is row j, as for a padded or [S, d] forward, a decode
+    step or the teacher at one resolution; a head-major gather or scatter
+    by a dense index is then a reshape and one transposing copy.
+    ``gather_rows`` and ``scatter_rows`` take one or a plain int array; a
+    caller that moves rows by one index many times (attention, in every
+    block) builds it once."""
 
-    __slots__ = ("shape", "at", "rows", "cells")
+    __slots__ = ("shape", "at", "rows", "cells", "dense")
 
     def __init__(self, rows):
         rows = np.asarray(rows)
@@ -335,6 +339,7 @@ class RowIndex:
         self.at = np.flatnonzero(flat >= 0)
         self.rows = flat[self.at]
         self.cells = np.divmod(self.at, rows.shape[1]) if rows.ndim == 2 else None
+        self.dense = self.rows.size == flat.size and bool((self.rows == self.at).all())
 
 
 def _gather(x, idx, heads):
@@ -345,6 +350,8 @@ def _gather(x, idx, heads):
     if heads:
         b, s = idx.shape
         hd = x.shape[1] // heads
+        if idx.dense:  # a copy, never a view: at S = 1 the transpose is contiguous
+            return x[:size].reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()
         out = new((b, heads, s, hd), dtype=np.float32)
         out.transpose(0, 2, 1, 3)[idx.cells] = x[idx.rows].reshape(-1, heads, hd)
         return out
@@ -357,6 +364,8 @@ def _scatter(x, n, idx, heads):
     # [n, ...]: flat entry idx.at[j] of x (the index's axes flattened) at row
     # idx.rows[j], zero elsewhere; heads: x is [B, heads, S, hd], out [n, heads * hd]
     if heads:
+        if idx.dense and n == idx.rows.size:
+            return x.transpose(0, 2, 1, 3).copy().reshape(n, heads * x.shape[3])
         picked = x.transpose(0, 2, 1, 3)[idx.cells].reshape(idx.at.size, heads * x.shape[3])
     else:
         picked = x.reshape((-1,) + x.shape[len(idx.shape):])[idx.at]
@@ -371,7 +380,9 @@ def gather_rows(a, rows, heads=0):
     The picked rows must be distinct; ``scatter_rows`` is the backward.
     heads: a is [N, d], the rows of that many heads, and rows is [B, S];
     the picked rows land head-major, [B, heads, S, d/heads], as attention
-    takes them."""
+    takes them: by a ``RowIndex.dense`` index one transposing copy, else
+    by fancy indexing. Either way the result is a C-ordered array of its
+    own, never a view of a."""
     idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
     if heads and (idx.cells is None or a.data.ndim != 2 or a.data.shape[1] % heads):
         raise ShapeError(f"gather_rows: {a.data.shape} in {heads} heads by rows {idx.shape}")
@@ -384,7 +395,9 @@ def scatter_rows(a, rows, n, heads=0):
     tensor, out[rows[j]] = a[j] for every rows[j] >= 0 (distinct), zero
     rows where no entry points; entries at -1 are dropped.
     heads: a is head-major [B, heads, S, hd] and rows [B, S]; the rows
-    come out [n, heads * hd]."""
+    come out [n, heads * hd], C-ordered and never a view of a: by one
+    transposing copy when the index is ``RowIndex.dense`` and covers all
+    n rows, else by fancy indexing."""
     idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
     if heads and (idx.cells is None or a.data.shape[:3:2] != idx.shape or a.data.shape[1] != heads):
         raise ShapeError(f"scatter_rows: {a.data.shape} in {heads} heads by rows {idx.shape}")
@@ -478,8 +491,10 @@ def softmax_rows(a, additive_mask):
 
     The mask broadcasts against ``a``; masked entries come out exactly 0,
     each row sums to 1 over the rest, and a fully masked row is an error.
+    additive_mask None masks nothing: the same bits as an all-zero mask,
+    without its add or the fully-masked check.
     """
-    if np.any((additive_mask < 0.0).all(axis=-1)):
+    if additive_mask is not None and np.any((additive_mask < 0.0).all(axis=-1)):
         raise ValueError("row fully masked")
     probs = kernels.softmax_fwd(a.data, additive_mask)
 

@@ -8,6 +8,7 @@ import pytest
 import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
+from vora import model as vora_model
 from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong, build_attention_mask, decode_greedy,
                         rope_row_tables)
 
@@ -178,9 +179,10 @@ def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None,
     return ids, steps
 
 
-def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):
+def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid", capacities=None):
     """decode_greedy, plus every forward's last-position logits ([B, vocab])
-    and number of input positions (over all rows of the batch)."""
+    and number of input positions (over all rows of the batch); a list
+    passed as capacities takes the K/V cache's capacity after each forward."""
     steps, positions = [], []
     forward = model.forward
 
@@ -188,6 +190,8 @@ def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mod
         logits, taps = forward(embedded, *args, **kwargs)
         steps.append(logits.data[..., -1, :].reshape(-1, logits.shape[-1]).copy())
         positions.append(math.prod(embedded.data.shape[:-1]))
+        if capacities is not None:
+            capacities.append(kwargs["cache"][0][0].shape[2])
         return logits, taps
 
     model.forward = spy
@@ -228,16 +232,22 @@ def adapted_pipe():
 
 class TestKVCache:
     @pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
-    def test_step_logits_match_full_recompute(self, mask_mode):
+    def test_step_logits_match_full_recompute(self, mask_mode, monkeypatch):
         pipe = adapted_pipe()
         (prefix, lay), = heldout_prefixes(pipe, n=1)
         assert lay.n_vision > 0
+        masks = []
+        build = vora_model.attention_mask
+        monkeypatch.setattr(vora_model, "attention_mask", lambda *args: masks.append(args) or build(*args))
         for merged in (False, True):
             if merged:
                 lora.merge_all(pipe.model, pipe.adapters)
             want_ids, want = full_recompute_decode(pipe.model, prefix, lay, -1, 24, pipe.adapters, mask_mode)
+            masks.clear()
             ids, got, positions = spied_decode(pipe.model, prefix, lay, -1, 24, pipe.adapters, mask_mode)
             assert positions == [prefix.data.shape[0]] + [1] * 23  # prefill once, then one token a step
+            # one mask, the prefill's: a one-row step sees every earlier key
+            assert masks == [(lay.n_vision, prefix.data.shape[0], mask_mode)]
             assert ids == want_ids
             assert len(got) == len(want) == 24
             for g, w in zip(got, want):
@@ -402,6 +412,20 @@ def test_decode_cache_grows_with_the_positions_decoded():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_cache_doubles_when_full_and_matches_full_recompute():
+    # a 3-position prefill fills its cache; 100 new tokens double it six
+    # times, each growth moving the cached keys and values into new buffers
+    pipe = adapted_pipe()
+    prefix, lay = pipe.model.embed_tokens([D.BOS, 10, 20]), SequenceLayout(0, 3, 3)
+    capacities = []
+    ids, got, _ = spied_decode(pipe.model, prefix, lay, -1, 100, pipe.adapters, capacities=capacities)
+    want_ids, want = full_recompute_decode(pipe.model, prefix, lay, -1, 100, pipe.adapters)
+    assert ids == want_ids and len(ids) == 100
+    for g, w in zip(got, want, strict=True):
+        npt.assert_allclose(g[0], w, rtol=0, atol=1e-5)
+    assert capacities == sorted(capacities) and sorted(set(capacities)) == [3, 6, 12, 24, 48, 96, 192]
 
 
 def test_long_decode_matches_full_recompute():

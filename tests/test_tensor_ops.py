@@ -96,6 +96,23 @@ class TestSoftmaxRows:
                 npt.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
                 assert (out[..., drop] == 0.0).all()
 
+    def test_no_mask_is_an_all_zero_mask_bit_for_bit(self):
+        # x + 0 turns -0.0 into +0.0 and the unmasked kernel skips the add;
+        # every zero still leaves exp as 1, so forward and backward agree
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        x[0, 0] = [-0.0, -0.0, -0.0, -1.0, -2.0, -0.5]  # row max -0.0
+        x[0, 1] = [0.0, -0.0, -3.0, 0.0, -0.0, -1.0]  # row max +-0
+        x[1, 2, ::2] = -0.0
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        outs = []
+        for mask in (None, np.zeros(x.shape[-2:], dtype=np.float32)):
+            a = tensor(x, requires_grad=True)
+            out = T.softmax_rows(a, mask)
+            T.backward(project(out, g))
+            outs.append((out.data.tobytes(), a.grad.tobytes()))
+        assert outs[0] == outs[1]
+
     def test_fully_masked_row_errors(self):
         x = tensor(np.zeros((2, 3)))
         mask = np.zeros((2, 3), dtype=np.float32)
@@ -236,6 +253,27 @@ def test_gather_and_scatter_rows_zero_holes_and_own_their_memory():
     assert not np.shares_memory(back.data, ctx.data)
     T.backward(T.tsum(back))
     npt.assert_array_equal(ctx.grad, [[[1] * 3, [0] * 3], [[1] * 3, [1] * 3]])  # the -1 entry gets none
+
+    # a dense index (no holes, entry j is row j) moves head-major rows by one
+    # transposing copy: the bits of the fancy-indexed path, C-ordered, and
+    # never a view, also at [1, 1], one decode row, whose transpose is
+    # already contiguous
+    assert not T.RowIndex(rows).dense and not T.RowIndex([[1, 0]]).dense
+    rng = np.random.default_rng(3)
+    h, hd = 2, 3
+    for b, s in ((1, 1), (2, 1), (1, 5), (3, 4)):
+        dense = T.RowIndex(np.arange(b * s).reshape(b, s))
+        fancy = T.RowIndex(np.arange(b * s).reshape(b, s))
+        fancy.dense = False  # the path an index with holes takes
+        assert dense.dense
+        x = tensor(rng.standard_normal((b * s, h * hd)), requires_grad=True)
+        ctx = tensor(rng.standard_normal((b, h, s, hd)), requires_grad=True)
+        for op, inp, out_shape in ((lambda idx: T.gather_rows(x, idx, heads=h), x, (b, h, s, hd)),
+                                   (lambda idx: T.scatter_rows(ctx, idx, b * s, heads=h), ctx, (b * s, h * hd))):
+            r = rng.standard_normal(out_shape).astype(np.float32)
+            (got, (got_grad,)), (want, (want_grad,)) = (_grads(lambda: op(idx), [inp], r) for idx in (dense, fancy))
+            assert got.tobytes() == want.tobytes() and got_grad.tobytes() == want_grad.tobytes()
+            assert got.flags.c_contiguous and got_grad.flags.c_contiguous and not np.shares_memory(got, inp.data)
 
 
 def _grads(make_out, inputs, r):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Paired A/B of training steps: git revision REV against the working tree,
-both in one process.
+"""Paired A/B of training steps or greedy decodes: git revision REV against
+the working tree, both in one process.
 
     tools/ab_steps.py REV [fixed|anyres] [pretrain|finetune] [--steps N] [--seed S]
+    tools/ab_steps.py REV decode [--merged] [--steps N] [--seed S]
 
 REV's src/vora (taken with `git archive`, as tools/compare_artifacts.sh
 does) is imported as the package `vora_rev`, the working tree's src/vora as
@@ -25,6 +26,16 @@ as its two shards (`trainer.train_loop`), and takes the whole-batch
 step only at batch_size 1. So the script compares the step bodies of two
 revisions, not their runs. A claim about run steps rests on
 `perfbench/run.py` pairs, which time them in wall time.
+
+`decode` times `model.decode_greedy` instead, on the inputs of perfbench's
+eval-decode workload for the seed (`workloads.make_inputs`): each side
+loads its unmerged checkpoint with non-zero adapters (--merged: then
+merges them) and embeds its 8 held-out caption prefixes. The calls cycle
+over the prefixes and alternate as the steps do; each decodes 24 new
+tokens with no EOS, so its work is fixed. A step is one decode call,
+timed in process CPU time. The script exits 1 if the two sides decode
+different ids. Besides what perfbench uses, it calls `trainer.merge`, so
+REV must have it.
 """
 
 import argparse
@@ -44,6 +55,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  perfbench's, for the decode inputs
 
 
 def import_package(name, path):
@@ -84,15 +97,51 @@ class Side:
         return float(out.lm.data)
 
 
+class DecodeSide:
+    """One package's adapted pipeline, merged or not, and the held-out
+    prefixes it decodes: perfbench's eval-decode inputs for the seed."""
+
+    def __init__(self, vora, merged, seed):
+        inp = workloads.make_inputs(vora, "eval-decode", seed)
+        self.vora = vora
+        self.pipe = vora.trainer.pipeline_from_state(inp.mcfg, inp.ckpt, inp.ckpt_meta)
+        if merged:
+            vora.trainer.merge(self.pipe)
+        self.prefixes = []
+        with vora.tensor.no_grad():
+            for batch in inp.heldout:
+                lay = batch.layouts[0]
+                emb = vora.trainer.pack_embedded(self.pipe, batch).data[0, : lay.supervise_from]
+                self.prefixes.append((vora.tensor.constant(emb), lay))
+        self.ms = []
+
+    def step(self, i, timed):
+        prefix, lay = self.prefixes[i % len(self.prefixes)]
+        t0 = time.process_time()
+        ids = self.vora.model.decode_greedy(self.pipe.model, prefix, lay, workloads.NO_EOS, workloads.MAX_NEW,
+                                            adapters=self.pipe.adapters)
+        dt = time.process_time() - t0
+        if timed:
+            self.ms.append(1e3 * dt)
+        return ids
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
-    ap.add_argument("grid", nargs="?", choices=("fixed", "anyres"), default="fixed")
+    ap.add_argument("grid", nargs="?", choices=("fixed", "anyres", "decode"), default="fixed")
     ap.add_argument("mode", nargs="?", choices=("pretrain", "finetune"), default="pretrain")
-    ap.add_argument("--steps", type=int, default=140, help="timed steps per side")
+    ap.add_argument("--merged", action="store_true", help="decode: merge the adapters first")
+    ap.add_argument("--steps", type=int, default=140, help="timed steps (decode calls) per side")
     ap.add_argument("--warmup", type=int, default=5, help="untimed steps per side first")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.grid == "decode":
+        title = f"decode {'merged' if args.merged else 'unmerged'}"
+        make = lambda vora: DecodeSide(vora, args.merged, args.seed)  # noqa: E731
+    else:
+        title = f"{args.grid} {args.mode}"
+        make = lambda vora: Side(vora, args.grid, args.mode, args.seed)  # noqa: E731
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src/vora"],
@@ -101,25 +150,32 @@ def main(argv=None):
         archive_path.write_bytes(archive)
         with tarfile.open(archive_path) as tar:
             tar.extractall(tmp, filter="data")
-        rev = Side(import_package("vora_rev", Path(tmp) / "src" / "vora"), args.grid, args.mode, args.seed)
-        tree = Side(import_package("vora", ROOT / "src" / "vora"), args.grid, args.mode, args.seed)
-        worst_loss_gap = 0.0
+        rev = make(import_package("vora_rev", Path(tmp) / "src" / "vora"))
+        tree = make(import_package("vora", ROOT / "src" / "vora"))
+        worst_loss_gap, id_mismatches = 0.0, 0
         for i in range(args.warmup + args.steps):
             timed = i >= args.warmup
             first, second = (rev, tree) if i % 2 == 0 else (tree, rev)
-            losses = {id(first): first.step(i, timed), id(second): second.step(i, timed)}
-            worst_loss_gap = max(worst_loss_gap, abs(losses[id(rev)] - losses[id(tree)]))
+            out = {id(first): first.step(i, timed), id(second): second.step(i, timed)}
+            if args.grid == "decode":
+                id_mismatches += out[id(rev)] != out[id(tree)]
+            else:
+                worst_loss_gap = max(worst_loss_gap, abs(out[id(rev)] - out[id(tree)]))
 
     ratio = np.array(tree.ms) / np.array(rev.ms)
     q1, med, q3 = np.percentile(ratio, [25, 50, 75])
-    print(f"{args.grid} {args.mode}, seed {args.seed}, {args.steps} timed steps per side (process CPU time)")
+    print(f"{title}, seed {args.seed}, {args.steps} timed steps per side (process CPU time)")
     for name, side in ((args.rev, rev), ("tree", tree)):
         lo, mid, hi = np.percentile(side.ms, [25, 50, 75])
         print(f"  {name:>12}: median {mid:.2f} ms/step (quartiles {lo:.2f}-{hi:.2f})")
     print(f"  tree/{args.rev}: median ratio {med:.3f} (quartiles {q1:.3f}-{q3:.3f}),"
           f" tree faster on {int((ratio < 1).sum())}/{ratio.size} steps")
+    if args.grid == "decode":
+        print(f"  decode calls whose ids differ: {id_mismatches} of {args.warmup + args.steps}")
+        return 1 if id_mismatches else 0
     print(f"  worst |lm loss difference| over all steps: {worst_loss_gap:.2e}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
