@@ -3,9 +3,9 @@ adapted layer runs with, and exact merge into the base weights.
 
 An adapter is the pair (a, b) and adds b a to its layer's weight, with no
 further scale. Unmerged, a layer runs as one ``T.linear(x, w, (a, b))``
-call, on the float32 merged weight ``T.merged_weight``; the merge writes
-that very weight into the base for good. Every adapter starts with b = 0
-so a freshly attached model computes exactly the base model's outputs.
+call, on the float32 merged weight ``T.merged_weight``, which the merge and
+a decode take from ``AdapterSet.merged_weights``. Every adapter starts with
+b = 0 so a freshly attached model computes exactly the base model's outputs.
 """
 
 from typing import NamedTuple
@@ -50,6 +50,12 @@ class AdapterSet:
         b·a; None when the layer has no adapter or the set is merged."""
         return None if self.merged else self.adapters.get((block, layer))
 
+    def merged_weights(self, params):
+        """(name, ``T.merged_weight``) of each adapted weight in ``params``, built as taken; none once merged."""
+        for (block, layer), (a, b) in () if self.merged else self.adapters.items():
+            name = f"llm.blocks.{block}.{layer}"
+            yield name, T.merged_weight(params[name].data, a.data, b.data)
+
 
 def _pairs(cfg):
     """(block, layer, a name, b name) of every adapted layer, in init order:
@@ -81,7 +87,6 @@ def merge_all(model, adapter_set):
     """Fold every adapter into its base weight in place; one-shot only."""
     if adapter_set.merged:
         raise MergeStateError("adapters already merged")
-    for (block, layer), (a, b) in sorted(adapter_set.adapters.items()):
-        w = model.params[f"llm.blocks.{block}.{layer}"]
-        w.data = T.merged_weight(w.data, a.data, b.data)
+    for name, w in adapter_set.merged_weights(model.params):
+        model.params[name].data = w
     adapter_set.merged = True

@@ -123,18 +123,16 @@ class SequenceLayout:
             raise LayoutError(f"need 0 <= n_vision <= supervise_from <= length, got {self}")
 
 
-def attention_mask(n_vision, s, mode="hybrid", past=0):
-    """The visibility rule as an additive mask [B, s, past + s], 0 where
-    allowed, NEG_MASK where blocked: queries at positions past..past+s-1
-    of B sequences, vision spans [0, n_vision[b]) (an int: B = 1). Query
-    q sees every key k <= q; under hybrid, a query in its vision span sees
-    exactly that span. A cached forward of s > 1 positions after L passes
-    past = L; a one-row step's row is all zeros, so a decode builds none."""
+def attention_mask(n_vision, s, mode="hybrid"):
+    """The visibility rule as an additive mask [B, s, s], 0 where allowed,
+    NEG_MASK where blocked, over positions 0..s-1 of B sequences with vision
+    spans [0, n_vision[b]) (an int: B = 1): query q sees every key k <= q;
+    under hybrid, a query in its vision span sees exactly that span. A
+    cached forward of rows L..L+s-1 takes the last s rows of the mask at L+s."""
     if mode not in MASK_MODES:
         raise ValueError(f"unknown mask mode {mode!r}")
     nv = np.asarray(n_vision).reshape(-1, 1, 1)
-    q = np.arange(past, past + s)[:, None]
-    k = np.arange(past + s)[None, :]
+    q, k = np.ogrid[:s, :s]
     allowed = (k <= q) | ((q < nv) & (k < nv) & (mode == "hybrid"))
     return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK))
 
@@ -275,9 +273,9 @@ class Model:
         cache (forward-only): a list, empty before the prefill, which the
         forward fills with one [keys, values, L] entry per block (see
         ``attention``); a later call on the same B sequences takes positions
-        L..L+S-1 after the L cached ones, with a mask at past=L (None for a
-        one-row step, whose query sees every key), and writes its keys and
-        values in place after them.
+        L..L+S-1 after the L cached ones, with the last S rows of the mask
+        at L+S (None for a one-row step, whose query sees every key), and
+        writes its keys and values in place after them.
         """
         cfg = self.cfg
         x = embedded
@@ -344,8 +342,8 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     them, so the cache grows (doubling) with the positions decoded so far,
     however large max_new and max_seq are. A one-row step's query sees
     every earlier key under both mask modes, so it runs with mask None.
-    A row stops at EOS, after max_new tokens, or when the sequence
-    has reached max_seq; the loop runs until every row has stopped.
+    Unmerged adapters are merged into a model copy once per call. A row stops
+    at EOS, after max_new tokens, or at max_seq; the loop ends when every row has.
     Returns each row's generated ids (EOS included when it ended the row),
     or, for an [S, d] prompt, the one row's ids.
     """
@@ -357,13 +355,20 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     layouts = [layout] if squeeze else list(layout)
     if len(layouts) != batch or len({(lay.n_vision, lay.supervise_from) for lay in layouts}) > 1:
         raise ValueError(f"the {batch} prefixes of one decode must share one layout, got {layouts}")
+    if adapters is not None:  # into one buffer: 28 arrays freed after each call slowed later work 5-10%
+        flat = np.empty(sum(model.params[f"llm.blocks.{b}.{l}"].data.size for b, l in adapters.adapters), np.float32)
+        at, merged = 0, {}
+        for name, w in adapters.merged_weights(model.params):
+            merged[name] = Tensor(flat[at:at + w.size].reshape(w.shape))
+            merged[name].data[...], at = w, at + w.size
+        model = Model(model.cfg, {**model.params, **merged})
     cache, past = [], 0
     mask = attention_mask(layouts[0].n_vision, s, mask_mode)
     out = [[] for _ in range(batch)]
     live = [True] * batch
     with T.no_grad():
         for _ in range(max_new):
-            logits, _ = model.forward(emb, mask, adapters, collect_taps=False, cache=cache)
+            logits, _ = model.forward(emb, mask, collect_taps=False, cache=cache)
             nxt = logits.data[:, -1].argmax(axis=-1)
             for row, token in enumerate(nxt.tolist()):
                 if live[row]:

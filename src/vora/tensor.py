@@ -253,16 +253,10 @@ def linear(x, w, ab=None):
 
     ab: a low-rank pair (a [r, d_in], b [d_out, r]). The layer is then
     x·(w + b·a)ᵀ = x·wᵀ + (x·aᵀ)·bᵀ (arXiv 2106.09685), as one node on the
-    merged weight w' = w + b·a, built once per call: one 2-D GEMM forward,
-    and dx = g·w', dw = gᵀ·x, db = gᵀ·(x·aᵀ) and da = (g·b)ᵀ·x, each only
-    for an input that requires it; x·aᵀ is kept from the forward only
-    when b needs it. A call that records no node and has fewer rows than
-    d_in·d_out / (d_in + d_out), such as a decode step, runs
-    x·wᵀ + (x·aᵀ)·bᵀ instead. That path is kept because it measured 3-4%
-    faster on unmerged decode (2-CPU host; perfbench eval-decode
-    decode_tokens_per_s_unmerged 593 vs 566 tokens/s without it). It
-    leaves unmerged decode logits a float32 rounding apart from merged
-    ones (at most 2.4e-7 seen, with equal decoded ids).
+    merged weight w' = w + b·a, built once per call: one 2-D GEMM forward
+    at any row count, and dx = g·w', dw = gᵀ·x, db = gᵀ·(x·aᵀ) and
+    da = (g·b)ᵀ·x, each only for an input that requires it; x·aᵀ is kept
+    from the forward only when b needs it.
     """
     if ab is None:
         return matmul(x, w, transpose_b=True)
@@ -272,12 +266,8 @@ def linear(x, w, ab=None):
         raise ShapeError(f"linear shape mismatch: {x.data.shape} x ({w.data.shape} + "
                          f"{b.data.shape}·{a.data.shape})ᵀ")
     x2 = x.data.reshape(-1, d_in)
-    lead = x.data.shape[:-1]
-    if x2.shape[0] * (d_in + d_out) < d_in * d_out and not (
-            _grad_enabled and any(t.requires_grad for t in (x, w, a, b))):
-        return Tensor((x2 @ w.data.T + (x2 @ a.data.T) @ b.data.T).reshape(lead + (d_out,)))
     wm = merged_weight(w.data, a.data, b.data)
-    out = (x2 @ wm.T).reshape(lead + (d_out,))
+    out = (x2 @ wm.T).reshape(x.data.shape[:-1] + (d_out,))
     u = x2 @ a.data.T if _grad_enabled and b.requires_grad else None
 
     def bwd(g):

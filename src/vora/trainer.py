@@ -111,7 +111,7 @@ class Pipeline:
         return groups
 
 
-def build_pipeline(cfg, seed=0, teacher_warm=False, teacher_warm_steps=200):
+def build_pipeline(cfg, seed=0, teacher_warm=False, teacher_warm_steps=TrainConfig.teacher_warm_steps):
     model = Model.init(cfg, seed=seed)
     adapters = lora.attach(cfg, seed=seed + 1)
     vembed = vision.VisionEmbed.init(cfg, seed=seed + 2)

@@ -103,7 +103,8 @@ class TestMaskRule:
 
     def test_batches_after_a_cache_enumerated(self):
         # B <= 3 sequences of s <= 6 queries after past <= 4 cached
-        # positions: query i sits at position past + i
+        # positions, the last s rows of the mask at past + s: query i sits
+        # at position past + i
         for mode in MASK_MODES:
             for s in range(1, 7):
                 for past in range(5):
@@ -111,10 +112,10 @@ class TestMaskRule:
                     want = {nv: oracle_mask(nv, range(past, length), length, mode) for nv in range(length + 1)}
                     for b in (1, 2, 3):
                         for spans in itertools.product(range(length + 1), repeat=b):
-                            got = attention_mask(spans, s, mode, past)
+                            got = attention_mask(spans, length, mode)[:, past:]
                             assert got.dtype == np.float32 and got.shape == (b, s, length)
                             assert np.array_equal(got, np.stack([want[nv] for nv in spans])), (mode, past, spans)
-                    assert np.array_equal(attention_mask(length, s, mode, past), want[length][None])
+                    assert np.array_equal(attention_mask(length, length, mode)[:, past:], want[length][None])
 
     def test_all_vision_sequences(self):
         # the teacher's images: each an all-vision sequence padded to the
@@ -129,14 +130,15 @@ class TestMaskRule:
     @pytest.mark.parametrize("mode", MASK_MODES)
     def test_one_row_extension_steps(self, mode):
         # decode: a prefix of length S, then one-row steps at past = S, S+1, ...
-        # Each step's row is the full recompute's row at that position, and
-        # a text token sees every earlier position
+        # (the last row of the mask at past + 1). Each step's row is the
+        # full recompute's row at that position, and a text token sees
+        # every earlier position, so a decode step runs with no mask
         for prefix in range(1, 7):
             for nv in range(prefix + 1):
                 full = attention_mask(nv, prefix + 4, mode)[0]
                 npt.assert_array_equal(attention_mask(nv, prefix, mode)[0], full[:prefix, :prefix])
                 for past in range(prefix, prefix + 4):
-                    step = attention_mask(nv, 1, mode, past)
+                    step = attention_mask(nv, past + 1, mode)[:, past:]
                     assert step.shape == (1, 1, past + 1) and (step == 0.0).all()
                     npt.assert_array_equal(step[0], oracle_mask(nv, [past], past + 1, mode))
                     npt.assert_array_equal(step[0], full[past:past + 1, :past + 1])

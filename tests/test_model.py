@@ -182,23 +182,25 @@ def full_recompute_decode(model, prefix, layout, eos_id, max_new, adapters=None,
 def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mode="hybrid", capacities=None):
     """decode_greedy, plus every forward's last-position logits ([B, vocab])
     and number of input positions (over all rows of the batch); a list
-    passed as capacities takes the K/V cache's capacity after each forward."""
+    passed as capacities takes the K/V cache's capacity after each forward.
+    The spy sits on the class, as perfbench's tracer does: a decode of
+    unmerged adapters runs a merged copy of the model."""
     steps, positions = [], []
-    forward = model.forward
+    forward = Model.forward
 
-    def spy(embedded, *args, **kwargs):
-        logits, taps = forward(embedded, *args, **kwargs)
+    def spy(self, embedded, *args, **kwargs):
+        logits, taps = forward(self, embedded, *args, **kwargs)
         steps.append(logits.data[..., -1, :].reshape(-1, logits.shape[-1]).copy())
         positions.append(math.prod(embedded.data.shape[:-1]))
         if capacities is not None:
             capacities.append(kwargs["cache"][0][0].shape[2])
         return logits, taps
 
-    model.forward = spy
+    Model.forward = spy
     try:
         ids = decode_greedy(model, prefix, layout, eos_id, max_new, adapters=adapters, mask_mode=mask_mode)
     finally:
-        del model.forward
+        Model.forward = forward
     return ids, steps, positions
 
 
@@ -361,9 +363,9 @@ class TestBatchedDecode:
 
 def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
     """The paper's "no extra inference cost": after the merge, decoding runs
-    exactly the matmuls of a never-adapted model of the same config.
-    Unmerged, each adapted layer is one fused ``T.linear(x, w, (a, b))``
-    call in place of its plain matmul."""
+    exactly the matmuls of a never-adapted model of the same config. So
+    does an unmerged decode, which merges its adapters once per call: no
+    step makes a fused ``T.linear(x, w, (a, b))`` call."""
     pipe = adapted_pipe()
     prefix, layouts = heldout_batch(pipe)
     matmul, linear = T.matmul, T.linear
@@ -393,9 +395,8 @@ def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
     trainer.merge(pipe)
     merged, merged_fused = shapes_of(pipe.model, pipe.adapters)
     base, base_fused = shapes_of(Model.init(pipe.cfg, seed=1), None)
-    assert merged == base
-    assert len(unmerged_fused) > 0 and len(merged_fused) == len(base_fused) == 0
-    assert len(unmerged) + len(unmerged_fused) == len(base)  # one linear call per layer either way
+    assert unmerged == merged == base
+    assert unmerged_fused == merged_fused == base_fused == []
 
 
 def test_decode_cache_grows_with_the_positions_decoded():
@@ -457,6 +458,34 @@ def test_merged_logits_equal_unmerged_bit_for_bit():
         trainer.merge(pipe)
         merged, _ = pipe.model.forward(prefix, mask, pipe.adapters, collect_taps=False)
     assert merged.data.tobytes() == unmerged.data.tobytes()
+
+
+def test_unmerged_decode_equals_merged_bit_for_bit():
+    # an unmerged decode merges its adapters once per call, so each step's
+    # logits on the 8 held-out prefixes are the merged model's bits
+    pipe = adapted_pipe()
+    prefixes = heldout_prefixes(pipe)
+    unmerged = [spied_decode(pipe.model, p, lay, -1, 24, pipe.adapters)[:2] for p, lay in prefixes]
+    trainer.merge(pipe)
+    merged = [spied_decode(pipe.model, p, lay, -1, 24, pipe.adapters)[:2] for p, lay in prefixes]
+    for (ids, steps), (want_ids, want) in zip(unmerged, merged, strict=True):
+        assert ids == want_ids and len(ids) == 24
+        assert [g.tobytes() for g in steps] == [w.tobytes() for w in want]
+
+
+def test_forward_only_adapted_rows_equal_merged_bit_for_bit():
+    # a gradient-free adapted forward of a few rows runs each adapted layer
+    # on its merged weight too, as a step of a cached decode once did not
+    pipe = adapted_pipe()
+    rng = np.random.default_rng(3)
+    inputs = [(pipe.model.embed_tokens(rng.integers(0, pipe.cfg.vocab, n)),
+               build_attention_mask(SequenceLayout(0, n, n), n)) for n in (1, 8)]
+    with T.no_grad():
+        unmerged = [pipe.model.forward(emb, mask, pipe.adapters, collect_taps=False)[0] for emb, mask in inputs]
+        trainer.merge(pipe)
+        merged = [pipe.model.forward(emb, mask, collect_taps=False)[0] for emb, mask in inputs]
+    for got, want in zip(unmerged, merged, strict=True):
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_rope_tables_at_positions_equal_the_full_tables_rows():

@@ -8,7 +8,7 @@ the tests' own rule (``test_mask.oracle_mask``), never from vora."""
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vora.tensor as T
@@ -18,7 +18,7 @@ from vora.vision import Teacher, patchify
 
 from test_mask import oracle_mask
 from test_trainer import assert_steps_equal, assert_steps_match, one_step, whole_step
-from test_model import full_recompute_decode, straightline_forward
+from test_model import full_recompute_decode, spied_decode, straightline_forward
 from test_vision import straightline_teacher
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -127,8 +127,30 @@ def test_cached_decode_ids_match_full_recompute(cfg, prefix, batch, data):
             assert got == want
 
 
+@PROPERTY
+@given(cfg=configs(), prefix=st.integers(1, 5), batch=st.integers(1, 2), data=st.data())
+def test_unmerged_decode_equals_merged_bit_for_bit(cfg, prefix, batch, data):
+    # the decode merges unmerged adapters once per call: ids and every
+    # step's logits are the merged model's bits, under both mask modes
+    lay = SequenceLayout(data.draw(st.integers(0, prefix)), prefix, prefix)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    model, adapters, _ = adapted_model(cfg, rng)
+    emb = T.constant(rng.standard_normal((batch, prefix, cfg.d_model)).astype(np.float32))
+    unmerged = [spied_decode(model, emb, [lay] * batch, -1, 6, adapters, mode)[:2] for mode in MASK_MODES]
+    lora.merge_all(model, adapters)
+    merged = [spied_decode(model, emb, [lay] * batch, -1, 6, adapters, mode)[:2] for mode in MASK_MODES]
+    for (ids, steps), (want_ids, want) in zip(unmerged, merged, strict=True):
+        assert ids == want_ids
+        assert [g.tobytes() for g in steps] == [w.tobytes() for w in want]
+
+
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(cfg=configs(), batch_size=st.integers(2, 6), anyres=st.booleans(), mask_mode=st.sampled_from(MASK_MODES))
+# a gradient entry of lora.0.k.b (3.5e-9) lies below AdamW's 1e-8 epsilon,
+# so the two steps' weights differ by more than their gradients' rounding
+@example(cfg=ModelConfig(n_llm=1, n_vit=1, d_model=32, d_vit=2, n_heads=4, d_ff=32, rank=2, patch=2, vembed_hidden=4,
+                         vit_heads=1, vit_ff=2, vocab=200, max_seq=80),
+         batch_size=2, anyres=False, mask_mode="hybrid")
 def test_two_shard_step_equals_one_shard_step(cfg, batch_size, anyres, mask_mode):
     cfg = replace(cfg, vocab=data.VOCAB_SIZE, max_seq=80)
     dcfg = data.DataConfig(resolution=(8, 8), patch=2, anyres=anyres, anyres_min=8, anyres_max=12)

@@ -343,15 +343,18 @@ class TestFusedOps:
                     npt.assert_allclose(got, oracle, rtol=1e-6, atol=1e-6)
 
     def test_adapted_linear_forward_only_matches_composition_at_any_row_count(self):
-        # without a tape node, few rows run the low-rank form and many the
-        # merged weight: 1, 8 and 51 rows fall below 64·256 / (64 + 256) = 51.2
+        # without a tape node too, every row count runs one GEMM on the
+        # merged weight: x·(w + b·a)ᵀ, bit for bit, and within float32
+        # rounding of the low-rank composition x·wᵀ + (x·aᵀ)·bᵀ
         rng = np.random.default_rng(17)
         w, a, b = (tensor(0.02 * rng.standard_normal(s)) for s in ((256, 64), (8, 64), (256, 8)))
+        merged = T.merged_weight(w.data, a.data, b.data)
         for n in (1, 8, 51, 52, 380):
             x = tensor(rng.standard_normal((n, 64)), requires_grad=True)
             with T.no_grad():
                 got = T.linear(x, w, (a, b))
                 want = T.linear(x, w) + T.linear(T.linear(x, a), b)
+            assert got.data.tobytes() == (x.data @ merged.T).tobytes(), n
             npt.assert_allclose(got.data, want.data, rtol=1e-6, atol=1e-6)
             assert not got.requires_grad
 

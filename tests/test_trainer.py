@@ -323,32 +323,40 @@ class TestPretrain:
             trainer.pretrain(pipe, tcfg, dcfg)
 
 
-def capture_grads(mp):
-    """name -> a copy of the gradient ``trainer.adamw_step`` is given, filled
-    in at each call: the summed gradient of a step, which the tensors do not
-    keep."""
-    grads, real = {}, trainer.adamw_step
+def capture_adamw(mp):
+    """name -> a copy of the gradient ``trainer.adamw_step`` is given (the
+    summed gradient of a step, which the tensors do not keep), and name ->
+    the weights ``reference_adamw`` makes of it from the weights and
+    moments the step starts from; both filled in at each call."""
+    grads, want, real = {}, {}, trainer.adamw_step
 
     def capture(state, lr, cfg):
-        grads.update((name, g.copy()) for name, g in zip(state.trainable, state.views(state.grads[0])))
+        t = state.step + 1
+        for name, g, p, m, v in zip(state.trainable, *map(state.views, (state.grads[0], state.weights, state.m,
+                                                                         state.v))):
+            grads[name], want[name] = g.copy(), p.copy()
+            reference_adamw(want[name], g.copy(), m.copy(), v.copy(), lr, trainer.BETA1, trainer.BETA2,
+                            trainer.ADAM_EPS, cfg.weight_decay if trainer.decays(name) else 0.0,
+                            1.0 - trainer.BETA1**t, 1.0 - trainer.BETA2**t)
         real(state, lr, cfg)
 
     mp.setattr(trainer, "adamw_step", capture)
-    return grads
+    return grads, want
 
 
 def one_step(mcfg, dcfg, fork, mode="pretrain", **train):
     """One training step at lr 2e-4 (no warmup), shard 1 in a forked
-    worker or in this process: its metrics record, then name -> gradient
-    and name -> weights after AdamW of every trained tensor."""
+    worker or in this process: its metrics record, then name -> gradient,
+    name -> weights after AdamW and name -> ``reference_adamw``'s weights
+    (``capture_adamw``) of every trained tensor."""
     tcfg = trainer.TrainConfig(seed=0, total_steps=1, warmup_steps=0, mode=mode, **train)
     pipe = trainer.build_pipeline(mcfg, seed=0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "_two_shards", lambda tcfg: fork)
-        grads = capture_grads(mp)
+        grads, want = capture_adamw(mp)
         _, (rec,) = (trainer.finetune if mode == "finetune" else trainer.pretrain)(pipe, tcfg, dcfg)
     trained = {n: t for n, t in trainer.collect_state(pipe).items() if t.requires_grad}
-    return rec, grads, {n: t.data for n, t in trained.items()}
+    return rec, grads, {n: t.data for n, t in trained.items()}, want
 
 
 def whole_step(mcfg, dcfg, mode="pretrain", **train):
@@ -363,21 +371,22 @@ def whole_step(mcfg, dcfg, mode="pretrain", **train):
     T.active_tape().reset()
     out = trainer.compute_losses(pipe, next(trainer.batch_draws(pipe, tcfg, dcfg)), tcfg.mask_mode, distill_mode)
     T.backward(out.total)
-    grads = {n: t.grad for n, t in state.trainable.items()}
-    for g, view in zip(grads.values(), state.views(state.grads[0])):
-        view[...] = g
-    trainer.adamw_step(state, tcfg.lr, tcfg)
+    for t, view in zip(state.trainable.values(), state.views(state.grads[0])):
+        view[...] = t.grad
+    with pytest.MonkeyPatch.context() as mp:
+        grads, want = capture_adamw(mp)
+        trainer.adamw_step(state, tcfg.lr, tcfg)
     state.release()
     rec = {"step": 0, "lr": tcfg.lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
     if distill_mode != "none":
         rec.update(distill_loss=float(out.dist.data), per_block=out.per_block)
-    return rec, grads, {n: t.data for n, t in state.trainable.items()}
+    return rec, grads, {n: t.data for n, t in state.trainable.items()}, want
 
 
 def assert_steps_equal(got, want):
     """Two ``one_step`` results agree bit for bit, each gradient a float32
     array of its tensor's shape."""
-    (rec, grads, weights), (rec_want, grads_want, weights_want) = got, want
+    (rec, grads, weights, _), (rec_want, grads_want, weights_want, _) = got, want
     assert rec == rec_want
     for arrays, arrays_want in ((grads, grads_want), (weights, weights_want)):
         assert arrays.keys() == arrays_want.keys()
@@ -390,15 +399,14 @@ def assert_steps_equal(got, want):
 
 
 def assert_steps_match(got, want, rel=1e-5):
-    """A ``one_step`` result and its ``whole_step`` oracle agree within rel:
-    each loss, per-block term and gradient at most rel times its largest
-    magnitude off, and each updated tensor at most rel off in norm. The
-    first AdamW step moves a zero-initialised adapter entry by
-    lr * g / (|g| + 1e-8), so an entry whose gradient is near 1e-8 carries
-    its gradient's own float32 error (up to 1e-3 of the entry) at full
-    size: in the largest entry the weights differ by up to 2.5e-4 at the
-    default config, in norm by at most 5.5e-6."""
-    (rec, grads, weights), (rec_want, grads_want, weights_want) = got, want
+    """A ``one_step`` result and its ``whole_step`` oracle agree: each loss,
+    per-block term and gradient at most rel times its largest magnitude
+    off, and each side's updated tensors are, bit for bit, what
+    ``reference_adamw`` makes of that side's own gradient. The weights are
+    not compared across the sides: the first AdamW step moves an entry by
+    lr * g / (|g| + 1e-8), so a gradient entry near or below 1e-8 carries
+    its float32 rounding into the weights at full size."""
+    (rec, grads, weights, adamw), (rec_want, grads_want, weights_want, adamw_want) = got, want
     assert set(rec) == set(rec_want)
     for key in ("total_loss", "lm_loss", "distill_loss"):
         if key in rec:
@@ -406,11 +414,11 @@ def assert_steps_match(got, want, rel=1e-5):
     assert len(rec.get("per_block", [])) == len(rec_want.get("per_block", []))
     for a, b in zip(rec.get("per_block", []), rec_want.get("per_block", [])):
         assert abs(a - b) <= rel * abs(b)
-    assert set(grads) == set(grads_want)
+    assert set(grads) == set(grads_want) == set(weights) == set(weights_want)
     for name in grads:
         assert np.abs(grads[name] - grads_want[name]).max() <= rel * np.abs(grads_want[name]).max(), name
-        diff = np.linalg.norm(weights[name] - weights_want[name])
-        assert diff <= rel * np.linalg.norm(weights_want[name]), name
+        for w, ref in ((weights, adamw), (weights_want, adamw_want)):
+            npt.assert_array_equal(w[name].view(np.uint32), ref[name].view(np.uint32), err_msg=name)
 
 
 @pytest.fixture
