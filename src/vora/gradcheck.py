@@ -97,8 +97,8 @@ def op_suite(seed=0, trials=50):
         return (lambda: T.scale(a, c)), [a]
 
     def case_matmul(rng):
-        # a 2-D b, and attention's batched q·kᵀ and probs·v
-        a_shape, b_shape, transpose_b = [((3, 4), (4, 2), False), ((2, 3, 4), (4, 5), False),
+        # a 2-D b, a weight (transpose_b), and attention's batched q·kᵀ and probs·v
+        a_shape, b_shape, transpose_b = [((3, 4), (4, 2), False), ((2, 3, 4), (5, 4), True),
                                          ((2, 3, 4), (2, 5, 4), True), ((2, 3, 4), (2, 4, 5), False)][rng.integers(4)]
         a, b = _rand(rng, *a_shape), _rand(rng, *b_shape)
         return (lambda: T.matmul(a, b, transpose_b=transpose_b)), [a, b]

@@ -1,7 +1,7 @@
 """Dense float32 tensors with reverse-mode autodiff on an eager tape.
 
 The op set is exactly what the model stack needs: elementwise add of
-equal shapes, scalar scale, (batched) matmul, transpose, reshape,
+equal shapes, scalar scale, matmul, linear, transpose, reshape,
 concat along axis 0, row gather/scatter by an index with -1 holes
 (head-major for attention; a gather is the one row selection),
 embedding lookup, GELU, the fused SwiGLU gate (``swiglu``; there is no
@@ -9,10 +9,9 @@ separate SiLU op),
 RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
 cross entropy, the weighted cosine loss of distillation (``cosine_loss``)
 and sum. No op broadcasts its tensor operands: unequal shapes are a
-``ShapeError``. ``linear`` (x·wᵀ) is every linear layer: one tape node,
-one 2-D GEMM forward and one per operand gradient, whatever the leading
-dims of x. With an adapter pair (a, b) it is x·(w + b·a)ᵀ, still one
-node and, when it trains, one GEMM forward on the merged weight. Heavy
+``ShapeError``. Every linear layer, x·wᵀ or with an adapter pair
+x·(w + b·a)ᵀ, is one tape node of ``_linear_node``: one 2-D GEMM forward
+and one per operand gradient, whatever the leading dims of x. Heavy
 elementwise work is delegated to :mod:`vora.kernels`; matmul goes
 straight to BLAS.
 
@@ -189,16 +188,17 @@ def scale(a, s):
 def matmul(a, b, transpose_b=False):
     """a @ b, or a @ bᵀ (b's last two axes swapped) when ``transpose_b``.
 
-    A 2-D b multiplies every row of a, whatever its leading dims, in one
-    2-D GEMM, and its gradient is one 2-D GEMM too; a higher-rank b is a
-    batch of matrices with the same leading dims as a.
+    Equal-rank operands are a batch of matrices with equal leading dims.
+    A 2-D b with ``transpose_b`` is a weight [d_out, d_in] (``linear``);
+    a higher-rank a times a 2-D b without it is a ``ShapeError``.
     """
     bm = b.data.swapaxes(-1, -2) if transpose_b else b.data
+    weight = transpose_b and bm.ndim == 2
     if (a.data.ndim < 2 or bm.ndim < 2 or a.data.shape[-1] != bm.shape[-2]
-            or bm.ndim > 2 and a.data.shape[:-2] != bm.shape[:-2]):
+            or not weight and a.data.shape[:-2] != bm.shape[:-2]):
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} x {bm.shape}")
-    if bm.ndim == 2:
-        return _matmul_2d(a, b, bm, transpose_b)
+    if weight:
+        return _linear_node(a, b)
     out = a.data @ bm
 
     def bwd(g):
@@ -206,22 +206,6 @@ def matmul(a, b, transpose_b=False):
             _accum(a, g @ bm.swapaxes(-1, -2))
         if b.requires_grad:
             _accum(b, g.swapaxes(-1, -2) @ a.data if transpose_b else a.data.swapaxes(-1, -2) @ g)
-
-    return _make(out, (a, b), bwd)
-
-
-def _matmul_2d(a, b, bm, transpose_b):
-    # a [..., K] flattened to [N, K]; bm [K, M] is b, or bᵀ when transpose_b
-    lead, k = a.data.shape[:-1], a.data.shape[-1]
-    a2 = a.data.reshape(-1, k)
-    out = (a2 @ bm).reshape(lead + bm.shape[-1:])
-
-    def bwd(g):
-        g2 = g.reshape(a2.shape[0], -1)
-        if a.requires_grad:
-            _accum(a, (g2 @ bm.T).reshape(a.data.shape))
-        if b.requires_grad:
-            _accum(b, g2.T @ a2 if transpose_b else a2.T @ g2)
 
     return _make(out, (a, b), bwd)
 
@@ -249,15 +233,10 @@ def merged_weight(w, a, b):
 
 
 def linear(x, w, ab=None):
-    """x·wᵀ for a weight stored [d_out, d_in]: one matmul node, one 2-D GEMM.
-
-    ab: a low-rank pair (a [r, d_in], b [d_out, r]). The layer is then
-    x·(w + b·a)ᵀ = x·wᵀ + (x·aᵀ)·bᵀ (arXiv 2106.09685), as one node on the
-    merged weight w' = w + b·a, built once per call: one 2-D GEMM forward
-    at any row count, and dx = g·w', dw = gᵀ·x, db = gᵀ·(x·aᵀ) and
-    da = (g·b)ᵀ·x, each only for an input that requires it; x·aᵀ is kept
-    from the forward only when b needs it.
-    """
+    """x·wᵀ for a weight stored [d_out, d_in], or x·(w + b·a)ᵀ with a
+    low-rank pair ab = (a [r, d_in], b [d_out, r]) (arXiv 2106.09685):
+    every linear layer is one ``_linear_node``, a plain one through
+    ``matmul(x, w, transpose_b=True)``."""
     if ab is None:
         return matmul(x, w, transpose_b=True)
     a, b = ab
@@ -265,10 +244,20 @@ def linear(x, w, ab=None):
     if x.data.shape[-1:] != (d_in,) or a.data.shape != (r, d_in) or b.data.shape != (d_out, r):
         raise ShapeError(f"linear shape mismatch: {x.data.shape} x ({w.data.shape} + "
                          f"{b.data.shape}·{a.data.shape})ᵀ")
+    return _linear_node(x, w, a, b)
+
+
+def _linear_node(x, w, a=None, b=None):
+    """The one weight product, one node: x [..., d_in] as [N, d_in] times
+    wᵀ, or times w'ᵀ for w' = ``merged_weight(w, a, b)``, one 2-D GEMM at
+    any leading dims. The backward gives dx = g·w', dw = gᵀ·x,
+    da = (g·b)ᵀ·x and db = gᵀ·(x·aᵀ), each only for an input that
+    requires it; x·aᵀ is kept from the forward only when b trains."""
+    d_out, d_in = w.data.shape
     x2 = x.data.reshape(-1, d_in)
-    wm = merged_weight(w.data, a.data, b.data)
+    wm = w.data if a is None else merged_weight(w.data, a.data, b.data)
     out = (x2 @ wm.T).reshape(x.data.shape[:-1] + (d_out,))
-    u = x2 @ a.data.T if _grad_enabled and b.requires_grad else None
+    u = x2 @ a.data.T if a is not None and _grad_enabled and b.requires_grad else None
 
     def bwd(g):
         g2 = g.reshape(-1, d_out)
@@ -276,12 +265,12 @@ def linear(x, w, ab=None):
             _accum(x, (g2 @ wm).reshape(x.data.shape))
         if w.requires_grad:
             _accum(w, g2.T @ x2)
-        if a.requires_grad:
+        if a is not None and a.requires_grad:
             _accum(a, (g2 @ b.data).T @ x2)
-        if b.requires_grad:
+        if u is not None:  # b requires a gradient
             _accum(b, g2.T @ u)
 
-    return _make(out, (x, w, a, b), bwd)
+    return _make(out, (x, w) if a is None else (x, w, a, b), bwd)
 
 
 def reshape(a, shape):

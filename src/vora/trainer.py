@@ -414,20 +414,19 @@ def train_step(state, tcfg, step, loss_fn, shard1=None):
     as shard 0, ``combine`` with shard 1's answer, which ``shard1()``
     returns, if given; abort on a non-finite loss, ValueError on a tensor
     neither shard gave a gradient, then AdamW at lr_at(tcfg, step).
-    Returns the whole batch's (LossOut, lr)."""
+    Returns the whole batch's (lm, dist, per_block, lr)."""
     answer = run_shard(state, 0, loss_fn)
     if shard1 is not None:
         answer = combine(state, answer, shard1())
-    lm_val, dist_val, per_block, got = answer
-    if not (np.isfinite(lm_val) and np.isfinite(dist_val)):
-        raise TrainAbort(step, lm_val, dist_val)
+    lm, dist, per_block, got = answer
+    if not (np.isfinite(lm) and np.isfinite(dist)):
+        raise TrainAbort(step, lm, dist)
     missing = [name for name, has in zip(state.trainable, got) if not has]
     if missing:
         raise ValueError(f"missing gradient for trainable tensor {missing[0]}")
     lr = lr_at(tcfg, step)
     adamw_step(state, lr, tcfg)
-    lm, dist = T.constant(np.float32(lm_val)), T.constant(np.float32(dist_val))
-    return LossOut(distill.total_loss(dist, lm), lm, dist, per_block), lr
+    return lm, dist, per_block, lr
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +613,12 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
             shard1 = None
             if rest:
                 shard1 = worker.send(step, *rest) if worker else partial(run1, *rest)
-            out, lr = train_step(state, tcfg, step,
-                                 lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode), shard1)
-            rec = {"step": step, "lr": lr, "total_loss": float(out.total.data), "lm_loss": float(out.lm.data)}
+            lm, dist, per_block, lr = train_step(
+                state, tcfg, step, lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode), shard1)
+            # total_loss is distill.total_loss's float32 sum, to the bit
+            rec = {"step": step, "lr": lr, "total_loss": float(np.float32(dist) + np.float32(lm)), "lm_loss": lm}
             if use_distill:
-                rec.update(distill_loss=float(out.dist.data), per_block=out.per_block)
+                rec.update(distill_loss=dist, per_block=per_block)
             metrics.append(rec)
             if metrics_sink is not None:
                 metrics_sink(rec)

@@ -5,7 +5,7 @@ criterion may print WARN instead of failing, as documented.
 
 import itertools
 import math
-import time
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +22,14 @@ def micro_config():
     return ModelConfig(**MICRO)
 
 
+def cpu_seconds():
+    """CPU seconds used by this process and its joined children (a training
+    run joins its shard worker before it returns): a time bound on it holds
+    however loaded the host is, where wall time does not."""
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
+
+
 def report(num, name, ok, detail=""):
     line = f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {name}"
     if detail:
@@ -30,7 +38,7 @@ def report(num, name, ok, detail=""):
 
 
 def test_01_merge_equivalence():
-    t0 = time.monotonic()
+    t0 = cpu_seconds()
     cfg = micro_config()
     worst = 0.0
     for seed in range(10):
@@ -47,16 +55,16 @@ def test_01_merge_equivalence():
             lora.merge_all(model, adapters)
             merged, _ = model.forward(emb, mask, adapters=adapters)  # merged set yields no delta
         worst = max(worst, float(np.abs(split.data - merged.data).max()))
-    elapsed = time.monotonic() - t0
-    ok = worst <= 1e-5 and elapsed < 10.0
-    report(1, "merge equivalence", ok, f"max |diff| {worst:.2e}, {elapsed:.1f}s")
+    cpu = cpu_seconds() - t0
+    ok = worst <= 1e-5 and cpu < 10.0
+    report(1, "merge equivalence", ok, f"max |diff| {worst:.2e}, {cpu:.1f} CPU s")
     assert worst <= 1e-5
-    assert elapsed < 10.0
+    assert cpu < 10.0
 
 
 @pytest.mark.slow
 def test_02_frozen_base_invariance():
-    t0 = time.monotonic()
+    t0 = cpu_seconds()
     cfg = micro_config()
     pipe = trainer.build_pipeline(cfg, seed=0)
     base_before = {n: t.data.tobytes() for n, t in pipe.model.params.items()}
@@ -67,12 +75,12 @@ def test_02_frozen_base_invariance():
     frozen_ok = all(pipe.model.params[n].data.tobytes() == blob for n, blob in base_before.items())
     after = trainer.collect_state(pipe)
     moved_ok = all(after[n].data.tobytes() != blob for n, blob in extras_before.items())
-    elapsed = time.monotonic() - t0
-    ok = frozen_ok and moved_ok and elapsed < 120.0
+    cpu = cpu_seconds() - t0
+    ok = frozen_ok and moved_ok and cpu < 120.0
     report(2, "frozen-base invariance after 200 steps", ok,
-           f"{len(base_before)} base tensors frozen, {len(extras_before)} trainable moved, {elapsed:.0f}s")
+           f"{len(base_before)} base tensors frozen, {len(extras_before)} trainable moved, {cpu:.0f} CPU s")
     assert frozen_ok and moved_ok
-    assert elapsed < 120.0
+    assert cpu < 120.0
 
 
 def test_03_zero_init_identity():
@@ -95,19 +103,19 @@ def test_03_zero_init_identity():
 
 
 def test_04_gradient_correctness():
-    t0 = time.monotonic()
+    t0 = cpu_seconds()
     op_results = gradcheck.op_suite(seed=0, trials=50)
     e2e_results, e2e_ok = gradcheck.end_to_end_check(seed=0)
     worst_op = max(err for _, err, _ in op_results)
     worst_e2e = max(err for _, err, _ in e2e_results)
     ops_ok = all(ok for _, _, ok in op_results)
-    elapsed = time.monotonic() - t0
-    ok = ops_ok and e2e_ok and elapsed < 60.0
+    cpu = cpu_seconds() - t0
+    ok = ops_ok and e2e_ok and cpu < 60.0
     report(4, "finite-difference gradient suite", ok,
-           f"worst op {worst_op:.1e}, worst end-to-end {worst_e2e:.1e}, {elapsed:.0f}s")
+           f"worst op {worst_op:.1e}, worst end-to-end {worst_e2e:.1e}, {cpu:.0f} CPU s")
     assert ops_ok, [r for r in op_results if not r[2]]
     assert e2e_ok, [r for r in e2e_results if not r[2]]
-    assert elapsed < 60.0
+    assert cpu < 60.0
 
 
 def test_05_mask_correctness():
@@ -171,7 +179,7 @@ def test_06_loss_definitions():
 
 @pytest.mark.slow
 def test_07_training_sanity():
-    t0 = time.monotonic()
+    t0 = cpu_seconds()
     cfg = micro_config()
     pipe = trainer.build_pipeline(cfg, seed=0)
     tcfg = trainer.TrainConfig(total_steps=500, warmup_steps=100, batch_size=16, seed=0)
@@ -180,12 +188,12 @@ def test_07_training_sanity():
     finite_ok = all(np.isfinite(x) for x in losses)
     sm = trainer.smoothed(losses, 100)
     decrease_ok = sm[499] < sm[49]
-    elapsed = time.monotonic() - t0
-    ok = finite_ok and decrease_ok and elapsed < 300.0
+    cpu = cpu_seconds() - t0
+    ok = finite_ok and decrease_ok and cpu < 300.0
     report(7, "training sanity over 500 steps", ok,
-           f"smoothed step50 {sm[49]:.3f} -> step500 {sm[499]:.3f}, {elapsed:.0f}s")
+           f"smoothed step50 {sm[49]:.3f} -> step500 {sm[499]:.3f}, {cpu:.0f} CPU s")
     assert finite_ok and decrease_ok
-    assert elapsed < 300.0
+    assert cpu < 300.0
 
 
 @pytest.mark.slow
@@ -246,7 +254,7 @@ def test_09_anyres_support():
 
 
 def test_10_overfit_one_sample():
-    t0 = time.monotonic()
+    t0 = cpu_seconds()
     cfg = micro_config()
     pipe = trainer.build_pipeline(cfg, seed=0)
     sample = data.gen_image_caption(0)
@@ -262,9 +270,9 @@ def test_10_overfit_one_sample():
                             adapters=pipe.adapters, mask_mode=tcfg.mask_mode)
     want = list(sample.answer_tokens) + [data.EOS]
     exact = decoded == want
-    elapsed = time.monotonic() - t0
-    ok = exact and elapsed < 120.0
+    cpu = cpu_seconds() - t0
+    ok = exact and cpu < 120.0
     report(10, "overfit one sample reproduces its caption", ok,
-           f"'{data.decode(decoded)}', {elapsed:.0f}s")
+           f"'{data.decode(decoded)}', {cpu:.0f} CPU s")
     assert exact, (data.decode(decoded), data.decode(want))
-    assert elapsed < 120.0
+    assert cpu < 120.0

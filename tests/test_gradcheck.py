@@ -77,13 +77,15 @@ def test_checker_compares_a_missing_gradient_as_zeros():
 
 
 def test_op_suite_covers_exactly_the_tape_ops():
-    # a tape op is a function of vora.tensor that records a node through
-    # _make; linear with an adapter pair is its own case, adapted_linear
-    records = {name for name, fn in vars(T).items()
-               if inspect.isfunction(fn) and fn.__module__ == T.__name__ and "_make" in fn.__code__.co_names}
-    ops = {name for name in records if not name.startswith("_")}
-    # a private recorder (_matmul_2d) is a form of the public op that calls it
-    for helper in records - ops:
+    # a tape op is a public function of vora.tensor that records a node
+    # through _make, or only through a private recorder (linear through
+    # _linear_node); linear with an adapter pair is its own case, adapted_linear
+    funcs = {name: fn for name, fn in vars(T).items() if inspect.isfunction(fn) and fn.__module__ == T.__name__}
+    helpers = {name for name, fn in funcs.items() if name.startswith("_") and "_make" in fn.__code__.co_names}
+    ops = {name for name, fn in funcs.items() if not name.startswith("_")
+           and not {"_make", *helpers}.isdisjoint(fn.__code__.co_names)}
+    # a private recorder is a form of the public ops that call it
+    for helper in helpers:
         assert any(helper in getattr(T, op).__code__.co_names for op in ops), helper
     names = [name for name, _, _ in op_suite(seed=0, trials=1)]
     assert len(names) == len(set(names))
@@ -101,12 +103,14 @@ def test_every_tape_op_has_a_model_caller(monkeypatch):
         out = make(out_data, inputs, backward)
         if out.requires_grad:
             op = backward.__qualname__.split(".")[0]
-            recorded.add({"_matmul_2d": "matmul", "linear": "adapted_linear"}.get(op, op))
+            if op == "_linear_node":  # a plain linear's node is keyed as the matmul that records it
+                op = "adapted_linear" if len(inputs) == 4 else "matmul"
+            recorded.add(op)
         return out
 
     def spy_linear(x, w, ab=None):
         out = linear(x, w, ab)
-        if ab is None and out.requires_grad:  # a plain linear records a _matmul_2d node
+        if ab is None and out.requires_grad:  # a plain linear records a two-input _linear_node node
             recorded.add("linear")
         return out
 

@@ -90,11 +90,12 @@ class Side:
         batch = vora.data.make_batch(self.rng, tcfg.batch_size, dcfg=self.dcfg, max_seq=self.pipe.cfg.max_seq)
         loss_fn = lambda: vora.trainer.compute_losses(self.pipe, batch, tcfg.mask_mode, self.distill_mode)  # noqa: E731
         t0 = time.process_time()
-        out, _ = vora.trainer.train_step(self.state, tcfg, i, loss_fn)
+        lm = vora.trainer.train_step(self.state, tcfg, i, loss_fn)[0]
         dt = time.process_time() - t0
         if timed:
             self.ms.append(1e3 * dt)
-        return float(out.lm.data)
+        # train_step returns (lm, dist, per_block, lr); older revisions return (LossOut, lr)
+        return float(lm.lm.data) if hasattr(lm, "lm") else lm
 
 
 class DecodeSide:
