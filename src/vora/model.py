@@ -4,21 +4,22 @@ stack runs token-major on flat rows: a batch's live tokens, or padded
 sequences flattened. ``attention`` is the multi-head attention of the
 student and the teacher, ``decode_greedy`` decodes over a K/V cache of the
 positions decoded so far (per block, head-major key and value buffers with
-spare capacity that each step writes its new row into, in place), and
-``init_tensors`` draws every tensor owner's init from its ``shapes`` table,
-whose keys are the tensors' names.
+spare capacity that each step writes its new row into, in place), on a
+cached forward that runs the blocks on plain arrays, with no tape, and
+``init_tensors`` draws every tensor owner's init from its ``shapes`` table.
 
 A packed sequence is three integers (``SequenceLayout``): vision tokens
 [0, n_vision), then text up to its length, supervised from
 supervise_from. The hybrid mask (``attention_mask``, which builds every
 mask) gives vision-vision pairs bi-directional visibility, the rest causal.
-A mask of None masks nothing; a decode passes one only to its prefill.
+A mask of None masks nothing; a decode builds one, for its prefill only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from . import tensor as T
 from .tensor import Tensor
 
@@ -162,6 +163,18 @@ def rope_row_tables(pos, n_heads, head_dim):
     return np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
 
 
+def rope_qk_tables(pos, n_heads, head_dim):
+    """q's and k's ``rope_row_tables`` at ``pos``, q's times the 1/√hd score scale."""
+    k = rope_row_tables(pos, n_heads, head_dim)
+    return tuple(t * np.float32(1.0 / np.sqrt(head_dim)) for t in k), k
+
+
+def _gemm(x, w):
+    """x·wᵀ of [N, d_in] rows and a weight [d_out, d_in]: every weight
+    product of a cached forward, the GEMM that ``T.linear`` runs."""
+    return x @ w.T
+
+
 def _cache_write(cache, k, v):
     """Write one block's new head-major keys and values [B, heads, s, hd]
     into its cache [keys, values, L] after the L cached positions; returns
@@ -185,30 +198,24 @@ def _cache_write(cache, k, v):
     return keys[:, :, :end], values[:, :, :end]
 
 
-def attention(q, k, v, mask, n_heads, rows, rope=None, cache=None):
+def attention(q, k, v, mask, n_heads, rows, rope=None):
     """Multi-head scaled dot-product attention on flat [N, d] projections.
 
     rows: [B, S] index of each sequence position into the N rows (-1 at
     padding), or its ``T.RowIndex``. rope: per-row (cos, sin) tables
-    [N, d] of q and of k (``rope_row_tables`` at each row's position);
+    [N, d] of q and of k (``rope_qk_tables`` at each row's position);
     q's carry the 1/√hd score scale, so the scores are scaled here only
     without rope. q and k are rotated as rows, then q, k and v are
     gathered head-major into [B, heads, S, hd]; the scores are softmaxed
-    under the additive mask ([B, S, L] or [S, L]; None masks nothing) and
-    the context is scattered straight back to [N, d].
-    cache: one block's [keys, values, L], keys and values [B, heads, C, hd]
-    post-RoPE buffers whose first L of C positions are cached, or empty
-    before a prefill. The S new keys and values are written in place
-    after the L (``_cache_write``), and the queries attend over views of
-    all L+S positions.
+    under the additive mask ([B, S, S] or [S, S]; None masks nothing) and
+    the context is scattered straight back to [N, d]. A cached forward
+    runs the same steps on arrays (``Model.forward``).
     """
     n, d = q.data.shape
     if rope is not None:
         (q_cos, q_sin), (k_cos, k_sin) = rope
         q, k = T.rope(q, q_cos, q_sin, n_heads), T.rope(k, k_cos, k_sin, n_heads)
     q, k, v = (T.gather_rows(t, rows, heads=n_heads) for t in (q, k, v))
-    if cache is not None:
-        k, v = (T.constant(t) for t in _cache_write(cache, k.data, v.data))
     scores = T.matmul(q, k, transpose_b=True)
     if rope is None:
         scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
@@ -270,13 +277,18 @@ class Model:
         Taps are [N, d], logits [N, vocab], or only the logit_rows rows of
         them. An [S, d] input without rows is one sequence, rows =
         arange(S)[None]: [S, d] taps, [S, vocab] logits.
-        cache (forward-only): a list, empty before the prefill, which the
-        forward fills with one [keys, values, L] entry per block (see
-        ``attention``); a later call on the same B sequences takes positions
-        L..L+S-1 after the L cached ones, with the last S rows of the mask
-        at L+S (None for a one-row step, whose query sees every key), and
-        writes its keys and values in place after them.
+        cache (forward-only, no rows or logit_rows): a list, empty before
+        the prefill, which the forward fills with one [keys, values, L]
+        entry per block (``_cache_write``); a later call on the same B
+        sequences takes positions L..L+S-1, with the last S rows of the
+        mask at L+S (None for a one-row step: its query sees every key).
+        It runs the tape path's kernels in order on arrays, with no Tensor
+        per op and an adapted layer on ``T.merged_weight``: the same bits.
         """
+        if cache is not None:
+            if rows is not None or logit_rows is not None:
+                raise ValueError("a cached forward takes no rows or logit_rows")
+            return self._cached_forward(embedded.data, mask, adapters, collect_taps, cache)
         cfg = self.cfg
         x = embedded
         padded = rows is None and x.data.ndim == 3
@@ -285,30 +297,18 @@ class Model:
             if padded:
                 x = T.reshape(x, (rows.size, cfg.d_model))
         b, s = rows.shape
-        past = cache[0][2] if cache else 0
-        if past + s > cfg.max_seq:
-            raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
-        if cache is not None:
-            if T.grad_enabled():
-                raise ValueError("the K/V cache is forward-only: run a cached forward under T.no_grad()")
-            if not cache:
-                cache.extend([] for _ in range(cfg.n_llm))
-            elif cache[0][0].shape[0] != b:
-                raise ValueError(f"batch of {b} sequences on a cache for {cache[0][0].shape[0]}")
+        if s > cfg.max_seq:
+            raise SequenceTooLong(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
         index = T.RowIndex(rows)  # found once, used by every block's attention
         pos = np.zeros(x.data.shape[0], dtype=np.intp)  # each row's position in its sequence
-        pos[index.rows] = index.cells[1] + past
-        # rope tables at the rows' positions: k's, and q's with the 1/√hd score scale folded in
-        k_rope = rope_row_tables(pos, cfg.n_heads, cfg.head_dim)
-        score_scale = np.float32(1.0 / np.sqrt(cfg.head_dim))
-        rope = (tuple(t * score_scale for t in k_rope), k_rope)
+        pos[index.rows] = index.cells[1]
+        rope = rope_qk_tables(pos, cfg.n_heads, cfg.head_dim)
 
         taps = []
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"])
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            ctx = attention(q, k, v, mask, cfg.n_heads, index, rope, None if cache is None else cache[i])
-            x = x + self._linear(ctx, i, "o", adapters)
+            x = x + self._linear(attention(q, k, v, mask, cfg.n_heads, index, rope), i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"])
             gate = self._linear(h, i, "ffn_gate", adapters)
@@ -327,6 +327,44 @@ class Model:
             if logit_rows is None:
                 logits = T.reshape(logits, (b, s, cfg.vocab))
         return logits, taps
+
+    def _cached_forward(self, x, mask, adapters, collect_taps, cache):
+        """``forward`` with a cache, on x [S, d] or [B, S, d] as an array."""
+        cfg, shape = self.cfg, x.shape
+        b, s = shape[:2] if x.ndim == 3 else (1, shape[0])
+        past = cache[0][2] if cache else 0
+        if past + s > cfg.max_seq:
+            raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
+        if T.grad_enabled():
+            raise ValueError("the K/V cache is forward-only: run a cached forward under T.no_grad()")
+        if not cache:
+            cache.extend([] for _ in range(cfg.n_llm))
+        elif cache[0][0].shape[0] != b:
+            raise ValueError(f"batch of {b} sequences on a cache for {cache[0][0].shape[0]}")
+        if mask is not None and np.any((mask < 0.0).all(axis=-1)):  # T.softmax_rows' check, once
+            raise ValueError("row fully masked")
+        merged = () if adapters is None else adapters.merged_weights(self.params)
+        w = {name: t.data for name, t in self.params.items()} | dict(merged)
+        heads, hd = cfg.n_heads, cfg.head_dim
+        q_rope, k_rope = rope_qk_tables(np.tile(np.arange(past, past + s), b), heads, hd)
+        norm = lambda t, name: kernels.rmsnorm_fwd(t, w[name], 1e-6)[0]  # T.rms_norm's eps
+        split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()  # T.gather_rows' dense copy
+        x, taps = x.reshape(b * s, cfg.d_model), []
+        for i in range(cfg.n_llm):
+            p = f"llm.blocks.{i}."
+            h = norm(x, p + "attn_norm")
+            q, k, v = (_gemm(h, w[p + name]) for name in ("q", "k", "v"))
+            q, k = T._turn(q, *q_rope, heads, False), T._turn(k, *k_rope, heads, False)
+            q, (k, v) = split(q), _cache_write(cache[i], split(k), split(v))
+            probs = kernels.softmax_fwd(q @ k.swapaxes(-1, -2), None if mask is None else mask[..., None, :, :])
+            x = x + _gemm((probs @ v).transpose(0, 2, 1, 3).copy().reshape(b * s, cfg.d_model), w[p + "o"])
+            h = norm(x, p + "ffn_norm")
+            gated, _ = kernels.swiglu_fwd(_gemm(h, w[p + "ffn_gate"]), _gemm(h, w[p + "ffn_up"]))
+            x = x + _gemm(gated, w[p + "ffn_down"])
+            if collect_taps and i < cfg.n_vit:
+                taps.append(T.constant(x.reshape(shape)))
+        logits = _gemm(norm(x, "llm.final_norm"), w["llm.head"])
+        return T.constant(logits.reshape(shape[:-1] + (cfg.vocab,))), taps
 
 
 def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None, mask_mode="hybrid"):

@@ -22,6 +22,7 @@ gradient arrived in unless that array is strided or shared (``_accum``).
 ``backward`` walks the tape in reverse recording order and clears it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -302,9 +303,9 @@ class RowIndex:
     holes, with its live entries found once: ``at``, their flat positions,
     ``rows``, their entries, and for a [B, S] index ``cells``, their
     (sequence, position) pairs. ``dense``: the index has no holes and its
-    flat entry j is row j, as for a padded or [S, d] forward, a decode
-    step or the teacher at one resolution; a head-major gather or scatter
-    by a dense index is then a reshape and one transposing copy.
+    flat entry j is row j, as for a padded or [S, d] tape forward or the
+    teacher at one resolution; a head-major gather or scatter by a dense
+    index is then a reshape and one transposing copy.
     ``gather_rows`` and ``scatter_rows`` take one or a plain int array; a
     caller that moves rows by one index many times (attention, in every
     block) builds it once."""
@@ -438,16 +439,17 @@ def rms_norm(a, gain, eps=1e-6):
     return _make(y, (a, gain), bwd)
 
 
+@functools.cache
+def _halves_swapped(d, n_heads):
+    # column order of [N, d] rows with each head's two halves exchanged
+    return np.arange(d).reshape(n_heads, 2, -1)[:, ::-1].reshape(-1)
+
+
 def _turn(x, cos, sin, n_heads, back):
     # x·cos plus x with each head's halves swapped times sin (forward), or
-    # the adjoint, (x·sin) with the halves swapped (back)
-    n, d = x.shape
-    out = np.empty((n, d), dtype=np.float32)
-    xv, sv, ov = (t.reshape(n, n_heads, 2, -1) for t in (x, sin, out))
-    for i in (0, 1):
-        np.multiply(xv[:, :, 1 - i], sv[:, :, 1 - i if back else i], out=ov[:, :, i])
-    out += x * cos
-    return out
+    # the adjoint, (x·sin) with the halves swapped (back): one gather each
+    swap = _halves_swapped(x.shape[1], n_heads)
+    return (x * sin).take(swap, axis=1) + x * cos if back else x.take(swap, axis=1) * sin + x * cos
 
 
 def rope(x, cos, sin, n_heads):

@@ -284,6 +284,13 @@ class TestKVCache:
             model.forward(model.embed_tokens(np.arange(8).reshape(2, 4)), mask, cache=cache)
             with pytest.raises(ValueError, match="batch of 1 sequences on a cache for 2"):
                 model.forward(model.embed_tokens([5]), np.zeros((1, 5), np.float32), cache=cache)
+            for rows in ({"rows": np.arange(4)[None]}, {"logit_rows": np.arange(2)}):
+                with pytest.raises(ValueError, match="no rows or logit_rows"):
+                    model.forward(emb, mask, cache=[], **rows)
+            blocked = np.zeros((4, 4), np.float32)
+            blocked[2] = T.NEG_MASK
+            with pytest.raises(ValueError, match="row fully masked"):
+                model.forward(emb, blocked, cache=[])
 
 
 def heldout_batch(pipe, n=8, seed=0):
@@ -363,40 +370,54 @@ class TestBatchedDecode:
 
 def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
     """The paper's "no extra inference cost": after the merge, decoding runs
-    exactly the matmuls of a never-adapted model of the same config. So
-    does an unmerged decode, which merges its adapters once per call: no
-    step makes a fused ``T.linear(x, w, (a, b))`` call."""
+    exactly the weight products of a never-adapted model of the same config,
+    n_llm * 7 + 1 per forward, each through ``model._gemm``. So does an
+    unmerged decode, which merges its adapters once per call. No decode
+    calls the tape's ``T.matmul`` or ``T.linear``."""
     pipe = adapted_pipe()
     prefix, layouts = heldout_batch(pipe)
-    matmul, linear = T.matmul, T.linear
+    gemm = vora_model._gemm
+    tape_calls = []
+    for name in ("matmul", "linear"):
+        monkeypatch.setattr(T, name, lambda *args, name=name, **kwargs: tape_calls.append(name))
 
     def shapes_of(model, adapters):
-        calls, fused = [], []
-
-        def spy(a, b, transpose_b=False):
-            calls.append((a.shape, b.shape, transpose_b))
-            return matmul(a, b, transpose_b)
-
-        def linear_spy(x, w, ab=None):
-            if ab is not None:
-                fused.append((x.shape, w.shape))
-            return linear(x, w, ab)
-
-        monkeypatch.setattr(T, "matmul", spy)
-        monkeypatch.setattr(T, "linear", linear_spy)
+        calls = []
+        monkeypatch.setattr(vora_model, "_gemm", lambda x, w: calls.append((x.shape, w.shape)) or gemm(x, w))
         try:
-            decode_greedy(model, prefix, layouts, -1, 24, adapters)
+            assert len(decode_greedy(model, prefix, layouts, -1, 24, adapters)[0]) == 24
         finally:
-            monkeypatch.setattr(T, "matmul", matmul)
-            monkeypatch.setattr(T, "linear", linear)
-        return calls, fused
+            monkeypatch.setattr(vora_model, "_gemm", gemm)
+        return calls
 
-    unmerged, unmerged_fused = shapes_of(pipe.model, pipe.adapters)
+    unmerged = shapes_of(pipe.model, pipe.adapters)
     trainer.merge(pipe)
-    merged, merged_fused = shapes_of(pipe.model, pipe.adapters)
-    base, base_fused = shapes_of(Model.init(pipe.cfg, seed=1), None)
+    merged = shapes_of(pipe.model, pipe.adapters)
+    base = shapes_of(Model.init(pipe.cfg, seed=1), None)
+    assert len(unmerged) == 24 * (pipe.cfg.n_llm * len(vora_model.LAYER_NAMES) + 1)
     assert unmerged == merged == base
-    assert unmerged_fused == merged_fused == base_fused == []
+    assert tape_calls == []
+
+
+@pytest.mark.parametrize("mask_mode", ["hybrid", "causal"])
+@pytest.mark.parametrize("b, s", [(1, 30), (3, 17), (1, 1)])
+def test_cached_prefill_equals_tape_forward_bit_for_bit(b, s, mask_mode):
+    # the cached forward runs the tape path's kernels in its order on
+    # arrays: a prefill's logits and taps are the tape forward's bits, for
+    # an [S, d] input and a [B, S, d] batch sharing one layout, with the
+    # adapters unmerged (the cached body runs on their merged weights)
+    pipe = adapted_pipe()
+    rng = np.random.default_rng(b * s)
+    emb = rng.standard_normal((b, s, pipe.cfg.d_model)).astype(np.float32)
+    mask = vora_model.attention_mask([s // 3] * b, s, mask_mode)
+    for x, m in ((emb[0], mask[0]), (emb, mask)):
+        with T.no_grad():
+            outs = [pipe.model.forward(T.constant(x), m, pipe.adapters, cache=cache) for cache in (None, [])]
+        (tape, tape_taps), (cached, cached_taps) = outs
+        assert cached.shape == tape.shape == x.shape[:-1] + (pipe.cfg.vocab,)
+        assert cached.data.tobytes() == tape.data.tobytes()
+        assert [t.data.tobytes() for t in cached_taps] == [t.data.tobytes() for t in tape_taps]
+        assert len(tape_taps) == pipe.cfg.n_vit
 
 
 def test_decode_cache_grows_with_the_positions_decoded():
