@@ -63,13 +63,7 @@ VOCAB_SIZE = len(VOCAB)
 
 
 def encode(words):
-    if isinstance(words, str):
-        words = words.split()
     return [TOKEN_TO_ID[w] for w in words]
-
-
-def decode(ids):
-    return " ".join(VOCAB[i] for i in ids)
 
 
 # ---------------------------------------------------------------------------

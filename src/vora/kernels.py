@@ -25,7 +25,8 @@ def softmax_fwd(x, mask):
     """Row softmax of x + mask. exp underflows to exactly 0 at NEG_MASK, the
     one masked value, so masked entries need no zeroing pass. mask None
     masks nothing, with the bits of a zero mask: x + 0 only turns -0.0
-    into +0.0, and exp takes either zero to 1."""
+    into +0.0, and exp takes either zero to 1. Only a cached decode's
+    one-row step, whose query sees every key, passes None."""
     if mask is None:
         z = x - x.max(axis=-1, keepdims=True)
     else:

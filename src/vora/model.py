@@ -12,7 +12,7 @@ A packed sequence is three integers (``SequenceLayout``): vision tokens
 [0, n_vision), then text up to its length, supervised from
 supervise_from. The hybrid mask (``attention_mask``, which builds every
 mask) gives vision-vision pairs bi-directional visibility, the rest causal.
-A mask of None masks nothing; a decode builds one, for its prefill only.
+Every tape attention takes a mask; a decode builds one, for its prefill only.
 """
 
 from dataclasses import dataclass
@@ -138,14 +138,6 @@ def attention_mask(n_vision, s, mode="hybrid"):
     return np.where(allowed, np.float32(0.0), np.float32(T.NEG_MASK))
 
 
-def build_attention_mask(layout, total_len, mode="hybrid"):
-    """[total_len, total_len] ``attention_mask`` of one layout; padding
-    rows are causal, and no in-layout query sees them (they come last)."""
-    if layout.length > total_len:
-        raise LayoutError(f"layout length {layout.length} exceeds total_len {total_len}")
-    return attention_mask(layout.n_vision, total_len, mode)[0]
-
-
 def rope_tables(pos, head_dim):
     """cos/sin [len(pos), head_dim/2] at integer positions ``pos`` for
     half-split rotary application."""
@@ -207,9 +199,9 @@ def attention(q, k, v, mask, n_heads, rows, rope=None):
     q's carry the 1/√hd score scale, so the scores are scaled here only
     without rope. q and k are rotated as rows, then q, k and v are
     gathered head-major into [B, heads, S, hd]; the scores are softmaxed
-    under the additive mask ([B, S, S] or [S, S]; None masks nothing) and
-    the context is scattered straight back to [N, d]. A cached forward
-    runs the same steps on arrays (``Model.forward``).
+    under the additive mask ([B, S, S] or [S, S]) and the context is
+    scattered straight back to [N, d]. A cached forward runs the same
+    steps on arrays (``Model.forward``).
     """
     n, d = q.data.shape
     if rope is not None:
@@ -219,7 +211,7 @@ def attention(q, k, v, mask, n_heads, rows, rope=None):
     scores = T.matmul(q, k, transpose_b=True)
     if rope is None:
         scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
-    probs = T.softmax_rows(scores, None if mask is None else mask[..., None, :, :])  # one mask for every head
+    probs = T.softmax_rows(scores, mask[..., None, :, :])  # one mask for every head
     return T.scatter_rows(T.matmul(probs, v), rows, n, heads=n_heads)
 
 
@@ -264,8 +256,7 @@ class Model:
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [B, S, d] with vision embeddings spliced in at the
-        vision span, mask ``attention_mask``'s [B, S, S], or one [S, S], or
-        None: nothing masked, every query sees every key.
+        vision span, mask ``attention_mask``'s [B, S, S], or one [S, S].
         Returns (logits, taps); taps are the post-residual output Tensors
         of blocks 0..n_vit-1, in block order. A [B, S, d] input runs as
         its B * S rows flattened; its logits and taps come back [B, S, ...].
@@ -277,18 +268,19 @@ class Model:
         Taps are [N, d], logits [N, vocab], or only the logit_rows rows of
         them. An [S, d] input without rows is one sequence, rows =
         arange(S)[None]: [S, d] taps, [S, vocab] logits.
-        cache (forward-only, no rows or logit_rows): a list, empty before
-        the prefill, which the forward fills with one [keys, values, L]
-        entry per block (``_cache_write``); a later call on the same B
-        sequences takes positions L..L+S-1, with the last S rows of the
-        mask at L+S (None for a one-row step: its query sees every key).
-        It runs the tape path's kernels in order on arrays, with no Tensor
-        per op and an adapted layer on ``T.merged_weight``: the same bits.
+        cache (forward-only, on [B, S, d], with no adapters, rows or
+        logit_rows): a list, empty before the prefill, which the forward
+        fills with one [keys, values, L] entry per block (``_cache_write``);
+        a later call on the same B sequences takes positions L..L+S-1, with
+        the last S rows of the mask at L+S (None for a one-row step: its
+        query sees every key). It runs the tape path's kernels in order on
+        arrays, with no Tensor per op: the same bits. Adapters are merged
+        before, once per decode, by ``decode_greedy``.
         """
         if cache is not None:
-            if rows is not None or logit_rows is not None:
-                raise ValueError("a cached forward takes no rows or logit_rows")
-            return self._cached_forward(embedded.data, mask, adapters, collect_taps, cache)
+            if adapters is not None or rows is not None or logit_rows is not None:
+                raise ValueError("a cached forward takes no adapters (decode_greedy merges them), rows or logit_rows")
+            return self._cached_forward(embedded.data, mask, collect_taps, cache)
         cfg = self.cfg
         x = embedded
         padded = rows is None and x.data.ndim == 3
@@ -328,10 +320,10 @@ class Model:
                 logits = T.reshape(logits, (b, s, cfg.vocab))
         return logits, taps
 
-    def _cached_forward(self, x, mask, adapters, collect_taps, cache):
-        """``forward`` with a cache, on x [S, d] or [B, S, d] as an array."""
+    def _cached_forward(self, x, mask, collect_taps, cache):
+        """``forward`` with a cache, on x [B, S, d] as an array."""
         cfg, shape = self.cfg, x.shape
-        b, s = shape[:2] if x.ndim == 3 else (1, shape[0])
+        b, s, _ = shape
         past = cache[0][2] if cache else 0
         if past + s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {past + s} exceeds max_seq {cfg.max_seq}")
@@ -343,11 +335,10 @@ class Model:
             raise ValueError(f"batch of {b} sequences on a cache for {cache[0][0].shape[0]}")
         if mask is not None and np.any((mask < 0.0).all(axis=-1)):  # T.softmax_rows' check, once
             raise ValueError("row fully masked")
-        merged = () if adapters is None else adapters.merged_weights(self.params)
-        w = {name: t.data for name, t in self.params.items()} | dict(merged)
+        w = {name: t.data for name, t in self.params.items()}
         heads, hd = cfg.n_heads, cfg.head_dim
         q_rope, k_rope = rope_qk_tables(np.tile(np.arange(past, past + s), b), heads, hd)
-        norm = lambda t, name: kernels.rmsnorm_fwd(t, w[name], 1e-6)[0]  # T.rms_norm's eps
+        norm = lambda t, name: kernels.rmsnorm_fwd(t, w[name], T.RMS_EPS)[0]
         split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()  # T.gather_rows' dense copy
         x, taps = x.reshape(b * s, cfg.d_model), []
         for i in range(cfg.n_llm):
@@ -380,7 +371,8 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     them, so the cache grows (doubling) with the positions decoded so far,
     however large max_new and max_seq are. A one-row step's query sees
     every earlier key under both mask modes, so it runs with mask None.
-    Unmerged adapters are merged into a model copy once per call. A row stops
+    Unmerged adapters are merged into a model copy once per call, the one
+    merge of a decode: the cached forward takes no adapters. A row stops
     at EOS, after max_new tokens, or at max_seq; the loop ends when every row has.
     Returns each row's generated ids (EOS included when it ended the row),
     or, for an [S, d] prompt, the one row's ids.

@@ -31,6 +31,7 @@ from . import kernels
 
 # Additive-mask sentinel for "disallowed": most-negative finite float32.
 NEG_MASK = float(np.finfo(np.float32).min)
+RMS_EPS = 1e-6  # rms_norm's default eps, and the cached forward's
 
 
 class ShapeError(ValueError):
@@ -423,7 +424,7 @@ def swiglu(gate, up):
     return _make(out, (gate, up), bwd)
 
 
-def rms_norm(a, gain, eps=1e-6):
+def rms_norm(a, gain, eps=RMS_EPS):
     """y = x / sqrt(mean(x^2) + eps) * gain, per trailing vector."""
     d = a.data.shape[-1]
     if gain.data.shape != (d,):
@@ -472,10 +473,8 @@ def softmax_rows(a, additive_mask):
 
     The mask broadcasts against ``a``; masked entries come out exactly 0,
     each row sums to 1 over the rest, and a fully masked row is an error.
-    additive_mask None masks nothing: the same bits as an all-zero mask,
-    without its add or the fully-masked check.
     """
-    if additive_mask is not None and np.any((additive_mask < 0.0).all(axis=-1)):
+    if np.any((additive_mask < 0.0).all(axis=-1)):
         raise ValueError("row fully masked")
     probs = kernels.softmax_fwd(a.data, additive_mask)
 

@@ -13,7 +13,10 @@ import pytest
 
 import vora.tensor as T
 from vora import data, distill, gradcheck, lora, trainer, vision
-from vora.model import Model, ModelConfig, SequenceLayout, build_attention_mask, decode_greedy
+from vora.model import Model, ModelConfig, SequenceLayout, decode_greedy
+
+from test_data import decode
+from test_mask import build_attention_mask
 
 MICRO = dict(n_llm=6, n_vit=4, d_model=64, d_vit=48, rank=8)
 
@@ -273,6 +276,6 @@ def test_10_overfit_one_sample():
     cpu = cpu_seconds() - t0
     ok = exact and cpu < 120.0
     report(10, "overfit one sample reproduces its caption", ok,
-           f"'{data.decode(decoded)}', {cpu:.0f} CPU s")
-    assert exact, (data.decode(decoded), data.decode(want))
+           f"'{decode(decoded)}', {cpu:.0f} CPU s")
+    assert exact, (decode(decoded), decode(want))
     assert cpu < 120.0

@@ -73,7 +73,9 @@ def test_missing_teacher_is_checkpoint_error(tmp_path):
 
 def test_pipeline_from_state_restores_forward(tmp_path):
     import vora.tensor as T
-    from vora.model import SequenceLayout, build_attention_mask
+    from vora.model import SequenceLayout
+
+    from test_mask import build_attention_mask
 
     cfg = ModelConfig()
     pipe = trainer.build_pipeline(cfg, seed=2)

@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 import vora.tensor as T
 from vora import data, distill
 from vora.vision import patchify
-from vora.data import (BOS, EOS, IMG, PAD, VOCAB, caption_tokens, decode, encode,
-                       gen_image_caption, gen_text_sample, make_batch, pack_samples)
+from vora.data import (BOS, EOS, IMG, PAD, VOCAB, caption_tokens, encode, gen_image_caption, gen_text_sample,
+                       make_batch, pack_samples)
+
+
+def decode(ids):
+    """The words of ``ids``, space-joined: ``encode``'s inverse, for reading."""
+    return " ".join(VOCAB[i] for i in ids)
 
 
 class TestVocab:
@@ -16,7 +21,7 @@ class TestVocab:
         assert len(VOCAB) == 200
         assert len(set(VOCAB)) == 200
         assert (PAD, BOS, EOS, IMG) == (0, 1, 2, 3)
-        assert decode(encode("a red circle")) == "a red circle"
+        assert decode(encode(["a", "red", "circle"])) == "a red circle"
 
     def test_roundtrip_every_word(self):
         for i, w in enumerate(VOCAB):

@@ -1,6 +1,9 @@
 """Finite-difference verification of every autodiff op (tolerance 1e-3)."""
 
+import ast
 import inspect
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 
@@ -126,3 +129,27 @@ def test_every_tape_op_has_a_model_caller(monkeypatch):
     trainer.warm_teacher(pipe.teacher, cfg, steps=1, seed=0)
     # transpose has no model caller; it stays because perfbench's tracer patches it
     assert recorded | {"transpose"} == {name for name, _, _ in op_suite(seed=0, trials=1)}
+
+
+def test_every_function_of_vora_has_a_caller():
+    # every top-level function and method of src/vora (dunders aside) is
+    # named outside its own body somewhere in src/vora, perfbench or tools:
+    # as a name, an attribute or a string (perfbench's tracer names some
+    # kernels by string). A function only the tests call belongs in them.
+    root = Path(__file__).resolve().parent.parent
+    defs, refs = [], defaultdict(list)
+    for path in sorted(p for d in ("src/vora", "perfbench", "tools") for p in (root / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent.name == "vora":
+            for node in tree.body:
+                members = node.body if isinstance(node, ast.ClassDef) else [node]
+                defs += [(path, fn) for fn in members if isinstance(fn, ast.FunctionDef)
+                         and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                    else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None)
+            if name is not None:
+                refs[name].append((path, node.lineno))
+    uncalled = [f"{path.stem}.{fn.name}" for path, fn in defs
+                if all(where == path and fn.lineno <= line <= fn.end_lineno for where, line in refs[fn.name])]
+    assert uncalled == []

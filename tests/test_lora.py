@@ -4,8 +4,10 @@ import pytest
 
 import vora.tensor as T
 from vora import lora
-from vora.model import LAYER_NAMES, ConfigError, Model, ModelConfig, SequenceLayout, build_attention_mask
+from vora.model import LAYER_NAMES, ConfigError, Model, ModelConfig, SequenceLayout
 from vora.tensor import Tensor
+
+from test_mask import build_attention_mask
 
 
 class TestAttach:

@@ -5,8 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora.model import (MASK_MODES, LayoutError, Model, ModelConfig, SequenceLayout, attention_mask,
-                        build_attention_mask)
+from vora.model import MASK_MODES, LayoutError, Model, ModelConfig, SequenceLayout, attention_mask
 
 NEG = T.NEG_MASK
 
@@ -22,6 +21,16 @@ def oracle_allowed(v0, v1, q, k, mode):
     if v0 <= q < v1:
         return v0 <= k < v1
     return k <= q
+
+
+def build_attention_mask(layout, total_len, mode="hybrid"):
+    """[total_len, total_len] mask of one layout by vora's rule
+    (``attention_mask``), which the tests below check against
+    ``oracle_allowed``; padding rows are causal, and no in-layout query
+    sees them (they come last)."""
+    if layout.length > total_len:
+        raise LayoutError(f"layout length {layout.length} exceeds total_len {total_len}")
+    return attention_mask(layout.n_vision, total_len, mode)[0]
 
 
 def oracle_mask(n_vision, q_pos, length, mode):

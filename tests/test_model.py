@@ -9,10 +9,9 @@ import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
 from vora import model as vora_model
-from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong, build_attention_mask, decode_greedy,
-                        rope_row_tables)
+from vora.model import Model, ModelConfig, SequenceLayout, SequenceTooLong, decode_greedy, rope_row_tables
 
-from test_mask import oracle_mask
+from test_mask import build_attention_mask, oracle_mask
 
 MICRO = dict(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
              patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
@@ -267,15 +266,15 @@ class TestKVCache:
         model = Model.init(ModelConfig(max_seq=12), seed=0)
         cache = []
         with T.no_grad():
-            model.forward(model.embed_tokens(np.arange(10)), np.zeros((10, 10), np.float32), cache=cache)
+            model.forward(model.embed_tokens(np.arange(10)[None]), np.zeros((10, 10), np.float32), cache=cache)
             with pytest.raises(SequenceTooLong):
-                model.forward(model.embed_tokens([3, 4, 5]), np.zeros((3, 13), np.float32), cache=cache)
-            logits, _ = model.forward(model.embed_tokens([3, 4]), np.zeros((2, 12), np.float32), cache=cache)
-        assert logits.shape == (2, model.cfg.vocab)
+                model.forward(model.embed_tokens([[3, 4, 5]]), np.zeros((3, 13), np.float32), cache=cache)
+            logits, _ = model.forward(model.embed_tokens([[3, 4]]), np.zeros((2, 12), np.float32), cache=cache)
+        assert logits.shape == (1, 2, model.cfg.vocab)
 
     def test_cache_is_forward_only_and_sized_to_its_batch(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
-        emb, mask = model.embed_tokens(np.arange(4)), np.zeros((4, 4), np.float32)
+        emb, mask = model.embed_tokens(np.arange(4)[None]), np.zeros((4, 4), np.float32)
         cache = []
         with pytest.raises(ValueError, match="forward-only"):
             model.forward(emb, mask, cache=cache)
@@ -283,10 +282,12 @@ class TestKVCache:
         with T.no_grad():
             model.forward(model.embed_tokens(np.arange(8).reshape(2, 4)), mask, cache=cache)
             with pytest.raises(ValueError, match="batch of 1 sequences on a cache for 2"):
-                model.forward(model.embed_tokens([5]), np.zeros((1, 5), np.float32), cache=cache)
-            for rows in ({"rows": np.arange(4)[None]}, {"logit_rows": np.arange(2)}):
-                with pytest.raises(ValueError, match="no rows or logit_rows"):
-                    model.forward(emb, mask, cache=[], **rows)
+                model.forward(model.embed_tokens([[5]]), np.zeros((1, 5), np.float32), cache=cache)
+            # adapters are merged by decode_greedy, once per call, never by a cached forward
+            adapters = lora.attach(model.cfg)
+            for kwargs in ({"adapters": adapters}, {"rows": np.arange(4)[None]}, {"logit_rows": np.arange(2)}):
+                with pytest.raises(ValueError, match=r"takes no adapters \(decode_greedy merges them\), rows or"):
+                    model.forward(emb, mask, cache=[], **kwargs)
             blocked = np.zeros((4, 4), np.float32)
             blocked[2] = T.NEG_MASK
             with pytest.raises(ValueError, match="row fully masked"):
@@ -403,21 +404,23 @@ def test_merged_decode_costs_what_the_base_model_does(monkeypatch):
 @pytest.mark.parametrize("b, s", [(1, 30), (3, 17), (1, 1)])
 def test_cached_prefill_equals_tape_forward_bit_for_bit(b, s, mask_mode):
     # the cached forward runs the tape path's kernels in its order on
-    # arrays: a prefill's logits and taps are the tape forward's bits, for
-    # an [S, d] input and a [B, S, d] batch sharing one layout, with the
-    # adapters unmerged (the cached body runs on their merged weights)
+    # arrays: a prefill's logits and taps, on a [B, S, d] batch sharing one
+    # layout, are the bits of the tape forward with the adapters unmerged,
+    # when the cached model's adapted weights are AdapterSet.merged_weights,
+    # the weights decode_greedy merges for its cached forward
     pipe = adapted_pipe()
     rng = np.random.default_rng(b * s)
-    emb = rng.standard_normal((b, s, pipe.cfg.d_model)).astype(np.float32)
+    emb = T.constant(rng.standard_normal((b, s, pipe.cfg.d_model)).astype(np.float32))
     mask = vora_model.attention_mask([s // 3] * b, s, mask_mode)
-    for x, m in ((emb[0], mask[0]), (emb, mask)):
-        with T.no_grad():
-            outs = [pipe.model.forward(T.constant(x), m, pipe.adapters, cache=cache) for cache in (None, [])]
-        (tape, tape_taps), (cached, cached_taps) = outs
-        assert cached.shape == tape.shape == x.shape[:-1] + (pipe.cfg.vocab,)
-        assert cached.data.tobytes() == tape.data.tobytes()
-        assert [t.data.tobytes() for t in cached_taps] == [t.data.tobytes() for t in tape_taps]
-        assert len(tape_taps) == pipe.cfg.n_vit
+    merged = Model(pipe.cfg, pipe.model.params | {name: T.constant(w)
+                                                  for name, w in pipe.adapters.merged_weights(pipe.model.params)})
+    with T.no_grad():
+        tape, tape_taps = pipe.model.forward(emb, mask, pipe.adapters)
+        cached, cached_taps = merged.forward(emb, mask, cache=[])
+    assert cached.shape == tape.shape == (b, s, pipe.cfg.vocab)
+    assert cached.data.tobytes() == tape.data.tobytes()
+    assert [t.data.tobytes() for t in cached_taps] == [t.data.tobytes() for t in tape_taps]
+    assert len(tape_taps) == pipe.cfg.n_vit
 
 
 def test_decode_cache_grows_with_the_positions_decoded():
