@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 
 from . import tensor as T
+from .model import MASK_MODES, attention_mask, attention_plan, rope_qk_tables
 
 H = 1e-3  # central-difference step
 TOL = 1e-3  # worst error a passing case may read
@@ -149,43 +150,33 @@ def op_suite(seed=0, trials=50):
         gain = _rand(rng, 6)
         return (lambda: T.rms_norm(a, gain, eps=1e-5)), [a, gain]
 
-    def case_rope(rng):
-        # 4 rows of 2 heads of hd 4; rope is linear in x, so any tables
-        # exercise its backward
-        x = _rand(rng, 4, 8)
-        cos, sin = (rng.uniform(-1, 1, (4, 8)).astype(np.float32) for _ in range(2))
-        return (lambda: T.rope(x, cos, sin, 2)), [x]
-
-    def holes(rng, shape, n):
-        # distinct row numbers below n, with some -1 holes
-        rows = rng.permutation(n)[: int(np.prod(shape))].reshape(shape)
-        rows[rng.random(shape) < 0.3] = -1
-        return rows
-
-    # half the gather/scatter draws are head-major: 2 heads of width 2
     def case_gather_rows(rng):
-        rows = holes(rng, (2, 3), 7)
-        if rng.random() < 0.5:
-            a = _rand(rng, 7, 4)
-            return (lambda: T.gather_rows(a, rows, heads=2)), [a]
+        # distinct row numbers below 7, with some -1 holes
+        rows = rng.permutation(7)[:6].reshape(2, 3)
+        rows[rng.random((2, 3)) < 0.3] = -1
         a = _rand(rng, 7, *lead(rng), 3)
         return (lambda: T.gather_rows(a, rows)), [a]
 
-    def case_scatter_rows(rng):
-        rows = holes(rng, (2, 3), 8)
+    def case_attention(rng):
+        # 2 sequences of live length 1-4 in [2, 4] rows, an interior hole
+        # in some, 2 heads of hd 2, rope or none, either mask mode, as the
+        # plan's one group or as one group per sequence
+        lengths = rng.integers(1, 5, size=2)
+        before_last = np.arange(4) < lengths[:, None] - 1
+        live = (np.arange(4) < lengths[:, None]) & ~(before_last & (rng.random((2, 4)) < 0.2))
+        rows = np.full((2, 4), -1)
+        rows[live] = rng.permutation(int(live.sum()))
+        spans = [int(rng.integers(0, n + 1)) for n in lengths]
+        mask = attention_mask(spans, 4, MASK_MODES[rng.integers(2)])
+        n = int(live.sum())
+        pos = np.zeros(n, dtype=np.intp)
+        pos[rows[live]] = np.nonzero(live)[1]
+        rope = rope_qk_tables(pos, 2, 2) if rng.random() < 0.5 else None
+        q, k, v = (_rand(rng, n, 4) for _ in range(3))
+        plan = attention_plan(rows, mask)
         if rng.random() < 0.5:
-            a = _rand(rng, 2, 2, 3, 2)
-            return (lambda: T.scatter_rows(a, rows, 8, heads=2)), [a]
-        a = _rand(rng, 2, 3, *lead(rng), 3)
-        return (lambda: T.scatter_rows(a, rows, 8)), [a]
-
-    def case_softmax(rng):
-        a = _rand(rng, *lead(rng), 4, 5)
-        mask = np.zeros((4, 5), dtype=np.float32)  # broadcast over any leading dim
-        drop = rng.random((4, 5)) < 0.3
-        drop[:, 0] = False  # keep every row alive
-        mask[drop] = T.NEG_MASK
-        return (lambda: T.softmax_rows(a, mask)), [a]
+            plan = [(T.RowIndex(rows[[b], :n]), mask[[b], :n, :n]) for b, n in enumerate(lengths)]
+        return (lambda: T.attention(q, k, v, plan, 2, rope)), [q, k, v]
 
     def case_cross_entropy(rng):
         logits = _rand(rng, 6, 5)
@@ -213,13 +204,11 @@ def op_suite(seed=0, trials=50):
     run("reshape", case_reshape)
     run("concat", case_concat)
     run("gather_rows", case_gather_rows)
-    run("scatter_rows", case_scatter_rows)
     run("embedding", case_embedding)
     run("gelu", case_gelu)
     run("swiglu", case_swiglu)
     run("rms_norm", case_rms_norm)
-    run("rope", case_rope)
-    run("softmax_rows", case_softmax)
+    run("attention", case_attention)
     run("cross_entropy", case_cross_entropy)
     run("cosine_loss", case_cosine_loss)
     run("tsum", case_tsum)

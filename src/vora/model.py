@@ -1,8 +1,10 @@
 """Decoder-only student model: pre-norm blocks, RMS-norm, SwiGLU FFN,
 rotary positions, hybrid vision/text attention masks, per-block taps. The
 stack runs token-major on flat rows: a batch's live tokens, or padded
-sequences flattened. ``attention`` is the multi-head attention of the
-student and the teacher, ``decode_greedy`` decodes over a K/V cache of the
+sequences flattened. ``attention_plan`` cuts a forward's sequences into
+length groups once, and ``T.attention`` runs every block's multi-head
+attention over them, one node per block, for the student and the
+teacher. ``decode_greedy`` decodes over a K/V cache of the
 positions decoded so far (per block, head-major key and value buffers with
 spare capacity that each step writes its new row into, in place), on a
 cached forward that runs the blocks on plain arrays, with no tape, and
@@ -23,6 +25,9 @@ from . import kernels
 from . import tensor as T
 from .tensor import Tensor
 
+# a length group's fixed cost in ``attention_plan``, in score cells: about
+# what a group's dispatch costs against its [S_g, S_g] scores per sequence
+GROUP_CELLS = 1024
 LAYER_NAMES = ("q", "k", "v", "o", "ffn_gate", "ffn_up", "ffn_down")
 MASK_MODES = ("hybrid", "causal")
 
@@ -148,8 +153,8 @@ def rope_tables(pos, head_dim):
 
 
 def rope_row_tables(pos, n_heads, head_dim):
-    """Full-width cos/sin [len(pos), n_heads * head_dim] of ``T.rope`` at
-    positions ``pos``: ``rope_tables``' cos over both halves of every head,
+    """Full-width cos/sin [len(pos), n_heads * head_dim] of ``T.attention``'s
+    rotary positions at ``pos``: ``rope_tables``' cos over both halves of every head,
     its sin negated over the first half."""
     cos, sin = rope_tables(pos, head_dim)
     return np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
@@ -190,29 +195,40 @@ def _cache_write(cache, k, v):
     return keys[:, :, :end], values[:, :, :end]
 
 
-def attention(q, k, v, mask, n_heads, rows, rope=None):
-    """Multi-head scaled dot-product attention on flat [N, d] projections.
-
-    rows: [B, S] index of each sequence position into the N rows (-1 at
-    padding), or its ``T.RowIndex``. rope: per-row (cos, sin) tables
-    [N, d] of q and of k (``rope_qk_tables`` at each row's position);
-    q's carry the 1/√hd score scale, so the scores are scaled here only
-    without rope. q and k are rotated as rows, then q, k and v are
-    gathered head-major into [B, heads, S, hd]; the scores are softmaxed
-    under the additive mask ([B, S, S] or [S, S]) and the context is
-    scattered straight back to [N, d]. A cached forward runs the same
-    steps on arrays (``Model.forward``).
-    """
-    n, d = q.data.shape
-    if rope is not None:
-        (q_cos, q_sin), (k_cos, k_sin) = rope
-        q, k = T.rope(q, q_cos, q_sin, n_heads), T.rope(k, k_cos, k_sin, n_heads)
-    q, k, v = (T.gather_rows(t, rows, heads=n_heads) for t in (q, k, v))
-    scores = T.matmul(q, k, transpose_b=True)
-    if rope is None:
-        scores = T.scale(scores, 1.0 / np.sqrt(d // n_heads))
-    probs = T.softmax_rows(scores, mask[..., None, :, :])  # one mask for every head
-    return T.scatter_rows(T.matmul(probs, v), rows, n, heads=n_heads)
+def attention_plan(rows, mask):
+    """The length groups ``T.attention`` runs over: a list of (``T.RowIndex``
+    over rows[g, :S_g], mask[g, :S_g, :S_g]) per group g of sequences, in
+    order of length. rows: [B, S] index of each position into the flat
+    rows, -1 at padding; mask: the [B, S, S] (or one [S, S]) additive mask
+    of the forward. A sequence's live length is its last live position + 1
+    (a sequence with none is in no group), and no query is taken to see a
+    key past it. The sorted lengths are cut into groups by an exact DP that
+    minimises Σ(|g|·S_g² + GROUP_CELLS), S_g the group's longest member;
+    within a group the sequences keep their order, so a padded input is one
+    dense group. ValueError if a row of a group's mask is fully masked."""
+    rows = np.asarray(rows)
+    live = rows >= 0
+    length = np.where(live.any(axis=1), rows.shape[1] - live[:, ::-1].argmax(axis=1), 0)
+    order = np.argsort(length, kind="stable")
+    order = order[length[order] > 0]
+    cells = length[order].astype(np.int64) ** 2
+    best, cut = [0], [0]  # least cost of the first j sorted sequences, and where its last group starts
+    for j in range(1, order.size + 1):
+        cost, i = min((best[i] + (j - i) * cells[j - 1] + GROUP_CELLS, i) for i in range(j))
+        best.append(cost)
+        cut.append(i)
+    masks = mask.reshape((-1,) + mask.shape[-2:])
+    plan, j = [], order.size
+    while j:
+        g = np.sort(order[cut[j]:j])
+        s = int(length[order[j - 1]])
+        whole = masks.shape[0] == 1 or g.size == masks.shape[0]  # a view: no copy of the mask
+        m = masks[:, :s, :s] if whole else masks[g, :s, :s]
+        if np.any((m < 0.0).all(axis=-1)):
+            raise ValueError("row fully masked")
+        plan.append((T.RowIndex(rows[g, :s]), m))
+        j = cut[j]
+    return plan[::-1]
 
 
 class Model:
@@ -263,8 +279,9 @@ class Model:
         rows (token-major batch): embedded is [N, d], the batch's live
         tokens in the flat order rows [B, S] indexes (-1 at padding, see
         ``data.PackedBatch.rows``). Norms, linear layers (an adapted one
-        with its pair, see ``T.linear``), rope, the FFN and the residuals
-        run on the N rows; only the attention core sees [B, S] sequences.
+        with its pair, see ``T.linear``), the FFN and the residuals run on
+        the N rows; only the attention core sees sequences, each length
+        group of ``attention_plan`` padded to its longest member.
         Taps are [N, d], logits [N, vocab], or only the logit_rows rows of
         them. An [S, d] input without rows is one sequence, rows =
         arange(S)[None]: [S, d] taps, [S, vocab] logits.
@@ -291,16 +308,17 @@ class Model:
         b, s = rows.shape
         if s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
-        index = T.RowIndex(rows)  # found once, used by every block's attention
+        plan = attention_plan(rows, mask)  # found once, used by every block's attention
+        live = rows >= 0
         pos = np.zeros(x.data.shape[0], dtype=np.intp)  # each row's position in its sequence
-        pos[index.rows] = index.cells[1]
+        pos[rows[live]] = np.nonzero(live)[1]
         rope = rope_qk_tables(pos, cfg.n_heads, cfg.head_dim)
 
         taps = []
         for i in range(cfg.n_llm):
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.attn_norm"])
             q, k, v = (self._linear(h, i, name, adapters) for name in ("q", "k", "v"))
-            x = x + self._linear(attention(q, k, v, mask, cfg.n_heads, index, rope), i, "o", adapters)
+            x = x + self._linear(T.attention(q, k, v, plan, cfg.n_heads, rope), i, "o", adapters)
 
             h = T.rms_norm(x, self.params[f"llm.blocks.{i}.ffn_norm"])
             gate = self._linear(h, i, "ffn_gate", adapters)
@@ -333,13 +351,13 @@ class Model:
             cache.extend([] for _ in range(cfg.n_llm))
         elif cache[0][0].shape[0] != b:
             raise ValueError(f"batch of {b} sequences on a cache for {cache[0][0].shape[0]}")
-        if mask is not None and np.any((mask < 0.0).all(axis=-1)):  # T.softmax_rows' check, once
+        if mask is not None and np.any((mask < 0.0).all(axis=-1)):  # attention_plan's check, once
             raise ValueError("row fully masked")
         w = {name: t.data for name, t in self.params.items()}
         heads, hd = cfg.n_heads, cfg.head_dim
         q_rope, k_rope = rope_qk_tables(np.tile(np.arange(past, past + s), b), heads, hd)
         norm = lambda t, name: kernels.rmsnorm_fwd(t, w[name], T.RMS_EPS)[0]
-        split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()  # T.gather_rows' dense copy
+        split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()  # T.attention's dense gather
         x, taps = x.reshape(b * s, cfg.d_model), []
         for i in range(cfg.n_llm):
             p = f"llm.blocks.{i}."

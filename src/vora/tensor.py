@@ -2,13 +2,13 @@
 
 The op set is exactly what the model stack needs: elementwise add of
 equal shapes, scalar scale, matmul, linear, transpose, reshape,
-concat along axis 0, row gather/scatter by an index with -1 holes
-(head-major for attention; a gather is the one row selection),
-embedding lookup, GELU, the fused SwiGLU gate (``swiglu``; there is no
-separate SiLU op),
-RMS-norm, rotary positions on flat rows (``rope``), masked row softmax,
-cross entropy, the weighted cosine loss of distillation (``cosine_loss``)
-and sum. No op broadcasts its tensor operands: unequal shapes are a
+concat along axis 0, row gather by an index with -1 holes
+(``gather_rows``, the one row selection), embedding lookup, GELU, the
+fused SwiGLU gate (``swiglu``; there is no separate SiLU op), RMS-norm,
+multi-head attention as one node (``attention``: rotary positions, the
+masked softmax and both GEMMs, run only over the live length groups of a
+plan), cross entropy, the weighted cosine loss of distillation
+(``cosine_loss``) and sum. No op broadcasts its tensor operands: unequal shapes are a
 ``ShapeError``. Every linear layer, x·wᵀ or with an adapter pair
 x·(w + b·a)ᵀ, is one tape node of ``_linear_node``: one 2-D GEMM forward
 and one per operand gradient, whatever the leading dims of x. Heavy
@@ -305,11 +305,11 @@ class RowIndex:
     ``rows``, their entries, and for a [B, S] index ``cells``, their
     (sequence, position) pairs. ``dense``: the index has no holes and its
     flat entry j is row j, as for a padded or [S, d] tape forward or the
-    teacher at one resolution; a head-major gather or scatter by a dense
+    teacher at one resolution; a head-major gather or put by a dense
     index is then a reshape and one transposing copy.
-    ``gather_rows`` and ``scatter_rows`` take one or a plain int array; a
-    caller that moves rows by one index many times (attention, in every
-    block) builds it once."""
+    ``gather_rows`` takes one or a plain int array; ``attention`` takes
+    one per length group of its plan (``model.attention_plan``), built
+    once per forward for every block."""
 
     __slots__ = ("shape", "at", "rows", "cells", "dense")
 
@@ -323,7 +323,7 @@ class RowIndex:
         self.dense = self.rows.size == flat.size and bool((self.rows == self.at).all())
 
 
-def _gather(x, idx, heads):
+def _gather(x, idx, heads=0):
     # [*idx.shape, ...]: row idx.rows[j] of x at flat position idx.at[j], zero
     # elsewhere; heads: x is [N, d], out [B, heads, S, d/heads]
     size = math.prod(idx.shape)
@@ -341,48 +341,33 @@ def _gather(x, idx, heads):
     return out.reshape(idx.shape + x.shape[1:])
 
 
-def _scatter(x, n, idx, heads):
+def _scatter(x, n, idx):
     # [n, ...]: flat entry idx.at[j] of x (the index's axes flattened) at row
-    # idx.rows[j], zero elsewhere; heads: x is [B, heads, S, hd], out [n, heads * hd]
-    if heads:
-        if idx.dense and n == idx.rows.size:
-            return x.transpose(0, 2, 1, 3).copy().reshape(n, heads * x.shape[3])
-        picked = x.transpose(0, 2, 1, 3)[idx.cells].reshape(idx.at.size, heads * x.shape[3])
-    else:
-        picked = x.reshape((-1,) + x.shape[len(idx.shape):])[idx.at]
+    # idx.rows[j], zero elsewhere
+    picked = x.reshape((-1,) + x.shape[len(idx.shape):])[idx.at]
     out = (np.empty if idx.rows.size == n else np.zeros)((n,) + picked.shape[1:], dtype=np.float32)
     out[idx.rows] = picked
     return out
 
 
-def gather_rows(a, rows, heads=0):
+def _put_heads(out, x, idx):
+    # out[idx.rows[j]] = the heads of x [B, heads, S, hd] at flat position
+    # idx.at[j], joined into one [heads * hd] row; other rows keep their values
+    b, heads, s, hd = x.shape
+    if idx.dense:
+        out[:b * s].reshape(b, s, heads, hd)[...] = x.transpose(0, 2, 1, 3)
+    else:
+        out[idx.rows] = x.transpose(0, 2, 1, 3)[idx.cells].reshape(idx.rows.size, heads * hd)
+
+
+def gather_rows(a, rows):
     """Rows of a [N, ...] tensor picked by an int index of any shape (or
     its ``RowIndex``): out[j] = a[rows[j]], a zero row where rows[j] is -1.
-    The picked rows must be distinct; ``scatter_rows`` is the backward.
-    heads: a is [N, d], the rows of that many heads, and rows is [B, S];
-    the picked rows land head-major, [B, heads, S, d/heads], as attention
-    takes them: by a ``RowIndex.dense`` index one transposing copy, else
-    by fancy indexing. Either way the result is a C-ordered array of its
-    own, never a view of a."""
+    The picked rows must be distinct; the backward scatters them back.
+    The result is a C-ordered array of its own, never a view of a."""
     idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
-    if heads and (idx.cells is None or a.data.ndim != 2 or a.data.shape[1] % heads):
-        raise ShapeError(f"gather_rows: {a.data.shape} in {heads} heads by rows {idx.shape}")
     n = a.data.shape[0]
-    return _make(_gather(a.data, idx, heads), (a,), lambda g: _accum(a, _scatter(g, n, idx, heads)))
-
-
-def scatter_rows(a, rows, n, heads=0):
-    """The adjoint of ``gather_rows``: [n, ...] rows from a [*rows.shape, ...]
-    tensor, out[rows[j]] = a[j] for every rows[j] >= 0 (distinct), zero
-    rows where no entry points; entries at -1 are dropped.
-    heads: a is head-major [B, heads, S, hd] and rows [B, S]; the rows
-    come out [n, heads * hd], C-ordered and never a view of a: by one
-    transposing copy when the index is ``RowIndex.dense`` and covers all
-    n rows, else by fancy indexing."""
-    idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
-    if heads and (idx.cells is None or a.data.shape[:3:2] != idx.shape or a.data.shape[1] != heads):
-        raise ShapeError(f"scatter_rows: {a.data.shape} in {heads} heads by rows {idx.shape}")
-    return _make(_scatter(a.data, n, idx, heads), (a,), lambda g: _accum(a, _gather(g, idx, heads)))
+    return _make(_gather(a.data, idx), (a,), lambda g: _accum(a, _scatter(g, n, idx)))
 
 
 def embedding(table, ids):
@@ -453,35 +438,71 @@ def _turn(x, cos, sin, n_heads, back):
     return (x * sin).take(swap, axis=1) + x * cos if back else x.take(swap, axis=1) * sin + x * cos
 
 
-def rope(x, cos, sin, n_heads):
-    """Rotary positions (arXiv 2104.09864) on [N, d] rows of n_heads heads:
-    each head's (i, i + hd/2) pair turns by its row's angle.
+def attention(q, k, v, plan, n_heads, rope=None):
+    """Multi-head scaled dot-product attention of flat [N, d] projections
+    as one node, run only over the length groups of ``plan``
+    (``model.attention_plan``): a list of (``RowIndex`` [G, S_g] of each
+    group's positions into the N rows, -1 at holes, additive mask
+    [G, S_g, S_g] or [1, S_g, S_g]). Every query row lies in at most one
+    group; a row in none gets a zero context.
 
-    cos and sin are full-width per-row tables [N, d] (see
-    ``model.rope_row_tables``): cos repeats over both halves of every
-    head and sin is negated on the first half, so out = x·cos + x'·sin
-    with x' each head's halves swapped. Tables scaled by a constant scale
-    the output."""
-    if x.data.ndim != 2 or x.data.shape[1] % (2 * n_heads) or not cos.shape == sin.shape == x.data.shape:
-        raise ShapeError(f"rope: {x.data.shape} in {n_heads} heads with tables {cos.shape}, {sin.shape}")
-    out = _turn(x.data, cos, sin, n_heads, False)
-    return _make(out, (x,), lambda g: _accum(x, _turn(g, cos, sin, n_heads, True)))
-
-
-def softmax_rows(a, additive_mask):
-    """Softmax over the last axis with an additive 0 / NEG_MASK mask array.
-
-    The mask broadcasts against ``a``; masked entries come out exactly 0,
-    each row sums to 1 over the rest, and a fully masked row is an error.
+    rope: per-row (cos, sin) tables [N, d] of q and of k
+    (``model.rope_qk_tables``), each head's halves turned as in
+    arXiv 2104.09864: x·cos plus x with each head's halves swapped times
+    sin. q's tables carry the 1/√hd score scale; without rope q is scaled
+    by it. Per group, q, k and v are gathered head-major once, the scores
+    q·kᵀ and the context p·v are ``matmul`` of constant Tensors (no node
+    of their own) and the softmax runs under the group's mask; the context
+    rows land in one [N, d] output. The node keeps each group's index,
+    q, k, v and probabilities, never its scores; its backward runs the
+    same groups by hand and gives only the inputs that require one their
+    gradient.
     """
-    if np.any((additive_mask < 0.0).all(axis=-1)):
-        raise ValueError("row fully masked")
-    probs = kernels.softmax_fwd(a.data, additive_mask)
+    shape = q.data.shape
+    if (len(shape) != 2 or shape[1] % n_heads or k.data.shape != shape or v.data.shape != shape
+            or rope is not None and (shape[1] // n_heads % 2 or any(t.shape != shape for pair in rope for t in pair))):
+        raise ShapeError(f"attention: q {q.data.shape}, k {k.data.shape}, v {v.data.shape} in {n_heads} heads"
+                         + ("" if rope is None else f" with tables {[t.shape for pair in rope for t in pair]}"))
+    n, d = shape
+    scale_q = np.float32(1.0 / math.sqrt(d // n_heads))
+
+    def turn(x, which, back):  # rope on q (0) or k (1), or its adjoint; else q's scale
+        if rope is None:
+            return x * scale_q if which == 0 else x
+        return _turn(x, *rope[which], n_heads, back)
+
+    qr, kr = turn(q.data, 0, False), turn(k.data, 1, False)
+    keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    new = np.empty if sum(idx.rows.size for idx, _ in plan) == n else np.zeros  # every row written?
+    out = new((n, d), dtype=np.float32)
+    saved = []
+    for idx, mask in plan:
+        qg, kg, vg = (_gather(x, idx, n_heads) for x in (qr, kr, v.data))
+        probs = kernels.softmax_fwd(matmul(constant(qg), constant(kg), transpose_b=True).data,
+                                    mask[:, None])  # one mask for every head
+        _put_heads(out, matmul(constant(probs), constant(vg)).data, idx)
+        if keep:
+            saved.append((idx, qg, kg, vg, probs))
 
     def bwd(g):
-        _accum(a, kernels.softmax_bwd(probs, g))
+        dq, dk, dv = (new((n, d), dtype=np.float32) if t.requires_grad else None for t in (q, k, v))
+        for idx, qg, kg, vg, probs in saved:
+            gg = _gather(g, idx, n_heads)  # zero at holes
+            if dv is not None:
+                _put_heads(dv, probs.swapaxes(-1, -2) @ gg, idx)
+            if dq is not None or dk is not None:
+                ds = kernels.softmax_bwd(probs, gg @ vg.swapaxes(-1, -2))
+                if dq is not None:
+                    _put_heads(dq, ds @ kg, idx)
+                if dk is not None:
+                    _put_heads(dk, ds.swapaxes(-1, -2) @ qg, idx)
+        for which, (t, grad) in enumerate(((q, dq), (k, dk))):
+            if grad is not None:
+                _accum(t, turn(grad, which, True))
+        if dv is not None:
+            _accum(v, dv)
 
-    return _make(probs, (a,), bwd)
+    return _make(out, (q, k, v), bwd)
 
 
 def cross_entropy(logits, targets, n=None):

@@ -9,7 +9,7 @@ one-to-one at every patch position.
 import numpy as np
 
 from . import tensor as T
-from .model import attention, attention_mask, init_tensors, rope_tables
+from .model import attention_mask, attention_plan, init_tensors, rope_tables
 
 
 class PatchError(ValueError):
@@ -132,15 +132,14 @@ class Teacher:
         within each image, an all-vision sequence. Caller controls the tape."""
         pe = positions(patches, runs, self.cfg.d_vit)
         sizes, images = image_rows(runs)
-        mask = attention_mask(sizes, images.shape[1])
-        index = T.RowIndex(images)
+        plan = attention_plan(images, attention_mask(sizes, images.shape[1]))
         x = T.linear(T.constant(patches), self.params["teacher.patch_embed"]) + T.constant(pe)
         states = []
         for i in range(self.cfg.n_vit):
             w = lambda name: self.params[f"teacher.blocks.{i}.{name}"]
             h = T.rms_norm(x, w("attn_norm"))
             q, k, v = (T.linear(h, w(name)) for name in ("q", "k", "v"))
-            x = x + T.linear(attention(q, k, v, mask, self.cfg.vit_heads, index), w("o"))
+            x = x + T.linear(T.attention(q, k, v, plan, self.cfg.vit_heads), w("o"))
             h = T.rms_norm(x, w("ffn_norm"))
             x = x + T.linear(T.gelu(T.linear(h, w("fc1"))), w("fc2"))
             states.append(x)

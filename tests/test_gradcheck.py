@@ -11,11 +11,11 @@ import vora.tensor as T
 from vora import data as D
 from vora import trainer
 from vora.gradcheck import TOL, _check_projected, nano_config, op_suite
+from vora.model import attention_plan
 
 ALL_OPS = {
     "add", "scale", "matmul", "linear", "adapted_linear", "transpose", "reshape", "concat",
-    "gather_rows", "scatter_rows", "embedding", "gelu", "swiglu", "rms_norm", "rope", "softmax_rows",
-    "cross_entropy", "cosine_loss", "tsum",
+    "gather_rows", "embedding", "gelu", "swiglu", "rms_norm", "attention", "cross_entropy", "cosine_loss", "tsum",
 }
 
 
@@ -32,12 +32,13 @@ def test_composite_chain():
     x = T.param(rng.standard_normal((4, 6)).astype(np.float32))
     w = T.param(rng.standard_normal((6, 6)).astype(np.float32))
     gain = T.param(np.ones(6, dtype=np.float32))
-    mask = np.zeros((4, 6), dtype=np.float32)
-    mask[:, 5] = T.NEG_MASK
+    mask = np.zeros((4, 4), dtype=np.float32)
+    mask[:, 3] = T.NEG_MASK
+    plan = attention_plan(np.arange(4)[None], mask)
 
     def fn():
         h = T.rms_norm(T.matmul(x, w), gain, eps=1e-5)
-        p = T.softmax_rows(h, mask)
+        p = T.attention(h, x, h, plan, 3)  # three heads of width 2
         return T.tsum(T.swiglu(h, T.gelu(p)))  # silu(h) * gelu(p)
 
     assert _check_projected(fn, [x, w, gain], np.ones((), dtype=np.float32)) <= 1e-3

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import vora.tensor as T
-from vora.model import MASK_MODES, LayoutError, Model, ModelConfig, SequenceLayout, attention_mask
+from vora import kernels
+from vora.model import MASK_MODES, LayoutError, Model, ModelConfig, SequenceLayout, attention_mask, attention_plan
 
 NEG = T.NEG_MASK
 
@@ -161,34 +162,50 @@ class TestMaskSoundness:
             v1 = int(rng.integers(0, total))
             lay = SequenceLayout(v1, total, min(v1 + 1, total))
             mask = build_attention_mask(lay, total, "hybrid")
-            scores = T.constant(rng.standard_normal((total, total)).astype(np.float32))
-            probs = T.softmax_rows(scores, mask).data
+            scores = rng.standard_normal((total, total)).astype(np.float32)
+            probs = kernels.softmax_fwd(scores, mask)
             assert (probs[mask < 0] == 0.0).all()
             npt.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_attention_probs_zero_through_model(self, monkeypatch):
+        # every attention softmax the model computes, in every block and
+        # length group: one sequence, then a token-major batch of two
+        # sequences far apart in length, which the plan runs as two groups
         cfg = ModelConfig(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
                           patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
         model = Model.init(cfg, seed=0)
-        lay = SequenceLayout(3, 6, 4)
-        mask = build_attention_mask(lay, 6, "hybrid")
         rng = np.random.default_rng(0)
-        emb = T.constant(rng.standard_normal((6, cfg.d_model)).astype(np.float32) * 0.1)
-        # observe every attention softmax the model computes
         seen = []
-        orig = T.softmax_rows
+        orig = kernels.softmax_fwd
 
         def spy(x, m):
             out = orig(x, m)
-            marr = m.data if hasattr(m, "data") and not isinstance(m, np.ndarray) else np.asarray(m)
-            seen.append((out.data, np.broadcast_to(marr, x.data.shape)))
+            seen.append((out, np.broadcast_to(m, x.shape)))
             return out
 
-        monkeypatch.setattr(T, "softmax_rows", spy)
-        model.forward(emb, mask, collect_taps=False)
-        assert len(seen) == cfg.n_llm
-        for probs, m in seen:
-            assert (probs[m < 0] == 0.0).all()
+        monkeypatch.setattr(kernels, "softmax_fwd", spy)
+        lengths, spans = np.array([6, 60]), [3, 20]
+        rows = np.full((2, 60), -1)
+        live = np.arange(60) < lengths[:, None]
+        rows[live] = rng.permutation(live.sum())
+        for emb, mask, forward_rows in (
+                (rng.standard_normal((6, cfg.d_model)), build_attention_mask(SequenceLayout(3, 6, 4), 6), None),
+                (rng.standard_normal((66, cfg.d_model)), attention_mask(spans, 60), rows)):
+            seen.clear()
+            model.forward(T.constant(0.1 * emb.astype(np.float32)), mask, collect_taps=False, rows=forward_rows)
+            groups = len(attention_plan(np.arange(6)[None] if forward_rows is None else rows, mask))
+            assert groups == (1 if forward_rows is None else 2)
+            assert len(seen) == cfg.n_llm * groups
+            for probs, m in seen:
+                assert (probs[m < 0] == 0.0).all()
+                npt.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+        # a fully masked row is an error, raised before any block runs
+        mask = attention_mask(spans, 60)
+        mask[1, 30] = NEG
+        seen.clear()
+        with pytest.raises(ValueError, match="fully masked"):
+            model.forward(T.constant(np.zeros((66, cfg.d_model), np.float32)), mask, rows=rows)
+        assert seen == []
 
 
 def test_empty_vision_no_adapters_equals_plain_causal_lm():

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import vora.tensor as T
 from vora import kernels
 from vora.gradcheck import project
+from vora.model import attention_plan, rope_qk_tables
+
+import attention_oracle as oracle
 
 
 def tensor(data, requires_grad=False):
@@ -54,47 +57,50 @@ def test_mismatched_shapes_raise_naming_both(op, a, b):
 
 
 class TestSoftmaxRows:
+    """``kernels.softmax_fwd``, the row softmax of every attention, and the
+    fully-masked check that ``model.attention_plan`` runs once per forward."""
+
     def test_uniform_row(self):
-        x = tensor([[0.0, 0.0, 0.0]])
+        x = np.zeros((1, 3), dtype=np.float32)
         m = np.zeros((1, 3), dtype=np.float32)
-        npt.assert_allclose(T.softmax_rows(x, m).data, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-7)
+        npt.assert_allclose(kernels.softmax_fwd(x, m), [[1 / 3, 1 / 3, 1 / 3]], atol=1e-7)
 
     def test_masked_symmetry(self):
-        x = tensor([[0.0, 0.0, 0.0]])
+        x = np.zeros((1, 3), dtype=np.float32)
         m = np.array([[0.0, T.NEG_MASK, 0.0]], dtype=np.float32)
-        out = T.softmax_rows(x, m).data
+        out = kernels.softmax_fwd(x, m)
         npt.assert_allclose(out, [[0.5, 0.0, 0.5]], atol=1e-7)
         assert out[0, 1] == 0.0  # exact zero at masked entry
 
     def test_direct_formula_oracle(self):
         x = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
         expected = np.exp(x) / np.exp(x).sum()  # independent exp/sum oracle
-        out = T.softmax_rows(tensor(x), np.zeros_like(x)).data
+        out = kernels.softmax_fwd(x, np.zeros_like(x))
         npt.assert_allclose(out, expected, atol=1e-6)
 
     def test_rows_sum_to_one_and_masked_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             rows, cols = rng.integers(1, 8, size=2)
-            x = tensor(rng.standard_normal((rows, cols)))
+            x = rng.standard_normal((rows, cols)).astype(np.float32)
             mask = np.zeros((rows, cols), dtype=np.float32)
             drop = rng.random((rows, cols)) < 0.4
             drop[:, 0] = False
             mask[drop] = T.NEG_MASK
-            out = T.softmax_rows(x, mask).data
+            out = kernels.softmax_fwd(x, mask)
             npt.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
             assert (out[drop] == 0.0).all()
             # masked entries rely on exp underflowing to exactly 0: also at
             # extreme scores, and under a mask broadcast over a leading dim
-            for scores in (1e4 * x.data, rng.standard_normal((2, rows, cols))):
-                out = T.softmax_rows(tensor(scores), mask).data
+            for scores in (1e4 * x, rng.standard_normal((2, rows, cols)).astype(np.float32)):
+                out = kernels.softmax_fwd(scores, mask)
                 npt.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
                 assert (out[..., drop] == 0.0).all()
 
     def test_no_mask_is_an_all_zero_mask_bit_for_bit(self):
-        # softmax_rows' kernel without a mask, as a cached decode's one-row
-        # step runs it: x + 0 turns -0.0 into +0.0 and the unmasked kernel
-        # skips the add; every zero still leaves exp as 1, so the bits agree
+        # the kernel without a mask, as a cached decode's one-row step runs
+        # it: x + 0 turns -0.0 into +0.0 and the unmasked kernel skips the
+        # add; every zero still leaves exp as 1, so the bits agree
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 4, 6)).astype(np.float32)
         x[0, 0] = [-0.0, -0.0, -0.0, -1.0, -2.0, -0.5]  # row max -0.0
@@ -105,11 +111,10 @@ class TestSoftmaxRows:
         npt.assert_allclose(unmasked.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_fully_masked_row_errors(self):
-        x = tensor(np.zeros((2, 3)))
-        mask = np.zeros((2, 3), dtype=np.float32)
-        mask[1, :] = T.NEG_MASK
+        mask = np.zeros((1, 2, 2), dtype=np.float32)
+        mask[0, 1, :] = T.NEG_MASK
         with pytest.raises(ValueError, match="fully masked"):
-            T.softmax_rows(x, mask)
+            attention_plan(np.arange(2)[None], mask)
 
 
 class TestRmsNorm:
@@ -202,7 +207,8 @@ def test_determinism_bit_identical():
         rng = np.random.default_rng(seed)
         a = tensor(rng.standard_normal((4, 4)))
         b = tensor(rng.standard_normal((4, 4)))
-        out = T.softmax_rows(T.matmul(T.gelu(a), b), np.zeros((4, 4), dtype=np.float32))
+        plan = attention_plan(np.arange(4)[None], np.zeros((4, 4), dtype=np.float32))
+        out = T.attention(T.matmul(T.gelu(a), b), a, b, plan, 2)
         return out.data.tobytes()
 
     assert build(123) == build(123)
@@ -238,33 +244,37 @@ def test_gather_and_scatter_rows_zero_holes_and_own_their_memory():
     T.backward(T.tsum(T.scale(out, 5.0)))
     npt.assert_array_equal(a.grad, [[5] * 3, [0] * 3, [5] * 3, [5] * 3])  # row 1 is picked by no entry
 
-    ctx = tensor(np.arange(12, dtype=np.float32).reshape(2, 2, 3), requires_grad=True)
-    back = T.scatter_rows(ctx, rows, 4)
-    npt.assert_array_equal(back.data, [ctx.data[1, 0], np.zeros(3), ctx.data[0, 0], ctx.data[1, 1]])
-    assert not np.shares_memory(back.data, ctx.data)
-    T.backward(T.tsum(back))
-    npt.assert_array_equal(ctx.grad, [[[1] * 3, [0] * 3], [[1] * 3, [1] * 3]])  # the -1 entry gets none
+    # the backward is the scatter: a zero row where no entry points, and
+    # the -1 entry drops its gradient
+    a.grad = None
+    g = np.arange(12, dtype=np.float32).reshape(2, 2, 3)
+    out = T.gather_rows(a, rows)
+    T.backward(project(out, g))
+    npt.assert_array_equal(a.grad, [g[1, 0], np.zeros(3), g[0, 0], g[1, 1]])
+    assert not np.shares_memory(a.grad, g)
 
-    # a dense index (no holes, entry j is row j) moves head-major rows by one
-    # transposing copy: the bits of the fancy-indexed path, C-ordered, and
-    # never a view, also at [1, 1], one decode row, whose transpose is
-    # already contiguous
+    # a dense index (no holes, entry j is row j) moves attention's
+    # head-major rows by one transposing copy: the bits of the
+    # fancy-indexed path, C-ordered, and never a view, also at [1, 1], one
+    # decode row, whose transpose is already contiguous
     assert not T.RowIndex(rows).dense and not T.RowIndex([[1, 0]]).dense
     rng = np.random.default_rng(3)
-    h, hd = 2, 3
+    h, hd = 2, 2
     for b, s in ((1, 1), (2, 1), (1, 5), (3, 4)):
         dense = T.RowIndex(np.arange(b * s).reshape(b, s))
         fancy = T.RowIndex(np.arange(b * s).reshape(b, s))
         fancy.dense = False  # the path an index with holes takes
         assert dense.dense
-        x = tensor(rng.standard_normal((b * s, h * hd)), requires_grad=True)
-        ctx = tensor(rng.standard_normal((b, h, s, hd)), requires_grad=True)
-        for op, inp, out_shape in ((lambda idx: T.gather_rows(x, idx, heads=h), x, (b, h, s, hd)),
-                                   (lambda idx: T.scatter_rows(ctx, idx, b * s, heads=h), ctx, (b * s, h * hd))):
-            r = rng.standard_normal(out_shape).astype(np.float32)
-            (got, (got_grad,)), (want, (want_grad,)) = (_grads(lambda: op(idx), [inp], r) for idx in (dense, fancy))
-            assert got.tobytes() == want.tobytes() and got_grad.tobytes() == want_grad.tobytes()
-            assert got.flags.c_contiguous and got_grad.flags.c_contiguous and not np.shares_memory(got, inp.data)
+        mask = np.zeros((1, s, s), dtype=np.float32)
+        qkv = [tensor(rng.standard_normal((b * s, h * hd)), requires_grad=True) for _ in range(3)]
+        rope = rope_qk_tables(np.tile(np.arange(s), b), h, hd)
+        r = rng.standard_normal((b * s, h * hd)).astype(np.float32)
+        (got, got_grads), (want, want_grads) = (_grads(lambda: T.attention(*qkv, [(idx, mask)], h, rope), qkv, r)
+                                                for idx in (dense, fancy))
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+        for g, w, t in zip(got_grads, want_grads, qkv):
+            assert g.tobytes() == w.tobytes() and g.flags.c_contiguous
+            assert not np.shares_memory(got, t.data) and not np.shares_memory(g, got)
 
 
 def _grads(make_out, inputs, r):
@@ -286,9 +296,9 @@ def _assert_same_op(fused, composed, inputs, r, atol=1e-6):
 
 
 class TestFusedOps:
-    """linear (plain and with an adapter pair), rope, swiglu and the
-    head-major gather and scatter against the compositions they replace,
-    at model shapes."""
+    """linear (plain and with an adapter pair), rope, swiglu and the test
+    oracle's head-major gather and scatter against the compositions they
+    replace, at model shapes."""
 
     def test_linear_matches_matmul_of_transpose(self):
         rng = np.random.default_rng(11)
@@ -372,6 +382,8 @@ class TestFusedOps:
                 T.linear(bad[0], bad[1], bad[2:])
 
     def test_rope_matches_slice_mul_concat(self):
+        # attention's rotation of q and k (T._turn) and its adjoint, and the
+        # test oracle's rope node, against slices, products and a concat
         from vora.model import rope_row_tables, rope_tables
 
         rng = np.random.default_rng(12)
@@ -387,20 +399,26 @@ class TestFusedOps:
             # [n, 1, hd/2]: each row's table, the same for every head
             c, sn = ((t * np.float32(scale))[:, None] for t in rope_tables(pos, hd))
             # numpy oracle in float32, with the same products and sums as
-            # the op (a - b is a + -b, and + commutes): equal to the bit
+            # the rotation (a - b is a + -b, and + commutes): equal to the bit
             want = np.concatenate([x1 * c - x2 * sn, x2 * c + x1 * sn], axis=-1).reshape(n, h * hd)
             want_grad = np.concatenate([r1 * c + r2 * sn, r2 * c - r1 * sn], axis=-1).reshape(n, h * hd)
-            out, grads = _grads(lambda: T.rope(x, cos, sin, h), [x], r)
+            assert T._turn(x.data, cos, sin, h, False).tobytes() == want.tobytes()
+            assert T._turn(r, cos, sin, h, True).tobytes() == want_grad.tobytes()
+            out, grads = _grads(lambda: oracle.rope(x, cos, sin, h), [x], r)
             assert out.tobytes() == want.tobytes() and grads[0].tobytes() == want_grad.tobytes()
 
     def test_rope_rejects_mismatched_tables(self):
         x = tensor(np.zeros((5, 8)))
         ok = np.ones((5, 8), dtype=np.float32)
-        for cos, sin, heads in ((np.ones((4, 8), np.float32), ok, 2), (ok, ok[:, :4], 2), (ok, ok, 3)):
+        plan = attention_plan(np.arange(5)[None], np.zeros((5, 5), dtype=np.float32))
+        for cos, sin, heads in ((np.ones((4, 8), np.float32), ok, 2), (ok, ok[:, :4], 2), (ok, ok, 3), (ok, ok, 8)):
             with pytest.raises(T.ShapeError):
-                T.rope(x, cos, sin, heads)
+                T.attention(x, x, x, plan, heads, ((ok, ok), (cos, sin)))
         with pytest.raises(T.ShapeError):  # a [B, S, d] projection is no longer rows
-            T.rope(tensor(np.zeros((1, 5, 8))), ok, ok, 2)
+            y = tensor(np.zeros((1, 5, 8)))
+            T.attention(y, y, y, plan, 2, ((ok, ok), (ok, ok)))
+        with pytest.raises(T.ShapeError):  # q, k and v of one shape
+            T.attention(x, x, tensor(np.zeros((5, 6))), plan, 2)
 
     def test_swiglu_matches_mul_of_silu(self):
         rng = np.random.default_rng(13)
@@ -426,29 +444,31 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("n", [12, 15])  # 3 holes, none
     def test_head_major_gather_and_scatter_match_reshape_and_transpose(self, n):
+        # the test oracle's head-major gather and scatter against
+        # gather_rows, reshape and transpose, and against each other's
+        # backward: the scatter is the gather's adjoint, bit for bit
         rng = np.random.default_rng(14)
         b, s, h, hd = 3, 5, 2, 4
         rows = np.full((b, s), -1)
         rows.reshape(-1)[rng.permutation(b * s)[:n]] = np.arange(n)
         a = tensor(rng.standard_normal((n, h * hd)), requires_grad=True)
         r = rng.standard_normal((b, h, s, hd)).astype(np.float32)
-        composed = lambda: T.transpose(T.reshape(T.gather_rows(a, rows), (b, s, h, hd)), (0, 2, 1, 3))  # noqa: E731
-        out, grads = _grads(lambda: T.gather_rows(a, rows, heads=h), [a], r)
-        want, want_grads = _grads(composed, [a], r)
+        composed = lambda x: T.transpose(T.reshape(T.gather_rows(x, rows), (b, s, h, hd)), (0, 2, 1, 3))  # noqa: E731
+        out, grads = _grads(lambda: oracle.gather_heads(a, rows, h), [a], r)
+        want, want_grads = _grads(lambda: composed(a), [a], r)
         assert out.tobytes() == np.ascontiguousarray(want).tobytes() and out.flags.c_contiguous
         assert grads[0].tobytes() == want_grads[0].tobytes()
 
         ctx = tensor(rng.standard_normal((b, h, s, hd)), requires_grad=True)
         r = rng.standard_normal((n + 1, h * hd)).astype(np.float32)  # row n is picked by no entry
-        composed = lambda: T.reshape(T.scatter_rows(T.transpose(ctx, (0, 2, 1, 3)), rows, n + 1), (n + 1, h * hd))  # noqa: E731
-        out, grads = _grads(lambda: T.scatter_rows(ctx, rows, n + 1, heads=h), [ctx], r)
-        want, want_grads = _grads(composed, [ctx], r)
+        out, grads = _grads(lambda: oracle.scatter_heads(ctx, rows, n + 1), [ctx], r)
+        sink = tensor(np.zeros((n + 1, h * hd)), requires_grad=True)
+        _, (want,) = _grads(lambda: composed(sink), [sink], ctx.data)
         assert out.tobytes() == want.tobytes() and not out[n].any()
-        assert grads[0].tobytes() == want_grads[0].tobytes()
-        out, _ = _grads(lambda: T.scatter_rows(ctx, rows, n, heads=h), [ctx], r[:n])
+        assert grads[0].tobytes() == np.ascontiguousarray(composed(tensor(r)).data).tobytes()
+        out, _ = _grads(lambda: oracle.scatter_heads(ctx, rows, n), [ctx], r[:n])
         assert out.tobytes() == want[:n].tobytes()
-        for bad in (lambda: T.gather_rows(a, rows, heads=3), lambda: T.gather_rows(a, rows[0], heads=2),
-                    lambda: T.scatter_rows(ctx, rows, n, heads=4), lambda: T.scatter_rows(ctx, rows.T, n, heads=2)):
+        for bad in (lambda: oracle.gather_heads(a, rows, 3), lambda: oracle.scatter_heads(ctx, rows.T, n)):
             with pytest.raises(T.ShapeError):
                 bad()
 

@@ -2,7 +2,7 @@
 """Paired A/B of training steps or greedy decodes: git revision REV against
 the working tree, both in one process.
 
-    tools/ab_steps.py REV [fixed|anyres] [pretrain|finetune] [--steps N] [--seed S]
+    tools/ab_steps.py REV [fixed|anyres] [pretrain|finetune] [--shards] [--steps N] [--seed S]
     tools/ab_steps.py REV decode [--merged] [--steps N] [--seed S]
 
 REV's src/vora (taken with `git archive`, as tools/compare_artifacts.sh
@@ -14,18 +14,23 @@ runs REV then the tree when i is even, the tree then REV when it is odd.
 Each step (`trainer.train_step` on one batch, batch making left out) is
 timed in process CPU time, which a second process on the host inflates
 less than wall time. After --warmup untimed steps the script prints each
-side's median ms per step and the paired ratio tree/REV per step with its
+side's median ms per step, its minor page faults per step (`ru_minflt`
+deltas over the timed body; both sides share the process, so each delta
+is its own side's) and the paired ratio tree/REV per step with its
 quartiles: a ratio below 1 means the tree is faster.
 
 BLAS runs on one thread. The script uses `trainer._partition`,
 `TrainState`, `train_step` and `compute_losses`, so REV must have them.
 
-It times `train_step` on the whole batch, which is not the step a
-training run takes: a run steps on every batch of two or more sequences
-as its two shards (`trainer.train_loop`), and takes the whole-batch
-step only at batch_size 1. So the script compares the step bodies of two
-revisions, not their runs. A claim about run steps rests on
-`perfbench/run.py` pairs, which time them in wall time.
+By default it times `train_step` on the whole batch, which is not the
+step a training run takes: a run steps on every batch of two or more
+sequences as its two shards (`trainer.train_loop`), and takes the
+whole-batch step only at batch_size 1. --shards times that body instead:
+`trainer.run_shard` on both shards of each batch (`PackedBatch.shards`),
+one after the other, then `combine` and `adamw_step` untimed, so REV must
+have those too. Either way the script compares the step bodies of two
+revisions in one process, not their runs. A claim about run steps rests
+on `perfbench/run.py` pairs, which time them in wall time.
 
 `decode` times `model.decode_greedy` instead, on the inputs of perfbench's
 eval-decode workload for the seed (`workloads.make_inputs`): each side
@@ -42,6 +47,7 @@ import argparse
 import importlib
 import importlib.util
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -72,8 +78,9 @@ def import_package(name, path):
 class Side:
     """One package's pipeline, optimizer state and batch generator."""
 
-    def __init__(self, vora, grid, mode, seed):
+    def __init__(self, vora, grid, mode, seed, shards=False):
         self.vora = vora
+        self.shards = shards
         trainer = vora.trainer
         self.tcfg = trainer.TrainConfig(seed=seed, mode=mode)
         self.dcfg = vora.data.DataConfig(anyres=grid == "anyres")
@@ -83,17 +90,25 @@ class Side:
         self.distill_mode = "none" if mode == "finetune" else self.tcfg.distill_mode
         self.state = trainer.TrainState.create(trainer._partition(self.pipe, self.tcfg))
         self.rng = np.random.default_rng([seed, 10])
-        self.ms = []
+        self.ms, self.faults = [], []
 
     def step(self, i, timed):
-        vora, tcfg = self.vora, self.tcfg
+        vora, tcfg, trainer = self.vora, self.tcfg, self.vora.trainer
         batch = vora.data.make_batch(self.rng, tcfg.batch_size, dcfg=self.dcfg, max_seq=self.pipe.cfg.max_seq)
-        loss_fn = lambda: vora.trainer.compute_losses(self.pipe, batch, tcfg.mask_mode, self.distill_mode)  # noqa: E731
-        t0 = time.process_time()
-        lm = vora.trainer.train_step(self.state, tcfg, i, loss_fn)[0]
-        dt = time.process_time() - t0
+        loss_fns = [lambda part=part: trainer.compute_losses(self.pipe, part, tcfg.mask_mode, self.distill_mode)
+                    for part in (batch.shards() if self.shards else [batch])]
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
+        if self.shards:
+            answers = [trainer.run_shard(self.state, k, fn) for k, fn in enumerate(loss_fns)]
+        else:
+            lm = trainer.train_step(self.state, tcfg, i, loss_fns[0])[0]
+        dt, faults = time.process_time() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+        if self.shards:
+            lm = (trainer.combine(self.state, *answers) if len(answers) == 2 else answers[0])[0]
+            trainer.adamw_step(self.state, trainer.lr_at(tcfg, i), tcfg)
         if timed:
             self.ms.append(1e3 * dt)
+            self.faults.append(faults)
         # train_step returns (lm, dist, per_block, lr); older revisions return (LossOut, lr)
         return float(lm.lm.data) if hasattr(lm, "lm") else lm
 
@@ -114,16 +129,17 @@ class DecodeSide:
                 lay = batch.layouts[0]
                 emb = vora.trainer.pack_embedded(self.pipe, batch).data[0, : lay.supervise_from]
                 self.prefixes.append((vora.tensor.constant(emb), lay))
-        self.ms = []
+        self.ms, self.faults = [], []
 
     def step(self, i, timed):
         prefix, lay = self.prefixes[i % len(self.prefixes)]
-        t0 = time.process_time()
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
         ids = self.vora.model.decode_greedy(self.pipe.model, prefix, lay, workloads.NO_EOS, workloads.MAX_NEW,
                                             adapters=self.pipe.adapters)
-        dt = time.process_time() - t0
+        dt, faults = time.process_time() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         if timed:
             self.ms.append(1e3 * dt)
+            self.faults.append(faults)
         return ids
 
 
@@ -133,6 +149,7 @@ def main(argv=None):
     ap.add_argument("grid", nargs="?", choices=("fixed", "anyres", "decode"), default="fixed")
     ap.add_argument("mode", nargs="?", choices=("pretrain", "finetune"), default="pretrain")
     ap.add_argument("--merged", action="store_true", help="decode: merge the adapters first")
+    ap.add_argument("--shards", action="store_true", help="training: time run_shard on both shards of each batch")
     ap.add_argument("--steps", type=int, default=140, help="timed steps (decode calls) per side")
     ap.add_argument("--warmup", type=int, default=5, help="untimed steps per side first")
     ap.add_argument("--seed", type=int, default=0)
@@ -141,8 +158,8 @@ def main(argv=None):
         title = f"decode {'merged' if args.merged else 'unmerged'}"
         make = lambda vora: DecodeSide(vora, args.merged, args.seed)  # noqa: E731
     else:
-        title = f"{args.grid} {args.mode}"
-        make = lambda vora: Side(vora, args.grid, args.mode, args.seed)  # noqa: E731
+        title = f"{args.grid} {args.mode}{', two shards' if args.shards else ''}"
+        make = lambda vora: Side(vora, args.grid, args.mode, args.seed, args.shards)  # noqa: E731
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src/vora"],
@@ -168,7 +185,8 @@ def main(argv=None):
     print(f"{title}, seed {args.seed}, {args.steps} timed steps per side (process CPU time)")
     for name, side in ((args.rev, rev), ("tree", tree)):
         lo, mid, hi = np.percentile(side.ms, [25, 50, 75])
-        print(f"  {name:>12}: median {mid:.2f} ms/step (quartiles {lo:.2f}-{hi:.2f})")
+        print(f"  {name:>12}: median {mid:.2f} ms/step (quartiles {lo:.2f}-{hi:.2f}),"
+              f" {np.median(side.faults):.0f} minor faults/step (mean {np.mean(side.faults):.0f})")
     print(f"  tree/{args.rev}: median ratio {med:.3f} (quartiles {q1:.3f}-{q3:.3f}),"
           f" tree faster on {int((ratio < 1).sum())}/{ratio.size} steps")
     if args.grid == "decode":
