@@ -5,7 +5,7 @@ sequences flattened. ``attention_plan`` cuts a forward's sequences into
 length groups once, and ``T.attention`` runs every block's multi-head
 attention over them, one node per block, for the student and the
 teacher. ``decode_greedy`` decodes over a K/V cache of the
-positions decoded so far (per block, head-major key and value buffers with
+positions decoded so far (per block, token-major key and value rows with
 spare capacity that each step writes its new row into, in place), on a
 cached forward that runs the blocks on plain arrays, with no tape, and
 ``init_tensors`` draws every tensor owner's init from its ``shapes`` table.
@@ -152,17 +152,13 @@ def rope_tables(pos, head_dim):
     return np.cos(ang).astype(np.float32), np.sin(ang).astype(np.float32)
 
 
-def rope_row_tables(pos, n_heads, head_dim):
-    """Full-width cos/sin [len(pos), n_heads * head_dim] of ``T.attention``'s
-    rotary positions at ``pos``: ``rope_tables``' cos over both halves of every head,
-    its sin negated over the first half."""
-    cos, sin = rope_tables(pos, head_dim)
-    return np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
-
-
 def rope_qk_tables(pos, n_heads, head_dim):
-    """q's and k's ``rope_row_tables`` at ``pos``, q's times the 1/√hd score scale."""
-    k = rope_row_tables(pos, n_heads, head_dim)
+    """Full-width cos/sin [len(pos), n_heads * head_dim] of q and of k for
+    ``T.attention``'s rotary positions at ``pos``: ``rope_tables``' cos over
+    both halves of every head, its sin negated over the first half; q's
+    tables times the 1/√hd score scale."""
+    cos, sin = rope_tables(pos, head_dim)
+    k = np.tile(np.concatenate([cos, cos], axis=1), n_heads), np.tile(np.concatenate([-sin, sin], axis=1), n_heads)
     return tuple(t * np.float32(1.0 / np.sqrt(head_dim)) for t in k), k
 
 
@@ -173,26 +169,26 @@ def _gemm(x, w):
 
 
 def _cache_write(cache, k, v):
-    """Write one block's new head-major keys and values [B, heads, s, hd]
-    into its cache [keys, values, L] after the L cached positions; returns
-    views of all L+s. A prefill (empty cache) keeps its own arrays, full;
-    a write past the capacity first moves the L cached positions into
-    buffers of twice the capacity (or L+s, if more)."""
+    """Write one block's new key and value rows [B, s, d] into its cache
+    [keys, values, L] after the L cached positions; returns views [B, L+s, d]
+    of all L+s. A prefill (empty cache) keeps its own arrays, full; a write
+    past the capacity first moves the L cached positions into buffers of
+    twice the capacity (or L+s, if more)."""
     if not cache:
-        cache[:] = k, v, k.shape[2]
+        cache[:] = k, v, k.shape[1]
         return k, v
     keys, values, past = cache
-    end = past + k.shape[2]
-    if end > keys.shape[2]:
-        cap = max(2 * keys.shape[2], end)
-        grown = [np.empty(t.shape[:2] + (cap,) + t.shape[3:], dtype=np.float32) for t in (keys, values)]
+    end = past + k.shape[1]
+    if end > keys.shape[1]:
+        cap = max(2 * keys.shape[1], end)
+        grown = [np.empty((t.shape[0], cap) + t.shape[2:], dtype=np.float32) for t in (keys, values)]
         for new, old in zip(grown, (keys, values)):
-            new[:, :, :past] = old[:, :, :past]
+            new[:, :past] = old[:, :past]
         keys, values = grown
-    keys[:, :, past:end] = k
-    values[:, :, past:end] = v
+    keys[:, past:end] = k
+    values[:, past:end] = v
     cache[:] = keys, values, end
-    return keys[:, :, :end], values[:, :, :end]
+    return keys[:, :end], values[:, :end]
 
 
 def attention_plan(rows, mask):
@@ -205,7 +201,8 @@ def attention_plan(rows, mask):
     key past it. The sorted lengths are cut into groups by an exact DP that
     minimises Σ(|g|·S_g² + GROUP_CELLS), S_g the group's longest member;
     within a group the sequences keep their order, so a padded input is one
-    dense group. ValueError if a row of a group's mask is fully masked."""
+    group over the batch, under a view of the mask. ValueError if a row of a
+    group's mask is fully masked."""
     rows = np.asarray(rows)
     live = rows >= 0
     length = np.where(live.any(axis=1), rows.shape[1] - live[:, ::-1].argmax(axis=1), 0)
@@ -357,16 +354,17 @@ class Model:
         heads, hd = cfg.n_heads, cfg.head_dim
         q_rope, k_rope = rope_qk_tables(np.tile(np.arange(past, past + s), b), heads, hd)
         norm = lambda t, name: kernels.rmsnorm_fwd(t, w[name], T.RMS_EPS)[0]
-        split = lambda t: t.reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()  # T.attention's dense gather
+        split = lambda t: t.reshape(b, -1, heads, hd).swapaxes(1, 2)  # heads [B, heads, S, hd], a view
         x, taps = x.reshape(b * s, cfg.d_model), []
         for i in range(cfg.n_llm):
             p = f"llm.blocks.{i}."
             h = norm(x, p + "attn_norm")
             q, k, v = (_gemm(h, w[p + name]) for name in ("q", "k", "v"))
             q, k = T._turn(q, *q_rope, heads, False), T._turn(k, *k_rope, heads, False)
-            q, (k, v) = split(q), _cache_write(cache[i], split(k), split(v))
-            probs = kernels.softmax_fwd(q @ k.swapaxes(-1, -2), None if mask is None else mask[..., None, :, :])
-            x = x + _gemm((probs @ v).transpose(0, 2, 1, 3).copy().reshape(b * s, cfg.d_model), w[p + "o"])
+            k, v = _cache_write(cache[i], k.reshape(b, s, -1), v.reshape(b, s, -1))
+            probs = kernels.softmax_fwd(split(q) @ split(k).swapaxes(-1, -2),
+                                        None if mask is None else mask[..., None, :, :])
+            x = x + _gemm((probs @ split(v)).swapaxes(1, 2).reshape(b * s, cfg.d_model), w[p + "o"])
             h = norm(x, p + "ffn_norm")
             gated, _ = kernels.swiglu_fwd(_gemm(h, w[p + "ffn_gate"]), _gemm(h, w[p + "ffn_up"]))
             x = x + _gemm(gated, w[p + "ffn_down"])

@@ -301,17 +301,13 @@ def concat(tensors):
 
 class RowIndex:
     """An int index of any shape into the rows of a [N, ...] stack, -1 at
-    holes, with its live entries found once: ``at``, their flat positions,
-    ``rows``, their entries, and for a [B, S] index ``cells``, their
-    (sequence, position) pairs. ``dense``: the index has no holes and its
-    flat entry j is row j, as for a padded or [S, d] tape forward or the
-    teacher at one resolution; a head-major gather or put by a dense
-    index is then a reshape and one transposing copy.
+    holes, with its live entries found once: ``shape``, the index's,
+    ``at``, the live entries' flat positions, and ``rows``, their entries.
     ``gather_rows`` takes one or a plain int array; ``attention`` takes
     one per length group of its plan (``model.attention_plan``), built
     once per forward for every block."""
 
-    __slots__ = ("shape", "at", "rows", "cells", "dense")
+    __slots__ = ("shape", "at", "rows")
 
     def __init__(self, rows):
         rows = np.asarray(rows)
@@ -319,45 +315,21 @@ class RowIndex:
         self.shape = rows.shape
         self.at = np.flatnonzero(flat >= 0)
         self.rows = flat[self.at]
-        self.cells = np.divmod(self.at, rows.shape[1]) if rows.ndim == 2 else None
-        self.dense = self.rows.size == flat.size and bool((self.rows == self.at).all())
 
 
-def _gather(x, idx, heads=0):
-    # [*idx.shape, ...]: row idx.rows[j] of x at flat position idx.at[j], zero
-    # elsewhere; heads: x is [N, d], out [B, heads, S, d/heads]
+def _gather(x, idx):
+    # [*idx.shape, ...]: row idx.rows[j] of x at flat position idx.at[j], zero elsewhere
     size = math.prod(idx.shape)
-    new = np.empty if idx.at.size == size else np.zeros  # no holes: every entry is written
-    if heads:
-        b, s = idx.shape
-        hd = x.shape[1] // heads
-        if idx.dense:  # a copy, never a view: at S = 1 the transpose is contiguous
-            return x[:size].reshape(b, s, heads, hd).transpose(0, 2, 1, 3).copy()
-        out = new((b, heads, s, hd), dtype=np.float32)
-        out.transpose(0, 2, 1, 3)[idx.cells] = x[idx.rows].reshape(-1, heads, hd)
-        return out
-    out = new((size,) + x.shape[1:], dtype=np.float32)
+    out = (np.empty if idx.at.size == size else np.zeros)((size,) + x.shape[1:], dtype=np.float32)
     out[idx.at] = x[idx.rows]
     return out.reshape(idx.shape + x.shape[1:])
 
 
-def _scatter(x, n, idx):
-    # [n, ...]: flat entry idx.at[j] of x (the index's axes flattened) at row
-    # idx.rows[j], zero elsewhere
-    picked = x.reshape((-1,) + x.shape[len(idx.shape):])[idx.at]
-    out = (np.empty if idx.rows.size == n else np.zeros)((n,) + picked.shape[1:], dtype=np.float32)
-    out[idx.rows] = picked
+def _put(out, x, idx):
+    # out[idx.rows[j]] = entry idx.at[j] of x [*idx.shape, ...], a view or an
+    # array, its trailing axes joined into one row; out's other rows keep theirs
+    out[idx.rows] = x.reshape((-1,) + out.shape[1:])[idx.at]
     return out
-
-
-def _put_heads(out, x, idx):
-    # out[idx.rows[j]] = the heads of x [B, heads, S, hd] at flat position
-    # idx.at[j], joined into one [heads * hd] row; other rows keep their values
-    b, heads, s, hd = x.shape
-    if idx.dense:
-        out[:b * s].reshape(b, s, heads, hd)[...] = x.transpose(0, 2, 1, 3)
-    else:
-        out[idx.rows] = x.transpose(0, 2, 1, 3)[idx.cells].reshape(idx.rows.size, heads * hd)
 
 
 def gather_rows(a, rows):
@@ -366,8 +338,9 @@ def gather_rows(a, rows):
     The picked rows must be distinct; the backward scatters them back.
     The result is a C-ordered array of its own, never a view of a."""
     idx = rows if isinstance(rows, RowIndex) else RowIndex(rows)
-    n = a.data.shape[0]
-    return _make(_gather(a.data, idx), (a,), lambda g: _accum(a, _scatter(g, n, idx)))
+    shape = a.data.shape
+    new = np.empty if idx.rows.size == shape[0] else np.zeros  # every row written?
+    return _make(_gather(a.data, idx), (a,), lambda g: _accum(a, _put(new(shape, dtype=np.float32), g, idx)))
 
 
 def embedding(table, ids):
@@ -450,13 +423,14 @@ def attention(q, k, v, plan, n_heads, rope=None):
     (``model.rope_qk_tables``), each head's halves turned as in
     arXiv 2104.09864: x·cos plus x with each head's halves swapped times
     sin. q's tables carry the 1/√hd score scale; without rope q is scaled
-    by it. Per group, q, k and v are gathered head-major once, the scores
-    q·kᵀ and the context p·v are ``matmul`` of constant Tensors (no node
-    of their own) and the softmax runs under the group's mask; the context
-    rows land in one [N, d] output. The node keeps each group's index,
-    q, k, v and probabilities, never its scores; its backward runs the
-    same groups by hand and gives only the inputs that require one their
-    gradient.
+    by it. Per group, q, k and v are gathered once as rows [G, S_g, d],
+    whose heads are views [G, heads, S_g, hd], the scores q·kᵀ and the
+    context p·v are ``matmul`` of constant Tensors (no node of their own)
+    and the softmax runs under the group's mask; the live context rows are
+    put into one [N, d] output. The node keeps each group's index, q, k, v
+    and probabilities, never its scores; its backward runs the same groups
+    by hand, puts their gradient rows likewise and gives only the inputs
+    that require one their gradient.
     """
     shape = q.data.shape
     if (len(shape) != 2 or shape[1] % n_heads or k.data.shape != shape or v.data.shape != shape
@@ -471,31 +445,34 @@ def attention(q, k, v, plan, n_heads, rope=None):
             return x * scale_q if which == 0 else x
         return _turn(x, *rope[which], n_heads, back)
 
+    def heads(x):  # a view [G, heads, S_g, hd] of a group's rows [G, S_g, d]
+        return x.reshape(x.shape[:2] + (n_heads, -1)).swapaxes(1, 2)
+
     qr, kr = turn(q.data, 0, False), turn(k.data, 1, False)
     keep = _grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
     new = np.empty if sum(idx.rows.size for idx, _ in plan) == n else np.zeros  # every row written?
     out = new((n, d), dtype=np.float32)
     saved = []
     for idx, mask in plan:
-        qg, kg, vg = (_gather(x, idx, n_heads) for x in (qr, kr, v.data))
+        qg, kg, vg = (heads(_gather(x, idx)) for x in (qr, kr, v.data))
         probs = kernels.softmax_fwd(matmul(constant(qg), constant(kg), transpose_b=True).data,
                                     mask[:, None])  # one mask for every head
-        _put_heads(out, matmul(constant(probs), constant(vg)).data, idx)
+        _put(out, matmul(constant(probs), constant(vg)).data.swapaxes(1, 2), idx)
         if keep:
             saved.append((idx, qg, kg, vg, probs))
 
     def bwd(g):
         dq, dk, dv = (new((n, d), dtype=np.float32) if t.requires_grad else None for t in (q, k, v))
         for idx, qg, kg, vg, probs in saved:
-            gg = _gather(g, idx, n_heads)  # zero at holes
+            gg = heads(_gather(g, idx))  # zero at holes
             if dv is not None:
-                _put_heads(dv, probs.swapaxes(-1, -2) @ gg, idx)
+                _put(dv, (probs.swapaxes(-1, -2) @ gg).swapaxes(1, 2), idx)
             if dq is not None or dk is not None:
                 ds = kernels.softmax_bwd(probs, gg @ vg.swapaxes(-1, -2))
                 if dq is not None:
-                    _put_heads(dq, ds @ kg, idx)
+                    _put(dq, (ds @ kg).swapaxes(1, 2), idx)
                 if dk is not None:
-                    _put_heads(dk, ds.swapaxes(-1, -2) @ qg, idx)
+                    _put(dk, (ds.swapaxes(-1, -2) @ qg).swapaxes(1, 2), idx)
         for which, (t, grad) in enumerate(((q, dq), (k, dk))):
             if grad is not None:
                 _accum(t, turn(grad, which, True))

@@ -24,7 +24,7 @@ def _halves_swapped(x):
 def rope(x, cos, sin, n_heads):
     """Rotary positions on [N, d] rows of n_heads heads: out = x·cos + x'·sin,
     x' each head's halves swapped, for full-width tables [N, d]
-    (``model.rope_row_tables``); the backward is the adjoint, (g·sin)'
+    (``model.rope_qk_tables``); the backward is the adjoint, (g·sin)'
     plus g·cos."""
     n, d = x.data.shape
     if d % (2 * n_heads) or not cos.shape == sin.shape == (n, d):

@@ -111,7 +111,7 @@ def test_plan_holds_every_live_row_once_padded_to_its_longest_member(layout, mod
         assert g >= 1 and m.shape == (g, s, s)
         group_rows = idx.rows
         seen += group_rows.tolist()
-        assert np.array_equal(pos_of[group_rows], idx.cells[1])  # each row at its own position
+        assert np.array_equal(pos_of[group_rows], np.divmod(idx.at, s)[1])  # each row at its own position
         seqs = seq_of[group_rows]
         assert np.array_equal(seqs, np.sort(seqs))  # the members keep their order
         member = np.unique(seqs)
@@ -141,12 +141,15 @@ def test_plan_cuts_minimise_the_cost(lengths):
 
 
 def test_a_padded_input_is_one_dense_group():
-    # decode's prefill, eval's padded forward and the merge probe: every
-    # position live, one group over the batch in its order, by a dense index
+    # eval's padded forward, the merge probe and the teacher at one
+    # resolution: every position live, one group over the batch in its
+    # order, under a view of the caller's mask
     for b, s in ((1, 1), (3, 7), (16, 160)):
         mask = attention_mask(list(range(b)), s)
         (idx, m), = attention_plan(np.arange(b * s).reshape(b, s), mask)
-        assert idx.dense and idx.shape == (b, s) and np.array_equal(m, mask)
+        assert idx.shape == (b, s) and np.array_equal(idx.at, np.arange(b * s))  # no hole
+        assert np.array_equal(idx.rows, np.arange(b * s))  # flat entry j is row j
+        assert np.shares_memory(m, mask) and np.array_equal(m, mask)
 
 
 def test_rows_outside_every_group_get_zero_context():

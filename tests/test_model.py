@@ -9,7 +9,7 @@ import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
 from vora import model as vora_model
-from vora.model import Model, ModelConfig, SequenceLayout, SequenceTooLong, decode_greedy, rope_row_tables
+from vora.model import Model, ModelConfig, SequenceLayout, SequenceTooLong, decode_greedy, rope_qk_tables
 
 from test_mask import build_attention_mask, oracle_mask
 
@@ -192,7 +192,7 @@ def spied_decode(model, prefix, layout, eos_id, max_new, adapters=None, mask_mod
         steps.append(logits.data[..., -1, :].reshape(-1, logits.shape[-1]).copy())
         positions.append(math.prod(embedded.data.shape[:-1]))
         if capacities is not None:
-            capacities.append(kwargs["cache"][0][0].shape[2])
+            capacities.append(kwargs["cache"][0][0].shape[1])
         return logits, taps
 
     Model.forward = spy
@@ -516,16 +516,16 @@ def test_rope_tables_at_positions_equal_the_full_tables_rows():
     # the forward builds its RoPE tables for its rows' positions only; they
     # are the rows of the tables of every position, to the bit
     pos = np.array([5, 0, 159, 3, 3, 77])
-    for got, full in zip(rope_row_tables(pos, 4, 16), rope_row_tables(np.arange(160), 4, 16)):
+    for got, full in zip(rope_qk_tables(pos, 4, 16)[1], rope_qk_tables(np.arange(160), 4, 16)[1]):
         assert got.tobytes() == full[pos].tobytes()
 
 
 def test_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(vora_model.ConfigError, match=r"n_vit \(9\) must be <= n_llm"):
         ModelConfig(n_vit=9, n_llm=6)
-    with pytest.raises(Exception):
+    with pytest.raises(vora_model.ConfigError, match="n_vit must be >= 1"):
         ModelConfig(n_vit=0)
-    with pytest.raises(Exception):
+    with pytest.raises(vora_model.ConfigError, match=r"d_model \(65\) not divisible by n_heads"):
         ModelConfig(d_model=65, n_heads=4)
-    with pytest.raises(Exception):
+    with pytest.raises(vora_model.ConfigError, match="d_model must be >= 1"):
         ModelConfig(d_model=0)

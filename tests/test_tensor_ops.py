@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import vora.tensor as T
 from vora import kernels
 from vora.gradcheck import project
-from vora.model import attention_plan, rope_qk_tables
+from vora.model import attention_mask, attention_plan, rope_qk_tables
 
 import attention_oracle as oracle
 
@@ -253,28 +254,33 @@ def test_gather_and_scatter_rows_zero_holes_and_own_their_memory():
     npt.assert_array_equal(a.grad, [g[1, 0], np.zeros(3), g[0, 0], g[1, 1]])
     assert not np.shares_memory(a.grad, g)
 
-    # a dense index (no holes, entry j is row j) moves attention's
-    # head-major rows by one transposing copy: the bits of the
-    # fancy-indexed path, C-ordered, and never a view, also at [1, 1], one
-    # decode row, whose transpose is already contiguous
-    assert not T.RowIndex(rows).dense and not T.RowIndex([[1, 0]]).dense
+    # attention gathers rows and reads heads as views of them: on an index
+    # with no hole and on one with holes, its output and every gradient are
+    # C-ordered float32 arrays of their own, and with one full-width group
+    # over the batch, the oracle's bits; also at [1, 1], one row, whose
+    # head view is already contiguous
     rng = np.random.default_rng(3)
     h, hd = 2, 2
-    for b, s in ((1, 1), (2, 1), (1, 5), (3, 4)):
-        dense = T.RowIndex(np.arange(b * s).reshape(b, s))
-        fancy = T.RowIndex(np.arange(b * s).reshape(b, s))
-        fancy.dense = False  # the path an index with holes takes
-        assert dense.dense
-        mask = np.zeros((1, s, s), dtype=np.float32)
-        qkv = [tensor(rng.standard_normal((b * s, h * hd)), requires_grad=True) for _ in range(3)]
-        rope = rope_qk_tables(np.tile(np.arange(s), b), h, hd)
-        r = rng.standard_normal((b * s, h * hd)).astype(np.float32)
-        (got, got_grads), (want, want_grads) = (_grads(lambda: T.attention(*qkv, [(idx, mask)], h, rope), qkv, r)
-                                                for idx in (dense, fancy))
-        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
-        for g, w, t in zip(got_grads, want_grads, qkv):
-            assert g.tobytes() == w.tobytes() and g.flags.c_contiguous
-            assert not np.shares_memory(got, t.data) and not np.shares_memory(g, got)
+    indexes = [np.arange(b * s).reshape(b, s) for b, s in ((1, 1), (2, 1), (1, 5), (3, 4))]
+    indexes += [np.array([[0, 1, 2, -1], [3, 4, 5, 6], [7, -1, -1, -1]]), np.array([[0, -1, 1], [2, 3, 4]])]
+    for rows in indexes:
+        b, s = rows.shape
+        n = int((rows >= 0).sum())
+        pos = np.zeros(n, dtype=np.intp)
+        pos[rows[rows >= 0]] = np.nonzero(rows >= 0)[1]
+        mask = attention_mask(np.arange(b) % 3, s)
+        (idx, _), = plan = attention_plan(rows, mask)
+        assert idx.shape == rows.shape
+        qkv = [tensor(rng.standard_normal((n, h * hd)), requires_grad=True) for _ in range(3)]
+        rope = rope_qk_tables(pos, h, hd)
+        r = rng.standard_normal((n, h * hd)).astype(np.float32)
+        got, got_grads = _grads(lambda: T.attention(*qkv, plan, h, rope), qkv, r)
+        want, want_grads = _grads(lambda: oracle.attention(*qkv, mask, h, rows, rope), qkv, r)
+        arrays = [got] + got_grads
+        for a, w in zip(arrays, [want] + want_grads):
+            assert a.tobytes() == w.tobytes() and a.dtype == np.float32 and a.flags.c_contiguous
+            assert not any(np.shares_memory(a, t.data) for t in qkv)
+        assert not any(np.shares_memory(a, o) for a, o in itertools.combinations(arrays, 2))
 
 
 def _grads(make_out, inputs, r):
@@ -384,7 +390,7 @@ class TestFusedOps:
     def test_rope_matches_slice_mul_concat(self):
         # attention's rotation of q and k (T._turn) and its adjoint, and the
         # test oracle's rope node, against slices, products and a concat
-        from vora.model import rope_row_tables, rope_tables
+        from vora.model import rope_tables
 
         rng = np.random.default_rng(12)
         n, s, h, hd = 16 * 34, 34, 4, 16
@@ -395,7 +401,7 @@ class TestFusedOps:
         x1, x2 = np.split(x.data.reshape(n, h, hd), 2, axis=-1)
         r1, r2 = np.split(r.reshape(n, h, hd), 2, axis=-1)
         for scale in (1.0, 1.0 / math.sqrt(hd), 1.0 / math.sqrt(6.0)):
-            cos, sin = (t * np.float32(scale) for t in rope_row_tables(pos, h, hd))
+            cos, sin = (t * np.float32(scale) for t in rope_qk_tables(pos, h, hd)[1])
             # [n, 1, hd/2]: each row's table, the same for every head
             c, sn = ((t * np.float32(scale))[:, None] for t in rope_tables(pos, hd))
             # numpy oracle in float32, with the same products and sums as

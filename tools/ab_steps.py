@@ -2,7 +2,7 @@
 """Paired A/B of training steps or greedy decodes: git revision REV against
 the working tree, both in one process.
 
-    tools/ab_steps.py REV [fixed|anyres] [pretrain|finetune] [--shards] [--steps N] [--seed S]
+    tools/ab_steps.py REV [fixed|anyres] [pretrain|finetune] [--steps N] [--seed S]
     tools/ab_steps.py REV decode [--merged] [--steps N] [--seed S]
 
 REV's src/vora (taken with `git archive`, as tools/compare_artifacts.sh
@@ -11,26 +11,23 @@ does) is imported as the package `vora_rev`, the working tree's src/vora as
 merges it first) and draws its batches from its own generator with the
 same seed, so both train on the same batches. The steps alternate: step i
 runs REV then the tree when i is even, the tree then REV when it is odd.
-Each step (`trainer.train_step` on one batch, batch making left out) is
-timed in process CPU time, which a second process on the host inflates
-less than wall time. After --warmup untimed steps the script prints each
-side's median ms per step, its minor page faults per step (`ru_minflt`
-deltas over the timed body; both sides share the process, so each delta
-is its own side's) and the paired ratio tree/REV per step with its
-quartiles: a ratio below 1 means the tree is faster.
+A step is the body a training run takes on a batch (`trainer.train_loop`):
+`trainer.run_shard` on both shards of the batch (`PackedBatch.shards`),
+one after the other, then `combine` and `adamw_step`, which are not timed,
+nor is batch making. The shards are timed in process CPU time, which a
+second process on the host inflates less than wall time. After --warmup
+untimed steps the script prints each side's median ms per step, its minor
+page faults per step (`ru_minflt` deltas over the timed body; both sides
+share the process, so each delta is its own side's) and the paired ratio
+tree/REV per step with its quartiles: a ratio below 1 means the tree is
+faster.
 
 BLAS runs on one thread. The script uses `trainer._partition`,
-`TrainState`, `train_step` and `compute_losses`, so REV must have them.
-
-By default it times `train_step` on the whole batch, which is not the
-step a training run takes: a run steps on every batch of two or more
-sequences as its two shards (`trainer.train_loop`), and takes the
-whole-batch step only at batch_size 1. --shards times that body instead:
-`trainer.run_shard` on both shards of each batch (`PackedBatch.shards`),
-one after the other, then `combine` and `adamw_step` untimed, so REV must
-have those too. Either way the script compares the step bodies of two
-revisions in one process, not their runs. A claim about run steps rests
-on `perfbench/run.py` pairs, which time them in wall time.
+`TrainState`, `run_shard`, `combine`, `adamw_step`, `lr_at`,
+`compute_losses` and `data.PackedBatch.shards`, so REV must have them. It
+compares the step bodies of two revisions in one process, not their runs:
+a run's second shard may run in a forked worker. A claim about run steps
+rests on `perfbench/run.py` pairs, which time them in wall time.
 
 `decode` times `model.decode_greedy` instead, on the inputs of perfbench's
 eval-decode workload for the seed (`workloads.make_inputs`): each side
@@ -78,9 +75,8 @@ def import_package(name, path):
 class Side:
     """One package's pipeline, optimizer state and batch generator."""
 
-    def __init__(self, vora, grid, mode, seed, shards=False):
+    def __init__(self, vora, grid, mode, seed):
         self.vora = vora
-        self.shards = shards
         trainer = vora.trainer
         self.tcfg = trainer.TrainConfig(seed=seed, mode=mode)
         self.dcfg = vora.data.DataConfig(anyres=grid == "anyres")
@@ -96,21 +92,16 @@ class Side:
         vora, tcfg, trainer = self.vora, self.tcfg, self.vora.trainer
         batch = vora.data.make_batch(self.rng, tcfg.batch_size, dcfg=self.dcfg, max_seq=self.pipe.cfg.max_seq)
         loss_fns = [lambda part=part: trainer.compute_losses(self.pipe, part, tcfg.mask_mode, self.distill_mode)
-                    for part in (batch.shards() if self.shards else [batch])]
+                    for part in batch.shards()]
         f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
-        if self.shards:
-            answers = [trainer.run_shard(self.state, k, fn) for k, fn in enumerate(loss_fns)]
-        else:
-            lm = trainer.train_step(self.state, tcfg, i, loss_fns[0])[0]
+        answers = [trainer.run_shard(self.state, k, fn) for k, fn in enumerate(loss_fns)]
         dt, faults = time.process_time() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-        if self.shards:
-            lm = (trainer.combine(self.state, *answers) if len(answers) == 2 else answers[0])[0]
-            trainer.adamw_step(self.state, trainer.lr_at(tcfg, i), tcfg)
+        lm = (trainer.combine(self.state, *answers) if len(answers) == 2 else answers[0])[0]
+        trainer.adamw_step(self.state, trainer.lr_at(tcfg, i), tcfg)
         if timed:
             self.ms.append(1e3 * dt)
             self.faults.append(faults)
-        # train_step returns (lm, dist, per_block, lr); older revisions return (LossOut, lr)
-        return float(lm.lm.data) if hasattr(lm, "lm") else lm
+        return lm
 
 
 class DecodeSide:
@@ -149,7 +140,6 @@ def main(argv=None):
     ap.add_argument("grid", nargs="?", choices=("fixed", "anyres", "decode"), default="fixed")
     ap.add_argument("mode", nargs="?", choices=("pretrain", "finetune"), default="pretrain")
     ap.add_argument("--merged", action="store_true", help="decode: merge the adapters first")
-    ap.add_argument("--shards", action="store_true", help="training: time run_shard on both shards of each batch")
     ap.add_argument("--steps", type=int, default=140, help="timed steps (decode calls) per side")
     ap.add_argument("--warmup", type=int, default=5, help="untimed steps per side first")
     ap.add_argument("--seed", type=int, default=0)
@@ -158,8 +148,8 @@ def main(argv=None):
         title = f"decode {'merged' if args.merged else 'unmerged'}"
         make = lambda vora: DecodeSide(vora, args.merged, args.seed)  # noqa: E731
     else:
-        title = f"{args.grid} {args.mode}{', two shards' if args.shards else ''}"
-        make = lambda vora: Side(vora, args.grid, args.mode, args.seed, args.shards)  # noqa: E731
+        title = f"{args.grid} {args.mode}, two shards"
+        make = lambda vora: Side(vora, args.grid, args.mode, args.seed)  # noqa: E731
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src/vora"],
