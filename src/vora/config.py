@@ -67,7 +67,7 @@ def _count(raw):
     return n
 
 
-_FIELD_PARSERS = {int: int, float: _finite, bool: _bool, str: str}
+_FIELD_PARSERS = {int: int, float: float, bool: _bool, str: str}  # each config checks its own ranges
 
 # key -> (default, parser); a None default marks a required key. Each config
 # field is a key with its default, parsed by its type; the keys after them are not fields.

@@ -65,9 +65,6 @@ class ModelConfig:
             self.vembed_hidden = self.d_model // 2
         if self.vit_ff <= 0:
             self.vit_ff = 4 * self.d_vit
-        self.validate()
-
-    def validate(self):
         if self.n_vit > self.n_llm:
             raise ConfigError(f"n_vit ({self.n_vit}) must be <= n_llm ({self.n_llm})")
         for name in ("n_llm", "n_vit", "d_model", "n_heads", "d_ff", "vocab", "patch", "rank", "max_seq", "vit_heads"):
@@ -201,9 +198,13 @@ def attention_plan(rows, mask):
     key past it. The sorted lengths are cut into groups by an exact DP that
     minimises Σ(|g|·S_g² + GROUP_CELLS), S_g the group's longest member;
     within a group the sequences keep their order, so a padded input is one
-    group over the batch, under a view of the mask. ValueError if a row of a
-    group's mask is fully masked."""
+    group over the batch, under a view of the mask. ShapeError if the mask
+    is not [S, S], [1, S, S] or [B, S, S]; ValueError if a row of a group's
+    mask is fully masked."""
     rows = np.asarray(rows)
+    b, s = rows.shape
+    if mask.shape not in ((s, s), (1, s, s), (b, s, s)):
+        raise T.ShapeError(f"mask {list(mask.shape)} for rows {list(rows.shape)}: need [S, S], [1, S, S] or [B, S, S]")
     live = rows >= 0
     length = np.where(live.any(axis=1), rows.shape[1] - live[:, ::-1].argmax(axis=1), 0)
     order = np.argsort(length, kind="stable")
@@ -289,7 +290,8 @@ class Model:
         the last S rows of the mask at L+S (None for a one-row step: its
         query sees every key). It runs the tape path's kernels in order on
         arrays, with no Tensor per op: the same bits. Adapters are merged
-        before, once per decode, by ``decode_greedy``.
+        before, once per decode, by ``decode_greedy``. Rows or a mask that
+        do not fit the input are a ShapeError.
         """
         if cache is not None:
             if adapters is not None or rows is not None or logit_rows is not None:
@@ -305,8 +307,10 @@ class Model:
         b, s = rows.shape
         if s > cfg.max_seq:
             raise SequenceTooLong(f"sequence length {s} exceeds max_seq {cfg.max_seq}")
-        plan = attention_plan(rows, mask)  # found once, used by every block's attention
         live = rows >= 0
+        if not np.array_equal(np.sort(rows[live]), np.arange(x.data.shape[0])):
+            raise T.ShapeError(f"rows {list(rows.shape)} must index each embedded row {list(embedded.shape)} once")
+        plan = attention_plan(rows, mask)  # found once, used by every block's attention
         pos = np.zeros(x.data.shape[0], dtype=np.intp)  # each row's position in its sequence
         pos[rows[live]] = np.nonzero(live)[1]
         rope = rope_qk_tables(pos, cfg.n_heads, cfg.head_dim)
@@ -348,6 +352,9 @@ class Model:
             cache.extend([] for _ in range(cfg.n_llm))
         elif cache[0][0].shape[0] != b:
             raise ValueError(f"batch of {b} sequences on a cache for {cache[0][0].shape[0]}")
+        if mask is not None and mask.shape not in ((s, past + s), (1, s, past + s), (b, s, past + s)):
+            raise T.ShapeError(f"mask {list(mask.shape)} for {s} queries after {past} cached positions of "
+                               f"{list(shape)}: need [s, L+s] or [1 or B, s, L+s]")
         if mask is not None and np.any((mask < 0.0).all(axis=-1)):  # attention_plan's check, once
             raise ValueError("row fully masked")
         w = {name: t.data for name, t in self.params.items()}

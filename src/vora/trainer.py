@@ -10,9 +10,9 @@ so their gradients sum to the batch's. Shard 0 runs here; shard 1 runs
 alongside it in a worker forked for the run where ``_two_shards`` holds,
 else here after it. Each writes its gradients into its own flat arena of
 the run's ``TrainState``; ``combine`` adds them, and AdamW updates the
-weight arena: here all of it, or, with a worker, the first half of each
-decay class here and the second half in the worker at the same time.
-Where shard 1 and AdamW's halves ran changes no bit of a run's results.
+weight arena where shard 1 runs: here, or in the worker while this
+process records the step and draws the next batch. Where shard 1 and
+AdamW ran changes no bit of a run's results.
 """
 
 import csv
@@ -69,9 +69,11 @@ class TrainConfig:
     teacher_warm_steps: int = 200  # teacher warm-up steps
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        for name in ("seed", "warmup_steps", "weight_decay", "teacher_warm_steps"):
+        if not 0 < self.lr < np.inf:  # nan fails too
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
+        for name in ("seed", "warmup_steps", "teacher_warm_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.batch_size < 1:
@@ -283,8 +285,8 @@ class TrainState:
     Their layout: the first ``n_decay`` entries hold the tensors that
     ``decays``, the rest the others, each class in its map's order. Every
     trainable tensor's ``.data`` is a view into ``weights`` until ``release``.
-    ``second_half``: None, or, while a worker runs, what starts AdamW's
-    second halves in it."""
+    ``start_update``: None, or, while a worker runs, what starts the AdamW
+    update in it."""
     step: int
     trainable: dict  # name -> Tensor, in arena order
     n_decay: int
@@ -292,7 +294,7 @@ class TrainState:
     grads: tuple
     m: np.ndarray
     v: np.ndarray
-    second_half: object = None  # callable (t, lr, weight_decay)
+    start_update: object = None  # callable (t, lr, weight_decay)
 
     @classmethod
     def create(cls, trainable):
@@ -318,32 +320,22 @@ class TrainState:
 
 
 def adamw_step(state, lr, cfg):
-    """One AdamW update of the weight arena by the gradient in
-    ``state.grads[0]``: ``_adamw`` on each whole decay class, or, with a
-    ``second_half``, on the first half of each here while the worker runs
-    the second halves. Step t travels to the worker, whose state is a
-    forked copy; ``_ShardWorker.settle`` waits for its halves."""
+    """One AdamW update (``_adamw``) of the weight arena by the gradient in
+    ``state.grads[0]``: here, or, with a ``start_update``, in the worker.
+    Step t travels to the worker, whose state is a forked copy;
+    ``_ShardWorker.settle`` waits for its update."""
     t = state.step + 1
-    if state.second_half is not None:
-        state.second_half(t, lr, cfg.weight_decay)
-    _adamw(state, t, lr, cfg.weight_decay, None if state.second_half is None else 0)
+    (state.start_update or partial(_adamw, state))(t, lr, cfg.weight_decay)
     state.step = t
 
 
-def _adamw(state, t, lr, weight_decay, half=None):
-    """AdamW step t at lr, one kernel call per decay class: on the whole
-    class, or on its first (half 0) or second (half 1) half, split at the
-    class's middle entry. It overwrites that part of ``grads[0]``, and the
-    same part of shard 1's arena, added in by then, is the kernel's scratch.
-    AdamW is elementwise, so the halves give the whole call's bits."""
+def _adamw(state, t, lr, weight_decay):
+    """AdamW step t at lr, one kernel call per decay class. It overwrites
+    ``grads[0]``; shard 1's arena, added in by then, is its scratch."""
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     g, scratch = state.grads
-    for (lo, hi), wd in (((0, state.n_decay), weight_decay), ((state.n_decay, state.weights.size), 0.0)):
-        if half is not None:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if half == 0 else (mid, hi)
-        part = slice(lo, hi)
+    for part, wd in ((slice(0, state.n_decay), weight_decay), (slice(state.n_decay, None), 0.0)):
         kernels.adamw_update(state.weights[part], g[part], state.m[part], state.v[part], lr, BETA1, BETA2,
                              ADAM_EPS, wd, bc1, bc2, scratch[part])
 
@@ -494,12 +486,11 @@ def _two_shards(tcfg):
 class _ShardWorker:
     """One forked process that runs ``jobs[0](shard)``, shard 1 of every
     step, while this process runs shard 0, and ``jobs[1](t, lr,
-    weight_decay)``, AdamW's second halves, while this process runs the
-    first halves. The worker shares the state's arenas: it reads the
-    weights and writes ``grads[1]``, and in its AdamW job writes its halves
-    of the weights, ``m``, ``v`` and both gradient arenas. Every answer
-    comes back in order; ``settle`` reads the AdamW one before this process
-    reads the weights again."""
+    weight_decay)``, the step's AdamW update, while this process records
+    the step and draws the next batch. It shares the state's arenas: it
+    reads the weights and writes ``grads[1]``, and its AdamW job writes
+    all of them. Answers come back in order; ``settle`` reads the AdamW
+    one before this process reads the weights again."""
 
     def __init__(self, *jobs):
         import multiprocessing
@@ -507,7 +498,7 @@ class _ShardWorker:
         # fork, not spawn: the worker takes the pipeline and the arenas as they are, unpickled
         ctx = multiprocessing.get_context("fork")
         self.conn, child_end = ctx.Pipe()
-        self.pending = None  # the step whose AdamW halves are not yet known to be written
+        self.pending = None  # the step whose AdamW update is not yet known to be written
         self.proc = ctx.Process(target=_serve, daemon=True, args=(child_end, self.conn, jobs))
         self.blas_threads = _set_blas_threads(1)  # the worker inherits the count
         try:
@@ -530,13 +521,13 @@ class _ShardWorker:
         self._post(step, 0, (shard,))
         return partial(self.answer, step)
 
-    def second_half(self, t, lr, weight_decay):
-        """Start AdamW step t's second halves in the worker (``_adamw``)."""
+    def start_update(self, t, lr, weight_decay):
+        """Start AdamW step t in the worker (``_adamw``)."""
         self._post(t - 1, 1, (t, lr, weight_decay))
         self.pending = t - 1
 
     def settle(self):
-        """Wait until the worker has written the AdamW halves it was last sent."""
+        """Wait until the worker has written the AdamW update it was last sent."""
         if self.pending is not None:
             step, self.pending = self.pending, None
             self.answer(step)
@@ -588,9 +579,9 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
     A batch of two or more sequences trains as its two shards
     (``PackedBatch.shards``), shard 1 in this process after shard 0 or
     alongside it in a worker forked for the run (``_two_shards``), to the
-    same bits either way. A worker also runs the second half of each
-    AdamW update while the step's record goes to ``metrics_sink`` and the
-    next batch is drawn, so the sink must not read the trainable weights.
+    same bits either way. A worker also runs each AdamW update while the
+    step's record goes to ``metrics_sink`` and the next batch is drawn,
+    so the sink must not read the trainable weights.
     However the loop ends, the worker ends with it and the trainable
     tensors get private arrays back (``TrainState.release``)."""
     state = TrainState.create(_partition(pipe, tcfg))
@@ -604,12 +595,12 @@ def train_loop(pipe, tcfg, batches, metrics_sink=None):
     worker = None
     try:
         if _two_shards(tcfg):
-            worker = _ShardWorker(run1, partial(_adamw, state, half=1))
-            state.second_half = worker.second_half
+            worker = _ShardWorker(run1, partial(_adamw, state))
+            state.start_update = worker.start_update
         for step, batch in zip(range(tcfg.total_steps), batches):
             first, *rest = batch.shards()
             if worker:
-                worker.settle()  # the last step's second halves, before shard 0's forward reads them
+                worker.settle()  # the last step's update, before shard 0's forward reads the weights
             shard1 = None
             if rest:
                 shard1 = worker.send(step, *rest) if worker else partial(run1, *rest)

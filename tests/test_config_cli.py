@@ -314,7 +314,7 @@ class TestCli:
         ("pretrain", "d_vit=1\nvit_heads=1"),
         ("ablate", "log_window=0\nablate_steps=3"), ("ablate", "log_window=-1\nablate_steps=3"),
         ("ablate", "ablate_steps=0"), ("pretrain", "seed=-1"), ("pretrain", "lr=nan"),
-        ("pretrain", "lr=inf"), ("ablate", "thresholds=4.0,nan\nablate_steps=3"),
+        ("pretrain", "lr=inf"), ("pretrain", "weight_decay=nan"), ("ablate", "thresholds=4.0,nan\nablate_steps=3"),
         ("pretrain", "weight_decay=-1"), ("pretrain", "teacher_warm_steps=-5"),
         ("pretrain", "anyres=true\nanyres_min=48\nanyres_max=16"),
         ("pretrain", "anyres=true\nanyres_min=20\nanyres_max=44"), ("pretrain", "n_vit=0"),

@@ -207,6 +207,23 @@ class TestMaskSoundness:
             model.forward(T.constant(np.zeros((66, cfg.d_model), np.float32)), mask, rows=rows)
         assert seen == []
 
+    def test_a_mask_that_does_not_fit_the_rows_is_a_shape_error(self):
+        # a larger mask is not sliced, and a batch's masks are not paired
+        # with fewer sequences: each names the mask's shape and the rows'
+        cfg = ModelConfig(n_llm=2, n_vit=1, d_model=8, d_vit=8, n_heads=2, d_ff=8,
+                          patch=4, rank=2, vembed_hidden=4, vit_heads=2, vit_ff=8)
+        model = Model.init(cfg, seed=0)
+        one, two = (T.constant(np.zeros(shape + (cfg.d_model,), np.float32)) for shape in ((5,), (2, 5)))
+        for emb, mask, shapes in ((one, np.zeros((7, 7), np.float32), r"mask \[7, 7\] for rows \[1, 5\]"),
+                                  (two, attention_mask([0, 1, 2], 5), r"mask \[3, 5, 5\] for rows \[2, 5\]"),
+                                  (two, np.zeros((5, 6), np.float32), r"mask \[5, 6\] for rows \[2, 5\]")):
+            with pytest.raises(T.ShapeError, match=shapes):
+                model.forward(emb, mask)
+            with pytest.raises(T.ShapeError, match=shapes):
+                attention_plan(np.arange(emb.data.size // cfg.d_model).reshape(-1, 5), mask)
+        for mask in (np.zeros((5, 5), np.float32), attention_mask(0, 5), attention_mask([0, 2], 5)):
+            assert model.forward(two, mask)[0].shape == (2, 5, cfg.vocab)
+
 
 def test_empty_vision_no_adapters_equals_plain_causal_lm():
     cfg = ModelConfig()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import vora.tensor as T
 from vora import data as D
 from vora import lora, trainer
 from vora import model as vora_model
-from vora.model import Model, ModelConfig, SequenceLayout, SequenceTooLong, decode_greedy, rope_qk_tables
+from vora.model import (Model, ModelConfig, SequenceLayout, SequenceTooLong, attention_mask, decode_greedy,
+                        rope_qk_tables)
 
 from test_mask import build_attention_mask, oracle_mask
 
@@ -107,6 +109,22 @@ class TestForward:
         with pytest.raises(SequenceTooLong):
             model.forward(model.embed_tokens(np.zeros(9, dtype=int)),
                           np.zeros((9, 9), dtype=np.float32))
+
+    def test_rows_that_miss_or_repeat_an_embedded_row_are_a_shape_error(self):
+        # token-major rows must index each of the N embedded rows exactly
+        # once: rows that cover 8 of 10 would leave two rows with no
+        # attention context, and rows past N would be a raw IndexError
+        cfg = ModelConfig(**MICRO)
+        model = Model.init(cfg, seed=0)
+        mask = np.zeros((5, 5), np.float32)
+        ten = T.constant(np.zeros((10, cfg.d_model), np.float32))
+        covers = np.arange(10).reshape(2, 5)
+        short = np.where(covers < 8, covers, -1)
+        repeats = np.where(covers == 9, 0, covers)
+        for emb, rows in ((ten, short), (ten, repeats), (T.constant(ten.data[:8]), covers)):
+            with pytest.raises(T.ShapeError, match=rf"rows \[2, 5\] must index each embedded row \[{emb.shape[0]}, 8\]"):
+                model.forward(emb, mask, rows=rows)
+        assert model.forward(ten, mask, rows=covers[:, ::-1])[0].shape == (10, cfg.vocab)
 
     def test_batched_matches_single(self):
         cfg = ModelConfig(**MICRO)
@@ -271,6 +289,25 @@ class TestKVCache:
                 model.forward(model.embed_tokens([[3, 4, 5]]), np.zeros((3, 13), np.float32), cache=cache)
             logits, _ = model.forward(model.embed_tokens([[3, 4]]), np.zeros((2, 12), np.float32), cache=cache)
         assert logits.shape == (1, 2, model.cfg.vocab)
+
+    def test_a_cached_mask_that_does_not_fit_is_a_shape_error(self):
+        # a one-row [1, 5] prefill mask is not broadcast over five queries,
+        # and a step's mask spans the cached keys too: [s, L+s] or [1 or B, s, L+s]
+        model = Model.init(ModelConfig(max_seq=12), seed=0)
+        emb = model.embed_tokens(np.arange(10).reshape(2, 5))
+        step = model.embed_tokens([[3, 4], [5, 6]])
+        with T.no_grad():
+            for mask in (np.zeros((1, 5), np.float32), np.zeros((3, 5, 5), np.float32)):
+                with pytest.raises(T.ShapeError, match=re.escape(f"mask {list(mask.shape)} for 5 queries after 0 "
+                                                                 "cached positions of [2, 5, 64]")):
+                    model.forward(emb, mask, cache=[])
+            for mask in (np.zeros((5, 5), np.float32), attention_mask(2, 5), attention_mask([1, 2], 5)):
+                cache = []
+                model.forward(emb, mask, cache=cache)
+                with pytest.raises(T.ShapeError, match=r"mask \[2, 2\] for 2 queries after 5 cached positions"):
+                    model.forward(step, np.zeros((2, 2), np.float32), cache=cache)
+                logits, _ = model.forward(step, attention_mask(0, 7)[:, 5:], cache=cache)
+                assert logits.shape == (2, 2, model.cfg.vocab)
 
     def test_cache_is_forward_only_and_sized_to_its_batch(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)

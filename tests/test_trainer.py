@@ -145,39 +145,27 @@ class TestAdamW:
             for got, want in ((p, p_ref), (m, m_ref), (v, v_ref)):
                 npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    @pytest.mark.parametrize("decay, rest", [((7, 300, 1), (129, 5)), ((1,), ()), ((), (3,)), ((1,), (1,))])
-    def test_split_halves_match_the_whole_classes_bit_for_bit(self, decay, rest):
-        # adamw_step with a second_half, which runs the second half of each
-        # decay class as the worker would (from the step t it is sent),
-        # against the whole-class calls: odd class sizes, a class of one
-        # entry (one half empty) and an empty class
-        rng = np.random.default_rng(0)
-        init = {**{f"w{i}": rng.standard_normal(n) for i, n in enumerate(decay)},
-                **{f"b{i}.gain": rng.standard_normal(n) for i, n in enumerate(rest)}}
-        whole, split = (trainer.TrainState.create({name: Tensor(x, requires_grad=True) for name, x in init.items()})
-                        for _ in range(2))
+    def test_with_the_hook_set_the_step_is_handed_over_and_nothing_updates_here(self, monkeypatch):
+        # adamw_step with a start_update, as while a worker runs: the hook
+        # gets (t, lr, weight_decay), and no kernel call touches an arena here
+        monkeypatch.setattr(kernels, "adamw_update", lambda *args: pytest.fail("AdamW ran in this process"))
+        _, state = self._state(0.5)
         sent = []
-        split.second_half = lambda *msg: sent.append(msg)
+        state.start_update = lambda *msg: sent.append(msg)
         cfg = trainer.TrainConfig(weight_decay=0.01, warmup_steps=0, total_steps=1, seed=0)
-        n = whole.weights.size
-        for t in range(1, 6):
-            g = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9, 0, n)).astype(np.float32)
-            g[::7] = 0.0
-            for state in (whole, split):
-                state.grads[0][:] = g
-                state.grads[1][:] = rng.standard_normal(n)  # scratch: never read
-                trainer.adamw_step(state, lr=1e-3 * t, cfg=cfg)
-            assert sent == [(t, 1e-3 * t, 0.01)] and split.step == whole.step == t
-            trainer._adamw(split, *sent.pop(), half=1)
-            for got, want in ((split.weights, whole.weights), (split.m, whole.m), (split.v, whole.v)):
-                npt.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+        state.grads[0][:] = 0.3
+        before = [a.copy() for a in (state.weights, state.m, state.v, *state.grads)]
+        for t in range(1, 4):
+            trainer.adamw_step(state, lr=1e-3 * t, cfg=cfg)
+            assert sent.pop() == (t, 1e-3 * t, 0.01) and not sent and state.step == t
+        for got, was in zip((state.weights, state.m, state.v, *state.grads), before):
+            npt.assert_array_equal(got.view(np.uint32), was.view(np.uint32))
 
     def test_a_pretrain_step_calls_the_kernel_at_most_twice(self, monkeypatch):
-        # in one process: with a worker, this process sees only its halves
-        # (the split is checked by TestShards)
-        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: False)
-        calls = []
-        real = kernels.adamw_update
+        # this process's calls: one per decay class a step, over every
+        # trainable entry once, without a worker; none with one, which
+        # updates the weights to the same bits
+        calls, real = [], kernels.adamw_update
 
         def count(p, *args):
             calls.append(p.size)
@@ -185,11 +173,20 @@ class TestAdamW:
 
         monkeypatch.setattr(kernels, "adamw_update", count)
         mcfg, tcfg, dcfg = small_cfgs(total_steps=2, warmup_steps=1)
-        pipe = trainer.build_pipeline(mcfg, seed=0)
-        trainer.pretrain(pipe, tcfg, dcfg)
-        n = sum(t.data.size for t in trainer.collect_state(pipe).values() if t.requires_grad)
-        assert 0 < len(calls) <= 2 * tcfg.total_steps
-        assert sum(calls) == n * tcfg.total_steps  # every trainable entry, once a step
+        weights = []
+        for fork in (False, True):
+            monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: fork)
+            calls.clear()
+            pipe = trainer.build_pipeline(mcfg, seed=0)
+            trainer.pretrain(pipe, tcfg, dcfg)
+            trained = {n: t.data for n, t in trainer.collect_state(pipe).items() if t.requires_grad}
+            n_decay = sum(w.size for n, w in trained.items() if trainer.decays(n))
+            n = sum(w.size for w in trained.values())
+            assert 0 < n_decay < n
+            assert calls == ([] if fork else [n_decay, n - n_decay] * tcfg.total_steps)
+            weights.append(trained)
+        for name, w in weights[0].items():
+            npt.assert_array_equal(weights[1][name].view(np.uint32), w.view(np.uint32), err_msg=name)
 
 
 class TestWarmup:
@@ -577,7 +574,7 @@ class TestShards:
         assert_gone(workers)
 
     @pytest.mark.parametrize("steps", [1, 3])
-    def test_a_worker_that_dies_in_its_adamw_half_names_the_step(self, workers, monkeypatch, steps):
+    def test_a_worker_that_dies_in_its_adamw_update_names_the_step(self, workers, monkeypatch, steps):
         # read where the next step starts, or after the last step
         monkeypatch.setattr(kernels, "adamw_update", in_worker(lambda: os._exit(7), kernels.adamw_update))
         mcfg, tcfg, dcfg = small_cfgs(total_steps=steps, warmup_steps=0)
@@ -585,19 +582,19 @@ class TestShards:
             trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
         assert_gone(workers)
 
-    @pytest.mark.parametrize("exc", [FloatingPointError("fault in the half"), ValueError("fault in the half")])
-    def test_a_worker_exception_in_its_adamw_half_is_raised_as_itself(self, workers, monkeypatch, exc):
+    @pytest.mark.parametrize("exc", [FloatingPointError("fault in the update"), ValueError("fault in the update")])
+    def test_a_worker_exception_in_its_adamw_update_is_raised_as_itself(self, workers, monkeypatch, exc):
         def fail():
             raise exc
 
         monkeypatch.setattr(kernels, "adamw_update", in_worker(fail, kernels.adamw_update))
         mcfg, tcfg, dcfg = small_cfgs()
-        with pytest.raises(type(exc), match="in the half"):
+        with pytest.raises(type(exc), match="in the update"):
             trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
         assert_gone(workers)
 
     def test_an_aborted_step_leaves_the_arenas_as_they_were(self, workers, monkeypatch):
-        # forked runs that abort at step 1, after a step whose second halves
+        # forked runs that abort at step 1, after a step whose AdamW update
         # the worker wrote: once on a non-finite loss, once on a tensor
         # neither shard gave a gradient. The worker gets its AdamW job only
         # after this process's checks, so weights, m and v keep their bits.
@@ -620,7 +617,7 @@ class TestShards:
         assert len(starts) == 4
         for (_, first), (state, before) in (starts[:2], starts[2:]):
             moved, mid = before[0] != first[0], state.n_decay // 2
-            assert moved[:mid].any() and moved[mid:state.n_decay].any()  # both halves of step 0 landed
+            assert moved[:mid].any() and moved[mid:state.n_decay].any()  # step 0's update landed across the class
             for arena, was in zip((state.weights, state.m, state.v), before):
                 npt.assert_array_equal(arena.view(np.uint32), was.view(np.uint32))
         assert_gone(workers, count=2)
@@ -1029,3 +1026,10 @@ def test_train_config_validation():
     trainer.TrainConfig(total_steps=0, warmup_steps=100, seed=0)  # no-op run allowed
     with pytest.raises(ValueError):
         trainer.TrainConfig(mode="training", seed=0)
+
+
+@pytest.mark.parametrize("field", ["lr", "weight_decay"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_a_non_finite_rate(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        trainer.TrainConfig(seed=0, **{field: value})
