@@ -266,7 +266,7 @@ class Model:
         return T.linear(x, self.params[f"llm.blocks.{block}.{layer}"], ab)
 
     def forward(self, embedded, mask, adapters=None, collect_taps=True, cache=None, rows=None,
-                logit_rows=None):
+                logit_rows=None, rope=None):
         """Run the stack on already-embedded inputs.
 
         embedded: Tensor [B, S, d] with vision embeddings spliced in at the
@@ -290,13 +290,18 @@ class Model:
         the last S rows of the mask at L+S (None for a one-row step: its
         query sees every key). It runs the tape path's kernels in order on
         arrays, with no Tensor per op: the same bits. Adapters are merged
-        before, once per decode, by ``decode_greedy``. Rows or a mask that
-        do not fit the input are a ShapeError.
+        before, once per decode, by ``decode_greedy``. rope (cached only):
+        ``rope_qk_tables`` of positions 0..P-1, P >= L+S, whose rows at
+        L..L+S-1 the forward takes, so a decode builds its tables once;
+        without it the forward builds them. Rows or a mask that do not fit
+        the input are a ShapeError.
         """
         if cache is not None:
             if adapters is not None or rows is not None or logit_rows is not None:
                 raise ValueError("a cached forward takes no adapters (decode_greedy merges them), rows or logit_rows")
-            return self._cached_forward(embedded.data, mask, collect_taps, cache)
+            return self._cached_forward(embedded.data, mask, collect_taps, cache, rope)
+        if rope is not None:
+            raise ValueError("only a cached forward takes rope tables")
         cfg = self.cfg
         x = embedded
         padded = rows is None and x.data.ndim == 3
@@ -339,7 +344,7 @@ class Model:
                 logits = T.reshape(logits, (b, s, cfg.vocab))
         return logits, taps
 
-    def _cached_forward(self, x, mask, collect_taps, cache):
+    def _cached_forward(self, x, mask, collect_taps, cache, rope):
         """``forward`` with a cache, on x [B, S, d] as an array."""
         cfg, shape = self.cfg, x.shape
         b, s, _ = shape
@@ -359,7 +364,10 @@ class Model:
             raise ValueError("row fully masked")
         w = {name: t.data for name, t in self.params.items()}
         heads, hd = cfg.n_heads, cfg.head_dim
-        q_rope, k_rope = rope_qk_tables(np.tile(np.arange(past, past + s), b), heads, hd)
+        rope = rope or rope_qk_tables(np.arange(past + s), heads, hd)
+        # the rows of positions L..L+S-1, once per sequence; one row (a step) broadcasts over the B rows as it is
+        q_rope, k_rope = ([t[past:past + s] if min(b, s) == 1 else np.tile(t[past:past + s], (b, 1)) for t in tables]
+                          for tables in rope)
         norm = lambda t, name: kernels.rmsnorm_fwd(t, w[name], T.RMS_EPS)[0]
         split = lambda t: t.reshape(b, -1, heads, hd).swapaxes(1, 2)  # heads [B, heads, S, hd], a view
         x, taps = x.reshape(b * s, cfg.d_model), []
@@ -392,8 +400,10 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
     feeds only the new tokens, one per row, reads the earlier positions'
     keys and values from the K/V cache and writes its own in place after
     them, so the cache grows (doubling) with the positions decoded so far,
-    however large max_new and max_seq are. A one-row step's query sees
-    every earlier key under both mask modes, so it runs with mask None.
+    however large max_new and max_seq are; so do rope's tables, which a
+    step takes its rows of, built once per growth rather than per step. A
+    one-row step's query sees every earlier key under both mask modes, so
+    it runs with mask None.
     Unmerged adapters are merged into a model copy once per call, the one
     merge of a decode: the cached forward takes no adapters. A row stops
     at EOS, after max_new tokens, or at max_seq; the loop ends when every row has.
@@ -417,11 +427,14 @@ def decode_greedy(model, prefix_embedded, layout, eos_id, max_new, adapters=None
         model = Model(model.cfg, {**model.params, **merged})
     cache, past = [], 0
     mask = attention_mask(layouts[0].n_vision, s, mask_mode)
+    rope, limit = None, min(model.cfg.max_seq, s + max_new)  # limit: the most positions a call feeds
     out = [[] for _ in range(batch)]
     live = [True] * batch
     with T.no_grad():
         for _ in range(max_new):
-            logits, _ = model.forward(emb, mask, collect_taps=False, cache=cache)
+            if rope is None or rope[0][0].shape[0] < past + s:  # grown by doubling, as the cache is
+                rope = rope_qk_tables(np.arange(min(limit, 2 * (past + s))), model.cfg.n_heads, model.cfg.head_dim)
+            logits, _ = model.forward(emb, mask, collect_taps=False, cache=cache, rope=rope)
             nxt = logits.data[:, -1].argmax(axis=-1)
             for row, token in enumerate(nxt.tolist()):
                 if live[row]:

@@ -8,11 +8,14 @@ A training step on a batch of two or more sequences deals its sequences
 alternately into two shards that use the whole batch's loss normalisers,
 so their gradients sum to the batch's. Shard 0 runs here; shard 1 runs
 alongside it in a worker forked for the run where ``_two_shards`` holds,
-else here after it. Each writes its gradients into its own flat arena of
-the run's ``TrainState``; ``combine`` adds them, and AdamW updates the
-weight arena where shard 1 runs: here, or in the worker while this
-process records the step and draws the next batch. Where shard 1 and
-AdamW ran changes no bit of a run's results.
+else here after it. The process that runs shard 1 draws every batch and
+deals it: a worker sends shard 0 here and keeps shard 1, and draws the
+next batch while this process is still in shard 0. Each shard writes its
+gradients into its own flat arena of the run's ``TrainState``;
+``combine`` adds them, and AdamW updates the weight arena where shard 1
+runs: here, or in the worker while this process records the step. Where
+batches are drawn and where shard 1 and AdamW ran changes no bit of a
+run's results.
 """
 
 import csv
@@ -484,13 +487,15 @@ def _two_shards(tcfg):
 
 
 class _ShardWorker:
-    """One forked process that runs ``jobs[0](shard)``, shard 1 of every
-    step, while this process runs shard 0, and ``jobs[1](t, lr,
-    weight_decay)``, the step's AdamW update, while this process records
-    the step and draws the next batch. It shares the state's arenas: it
-    reads the weights and writes ``grads[1]``, and its AdamW job writes
-    all of them. Answers come back in order; ``settle`` reads the AdamW
-    one before this process reads the weights again."""
+    """One forked process that serves three jobs in the order they are
+    posted: ``jobs[0]()``, shard 1 of the step, while this process runs
+    shard 0; ``jobs[2]()``, drawing the next batch from its forked copy of
+    the run's batches, which sends shard 0 here and keeps shard 1 for its
+    next ``jobs[0]``; and ``jobs[1](t, lr, weight_decay)``, the step's
+    AdamW update, while this process records the step. It shares the
+    state's arenas: it reads the weights and writes ``grads[1]``, and its
+    AdamW job writes all of them. Answers come back in order; ``settle``
+    reads the AdamW one before this process reads the weights again."""
 
     def __init__(self, *jobs):
         import multiprocessing
@@ -516,10 +521,16 @@ class _ShardWorker:
         except OSError:
             raise self._dead(step) from None
 
-    def send(self, step, shard):
-        """Send the worker shard 1 of the step; returns what waits for its answer."""
-        self._post(step, 0, (shard,))
+    def send(self, step):
+        """Start shard 1 of the step in the worker; returns what waits for its answer."""
+        self._post(step, 0, ())
         return partial(self.answer, step)
+
+    def draw(self, step):
+        """Start drawing the step's batch in the worker; ``answer(step)`` reads
+        its shard 0 and whether the worker keeps a shard 1, or None once the
+        batches have ended."""
+        self._post(step, 2, ())
 
     def start_update(self, t, lr, weight_decay):
         """Start AdamW step t in the worker (``_adamw``)."""
@@ -574,36 +585,58 @@ def batch_draws(pipe, tcfg, dcfg):
 
 def train_loop(pipe, tcfg, batches, metrics_sink=None):
     """The one step loop: tcfg.total_steps steps, step i on the i-th batch
-    of the iterable ``batches``; returns the per-step metrics list.
+    of the iterable ``batches``, fewer if it ends first; returns the
+    per-step metrics list.
 
     A batch of two or more sequences trains as its two shards
     (``PackedBatch.shards``), shard 1 in this process after shard 0 or
     alongside it in a worker forked for the run (``_two_shards``), to the
-    same bits either way. A worker also runs each AdamW update while the
-    step's record goes to ``metrics_sink`` and the next batch is drawn,
-    so the sink must not read the trainable weights.
-    However the loop ends, the worker ends with it and the trainable
-    tensors get private arrays back (``TrainState.release``)."""
+    same bits either way. The process that runs shard 1 draws every
+    batch: here, or in the worker from its forked copy of ``batches``,
+    which sends this process shard 0 and keeps shard 1. A worker draws
+    the next batch once its shard 1 is done, and runs each AdamW update,
+    while the step's record goes to ``metrics_sink``, so the sink must not
+    read the trainable weights. However the loop ends, the worker ends
+    with it and the trainable tensors get private arrays back
+    (``TrainState.release``)."""
     state = TrainState.create(_partition(pipe, tcfg))
     use_distill = tcfg.mode != "finetune" and tcfg.distill_mode != "none"
     distill_mode = tcfg.distill_mode if use_distill else "none"
+    draws, held = iter(batches), []  # held: the last drawn batch's shard 1, if it has one
 
-    def run1(shard):
-        return run_shard(state, 1, lambda: compute_losses(pipe, shard, tcfg.mask_mode, distill_mode))
+    def draw():
+        """The next batch's shard 0 and whether it has a shard 1, which
+        stays here for ``run1``; None once ``batches`` has ended."""
+        batch = next(draws, None)
+        if batch is None:
+            return None
+        first, *held[:] = batch.shards()
+        return first, bool(held)
+
+    def run1():
+        return run_shard(state, 1, lambda: compute_losses(pipe, held[0], tcfg.mask_mode, distill_mode))
 
     metrics = []
     worker = None
     try:
         if _two_shards(tcfg):
-            worker = _ShardWorker(run1, partial(_adamw, state))
+            worker = _ShardWorker(run1, partial(_adamw, state), draw)
             state.start_update = worker.start_update
-        for step, batch in zip(range(tcfg.total_steps), batches):
-            first, *rest = batch.shards()
+            worker.draw(0)
+        for step in range(tcfg.total_steps):
             if worker:
+                dealt = worker.answer(step)  # the step's batch, drawn in the worker
                 worker.settle()  # the last step's update, before shard 0's forward reads the weights
+            else:
+                dealt = draw()
+            if dealt is None:
+                break
+            first, split = dealt
             shard1 = None
-            if rest:
-                shard1 = worker.send(step, *rest) if worker else partial(run1, *rest)
+            if split:
+                shard1 = worker.send(step) if worker else run1
+            if worker and step + 1 < tcfg.total_steps:
+                worker.draw(step + 1)
             lm, dist, per_block, lr = train_step(
                 state, tcfg, step, lambda: compute_losses(pipe, first, tcfg.mask_mode, distill_mode), shard1)
             # total_loss is distill.total_loss's float32 sum, to the bit

@@ -157,6 +157,15 @@ class TestCli:
         assert cli.main(["pretrain", cfg_path, str(tmp_path / "x")]) == cli.EXIT_WORKER == 5
         assert "step 0: the shard worker died" in caplog.text
 
+    def test_a_shard_worker_dead_in_a_draw_exits_5_naming_the_step(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: True)
+        main, real = os.getpid(), data.make_batch
+        monkeypatch.setattr(data, "make_batch",
+                            lambda *args, **kwargs: real(*args, **kwargs) if os.getpid() == main else os._exit(1))
+        cfg_path = write(tmp_path, BASE_CFG)
+        assert cli.main(["pretrain", cfg_path, str(tmp_path / "x")]) == cli.EXIT_WORKER == 5
+        assert "step 0: the shard worker died" in caplog.text
+
     @pytest.mark.parametrize("shards", [1, 2])
     def test_a_value_error_in_either_shard_leaves_the_cli_alike(self, tmp_path, monkeypatch, shards):
         # `shards` counts the processes the two shards run in: with 1 the main

@@ -309,6 +309,25 @@ class TestKVCache:
                 logits, _ = model.forward(step, attention_mask(0, 7)[:, 5:], cache=cache)
                 assert logits.shape == (2, 2, model.cfg.vocab)
 
+    def test_rope_tables_built_once_give_the_bits_of_tables_built_per_forward(self):
+        # decode_greedy builds rope's tables once per call and each cached
+        # forward takes its positions' rows of them
+        model = Model.init(ModelConfig(max_seq=12), seed=0)
+        emb, mask = model.embed_tokens(np.arange(10).reshape(2, 5)), attention_mask([2, 0], 5)
+        rope = rope_qk_tables(np.arange(12), model.cfg.n_heads, model.cfg.head_dim)
+        runs = []
+        with T.no_grad():
+            for given in (None, rope):
+                cache = []
+                logits = [model.forward(emb, mask, cache=cache, rope=given)[0]]
+                for token in (3, 4, 5):
+                    step = model.embed_tokens([[token], [token + 1]])
+                    logits.append(model.forward(step, None, cache=cache, rope=given)[0])
+                runs.append([t.data.tobytes() for t in logits])
+            with pytest.raises(ValueError, match="only a cached forward takes rope tables"):
+                model.forward(emb, mask, rope=rope)
+        assert runs[0] == runs[1]
+
     def test_cache_is_forward_only_and_sized_to_its_batch(self):
         model = Model.init(ModelConfig(max_seq=12), seed=0)
         emb, mask = model.embed_tokens(np.arange(4)[None]), np.zeros((4, 4), np.float32)

@@ -501,6 +501,57 @@ class TestShards:
         assert_gone(workers, count=0)
         assert all(t.data.flags.owndata for t in trainer.collect_state(pipe).values() if t.requires_grad)
 
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_every_batch_is_drawn_where_shard_1_runs(self, workers, monkeypatch, tmp_path, fork):
+        # a pid spy on make_batch: with a worker every draw runs in it, without
+        # one in this process; one draw a step either way, none past the last
+        monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: fork)
+        log, real = tmp_path / "draws", data.make_batch
+
+        def spy(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data, "make_batch", spy)
+        mcfg, tcfg, dcfg = small_cfgs(total_steps=4, warmup_steps=1)
+        trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg)
+        assert_gone(workers, count=int(fork))
+        pids = [int(pid) for pid in log.read_text().split()]
+        assert pids == [workers[0].proc.pid if fork else os.getpid()] * tcfg.total_steps
+
+    def test_batches_that_end_first_end_the_loop_alike_in_one_process_and_two(self, workers, monkeypatch):
+        mcfg, dcfg = ModelConfig(), data.DataConfig()
+        rng = np.random.default_rng(0)
+        b0, b1 = (data.make_batch(rng, 4, dcfg=dcfg, max_seq=mcfg.max_seq) for _ in range(2))
+        tcfg = trainer.TrainConfig(seed=0, total_steps=5, warmup_steps=1, batch_size=4)
+        runs = []
+        for fork in (False, True):
+            monkeypatch.setattr(trainer, "_two_shards", lambda tcfg: fork)
+            runs.append(trainer.train_loop(trainer.build_pipeline(mcfg, seed=0), tcfg, [b0, b1]))
+        assert [rec["step"] for rec in runs[0]] == [0, 1]
+        assert runs[0] == runs[1]
+        assert_gone(workers)
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_a_value_error_in_a_draw_in_the_worker_is_raised_as_itself(self, workers, monkeypatch, at):
+        main, real, calls = os.getpid(), data.make_batch, []
+
+        def draw(*args, **kwargs):
+            calls.append(None)  # the worker's own copy of the list
+            if os.getpid() != main and len(calls) > at:
+                raise ValueError("fault in a draw")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data, "make_batch", draw)
+        mcfg, tcfg, dcfg = small_cfgs()
+        metrics = []
+        with pytest.raises(ValueError, match="fault in a draw"):
+            trainer.pretrain(trainer.build_pipeline(mcfg, seed=0), tcfg, dcfg, metrics_sink=metrics.append)
+        assert [rec["step"] for rec in metrics] == list(range(at))
+        assert calls == []
+        assert_gone(workers)
+
     def test_two_shards_need_two_sequences_a_step_two_cpus_and_fork(self, monkeypatch):
         tcfg = trainer.TrainConfig(seed=0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -4,6 +4,7 @@ the working tree, both in one process.
 
     tools/ab_steps.py REV [fixed|anyres] [pretrain|finetune] [--steps N] [--seed S]
     tools/ab_steps.py REV decode [--merged] [--steps N] [--seed S]
+    tools/ab_steps.py REV loop [fixed|anyres] [pretrain|finetune] [--pairs P] [--steps N] [--seed S]
 
 REV's src/vora (taken with `git archive`, as tools/compare_artifacts.sh
 does) is imported as the package `vora_rev`, the working tree's src/vora as
@@ -27,7 +28,9 @@ BLAS runs on one thread. The script uses `trainer._partition`,
 `compute_losses` and `data.PackedBatch.shards`, so REV must have them. It
 compares the step bodies of two revisions in one process, not their runs:
 a run's second shard may run in a forked worker. A claim about run steps
-rests on `perfbench/run.py` pairs, which time them in wall time.
+rests on `perfbench/run.py` pairs, which time them in wall time. Batch
+making is outside the timed body, so these modes cannot see where a batch
+is drawn or any other change to the step pipeline; `loop` can.
 
 `decode` times `model.decode_greedy` instead, on the inputs of perfbench's
 eval-decode workload for the seed (`workloads.make_inputs`): each side
@@ -38,6 +41,16 @@ tokens with no EOS, so its work is fixed. A step is one decode call,
 timed in process CPU time. The script exits 1 if the two sides decode
 different ids. Besides what perfbench uses, it calls `trainer.merge`, so
 REV must have it.
+
+`loop` times whole training runs instead: --pairs pairs of runs, each
+side's `trainer.pretrain` (or `finetune`, which merges first) on a fresh
+default pipeline with the seed, for --warmup + --steps + 1 steps, its
+shard worker and batch drawing included as a run has them. The pairs
+alternate which side runs first, as the steps do. A step is the wall
+time between two `metrics_sink` calls; the first --warmup are not timed.
+The script prints each side's median ms per step over every timed step
+of its runs, with its quartiles, the pairs in which the tree's median
+step was the faster, and the worst loss difference over all steps.
 """
 
 import argparse
@@ -134,22 +147,53 @@ class DecodeSide:
         return ids
 
 
+class LoopSide:
+    """One package's training runs, timed from one ``metrics_sink`` call to
+    the next: ``ms`` every timed step, ``run_ms`` each run's median."""
+
+    def __init__(self, vora, grid, mode, seed, steps, warmup):
+        self.vora, self.seed, self.warmup = vora, seed, warmup
+        self.tcfg = vora.trainer.TrainConfig(seed=seed, mode=mode, total_steps=warmup + steps + 1, warmup_steps=0)
+        self.dcfg = vora.data.DataConfig(anyres=grid == "anyres")
+        self.train = vora.trainer.finetune if mode == "finetune" else vora.trainer.pretrain
+        self.ms, self.run_ms = [], []
+
+    def step(self, i, timed):
+        pipe = self.vora.trainer.build_pipeline(self.vora.model.ModelConfig(), seed=self.seed)
+        stamps = []
+        _, metrics = self.train(pipe, self.tcfg, self.dcfg, metrics_sink=lambda rec: stamps.append(time.perf_counter()))
+        ms = 1e3 * np.diff(stamps)[self.warmup:]
+        self.ms.extend(ms)
+        self.run_ms.append(np.median(ms))
+        return [rec["lm_loss"] for rec in metrics]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev")
-    ap.add_argument("grid", nargs="?", choices=("fixed", "anyres", "decode"), default="fixed")
-    ap.add_argument("mode", nargs="?", choices=("pretrain", "finetune"), default="pretrain")
+    ap.add_argument("words", nargs="*", metavar="[loop] [fixed|anyres] [pretrain|finetune] | decode")
     ap.add_argument("--merged", action="store_true", help="decode: merge the adapters first")
-    ap.add_argument("--steps", type=int, default=140, help="timed steps (decode calls) per side")
-    ap.add_argument("--warmup", type=int, default=5, help="untimed steps per side first")
+    ap.add_argument("--steps", type=int, default=140, help="timed steps (decode calls) per side, or per run")
+    ap.add_argument("--warmup", type=int, default=5, help="untimed steps per side, or per run, first")
+    ap.add_argument("--pairs", type=int, default=6, help="loop: pairs of runs")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    if args.grid == "decode":
+    words = list(args.words)
+    kind = words.pop(0) if words[:1] in (["loop"], ["decode"]) else "steps"
+    grid = words.pop(0) if words[:1] in (["fixed"], ["anyres"]) and kind != "decode" else "fixed"
+    mode = words.pop(0) if words[:1] in (["pretrain"], ["finetune"]) and kind != "decode" else "pretrain"
+    if words:
+        ap.error(f"unexpected {' '.join(words)!r}")
+    n = args.pairs if kind == "loop" else args.warmup + args.steps
+    if kind == "decode":
         title = f"decode {'merged' if args.merged else 'unmerged'}"
         make = lambda vora: DecodeSide(vora, args.merged, args.seed)  # noqa: E731
+    elif kind == "loop":
+        title = f"loop {grid} {mode}"
+        make = lambda vora: LoopSide(vora, grid, mode, args.seed, args.steps, args.warmup)  # noqa: E731
     else:
-        title = f"{args.grid} {args.mode}, two shards"
-        make = lambda vora: Side(vora, args.grid, args.mode, args.seed)  # noqa: E731
+        title = f"{grid} {mode}, two shards"
+        make = lambda vora: Side(vora, grid, mode, args.seed)  # noqa: E731
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src/vora"],
@@ -161,14 +205,25 @@ def main(argv=None):
         rev = make(import_package("vora_rev", Path(tmp) / "src" / "vora"))
         tree = make(import_package("vora", ROOT / "src" / "vora"))
         worst_loss_gap, id_mismatches = 0.0, 0
-        for i in range(args.warmup + args.steps):
-            timed = i >= args.warmup
+        for i in range(n):
+            timed = kind == "loop" or i >= args.warmup
             first, second = (rev, tree) if i % 2 == 0 else (tree, rev)
             out = {id(first): first.step(i, timed), id(second): second.step(i, timed)}
-            if args.grid == "decode":
+            if kind == "decode":
                 id_mismatches += out[id(rev)] != out[id(tree)]
             else:
-                worst_loss_gap = max(worst_loss_gap, abs(out[id(rev)] - out[id(tree)]))
+                worst_loss_gap = max(worst_loss_gap, np.abs(np.subtract(out[id(rev)], out[id(tree)])).max())
+
+    if kind == "loop":
+        print(f"{title}, seed {args.seed}, {n} pairs of runs, {args.steps} timed steps a run"
+              f" (wall time between metrics_sink calls)")
+        for name, side in ((args.rev, rev), ("tree", tree)):
+            lo, mid, hi = np.percentile(side.ms, [25, 50, 75])
+            print(f"  {name:>12}: median {mid:.2f} ms/step (quartiles {lo:.2f}-{hi:.2f})")
+        wins = sum(t < r for t, r in zip(tree.run_ms, rev.run_ms))
+        print(f"  tree faster in {wins}/{n} pairs (each run's median step)")
+        print(f"  worst |lm loss difference| over all steps: {worst_loss_gap:.2e}")
+        return 0
 
     ratio = np.array(tree.ms) / np.array(rev.ms)
     q1, med, q3 = np.percentile(ratio, [25, 50, 75])
@@ -179,7 +234,7 @@ def main(argv=None):
               f" {np.median(side.faults):.0f} minor faults/step (mean {np.mean(side.faults):.0f})")
     print(f"  tree/{args.rev}: median ratio {med:.3f} (quartiles {q1:.3f}-{q3:.3f}),"
           f" tree faster on {int((ratio < 1).sum())}/{ratio.size} steps")
-    if args.grid == "decode":
+    if kind == "decode":
         print(f"  decode calls whose ids differ: {id_mismatches} of {args.warmup + args.steps}")
         return 1 if id_mismatches else 0
     print(f"  worst |lm loss difference| over all steps: {worst_loss_gap:.2e}")
